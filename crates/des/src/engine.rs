@@ -23,8 +23,9 @@
 //!    counter). Stamps are unique and depend only on each component's own
 //!    execution history — not on how components interleave.
 //! 2. **Canonical batch order.** All events at the earliest pending
-//!    `(tick, epsilon)` form one *generation*; both engines sort each
-//!    generation by stamp before dispatch. By induction, identical
+//!    `(tick, epsilon)` form one *generation*; every engine dispatches each
+//!    generation in ascending stamp order (`take_generation`, the one
+//!    place a generation is ordered). By induction, identical
 //!    generations produce identical per-component histories, hence
 //!    identical stamps, hence identical future generations.
 //! 3. **Per-component random streams.** Each component draws from its own
@@ -41,7 +42,7 @@ use std::fmt;
 use std::time::Duration;
 
 use crate::component::{Component, ComponentId};
-use crate::event::EventQueue;
+use crate::event::{EventQueue, Generation};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
 use crate::trace::{TraceBuffer, TraceEvent, TraceSpec};
@@ -70,6 +71,33 @@ pub struct EventStamp {
 pub(crate) struct Stamped<E> {
     pub stamp: EventStamp,
     pub payload: E,
+}
+
+/// Drains the earliest generation of `queue` into `generation`, ready to
+/// dispatch in ascending [`EventStamp`] order, if its tick is at most
+/// `tick_limit`; see [`EventQueue::take_generation_until`] for `None`.
+///
+/// Every backend takes its generations here. The queue orders by
+/// `(stamp.src, enqueue position)`, which is stamp order because **within
+/// one queue, one source's events at one `(tick, epsilon)` are enqueued
+/// in ascending `seq`**: a source stamps its sends in order and they
+/// reach a given queue by one route (direct pushes, or its shard's
+/// sender-ordered outbox); the queue keeps equal times FIFO through the
+/// overflow heap; conversions between backends and checkpoint restores
+/// re-push in drain order; and an aborted generation's remainder goes
+/// back to the front in stamp order, ahead of anything its source sent
+/// later.
+pub(crate) fn take_generation<E>(
+    queue: &mut EventQueue<Stamped<E>>,
+    tick_limit: Tick,
+    generation: &mut Generation<Stamped<E>>,
+) -> Option<Time> {
+    let time = queue.take_generation_until(tick_limit, generation, |e| e.stamp.src)?;
+    debug_assert!(
+        generation.pending().is_sorted_by(|a, b| a.stamp < b.stamp),
+        "a source's events were enqueued out of seq order at {time}"
+    );
+    Some(time)
 }
 
 /// A trace record tagged for deterministic merging: the stamp of the

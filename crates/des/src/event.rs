@@ -21,20 +21,42 @@
 //! past them. An occupancy bitmap (one bit per bucket) lets the queue skip
 //! runs of empty ticks a word at a time.
 //!
-//! # Storage: slab + intrusive lists
+//! # Storage: pooled contiguous chunks
 //!
-//! Buckets are **not** `Vec`s. Every pending ring event lives in one shared
-//! slab (`Vec<Slot<E>>`), and each bucket is just a `(head, tail)` pair of
-//! slab indices threading an intrusive singly-linked list through the slab.
-//! A push is a slab append (amortized `O(1)`, reusing freed slots via a
-//! free list) plus one link write — crucially there is **no per-bucket
-//! allocation**, so workloads that scatter events thinly over many ticks
-//! (one event per bucket) do not pay one `malloc` per event the way
-//! `Vec`-buckets would. This is the classic timing-wheel representation.
+//! A large network keeps thousands of events in one tick's bucket, and the
+//! executor takes them a whole `(tick, epsilon)` *generation* at a time, so
+//! a bucket is laid out for streaming: a chain of **chunks**, each a header
+//! followed by a contiguous run of event slots, all in one shared arena
+//! (`Vec<Slot<E>>`). The bucket implies the tick, so a slot holds only
+//! epsilon, target and payload. A push appends to the bucket's tail chunk;
+//! a drain walks the chain front to back, once. The bucket's smallest
+//! epsilon is kept up to date in its tail chunk's header, which every push
+//! writes anyway, so neither [`EventQueue::peek_time`] nor a drain scans
+//! for it, and a bucket proper is two 4-byte chunk ids.
 //!
-//! The executor additionally drains whole same-`(tick, epsilon)` batches
-//! through [`EventQueue::take_batch`] so the hot loop does not re-examine
-//! the queue between events that are already known to be ready.
+//! There is **no per-bucket allocation**: chunks come from per-size free
+//! lists threaded through their headers and go back when drained, most
+//! recently drained first, so steady-state traffic keeps writing into the
+//! slots it has just read. A bucket's first chunk holds [`MIN_CHUNK`]
+//! events and each further chunk doubles up to [`MAX_CHUNK`], so a bucket
+//! of thousands is a few dozen long sequential runs. A bucket's *only*
+//! event has no chunk at all: it is one bare slot, so a workload that
+//! scatters one event per tick over many ticks pays one slot per event
+//! and nothing per tick but the 8-byte bucket.
+//!
+//! # Generations
+//!
+//! [`EventQueue::take_generation_until`] drains the earliest generation
+//! into a [`Generation`], ordered for dispatch by a caller-supplied 32-bit
+//! source id with ties broken by enqueue position. It makes two passes. The
+//! first walks the bucket, reads each event's source into an 8-byte key
+//! and moves only the events of *later* epsilons, to a fresh chain. Only
+//! the keys are sorted. The second moves each event once, from its slot
+//! straight to its place in dispatch order, so that dispatching is popping
+//! a vector. The engines use this with the event stamp's source (see the
+//! `engine` module for why that equals full stamp order).
+//! [`EventQueue::take_batch`] is the same drain in plain enqueue order, and
+//! [`EventQueue::pop`] takes single events in place.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -94,30 +116,92 @@ impl<E> Ord for OverflowEntry<E> {
 ///
 /// Flit, credit, and clock events land within a few ticks of `now`; 4096
 /// ticks of headroom keeps even long channel pipelines and slow clocks in
-/// the O(1) ring while costing only 32 KiB of bucket list heads.
+/// the O(1) ring while costing only 32 KiB of bucket headers.
 const DEFAULT_HORIZON: usize = 4096;
 
 /// Upper bound for adaptive horizon growth (2^20 buckets = 8 MiB of
-/// bucket list heads). Workloads spread wider than this keep using the
+/// bucket headers). Workloads spread wider than this keep using the
 /// overflow heap beyond the ring.
 const MAX_HORIZON: usize = 1 << 20;
 
-/// Sentinel slab index: "no slot".
+/// Sentinel chunk id: "no chunk".
 const NIL: u32 = u32::MAX;
 
-/// One slab cell: a pending ring event plus its intrusive `next` link.
-///
-/// Free cells keep `payload: None` and reuse `next` as the free-list link.
+/// Events in a bucket's first chunk (a power of two, at least 2).
+const MIN_CHUNK: usize = 2;
+
+/// Events in the largest chunk (a power of two, at most 128).
+const MAX_CHUNK: usize = 64;
+
+/// Largest chunk size class: class `k` holds `MIN_CHUNK << k` events.
+const MAX_CLASS: u8 = (MAX_CHUNK / MIN_CHUNK).trailing_zeros() as u8;
+
+/// The class of a lone event slot: a bucket's only event, stored without
+/// a header.
+const LONE: u8 = MAX_CLASS + 1;
+
+// A lone event moves into a first-size chunk when a second joins it.
+const _: () = assert!(MIN_CHUNK >= 2 && MAX_CHUNK <= 128);
+
+/// One arena slot. A chunk is a header slot followed by its event slots.
 #[derive(Debug)]
-struct Slot<E> {
-    time: Time,
-    target: ComponentId,
-    next: u32,
-    payload: Option<E>,
+enum Slot<E> {
+    /// An event slot that was consumed or never written.
+    Vacant,
+    /// The first slot of a chunk, describing the event slots after it; or
+    /// a released lone slot, for its free-list link.
+    Chunk(Chunk),
+    /// A pending ring event of its bucket's tick.
+    Event {
+        epsilon: Epsilon,
+        target: ComponentId,
+        payload: E,
+    },
 }
 
-/// A bucket: head/tail slab indices of its intrusive event list
-/// (`NIL`/`NIL` when empty). 8 bytes, so a cache line covers 8 buckets.
+/// A chunk header. The chunk's id is the arena index of this header; its
+/// `capacity()` event slots follow, of which `[read, len)` may still hold
+/// events. `next` links the bucket's chain, or the free list of the
+/// chunk's class.
+///
+/// A bucket holding a single event is that event's slot alone, with no
+/// header: the chunk id names the event slot itself and
+/// [`ChunkPool::chunk`] makes up the header of a full one-slot chunk of
+/// class [`LONE`]. One event per tick therefore costs one slot and no
+/// more work than writing it; the second event of a tick moves the first
+/// into a real chunk.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    next: u32,
+    len: u8,
+    read: u8,
+    class: u8,
+    /// In the tail chunk of a bucket: the smallest epsilon among the
+    /// bucket's events. Kept here, in the slot every push writes anyway,
+    /// so that a bucket stays 8 bytes and a wide ring stays in cache.
+    min_epsilon: Epsilon,
+}
+
+impl Chunk {
+    #[inline]
+    fn capacity(&self) -> usize {
+        MIN_CHUNK << self.class
+    }
+
+    /// Arena indices of the event slots of chunk `id` (whose header this
+    /// is) not yet passed by the read cursor.
+    #[inline]
+    fn unread(&self, id: u32) -> std::ops::Range<usize> {
+        if self.class == LONE {
+            return id as usize..id as usize + 1;
+        }
+        let first = id as usize + 1;
+        first + self.read as usize..first + self.len as usize
+    }
+}
+
+/// A bucket: its chunk chain (`NIL`/`NIL` when empty). The slot under the
+/// head chunk's read cursor holds an event.
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
     head: u32,
@@ -131,16 +215,449 @@ impl Bucket {
     };
 }
 
+/// The slot arena shared by every bucket.
+#[derive(Debug)]
+struct ChunkPool<E> {
+    slots: Vec<Slot<E>>,
+    /// Head of the free-chunk chain per size class (`NIL` when exhausted).
+    free: [u32; LONE as usize + 1],
+}
+
+impl<E> ChunkPool<E> {
+    fn new() -> Self {
+        ChunkPool {
+            slots: Vec::new(),
+            free: [NIL; LONE as usize + 1],
+        }
+    }
+
+    /// The header of chunk `id`.
+    #[inline]
+    fn chunk(&self, id: u32) -> Chunk {
+        match self.slots[id as usize] {
+            Slot::Chunk(chunk) => chunk,
+            Slot::Event { epsilon, .. } => Chunk {
+                next: NIL,
+                len: 1,
+                read: 0,
+                class: LONE,
+                min_epsilon: epsilon,
+            },
+            Slot::Vacant => unreachable!("chunk id names a vacant slot"),
+        }
+    }
+
+    /// The header of chunk `id`, which is not a lone event.
+    #[inline]
+    fn chunk_mut(&mut self, id: u32) -> &mut Chunk {
+        match &mut self.slots[id as usize] {
+            Slot::Chunk(chunk) => chunk,
+            _ => unreachable!("chunk id names an event slot"),
+        }
+    }
+
+    /// The smallest epsilon among the events of `bucket` (non-empty).
+    #[inline]
+    fn min_epsilon(&self, bucket: &Bucket) -> Epsilon {
+        self.chunk(bucket.tail).min_epsilon
+    }
+
+    /// Puts chunk `id`, which holds no event any more, on the free list of
+    /// its class and returns the chunk that followed it.
+    #[inline]
+    fn release(&mut self, id: u32) -> u32 {
+        let (class, next) = match self.slots[id as usize] {
+            Slot::Chunk(chunk) => (chunk.class, chunk.next),
+            Slot::Vacant => (LONE, NIL),
+            Slot::Event { .. } => unreachable!("released chunk holds an event"),
+        };
+        self.slots[id as usize] = Slot::Chunk(Chunk {
+            next: self.free[class as usize],
+            len: 0,
+            read: 0,
+            class,
+            min_epsilon: Epsilon::MAX,
+        });
+        self.free[class as usize] = id;
+        next
+    }
+
+    /// Takes the most recently released chunk of `class`, if there is any,
+    /// off its free list and returns its id as an arena index.
+    #[inline]
+    fn reuse(&mut self, class: u8) -> Option<usize> {
+        let id = self.free[class as usize];
+        if id == NIL {
+            return None;
+        }
+        self.free[class as usize] = self.chunk(id).next;
+        Some(id as usize)
+    }
+
+    /// Appends one event to the tail of `bucket`'s chain.
+    #[inline]
+    fn append(&mut self, bucket: &mut Bucket, epsilon: Epsilon, target: ComponentId, payload: E) {
+        let event = Slot::Event {
+            epsilon,
+            target,
+            payload,
+        };
+        if bucket.tail == NIL {
+            let id = match self.reuse(LONE) {
+                Some(id) => {
+                    self.slots[id] = event;
+                    id
+                }
+                None => {
+                    self.slots.push(event);
+                    self.slots.len() - 1
+                }
+            };
+            assert!(id < NIL as usize, "event arena exhausted u32 index space");
+            *bucket = Bucket {
+                head: id as u32,
+                tail: id as u32,
+            };
+            return;
+        }
+        if let Slot::Chunk(tail) = &mut self.slots[bucket.tail as usize] {
+            if (tail.len as usize) < tail.capacity() {
+                tail.min_epsilon = tail.min_epsilon.min(epsilon);
+                tail.len += 1;
+                let at = bucket.tail as usize + tail.len as usize;
+                self.slots[at] = event;
+                return;
+            }
+        }
+        self.append_chunk(bucket, epsilon, event);
+    }
+
+    /// Appends `event` to `bucket`, whose tail is a full chunk or a lone
+    /// event: behind a chunk goes a new one, one size up; a lone event
+    /// moves into a first-size chunk and `event` joins it there.
+    fn append_chunk(&mut self, bucket: &mut Bucket, epsilon: Epsilon, event: Slot<E>) {
+        let tail = self.chunk(bucket.tail);
+        let min_epsilon = tail.min_epsilon.min(epsilon);
+        if tail.class == LONE {
+            self.give_header(bucket);
+            let tail = self.chunk_mut(bucket.tail);
+            tail.min_epsilon = min_epsilon;
+            tail.len = 2;
+            self.slots[bucket.tail as usize + 2] = event;
+        } else {
+            self.link_chunk(bucket, (tail.class + 1).min(MAX_CLASS), min_epsilon, event);
+        }
+    }
+
+    /// Links a chunk of `class` holding just `event` behind `bucket`'s
+    /// chain, which is empty or ends in a chunk; the bucket's minimum
+    /// moves on to it as `min_epsilon`. The chunk is the most recently
+    /// released one of its class if there is any, and newly carved arena
+    /// slots otherwise.
+    fn link_chunk(&mut self, bucket: &mut Bucket, class: u8, min_epsilon: Epsilon, event: Slot<E>) {
+        let header = Slot::Chunk(Chunk {
+            next: NIL,
+            len: 1,
+            read: 0,
+            class,
+            min_epsilon,
+        });
+        let id = match self.reuse(class) {
+            Some(id) => {
+                self.slots[id] = header;
+                self.slots[id + 1] = event;
+                id
+            }
+            None => {
+                let id = self.slots.len();
+                let end = id + 1 + (MIN_CHUNK << class);
+                assert!(end <= NIL as usize, "event arena exhausted u32 index space");
+                self.slots.reserve(end - id);
+                self.slots.push(header);
+                self.slots.push(event);
+                self.slots.resize_with(end, || Slot::Vacant);
+                id
+            }
+        } as u32;
+        if bucket.tail == NIL {
+            bucket.head = id;
+        } else {
+            self.chunk_mut(bucket.tail).next = id;
+        }
+        bucket.tail = id;
+    }
+
+    /// Makes `bucket`'s tail a chunk with a header if it is a lone event.
+    fn give_header(&mut self, bucket: &mut Bucket) {
+        let tail = self.chunk(bucket.tail);
+        if tail.class == LONE {
+            let lone = std::mem::replace(&mut self.slots[bucket.tail as usize], Slot::Vacant);
+            self.release(bucket.tail);
+            *bucket = Bucket::EMPTY;
+            self.link_chunk(bucket, 0, tail.min_epsilon, lone);
+        }
+    }
+
+    /// Calls `f` on every event of `bucket`, in enqueue order.
+    fn for_each_event(&self, bucket: &Bucket, mut f: impl FnMut(Epsilon, ComponentId, &E)) {
+        let mut id = bucket.head;
+        while id != NIL {
+            let chunk = self.chunk(id);
+            for slot in &self.slots[chunk.unread(id)] {
+                if let Slot::Event {
+                    epsilon,
+                    target,
+                    payload,
+                } = slot
+                {
+                    f(*epsilon, *target, payload);
+                }
+            }
+            id = chunk.next;
+        }
+    }
+
+    /// Epsilon of the event in slot `at`, if it holds one.
+    #[inline]
+    fn epsilon_at(&self, at: usize) -> Option<Epsilon> {
+        match &self.slots[at] {
+            Slot::Event { epsilon, .. } => Some(*epsilon),
+            _ => None,
+        }
+    }
+
+    /// Moves the event out of slot `at`, leaving it vacant.
+    #[inline]
+    fn take_at(&mut self, at: usize) -> (ComponentId, E) {
+        match std::mem::replace(&mut self.slots[at], Slot::Vacant) {
+            Slot::Event {
+                target, payload, ..
+            } => (target, payload),
+            _ => unreachable!("slot checked to hold an event"),
+        }
+    }
+
+    /// First pass of a drain: reports every minimum-epsilon event of
+    /// `bucket` (non-empty) to `found`, in enqueue order, as its arena
+    /// index and payload, and leaves those events where they are. The
+    /// events of later epsilons move, in order, to a fresh chain that
+    /// becomes the bucket's. Returns the old chain; once the caller has
+    /// taken the reported events out it holds nothing and must be
+    /// [released](ChunkPool::release_chain).
+    ///
+    /// One front-to-back walk: every slot is read once, and only survivors
+    /// are copied.
+    fn split_min(&mut self, bucket: &mut Bucket, mut found: impl FnMut(usize, &E)) -> u32 {
+        let min_epsilon = self.min_epsilon(bucket);
+        let chain = std::mem::replace(bucket, Bucket::EMPTY).head;
+        let mut id = chain;
+        while id != NIL {
+            let chunk = self.chunk(id);
+            for at in chunk.unread(id) {
+                match &self.slots[at] {
+                    Slot::Event {
+                        epsilon, payload, ..
+                    } if *epsilon == min_epsilon => found(at, payload),
+                    Slot::Event { .. } => {
+                        if let Slot::Event {
+                            epsilon,
+                            target,
+                            payload,
+                        } = std::mem::replace(&mut self.slots[at], Slot::Vacant)
+                        {
+                            self.append(bucket, epsilon, target, payload);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            id = chunk.next;
+        }
+        chain
+    }
+
+    /// Releases the chain starting at `id`.
+    fn release_chain(&mut self, mut id: u32) {
+        while id != NIL {
+            id = self.release(id);
+        }
+    }
+
+    /// Removes the first minimum-epsilon event of `bucket` (non-empty) and
+    /// returns it with its epsilon.
+    ///
+    /// `O(1)` while the event under the head read cursor carries the
+    /// minimum, as it always does in a bucket of one epsilon. Otherwise the
+    /// events of later epsilons before it are stepped over, it leaves a
+    /// vacant slot in the middle of the chain, and the bucket is walked
+    /// once more to see whether the minimum moved.
+    fn pop_min(&mut self, bucket: &mut Bucket) -> (Epsilon, ComponentId, E) {
+        let head = self.chunk(bucket.head);
+        if head.next == NIL && head.read + 1 == head.len {
+            // The bucket's only event, a lone slot or the last one left in
+            // a chunk: nothing to step over and no minimum to keep.
+            let (target, payload) = self.take_at(head.unread(bucket.head).start);
+            self.release(bucket.head);
+            *bucket = Bucket::EMPTY;
+            return (head.min_epsilon, target, payload);
+        }
+        let epsilon = self.min_epsilon(bucket);
+        let mut id = bucket.head;
+        let (at, at_front) = 'find: loop {
+            assert!(id != NIL, "bucket minimum out of sync");
+            let chunk = self.chunk(id);
+            let unread = chunk.unread(id);
+            for at in unread.clone() {
+                if self.epsilon_at(at) == Some(epsilon) {
+                    break 'find (at, id == bucket.head && at == unread.start);
+                }
+            }
+            id = chunk.next;
+        };
+        let (target, payload) = self.take_at(at);
+        if at_front {
+            self.skip_vacant(bucket);
+        }
+        if bucket.head != NIL {
+            let front = self.chunk(bucket.head).unread(bucket.head).start;
+            if self.epsilon_at(front) != Some(epsilon) {
+                let mut rest_epsilon = Epsilon::MAX;
+                self.for_each_event(bucket, |other, _, _| rest_epsilon = rest_epsilon.min(other));
+                self.chunk_mut(bucket.tail).min_epsilon = rest_epsilon;
+            }
+        }
+        (epsilon, target, payload)
+    }
+
+    /// Moves the head read cursor of `bucket` to its first event,
+    /// releasing the chunks it leaves; empties the bucket if none is left.
+    fn skip_vacant(&mut self, bucket: &mut Bucket) {
+        while bucket.head != NIL {
+            let mut chunk = self.chunk(bucket.head);
+            while chunk.read < chunk.len
+                && self.epsilon_at(chunk.unread(bucket.head).start).is_none()
+            {
+                chunk.read += 1;
+            }
+            if chunk.read < chunk.len {
+                self.chunk_mut(bucket.head).read = chunk.read;
+                return;
+            }
+            bucket.head = self.release(bucket.head);
+        }
+        *bucket = Bucket::EMPTY;
+    }
+}
+
+/// One drained `(tick, epsilon)` generation, ordered for dispatch.
+///
+/// Filled by [`EventQueue::take_generation_until`]; iterating yields the
+/// events in ascending `(source id, enqueue position)`. An iteration
+/// abandoned part-way keeps the remainder; hand the generation to
+/// [`EventQueue::requeue_front`] to put it back.
+#[derive(Debug)]
+pub struct Generation<E> {
+    /// The events not yet dispatched, the next one last: dispatching is a
+    /// `pop`.
+    entries: Vec<EventEntry<E>>,
+    /// `source << 32 | enqueue position`, one per drained event.
+    keys: Vec<u64>,
+    /// The other buffer of the key sort.
+    scratch: Vec<u64>,
+    /// Arena index of the drained event at each enqueue position.
+    found: Vec<u32>,
+}
+
+/// Generations below this size are ordered by a comparison sort: a radix
+/// pass costs a 256-entry histogram whatever the size.
+const RADIX_MIN: usize = 64;
+
+/// Sorts `keys`, whose low halves already ascend, by their high halves:
+/// a stable byte-wise radix sort over the bytes in which any two keys
+/// differ (two passes for a network of up to 65 536 components), using
+/// `scratch` as the second buffer.
+fn sort_keys(keys: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+    if keys.len() < RADIX_MIN {
+        keys.sort_unstable();
+        return;
+    }
+    let (all, any) = keys
+        .iter()
+        .fold((u64::MAX, 0), |(all, any), &key| (all & key, any | key));
+    let varying = (all ^ any) >> 32;
+    scratch.resize(keys.len(), 0);
+    for shift in [32, 40, 48, 56] {
+        if (varying >> (shift - 32)) & 0xFF == 0 {
+            continue;
+        }
+        let digit = |key: u64| (key >> shift) as u8 as usize;
+        let mut starts = [0usize; 256];
+        for &key in keys.iter() {
+            starts[digit(key)] += 1;
+        }
+        let mut total = 0;
+        for start in &mut starts {
+            total += std::mem::replace(start, total);
+        }
+        for &key in keys.iter() {
+            scratch[starts[digit(key)]] = key;
+            starts[digit(key)] += 1;
+        }
+        std::mem::swap(keys, scratch);
+    }
+}
+
+impl<E> Generation<E> {
+    /// An empty generation buffer; reuse one across drains.
+    pub fn new() -> Self {
+        Generation {
+            entries: Vec::new(),
+            keys: Vec::new(),
+            scratch: Vec::new(),
+            found: Vec::new(),
+        }
+    }
+
+    /// Number of events the last drain produced, dispatched or not.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the last drain produced no events.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The payloads not yet dispatched, in dispatch order.
+    pub fn pending(&self) -> impl Iterator<Item = &E> {
+        self.entries.iter().rev().map(|entry| &entry.payload)
+    }
+}
+
+impl<E> Default for Generation<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> Iterator for Generation<E> {
+    type Item = EventEntry<E>;
+
+    #[inline]
+    fn next(&mut self) -> Option<EventEntry<E>> {
+        self.entries.pop()
+    }
+}
+
 /// The simulator's global event queue: per-tick ring buckets over a
 /// near-future horizon, backed by an overflow heap for far-future events.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Backing store for all ring events; freed cells chain from
-    /// `free_head`.
-    slab: Vec<Slot<E>>,
-    /// Head of the free-slot chain through `slab` (`NIL` when exhausted).
-    free_head: u32,
-    /// `buckets[t & mask]` lists the events for tick `t`, for `t` in
+    /// Backing store for all ring events.
+    pool: ChunkPool<E>,
+    /// `buckets[t & mask]` holds the events for tick `t`, for `t` in
     /// `[cur_tick, cur_tick + horizon)`, in enqueue order.
     buckets: Box<[Bucket]>,
     /// One bit per bucket: set iff the bucket is non-empty.
@@ -182,8 +699,7 @@ impl<E> EventQueue<E> {
             "horizon must be a power of two >= 64, got {horizon}"
         );
         EventQueue {
-            slab: Vec::new(),
-            free_head: NIL,
+            pool: ChunkPool::new(),
             buckets: vec![Bucket::EMPTY; horizon].into_boxed_slice(),
             occupancy: vec![0u64; horizon / 64].into_boxed_slice(),
             mask: horizon - 1,
@@ -214,60 +730,15 @@ impl<E> EventQueue<E> {
         self.occupancy[idx >> 6] &= !(1u64 << (idx & 63));
     }
 
-    /// Takes a slab cell (reusing a freed one if possible) and fills it.
+    /// Appends an event whose tick lies within the horizon to its bucket.
     #[inline]
-    fn alloc_slot(&mut self, time: Time, target: ComponentId, payload: E) -> u32 {
-        if self.free_head != NIL {
-            let i = self.free_head;
-            let slot = &mut self.slab[i as usize];
-            self.free_head = slot.next;
-            slot.time = time;
-            slot.target = target;
-            slot.next = NIL;
-            slot.payload = Some(payload);
-            i
-        } else {
-            let i = self.slab.len();
-            assert!(i < NIL as usize, "event slab exhausted u32 index space");
-            self.slab.push(Slot {
-                time,
-                target,
-                next: NIL,
-                payload: Some(payload),
-            });
-            i as u32
-        }
-    }
-
-    /// Returns cell `i` to the free list and yields its event.
-    #[inline]
-    fn free_slot(&mut self, i: u32) -> EventEntry<E> {
-        let slot = &mut self.slab[i as usize];
-        let payload = slot.payload.take().expect("freeing an empty slot");
-        let entry = EventEntry {
-            time: slot.time,
-            target: slot.target,
-            payload,
-        };
-        slot.next = self.free_head;
-        self.free_head = i;
-        entry
-    }
-
-    /// Appends slab cell `slot` to bucket `idx` and updates occupancy.
-    #[inline]
-    fn link_back(&mut self, idx: usize, slot: u32) {
-        let bucket = self.buckets[idx];
-        if bucket.tail == NIL {
-            self.buckets[idx] = Bucket {
-                head: slot,
-                tail: slot,
-            };
+    fn link_back(&mut self, time: Time, target: ComponentId, payload: E) {
+        let idx = time.tick() as usize & self.mask;
+        if self.buckets[idx].head == NIL {
             self.set_occupied(idx);
-        } else {
-            self.slab[bucket.tail as usize].next = slot;
-            self.buckets[idx].tail = slot;
         }
+        self.pool
+            .append(&mut self.buckets[idx], time.epsilon(), target, payload);
         self.ring_len += 1;
     }
 
@@ -285,9 +756,7 @@ impl<E> EventQueue<E> {
         );
         self.total_enqueued += 1;
         if time.tick().wrapping_sub(self.cur_tick) <= self.mask as u64 {
-            let idx = time.tick() as usize & self.mask;
-            let slot = self.alloc_slot(time, target, payload);
-            self.link_back(idx, slot);
+            self.link_back(time, target, payload);
         } else {
             let seq = self.overflow_seq;
             self.overflow_seq += 1;
@@ -308,9 +777,9 @@ impl<E> EventQueue<E> {
 
     /// Adaptive resize: when the overflow heap holds more than a quarter
     /// as many events as the ring has buckets — i.e. the workload's
-    /// scheduling span outgrew the horizon — double the horizon
-    /// (re-bucketing ring events and pulling in the overflow events that
-    /// now fit), as a classic calendar queue adapts its bucket count.
+    /// scheduling span outgrew the horizon — double the horizon (moving
+    /// each bucket to its new index and pulling in the overflow events
+    /// that now fit), as a classic calendar queue adapts its bucket count.
     /// Growth is amortized `O(1)` per push and only triggered when the
     /// nearest overflow event would actually fit the doubled horizon, so a
     /// few far-future stragglers (timeouts, monitors) never inflate the
@@ -324,6 +793,7 @@ impl<E> EventQueue<E> {
                 .is_some_and(|head| head.time.tick() - self.cur_tick <= 2 * self.mask as u64 + 1)
         {
             self.horizon_resizes += 1;
+            let old_mask = self.mask;
             let new_horizon = self.buckets.len() * 2;
             let old_buckets = std::mem::replace(
                 &mut self.buckets,
@@ -331,18 +801,16 @@ impl<E> EventQueue<E> {
             );
             self.occupancy = vec![0u64; new_horizon / 64].into_boxed_slice();
             self.mask = new_horizon - 1;
-            // Re-thread every event into its new bucket. Walking each old
-            // list head-to-tail preserves per-tick FIFO order (each old
-            // bucket held exactly one tick's events).
-            self.ring_len = 0;
-            for bucket in old_buckets.iter() {
-                let mut cur = bucket.head;
-                while cur != NIL {
-                    let next = self.slab[cur as usize].next;
-                    let idx = self.slab[cur as usize].time.tick() as usize & self.mask;
-                    self.slab[cur as usize].next = NIL;
-                    self.link_back(idx, cur);
-                    cur = next;
+            // A bucket holds exactly one tick's events and no slot names
+            // its tick, so each chain moves whole to the bucket of the one
+            // tick in `[cur_tick, cur_tick + old horizon)` it stood for.
+            for off in 0..old_buckets.len() {
+                let tick = self.cur_tick.wrapping_add(off as u64);
+                let bucket = old_buckets[tick as usize & old_mask];
+                if bucket.head != NIL {
+                    let idx = tick as usize & self.mask;
+                    self.buckets[idx] = bucket;
+                    self.set_occupied(idx);
                 }
             }
             // Pull in overflow events that the wider horizon now covers.
@@ -366,58 +834,19 @@ impl<E> EventQueue<E> {
                 payload,
                 ..
             } = self.overflow.pop().expect("peeked overflow entry vanished");
-            let idx = time.tick() as usize & self.mask;
-            let slot = self.alloc_slot(time, target, payload);
-            self.link_back(idx, slot);
+            self.link_back(time, target, payload);
         }
     }
 
     /// Moves the cursor forward to the tick of the earliest pending event
     /// and returns its bucket index, or `None` if the queue is empty.
     fn seek(&mut self) -> Option<usize> {
-        if self.ring_len == 0 {
-            // Ring empty: jump straight to the earliest overflow event.
-            let tick = self.overflow.peek()?.time.tick();
+        let tick = self.next_tick()?;
+        // An empty ring means the event is still parked in the overflow.
+        if tick != self.cur_tick || self.ring_len == 0 {
             self.advance_to(tick);
-            return Some(tick as usize & self.mask);
         }
-        // Scan the occupancy bitmap from the cursor; the ring is non-empty
-        // so a set bit exists within `horizon` buckets.
-        let horizon = self.horizon();
-        let mut tick = self.cur_tick;
-        let mut scanned = 0usize;
-        loop {
-            let idx = tick as usize & self.mask;
-            // Examine the remainder of this bitmap word in one load.
-            let word_idx = idx >> 6;
-            let bit = idx & 63;
-            let word = self.occupancy[word_idx] >> bit;
-            if word != 0 {
-                let skip = word.trailing_zeros() as u64;
-                let found = tick + skip;
-                if found != self.cur_tick {
-                    self.advance_to(found);
-                }
-                return Some(found as usize & self.mask);
-            }
-            let step = 64 - bit;
-            tick += step as u64;
-            scanned += step;
-            debug_assert!(scanned <= horizon + 64, "occupancy bitmap out of sync");
-        }
-    }
-
-    /// Smallest epsilon in bucket `idx` (which must be non-empty).
-    fn min_epsilon(&self, idx: usize) -> Epsilon {
-        let mut cur = self.buckets[idx].head;
-        debug_assert!(cur != NIL, "min_epsilon of empty bucket");
-        let mut eps = Epsilon::MAX;
-        while cur != NIL {
-            let slot = &self.slab[cur as usize];
-            eps = eps.min(slot.time.epsilon());
-            cur = slot.next;
-        }
-        eps
+        Some(tick as usize & self.mask)
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
@@ -426,28 +855,16 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn pop(&mut self) -> Option<EventEntry<E>> {
         let idx = self.seek()?;
-        let eps = self.min_epsilon(idx);
-        // Unlink the first event carrying that epsilon.
-        let mut prev = NIL;
-        let mut cur = self.buckets[idx].head;
-        while self.slab[cur as usize].time.epsilon() != eps {
-            prev = cur;
-            cur = self.slab[cur as usize].next;
-        }
-        let next = self.slab[cur as usize].next;
-        if prev == NIL {
-            self.buckets[idx].head = next;
-        } else {
-            self.slab[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.buckets[idx].tail = prev;
-        }
+        let (epsilon, target, payload) = self.pool.pop_min(&mut self.buckets[idx]);
         if self.buckets[idx].head == NIL {
             self.clear_occupied(idx);
         }
         self.ring_len -= 1;
-        Some(self.free_slot(cur))
+        Some(EventEntry {
+            time: Time::new(self.cur_tick, epsilon),
+            target,
+            payload,
+        })
     }
 
     /// Tick of the earliest pending event without moving the cursor.
@@ -463,6 +880,7 @@ impl<E> EventQueue<E> {
         let mut scanned = 0usize;
         loop {
             let idx = tick as usize & self.mask;
+            // Examine the remainder of this bitmap word in one load.
             let bit = idx & 63;
             let word = self.occupancy[idx >> 6] >> bit;
             if word != 0 {
@@ -475,6 +893,48 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Finds the earliest generation, if its tick is at most `tick_limit`,
+    /// moves the cursor to it and returns its bucket index and time.
+    fn seek_until(&mut self, tick_limit: Tick) -> Option<(usize, Time)> {
+        let tick = self.next_tick()?;
+        if tick > tick_limit {
+            return None;
+        }
+        self.advance_to(tick);
+        let idx = tick as usize & self.mask;
+        Some((
+            idx,
+            Time::new(tick, self.pool.min_epsilon(&self.buckets[idx])),
+        ))
+    }
+
+    /// Second pass of a drain of bucket `idx`: moves the events `found`
+    /// names out of `chain` into `out`, in that order, and releases the
+    /// chain.
+    fn extract(
+        &mut self,
+        idx: usize,
+        chain: u32,
+        time: Time,
+        found: impl ExactSizeIterator<Item = usize>,
+        out: &mut Vec<EventEntry<E>>,
+    ) {
+        debug_assert!(found.len() > 0, "scanned tick had no events");
+        if self.buckets[idx].head == NIL {
+            self.clear_occupied(idx);
+        }
+        self.ring_len -= found.len();
+        out.extend(found.map(|at| {
+            let (target, payload) = self.pool.take_at(at);
+            EventEntry {
+                time,
+                target,
+                payload,
+            }
+        }));
+        self.pool.release_chain(chain);
+    }
+
     /// Drains the earliest same-`(tick, epsilon)` batch into `out`
     /// (cleared first) — but only if its tick is at most `tick_limit` —
     /// and returns the batch time.
@@ -485,27 +945,23 @@ impl<E> EventQueue<E> {
     /// cursor on the limit path matters: after a paused run, the engine
     /// may legally schedule events earlier than the event the scan found.
     ///
-    /// This is the executor's hot-path interface — one scan serves peek,
-    /// limit check, and batch extraction. Everything in one batch is ready
-    /// simultaneously, so the hot loop can dispatch the whole slice
-    /// without consulting the queue again. Events scheduled *during* batch
-    /// execution at the same `(tick, epsilon)` land behind the batch and
-    /// form the next one, preserving global FIFO order.
+    /// Everything in one batch is ready simultaneously, so a caller can
+    /// process the whole slice without consulting the queue again. Events
+    /// scheduled *during* that at the same `(tick, epsilon)` land behind
+    /// the batch and form the next one, preserving global FIFO order.
     pub fn take_batch_until(
         &mut self,
         tick_limit: Tick,
         out: &mut Vec<EventEntry<E>>,
     ) -> Option<Time> {
         out.clear();
-        let tick = self.next_tick()?;
-        if tick > tick_limit {
-            return None;
-        }
-        self.advance_to(tick);
-        let idx = tick as usize & self.mask;
-        self.drain_min_epsilon(idx, out);
-        debug_assert!(!out.is_empty(), "scanned tick had no events");
-        Some(out[0].time)
+        let (idx, time) = self.seek_until(tick_limit)?;
+        let mut found = Vec::new();
+        let chain = self
+            .pool
+            .split_min(&mut self.buckets[idx], |at, _| found.push(at));
+        self.extract(idx, chain, time, found.into_iter(), out);
+        Some(time)
     }
 
     /// Drains **all** events at the earliest `(tick, epsilon)` into `out`
@@ -515,39 +971,54 @@ impl<E> EventQueue<E> {
         out.len()
     }
 
-    /// Moves the min-epsilon slice of bucket `idx` (non-empty) into `out`,
-    /// preserving both the drained and the surviving events' FIFO order.
-    fn drain_min_epsilon(&mut self, idx: usize, out: &mut Vec<EventEntry<E>>) {
-        let eps = self.min_epsilon(idx);
-        let mut keep = Bucket::EMPTY;
-        let mut cur = self.buckets[idx].head;
-        while cur != NIL {
-            let next = self.slab[cur as usize].next;
-            if self.slab[cur as usize].time.epsilon() == eps {
-                out.push(self.free_slot(cur));
-            } else if keep.tail == NIL {
-                keep = Bucket {
-                    head: cur,
-                    tail: cur,
-                };
-            } else {
-                self.slab[keep.tail as usize].next = cur;
-                keep.tail = cur;
-            }
-            cur = next;
-        }
-        if keep.tail != NIL {
-            self.slab[keep.tail as usize].next = NIL;
-        }
-        self.buckets[idx] = keep;
-        if keep.head == NIL {
-            self.clear_occupied(idx);
-        }
-        self.ring_len -= out.len();
+    /// Drains the batch [`EventQueue::take_batch_until`] would into
+    /// `generation` (replacing its contents) and orders it for dispatch:
+    /// ascending `source_of(payload)`, and enqueue order among events of
+    /// one source. Returns the generation time, or `None` exactly when
+    /// `take_batch_until` would.
+    ///
+    /// This is the executor's hot-path interface. One bitmap scan serves
+    /// peek, limit check and extraction. A first pass over the bucket
+    /// reads each event's source into an 8-byte key `source << 32 |
+    /// enqueue position` and moves nothing but the later epsilons' events;
+    /// only the keys are sorted; a second pass then moves each event once,
+    /// from its slot straight to its place in dispatch order.
+    pub fn take_generation_until(
+        &mut self,
+        tick_limit: Tick,
+        generation: &mut Generation<E>,
+        source_of: impl Fn(&E) -> u32,
+    ) -> Option<Time> {
+        let Generation {
+            entries,
+            keys,
+            scratch,
+            found,
+        } = generation;
+        entries.clear();
+        keys.clear();
+        found.clear();
+        let (idx, time) = self.seek_until(tick_limit)?;
+        let chain = self.pool.split_min(&mut self.buckets[idx], |at, payload| {
+            keys.push((source_of(payload) as u64) << 32 | found.len() as u64);
+            found.push(at as u32);
+        });
+        assert!(
+            found.len() as u64 <= 1 << 32,
+            "generation exceeds the 32-bit position space"
+        );
+        sort_keys(keys, scratch);
+        let order = keys
+            .iter()
+            .rev()
+            .map(|&key| found[key as u32 as usize] as usize);
+        self.extract(idx, chain, time, order, entries);
+        Some(time)
     }
 
     /// Reinserts not-yet-executed batch events at the *front* of their
-    /// bucket, undoing part of a [`EventQueue::take_batch`].
+    /// bucket, undoing part of a [`EventQueue::take_batch`] or
+    /// [`EventQueue::take_generation_until`].
     ///
     /// Used when the executor aborts mid-batch (stop, failure): the
     /// remaining events were enqueued before anything scheduled during the
@@ -557,35 +1028,30 @@ impl<E> EventQueue<E> {
         let mut count = 0usize;
         let mut tick = 0u64;
         for e in entries {
-            debug_assert!(chain.head == NIL || e.time.tick() == tick);
+            debug_assert!(count == 0 || e.time.tick() == tick);
             tick = e.time.tick();
-            let slot = self.alloc_slot(e.time, e.target, e.payload);
-            if chain.tail == NIL {
-                chain = Bucket {
-                    head: slot,
-                    tail: slot,
-                };
-            } else {
-                self.slab[chain.tail as usize].next = slot;
-                chain.tail = slot;
-            }
+            self.pool
+                .append(&mut chain, e.time.epsilon(), e.target, e.payload);
             count += 1;
         }
-        if chain.head == NIL {
+        if count == 0 {
             return;
         }
         debug_assert!(tick >= self.cur_tick && tick - self.cur_tick <= self.mask as u64);
         let idx = tick as usize & self.mask;
-        let old = self.buckets[idx];
-        self.slab[chain.tail as usize].next = old.head;
-        self.buckets[idx] = Bucket {
-            head: chain.head,
-            tail: if old.tail == NIL {
-                chain.tail
-            } else {
-                old.tail
-            },
-        };
+        let mut old = self.buckets[idx];
+        if old.head != NIL {
+            self.pool.give_header(&mut chain);
+            self.pool.give_header(&mut old);
+            let epsilon = self
+                .pool
+                .min_epsilon(&chain)
+                .min(self.pool.min_epsilon(&old));
+            self.pool.chunk_mut(chain.tail).next = old.head;
+            chain.tail = old.tail;
+            self.pool.chunk_mut(chain.tail).min_epsilon = epsilon;
+        }
+        self.buckets[idx] = chain;
         self.set_occupied(idx);
         self.ring_len += count;
     }
@@ -599,8 +1065,8 @@ impl<E> EventQueue<E> {
             return self.overflow.peek().map(|e| e.time);
         }
         let tick = self.next_tick().expect("ring non-empty");
-        let eps = self.min_epsilon(tick as usize & self.mask);
-        Some(Time::new(tick, eps))
+        let bucket = &self.buckets[tick as usize & self.mask];
+        Some(Time::new(tick, self.pool.min_epsilon(bucket)))
     }
 
     /// Number of pending events (ring + overflow).
@@ -650,7 +1116,7 @@ impl<E> EventQueue<E> {
     /// into `out`, encoding each payload with `enc`.
     ///
     /// Enumeration is non-destructive and deterministic: ring buckets in
-    /// cursor order (each bucket head-to-tail, i.e. enqueue order), then
+    /// cursor order (each bucket front to back, i.e. enqueue order), then
     /// overflow events sorted by `(time, seq)`. [`EventQueue::load`]
     /// re-pushes events in exactly this order against the saved horizon
     /// and cursor, which reproduces bucket placement and per-bucket FIFO
@@ -662,19 +1128,15 @@ impl<E> EventQueue<E> {
         crate::wire::put_varint(out, self.horizon() as u64);
         crate::wire::put_varint(out, self.cur_tick);
         crate::wire::put_varint(out, self.ring_len as u64);
-        for off in 0..self.horizon() {
-            let idx = (self.cur_tick as usize).wrapping_add(off) & self.mask;
-            let mut cur = self.buckets[idx].head;
-            while cur != NIL {
-                let slot = &self.slab[cur as usize];
-                crate::wire::WireCodec::encode(&slot.time, out);
-                crate::wire::put_varint(out, slot.target.index() as u64);
-                enc(
-                    slot.payload.as_ref().expect("linked slot without payload"),
-                    out,
-                );
-                cur = slot.next;
-            }
+        for off in 0..self.horizon() as u64 {
+            let tick = self.cur_tick.wrapping_add(off);
+            let bucket = &self.buckets[tick as usize & self.mask];
+            self.pool
+                .for_each_event(bucket, |epsilon, target, payload| {
+                    crate::wire::WireCodec::encode(&Time::new(tick, epsilon), out);
+                    crate::wire::put_varint(out, target.index() as u64);
+                    enc(payload, out);
+                });
         }
         let mut parked: Vec<&OverflowEntry<E>> = self.overflow.iter().collect();
         parked.sort_by_key(|e| (e.time, e.seq));
@@ -945,8 +1407,8 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_reused() {
-        // Steady-state traffic must not grow the slab without bound.
+    fn chunks_are_reused() {
+        // Steady-state traffic must not grow the arena without bound.
         let mut q = EventQueue::with_horizon(64);
         q.push(id(0), Time::at(0), 0u64);
         for t in 0..10_000u64 {
@@ -954,10 +1416,201 @@ mod tests {
             q.push(id(0), Time::at(t + 1), e.payload + 1);
         }
         assert!(
-            q.slab.len() <= 2,
-            "slab grew to {} slots for 1 live event",
-            q.slab.len()
+            q.pool.slots.len() <= 2,
+            "arena grew to {} slots for 1 pending event",
+            q.pool.slots.len()
         );
+    }
+
+    #[test]
+    fn thin_buckets_take_small_chunks_and_fat_ones_long_runs() {
+        // One event per tick costs one slot each...
+        let mut q = EventQueue::with_horizon(1024);
+        for t in 0..1000u64 {
+            q.push(id(0), Time::at(t), t);
+        }
+        assert_eq!(q.pool.slots.len(), 1000);
+        // ...a second event moves the first into a first-size chunk, and
+        // its slot is the next lone event's.
+        q.push(id(0), Time::at(7), 0);
+        q.push(id(0), Time::at(1000), 0);
+        assert_eq!(q.pool.slots.len(), 1000 + 1 + MIN_CHUNK);
+        // ...while one fat bucket doubles its way up to the largest size.
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            q.push(id(0), Time::at(3), i);
+        }
+        let sizes: Vec<usize> = q
+            .pool
+            .slots
+            .iter()
+            .filter_map(|slot| match slot {
+                Slot::Chunk(chunk) if chunk.class != LONE => Some(chunk.capacity()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(&sizes[..7], &[2, 4, 8, 16, 32, 64, 64]);
+        assert!(q.pool.slots.len() < 10_000 + 1 + sizes.len() + 2 * MAX_CHUNK);
+        // Draining returns every chunk; refilling carves nothing new.
+        let mut batch = Vec::new();
+        assert_eq!(q.take_batch(&mut batch), 10_000);
+        let carved = q.pool.slots.len();
+        for i in 0..10_000u64 {
+            q.push(id(0), Time::at(9), i);
+        }
+        assert_eq!(q.pool.slots.len(), carved);
+    }
+
+    #[test]
+    fn drain_compacts_survivors_across_chunks() {
+        // Interleave three epsilons over many chunks; each drain must keep
+        // the later epsilons' enqueue order and release what it empties.
+        let mut q = EventQueue::new();
+        let mut want: [Vec<u32>; 3] = Default::default();
+        for i in 0..1000u32 {
+            let eps = (i * 7 % 3) as u8;
+            q.push(id(0), Time::new(2, eps), i);
+            want[eps as usize].push(i);
+        }
+        let mut batch = Vec::new();
+        let mut left = 1000;
+        for (eps, want) in want.iter().enumerate() {
+            assert_eq!(q.peek_time(), Some(Time::new(2, eps as u8)));
+            assert_eq!(q.take_batch(&mut batch), want.len());
+            let got: Vec<u32> = batch.iter().map(|e| e.payload).collect();
+            assert_eq!(&got, want);
+            left -= want.len();
+            assert_eq!(q.len(), left);
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_takes_the_minimum_epsilon_from_the_middle() {
+        let mut q = EventQueue::new();
+        q.push(id(0), Time::new(1, 2), "c1");
+        q.push(id(0), Time::new(1, 0), "a1");
+        q.push(id(0), Time::new(1, 1), "b1");
+        q.push(id(0), Time::new(1, 0), "a2");
+        q.push(id(0), Time::new(1, 2), "c2");
+        assert_eq!(q.pop().unwrap().payload, "a1");
+        assert_eq!(q.peek_time(), Some(Time::new(1, 0)));
+        assert_eq!(q.pop().unwrap().payload, "a2");
+        // The minimum moved on: recounted from the survivors.
+        assert_eq!(q.peek_time(), Some(Time::new(1, 1)));
+        // A push below the current minimum takes over.
+        q.push(id(0), Time::new(1, 0), "a3");
+        assert_eq!(q.pop().unwrap().payload, "a3");
+        let mut batch = Vec::new();
+        assert_eq!(q.take_batch(&mut batch), 1);
+        assert_eq!(batch[0].payload, "b1");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, vec!["c1", "c2"]);
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn growth_moves_whole_buckets() {
+        let mut q = EventQueue::with_horizon(64);
+        // Ring events at wrapped bucket indices, then enough overflow
+        // traffic just past the horizon to force a doubling.
+        q.push(id(0), Time::at(50), 0u32);
+        assert_eq!(q.pop().unwrap().payload, 0);
+        for i in 0..5u32 {
+            q.push(id(0), Time::new(50 + 60, (i % 2) as u8), 100 + i);
+            q.push(id(0), Time::at(51), 200 + i);
+        }
+        for i in 0..20u32 {
+            q.push(id(0), Time::at(50 + 64 + u64::from(i)), 300 + i);
+        }
+        assert!(q.horizon_resizes() >= 1);
+        assert_eq!(q.overflow_len(), 0);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        let mut want: Vec<u32> = (200..205).collect();
+        want.extend([100, 102, 104, 101, 103]);
+        want.extend(300..320);
+        assert_eq!(order, want);
+    }
+
+    #[test]
+    fn a_lone_event_gets_a_chunk_when_another_joins_it() {
+        let mut q = EventQueue::new();
+        q.push(id(0), Time::new(5, 1), "b");
+        assert_eq!(q.pool.slots.len(), 1);
+        assert_eq!(q.peek_time(), Some(Time::new(5, 1)));
+        q.push(id(0), Time::new(5, 0), "a");
+        assert_eq!(q.peek_time(), Some(Time::at(5)));
+        // Draining "a" leaves "b" on its own again; requeueing the one
+        // taken event in front of the one survivor joins two lone events.
+        let mut batch = Vec::new();
+        assert_eq!(q.take_batch(&mut batch), 1);
+        assert_eq!(q.peek_time(), Some(Time::new(5, 1)));
+        q.requeue_front(batch.drain(..));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(Time::at(5)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, vec!["a", "b"]);
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn key_sort_is_a_stable_sort_by_source() {
+        // Sizes on both sides of the radix threshold; sources that differ
+        // in one, two and (with the external source) all four bytes.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for (n, sources) in [(5, 3), (63, 200), (64, 200), (1000, 70_000), (3000, 40)] {
+            let mut keys: Vec<u64> = (0..n as u64)
+                .map(|position| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let source = match x % (sources + 1) {
+                        s if s == sources && n == 1000 => u64::from(u32::MAX),
+                        s => s,
+                    };
+                    source << 32 | position
+                })
+                .collect();
+            let mut want = keys.clone();
+            want.sort_unstable();
+            sort_keys(&mut keys, &mut Vec::new());
+            assert_eq!(keys, want, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn generation_orders_by_source_then_enqueue_position() {
+        let mut q = EventQueue::new();
+        // (source, serial): one source's events are enqueued in order.
+        let pushed = [(7u32, 0u32), (2, 0), (7, 1), (u32::MAX, 0), (2, 1), (0, 0)];
+        for &p in &pushed {
+            q.push(id(p.0 as usize % 3), Time::at(4), p);
+        }
+        q.push(id(0), Time::new(4, 1), (1, 0));
+        let mut generation = Generation::new();
+        let t = q.take_generation_until(Tick::MAX, &mut generation, |p| p.0);
+        assert_eq!(t, Some(Time::at(4)));
+        assert_eq!(generation.len(), 6);
+        let mut want = pushed.to_vec();
+        want.sort();
+        assert_eq!(generation.pending().copied().collect::<Vec<_>>(), want);
+        // Dispatch two, put the rest back: it runs first on resume, ahead
+        // of a same-time event scheduled meanwhile.
+        let first: Vec<_> = generation.by_ref().take(2).map(|e| e.payload).collect();
+        assert_eq!(first, want[..2]);
+        q.push(id(0), Time::at(4), (0, 1));
+        q.requeue_front(&mut generation);
+        assert_eq!(q.len(), 6);
+        let mut batch = Vec::new();
+        q.take_batch(&mut batch);
+        let rest: Vec<_> = batch.iter().map(|e| e.payload).collect();
+        assert_eq!(rest[..4], want[2..]);
+        assert_eq!(rest[4], (0, 1));
+        // Beyond the limit nothing moves, cursor included.
+        assert_eq!(q.take_generation_until(3, &mut generation, |p| p.0), None);
+        assert!(generation.is_empty());
+        assert_eq!(q.peek_time(), Some(Time::new(4, 1)));
     }
 
     #[test]

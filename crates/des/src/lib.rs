@@ -70,7 +70,7 @@ pub use component::{Component, ComponentId};
 pub use engine::{
     Context, Engine, EngineMetrics, EventStamp, RunOutcome, RunStats, BATCH_BUCKETS, EXTERNAL_SRC,
 };
-pub use event::{EventEntry, EventQueue};
+pub use event::{EventEntry, EventQueue, Generation};
 pub use host::{HostRecorder, HostRoundSlice, HostShardTimes, ProgressShared, MAX_ROUND_SLICES};
 #[cfg(unix)]
 pub use protocol::WorkerEngine;

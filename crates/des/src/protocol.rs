@@ -24,10 +24,10 @@
 
 use crate::component::{Component, ComponentId};
 use crate::engine::{
-    next_edge_after, Context, Engine, EngineMetrics, EventStamp, RunOutcome, RunStats, SinkRef,
-    Stamped, TaggedTrace, TraceSink, EXTERNAL_SRC,
+    next_edge_after, take_generation, Context, Engine, EngineMetrics, EventStamp, RunOutcome,
+    RunStats, SinkRef, Stamped, TaggedTrace, TraceSink, EXTERNAL_SRC,
 };
-use crate::event::{EventEntry, EventQueue};
+use crate::event::{EventQueue, Generation};
 use crate::host::{HostRecorder, HostRoundSlice, ProgressShared};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
@@ -43,7 +43,7 @@ pub(crate) struct Shard<E> {
     pub(crate) rngs: Vec<Rng>,
     pub(crate) seqs: Vec<u64>,
     pub(crate) queue: EventQueue<Stamped<E>>,
-    pub(crate) batch: Vec<EventEntry<Stamped<E>>>,
+    pub(crate) batch: Generation<Stamped<E>>,
     pub(crate) events_executed: u64,
     pub(crate) batches: u64,
     pub(crate) batch_counts: [u64; crate::engine::BATCH_BUCKETS],
@@ -222,11 +222,8 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
         let mut failure_local: Option<(EventStamp, String)> = None;
         if shard.queue.peek_time() == Some(m) {
             let m2 = if profiling { host.now_ns() } else { 0 };
-            let t = shard.queue.take_batch_until(p.tick_limit, &mut batch);
+            let t = take_generation(&mut shard.queue, p.tick_limit, &mut batch);
             debug_assert_eq!(t, Some(m));
-            if batch.len() > 1 {
-                batch.sort_unstable_by_key(|e| e.payload.stamp);
-            }
             let m3 = if profiling { host.now_ns() } else { 0 };
             if profiling {
                 host.times.drain_ns += m3 - m2;
@@ -236,7 +233,7 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
             // On sampled rounds, consecutive marks attribute each
             // event's wall time to its component's class.
             let mut ev_mark = m3;
-            for entry in batch.drain(..) {
+            for entry in batch.by_ref() {
                 let idx = entry.target.index();
                 let mut fail_local: Option<String> = None;
                 let taken = shard.components.get_mut(idx).and_then(|slot| slot.take());
@@ -423,7 +420,7 @@ mod worker {
                 rngs: self.rngs.clone(),
                 seqs: self.seqs.clone(),
                 queue: EventQueue::new(),
-                batch: Vec::new(),
+                batch: Generation::new(),
                 // Lifetime totals carry to shard 0, mirroring
                 // `into_sharded`, so summed counters agree.
                 events_executed: if my_shard == 0 {

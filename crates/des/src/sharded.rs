@@ -47,7 +47,7 @@ use std::time::Instant;
 use crate::component::{Component, ComponentId};
 use crate::engine::Stamped;
 use crate::engine::{Engine, EngineMetrics, EventStamp, RunOutcome, RunStats, EXTERNAL_SRC};
-use crate::event::EventQueue;
+use crate::event::{EventQueue, Generation};
 use crate::host::{HostRecorder, HostShardTimes, ProgressShared};
 use crate::protocol::{run_shard_rounds, ProtocolParams, Shard};
 use crate::simulator::{SequentialEngine, TraceState};
@@ -111,7 +111,7 @@ impl<E: Send + 'static> SequentialEngine<E> {
                 rngs: self.rngs.clone(),
                 seqs: self.seqs.clone(),
                 queue: EventQueue::new(),
-                batch: Vec::new(),
+                batch: Generation::new(),
                 events_executed: 0,
                 batches: 0,
                 batch_counts: [0; crate::engine::BATCH_BUCKETS],

@@ -14,10 +14,11 @@ use std::time::Instant;
 
 use crate::component::{Component, ComponentId};
 use crate::engine::{
-    flush_trace, log2_bucket, next_edge_after, Context, Engine, EngineMetrics, EventStamp,
-    RunOutcome, RunStats, SinkRef, Stamped, TaggedTrace, TraceSink, BATCH_BUCKETS, EXTERNAL_SRC,
+    flush_trace, log2_bucket, next_edge_after, take_generation, Context, Engine, EngineMetrics,
+    EventStamp, RunOutcome, RunStats, SinkRef, Stamped, TaggedTrace, TraceSink, BATCH_BUCKETS,
+    EXTERNAL_SRC,
 };
-use crate::event::{EventEntry, EventQueue};
+use crate::event::{EventQueue, Generation};
 use crate::host::{HostRecorder, HostRoundSlice, HostShardTimes, ProgressShared};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
@@ -41,8 +42,8 @@ pub struct SequentialEngine<E> {
     /// Per-component send counters (event stamp sources).
     pub(crate) seqs: Vec<u64>,
     pub(crate) queue: EventQueue<Stamped<E>>,
-    /// Scratch buffer for batch draining, reused across `run` calls.
-    batch: Vec<EventEntry<Stamped<E>>>,
+    /// Scratch buffer for generation draining, reused across `run` calls.
+    batch: Generation<Stamped<E>>,
     /// Scratch buffer for per-generation trace records.
     trace_scratch: Vec<TaggedTrace>,
     pub(crate) now: Time,
@@ -78,7 +79,7 @@ impl<E: 'static> SequentialEngine<E> {
             rngs: Vec::new(),
             seqs: Vec::new(),
             queue: EventQueue::new(),
-            batch: Vec::new(),
+            batch: Generation::new(),
             trace_scratch: Vec::new(),
             now: Time::ZERO,
             seed,
@@ -209,7 +210,7 @@ impl<E: 'static> SequentialEngine<E> {
     /// event would execute at a tick strictly greater than `tick_limit`.
     ///
     /// The executor drains the queue in same-`(tick, epsilon)` generations
-    /// sorted by [`EventStamp`]: every event in a generation is known to be
+    /// ordered by [`EventStamp`]: every event in a generation is known to be
     /// ready, so the hot loop dispatches the whole slice without
     /// re-examining the queue between events. If a component stops or fails
     /// mid-generation, the unexecuted remainder is requeued ahead of
@@ -250,7 +251,9 @@ impl<E: 'static> SequentialEngine<E> {
             // in what order, so profiling cannot perturb determinism.
             let profiling = self.host.enabled();
             let t_drain = profiling.then(Instant::now);
-            let took = self.queue.take_batch_until(tick_limit, &mut batch);
+            // Canonical generation order (see the engine module docs):
+            // unique stamps make this a deterministic total order.
+            let took = take_generation(&mut self.queue, tick_limit, &mut batch);
             if let Some(t0) = t_drain {
                 self.host.times.drain_ns += t0.elapsed().as_nanos() as u64;
             }
@@ -280,11 +283,6 @@ impl<E: 'static> SequentialEngine<E> {
                 }
             }
             self.now = next_time;
-            if batch.len() > 1 {
-                // Canonical generation order (see the engine module docs):
-                // unique stamps make this a deterministic total order.
-                batch.sort_unstable_by_key(|e| e.payload.stamp);
-            }
 
             // Engine stats update once per generation, not per event:
             // `done` counts executed events in a register and folds into
@@ -298,15 +296,14 @@ impl<E: 'static> SequentialEngine<E> {
             let exec_start_ns = profiling.then(|| self.host.now_ns());
             let t_exec = profiling.then(Instant::now);
             scratch.clear();
-            let mut pending = batch.drain(..);
-            while let Some(entry) = pending.next() {
+            while let Some(entry) = batch.next() {
                 let idx = entry.target.index();
                 let slot = match self.components.get_mut(idx) {
                     Some(slot) => slot,
                     None => {
                         let target = entry.target;
                         self.record_batch(done + 1);
-                        self.queue.requeue_front(pending);
+                        self.queue.requeue_front(&mut batch);
                         break 'run RunOutcome::Failed(format!(
                             "event targeted unregistered {target}"
                         ));
@@ -345,12 +342,12 @@ impl<E: 'static> SequentialEngine<E> {
 
                 if let Some(msg) = failure.take() {
                     self.record_batch(done);
-                    self.queue.requeue_front(pending);
+                    self.queue.requeue_front(&mut batch);
                     break 'run RunOutcome::Failed(msg);
                 }
                 if stop_requested {
                     self.record_batch(done);
-                    self.queue.requeue_front(pending);
+                    self.queue.requeue_front(&mut batch);
                     break 'run RunOutcome::Stopped;
                 }
             }

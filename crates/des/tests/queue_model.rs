@@ -10,7 +10,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use supersim_des::{ComponentId, EventQueue, Rng, Time};
+use supersim_des::wire::{get_varint, put_varint, WireCodec};
+use supersim_des::{ComponentId, EventQueue, EventStamp, Generation, Rng, Tick, Time};
 
 /// The reference model: earliest `(time, seq)` first.
 #[derive(Default)]
@@ -176,4 +177,207 @@ fn batch_interface_matches_pop_sequence() {
         }
         assert!(by_pop.is_empty());
     }
+}
+
+/// Drives the queue's generation interface and a `BinaryHeap<(Time,
+/// EventStamp)>` through the life of an engine run: mixed-epsilon ticks,
+/// pushes at the running generation's own time, spills past the horizon
+/// and their migration back, horizon growth, generations aborted part-way
+/// and requeued, and save/load round trips in the middle of it all.
+///
+/// Every event's payload is its stamp, and each source stamps its sends
+/// with its own ascending counter, so the per-source enqueue-order
+/// invariant the cheap key rests on holds here as it does in the engines;
+/// each drained generation must equal the reference in full stamp order.
+fn generations_match_reference(seed: u64) {
+    const SOURCES: u32 = 7;
+    let mut rng = Rng::new(seed);
+    let mut queue: EventQueue<EventStamp> = EventQueue::with_horizon(64);
+    let mut reference: BinaryHeap<Reverse<(Time, EventStamp)>> = BinaryHeap::new();
+    let mut seqs = [0u64; SOURCES as usize];
+    let mut generation = Generation::new();
+    let mut schedule = |queue: &mut EventQueue<EventStamp>,
+                        reference: &mut BinaryHeap<Reverse<(Time, EventStamp)>>,
+                        src: u32,
+                        time: Time| {
+        // One source is the engine's external scheduler.
+        let stamp = EventStamp {
+            src: if src == 0 { u32::MAX } else { src },
+            seq: seqs[src as usize],
+        };
+        seqs[src as usize] += 1;
+        queue.push(ComponentId::from_index(src as usize), time, stamp);
+        reference.push(Reverse((time, stamp)));
+    };
+    for src in 0..SOURCES {
+        for _ in 0..20 {
+            let time = Time::new(rng.gen_range(0u64..40), rng.gen_range(0u8..3));
+            schedule(&mut queue, &mut reference, src, time);
+        }
+    }
+    let (mut requeues, mut reloads, mut generations) = (0, 0, 0);
+    while let Some(&Reverse((now, _))) = reference.peek() {
+        assert_eq!(queue.peek_time(), Some(now), "seed {seed}");
+        assert_eq!(queue.len(), reference.len(), "seed {seed}");
+        if generations % 37 == 5 {
+            // A quiescent point: the restored queue must carry on alike.
+            let mut bytes = Vec::new();
+            queue.save(&mut bytes, EventStamp::encode);
+            let mut buf = &bytes[..];
+            queue = EventQueue::load(&mut buf, EventStamp::decode).expect("own encoding loads");
+            assert!(buf.is_empty());
+            let mut again = Vec::new();
+            queue.save(&mut again, EventStamp::encode);
+            assert_eq!(bytes, again, "save is a fixed point of load (seed {seed})");
+            reloads += 1;
+        }
+        // A limit below the generation's tick takes nothing.
+        if now.tick() > 0 {
+            let early = queue.take_generation_until(now.tick() - 1, &mut generation, |s| s.src);
+            assert_eq!(early, None);
+            assert!(generation.is_empty());
+        }
+        let took = queue.take_generation_until(Tick::MAX, &mut generation, |s| s.src);
+        assert_eq!(took, Some(now), "seed {seed}");
+        let mut want = Vec::new();
+        while reference.peek().is_some_and(|r| r.0 .0 == now) {
+            want.push(reference.pop().expect("peeked").0 .1);
+        }
+        let got: Vec<EventStamp> = generation.pending().copied().collect();
+        assert_eq!(got, want, "generation {generations} at {now} (seed {seed})");
+        assert_eq!(generation.len(), want.len());
+        generations += 1;
+
+        let abort_after = rng.gen_bool(0.1).then(|| rng.gen_range(0..want.len()));
+        let mut done = 0;
+        while abort_after != Some(done) {
+            let Some(entry) = generation.next() else {
+                break;
+            };
+            assert_eq!((entry.time, entry.payload), (now, want[done]));
+            done += 1;
+            // The handler of this event sends a few more.
+            for _ in 0..rng.gen_range(0u32..3) {
+                let time = match rng.gen_range(0u32..20) {
+                    0..=2 => now,
+                    3..=5 => Time::new(now.tick(), rng.gen_range(now.epsilon()..4)),
+                    6..=15 => Time::new(now.tick() + rng.gen_range(1u64..8), rng.gen_range(0u8..3)),
+                    16..=18 => Time::new(now.tick() + rng.gen_range(8u64..400), 0),
+                    _ => Time::at(now.tick() + 5_000),
+                };
+                // Keep the pending set from dying out or exploding.
+                if reference.len() + want.len() < 3_000 {
+                    schedule(&mut queue, &mut reference, rng.gen_range(0..SOURCES), time);
+                }
+            }
+        }
+        if done < want.len() {
+            // Aborted: the remainder goes back in front of what the
+            // executed part sent to this same time.
+            for &stamp in &want[done..] {
+                reference.push(Reverse((now, stamp)));
+            }
+            queue.requeue_front(&mut generation);
+            requeues += 1;
+        }
+        if generations > 4_000 {
+            break;
+        }
+    }
+    assert!(queue.horizon_resizes() > 0 && queue.overflow_spills() > 0);
+    assert!(requeues > 10 && reloads > 10 && generations > 500);
+}
+
+#[test]
+fn generations_match_reference_in_stamp_order() {
+    for seed in 300..306 {
+        generations_match_reference(seed);
+    }
+}
+
+/// A fixed script over the whole interface a checkpoint can follow:
+/// mixed-epsilon buckets, spills and growth, single pops out of the middle
+/// of a bucket, a batch taken and partly requeued, far stragglers left in
+/// the overflow.
+fn scripted_queue() -> EventQueue<u32> {
+    let mut rng = Rng::new(0xC0FFEE);
+    let mut q = EventQueue::with_horizon(64);
+    let mut payload = 0u32;
+    let mut push = |q: &mut EventQueue<u32>, rng: &mut Rng, floor: u64, span: u64| {
+        let time = Time::new(floor + rng.gen_range(0..span), rng.gen_range(0u8..3));
+        q.push(
+            ComponentId::from_index(rng.gen_range(0usize..5)),
+            time,
+            payload,
+        );
+        payload += 1;
+    };
+    for _ in 0..400 {
+        push(&mut q, &mut rng, 0, 300);
+    }
+    let mut floor = 0;
+    for _ in 0..50 {
+        floor = q.pop().expect("scripted queue is not empty").time.tick();
+    }
+    let mut batch = Vec::new();
+    while q.take_batch(&mut batch) < 3 {}
+    let time = batch[0].time;
+    let mut rest = batch.drain(..);
+    rest.next();
+    for _ in 0..2 {
+        q.push(ComponentId::from_index(1), time, 9_000);
+    }
+    q.requeue_front(rest);
+    for _ in 0..100 {
+        push(&mut q, &mut rng, floor.max(time.tick()), 200);
+    }
+    q.push(ComponentId::from_index(0), Time::at(1_000_000), 9_001);
+    q.push(ComponentId::from_index(0), Time::new(1_000_000, 1), 9_002);
+    q
+}
+
+fn encode_u32(payload: &u32, out: &mut Vec<u8>) {
+    put_varint(out, u64::from(*payload));
+}
+
+fn decode_u32(buf: &mut &[u8]) -> Option<u32> {
+    u32::try_from(get_varint(buf)?).ok()
+}
+
+/// FNV-1a, enough to pin a byte string without carrying it.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn save_bytes_are_the_format_older_checkpoints_use() {
+    // Length and hash of `scripted_queue().save(..)` as written by the
+    // slab-and-list queue this storage replaced (commit b8910f6): the same
+    // pushes must still serialize to the same bytes, event for event.
+    const LEN: usize = 2403;
+    const HASH: u64 = 0x34e3_f2f7_5b65_8c96;
+    let q = scripted_queue();
+    let mut bytes = Vec::new();
+    q.save(&mut bytes, encode_u32);
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (LEN, HASH));
+
+    // And such bytes load into a queue that drains like the original.
+    let mut buf = &bytes[..];
+    let mut loaded = EventQueue::load(&mut buf, decode_u32).expect("checkpoint loads");
+    assert!(buf.is_empty());
+    let mut original = q;
+    assert_eq!(loaded.len(), original.len());
+    assert_eq!(loaded.high_water_mark(), original.high_water_mark());
+    assert_eq!(loaded.total_enqueued(), original.total_enqueued());
+    assert_eq!(loaded.horizon(), original.horizon());
+    while let Some(want) = original.pop() {
+        let got = loaded.pop().expect("loaded queue drained early");
+        assert_eq!(
+            (got.time, got.target, got.payload),
+            (want.time, want.target, want.payload)
+        );
+    }
+    assert!(loaded.is_empty());
 }

@@ -3,7 +3,9 @@
 //! Runs, in order, entirely offline:
 //!
 //! 1. `cargo build --release --locked --offline`
-//! 2. `cargo test -q --locked --offline`
+//! 2. `cargo test -q --workspace --locked --offline` — every crate's own
+//!    tests (the queue and router model tests among them), not only the
+//!    root package's integration suites
 //! 3. the engine benchmark in smoke mode (`bench_engine --smoke`), which
 //!    asserts its own floors (every workload > 0 events/s, run stats
 //!    non-empty) so a scheduler regression fails the gate, not just a
@@ -39,7 +41,10 @@ fn main() -> ExitCode {
     // `--smoke` keeps it fast enough for tier-1 (a few hundred ms).
     let steps: &[(&str, &[&str])] = &[
         ("build", &["build", "--release", "--locked", "--offline"]),
-        ("test", &["test", "-q", "--locked", "--offline"]),
+        (
+            "test",
+            &["test", "-q", "--workspace", "--locked", "--offline"],
+        ),
         (
             "bench smoke",
             &[
