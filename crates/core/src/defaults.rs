@@ -6,8 +6,8 @@ use supersim_config::Value;
 use supersim_des::{Component, Tick};
 use supersim_netbase::Ev;
 use supersim_router::{
-    CongestionGranularity, CongestionSource, FlowControl, IoqConfig, IoqRouter, IqConfig, IqRouter,
-    OqConfig, OqRouter, SensorConfig,
+    CongestionGranularity, CongestionSource, FlowControl, Router, RouterConfig, SensorConfig,
+    XbarConfig,
 };
 use supersim_stats::ComponentSampler;
 use supersim_topology::{
@@ -215,69 +215,61 @@ fn flow_control_of(cfg: &Value) -> Result<FlowControl, BuildError> {
     })
 }
 
-fn register_routers(f: &mut Factories) {
-    f.routers.register("output_queued", |ctx: RouterCtx<'_>| {
+/// The crossbar settings of the input-queued architectures.
+fn xbar_config(cfg: &Value) -> Result<XbarConfig, BuildError> {
+    Ok(XbarConfig {
+        latency: cfg.opt_u64("xbar_latency", 1)?,
+        flow_control: flow_control_of(cfg)?,
+        arbiter: cfg.opt_str("arbiter", "round_robin")?.to_string(),
+    })
+}
+
+/// Registers one built-in architecture: `build` gets the router's own
+/// configuration block and the settings every architecture shares.
+fn register_router(
+    f: &mut Factories,
+    name: &str,
+    build: fn(&Value, RouterConfig) -> Result<Router, BuildError>,
+) {
+    f.routers.register(name, move |ctx: RouterCtx<'_>| {
         let cfg = ctx.config;
+        let shared = RouterConfig {
+            id: ctx.id,
+            ports: ctx.ports,
+            input_buffer: cfg.req_u64("input_buffer")? as u32,
+            core_period: core_period(cfg, ctx.link_period)?,
+            link_period: ctx.link_period,
+            sensor: sensor_config(cfg)?,
+            routing: ctx.routing,
+            fault: ctx.fault.clone(),
+        };
+        let mut router = build(cfg, shared)?;
+        router.core.sampler = ctx.sampler.map(ComponentSampler::new);
+        Ok(Box::new(router) as Box<dyn Component<Ev>>)
+    });
+}
+
+fn register_routers(f: &mut Factories) {
+    register_router(f, "output_queued", |cfg, shared| {
         let output_queue = match cfg.path("output_queue") {
             None => None,
             Some(v) if v.as_str() == Some("infinite") => None,
             Some(_) => Some(cfg.req_u64("output_queue")? as u32),
         };
-        let mut router = OqRouter::new(OqConfig {
-            id: ctx.id,
-            ports: ctx.ports,
-            input_buffer: cfg.req_u64("input_buffer")? as u32,
+        let core_latency = cfg.opt_u64("core_latency", 1)?;
+        Ok(Router::output_queued(shared, output_queue, core_latency)?)
+    });
+    register_router(f, "input_queued", |cfg, shared| {
+        Ok(Router::input_queued(shared, xbar_config(cfg)?)?)
+    });
+    register_router(f, "input_output_queued", |cfg, shared| {
+        let output_queue = cfg.req_u64("output_queue")? as u32;
+        Ok(Router::input_output_queued(
+            shared,
+            xbar_config(cfg)?,
             output_queue,
-            core_latency: cfg.opt_u64("core_latency", 1)?,
-            core_period: core_period(cfg, ctx.link_period)?,
-            link_period: ctx.link_period,
-            sensor: sensor_config(cfg)?,
-            routing: ctx.routing,
-            fault: ctx.fault.clone(),
-        })?;
-        router.sampler = ctx.sampler.map(ComponentSampler::new);
-        Ok(Box::new(router) as Box<dyn Component<Ev>>)
+        )?)
     });
-
-    f.routers.register("input_queued", |ctx: RouterCtx<'_>| {
-        let cfg = ctx.config;
-        let mut router = IqRouter::new(IqConfig {
-            id: ctx.id,
-            ports: ctx.ports,
-            input_buffer: cfg.req_u64("input_buffer")? as u32,
-            core_period: core_period(cfg, ctx.link_period)?,
-            link_period: ctx.link_period,
-            xbar_latency: cfg.opt_u64("xbar_latency", 1)?,
-            flow_control: flow_control_of(cfg)?,
-            arbiter: cfg.opt_str("arbiter", "round_robin")?.to_string(),
-            sensor: sensor_config(cfg)?,
-            routing: ctx.routing,
-            fault: ctx.fault.clone(),
-        })?;
-        router.sampler = ctx.sampler.map(ComponentSampler::new);
-        Ok(Box::new(router) as Box<dyn Component<Ev>>)
-    });
-
-    f.routers
-        .register("input_output_queued", |ctx: RouterCtx<'_>| {
-            let cfg = ctx.config;
-            let mut router = IoqRouter::new(IoqConfig {
-                id: ctx.id,
-                ports: ctx.ports,
-                input_buffer: cfg.req_u64("input_buffer")? as u32,
-                output_queue: cfg.req_u64("output_queue")? as u32,
-                core_period: core_period(cfg, ctx.link_period)?,
-                link_period: ctx.link_period,
-                xbar_latency: cfg.opt_u64("xbar_latency", 1)?,
-                flow_control: flow_control_of(cfg)?,
-                arbiter: cfg.opt_str("arbiter", "round_robin")?.to_string(),
-                sensor: sensor_config(cfg)?,
-                routing: ctx.routing,
-                fault: ctx.fault.clone(),
-            })?;
-            router.sampler = ctx.sampler.map(ComponentSampler::new);
-            Ok(Box::new(router) as Box<dyn Component<Ev>>)
-        });
 }
 
 /// Parses `message_size` (fixed) or `message_sizes` (weighted array of

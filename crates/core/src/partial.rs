@@ -16,7 +16,7 @@
 
 use supersim_des::{ComponentId, Engine, Tick};
 use supersim_netbase::{Ev, FaultCounters, Phase};
-use supersim_router::{IoqRouter, IqRouter, OqRouter, RouterCounters, RouterMetrics};
+use supersim_router::Router;
 use supersim_stats::metrics::HIST_BUCKETS;
 use supersim_stats::{
     intern_series, ComponentSampler, Histogram, RecordKind, SampleLog, SampleRecord,
@@ -107,10 +107,15 @@ pub(crate) fn extract_partial(
         if engine.component(id).is_none() {
             continue;
         }
+        // One lookup of the shared router skeleton; a custom router
+        // component reports no router-plane data.
+        let router = engine.component_as::<Router>(id);
+        let core = router.map(|r| &r.core);
         partial.routers.push((
             r as u32,
             RouterPartial {
-                metrics: router_metrics(engine, id).map(|m| {
+                metrics: core.map(|c| {
+                    let m = &c.metrics;
                     (
                         m.grants.get(),
                         m.denials.get(),
@@ -118,11 +123,15 @@ pub(crate) fn extract_partial(
                         m.occupancy().iter().map(|g| (g.get(), g.max())).collect(),
                     )
                 }),
-                profile: router_profile(engine, id)
-                    .map(|(c, (live, high))| (c.cycles, c.flits_advanced, live, high)),
-                fault: router_faults(engine, id),
-                sampler: router_sampler(engine, id).cloned(),
-                occupancy: router_occupancy(engine, id),
+                profile: core.map(|c| {
+                    let (live, high) = c.arena_stats();
+                    (c.counters.cycles, c.counters.flits_advanced, live, high)
+                }),
+                fault: core
+                    .and_then(|c| c.fault.as_ref())
+                    .map(|f| (f.counters, f.held_flits())),
+                sampler: core.and_then(|c| c.sampler.clone()),
+                occupancy: router.map(|r| (r.buffered_flits(), r.core.credit_state())),
             },
         ));
     }
@@ -130,84 +139,6 @@ pub(crate) fn extract_partial(
         .component_as::<WorkloadMonitor>(monitor)
         .map(|m| m.phase_times.clone());
     partial
-}
-
-/// The metrics of a built-in router architecture, found by downcast.
-/// Custom router components report no router-plane metrics.
-fn router_metrics(engine: &dyn Engine<Ev>, id: ComponentId) -> Option<&RouterMetrics> {
-    if let Some(r) = engine.component_as::<IqRouter>(id) {
-        return Some(&r.metrics);
-    }
-    if let Some(r) = engine.component_as::<OqRouter>(id) {
-        return Some(&r.metrics);
-    }
-    if let Some(r) = engine.component_as::<IoqRouter>(id) {
-        return Some(&r.metrics);
-    }
-    None
-}
-
-/// Hot-path profiling data of a built-in router architecture, found by
-/// downcast: its operation counters and flit-arena `(live, high_water)`
-/// occupancy.
-fn router_profile(
-    engine: &dyn Engine<Ev>,
-    id: ComponentId,
-) -> Option<(RouterCounters, (u32, u32))> {
-    if let Some(r) = engine.component_as::<IqRouter>(id) {
-        return Some((r.counters, r.arena_stats()));
-    }
-    if let Some(r) = engine.component_as::<OqRouter>(id) {
-        return Some((r.counters, r.arena_stats()));
-    }
-    if let Some(r) = engine.component_as::<IoqRouter>(id) {
-        return Some((r.counters, r.arena_stats()));
-    }
-    None
-}
-
-/// The fault state of a built-in router architecture, found by downcast.
-fn router_faults(engine: &dyn Engine<Ev>, id: ComponentId) -> Option<(FaultCounters, u64)> {
-    if let Some(r) = engine.component_as::<IqRouter>(id) {
-        return r.fault.as_ref().map(|f| (f.counters, f.held_flits()));
-    }
-    if let Some(r) = engine.component_as::<OqRouter>(id) {
-        return r.fault.as_ref().map(|f| (f.counters, f.held_flits()));
-    }
-    if let Some(r) = engine.component_as::<IoqRouter>(id) {
-        return r.fault.as_ref().map(|f| (f.counters, f.held_flits()));
-    }
-    None
-}
-
-/// The window-sampler ring of a built-in router architecture, found by
-/// downcast. Custom router components contribute no `router.*` series.
-fn router_sampler(engine: &dyn Engine<Ev>, id: ComponentId) -> Option<&ComponentSampler> {
-    if let Some(r) = engine.component_as::<IqRouter>(id) {
-        return r.sampler.as_ref();
-    }
-    if let Some(r) = engine.component_as::<OqRouter>(id) {
-        return r.sampler.as_ref();
-    }
-    if let Some(r) = engine.component_as::<IoqRouter>(id) {
-        return r.sampler.as_ref();
-    }
-    None
-}
-
-/// Buffer occupancy and per-`(port, vc)` credit state of a built-in
-/// router architecture, found by downcast.
-fn router_occupancy(engine: &dyn Engine<Ev>, id: ComponentId) -> Option<(u64, Vec<(u32, u32)>)> {
-    if let Some(r) = engine.component_as::<IqRouter>(id) {
-        return Some((r.buffered_flits(), r.credit_state()));
-    }
-    if let Some(r) = engine.component_as::<OqRouter>(id) {
-        return Some((r.buffered_flits(), r.credit_state()));
-    }
-    if let Some(r) = engine.component_as::<IoqRouter>(id) {
-        return Some((r.buffered_flits(), r.credit_state()));
-    }
-    None
 }
 
 // ---------------------------------------------------------------------

@@ -42,6 +42,10 @@ pub trait Arbiter: Send {
     }
 }
 
+/// The policy names [`arbiter_by_name`] accepts.
+pub(crate) const ARBITER_POLICIES: [&str; 4] =
+    ["round_robin", "age_based", "random", "fixed_priority"];
+
 /// Builds an arbiter by policy name: `"round_robin"`, `"age_based"`,
 /// `"random"`, or `"fixed_priority"`.
 ///
@@ -292,7 +296,7 @@ mod tests {
 
     #[test]
     fn factory_by_name() {
-        for name in ["round_robin", "age_based", "random", "fixed_priority"] {
+        for name in ARBITER_POLICIES {
             assert_eq!(arbiter_by_name(name).unwrap().name(), name);
         }
         assert!(arbiter_by_name("magic").is_none());

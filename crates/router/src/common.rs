@@ -3,8 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use supersim_des::Context;
-use supersim_netbase::{Ev, FaultPlane, LinkFaults, LinkId, LinkTarget, Port, RouterId};
+use supersim_netbase::{FaultPlane, LinkFaults, LinkId, LinkTarget, Port, RouterId};
 use supersim_topology::RoutingAlgorithm;
 
 /// Constructor for per-input-port routing engines: given the router and the
@@ -80,7 +79,7 @@ pub(crate) fn router_faults(
 }
 
 /// A sender-side fault protocol event: the three kinds share one dispatch
-/// path in every router microarchitecture.
+/// path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FaultProtocolEvent {
     /// Receiver confirmed clean redelivery.
@@ -89,43 +88,6 @@ pub(crate) enum FaultProtocolEvent {
     Nack,
     /// The sender's own retransmission timer fired.
     Retry,
-}
-
-/// Dispatches a fault protocol event addressed to output port `port`:
-/// validates the port, looks up its flit link, and drives the sender-side
-/// retransmission state machine.
-pub(crate) fn handle_fault_protocol(
-    fault: &mut Option<LinkFaults>,
-    ports: &RouterPorts,
-    name: &str,
-    trace_src: u32,
-    ctx: &mut Context<'_, Ev>,
-    port: Port,
-    kind: FaultProtocolEvent,
-) {
-    let Some(fault) = fault.as_mut() else {
-        ctx.fail(format!(
-            "{name}: fault protocol event {kind:?} with the fault plane disabled"
-        ));
-        return;
-    };
-    if port >= ports.radix {
-        ctx.fail(format!(
-            "{name}: fault protocol event {kind:?} for unknown output port {port}"
-        ));
-        return;
-    }
-    let Some(link) = ports.flit_links[port as usize] else {
-        ctx.fail(format!(
-            "{name}: fault protocol event {kind:?} for unwired output port {port}"
-        ));
-        return;
-    };
-    match kind {
-        FaultProtocolEvent::Ack => fault.handle_ack(ctx, port, &link, trace_src),
-        FaultProtocolEvent::Nack => fault.handle_nack(ctx, port, &link, trace_src),
-        FaultProtocolEvent::Retry => fault.handle_retry(ctx, port, &link, trace_src),
-    }
 }
 
 /// An invalid router configuration.

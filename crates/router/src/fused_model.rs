@@ -69,7 +69,7 @@ impl StageState {
             inputs,
             credits,
             scheds: (0..ports)
-                .map(|_| OutputScheduler::new(fc, vcs as u32, arbiter))
+                .map(|_| OutputScheduler::new(fc, vcs as u32, arbiter).expect("known arbiter"))
                 .collect(),
             rng: Rng::new(rng_seed),
             credit_stalls: 0,

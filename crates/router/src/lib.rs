@@ -2,27 +2,40 @@
 
 //! Router microarchitectures for SuperSim-rs (paper §IV-C).
 //!
-//! Three flexibly configurable router models, all built from the same
-//! common components (arbiters, allocators, buffers, crossbar schedulers,
-//! and congestion sensors):
+//! One [`Router`] component: a shared skeleton ([`RouterCore`] — ports,
+//! flit arena, input buffers, route table, credits, congestion sensor,
+//! event handling, pipeline wake-up, fault protocol, sampling,
+//! checkpointing) driven once per switch cycle by the architecture's
+//! composition of at most three stages:
 //!
-//! - [`OqRouter`] — the idealistic output-queued architecture: zero
-//!   head-of-line blocking, no scheduling conflicts, infinite or finite
-//!   output queues. Used by case study A (latent congestion detection).
-//! - [`IqRouter`] — the standard input-queued architecture with full
-//!   crossbar input speedup; flits wait in input queues until downstream
-//!   credits are available. Used by case study C (flow control
-//!   techniques).
-//! - [`IoqRouter`] — the combined input/output-queued architecture with
-//!   input and output speedup; flits wait at the inputs only for *output
-//!   queue* credits and at the outputs for downstream credits. Used by
-//!   case study B (congestion credit accounting).
+//! | architecture | route stage | input stage | output stage |
+//! |---|---|---|---|
+//! | [`Router::output_queued`] | shared | conflict-free transfer under an owner table (OQ's own) | output-queue drain |
+//! | [`Router::input_queued`] | shared, re-routing until the packet starts | crossbar, judged against downstream credits, onto the channel | — |
+//! | [`Router::input_output_queued`] | shared | crossbar, judged against output-queue space, into the output queues | output-queue drain |
 //!
-//! The building blocks are public so user-defined architectures can be
-//! assembled from them, mirroring the paper's extensibility story.
+//! - OQ is the idealistic architecture: zero head-of-line blocking, no
+//!   scheduling conflicts, infinite or finite output queues. Used by case
+//!   study A (latent congestion detection).
+//! - IQ is the standard input-queued architecture with full crossbar
+//!   input speedup; flits wait in input queues until downstream credits
+//!   are available. Used by case study C (flow control techniques).
+//! - IOQ is the combined input/output-queued architecture with input and
+//!   output speedup; flits wait at the inputs only for *output queue*
+//!   credits and at the outputs for downstream credits. Used by case
+//!   study B (congestion credit accounting).
+//!
+//! What stays with an architecture is deliberate: OQ's infinite queues and
+//! owner table, IOQ's link-gate wake-up, the RNG draw OQ and IOQ make
+//! before draining, and each one's pipeline re-arm rule.
+//!
+//! The building blocks (arbiters, buffers, crossbar schedulers, congestion
+//! sensors) are public so user-defined architectures can be assembled from
+//! them, mirroring the paper's extensibility story.
 
-mod allocator;
 mod arbiter;
+#[cfg(test)]
+mod arch_tests;
 mod buffer;
 mod common;
 mod congestion;
@@ -32,14 +45,13 @@ mod ioq;
 mod iq;
 mod metrics;
 mod oq;
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;
+mod skeleton;
 mod snapshot;
+mod stages;
 #[cfg(test)]
 mod testutil;
 mod xbar_sched;
 
-pub use allocator::{AllocRequest, SeparableAllocator};
 pub use arbiter::{
     arbiter_by_name, AgeBasedArbiter, Arbiter, FixedPriorityArbiter, RandomArbiter, Request,
     RoundRobinArbiter,
@@ -49,8 +61,7 @@ pub use common::{RouterError, RouterPorts, RoutingFactory};
 pub use congestion::{
     CongestionGranularity, CongestionSensor, CongestionSource, DelayedValue, SensorConfig,
 };
-pub use ioq::{IoqConfig, IoqRouter};
-pub use iq::{IqConfig, IqRouter, RouterCounters};
 pub use metrics::RouterMetrics;
-pub use oq::{OqConfig, OqRouter};
+pub use skeleton::{Router, RouterConfig, RouterCore, RouterCounters};
+pub use stages::XbarConfig;
 pub use xbar_sched::{FlowControl, OutputScheduler};

@@ -1,17 +1,13 @@
-//! Shared checkpoint helpers for the router microarchitectures.
+//! Checkpoint field codecs for the router skeleton and its stages.
 //!
-//! The three routers snapshot the same kinds of state — a flit arena,
-//! handle-bearing buffers and queues, route tables, credit counters,
-//! per-port routing engines — in the same strict LEB128 framing. These
-//! helpers keep the three `Component::snapshot`/`restore` impls small
-//! and byte-compatible in their shared sections.
+//! A router snapshots a flit arena, handle-bearing buffers and queues,
+//! route tables, credit counters and per-port routing engines, all in the
+//! same strict LEB128 framing.
 //!
 //! All decoders are total (`None` on malformed input, never a panic) and
 //! validate shape against the structurally rebuilt router: counts must
 //! match, handle indices must reference occupied arena slots, and no
 //! handle may appear in two places.
-
-use std::collections::VecDeque;
 
 use supersim_des::wire::{get_u8, get_varint, put_varint};
 use supersim_des::Tick;
@@ -19,7 +15,7 @@ use supersim_netbase::{CreditCounter, FlitArena, FlitHandle};
 use supersim_topology::{RouteChoice, RoutingAlgorithm};
 
 use crate::buffer::VcBuffer;
-use crate::iq::RouterCounters;
+use crate::skeleton::RouterCounters;
 
 /// Validates handle indices against a restored arena: each must address
 /// an occupied slot and may be claimed at most once across all of a
@@ -71,6 +67,40 @@ pub(crate) fn get_opt_tick(buf: &mut &[u8]) -> Option<Option<Tick>> {
     }
 }
 
+/// Reads a length prefix, which must equal the rebuilt structure's
+/// `expected` count.
+pub(crate) fn get_len(buf: &mut &[u8], expected: usize) -> Option<()> {
+    (usize::try_from(get_varint(buf)?).ok()? == expected).then_some(())
+}
+
+/// Serializes a table of optional owners (input keys).
+pub(crate) fn put_owners(out: &mut Vec<u8>, owners: &[Option<u32>]) {
+    put_varint(out, owners.len() as u64);
+    for &owner in owners {
+        put_opt_u32(out, owner);
+    }
+}
+
+/// Overlays a saved owner table of the same length.
+pub(crate) fn load_owners(owners: &mut [Option<u32>], buf: &mut &[u8]) -> Option<()> {
+    get_len(buf, owners.len())?;
+    for owner in owners.iter_mut() {
+        *owner = get_opt_u32(buf)?;
+    }
+    Some(())
+}
+
+pub(crate) fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
+    put_opt_tick(out, v.map(u64::from));
+}
+
+pub(crate) fn get_opt_u32(buf: &mut &[u8]) -> Option<Option<u32>> {
+    Some(match get_opt_tick(buf)? {
+        None => None,
+        Some(x) => Some(u32::try_from(x).ok()?),
+    })
+}
+
 /// Serializes handle-bearing input buffers: per buffer, occupancy then
 /// slot indices head-first.
 pub(crate) fn put_buffers(out: &mut Vec<u8>, bufs: &[VcBuffer<FlitHandle>]) {
@@ -90,10 +120,7 @@ pub(crate) fn load_buffers(
     claims: &mut HandleClaims<'_>,
     buf: &mut &[u8],
 ) -> Option<()> {
-    let n = usize::try_from(get_varint(buf)?).ok()?;
-    if n != bufs.len() {
-        return None;
-    }
+    get_len(buf, bufs.len())?;
     for b in bufs.iter_mut() {
         b.clear();
         let occ = u32::try_from(get_varint(buf)?).ok()?;
@@ -104,43 +131,6 @@ pub(crate) fn load_buffers(
             let idx = u32::try_from(get_varint(buf)?).ok()?;
             let h = claims.claim(idx)?;
             b.push(h).ok()?;
-        }
-    }
-    Some(())
-}
-
-/// Serializes output queues of `(ready_tick, handle)` entries.
-pub(crate) fn put_queues(out: &mut Vec<u8>, queues: &[VecDeque<(Tick, FlitHandle)>]) {
-    put_varint(out, queues.len() as u64);
-    for q in queues {
-        put_varint(out, q.len() as u64);
-        for &(ready, h) in q {
-            put_varint(out, ready);
-            put_varint(out, h.index() as u64);
-        }
-    }
-}
-
-/// Overlays saved output queues onto freshly built (empty) ones.
-pub(crate) fn load_queues(
-    queues: &mut [VecDeque<(Tick, FlitHandle)>],
-    claims: &mut HandleClaims<'_>,
-    buf: &mut &[u8],
-) -> Option<()> {
-    let n = usize::try_from(get_varint(buf)?).ok()?;
-    if n != queues.len() {
-        return None;
-    }
-    for q in queues.iter_mut() {
-        q.clear();
-        let len = usize::try_from(get_varint(buf)?).ok()?;
-        if len > buf.len() {
-            return None;
-        }
-        for _ in 0..len {
-            let ready = get_varint(buf)?;
-            let idx = u32::try_from(get_varint(buf)?).ok()?;
-            q.push_back((ready, claims.claim(idx)?));
         }
     }
     Some(())
@@ -168,10 +158,7 @@ pub(crate) fn load_routes(
     vcs: u32,
     buf: &mut &[u8],
 ) -> Option<()> {
-    let n = usize::try_from(get_varint(buf)?).ok()?;
-    if n != table.len() {
-        return None;
-    }
+    get_len(buf, table.len())?;
     for entry in table.iter_mut() {
         *entry = match get_u8(buf)? {
             0 => None,
@@ -199,10 +186,7 @@ pub(crate) fn put_credits(out: &mut Vec<u8>, credits: &[CreditCounter]) {
 
 /// Overlays saved credit counts; each must fit its structural capacity.
 pub(crate) fn load_credits(credits: &mut [CreditCounter], buf: &mut &[u8]) -> Option<()> {
-    let n = usize::try_from(get_varint(buf)?).ok()?;
-    if n != credits.len() {
-        return None;
-    }
+    get_len(buf, credits.len())?;
     for c in credits.iter_mut() {
         c.restore_available(u32::try_from(get_varint(buf)?).ok()?)?;
     }
@@ -227,10 +211,7 @@ pub(crate) fn load_routing(
     routing: &mut [Box<dyn RoutingAlgorithm>],
     buf: &mut &[u8],
 ) -> Option<()> {
-    let n = usize::try_from(get_varint(buf)?).ok()?;
-    if n != routing.len() {
-        return None;
-    }
+    get_len(buf, routing.len())?;
     for engine in routing.iter_mut() {
         let mut blob = supersim_des::wire::get_bytes(buf)?;
         engine.load_state(&mut blob)?;
@@ -251,10 +232,7 @@ pub(crate) fn put_last_send(out: &mut Vec<u8>, last_send: &[Option<Tick>]) {
 
 /// Overlays saved last-send ticks.
 pub(crate) fn load_last_send(last_send: &mut [Option<Tick>], buf: &mut &[u8]) -> Option<()> {
-    let n = usize::try_from(get_varint(buf)?).ok()?;
-    if n != last_send.len() {
-        return None;
-    }
+    get_len(buf, last_send.len())?;
     for t in last_send.iter_mut() {
         *t = get_opt_tick(buf)?;
     }

@@ -13,11 +13,58 @@ use supersim_netbase::{
 use supersim_topology::{RouteChoice, RoutingAlgorithm, RoutingContext};
 
 use crate::common::{RouterError, RouterPorts, RoutingFactory};
-use crate::ioq::IoqRouter;
-use crate::iq::IqRouter;
-use crate::oq::OqRouter;
+use crate::congestion::{CongestionGranularity, CongestionSource, SensorConfig};
+use crate::skeleton::{Router, RouterConfig};
 
-pub use crate::iq::RouterCounters;
+pub use crate::skeleton::RouterCounters;
+
+/// A zero-delay sensor configuration.
+pub fn sensor(source: CongestionSource, granularity: CongestionGranularity) -> SensorConfig {
+    SensorConfig {
+        source,
+        granularity,
+        delay: 0,
+    }
+}
+
+/// The shared configuration of a fault-free test router (id 0).
+pub fn router_config(
+    ports: RouterPorts,
+    routing: RoutingFactory,
+    input_buffer: u32,
+    (core_period, link_period): (Tick, Tick),
+    sensor: SensorConfig,
+) -> RouterConfig {
+    RouterConfig {
+        id: supersim_netbase::RouterId(0),
+        ports,
+        input_buffer,
+        core_period,
+        link_period,
+        sensor,
+        routing,
+        fault: None,
+    }
+}
+
+/// The configuration of a stand-alone test router: `radix` unwired ports,
+/// one VC, static star routing, unit clock periods.
+pub fn unwired_config(radix: u32, input_buffer: u32, sensor: SensorConfig) -> RouterConfig {
+    let ports = RouterPorts {
+        radix,
+        vcs: 1,
+        flit_links: vec![None; radix as usize],
+        credit_links: vec![None; radix as usize],
+        downstream_capacity: vec![4; radix as usize],
+    };
+    let routing: RoutingFactory = Box::new(|_, _| Box::new(StaticRouting::new(1, 1)));
+    router_config(ports, routing, input_buffer, (1, 1), sensor)
+}
+
+/// Boxes a constructed router for [`TestNet::build`] / [`ring_links`].
+pub fn boxed(router: Result<Router, RouterError>) -> Result<Box<dyn Component<Ev>>, RouterError> {
+    router.map(|r| Box::new(r) as _)
+}
 
 /// Builds one test flit (single packet of `size` flits, first flit
 /// returned).
@@ -358,21 +405,10 @@ impl TestNet {
         let router = make_router(ports, routing).expect("router construction failed");
         let input_buffer = router
             .as_any()
-            .downcast_ref::<IqRouter>()
-            .map(|r| r.input_buffer())
-            .or_else(|| {
-                router
-                    .as_any()
-                    .downcast_ref::<OqRouter>()
-                    .map(|r| r.input_buffer())
-            })
-            .or_else(|| {
-                router
-                    .as_any()
-                    .downcast_ref::<IoqRouter>()
-                    .map(|r| r.input_buffer())
-            })
-            .expect("unknown router type");
+            .downcast_ref::<Router>()
+            .expect("unknown router type")
+            .core
+            .input_buffer();
         let rid = sim.add_component(router);
         assert_eq!(rid, router_id, "router id prediction broke");
         // Fix up endpoint send-credit capacity to the router's input buffer.
@@ -410,6 +446,28 @@ impl TestNet {
             .set_ignore_credits();
     }
 
+    /// Arms window sampling every `interval` ticks on the engine and the
+    /// (first) router.
+    pub fn sample_every(&mut self, interval: Tick) {
+        self.sim.set_sampler(interval);
+        self.router().core.sampler = Some(supersim_stats::ComponentSampler::new(8));
+    }
+
+    /// Runs until `tick` and returns the (first) router's snapshot bytes.
+    pub fn snapshot_at(&mut self, tick: Tick) -> Vec<u8> {
+        let _ = self.sim.run_until(tick);
+        let mut out = Vec::new();
+        self.router().snapshot(&mut out);
+        out
+    }
+
+    /// The (first) router component.
+    pub fn router(&mut self) -> &mut Router {
+        self.sim
+            .component_as_mut::<Router>(self.router_ids[0])
+            .expect("router")
+    }
+
     /// Runs to completion and collects results.
     pub fn run(mut self) -> TestOutput {
         let outcome = drive(&mut self.sim);
@@ -426,13 +484,8 @@ impl TestNet {
             .router_ids
             .iter()
             .map(|&rid| {
-                let c = self.sim.component(rid).expect("router");
-                let any = c.as_any();
-                any.downcast_ref::<IqRouter>()
-                    .map(|r| r.counters)
-                    .or_else(|| any.downcast_ref::<OqRouter>().map(|r| r.counters))
-                    .or_else(|| any.downcast_ref::<IoqRouter>().map(|r| r.counters))
-                    .expect("unknown router type")
+                let router = self.sim.component_as::<Router>(rid).expect("router");
+                router.core.counters
             })
             .collect();
         TestOutput {

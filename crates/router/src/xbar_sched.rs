@@ -19,7 +19,9 @@ use supersim_des::Rng;
 
 use supersim_netbase::Vc;
 
-use crate::arbiter::{arbiter_by_name, Arbiter, Request};
+use crate::arbiter::{arbiter_by_name, Arbiter, Request, ARBITER_POLICIES};
+use crate::common::RouterError;
+use crate::snapshot::{get_opt_u32, load_owners, put_opt_u32, put_owners};
 
 /// The flow control technique of a crossbar scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,20 +94,25 @@ pub struct OutputScheduler {
 impl OutputScheduler {
     /// Creates a scheduler for an output port with `vcs` virtual channels.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the arbiter policy name is unknown.
-    pub fn new(fc: FlowControl, vcs: u32, arbiter_policy: &str) -> Self {
-        let arbiter = arbiter_by_name(arbiter_policy)
-            .unwrap_or_else(|| panic!("unknown arbiter policy {arbiter_policy:?}"));
-        OutputScheduler {
+    /// Returns a [`RouterError`] naming the allowed policies if the
+    /// arbiter policy name is unknown.
+    pub fn new(fc: FlowControl, vcs: u32, arbiter_policy: &str) -> Result<Self, RouterError> {
+        let arbiter = arbiter_by_name(arbiter_policy).ok_or_else(|| {
+            RouterError::new(format!(
+                "unknown arbiter policy {arbiter_policy:?} (expected one of {})",
+                ARBITER_POLICIES.join(", ")
+            ))
+        })?;
+        Ok(OutputScheduler {
             fc,
             arbiter,
             vc_owner: vec![None; vcs as usize],
             lock: None,
             eligible: Vec::new(),
             requests: Vec::new(),
-        }
+        })
     }
 
     /// The flow control technique.
@@ -215,11 +222,7 @@ impl OutputScheduler {
     /// Serializes the scheduler's dynamic state: VC ownership, the port
     /// lock, and the arbiter's history. Scratch vectors are not state.
     pub fn save(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
-        put_varint(out, self.vc_owner.len() as u64);
-        for owner in &self.vc_owner {
-            put_opt_u32(out, *owner);
-        }
+        put_owners(out, &self.vc_owner);
         put_opt_u32(out, self.lock);
         self.arbiter.save_state(out);
     }
@@ -227,14 +230,7 @@ impl OutputScheduler {
     /// Overlays saved state onto this scheduler. Total: `None` on
     /// malformed input or a VC-count mismatch with the built structure.
     pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::get_varint;
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n != self.vc_owner.len() {
-            return None;
-        }
-        for owner in &mut self.vc_owner {
-            *owner = get_opt_u32(buf)?;
-        }
+        load_owners(&mut self.vc_owner, buf)?;
         self.lock = get_opt_u32(buf)?;
         self.arbiter.load_state(buf)
     }
@@ -253,26 +249,6 @@ impl OutputScheduler {
                 self.lock = None;
             }
         }
-    }
-}
-
-fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
-    use supersim_des::wire::put_varint;
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_varint(out, u64::from(x));
-        }
-    }
-}
-
-fn get_opt_u32(buf: &mut &[u8]) -> Option<Option<u32>> {
-    use supersim_des::wire::{get_u8, get_varint};
-    match get_u8(buf)? {
-        0 => Some(None),
-        1 => Some(Some(u32::try_from(get_varint(buf)?).ok()?)),
-        _ => None,
     }
 }
 
@@ -322,8 +298,18 @@ mod tests {
     }
 
     #[test]
+    fn unknown_arbiter_policy_is_a_typed_error() {
+        let err = OutputScheduler::new(FlowControl::FlitBuffer, 1, "bogus")
+            .expect_err("unknown policy must be rejected")
+            .to_string();
+        for policy in ARBITER_POLICIES {
+            assert!(err.contains(policy), "{err}");
+        }
+    }
+
+    #[test]
     fn fb_interleaves_packets_on_different_vcs() {
-        let mut s = OutputScheduler::new(FlowControl::FlitBuffer, 2, "round_robin");
+        let mut s = OutputScheduler::new(FlowControl::FlitBuffer, 2, "round_robin").unwrap();
         let mut rng = rng();
         // Two 4-flit packets on VCs 0 and 1; present heads then bodies.
         let mut seqs = [0u32, 0u32];
@@ -340,7 +326,7 @@ mod tests {
 
     #[test]
     fn fb_blocks_vc_stealing() {
-        let mut s = OutputScheduler::new(FlowControl::FlitBuffer, 1, "round_robin");
+        let mut s = OutputScheduler::new(FlowControl::FlitBuffer, 1, "round_robin").unwrap();
         let mut rng = rng();
         // Input 0's head takes VC 0.
         let w = s.pick(&[cand(0, 0, 0, 3, 5)], &mut rng).unwrap();
@@ -361,7 +347,7 @@ mod tests {
 
     #[test]
     fn fb_requires_a_credit() {
-        let mut s = OutputScheduler::new(FlowControl::FlitBuffer, 1, "round_robin");
+        let mut s = OutputScheduler::new(FlowControl::FlitBuffer, 1, "round_robin").unwrap();
         let mut rng = rng();
         assert_eq!(s.pick(&[cand(0, 0, 0, 2, 0)], &mut rng), None);
         assert!(s.pick(&[cand(0, 0, 0, 2, 1)], &mut rng).is_some());
@@ -369,7 +355,7 @@ mod tests {
 
     #[test]
     fn pb_needs_full_packet_credits() {
-        let mut s = OutputScheduler::new(FlowControl::PacketBuffer, 2, "round_robin");
+        let mut s = OutputScheduler::new(FlowControl::PacketBuffer, 2, "round_robin").unwrap();
         let mut rng = rng();
         // 4-flit packet, only 3 credits: not eligible.
         assert_eq!(s.pick(&[cand(0, 0, 0, 4, 3)], &mut rng), None);
@@ -390,7 +376,7 @@ mod tests {
 
     #[test]
     fn pb_lock_holds_through_input_starvation() {
-        let mut s = OutputScheduler::new(FlowControl::PacketBuffer, 2, "round_robin");
+        let mut s = OutputScheduler::new(FlowControl::PacketBuffer, 2, "round_robin").unwrap();
         let mut rng = rng();
         s.pick(&[cand(0, 0, 0, 3, 3)], &mut rng).unwrap();
         // Owner has no flit this cycle; the other input may not slip in.
@@ -400,7 +386,7 @@ mod tests {
 
     #[test]
     fn wta_starts_with_one_credit_and_unlocks_on_stall() {
-        let mut s = OutputScheduler::new(FlowControl::WinnerTakeAll, 2, "round_robin");
+        let mut s = OutputScheduler::new(FlowControl::WinnerTakeAll, 2, "round_robin").unwrap();
         let mut rng = rng();
         // 4-flit packet with a single credit: WTA may start (PB could not).
         assert!(s.pick(&[cand(0, 0, 0, 4, 1)], &mut rng).is_some());
@@ -429,7 +415,7 @@ mod tests {
             FlowControl::PacketBuffer,
             FlowControl::WinnerTakeAll,
         ] {
-            let mut s = OutputScheduler::new(fc, 1, "round_robin");
+            let mut s = OutputScheduler::new(fc, 1, "round_robin").unwrap();
             let mut rng = rng();
             let mut winners = vec![];
             for _ in 0..4 {

@@ -168,6 +168,23 @@ fn build_errors_are_descriptive() {
     let err = SuperSim::from_config(&cfg).expect_err("unknown architecture");
     assert!(matches!(err, BuildError::UnknownModel { .. }));
 
+    // Unknown arbiter policy: a typed router error naming the choices, on
+    // both crossbar-scheduled architectures.
+    for architecture in ["input_queued", "input_output_queued"] {
+        let mut cfg = tiny_config("hyperx");
+        for (key, value) in [
+            ("architecture", Value::from(architecture)),
+            ("output_queue", Value::from(8u64)),
+            ("arbiter", "coin_flip".into()),
+        ] {
+            cfg.set_path(&format!("network.router.{key}"), value)
+                .expect("object");
+        }
+        let err = SuperSim::from_config(&cfg).expect_err("unknown arbiter");
+        assert!(matches!(err, BuildError::Router(_)), "{err}");
+        assert!(err.to_string().contains("fixed_priority"), "{err}");
+    }
+
     // Missing required settings.
     let mut cfg = tiny_config("hyperx");
     cfg.as_object_mut()

@@ -67,6 +67,31 @@ fn code_1_usage_error() {
 }
 
 #[test]
+fn code_1_unknown_arbiter_policy() {
+    // A bad `network.router.arbiter` is a configuration error naming the
+    // allowed policies — not a panic (exit 101) in router construction —
+    // on both crossbar-scheduled architectures.
+    let cfg = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/quickstart.json");
+    let ioq = [
+        "network.router.architecture=string=input_output_queued",
+        "network.router.output_queue=uint=8",
+    ];
+    for architecture in [&[][..], &ioq[..]] {
+        let out = Command::new(bin())
+            .args([cfg, "--no-log", "network.router.arbiter=string=bogus"])
+            .args(architecture)
+            .output()
+            .expect("spawn supersim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{architecture:?}: {stderr}");
+        assert!(
+            stderr.contains("bogus") && stderr.contains("round_robin"),
+            "{architecture:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn code_2_degraded_run() {
     // A tick limit below the drain point leaves the run stalled with
     // traffic still in flight: degraded, not clean, not a usage error.
