@@ -30,8 +30,8 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use supersim_des::wire::{crc32, get_bytes, get_u8, get_varint, put_bytes, put_varint};
-use supersim_des::Tick;
+use supersim_des::wire::{crc32, get_bytes, get_len, put_bytes, WireCodec};
+use supersim_des::{wire_struct, Tick};
 
 /// File magic: the first four bytes of every checkpoint.
 pub const MAGIC: [u8; 4] = *b"SSCP";
@@ -57,6 +57,16 @@ pub struct CheckpointHeader {
     /// Router count of the configuration.
     pub routers: u32,
 }
+
+wire_struct!(CheckpointHeader {
+    version,
+    seed,
+    num_shards,
+    tick,
+    round,
+    terminals,
+    routers,
+});
 
 /// Everything `ssreport --checkpoint` prints: the header plus the blob
 /// layout and integrity status.
@@ -132,50 +142,23 @@ impl std::error::Error for CheckpointError {
 pub fn encode(header: &CheckpointHeader, blob: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(blob.len() + 64);
     out.extend_from_slice(&MAGIC);
-    put_varint(&mut out, header.version);
-    put_varint(&mut out, header.seed);
-    put_varint(&mut out, u64::from(header.num_shards));
-    put_varint(&mut out, header.tick);
-    put_varint(&mut out, header.round);
-    put_varint(&mut out, u64::from(header.terminals));
-    put_varint(&mut out, u64::from(header.routers));
+    header.encode(&mut out);
     put_bytes(&mut out, blob);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
+/// Reads the magic and the header. The version is judged before the
+/// fields after it, whose layout only this version promises.
 fn decode_header(buf: &mut &[u8]) -> Result<CheckpointHeader, CheckpointError> {
     use CheckpointError::Malformed;
-    if buf.len() < MAGIC.len() || buf[..MAGIC.len()] != MAGIC {
-        return Err(Malformed("bad magic"));
+    *buf = buf.strip_prefix(&MAGIC).ok_or(Malformed("bad magic"))?;
+    match u64::decode(&mut &**buf) {
+        Some(VERSION) => CheckpointHeader::decode(buf).ok_or(Malformed("bad header")),
+        Some(version) => Err(CheckpointError::Version(version)),
+        None => Err(Malformed("truncated header")),
     }
-    *buf = &buf[MAGIC.len()..];
-    let version = get_varint(buf).ok_or(Malformed("truncated header"))?;
-    if version != VERSION {
-        return Err(CheckpointError::Version(version));
-    }
-    let seed = get_varint(buf).ok_or(Malformed("truncated header"))?;
-    let num_shards = get_varint(buf)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or(Malformed("bad shard count"))?;
-    let tick = get_varint(buf).ok_or(Malformed("truncated header"))?;
-    let round = get_varint(buf).ok_or(Malformed("truncated header"))?;
-    let terminals = get_varint(buf)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or(Malformed("bad terminal count"))?;
-    let routers = get_varint(buf)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or(Malformed("bad router count"))?;
-    Ok(CheckpointHeader {
-        version,
-        seed,
-        num_shards,
-        tick,
-        round,
-        terminals,
-        routers,
-    })
 }
 
 /// Decodes a checkpoint image into its header and engine-state blob.
@@ -257,30 +240,25 @@ pub fn inspect_file(path: &Path) -> Result<CheckpointInfo, CheckpointError> {
     // Peel the uniform engine-blob framing: trace section, then one
     // length-prefixed blob per shard.
     let mut inner = blob;
-    let marker = get_u8(&mut inner).ok_or(Malformed("empty engine blob"))?;
-    let trace_bytes = match marker {
-        0 => None,
-        1 => Some(
+    let trace_bytes = match bool::decode(&mut inner) {
+        Some(false) => None,
+        Some(true) => Some(
             get_bytes(&mut inner)
                 .ok_or(Malformed("truncated trace section"))?
                 .len(),
         ),
-        _ => return Err(Malformed("bad trace marker")),
+        None => return Err(Malformed("bad trace marker")),
     };
-    let shards = get_varint(&mut inner)
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or(Malformed("bad blob shard count"))?;
+    // The CRC is only reported here, so the count is as untrusted as
+    // any length: `get_len` bounds it by the bytes that remain.
+    let shards = get_len(&mut inner).ok_or(Malformed("bad blob shard count"))?;
     if shards != header.num_shards as usize {
         return Err(Malformed("blob shard count disagrees with header"));
     }
-    let mut shard_bytes = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        shard_bytes.push(
-            get_bytes(&mut inner)
-                .ok_or(Malformed("truncated shard blob"))?
-                .len(),
-        );
-    }
+    let shard_bytes = (0..shards)
+        .map(|_| Some(get_bytes(&mut inner)?.len()))
+        .collect::<Option<Vec<usize>>>()
+        .ok_or(Malformed("truncated shard blob"))?;
     if !inner.is_empty() {
         return Err(Malformed("trailing bytes inside engine blob"));
     }
@@ -343,8 +321,7 @@ mod tests {
 
     /// A minimal engine blob: no trace, two shard blobs.
     fn blob() -> Vec<u8> {
-        let mut b = vec![0u8];
-        put_varint(&mut b, 2);
+        let mut b = vec![0u8, 2];
         put_bytes(&mut b, &[1, 2, 3]);
         put_bytes(&mut b, &[4, 5]);
         b
@@ -409,6 +386,40 @@ mod tests {
         for len in [0, 1, 7, 64, 4096] {
             assert!(decode(&noise[..len]).is_err());
         }
+    }
+
+    /// `inspect_file` reports the CRC instead of enforcing it, so a shard
+    /// count of `u32::MAX` (in header and blob alike) reaches it. It once
+    /// sized a vector by that count.
+    #[test]
+    fn inspect_rejects_a_hostile_shard_count() {
+        let hostile = CheckpointHeader {
+            num_shards: u32::MAX,
+            ..header()
+        };
+        let mut blob = vec![0u8];
+        u32::MAX.encode(&mut blob);
+        let dir = std::env::temp_dir().join(format!("ssckpt-hostile-{}", std::process::id()));
+        let path = round_path(&dir, 1);
+        write_file(&path, &hostile, &blob).expect("writes");
+        assert!(matches!(
+            inspect_file(&path),
+            Err(CheckpointError::Malformed("bad blob shard count"))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn header_codec_is_total() {
+        supersim_des::wire::testing::check_codec(7, 40, |r| CheckpointHeader {
+            version: VERSION,
+            seed: r.gen_u64(),
+            num_shards: r.gen_u64() as u32 % 64,
+            tick: r.gen_u64() >> 20,
+            round: r.gen_u64() >> 40,
+            terminals: r.gen_u64() as u32,
+            routers: r.gen_u64() as u32,
+        });
     }
 
     #[test]

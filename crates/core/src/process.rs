@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use supersim_config::Value;
+use supersim_des::wire::WireCodec;
 use supersim_des::{Hub, ProgressShared, RunOutcome, RunStats, Time, WorkerLink};
 use supersim_netbase::trace_json_lines;
 use supersim_stats::HostClock;

@@ -432,13 +432,16 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
         counters.flits_sent += ip.counters.flits_sent;
         counters.flits_received += ip.counters.flits_received;
         counters.messages_received += ip.counters.messages_received;
-        inject_stalls += ip.inject_stalls;
-        queue_depth_now += ip.queue_depth_now;
-        queue_depth_high = queue_depth_high.max(ip.queue_depth_high);
-        for (agg, h) in phase_latency.iter_mut().zip(ip.phase_latency.iter()) {
+        inject_stalls += ip.metrics.inject_stalls.get();
+        queue_depth_now += ip.metrics.queue_depth.get();
+        queue_depth_high = queue_depth_high.max(ip.metrics.queue_depth.max());
+        for (agg, h) in phase_latency
+            .iter_mut()
+            .zip(ip.metrics.phase_latency.iter())
+        {
             agg.merge(h);
         }
-        span_metrics.merge(&ip.spans);
+        span_metrics.merge(&ip.metrics.spans);
         span_records.extend(ip.span_records.iter().copied());
     }
     // Per-packet records sort by (recv, packet): a total order that is
@@ -509,20 +512,18 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
     }
 
     for (r, rp) in router_parts.iter().enumerate() {
-        if let Some((grants, denials, credit_stalls, occ)) =
-            rp.as_ref().and_then(|p| p.metrics.as_ref())
-        {
+        if let Some(m) = rp.as_ref().and_then(|p| p.metrics.as_ref()) {
             let name = format!("router_{r}");
-            metrics.push_counter(&name, "grants", *grants);
-            metrics.push_counter(&name, "denials", *denials);
-            metrics.push_counter(&name, "credit_stalls", *credit_stalls);
-            for (p, (value, max)) in occ.iter().enumerate() {
+            metrics.push_counter(&name, "grants", m.grants.get());
+            metrics.push_counter(&name, "denials", m.denials.get());
+            metrics.push_counter(&name, "credit_stalls", m.credit_stalls.get());
+            for (p, gauge) in m.occupancy().iter().enumerate() {
                 metrics.push(
                     &name,
                     format!("occupancy_port_{p}"),
                     MetricValue::Gauge {
-                        value: *value,
-                        max: *max,
+                        value: gauge.get(),
+                        max: gauge.max(),
                     },
                 );
             }

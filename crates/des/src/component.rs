@@ -20,6 +20,8 @@ use crate::time::Tick;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ComponentId(pub(crate) u32);
 
+crate::wire_struct!(ComponentId { 0 });
+
 impl ComponentId {
     /// The raw index of this component.
     #[inline]

@@ -46,6 +46,7 @@ use crate::event::{EventQueue, Generation};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
 use crate::trace::{TraceBuffer, TraceEvent, TraceSpec};
+use crate::wire::WireCodec;
 
 /// Stamp `src` for events scheduled from outside any component
 /// ([`Engine::schedule`]).
@@ -65,12 +66,29 @@ pub struct EventStamp {
     pub seq: u64,
 }
 
+crate::wire_struct!(EventStamp { src, seq });
+
 /// An event payload wrapped with its canonical stamp — what engines
 /// actually store in their queues.
 #[derive(Debug, Clone)]
 pub(crate) struct Stamped<E> {
     pub stamp: EventStamp,
     pub payload: E,
+}
+
+impl<E: WireCodec> WireCodec for Stamped<E> {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.stamp.encode(out);
+        self.payload.encode(out);
+    }
+    #[inline]
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Some(Stamped {
+            stamp: EventStamp::decode(buf)?,
+            payload: E::decode(buf)?,
+        })
+    }
 }
 
 /// Drains the earliest generation of `queue` into `generation`, ready to
@@ -110,6 +128,8 @@ pub(crate) struct TaggedTrace {
     pub ev: TraceEvent,
 }
 
+crate::wire_struct!(TaggedTrace { stamp, recno, ev });
+
 /// Why a run call returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -129,6 +149,38 @@ pub enum RunOutcome {
         /// The last tick at which progress was reported (0 if never).
         last_progress: Tick,
     },
+}
+
+/// A fixed discriminant plus optional detail: the message of `Failed` and
+/// the tick of `Watchdog` ride along.
+impl WireCodec for RunOutcome {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            RunOutcome::Drained => out.push(0),
+            RunOutcome::Stopped => out.push(1),
+            RunOutcome::TickLimit => out.push(2),
+            RunOutcome::Failed(msg) => {
+                out.push(3);
+                msg.encode(out);
+            }
+            RunOutcome::Watchdog { last_progress } => {
+                out.push(4);
+                last_progress.encode(out);
+            }
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        match u8::decode(buf)? {
+            0 => Some(RunOutcome::Drained),
+            1 => Some(RunOutcome::Stopped),
+            2 => Some(RunOutcome::TickLimit),
+            3 => Some(RunOutcome::Failed(String::decode(buf)?)),
+            4 => Some(RunOutcome::Watchdog {
+                last_progress: Tick::decode(buf)?,
+            }),
+            _ => None,
+        }
+    }
 }
 
 impl RunOutcome {
@@ -221,6 +273,19 @@ pub struct EngineMetrics {
     /// Events currently parked in the overflow heap.
     pub overflow_len: usize,
 }
+
+crate::wire_struct!(EngineMetrics {
+    events_executed,
+    batches,
+    batch_counts,
+    queue_len,
+    queue_high_water,
+    total_enqueued,
+    horizon,
+    horizon_resizes,
+    overflow_spills,
+    overflow_len,
+});
 
 /// The first sampling-window edge strictly after `now`: edges lie at
 /// `k * interval` for `k = 1, 2, …` (saturating, so an absurdly large
@@ -574,7 +639,7 @@ impl<E: 'static> dyn Engine<E> + '_ {
             .and_then(|c| c.as_any().downcast_ref::<T>())
     }
 
-    /// Mutable variant of [`component_as`](Self::component_as).
+    /// Mutable variant of `component_as`.
     pub fn component_as_mut<T: 'static>(&mut self, id: ComponentId) -> Option<&mut T> {
         self.component_dyn_mut(id)
             .and_then(|c| c.as_any_mut().downcast_mut::<T>())

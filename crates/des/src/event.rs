@@ -63,6 +63,7 @@ use std::collections::BinaryHeap;
 
 use crate::component::ComponentId;
 use crate::time::{Epsilon, Tick, Time};
+use crate::wire::{get_len, WireCodec};
 
 /// One scheduled event: when to run, who runs it, and its payload.
 #[derive(Debug, Clone)]
@@ -1125,32 +1126,25 @@ impl<E> EventQueue<E> {
     where
         F: FnMut(&E, &mut Vec<u8>),
     {
-        crate::wire::put_varint(out, self.horizon() as u64);
-        crate::wire::put_varint(out, self.cur_tick);
-        crate::wire::put_varint(out, self.ring_len as u64);
+        (self.horizon(), self.cur_tick, self.ring_len).encode(out);
         for off in 0..self.horizon() as u64 {
             let tick = self.cur_tick.wrapping_add(off);
             let bucket = &self.buckets[tick as usize & self.mask];
             self.pool
                 .for_each_event(bucket, |epsilon, target, payload| {
-                    crate::wire::WireCodec::encode(&Time::new(tick, epsilon), out);
-                    crate::wire::put_varint(out, target.index() as u64);
+                    (Time::new(tick, epsilon), target).encode(out);
                     enc(payload, out);
                 });
         }
         let mut parked: Vec<&OverflowEntry<E>> = self.overflow.iter().collect();
         parked.sort_by_key(|e| (e.time, e.seq));
-        crate::wire::put_varint(out, parked.len() as u64);
+        parked.len().encode(out);
         for e in parked {
-            crate::wire::WireCodec::encode(&e.time, out);
-            crate::wire::put_varint(out, e.target.index() as u64);
+            (e.time, e.target).encode(out);
             enc(&e.payload, out);
         }
-        crate::wire::put_varint(out, self.overflow_seq);
-        crate::wire::put_varint(out, self.total_enqueued);
-        crate::wire::put_varint(out, self.max_len as u64);
-        crate::wire::put_varint(out, self.overflow_spills);
-        crate::wire::put_varint(out, self.horizon_resizes);
+        (self.overflow_seq, self.total_enqueued, self.max_len).encode(out);
+        (self.overflow_spills, self.horizon_resizes).encode(out);
     }
 
     /// Rebuilds a queue from a [`EventQueue::save`] encoding, decoding
@@ -1159,23 +1153,15 @@ impl<E> EventQueue<E> {
     where
         F: FnMut(&mut &[u8]) -> Option<E>,
     {
-        let horizon = usize::try_from(crate::wire::get_varint(buf)?).ok()?;
+        let (horizon, cur_tick) = <(usize, Tick)>::decode(buf)?;
         if horizon < 64 || !horizon.is_power_of_two() || horizon > MAX_HORIZON {
             return None;
         }
-        let cur_tick = crate::wire::get_varint(buf)?;
         let mut q = Self::with_horizon(horizon);
         q.cur_tick = cur_tick;
-        let ring = usize::try_from(crate::wire::get_varint(buf)?).ok()?;
-        // Each event costs at least two bytes, so a hostile count cannot
-        // force unbounded work before the buffer runs dry.
-        if ring > buf.len() {
-            return None;
-        }
+        let ring = get_len(buf)?;
         let read_event = |buf: &mut &[u8], dec: &mut F| {
-            let time = <Time as crate::wire::WireCodec>::decode(buf)?;
-            let target =
-                ComponentId::try_from_index(usize::try_from(crate::wire::get_varint(buf)?).ok()?)?;
+            let (time, target) = <(Time, ComponentId)>::decode(buf)?;
             let payload = dec(buf)?;
             if time.tick() < cur_tick {
                 return None; // behind the saved cursor: corrupt
@@ -1190,11 +1176,7 @@ impl<E> EventQueue<E> {
             }
             q.push(target, time, payload);
         }
-        let parked = usize::try_from(crate::wire::get_varint(buf)?).ok()?;
-        if parked > buf.len() {
-            return None;
-        }
-        for _ in 0..parked {
+        for _ in 0..get_len(buf)? {
             let (time, target, payload) = read_event(buf, &mut dec)?;
             let seq = q.overflow_seq;
             q.overflow_seq += 1;
@@ -1207,11 +1189,9 @@ impl<E> EventQueue<E> {
         }
         // Counters are lifetime totals, not derivable from the pending
         // set; overwrite whatever the re-pushes accumulated.
-        q.overflow_seq = crate::wire::get_varint(buf)?.max(q.overflow_seq);
-        q.total_enqueued = crate::wire::get_varint(buf)?;
-        q.max_len = usize::try_from(crate::wire::get_varint(buf)?).ok()?;
-        q.overflow_spills = crate::wire::get_varint(buf)?;
-        q.horizon_resizes = crate::wire::get_varint(buf)?;
+        q.overflow_seq = u64::decode(buf)?.max(q.overflow_seq);
+        (q.total_enqueued, q.max_len) = WireCodec::decode(buf)?;
+        (q.overflow_spills, q.horizon_resizes) = WireCodec::decode(buf)?;
         Some(q)
     }
 }

@@ -15,8 +15,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::wire::{get_str, get_varint, put_str, put_varint};
-
 /// Cap on retained per-round slices, so a long run cannot grow the
 /// profile without bound. Later rounds past the cap are counted in
 /// [`HostShardTimes::dropped_slices`] but not retained.
@@ -139,97 +137,34 @@ impl HostShardTimes {
             self.push_slice(*s);
         }
     }
-
-    /// Appends the wire form (LEB128 varints, the crate's wire
-    /// discipline) to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, u64::from(self.sample));
-        put_varint(out, self.total_batches);
-        put_varint(out, self.sampled_batches);
-        put_varint(out, self.sampled_events);
-        put_varint(out, self.drain_ns);
-        put_varint(out, self.execute_ns);
-        put_varint(out, self.sample_edge_ns);
-        put_varint(out, self.fold_ns);
-        put_varint(out, self.exchange_ns);
-        put_varint(out, self.checkpoint_ns);
-        put_varint(out, self.checkpoint_writes);
-        put_varint(out, self.checkpoint_bytes);
-        put_varint(out, self.classes.len() as u64);
-        for (name, ns, events) in &self.classes {
-            put_str(out, name);
-            put_varint(out, *ns);
-            put_varint(out, *events);
-        }
-        put_varint(out, self.round_slices.len() as u64);
-        for s in &self.round_slices {
-            put_varint(out, s.start_ns);
-            put_varint(out, s.tick);
-            put_varint(out, s.events);
-            put_varint(out, s.execute_ns);
-            put_varint(out, s.fold_ns);
-            put_varint(out, s.exchange_ns);
-        }
-        put_varint(out, self.dropped_slices);
-    }
-
-    /// Decodes the wire form; `None` on malformed input.
-    pub fn decode(buf: &mut &[u8]) -> Option<HostShardTimes> {
-        let sample = u32::try_from(get_varint(buf)?).ok()?;
-        let total_batches = get_varint(buf)?;
-        let sampled_batches = get_varint(buf)?;
-        let sampled_events = get_varint(buf)?;
-        let drain_ns = get_varint(buf)?;
-        let execute_ns = get_varint(buf)?;
-        let sample_edge_ns = get_varint(buf)?;
-        let fold_ns = get_varint(buf)?;
-        let exchange_ns = get_varint(buf)?;
-        let checkpoint_ns = get_varint(buf)?;
-        let checkpoint_writes = get_varint(buf)?;
-        let checkpoint_bytes = get_varint(buf)?;
-        let n_classes = usize::try_from(get_varint(buf)?).ok()?;
-        let mut classes = Vec::with_capacity(n_classes.min(64));
-        for _ in 0..n_classes {
-            let name = get_str(buf)?;
-            let ns = get_varint(buf)?;
-            let events = get_varint(buf)?;
-            classes.push((name, ns, events));
-        }
-        let n_slices = usize::try_from(get_varint(buf)?).ok()?;
-        if n_slices > MAX_ROUND_SLICES {
-            return None;
-        }
-        let mut round_slices = Vec::with_capacity(n_slices);
-        for _ in 0..n_slices {
-            round_slices.push(HostRoundSlice {
-                start_ns: get_varint(buf)?,
-                tick: get_varint(buf)?,
-                events: get_varint(buf)?,
-                execute_ns: get_varint(buf)?,
-                fold_ns: get_varint(buf)?,
-                exchange_ns: get_varint(buf)?,
-            });
-        }
-        let dropped_slices = get_varint(buf)?;
-        Some(HostShardTimes {
-            sample,
-            total_batches,
-            sampled_batches,
-            sampled_events,
-            drain_ns,
-            execute_ns,
-            sample_edge_ns,
-            fold_ns,
-            exchange_ns,
-            checkpoint_ns,
-            checkpoint_writes,
-            checkpoint_bytes,
-            classes,
-            round_slices,
-            dropped_slices,
-        })
-    }
 }
+
+crate::wire_struct!(HostRoundSlice {
+    start_ns,
+    tick,
+    events,
+    execute_ns,
+    fold_ns,
+    exchange_ns,
+});
+
+crate::wire_struct!(HostShardTimes {
+    sample,
+    total_batches,
+    sampled_batches,
+    sampled_events,
+    drain_ns,
+    execute_ns,
+    sample_edge_ns,
+    fold_ns,
+    exchange_ns,
+    checkpoint_ns,
+    checkpoint_writes,
+    checkpoint_bytes,
+    classes,
+    round_slices,
+    dropped_slices,
+} if |t| t.round_slices.len() <= MAX_ROUND_SLICES);
 
 /// Engine-side helper pairing a [`HostShardTimes`] with its wall-clock
 /// epoch and the batch-sampling counter. Created disabled; an engine
@@ -377,6 +312,7 @@ impl ProgressShared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireCodec;
 
     #[test]
     fn shard_times_round_trip() {
@@ -414,16 +350,14 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_truncation() {
+    fn decode_rejects_more_slices_than_the_cap() {
         let t = HostShardTimes {
-            sample: 1,
+            round_slices: vec![HostRoundSlice::default(); MAX_ROUND_SLICES + 1],
             ..HostShardTimes::default()
         };
         let mut wire = Vec::new();
         t.encode(&mut wire);
-        for cut in 0..wire.len() {
-            assert!(HostShardTimes::decode(&mut &wire[..cut]).is_none());
-        }
+        assert!(HostShardTimes::decode(&mut wire.as_slice()).is_none());
     }
 
     #[test]

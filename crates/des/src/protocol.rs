@@ -86,14 +86,17 @@ impl<E: crate::wire::WireCodec + 'static> Shard<E> {
         last_progress: Tick,
         out: &mut Vec<u8>,
     ) {
-        crate::snapshot::save_shard(
-            out,
+        let scalars = crate::snapshot::ShardScalars {
             now,
             ext_seq,
             last_progress,
-            self.events_executed,
-            self.batches,
-            &self.batch_counts,
+            events_executed: self.events_executed,
+            batches: self.batches,
+            batch_counts: self.batch_counts,
+        };
+        crate::snapshot::save_shard(
+            out,
+            &scalars,
             &self.queue,
             &self.components,
             &self.rngs,
@@ -663,26 +666,19 @@ mod worker {
             E: crate::wire::WireCodec,
         {
             let mut inner = || -> Option<()> {
-                match crate::wire::get_u8(buf)? {
-                    0 => {}
-                    1 => {
-                        crate::wire::get_bytes(buf)?;
-                    }
-                    _ => return None,
+                use crate::wire;
+                if bool::decode(buf)? {
+                    wire::get_bytes(buf)?;
                 }
-                let shards = crate::wire::get_varint(buf)?;
-                if shards != self.num_shards as u64 {
+                if wire::get_len(buf)? != self.num_shards {
                     return None;
                 }
                 let mut scalars = None;
                 for w in 0..self.num_shards {
-                    let mut blob = crate::wire::get_bytes(buf)?;
                     if w == self.my_shard as usize {
-                        let s = self.shard.load_state(&mut blob)?;
-                        if !blob.is_empty() {
-                            return None;
-                        }
-                        scalars = Some(s);
+                        scalars = Some(wire::get_section(buf, |b| self.shard.load_state(b))?);
+                    } else {
+                        wire::get_bytes(buf)?;
                     }
                 }
                 let s = scalars?;

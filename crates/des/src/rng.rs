@@ -167,20 +167,7 @@ impl Rng {
     }
 }
 
-impl crate::wire::WireCodec for Rng {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for &w in &self.s {
-            crate::wire::put_varint(out, w);
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = crate::wire::get_varint(buf)?;
-        }
-        Some(Rng { s })
-    }
-}
+crate::wire_struct!(Rng { s });
 
 /// A range type [`Rng::gen_range`] can sample from.
 pub trait SampleRange {

@@ -54,13 +54,14 @@ use crate::simulator::{SequentialEngine, TraceState};
 use crate::time::{Tick, Time};
 use crate::trace::{TraceEvent, TraceSpec};
 use crate::transport::{PanicFence, ThreadShared, ThreadTransport};
+use crate::wire;
 
 /// The multi-threaded engine: a [`SequentialEngine`]'s components
 /// partitioned across shards, one worker thread per shard.
 ///
 /// Built with [`SequentialEngine::into_sharded`]. Runs are bit-identical
 /// to the sequential engine for the same `(configuration, seed)` — see
-/// the [module docs](self) for the protocol and the halt-path caveats.
+/// `sharded.rs`'s module docs for the protocol and the halt-path caveats.
 pub struct ShardedEngine<E> {
     shards: Vec<Shard<E>>,
     /// Component index → owning shard.
@@ -172,7 +173,8 @@ impl<E: Send + 'static> ShardedEngine<E> {
 
     /// Runs until every queue drains, a component stops or fails, or the
     /// next generation would execute at a tick strictly greater than
-    /// `tick_limit`. See the [module docs](self) for the round protocol.
+    /// `tick_limit`. The round protocol is described in `sharded.rs`'s
+    /// module docs.
     pub fn run_until(&mut self, tick_limit: Tick) -> RunStats {
         let start = Instant::now();
         let start_events: u64 = self.shards.iter().map(|s| s.events_executed).sum();
@@ -374,19 +376,17 @@ impl<E: Send + 'static> Engine<E> for ShardedEngine<E> {
 
     /// Writes the uniform engine blob: trace section, shard count, then
     /// one canonical shard blob per shard (engine-global scalars repeated
-    /// in each — see [`crate::snapshot`]).
+    /// in each — see `des/src/snapshot.rs`).
     fn save_state(&self, out: &mut Vec<u8>) -> bool
     where
         E: crate::wire::WireCodec,
     {
         crate::snapshot::put_trace(out, self.trace.as_ref().map(|t| &t.buffer));
-        crate::wire::put_varint(out, self.shards.len() as u64);
-        let mut blob = Vec::new();
-        for shard in &self.shards {
-            blob.clear();
-            shard.save_state(self.now, self.ext_seq, self.last_progress, &mut blob);
-            crate::wire::put_bytes(out, &blob);
-        }
+        wire::put_each(out, &self.shards, |shard, o| {
+            wire::put_section(o, |o| {
+                shard.save_state(self.now, self.ext_seq, self.last_progress, o)
+            })
+        });
         true
     }
 
@@ -396,19 +396,11 @@ impl<E: Send + 'static> Engine<E> for ShardedEngine<E> {
     {
         let mut inner = || -> Option<()> {
             crate::snapshot::get_trace(buf, self.trace.as_mut().map(|t| &mut t.buffer))?;
-            let shards = crate::wire::get_varint(buf)?;
-            if shards != self.shards.len() as u64 {
-                return None;
-            }
             let mut scalars = None;
-            for shard in self.shards.iter_mut() {
-                let mut blob = crate::wire::get_bytes(buf)?;
-                let s = shard.load_state(&mut blob)?;
-                if !blob.is_empty() {
-                    return None;
-                }
-                scalars = Some(s);
-            }
+            wire::load_each(&mut self.shards, buf, |shard, b| {
+                scalars = Some(wire::get_section(b, |b| shard.load_state(b))?);
+                Some(())
+            })?;
             let s = scalars?;
             self.now = s.now;
             self.ext_seq = s.ext_seq;

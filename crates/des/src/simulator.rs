@@ -21,8 +21,10 @@ use crate::engine::{
 use crate::event::{EventQueue, Generation};
 use crate::host::{HostRecorder, HostRoundSlice, HostShardTimes, ProgressShared};
 use crate::rng::Rng;
+use crate::snapshot::{load_shard, save_shard, ShardScalars};
 use crate::time::{Tick, Time};
 use crate::trace::{TraceBuffer, TraceEvent, TraceSpec};
+use crate::wire;
 
 /// Trace collection state: the spec plus the ring it fills.
 #[derive(Debug)]
@@ -484,22 +486,25 @@ impl<E: 'static> Engine<E> for SequentialEngine<E> {
         E: crate::wire::WireCodec,
     {
         crate::snapshot::put_trace(out, self.trace.as_ref().map(|t| &t.buffer));
-        crate::wire::put_varint(out, 1);
-        let mut blob = Vec::new();
-        crate::snapshot::save_shard(
-            &mut blob,
-            self.now,
-            self.ext_seq,
-            self.last_progress,
-            self.events_executed,
-            self.batches,
-            &self.batch_counts,
-            &self.queue,
-            &self.components,
-            &self.rngs,
-            &self.seqs,
-        );
-        crate::wire::put_bytes(out, &blob);
+        out.push(1); // one shard
+        let scalars = ShardScalars {
+            now: self.now,
+            ext_seq: self.ext_seq,
+            last_progress: self.last_progress,
+            events_executed: self.events_executed,
+            batches: self.batches,
+            batch_counts: self.batch_counts,
+        };
+        wire::put_section(out, |o| {
+            save_shard(
+                o,
+                &scalars,
+                &self.queue,
+                &self.components,
+                &self.rngs,
+                &self.seqs,
+            )
+        });
         true
     }
 
@@ -509,20 +514,18 @@ impl<E: 'static> Engine<E> for SequentialEngine<E> {
     {
         let mut inner = || -> Option<()> {
             crate::snapshot::get_trace(buf, self.trace.as_mut().map(|t| &mut t.buffer))?;
-            if crate::wire::get_varint(buf)? != 1 {
+            if wire::get_len(buf)? != 1 {
                 return None; // shard-count mismatch: not a sequential state
             }
-            let mut blob = crate::wire::get_bytes(buf)?;
-            let s = crate::snapshot::load_shard(
-                &mut blob,
-                &mut self.queue,
-                &mut self.components,
-                &mut self.rngs,
-                &mut self.seqs,
-            )?;
-            if !blob.is_empty() {
-                return None;
-            }
+            let s = wire::get_section(buf, |b| {
+                load_shard(
+                    b,
+                    &mut self.queue,
+                    &mut self.components,
+                    &mut self.rngs,
+                    &mut self.seqs,
+                )
+            })?;
             self.now = s.now;
             self.ext_seq = s.ext_seq;
             self.last_progress = s.last_progress;

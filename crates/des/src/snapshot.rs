@@ -17,14 +17,15 @@
 //! caught at decode time instead of corrupting the resumed run.
 
 use crate::component::Component;
-use crate::engine::{EventStamp, Stamped, BATCH_BUCKETS};
+use crate::engine::{Stamped, BATCH_BUCKETS};
 use crate::event::EventQueue;
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
+use crate::trace::TraceBuffer;
 use crate::wire::{self, WireCodec};
 
-/// The scalar half of a shard blob, returned by [`load_shard`] for the
-/// caller to fold into its own fields.
+/// The scalar head of a shard blob: the engine-global clock and counters
+/// (repeated in every shard's blob) and the shard's own lifetime counters.
 pub(crate) struct ShardScalars {
     pub now: Time,
     pub ext_seq: u64,
@@ -34,50 +35,37 @@ pub(crate) struct ShardScalars {
     pub batch_counts: [u64; BATCH_BUCKETS],
 }
 
+crate::wire_struct!(ShardScalars {
+    now,
+    ext_seq,
+    last_progress,
+    events_executed,
+    batches,
+    batch_counts,
+});
+
 /// Serializes one shard's dynamic state into `out`.
 ///
 /// `components` is the full-length component table; exactly the `Some`
 /// entries (the ones this shard owns) are captured, keyed by component
 /// index, together with their RNG stream and send counter.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn save_shard<E: WireCodec + 'static>(
     out: &mut Vec<u8>,
-    now: Time,
-    ext_seq: u64,
-    last_progress: Tick,
-    events_executed: u64,
-    batches: u64,
-    batch_counts: &[u64; BATCH_BUCKETS],
+    scalars: &ShardScalars,
     queue: &EventQueue<Stamped<E>>,
     components: &[Option<Box<dyn Component<E>>>],
     rngs: &[Rng],
     seqs: &[u64],
 ) {
-    now.encode(out);
-    wire::put_varint(out, ext_seq);
-    wire::put_varint(out, last_progress);
-    wire::put_varint(out, events_executed);
-    wire::put_varint(out, batches);
-    for &c in batch_counts {
-        wire::put_varint(out, c);
-    }
-    let mut qbuf = Vec::new();
-    queue.save(&mut qbuf, |s, o| {
-        s.stamp.encode(o);
-        s.payload.encode(o);
-    });
-    wire::put_bytes(out, &qbuf);
-    let owned = components.iter().filter(|c| c.is_some()).count();
-    wire::put_varint(out, owned as u64);
-    let mut cbuf = Vec::new();
+    scalars.encode(out);
+    wire::put_section(out, |o| queue.save(o, Stamped::encode));
+    components.iter().flatten().count().encode(out);
     for (i, slot) in components.iter().enumerate() {
         let Some(c) = slot.as_deref() else { continue };
-        wire::put_varint(out, i as u64);
+        i.encode(out);
         rngs[i].encode(out);
-        wire::put_varint(out, seqs[i]);
-        cbuf.clear();
-        c.snapshot(&mut cbuf);
-        wire::put_bytes(out, &cbuf);
+        seqs[i].encode(out);
+        wire::put_section(out, |o| c.snapshot(o));
     }
 }
 
@@ -93,85 +81,36 @@ pub(crate) fn load_shard<E: WireCodec + 'static>(
     rngs: &mut [Rng],
     seqs: &mut [u64],
 ) -> Option<ShardScalars> {
-    let now = Time::decode(buf)?;
-    let ext_seq = wire::get_varint(buf)?;
-    let last_progress = wire::get_varint(buf)?;
-    let events_executed = wire::get_varint(buf)?;
-    let batches = wire::get_varint(buf)?;
-    let mut batch_counts = [0u64; BATCH_BUCKETS];
-    for c in &mut batch_counts {
-        *c = wire::get_varint(buf)?;
-    }
-    let mut qbytes = wire::get_bytes(buf)?;
-    *queue = EventQueue::load(&mut qbytes, |b| {
-        let stamp = EventStamp::decode(b)?;
-        let payload = E::decode(b)?;
-        Some(Stamped { stamp, payload })
-    })?;
-    if !qbytes.is_empty() {
-        return None;
-    }
-    let owned = usize::try_from(wire::get_varint(buf)?).ok()?;
+    let scalars = ShardScalars::decode(buf)?;
+    *queue = wire::get_section(buf, |b| EventQueue::load(b, Stamped::decode))?;
+    let owned = wire::get_len(buf)?;
     if owned > components.len() {
         return None;
     }
     for _ in 0..owned {
-        let i = usize::try_from(wire::get_varint(buf)?).ok()?;
+        let i = usize::decode(buf)?;
         let rng = Rng::decode(buf)?;
-        let seq = wire::get_varint(buf)?;
-        let mut cbytes = wire::get_bytes(buf)?;
+        let seq = u64::decode(buf)?;
         let c = components.get_mut(i)?.as_deref_mut()?;
-        c.restore(&mut cbytes)?;
-        if !cbytes.is_empty() {
-            return None;
-        }
+        wire::get_section(buf, |b| c.restore(b))?;
         *rngs.get_mut(i)? = rng;
         *seqs.get_mut(i)? = seq;
     }
-    Some(ShardScalars {
-        now,
-        ext_seq,
-        last_progress,
-        events_executed,
-        batches,
-        batch_counts,
-    })
+    Some(scalars)
 }
 
-/// Serializes the engine-level wrapper around shard blobs: the optional
-/// trace ring followed by the shard count and each shard's blob. Every
+/// Serializes the optional trace ring that heads the engine-level wrapper
+/// around shard blobs (ring, shard count, each shard's blob). Every
 /// backend's [`Engine::save_state`](crate::Engine::save_state) writes
 /// this layout, so a checkpoint file parses identically whichever
 /// transport produced it.
-pub(crate) fn put_trace(out: &mut Vec<u8>, buffer: Option<&crate::trace::TraceBuffer>) {
-    match buffer {
-        None => out.push(0),
-        Some(b) => {
-            out.push(1);
-            let mut tb = Vec::new();
-            b.save(&mut tb);
-            wire::put_bytes(out, &tb);
-        }
-    }
+pub(crate) fn put_trace(out: &mut Vec<u8>, buffer: Option<&TraceBuffer>) {
+    wire::put_armed(out, buffer, |b, o| wire::put_section(o, |o| b.save(o)));
 }
 
 /// Restores the optional trace ring written by [`put_trace`] into a
 /// rebuilt engine's buffer. The armed/disarmed state must match the
 /// snapshot (both come from the same configuration).
-pub(crate) fn get_trace(
-    buf: &mut &[u8],
-    buffer: Option<&mut crate::trace::TraceBuffer>,
-) -> Option<()> {
-    match (wire::get_u8(buf)?, buffer) {
-        (0, None) => Some(()),
-        (1, Some(b)) => {
-            let mut tb = wire::get_bytes(buf)?;
-            b.load(&mut tb)?;
-            if !tb.is_empty() {
-                return None;
-            }
-            Some(())
-        }
-        _ => None,
-    }
+pub(crate) fn get_trace(buf: &mut &[u8], buffer: Option<&mut TraceBuffer>) -> Option<()> {
+    wire::load_armed(buf, buffer, |b, s| wire::get_section(s, |s| b.load(s)))
 }

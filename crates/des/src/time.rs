@@ -35,6 +35,8 @@ pub struct Time {
     epsilon: Epsilon,
 }
 
+crate::wire_struct!(Time { tick, epsilon });
+
 impl Time {
     /// The zero of time: tick 0, epsilon 0.
     pub const ZERO: Time = Time {

@@ -18,6 +18,7 @@
 //! exact order at every synchronization round.
 
 use crate::time::Time;
+use crate::wire::WireCodec;
 
 /// One collected trace record. Interpretation of `kind`, `id`, and `sub`
 /// belongs to the layer that recorded it.
@@ -36,6 +37,14 @@ pub struct TraceEvent {
     /// Secondary discriminator (e.g. a flit index within the packet).
     pub sub: u32,
 }
+
+crate::wire_struct!(TraceEvent {
+    time,
+    src,
+    kind,
+    id,
+    sub
+});
 
 /// What the engine collects. The default spec accepts everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,9 +147,8 @@ impl TraceBuffer {
     /// Serializes the kept records (in collection order) plus the
     /// lifetime counter, for a checkpoint.
     pub fn save(&self, out: &mut Vec<u8>) {
-        use crate::wire::WireCodec;
         self.records().encode(out);
-        crate::wire::put_varint(out, self.recorded);
+        self.recorded.encode(out);
     }
 
     /// Overlays state captured by [`TraceBuffer::save`] onto this buffer
@@ -149,7 +157,6 @@ impl TraceBuffer {
     /// reproduces FIFO-eviction behavior exactly. Total: `None` on
     /// malformed input.
     pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use crate::wire::WireCodec;
         let records = Vec::<TraceEvent>::decode(buf)?;
         if records.len() > self.capacity {
             return None;
@@ -160,7 +167,7 @@ impl TraceBuffer {
         for ev in records {
             self.push(ev);
         }
-        self.recorded = crate::wire::get_varint(buf)?;
+        self.recorded = u64::decode(buf)?;
         Some(())
     }
 }

@@ -366,8 +366,7 @@ mod process {
     use crate::time::{Tick, Time};
     use crate::trace::TraceBuffer;
     use crate::wire::{
-        get_bytes, get_str, get_u8, get_varint, put_bytes, put_str, put_varint, read_frame,
-        write_frame, WireCodec,
+        get_bytes, get_len, put_bytes, put_each, put_section, read_frame, write_frame, WireCodec,
     };
 
     /// Frame tags of the worker ↔ hub protocol, in handshake order.
@@ -461,7 +460,7 @@ mod process {
             let mut body = Vec::new();
             outcome.encode(&mut body);
             local_now.encode(&mut body);
-            put_varint(&mut body, global_progress);
+            global_progress.encode(&mut body);
             metrics.encode(&mut body);
             host.encode(&mut body);
             write_frame(&mut self.writer, tag::DONE, &body)?;
@@ -518,14 +517,11 @@ mod process {
             self.rounds += 1;
             self.scratch.clear();
             let mut body = std::mem::take(&mut self.scratch);
-            peek.encode(&mut body);
-            put_varint(&mut body, progress);
+            (peek, progress).encode(&mut body);
             write_frame(&mut self.writer, tag::FOLD, &body)?;
             self.scratch = body;
             let reply = self.read_expect(tag::FOLD_R)?;
-            let buf = &mut reply.as_slice();
-            let (Some(m), Some(global_progress)) = (Option::<Time>::decode(buf), get_varint(buf))
-            else {
+            let Some((m, global_progress)) = FoldBody::decode(&mut reply.as_slice()) else {
                 return proto_err("malformed FOLD_R");
             };
             Ok(RoundFold { m, global_progress })
@@ -538,94 +534,50 @@ mod process {
         ) -> Result<RoundEnd, TransportError> {
             self.scratch.clear();
             let mut body = std::mem::take(&mut self.scratch);
-            body.push(u8::from(out.stop));
-            match &out.failure {
-                None => body.push(0),
-                Some((stamp, msg)) => {
-                    body.push(1);
-                    stamp.encode(&mut body);
-                    put_str(&mut body, msg);
-                }
-            }
+            out.stop.encode(&mut body);
+            out.failure.encode(&mut body);
             out.traces.encode(&mut body);
             out.traces.clear();
-            // One length-prefixed blob per destination shard; the blob
-            // interior (count + events) is opaque to the hub, which only
-            // concatenates blobs in sender order.
-            let mut blob = Vec::new();
+            // One section per destination shard; its interior (count +
+            // events) is opaque to the hub, which only concatenates the
+            // sections in sender order.
             for o in out.outboxes.iter_mut() {
-                blob.clear();
-                put_varint(&mut blob, o.len() as u64);
-                for (target, time, stamped) in o.drain(..) {
-                    put_varint(&mut blob, target.index() as u64);
-                    time.encode(&mut blob);
-                    stamped.stamp.encode(&mut blob);
-                    stamped.payload.encode(&mut blob);
-                }
-                put_bytes(&mut body, &blob);
+                put_section(&mut body, |b| o.encode(b));
+                o.clear();
             }
             // Trailing, strictly informational: events executed this
             // round, feeding the hub's live-progress board. The hub
             // never copies it into any EXCH_R reply, so event delivery
             // is provably independent of it.
-            put_varint(&mut body, out.events);
+            out.events.encode(&mut body);
             write_frame(&mut self.writer, tag::EXCH, &body)?;
             self.scratch = body;
 
             let reply = self.read_expect(tag::EXCH_R)?;
             let buf = &mut reply.as_slice();
-            let Some(stopped) = get_u8(buf) else {
+            let Some((stopped, failure)) = <(bool, Option<String>)>::decode(buf) else {
                 return proto_err("malformed EXCH_R");
-            };
-            let Some(failure) = Option::<String>::decode_with(buf, get_str) else {
-                return proto_err("malformed EXCH_R failure");
             };
             // The inbox: one count-prefixed event list per source shard,
             // in sender order.
             for _src in 0..self.num_workers {
-                let Some(count) = get_varint(buf) else {
+                let Some(count) = get_len(buf) else {
                     return proto_err("malformed EXCH_R inbox");
                 };
                 for _ in 0..count {
-                    let decoded = (|| {
-                        let target = usize::try_from(get_varint(buf)?).ok()?;
-                        let time = Time::decode(buf)?;
-                        let stamp = EventStamp::decode(buf)?;
-                        let payload = E::decode(buf)?;
-                        Some((ComponentId::from_index(target), time, stamp, payload))
-                    })();
-                    let Some((target, time, stamp, payload)) = decoded else {
+                    let Some((target, time, stamped)) = WireCodec::decode(buf) else {
                         return proto_err("malformed EXCH_R event");
                     };
-                    deliver(target, time, Stamped { stamp, payload });
+                    deliver(target, time, stamped);
                 }
             }
-            Ok(RoundEnd {
-                stopped: stopped != 0,
-                failure,
-            })
+            Ok(RoundEnd { stopped, failure })
         }
     }
 
-    /// Helper: decode an `Option<T>` whose payload needs a custom reader.
-    trait OptionDecodeExt: Sized {
-        type Item;
-        fn decode_with(
-            buf: &mut &[u8],
-            read: impl Fn(&mut &[u8]) -> Option<Self::Item>,
-        ) -> Option<Self>;
-    }
-
-    impl<T> OptionDecodeExt for Option<T> {
-        type Item = T;
-        fn decode_with(buf: &mut &[u8], read: impl Fn(&mut &[u8]) -> Option<T>) -> Option<Self> {
-            match get_u8(buf)? {
-                0 => Some(None),
-                1 => Some(Some(read(buf)?)),
-                _ => None,
-            }
-        }
-    }
+    /// The body of FOLD and FOLD_R frames: a queue head and a progress
+    /// tick.
+    type FoldBody = (Option<Time>, Tick);
 
     /// A cheaply clonable handle to a worker's [`ProcessTransport`].
     ///
@@ -656,18 +608,15 @@ mod process {
                 rounds: 0,
             };
             let mut hello = Vec::new();
-            put_varint(&mut hello, u64::from(index));
+            index.encode(&mut hello);
             write_frame(&mut transport.writer, tag::HELLO, &hello)?;
             let body = transport.read_expect(tag::SETUP)?;
             let buf = &mut body.as_slice();
             let setup = (|| {
-                let workers = u32::try_from(get_varint(buf)?).ok()?;
-                let timeout_ms = get_varint(buf)?;
-                let payload = get_bytes(buf)?.to_vec();
                 Some(WorkerSetup {
-                    workers,
-                    timeout_ms,
-                    payload,
+                    workers: u32::decode(buf)?,
+                    timeout_ms: u64::decode(buf)?,
+                    payload: get_bytes(buf)?.to_vec(),
                 })
             })();
             let Some(setup) = setup else {
@@ -803,7 +752,7 @@ mod process {
                         if tag != tag::HELLO {
                             return proto_err(format!("expected HELLO, got tag {tag}"));
                         }
-                        let Some(index) = get_varint(&mut body.as_slice()) else {
+                        let Some(index) = u64::decode(&mut body.as_slice()) else {
                             return proto_err("malformed HELLO");
                         };
                         let idx = usize::try_from(index)
@@ -838,8 +787,7 @@ mod process {
             }
             let mut conns: Vec<HubConn> = conns.into_iter().map(|c| c.unwrap()).collect();
             let mut setup = Vec::new();
-            put_varint(&mut setup, u64::from(n));
-            put_varint(&mut setup, timeout.as_millis() as u64);
+            (n, timeout.as_millis() as u64).encode(&mut setup);
             put_bytes(&mut setup, setup_payload);
             for c in &mut conns {
                 write_frame(&mut c.writer, tag::SETUP, &setup)?;
@@ -983,9 +931,7 @@ mod process {
             let mut m: Option<Time> = None;
             let mut global_progress: Tick = 0;
             for (w, (_, body)) in frames.iter().enumerate() {
-                let buf = &mut body.as_slice();
-                let (Some(peek), Some(progress)) = (Option::<Time>::decode(buf), get_varint(buf))
-                else {
+                let Some((peek, progress)) = FoldBody::decode(&mut body.as_slice()) else {
                     return Err((w as u32, "malformed FOLD".into()));
                 };
                 m = match (m, peek) {
@@ -995,8 +941,7 @@ mod process {
                 global_progress = global_progress.max(progress);
             }
             let mut reply = Vec::new();
-            m.encode(&mut reply);
-            put_varint(&mut reply, global_progress);
+            (m, global_progress).encode(&mut reply);
             for w in 0..self.conns.len() {
                 self.send_to(w, tag::FOLD_R, &reply)?;
             }
@@ -1022,12 +967,8 @@ mod process {
             for (w, (_, body)) in frames.iter().enumerate() {
                 let buf = &mut body.as_slice();
                 let parsed = (|| {
-                    let stop = get_u8(buf)?;
-                    let fail = Option::<(EventStamp, String)>::decode_with(buf, |b| {
-                        let stamp = EventStamp::decode(b)?;
-                        let msg = get_str(b)?;
-                        Some((stamp, msg))
-                    })?;
+                    let stop = bool::decode(buf)?;
+                    let fail = Option::<(EventStamp, String)>::decode(buf)?;
                     let traces = Vec::<TaggedTrace>::decode(buf)?;
                     let mut dsts = Vec::with_capacity(n);
                     for _ in 0..n {
@@ -1036,7 +977,7 @@ mod process {
                     // Informational per-round executed-event delta,
                     // trailing so older payload parsers stay valid. It
                     // feeds the progress board only — never any reply.
-                    let events = get_varint(buf).unwrap_or(0);
+                    let events = u64::decode(buf).unwrap_or(0);
                     Some((stop, fail, traces, dsts, events))
                 })();
                 let Some((stop, fail, mut traces, dsts, events)) = parsed else {
@@ -1046,7 +987,7 @@ mod process {
                 if let Some(board) = &self.progress {
                     board.record_events(w, self.events_cum[w]);
                 }
-                stopped |= stop != 0;
+                stopped |= stop;
                 if let Some((stamp, msg)) = fail {
                     if failure.as_ref().is_none_or(|(st, _)| stamp < *st) {
                         failure = Some((stamp, msg));
@@ -1068,14 +1009,8 @@ mod process {
             let mut replies: Vec<Vec<u8>> = Vec::with_capacity(n);
             for dst in 0..n {
                 let mut reply = Vec::new();
-                reply.push(u8::from(stopped));
-                match &failure_msg {
-                    None => reply.push(0),
-                    Some(msg) => {
-                        reply.push(1);
-                        put_str(&mut reply, msg);
-                    }
-                }
+                stopped.encode(&mut reply);
+                failure_msg.encode(&mut reply);
                 for src_blobs in &blobs {
                     reply.extend_from_slice(src_blobs[dst]);
                 }
@@ -1096,11 +1031,7 @@ mod process {
             let mut shard_blobs: Vec<&[u8]> = Vec::with_capacity(frames.len());
             for (w, (_, body)) in frames.iter().enumerate() {
                 let buf = &mut body.as_slice();
-                let parsed = (|| {
-                    let t = Time::decode(buf)?;
-                    let blob = get_bytes(buf)?;
-                    Some((t, blob))
-                })();
+                let parsed = Time::decode(buf).and_then(|t| Some((t, get_bytes(buf)?)));
                 let Some((t, blob)) = parsed else {
                     return Err((w as u32, "malformed CKPT".into()));
                 };
@@ -1113,10 +1044,7 @@ mod process {
             if let Some(sink) = self.checkpoint_sink.as_mut() {
                 let mut engine = Vec::new();
                 crate::snapshot::put_trace(&mut engine, self.trace.as_ref());
-                put_varint(&mut engine, shard_blobs.len() as u64);
-                for blob in shard_blobs {
-                    put_bytes(&mut engine, blob);
-                }
+                put_each(&mut engine, &shard_blobs, |blob, o| put_bytes(o, blob));
                 sink(at, &engine);
             }
             Ok(())
@@ -1130,15 +1058,9 @@ mod process {
             let mut host = Vec::with_capacity(frames.len());
             for (w, (_, body)) in frames.iter().enumerate() {
                 let buf = &mut body.as_slice();
-                let parsed = (|| {
-                    let outcome = RunOutcome::decode(buf)?;
-                    let now = Time::decode(buf)?;
-                    let progress = get_varint(buf)?;
-                    let m = EngineMetrics::decode(buf)?;
-                    let h = HostShardTimes::decode(buf)?;
-                    Some((outcome, now, progress, m, h))
-                })();
-                let Some((o, now, progress, m, h)) = parsed else {
+                let parsed = <(RunOutcome, Time, Tick, EngineMetrics)>::decode(buf)
+                    .and_then(|done| Some((done, HostShardTimes::decode(buf)?)));
+                let Some(((o, now, progress, m), h)) = parsed else {
                     return Err((w as u32, "malformed DONE".into()));
                 };
                 debug_assert!(

@@ -1,33 +1,45 @@
-//! Compact in-tree wire format for the multi-process shard transport.
+//! The one codec discipline: every serialized value in the workspace —
+//! cross-shard events, end-of-run partials, checkpoint state — is encoded
+//! by its [`WireCodec`] impl, written once in the crate that defines the
+//! type. All hand-rolled, so the workspace stays free of registry
+//! dependencies.
 //!
-//! The process backend of [`ShardTransport`](crate::transport) moves
-//! per-round outboxes, trace records, and end-of-run metric partials
-//! between worker processes and the parent hub over Unix sockets. This
-//! module defines the three layers of that format, all hand-rolled so the
-//! workspace stays free of registry dependencies:
+//! * **Primitives** — `u8` and `bool` are one raw byte (`bool` strictly
+//!   0 or 1); every other integer is unsigned LEB128 ([`put_varint`] /
+//!   [`get_varint`]: 7 bits per byte, high bit = continue) range-checked
+//!   on decode; `f64` is its 8-byte little-endian bit pattern; `Option`
+//!   is a 0/1 marker byte; `Vec`, `VecDeque`, `String` and byte sections
+//!   are length-prefixed, and [`get_len`] bounds every such prefix by the
+//!   bytes that remain; tuples, arrays, `Box` and `Arc` are their
+//!   elements in order.
+//! * **Field lists** — [`wire_struct!`](crate::wire_struct) declares a
+//!   plain-data struct's field order once and derives both directions;
+//!   [`wire_enum!`](crate::wire_enum) does the same for a fieldless enum
+//!   and its tag bytes.
+//! * **Values vs overlays** — a *value* decodes to a fresh `Self`. State
+//!   that is only meaningful against a structurally rebuilt owner (a
+//!   table whose length is configuration, a section another component
+//!   must consume exactly, an optional plane that must be armed on both
+//!   sides) is an *overlay*: [`load_each`] / [`load_slice`],
+//!   [`get_section`] and [`load_armed`] validate the saved shape against
+//!   the rebuilt one over the same primitives.
+//! * **Framing** — each socket message is `len: u32 LE` (length of
+//!   everything after the length field) followed by `tag: u8` and an
+//!   opaque body; [`write_frame`] / [`read_frame`].
 //!
-//! * **Varints** — unsigned LEB128 (7 bits per byte, high bit = continue).
-//!   Every integer on the wire goes through [`put_varint`]/[`get_varint`]
-//!   unless it is a fixed single byte.
-//! * **Framing** — each message is `len: u32 LE` (length of everything
-//!   after the length field) followed by `tag: u8` and an opaque body.
-//!   [`write_frame`]/[`read_frame`] implement this over any
-//!   `Write`/`Read`.
-//! * **[`WireCodec`]** — a value-level encode/decode trait implemented for
-//!   the engine's own vocabulary here and for the network event payload in
-//!   `supersim-netbase`. Decoding is total: malformed input yields `None`,
-//!   never a panic, so a corrupt or truncated peer cannot crash the hub.
+//! Decoding is total: malformed input yields `None`, never a panic, so a
+//! corrupt or truncated peer or file cannot crash the reader.
+//! [`testing::check_codec`] checks that contract for any impl.
 //!
 //! Determinism note: encoding is a pure function of the value (no maps,
 //! no pointers, no padding), so identical values always produce identical
 //! bytes — a prerequisite for the byte-identity tests that compare the
-//! process transport against the sequential engine.
+//! backends against each other and resumed runs against uninterrupted
+//! ones.
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-
-use crate::engine::{EngineMetrics, EventStamp, RunOutcome, TaggedTrace, BATCH_BUCKETS};
-use crate::time::Time;
-use crate::trace::TraceEvent;
+use std::sync::Arc;
 
 /// Upper bound on a single frame body, as a guard against a corrupt
 /// length prefix allocating unbounded memory (64 MiB is far above any
@@ -35,7 +47,7 @@ use crate::trace::TraceEvent;
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
 // ---------------------------------------------------------------------------
-// Varints
+// Byte primitives
 // ---------------------------------------------------------------------------
 
 /// Appends `v` as an unsigned LEB128 varint.
@@ -83,6 +95,16 @@ pub fn get_u8(buf: &mut &[u8]) -> Option<u8> {
     Some(byte)
 }
 
+/// Reads a length prefix. Every element of a sequence (and every byte of
+/// a section) costs at least one byte of input, so a prefix larger than
+/// the bytes that remain is malformed — the one guard that keeps a
+/// hostile length from sizing an allocation or a loop.
+#[inline]
+pub fn get_len(buf: &mut &[u8]) -> Option<usize> {
+    let len = usize::try_from(get_varint(buf)?).ok()?;
+    (len <= buf.len()).then_some(len)
+}
+
 /// Appends a length-prefixed byte slice.
 #[inline]
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -93,10 +115,7 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 /// Reads a length-prefixed byte slice, advancing `buf` past it.
 #[inline]
 pub fn get_bytes<'a>(buf: &mut &'a [u8]) -> Option<&'a [u8]> {
-    let len = usize::try_from(get_varint(buf)?).ok()?;
-    if buf.len() < len {
-        return None;
-    }
+    let len = get_len(buf)?;
     let (head, rest) = buf.split_at(len);
     *buf = rest;
     Some(head)
@@ -111,25 +130,6 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 pub fn get_str(buf: &mut &[u8]) -> Option<String> {
     let bytes = get_bytes(buf)?;
     String::from_utf8(bytes.to_vec()).ok()
-}
-
-/// Appends an `f64` as its raw IEEE-754 bit pattern (8 bytes LE). Bit
-/// patterns round-trip exactly, so snapshotting float state preserves
-/// byte-identity of anything later derived from it.
-#[inline]
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Reads an `f64` written by [`put_f64`], advancing `buf` past it.
-#[inline]
-pub fn get_f64(buf: &mut &[u8]) -> Option<f64> {
-    if buf.len() < 8 {
-        return None;
-    }
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    Some(f64::from_bits(u64::from_le_bytes(head.try_into().ok()?)))
 }
 
 // ---------------------------------------------------------------------------
@@ -188,20 +188,19 @@ pub fn write_frame<W: Write>(w: &mut W, tag: u8, body: &[u8]) -> io::Result<()> 
 /// Reads one frame, returning its tag and body. Fails with
 /// `InvalidData` on a zero or oversized length prefix.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
+    // A well-formed frame is never shorter than length + tag.
+    let mut head = [0u8; 5];
+    r.read_exact(&mut head)?;
+    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
     if len == 0 || len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("bad frame length {len}"),
         ));
     }
-    let mut body = vec![0u8; len as usize];
+    let mut body = vec![0u8; len as usize - 1];
     r.read_exact(&mut body)?;
-    let tag = body[0];
-    body.remove(0);
-    Ok((tag, body))
+    Ok((head[4], body))
 }
 
 // ---------------------------------------------------------------------------
@@ -219,154 +218,110 @@ pub trait WireCodec: Sized {
     fn decode(buf: &mut &[u8]) -> Option<Self>;
 }
 
-impl WireCodec for u64 {
+impl WireCodec for u8 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, *self);
+        out.push(*self);
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Option<Self> {
-        get_varint(buf)
+        get_u8(buf)
     }
 }
 
-impl WireCodec for Time {
+/// Strict: any byte other than 0 or 1 is malformed.
+impl WireCodec for bool {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.tick());
-        out.push(self.epsilon());
+        out.push(u8::from(*self));
     }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let tick = get_varint(buf)?;
-        let epsilon = get_u8(buf)?;
-        Some(Time::new(tick, epsilon))
-    }
-}
-
-impl WireCodec for EventStamp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, u64::from(self.src));
-        put_varint(out, self.seq);
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let src = u32::try_from(get_varint(buf)?).ok()?;
-        let seq = get_varint(buf)?;
-        Some(EventStamp { src, seq })
-    }
-}
-
-impl WireCodec for TraceEvent {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.time.encode(out);
-        put_varint(out, u64::from(self.src));
-        out.push(self.kind);
-        put_varint(out, self.id);
-        put_varint(out, u64::from(self.sub));
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let time = Time::decode(buf)?;
-        let src = u32::try_from(get_varint(buf)?).ok()?;
-        let kind = get_u8(buf)?;
-        let id = get_varint(buf)?;
-        let sub = u32::try_from(get_varint(buf)?).ok()?;
-        Some(TraceEvent {
-            time,
-            src,
-            kind,
-            id,
-            sub,
-        })
-    }
-}
-
-impl WireCodec for TaggedTrace {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.stamp.encode(out);
-        put_varint(out, u64::from(self.recno));
-        self.ev.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let stamp = EventStamp::decode(buf)?;
-        let recno = u32::try_from(get_varint(buf)?).ok()?;
-        let ev = TraceEvent::decode(buf)?;
-        Some(TaggedTrace { stamp, recno, ev })
-    }
-}
-
-impl WireCodec for EngineMetrics {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.events_executed);
-        put_varint(out, self.batches);
-        for &c in &self.batch_counts {
-            put_varint(out, c);
-        }
-        put_varint(out, self.queue_len as u64);
-        put_varint(out, self.queue_high_water as u64);
-        put_varint(out, self.total_enqueued);
-        put_varint(out, self.horizon as u64);
-        put_varint(out, self.horizon_resizes);
-        put_varint(out, self.overflow_spills);
-        put_varint(out, self.overflow_len as u64);
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let events_executed = get_varint(buf)?;
-        let batches = get_varint(buf)?;
-        let mut batch_counts = [0u64; BATCH_BUCKETS];
-        for c in &mut batch_counts {
-            *c = get_varint(buf)?;
-        }
-        let queue_len = usize::try_from(get_varint(buf)?).ok()?;
-        let queue_high_water = usize::try_from(get_varint(buf)?).ok()?;
-        let total_enqueued = get_varint(buf)?;
-        let horizon = usize::try_from(get_varint(buf)?).ok()?;
-        let horizon_resizes = get_varint(buf)?;
-        let overflow_spills = get_varint(buf)?;
-        let overflow_len = usize::try_from(get_varint(buf)?).ok()?;
-        Some(EngineMetrics {
-            events_executed,
-            batches,
-            batch_counts,
-            queue_len,
-            queue_high_water,
-            total_enqueued,
-            horizon,
-            horizon_resizes,
-            overflow_spills,
-            overflow_len,
-        })
-    }
-}
-
-/// `RunOutcome` splits into a fixed discriminant plus optional detail;
-/// the message of `Failed` and the tick of `Watchdog` ride along.
-impl WireCodec for RunOutcome {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RunOutcome::Drained => out.push(0),
-            RunOutcome::Stopped => out.push(1),
-            RunOutcome::TickLimit => out.push(2),
-            RunOutcome::Failed(msg) => {
-                out.push(3);
-                put_str(out, msg);
-            }
-            RunOutcome::Watchdog { last_progress } => {
-                out.push(4);
-                put_varint(out, *last_progress);
-            }
-        }
-    }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         match get_u8(buf)? {
-            0 => Some(RunOutcome::Drained),
-            1 => Some(RunOutcome::Stopped),
-            2 => Some(RunOutcome::TickLimit),
-            3 => Some(RunOutcome::Failed(get_str(buf)?)),
-            4 => Some(RunOutcome::Watchdog {
-                last_progress: get_varint(buf)?,
-            }),
+            0 => Some(false),
+            1 => Some(true),
             _ => None,
         }
     }
 }
 
+macro_rules! varint_codec {
+    ($($int:ty),+) => {$(
+        impl WireCodec for $int {
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                put_varint(out, *self as u64);
+            }
+            #[inline]
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                <$int>::try_from(get_varint(buf)?).ok()
+            }
+        }
+    )+};
+}
+varint_codec!(u16, u32, u64, usize);
+
+/// The raw IEEE-754 bit pattern, so float state round-trips exactly and
+/// anything later derived from it stays byte-identical.
+impl WireCodec for f64 {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    #[inline]
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let (head, rest) = buf.split_first_chunk::<8>()?;
+        *buf = rest;
+        Some(f64::from_bits(u64::from_le_bytes(*head)))
+    }
+}
+
+impl WireCodec for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        get_str(buf)
+    }
+}
+
+macro_rules! tuple_codec {
+    ($($name:ident $idx:tt),+) => {
+        impl<$($name: WireCodec),+> WireCodec for ($($name,)+) {
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                $(self.$idx.encode(out);)+
+            }
+            #[inline]
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                Some(($($name::decode(buf)?,)+))
+            }
+        }
+    };
+}
+tuple_codec!(A 0, B 1);
+tuple_codec!(A 0, B 1, C 2);
+tuple_codec!(A 0, B 1, C 2, D 3);
+
+impl<T: WireCodec + Copy + Default, const N: usize> WireCodec for [T; N] {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        for v in self {
+            v.encode(out);
+        }
+    }
+    #[inline]
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let mut out = [T::default(); N];
+        for v in &mut out {
+            *v = T::decode(buf)?;
+        }
+        Some(out)
+    }
+}
+
 impl<T: WireCodec> WireCodec for Option<T> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             None => out.push(0),
@@ -376,6 +331,7 @@ impl<T: WireCodec> WireCodec for Option<T> {
             }
         }
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         match get_u8(buf)? {
             0 => Some(None),
@@ -386,20 +342,15 @@ impl<T: WireCodec> WireCodec for Option<T> {
 }
 
 impl<T: WireCodec> WireCodec for Vec<T> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.len() as u64);
-        for v in self {
-            v.encode(out);
-        }
+        put_slice(out, self);
     }
     fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let len = usize::try_from(get_varint(buf)?).ok()?;
-        // Guard: each element costs at least one byte, so a hostile
-        // length prefix cannot force a huge allocation.
-        if len > buf.len() {
-            return None;
-        }
-        let mut out = Vec::with_capacity(len);
+        let len = get_len(buf)?;
+        // Reserve no more memory than the input itself occupies: an
+        // element may be far larger decoded than encoded.
+        let mut out = Vec::with_capacity(len.min(buf.len() / std::mem::size_of::<T>().max(1)));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }
@@ -407,10 +358,259 @@ impl<T: WireCodec> WireCodec for Vec<T> {
     }
 }
 
+impl<T: WireCodec> WireCodec for VecDeque<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for v in self {
+            v.encode(out);
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Vec::decode(buf).map(VecDeque::from)
+    }
+}
+
+impl<T: WireCodec> WireCodec for Box<T> {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    #[inline]
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        T::decode(buf).map(Box::new)
+    }
+}
+
+/// Encodes the pointee: sharing is a memory optimization, not state, so a
+/// decoded value gets an `Arc` of its own.
+impl<T: WireCodec> WireCodec for Arc<T> {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    #[inline]
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        T::decode(buf).map(Arc::new)
+    }
+}
+
+/// Implements [`WireCodec`] for a plain-data struct from its field list:
+/// fields encode in the listed order and decode back into a struct
+/// literal, so a field missing from the list is a compile error. Tuple
+/// structs list their indices (`wire_struct!(PacketId { 0 })`). An
+/// optional `if |v| …` clause rejects decoded values that break an
+/// invariant the type's users rely on.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ty { $($field:tt),+ $(,)? } $(if $valid:expr)?) => {
+        impl $crate::wire::WireCodec for $ty {
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::wire::WireCodec::encode(&self.$field, out);)+
+            }
+            #[inline]
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                let v = Self { $($field: $crate::wire::WireCodec::decode(buf)?),+ };
+                $(
+                    let valid: fn(&Self) -> bool = $valid;
+                    if !valid(&v) {
+                        return None;
+                    }
+                )?
+                Some(v)
+            }
+        }
+    };
+}
+
+/// Implements [`WireCodec`] for a fieldless enum as one tag byte per
+/// variant; an unlisted tag is malformed.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ty { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl $crate::wire::WireCodec for $ty {
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.push(match self {
+                    $(Self::$variant => $tag),+
+                });
+            }
+            #[inline]
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                match $crate::wire::get_u8(buf)? {
+                    $($tag => Some(Self::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
+// Overlays
+// ---------------------------------------------------------------------------
+
+/// Writes a table whose length is structural: the count, then each
+/// element through `put`.
+pub fn put_each<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&T, &mut Vec<u8>)) {
+    put_varint(out, items.len() as u64);
+    for item in items {
+        put(item, out);
+    }
+}
+
+/// Overlays a table written by [`put_each`] onto the rebuilt one: the
+/// saved count must equal the rebuilt length, and `load` restores each
+/// element in place.
+pub fn load_each<T>(
+    items: &mut [T],
+    buf: &mut &[u8],
+    mut load: impl FnMut(&mut T, &mut &[u8]) -> Option<()>,
+) -> Option<()> {
+    if get_len(buf)? != items.len() {
+        return None;
+    }
+    items.iter_mut().try_for_each(|item| load(item, buf))
+}
+
+/// [`put_each`] for a table of values.
+#[inline]
+pub fn put_slice<T: WireCodec>(out: &mut Vec<u8>, items: &[T]) {
+    put_each(out, items, T::encode);
+}
+
+/// Replaces `slot` with a decoded value — the `load` of an overlay whose
+/// element is a plain value.
+#[inline]
+pub fn load_value<T: WireCodec>(slot: &mut T, buf: &mut &[u8]) -> Option<()> {
+    *slot = T::decode(buf)?;
+    Some(())
+}
+
+/// [`load_each`] for a table of values.
+pub fn load_slice<T: WireCodec>(items: &mut [T], buf: &mut &[u8]) -> Option<()> {
+    load_each(items, buf, load_value)
+}
+
+/// Writes what `body` appends as a length-prefixed section, so a reader
+/// can check the owner of the section consumed it exactly.
+pub fn put_section(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    body(out);
+    let end = out.len();
+    put_varint(out, (end - start) as u64);
+    let prefix = out.len() - end;
+    out[start..].rotate_right(prefix);
+}
+
+/// Reads a section written by [`put_section`]; `body` must consume it
+/// exactly, which catches drift between a save and its load at decode
+/// time instead of corrupting what follows.
+pub fn get_section<R>(buf: &mut &[u8], body: impl FnOnce(&mut &[u8]) -> Option<R>) -> Option<R> {
+    let mut section = get_bytes(buf)?;
+    let value = body(&mut section)?;
+    section.is_empty().then_some(value)
+}
+
+/// Writes an optional plane: an armed marker, then the plane through
+/// `put` when present.
+pub fn put_armed<T>(out: &mut Vec<u8>, plane: Option<&T>, put: impl FnOnce(&T, &mut Vec<u8>)) {
+    out.push(u8::from(plane.is_some()));
+    if let Some(p) = plane {
+        put(p, out);
+    }
+}
+
+/// Overlays a plane written by [`put_armed`]. Whether the plane exists is
+/// configuration, so the saved marker must match the rebuilt owner.
+pub fn load_armed<T>(
+    buf: &mut &[u8],
+    plane: Option<&mut T>,
+    load: impl FnOnce(&mut T, &mut &[u8]) -> Option<()>,
+) -> Option<()> {
+    match (get_u8(buf)?, plane) {
+        (0, None) => Some(()),
+        (1, Some(p)) => load(p, buf),
+        _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Totality harness
+// ---------------------------------------------------------------------------
+
+/// Test support shared by every crate that implements [`WireCodec`].
+#[doc(hidden)]
+pub mod testing {
+    use super::WireCodec;
+    use crate::rng::Rng;
+
+    /// Bit positions flipped per sample; a shorter encoding has every
+    /// bit flipped, a longer one this many seeded positions.
+    const MAX_FLIPS: usize = 2048;
+
+    /// Checks the codec contract on `cases` samples drawn from `sample`:
+    /// decode ∘ encode consumes the encoding exactly, re-encoding the
+    /// decoded value is byte-equal (so no `PartialEq` is needed), every
+    /// truncation is `None`, and neither single-bit flips nor random
+    /// garbage make `decode` panic.
+    pub fn check_codec<T: WireCodec>(
+        seed: u64,
+        cases: usize,
+        mut sample: impl FnMut(&mut Rng) -> T,
+    ) {
+        let mut rng = Rng::new(seed);
+        let mut bytes = Vec::new();
+        let mut again = Vec::new();
+        for case in 0..cases {
+            bytes.clear();
+            sample(&mut rng).encode(&mut bytes);
+            let mut rest = bytes.as_slice();
+            let back = T::decode(&mut rest)
+                .unwrap_or_else(|| panic!("case {case}: rejected its own encoding"));
+            assert!(
+                rest.is_empty(),
+                "case {case}: decode left {} bytes",
+                rest.len()
+            );
+            again.clear();
+            back.encode(&mut again);
+            assert_eq!(bytes, again, "case {case}: re-encoding diverged");
+            for cut in 0..bytes.len() {
+                assert!(
+                    T::decode(&mut &bytes[..cut]).is_none(),
+                    "case {case}: {cut} of {} bytes decoded",
+                    bytes.len()
+                );
+            }
+            let bits = bytes.len() * 8;
+            for i in 0..bits.min(MAX_FLIPS) {
+                let bit = if bits <= MAX_FLIPS {
+                    i
+                } else {
+                    (rng.gen_u64() % bits as u64) as usize
+                };
+                again.clone_from(&bytes);
+                again[bit / 8] ^= 1 << (bit % 8);
+                let _ = T::decode(&mut again.as_slice());
+            }
+            let len = (rng.gen_u64() % (bytes.len() as u64 + 32)) as usize;
+            let garbage: Vec<u8> = (0..len).map(|_| rng.gen_u64() as u8).collect();
+            let _ = T::decode(&mut garbage.as_slice());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::check_codec;
     use super::*;
+    use crate::engine::{EngineMetrics, EventStamp, RunOutcome, TaggedTrace, BATCH_BUCKETS};
+    use crate::host::{HostRoundSlice, HostShardTimes};
     use crate::rng::Rng;
+    use crate::snapshot::ShardScalars;
+    use crate::time::Time;
+    use crate::trace::TraceEvent;
 
     #[test]
     fn varint_round_trips_boundaries() {
@@ -496,36 +696,45 @@ mod tests {
         round_trip(&vec![1u64, 2, u64::MAX]);
     }
 
+    /// The primitive encodings DESIGN.md tabulates, byte for byte.
     #[test]
-    fn engine_metrics_round_trip_randomized() {
-        let mut rng = Rng::new(0xA11CE);
-        for _ in 0..50 {
-            let mut batch_counts = [0u64; BATCH_BUCKETS];
-            for c in &mut batch_counts {
-                *c = rng.gen_u64() >> (rng.gen_u64() % 64);
-            }
-            let m = EngineMetrics {
-                events_executed: rng.gen_u64(),
-                batches: rng.gen_u64(),
-                batch_counts,
-                queue_len: rng.gen_u64() as usize >> 16,
-                queue_high_water: rng.gen_u64() as usize >> 16,
-                total_enqueued: rng.gen_u64(),
-                horizon: rng.gen_u64() as usize >> 40,
-                horizon_resizes: rng.gen_u64() >> 32,
-                overflow_spills: rng.gen_u64() >> 32,
-                overflow_len: rng.gen_u64() as usize >> 40,
-            };
-            let mut buf = Vec::new();
-            m.encode(&mut buf);
-            let mut slice = buf.as_slice();
-            let back = EngineMetrics::decode(&mut slice).unwrap();
-            assert_eq!(back.events_executed, m.events_executed);
-            assert_eq!(back.batch_counts, m.batch_counts);
-            assert_eq!(back.queue_high_water, m.queue_high_water);
-            assert_eq!(back.overflow_len, m.overflow_len);
-            assert!(slice.is_empty());
+    fn primitive_encodings_are_pinned() {
+        fn bytes<T: WireCodec>(v: T) -> Vec<u8> {
+            let mut out = Vec::new();
+            v.encode(&mut out);
+            out
         }
+        assert_eq!(bytes(0xABu8), [0xAB]);
+        assert_eq!(bytes(true), [1]);
+        assert_eq!(bytes(300u16), [0xAC, 0x02]);
+        assert_eq!(bytes(300u32), bytes(300u64));
+        assert_eq!(bytes(300usize), bytes(300u64));
+        assert_eq!(bytes(1.0f64), 1.0f64.to_bits().to_le_bytes());
+        assert_eq!(bytes(Some(5u32)), [1, 5]);
+        assert_eq!(bytes(Option::<u32>::None), [0]);
+        assert_eq!(bytes(vec![7u8, 8]), [2, 7, 8]);
+        assert_eq!(bytes(VecDeque::from([7u64, 8])), [2, 7, 8]);
+        assert_eq!(bytes("hi".to_string()), [2, b'h', b'i']);
+        assert_eq!(bytes((1u8, 2u32, false)), [1, 2, 0]);
+        assert_eq!(bytes([3u64, 4]), [3, 4]);
+        assert_eq!(bytes(Box::new(9u64)), [9]);
+        assert_eq!(bytes(Arc::new(9u64)), [9]);
+    }
+
+    #[test]
+    fn bool_rejects_non_canonical_bytes() {
+        for byte in 2..=u8::MAX {
+            assert_eq!(bool::decode(&mut [byte].as_slice()), None, "byte {byte}");
+        }
+    }
+
+    #[test]
+    fn narrow_integers_reject_out_of_range_values() {
+        let mut wide = Vec::new();
+        put_varint(&mut wide, u64::from(u32::MAX) + 1);
+        assert_eq!(u32::decode(&mut wide.as_slice()), None);
+        assert_eq!(u16::decode(&mut wide.as_slice()), None);
+        assert_eq!(u64::decode(&mut wide.as_slice()), Some(1 << 32));
     }
 
     #[test]
@@ -534,21 +743,156 @@ mod tests {
         put_varint(&mut buf, u64::MAX);
         let mut slice = buf.as_slice();
         assert_eq!(Vec::<u64>::decode(&mut slice), None);
+        // A count the input could hold, of elements far larger decoded
+        // than encoded, must not reserve count × size up front.
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1 << 20);
+        buf.resize(buf.len() + (1 << 20), 0);
+        type Big = [[u64; 32]; 32];
+        assert_eq!(Vec::<Big>::decode(&mut buf.as_slice()), None);
     }
 
     #[test]
-    fn decode_is_total_on_random_garbage() {
-        let mut rng = Rng::new(0xBADF00D);
-        for _ in 0..200 {
-            let len = (rng.gen_u64() % 24) as usize;
-            let bytes: Vec<u8> = (0..len).map(|_| rng.gen_u64() as u8).collect();
-            // None of these may panic; Some or None are both fine.
-            let _ = Time::decode(&mut bytes.as_slice());
-            let _ = EventStamp::decode(&mut bytes.as_slice());
-            let _ = TraceEvent::decode(&mut bytes.as_slice());
-            let _ = RunOutcome::decode(&mut bytes.as_slice());
-            let _ = EngineMetrics::decode(&mut bytes.as_slice());
-            let _ = Vec::<u64>::decode(&mut bytes.as_slice());
+    fn sections_and_tables_check_their_shape() {
+        let mut out = vec![0xEE];
+        put_section(&mut out, |o| 300u32.encode(o));
+        assert_eq!(out, [0xEE, 2, 0xAC, 0x02]);
+        let body = &out[1..];
+        assert_eq!(get_section(&mut &*body, u32::decode), Some(300));
+        assert_eq!(get_section(&mut &*body, u8::decode), None, "not consumed");
+
+        let mut table = [0u32; 3];
+        let mut out = Vec::new();
+        put_slice(&mut out, &[4u32, 5, 6]);
+        assert_eq!(load_slice(&mut table, &mut out.as_slice()), Some(()));
+        assert_eq!(table, [4, 5, 6]);
+        assert_eq!(load_slice(&mut [0u32; 2], &mut out.as_slice()), None);
+
+        let mut armed = Some(0u64);
+        let load = load_value::<u64>;
+        assert_eq!(
+            load_armed(&mut [1, 9].as_slice(), armed.as_mut(), load),
+            Some(())
+        );
+        assert_eq!(armed, Some(9));
+        assert_eq!(load_armed(&mut [0].as_slice(), armed.as_mut(), load), None);
+        assert_eq!(load_armed(&mut [1, 9].as_slice(), None, load), None);
+    }
+
+    fn rand_time(rng: &mut Rng) -> Time {
+        Time::new(rng.gen_u64() >> (rng.gen_u64() % 64), rng.gen_u64() as u8)
+    }
+
+    fn rand_stamp(rng: &mut Rng) -> EventStamp {
+        EventStamp {
+            src: rng.gen_u64() as u32,
+            seq: rng.gen_u64() >> (rng.gen_u64() % 64),
         }
+    }
+
+    fn rand_trace(rng: &mut Rng) -> TraceEvent {
+        TraceEvent {
+            time: rand_time(rng),
+            src: rng.gen_u64() as u32,
+            kind: rng.gen_u64() as u8,
+            id: rng.gen_u64(),
+            sub: rng.gen_u64() as u32,
+        }
+    }
+
+    fn rand_batches(rng: &mut Rng) -> [u64; BATCH_BUCKETS] {
+        std::array::from_fn(|_| rng.gen_u64() >> (rng.gen_u64() % 64))
+    }
+
+    /// One row per `WireCodec` type this crate defines, primitives and
+    /// containers included.
+    #[test]
+    fn every_des_codec_is_total() {
+        check_codec(1, 40, |r| r.gen_u64() as u8);
+        check_codec(2, 40, |r| r.gen_bool(0.5));
+        check_codec(3, 40, |r| r.gen_u64() as u16);
+        check_codec(4, 40, |r| r.gen_u64() as u32);
+        check_codec(5, 40, |r| r.gen_u64() >> (r.gen_u64() % 64));
+        check_codec(6, 40, |r| (r.gen_u64() >> (r.gen_u64() % 64)) as usize);
+        check_codec(7, 40, |r| f64::from_bits(r.gen_u64()));
+        check_codec(8, 40, |r| format!("class-{}", r.gen_u64() % 1000));
+        check_codec(9, 40, |r| (r.gen_u64() as u8, r.gen_u64() as u32));
+        check_codec(10, 40, |r| {
+            (r.gen_u64(), r.gen_bool(0.5), r.gen_u64() as u16)
+        });
+        check_codec(11, 40, |r| (r.gen_u64(), 7u8, 1u32, rand_time(r)));
+        check_codec(12, 40, rand_batches);
+        check_codec(13, 40, |r| r.gen_bool(0.5).then(|| r.gen_u64()));
+        check_codec(14, 40, |r| {
+            (0..r.gen_u64() % 9)
+                .map(|_| rand_stamp(r))
+                .collect::<Vec<_>>()
+        });
+        check_codec(15, 40, |r| {
+            (0..r.gen_u64() % 9)
+                .map(|_| r.gen_u64())
+                .collect::<VecDeque<_>>()
+        });
+        check_codec(16, 40, |r| Box::new(rand_time(r)));
+        check_codec(17, 40, |r| Arc::new(rand_stamp(r)));
+        check_codec(18, 40, rand_time);
+        check_codec(19, 40, rand_stamp);
+        check_codec(20, 40, rand_trace);
+        check_codec(21, 40, |r| TaggedTrace {
+            stamp: rand_stamp(r),
+            recno: r.gen_u64() as u32,
+            ev: rand_trace(r),
+        });
+        check_codec(22, 40, |r| EngineMetrics {
+            events_executed: r.gen_u64(),
+            batches: r.gen_u64(),
+            batch_counts: rand_batches(r),
+            queue_len: r.gen_u64() as usize >> 16,
+            queue_high_water: r.gen_u64() as usize >> 16,
+            total_enqueued: r.gen_u64(),
+            horizon: r.gen_u64() as usize >> 40,
+            horizon_resizes: r.gen_u64() >> 32,
+            overflow_spills: r.gen_u64() >> 32,
+            overflow_len: r.gen_u64() as usize >> 40,
+        });
+        check_codec(23, 40, |r| match r.gen_u64() % 5 {
+            0 => RunOutcome::Drained,
+            1 => RunOutcome::Stopped,
+            2 => RunOutcome::TickLimit,
+            3 => RunOutcome::Failed(format!("component {} exploded", r.gen_u64() % 99)),
+            _ => RunOutcome::Watchdog {
+                last_progress: r.gen_u64() >> 20,
+            },
+        });
+        check_codec(24, 40, |r| Rng::new(r.gen_u64()));
+        check_codec(25, 40, |r| ShardScalars {
+            now: rand_time(r),
+            ext_seq: r.gen_u64() >> 30,
+            last_progress: r.gen_u64() >> 30,
+            events_executed: r.gen_u64() >> 20,
+            batches: r.gen_u64() >> 24,
+            batch_counts: rand_batches(r),
+        });
+        let slice = |r: &mut Rng| HostRoundSlice {
+            start_ns: r.gen_u64() >> 20,
+            tick: r.gen_u64() >> 30,
+            events: r.gen_u64() >> 40,
+            execute_ns: r.gen_u64() >> 30,
+            fold_ns: r.gen_u64() >> 30,
+            exchange_ns: r.gen_u64() >> 30,
+        };
+        check_codec(26, 40, slice);
+        check_codec(27, 40, |r| HostShardTimes {
+            sample: r.gen_u64() as u32 % 128,
+            total_batches: r.gen_u64() >> 30,
+            drain_ns: r.gen_u64() >> 20,
+            execute_ns: r.gen_u64() >> 20,
+            classes: (0..r.gen_u64() % 4)
+                .map(|c| (format!("class{c}"), r.gen_u64() >> 20, r.gen_u64() >> 40))
+                .collect(),
+            round_slices: (0..r.gen_u64() % 5).map(|_| slice(r)).collect(),
+            dropped_slices: r.gen_u64() % 3,
+            ..HostShardTimes::default()
+        });
     }
 }

@@ -31,6 +31,8 @@
 //!
 //! [`Ev::Flit`]: crate::Ev::Flit
 
+use supersim_des::wire::WireCodec;
+
 use crate::flit::Flit;
 
 /// Compact address of a flit parked in a [`FlitArena`].
@@ -203,69 +205,40 @@ impl FlitArena {
     /// (so parked handles stay valid) plus the free list in LIFO order
     /// (so post-restore handle assignment replays identically).
     pub fn save(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::{put_varint, WireCodec};
-        put_varint(out, self.slots.len() as u64);
-        for slot in &self.slots {
-            match slot {
-                None => out.push(0),
-                Some(f) => {
-                    out.push(1);
-                    f.encode(out);
-                }
-            }
-        }
-        put_varint(out, self.free.len() as u64);
-        for &i in &self.free {
-            put_varint(out, u64::from(i));
-        }
-        put_varint(out, u64::from(self.high_water));
+        self.slots.encode(out);
+        self.free.encode(out);
+        self.high_water.encode(out);
     }
 
     /// Decodes an arena saved by [`FlitArena::save`]. Total: `None` on
     /// malformed input or inconsistent slot/free-list structure. Scan
     /// metadata is recomputed from the flits themselves.
     pub fn load(buf: &mut &[u8]) -> Option<FlitArena> {
-        use supersim_des::wire::{get_u8, get_varint, WireCodec};
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n > buf.len() {
-            return None;
-        }
-        let mut arena = FlitArena::with_capacity(n);
-        for _ in 0..n {
-            match get_u8(buf)? {
-                0 => {
-                    arena.slots.push(None);
-                    arena.meta.push(FlitMeta::default());
-                }
-                1 => {
-                    let flit = Flit::decode(buf)?;
-                    arena.meta.push(FlitMeta::of(&flit));
-                    arena.slots.push(Some(flit));
-                    arena.live += 1;
-                }
-                _ => return None,
-            }
-        }
-        let nfree = usize::try_from(get_varint(buf)?).ok()?;
+        let slots = Vec::<Option<Flit>>::decode(buf)?;
+        let free = Vec::<u32>::decode(buf)?;
+        let high_water = u32::decode(buf)?;
+        let live = slots.iter().flatten().count();
         // Every vacant slot must appear on the free list exactly once.
-        if nfree != n - arena.live as usize {
-            return None;
-        }
-        let mut seen = vec![false; n];
-        for _ in 0..nfree {
-            let i = u32::try_from(get_varint(buf)?).ok()?;
-            let idx = i as usize;
-            if idx >= n || arena.slots[idx].is_some() || seen[idx] {
+        let mut seen = vec![false; slots.len()];
+        for &i in &free {
+            let vacant = slots.get(i as usize)?.is_none();
+            if !vacant || std::mem::replace(&mut seen[i as usize], true) {
                 return None;
             }
-            seen[idx] = true;
-            arena.free.push(i);
         }
-        arena.high_water = u32::try_from(get_varint(buf)?).ok()?;
-        if arena.high_water < arena.live {
+        if free.len() != slots.len() - live || (high_water as usize) < live {
             return None;
         }
-        Some(arena)
+        Some(FlitArena {
+            meta: slots
+                .iter()
+                .map(|s| s.as_ref().map_or_else(FlitMeta::default, FlitMeta::of))
+                .collect(),
+            slots,
+            free,
+            live: live as u32,
+            high_water,
+        })
     }
 }
 

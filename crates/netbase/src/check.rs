@@ -8,6 +8,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use supersim_des::wire::WireCodec;
+
 use crate::flit::Flit;
 use crate::ids::{PacketId, TerminalId};
 
@@ -162,34 +164,20 @@ impl DeliveryChecker {
     /// Serializes the checker's dynamic state (in-flight packet cursors
     /// sorted by packet id, plus lifetime counters) for a checkpoint.
     pub fn save(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
-        let mut entries: Vec<(u64, u32)> = self.expected.iter().map(|(k, v)| (k.0, *v)).collect();
+        let mut entries: Vec<(PacketId, u32)> =
+            self.expected.iter().map(|(k, v)| (*k, *v)).collect();
         entries.sort_unstable();
-        put_varint(out, entries.len() as u64);
-        for (id, seq) in entries {
-            put_varint(out, id);
-            put_varint(out, u64::from(seq));
-        }
-        put_varint(out, self.packets_completed);
-        put_varint(out, self.flits_delivered);
+        entries.encode(out);
+        self.packets_completed.encode(out);
+        self.flits_delivered.encode(out);
     }
 
     /// Overlays saved state onto this checker. Total: `None` on
     /// malformed input.
     pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::get_varint;
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n > buf.len() {
-            return None;
-        }
-        self.expected.clear();
-        for _ in 0..n {
-            let id = get_varint(buf)?;
-            let seq = u32::try_from(get_varint(buf)?).ok()?;
-            self.expected.insert(PacketId(id), seq);
-        }
-        self.packets_completed = get_varint(buf)?;
-        self.flits_delivered = get_varint(buf)?;
+        self.expected = Vec::<(PacketId, u32)>::decode(buf)?.into_iter().collect();
+        self.packets_completed = u64::decode(buf)?;
+        self.flits_delivered = u64::decode(buf)?;
         Some(())
     }
 }

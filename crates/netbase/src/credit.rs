@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use supersim_des::wire::WireCodec;
+
 /// Errors raised by credit accounting (paper §IV-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CreditError {
@@ -133,14 +135,17 @@ impl CreditCounter {
         }
     }
 
-    /// Overwrites the available count (checkpoint restore). Returns
-    /// `None` when `available` exceeds the structural capacity.
-    pub fn restore_available(&mut self, available: u32) -> Option<()> {
-        if available > self.capacity {
-            return None;
-        }
-        self.available = available;
-        Some(())
+    /// Writes the available count for a checkpoint; the capacity is
+    /// structural.
+    pub fn save(&self, out: &mut Vec<u8>) {
+        self.available.encode(out);
+    }
+
+    /// Overlays a saved available count. `None` on malformed input or a
+    /// count above the structural capacity.
+    pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
+        let available = u32::decode(buf)?;
+        (available <= self.capacity).then(|| self.available = available)
     }
 }
 

@@ -36,6 +36,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
+use supersim_des::wire::{self, WireCodec};
 use supersim_des::{Context, Tick, Time};
 
 use crate::event::Ev;
@@ -569,84 +570,37 @@ impl LinkFaults {
     /// (the shared plane, per-port link identities) is rebuilt from
     /// configuration on restore.
     pub fn save(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::{put_varint, WireCodec};
-        put_varint(out, self.tx.len() as u64);
-        for t in &self.tx {
-            match &t.outstanding {
-                None => out.push(0),
-                Some((delay, flit)) => {
-                    out.push(1);
-                    put_varint(out, *delay);
-                    flit.encode(out);
-                }
-            }
-            out.push(u8::from(t.corrupt_seen));
-            put_varint(out, u64::from(t.attempts));
-            put_varint(out, t.hold.len() as u64);
-            for (delay, flit) in &t.hold {
-                put_varint(out, *delay);
-                flit.encode(out);
-            }
-            put_varint(out, t.outage_until);
-            out.push(u8::from(t.escalated));
-        }
+        wire::put_each(out, &self.tx, |t, o| {
+            t.outstanding.encode(o);
+            t.corrupt_seen.encode(o);
+            t.attempts.encode(o);
+            t.hold.encode(o);
+            t.outage_until.encode(o);
+            t.escalated.encode(o);
+        });
         for r in &self.rx {
-            out.push(u8::from(r.awaiting_retx));
+            r.awaiting_retx.encode(out);
         }
-        put_varint(out, self.counters.injected);
-        put_varint(out, self.counters.detected);
-        put_varint(out, self.counters.recovered);
-        put_varint(out, self.counters.escalated);
-        put_varint(out, self.counters.flit_clones);
+        self.counters.encode(out);
     }
 
     /// Overlays a saved dynamic state onto this structurally rebuilt
     /// instance. Total: `None` on malformed input or a port-count
     /// mismatch (the snapshot came from a different configuration).
     pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::{get_u8, get_varint, WireCodec};
-        fn get_bool(buf: &mut &[u8]) -> Option<bool> {
-            match supersim_des::wire::get_u8(buf)? {
-                0 => Some(false),
-                1 => Some(true),
-                _ => None,
-            }
-        }
-        let ports = get_varint(buf)?;
-        if ports != self.tx.len() as u64 {
-            return None;
-        }
-        for t in self.tx.iter_mut() {
-            t.outstanding = match get_u8(buf)? {
-                0 => None,
-                1 => {
-                    let delay = get_varint(buf)?;
-                    Some((delay, Flit::decode(buf)?))
-                }
-                _ => return None,
-            };
-            t.corrupt_seen = get_bool(buf)?;
-            t.attempts = u32::try_from(get_varint(buf)?).ok()?;
-            let held = usize::try_from(get_varint(buf)?).ok()?;
-            if held > buf.len() {
-                return None;
-            }
-            t.hold.clear();
-            for _ in 0..held {
-                let delay = get_varint(buf)?;
-                t.hold.push_back((delay, Flit::decode(buf)?));
-            }
-            t.outage_until = get_varint(buf)?;
-            t.escalated = get_bool(buf)?;
-        }
+        wire::load_each(&mut self.tx, buf, |t, b| {
+            t.outstanding = WireCodec::decode(b)?;
+            t.corrupt_seen = bool::decode(b)?;
+            t.attempts = u32::decode(b)?;
+            t.hold = WireCodec::decode(b)?;
+            t.outage_until = Tick::decode(b)?;
+            t.escalated = bool::decode(b)?;
+            Some(())
+        })?;
         for r in self.rx.iter_mut() {
-            r.awaiting_retx = get_bool(buf)?;
+            r.awaiting_retx = bool::decode(buf)?;
         }
-        self.counters.injected = get_varint(buf)?;
-        self.counters.detected = get_varint(buf)?;
-        self.counters.recovered = get_varint(buf)?;
-        self.counters.escalated = get_varint(buf)?;
-        self.counters.flit_clones = get_varint(buf)?;
+        self.counters = FaultCounters::decode(buf)?;
         Some(())
     }
 }

@@ -1,10 +1,9 @@
-//! Wire encoding of the network event vocabulary for the multi-process
-//! shard transport.
-//!
-//! Implements the engine's [`WireCodec`] trait for [`Ev`] and everything
-//! a cross-shard event carries ([`Flit`], [`PacketInfo`], [`FlitSpan`]).
-//! The encoding is positional and varint-based — see
-//! [`supersim_des::wire`] for the framing layers.
+//! Wire encoding of the network vocabulary: [`Ev`] and everything a
+//! cross-shard event or a checkpoint carries of it ([`Flit`],
+//! [`PacketInfo`], [`FlitSpan`], the id newtypes, protocol phases and
+//! signals, fault counters, span breakdowns). Field lists over the
+//! primitives of [`supersim_des::wire`]; the same bytes serve the process
+//! transport and the checkpoint file.
 //!
 //! One representation subtlety: all flits of a packet share their
 //! [`PacketInfo`] behind an `Arc` in memory. The wire format flattens the
@@ -16,224 +15,154 @@
 //! that crosses a partition boundary) that the duplicated metadata does
 //! not measurably move the wire volume.
 
-use std::sync::Arc;
-
-use supersim_des::wire::{get_u8, get_varint, put_varint, WireCodec};
-use supersim_des::Tick;
+use supersim_des::wire::WireCodec;
+use supersim_des::{wire_enum, wire_struct};
 
 use crate::event::Ev;
-use crate::flit::{Flit, FlitSpan, PacketInfo};
+use crate::fault::FaultCounters;
+use crate::flit::{Flit, FlitSpan, PacketInfo, SpanBreakdown};
 use crate::ids::{AppId, MessageId, PacketId, RouterId, TerminalId};
-use crate::phase::{AppSignal, PhaseCommand};
+use crate::phase::{AppSignal, Phase, PhaseCommand};
 
-fn get_u32(buf: &mut &[u8]) -> Option<u32> {
-    u32::try_from(get_varint(buf)?).ok()
-}
+wire_struct!(TerminalId { 0 });
+wire_struct!(RouterId { 0 });
+wire_struct!(AppId { 0 });
+wire_struct!(PacketId { 0 });
+wire_struct!(MessageId { 0 });
 
-fn get_u16(buf: &mut &[u8]) -> Option<u16> {
-    u16::try_from(get_varint(buf)?).ok()
-}
+wire_enum!(Phase {
+    Warming = 0,
+    Generating = 1,
+    Finishing = 2,
+    Draining = 3,
+});
+wire_enum!(AppSignal {
+    Ready = 0,
+    Complete = 1,
+    Done = 2,
+});
+wire_enum!(PhaseCommand {
+    Start = 0,
+    Stop = 1,
+    Kill = 2,
+});
 
-impl WireCodec for PacketInfo {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.id.0);
-        put_varint(out, self.message.0);
-        out.push(self.app.0);
-        put_varint(out, u64::from(self.src.0));
-        put_varint(out, u64::from(self.dst.0));
-        put_varint(out, u64::from(self.size));
-        put_varint(out, u64::from(self.message_size));
-        put_varint(out, self.inject_tick);
-        put_varint(out, self.message_tick);
-        out.push(u8::from(self.sample));
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        Some(PacketInfo {
-            id: PacketId(get_varint(buf)?),
-            message: MessageId(get_varint(buf)?),
-            app: AppId(get_u8(buf)?),
-            src: TerminalId(get_u32(buf)?),
-            dst: TerminalId(get_u32(buf)?),
-            size: get_u32(buf)?,
-            message_size: get_u32(buf)?,
-            inject_tick: get_varint(buf)?,
-            message_tick: get_varint(buf)?,
-            sample: get_u8(buf)? != 0,
-        })
-    }
-}
+wire_struct!(FaultCounters {
+    injected,
+    detected,
+    recovered,
+    escalated,
+    flit_clones,
+});
 
-impl WireCodec for FlitSpan {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.enqueue);
-        put_varint(out, self.arrive);
-        self.stall_start.encode(out);
-        put_varint(out, self.queueing);
-        put_varint(out, self.alloc);
-        put_varint(out, self.serialization);
-        put_varint(out, self.channel);
-        put_varint(out, self.credit);
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        Some(FlitSpan {
-            enqueue: get_varint(buf)?,
-            arrive: get_varint(buf)?,
-            stall_start: Option::<Tick>::decode(buf)?,
-            queueing: get_varint(buf)?,
-            alloc: get_varint(buf)?,
-            serialization: get_varint(buf)?,
-            channel: get_varint(buf)?,
-            credit: get_varint(buf)?,
-        })
-    }
-}
+wire_struct!(SpanBreakdown {
+    total,
+    queueing,
+    alloc,
+    serialization,
+    channel,
+    credit,
+    residual,
+});
 
-impl WireCodec for Flit {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pkt.encode(out);
-        put_varint(out, u64::from(self.seq));
-        put_varint(out, u64::from(self.vc));
-        put_varint(out, u64::from(self.hops));
-        match self.inter {
-            None => out.push(0),
-            Some(r) => {
-                out.push(1);
-                put_varint(out, u64::from(r.0));
-            }
-        }
-        put_varint(out, u64::from(self.crc));
-        match &self.span {
-            None => out.push(0),
-            Some(span) => {
-                out.push(1);
-                span.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let pkt = Arc::new(PacketInfo::decode(buf)?);
-        let seq = get_u32(buf)?;
-        let vc = get_u32(buf)?;
-        let hops = get_u16(buf)?;
-        let inter = match get_u8(buf)? {
-            0 => None,
-            1 => Some(RouterId(get_u32(buf)?)),
-            _ => return None,
-        };
-        let crc = get_u16(buf)?;
-        let span = match get_u8(buf)? {
-            0 => None,
-            1 => Some(Box::new(FlitSpan::decode(buf)?)),
-            _ => return None,
-        };
-        Some(Flit {
-            pkt,
-            seq,
-            vc,
-            hops,
-            inter,
-            crc,
-            span,
-        })
-    }
-}
+wire_struct!(PacketInfo {
+    id,
+    message,
+    app,
+    src,
+    dst,
+    size,
+    message_size,
+    inject_tick,
+    message_tick,
+    sample,
+});
 
-fn signal_tag(s: AppSignal) -> u8 {
-    match s {
-        AppSignal::Ready => 0,
-        AppSignal::Complete => 1,
-        AppSignal::Done => 2,
-    }
-}
+wire_struct!(FlitSpan {
+    enqueue,
+    arrive,
+    stall_start,
+    queueing,
+    alloc,
+    serialization,
+    channel,
+    credit,
+});
 
-fn signal_from(tag: u8) -> Option<AppSignal> {
-    match tag {
-        0 => Some(AppSignal::Ready),
-        1 => Some(AppSignal::Complete),
-        2 => Some(AppSignal::Done),
-        _ => None,
-    }
-}
-
-fn command_tag(c: PhaseCommand) -> u8 {
-    match c {
-        PhaseCommand::Start => 0,
-        PhaseCommand::Stop => 1,
-        PhaseCommand::Kill => 2,
-    }
-}
-
-fn command_from(tag: u8) -> Option<PhaseCommand> {
-    match tag {
-        0 => Some(PhaseCommand::Start),
-        1 => Some(PhaseCommand::Stop),
-        2 => Some(PhaseCommand::Kill),
-        _ => None,
-    }
-}
+wire_struct!(Flit {
+    pkt,
+    seq,
+    vc,
+    hops,
+    inter,
+    crc,
+    span,
+});
 
 impl WireCodec for Ev {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Ev::Flit { port, flit } => {
                 out.push(0);
-                put_varint(out, u64::from(*port));
+                port.encode(out);
                 flit.encode(out);
             }
             Ev::Credit { port, vc } => {
                 out.push(1);
-                put_varint(out, u64::from(*port));
-                put_varint(out, u64::from(*vc));
+                port.encode(out);
+                vc.encode(out);
             }
             Ev::Pipeline => out.push(2),
             Ev::Inject => out.push(3),
             Ev::Signal { app, signal } => {
                 out.push(4);
-                out.push(app.0);
-                out.push(signal_tag(*signal));
+                app.encode(out);
+                signal.encode(out);
             }
             Ev::Ack { port } => {
                 out.push(5);
-                put_varint(out, u64::from(*port));
+                port.encode(out);
             }
             Ev::Nack { port } => {
                 out.push(6);
-                put_varint(out, u64::from(*port));
+                port.encode(out);
             }
             Ev::Command(c) => {
                 out.push(7);
-                out.push(command_tag(*c));
+                c.encode(out);
             }
             Ev::Internal(tag) => {
                 out.push(8);
-                put_varint(out, *tag);
+                tag.encode(out);
             }
         }
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> Option<Self> {
-        match get_u8(buf)? {
+        match u8::decode(buf)? {
             0 => Some(Ev::Flit {
-                port: get_u32(buf)?,
+                port: u32::decode(buf)?,
                 flit: Flit::decode(buf)?,
             }),
             1 => Some(Ev::Credit {
-                port: get_u32(buf)?,
-                vc: get_u32(buf)?,
+                port: u32::decode(buf)?,
+                vc: u32::decode(buf)?,
             }),
             2 => Some(Ev::Pipeline),
             3 => Some(Ev::Inject),
             4 => Some(Ev::Signal {
-                app: AppId(get_u8(buf)?),
-                signal: signal_from(get_u8(buf)?)?,
+                app: AppId::decode(buf)?,
+                signal: AppSignal::decode(buf)?,
             }),
             5 => Some(Ev::Ack {
-                port: get_u32(buf)?,
+                port: u32::decode(buf)?,
             }),
             6 => Some(Ev::Nack {
-                port: get_u32(buf)?,
+                port: u32::decode(buf)?,
             }),
-            7 => Some(Ev::Command(command_from(get_u8(buf)?)?)),
-            8 => Some(Ev::Internal(get_varint(buf)?)),
+            7 => Some(Ev::Command(PhaseCommand::decode(buf)?)),
+            8 => Some(Ev::Internal(u64::decode(buf)?)),
             _ => None,
         }
     }
@@ -242,6 +171,8 @@ impl WireCodec for Ev {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use supersim_des::wire::testing::check_codec;
     use supersim_des::Rng;
 
     fn rand_pkt(rng: &mut Rng) -> PacketInfo {
@@ -309,40 +240,47 @@ mod tests {
         }
     }
 
+    /// Every variant in turn, including the fault-plane markers
+    /// (Ack/Nack) and flits with spans enabled.
+    fn rand_ev(rng: &mut Rng, i: u64) -> Ev {
+        match i % 9 {
+            0 => Ev::Flit {
+                port: rng.gen_u64() as u32,
+                flit: rand_flit(rng, true),
+            },
+            1 => Ev::Credit {
+                port: rng.gen_u64() as u32,
+                vc: rng.gen_u64() as u32,
+            },
+            2 => Ev::Pipeline,
+            3 => Ev::Inject,
+            4 => Ev::Signal {
+                app: AppId(rng.gen_u64() as u8),
+                signal: rand_signal(rng),
+            },
+            5 => Ev::Ack {
+                port: rng.gen_u64() as u32,
+            },
+            6 => Ev::Nack {
+                port: rng.gen_u64() as u32,
+            },
+            7 => Ev::Command(
+                [PhaseCommand::Start, PhaseCommand::Stop, PhaseCommand::Kill]
+                    [(rng.gen_u64() % 3) as usize],
+            ),
+            _ => Ev::Internal(rng.gen_u64()),
+        }
+    }
+
+    fn rand_signal(rng: &mut Rng) -> AppSignal {
+        [AppSignal::Ready, AppSignal::Complete, AppSignal::Done][(rng.gen_u64() % 3) as usize]
+    }
+
     #[test]
     fn every_event_variant_round_trips() {
-        // Randomized sweep across all nine variants, including the
-        // fault-plane markers (Ack/Nack) and flits with spans enabled.
         let mut rng = Rng::new(0xE7E7);
         for i in 0..400 {
-            let ev = match i % 9 {
-                0 => Ev::Flit {
-                    port: rng.gen_u64() as u32,
-                    flit: rand_flit(&mut rng, true),
-                },
-                1 => Ev::Credit {
-                    port: rng.gen_u64() as u32,
-                    vc: rng.gen_u64() as u32,
-                },
-                2 => Ev::Pipeline,
-                3 => Ev::Inject,
-                4 => Ev::Signal {
-                    app: AppId(rng.gen_u64() as u8),
-                    signal: [AppSignal::Ready, AppSignal::Complete, AppSignal::Done]
-                        [(rng.gen_u64() % 3) as usize],
-                },
-                5 => Ev::Ack {
-                    port: rng.gen_u64() as u32,
-                },
-                6 => Ev::Nack {
-                    port: rng.gen_u64() as u32,
-                },
-                7 => Ev::Command(
-                    [PhaseCommand::Start, PhaseCommand::Stop, PhaseCommand::Kill]
-                        [(rng.gen_u64() % 3) as usize],
-                ),
-                _ => Ev::Internal(rng.gen_u64()),
-            };
+            let ev = rand_ev(&mut rng, i);
             let mut buf = Vec::new();
             ev.encode(&mut buf);
             let mut slice = buf.as_slice();
@@ -368,17 +306,55 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// One row per `WireCodec` type this crate defines.
     #[test]
-    fn decode_is_total_on_garbage() {
-        let mut rng = Rng::new(0x6A63);
-        for _ in 0..300 {
-            let len = (rng.gen_u64() % 40) as usize;
-            let bytes: Vec<u8> = (0..len).map(|_| rng.gen_u64() as u8).collect();
-            let _ = Ev::decode(&mut bytes.as_slice());
-            let _ = Flit::decode(&mut bytes.as_slice());
-            let _ = PacketInfo::decode(&mut bytes.as_slice());
-            let _ = FlitSpan::decode(&mut bytes.as_slice());
-        }
+    fn every_netbase_codec_is_total() {
+        check_codec(1, 20, |r| TerminalId(r.gen_u64() as u32));
+        check_codec(2, 20, |r| RouterId(r.gen_u64() as u32));
+        check_codec(3, 20, |r| AppId(r.gen_u64() as u8));
+        check_codec(4, 20, |r| PacketId(r.gen_u64()));
+        check_codec(5, 20, |r| MessageId(r.gen_u64() >> 20));
+        check_codec(6, 20, |r| Phase::ALL[(r.gen_u64() % 4) as usize]);
+        check_codec(7, 20, rand_signal);
+        check_codec(8, 20, |r| {
+            [PhaseCommand::Start, PhaseCommand::Stop, PhaseCommand::Kill]
+                [(r.gen_u64() % 3) as usize]
+        });
+        check_codec(9, 40, |r| FaultCounters {
+            injected: r.gen_u64() >> 40,
+            detected: r.gen_u64() >> 40,
+            recovered: r.gen_u64() >> 40,
+            escalated: r.gen_u64() >> 40,
+            flit_clones: r.gen_u64() >> 40,
+        });
+        check_codec(10, 40, |r| SpanBreakdown {
+            total: r.gen_u64() >> 32,
+            queueing: r.gen_u64() >> 40,
+            alloc: r.gen_u64() >> 40,
+            serialization: r.gen_u64() >> 40,
+            channel: r.gen_u64() >> 40,
+            credit: r.gen_u64() >> 40,
+            residual: r.gen_u64() >> 40,
+        });
+        check_codec(11, 40, rand_pkt);
+        check_codec(12, 40, rand_span);
+        check_codec(13, 60, |r| rand_flit(r, true));
+        let mut i = 0;
+        check_codec(14, 90, |r| {
+            i += 1;
+            rand_ev(r, i)
+        });
+    }
+
+    /// `sample` once decoded as `byte != 0`; every bool on the wire is
+    /// now strictly 0 or 1.
+    #[test]
+    fn packet_sample_flag_must_be_canonical() {
+        let mut buf = Vec::new();
+        rand_pkt(&mut Rng::new(3)).encode(&mut buf);
+        assert!(PacketInfo::decode(&mut buf.as_slice()).is_some());
+        *buf.last_mut().expect("sample is the last byte") = 2;
+        assert!(PacketInfo::decode(&mut buf.as_slice()).is_none());
     }
 
     /// Pins the compactness claim of the varint encoding: a typical

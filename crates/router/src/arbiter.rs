@@ -6,6 +6,7 @@
 //! (round-robin unfairness fixed by age-based arbitration) is a direct
 //! comparison of two of these policies.
 
+use supersim_des::wire::{self, WireCodec};
 use supersim_des::Rng;
 
 /// One arbitration request.
@@ -72,31 +73,9 @@ impl RoundRobinArbiter {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Serializes the last-winner pointer.
-    pub fn save(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
-        match self.last {
-            None => out.push(0),
-            Some(id) => {
-                out.push(1);
-                put_varint(out, u64::from(id));
-            }
-        }
-    }
-
-    /// Overlays a saved last-winner pointer. Total: `None` on malformed
-    /// input.
-    pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::{get_u8, get_varint};
-        self.last = match get_u8(buf)? {
-            0 => None,
-            1 => Some(u32::try_from(get_varint(buf)?).ok()?),
-            _ => return None,
-        };
-        Some(())
-    }
 }
+
+supersim_des::wire_struct!(RoundRobinArbiter { last });
 
 impl Arbiter for RoundRobinArbiter {
     fn name(&self) -> &str {
@@ -121,11 +100,11 @@ impl Arbiter for RoundRobinArbiter {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        self.save(out);
+        self.encode(out);
     }
 
     fn load_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        self.load(buf)
+        wire::load_value(self, buf)
     }
 }
 

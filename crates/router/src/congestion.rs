@@ -19,6 +19,7 @@
 
 use std::collections::VecDeque;
 
+use supersim_des::wire::WireCodec;
 use supersim_des::Tick;
 use supersim_netbase::{Port, Vc};
 use supersim_topology::CongestionView;
@@ -88,34 +89,17 @@ impl DelayedValue {
     /// Serializes the delayed value's dynamic state (committed history
     /// and the horizon value). The delay itself is configuration.
     pub fn save(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::{put_f64, put_varint};
-        put_varint(out, self.history.len() as u64);
-        for &(t, v) in &self.history {
-            put_varint(out, t);
-            put_f64(out, v);
-        }
-        put_f64(out, self.current);
+        self.history.encode(out);
+        self.current.encode(out);
     }
 
     /// Overlays saved state onto this delayed value. Total: `None` on
     /// malformed input or non-increasing history ticks.
     pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::{get_f64, get_varint};
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n > buf.len() {
-            return None;
-        }
-        self.history.clear();
-        for _ in 0..n {
-            let t = get_varint(buf)?;
-            let v = get_f64(buf)?;
-            if self.history.back().is_some_and(|&(prev, _)| prev >= t) {
-                return None;
-            }
-            self.history.push_back((t, v));
-        }
-        self.current = get_f64(buf)?;
-        Some(())
+        self.history = VecDeque::decode(buf)?;
+        self.current = f64::decode(buf)?;
+        let increasing = self.history.iter().is_sorted_by(|a, b| a.0 < b.0);
+        increasing.then_some(())
     }
 
     /// Reads the value as seen at `tick`: the newest update made at or
@@ -296,10 +280,9 @@ impl CongestionSensor {
     /// Serializes the sensor's dynamic state: raw occupancy counters and
     /// every delayed value. Shape (ports × vcs, delay) is configuration.
     pub fn save(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
-        put_varint(out, self.output.len() as u64);
-        for &c in self.output.iter().chain(self.downstream.iter()) {
-            put_varint(out, u64::from(c));
+        self.output.len().encode(out);
+        for c in self.output.iter().chain(self.downstream.iter()) {
+            c.encode(out);
         }
         for v in self.vc_values.iter().chain(self.port_values.iter()) {
             v.save(out);
@@ -309,13 +292,11 @@ impl CongestionSensor {
     /// Overlays saved state onto this sensor. Total: `None` on malformed
     /// input or a shape mismatch with the built structure.
     pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::get_varint;
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n != self.output.len() {
+        if usize::decode(buf)? != self.output.len() {
             return None;
         }
         for c in self.output.iter_mut().chain(self.downstream.iter_mut()) {
-            *c = u32::try_from(get_varint(buf)?).ok()?;
+            *c = u32::decode(buf)?;
         }
         for v in self.vc_values.iter_mut().chain(self.port_values.iter_mut()) {
             v.load(buf)?;

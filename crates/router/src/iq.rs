@@ -11,13 +11,13 @@
 //! Stages: route (re-routing until a packet starts) → crossbar straight
 //! onto the channel.
 
-use supersim_des::wire::{get_u8, put_varint};
+use supersim_des::wire;
 use supersim_des::{Context, Tick};
 use supersim_netbase::{Ev, FlitHandle, Port};
 
 use crate::common::RouterError;
 use crate::skeleton::{Pipeline, Router, RouterConfig, RouterCore};
-use crate::snapshot::{get_len, HandleClaims};
+use crate::snapshot::HandleClaims;
 use crate::stages::{Crossbar, XbarConfig, XbarTarget};
 use crate::xbar_sched::XbarCandidate;
 
@@ -103,8 +103,7 @@ impl Pipeline for Iq {
     }
 
     fn save_before_credits(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.channel.started.len() as u64);
-        out.extend(self.channel.started.iter().map(|&b| u8::from(b)));
+        wire::put_slice(out, &self.channel.started);
         self.xbar.save(out);
     }
 
@@ -113,14 +112,7 @@ impl Pipeline for Iq {
         _claims: &mut HandleClaims<'_>,
         buf: &mut &[u8],
     ) -> Option<()> {
-        get_len(buf, self.channel.started.len())?;
-        for b in &mut self.channel.started {
-            *b = match get_u8(buf)? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-        }
+        wire::load_slice(&mut self.channel.started, buf)?;
         self.xbar.load(buf)
     }
 }

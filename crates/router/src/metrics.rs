@@ -8,6 +8,8 @@
 //! `supersim-stats::metrics` and cost a couple of integer instructions
 //! per update.
 
+use supersim_des::wire::WireCodec;
+use supersim_des::wire_struct;
 use supersim_netbase::Port;
 use supersim_stats::{ComponentSampler, Counter, Gauge};
 
@@ -56,42 +58,20 @@ impl RouterMetrics {
         &self.occupancy
     }
 
-    /// Serializes the metric values for a checkpoint.
-    pub fn save(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
-        put_varint(out, self.grants.get());
-        put_varint(out, self.denials.get());
-        put_varint(out, self.credit_stalls.get());
-        put_varint(out, self.occupancy.len() as u64);
-        for g in &self.occupancy {
-            put_varint(out, g.get());
-            put_varint(out, g.max());
-        }
-    }
-
     /// Overlays saved metric values. Total: `None` on malformed input or
     /// a port-count mismatch.
     pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::get_varint;
-        use supersim_stats::Counter;
-        self.grants = Counter::from_value(get_varint(buf)?);
-        self.denials = Counter::from_value(get_varint(buf)?);
-        self.credit_stalls = Counter::from_value(get_varint(buf)?);
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n != self.occupancy.len() {
-            return None;
-        }
-        for g in &mut self.occupancy {
-            let value = get_varint(buf)?;
-            let max = get_varint(buf)?;
-            if max < value {
-                return None;
-            }
-            *g = Gauge::from_parts(value, max);
-        }
-        Some(())
+        let saved = RouterMetrics::decode(buf)?;
+        (saved.occupancy.len() == self.occupancy.len()).then(|| *self = saved)
     }
 }
+
+wire_struct!(RouterMetrics {
+    grants,
+    denials,
+    credit_stalls,
+    occupancy,
+});
 
 /// Counter values at the last closed sampling window edge — the delta
 /// basis shared by the IQ/OQ/IOQ `Component::sample` implementations.
@@ -103,27 +83,12 @@ pub struct RouterSampleBase {
     flits_out: u64,
 }
 
-impl RouterSampleBase {
-    /// Serializes the window delta basis for a checkpoint.
-    pub fn save(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
-        put_varint(out, self.credit_stalls);
-        put_varint(out, self.grants);
-        put_varint(out, self.flits_in);
-        put_varint(out, self.flits_out);
-    }
-
-    /// Decodes a base saved by [`RouterSampleBase::save`].
-    pub fn load(buf: &mut &[u8]) -> Option<Self> {
-        use supersim_des::wire::get_varint;
-        Some(RouterSampleBase {
-            credit_stalls: get_varint(buf)?,
-            grants: get_varint(buf)?,
-            flits_in: get_varint(buf)?,
-            flits_out: get_varint(buf)?,
-        })
-    }
-}
+wire_struct!(RouterSampleBase {
+    credit_stalls,
+    grants,
+    flits_in,
+    flits_out,
+});
 
 /// Closes one sampling window of a router: monotonic counter deltas since
 /// the previous edge plus a point-in-time buffered-flit occupancy
@@ -161,6 +126,56 @@ pub fn close_router_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbiter::{Arbiter, Request, RoundRobinArbiter};
+    use crate::skeleton::RouterCounters;
+    use supersim_des::wire::testing::check_codec;
+
+    /// One row per `WireCodec` type this crate defines.
+    #[test]
+    fn every_router_codec_is_total() {
+        check_codec(1, 40, |r| RouterCounters {
+            flits_in: r.gen_u64() >> 20,
+            flits_out: r.gen_u64() >> 20,
+            credits_in: r.gen_u64() >> 20,
+            cycles: r.gen_u64() >> 24,
+            flits_advanced: r.gen_u64() >> 20,
+        });
+        check_codec(2, 40, |r| RouterSampleBase {
+            credit_stalls: r.gen_u64() >> 30,
+            grants: r.gen_u64() >> 24,
+            flits_in: r.gen_u64() >> 20,
+            flits_out: r.gen_u64() >> 20,
+        });
+        check_codec(3, 40, |r| {
+            let mut m = RouterMetrics::new(1 + (r.gen_u64() % 6) as u32);
+            m.grants.add(r.gen_u64() >> 24);
+            m.denials.add(r.gen_u64() >> 30);
+            for _ in 0..r.gen_u64() % 9 {
+                m.flit_buffered((r.gen_u64() % m.occupancy.len() as u64) as Port);
+            }
+            m.flit_unbuffered(0);
+            m
+        });
+        check_codec(4, 20, |r| {
+            let mut arbiter = RoundRobinArbiter::new();
+            if r.gen_bool(0.7) {
+                let request = Request {
+                    id: r.gen_u64() as u32,
+                    age: 0,
+                };
+                arbiter.grant(&[request], r);
+            }
+            arbiter
+        });
+    }
+
+    #[test]
+    fn metrics_load_rejects_another_port_count() {
+        let mut saved = Vec::new();
+        RouterMetrics::new(3).encode(&mut saved);
+        assert_eq!(RouterMetrics::new(3).load(&mut saved.as_slice()), Some(()));
+        assert_eq!(RouterMetrics::new(4).load(&mut saved.as_slice()), None);
+    }
 
     #[test]
     fn occupancy_tracks_per_port_high_water() {

@@ -10,13 +10,13 @@
 //! Stages: route → conflict-free transfer under an owner table (OQ's own)
 //! → output-queue drain.
 
-use supersim_des::wire::get_u8;
+use supersim_des::wire::{self, WireCodec};
 use supersim_des::{Context, Rng, Tick};
 use supersim_netbase::Ev;
 
 use crate::common::RouterError;
 use crate::skeleton::{Pipeline, Router, RouterConfig, RouterCore};
-use crate::snapshot::{load_owners, put_owners, HandleClaims};
+use crate::snapshot::HandleClaims;
 use crate::stages::OutputQueues;
 
 impl Router {
@@ -124,9 +124,9 @@ impl Pipeline for Oq {
 
     fn save_before_credits(&self, out: &mut Vec<u8>) {
         self.queues.save_queues(out);
-        out.push(u8::from(self.queues.bounded()));
+        self.queues.bounded().encode(out);
         self.queues.save_free(out);
-        put_owners(out, &self.owner);
+        wire::put_slice(out, &self.owner);
     }
 
     fn load_before_credits(
@@ -135,11 +135,11 @@ impl Pipeline for Oq {
         buf: &mut &[u8],
     ) -> Option<()> {
         self.queues.load_queues(claims, buf)?;
-        if get_u8(buf)? != u8::from(self.queues.bounded()) {
+        if bool::decode(buf)? != self.queues.bounded() {
             return None;
         }
         self.queues.load_free(buf)?;
-        load_owners(&mut self.owner, buf)
+        wire::load_slice(&mut self.owner, buf)
     }
 
     fn save_after_credits(&self, out: &mut Vec<u8>) {

@@ -16,7 +16,8 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use supersim_des::{Clock, Component, Context, Tick, Time};
+use supersim_des::wire::{self, WireCodec};
+use supersim_des::{wire_struct, Clock, Component, Context, Tick, Time};
 use supersim_netbase::{
     retry_port, CreditCounter, Ev, FaultPlane, Flit, FlitArena, FlitHandle, FlitTraceExt,
     LinkFaults, Port, RouterId, TraceKind, Vc,
@@ -69,6 +70,14 @@ pub struct RouterCounters {
     /// advancement rate of the profiling plane.
     pub flits_advanced: u64,
 }
+
+wire_struct!(RouterCounters {
+    flits_in,
+    flits_out,
+    credits_in,
+    cycles,
+    flits_advanced,
+});
 
 /// One architecture's stage composition over the shared [`RouterCore`].
 pub(crate) trait Pipeline: Send {
@@ -539,20 +548,20 @@ impl Component<Ev> for Router {
         let core = &self.core;
         core.arena.save(out);
         snap::put_buffers(out, &core.inputs);
-        snap::put_routes(out, &core.route_table);
+        wire::put_slice(out, &core.route_table);
         self.pipeline.save_before_credits(out);
-        snap::put_credits(out, &core.credits);
+        wire::put_each(out, &core.credits, CreditCounter::save);
         self.pipeline.save_after_credits(out);
         snap::put_routing(out, &core.routing);
         core.sensor.save(out);
-        snap::put_last_send(out, &core.last_send);
-        snap::put_opt_tick(out, core.next_pipeline);
-        snap::put_opt_tick(out, core.last_cycle);
-        snap::put_counters(out, &core.counters);
-        core.metrics.save(out);
-        snap::put_fault(out, core.fault.as_ref());
-        snap::put_sampler_opt(out, core.sampler.as_ref());
-        core.win_base.save(out);
+        wire::put_slice(out, &core.last_send);
+        core.next_pipeline.encode(out);
+        core.last_cycle.encode(out);
+        core.counters.encode(out);
+        core.metrics.encode(out);
+        wire::put_armed(out, core.fault.as_ref(), LinkFaults::save);
+        wire::put_armed(out, core.sampler.as_ref(), ComponentSampler::encode);
+        core.win_base.encode(out);
     }
 
     fn restore(&mut self, buf: &mut &[u8]) -> Option<()> {
@@ -567,18 +576,18 @@ impl Component<Ev> for Router {
                 return None;
             }
         }
-        snap::load_credits(&mut core.credits, buf)?;
+        wire::load_each(&mut core.credits, buf, CreditCounter::load)?;
         self.pipeline.load_after_credits(buf)?;
         snap::load_routing(&mut core.routing, buf)?;
         core.sensor.load(buf)?;
-        snap::load_last_send(&mut core.last_send, buf)?;
-        core.next_pipeline = snap::get_opt_tick(buf)?;
-        core.last_cycle = snap::get_opt_tick(buf)?;
-        core.counters = snap::get_counters(buf)?;
+        wire::load_slice(&mut core.last_send, buf)?;
+        core.next_pipeline = Option::decode(buf)?;
+        core.last_cycle = Option::decode(buf)?;
+        core.counters = RouterCounters::decode(buf)?;
         core.metrics.load(buf)?;
-        snap::load_fault(&mut core.fault, buf)?;
-        snap::load_sampler_opt(&mut core.sampler, buf)?;
-        core.win_base = RouterSampleBase::load(buf)?;
+        wire::load_armed(buf, core.fault.as_mut(), LinkFaults::load)?;
+        wire::load_armed(buf, core.sampler.as_mut(), wire::load_value)?;
+        core.win_base = RouterSampleBase::decode(buf)?;
         core.arena = arena;
         Some(())
     }

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use supersim_des::wire::{get_varint, put_varint};
+use supersim_des::wire::{self, WireCodec};
 use supersim_des::{Context, Rng, Tick};
 use supersim_netbase::{Ev, FlitHandle, Port, Vc};
 
@@ -20,7 +20,7 @@ use crate::arbiter::{Arbiter, Request, RoundRobinArbiter};
 use crate::common::{RouterError, RouterPorts};
 use crate::congestion::CongestionSource;
 use crate::skeleton::RouterCore;
-use crate::snapshot::{self as snap, HandleClaims};
+use crate::snapshot::HandleClaims;
 use crate::xbar_sched::{FlowControl, OutputScheduler, XbarCandidate};
 
 /// Configuration of a crossbar input stage.
@@ -148,15 +148,11 @@ impl Crossbar {
     }
 
     pub(crate) fn save(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.schedulers.len() as u64);
-        for s in &self.schedulers {
-            s.save(out);
-        }
+        wire::put_each(out, &self.schedulers, OutputScheduler::save);
     }
 
     pub(crate) fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        snap::get_len(buf, self.schedulers.len())?;
-        self.schedulers.iter_mut().try_for_each(|s| s.load(buf))
+        wire::load_each(&mut self.schedulers, buf, OutputScheduler::load)
     }
 }
 
@@ -305,14 +301,12 @@ impl OutputQueues {
 
     /// Serializes the queues' `(ready_tick, handle)` entries.
     pub(crate) fn save_queues(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.queues.len() as u64);
-        for q in &self.queues {
-            put_varint(out, q.len() as u64);
+        wire::put_each(out, &self.queues, |q, o| {
+            q.len().encode(o);
             for &(ready, h) in q {
-                put_varint(out, ready);
-                put_varint(out, h.index() as u64);
+                (ready, h.index()).encode(o);
             }
-        }
+        });
     }
 
     /// Overlays saved entries onto the freshly built (empty) queues,
@@ -322,52 +316,36 @@ impl OutputQueues {
         claims: &mut HandleClaims<'_>,
         buf: &mut &[u8],
     ) -> Option<()> {
-        snap::get_len(buf, self.queues.len())?;
-        for q in &mut self.queues {
+        wire::load_each(&mut self.queues, buf, |q, b| {
             q.clear();
-            let len = usize::try_from(get_varint(buf)?).ok()?;
-            if len > buf.len() {
-                return None;
+            for _ in 0..wire::get_len(b)? {
+                let (ready, index) = <(Tick, u32)>::decode(b)?;
+                q.push_back((ready, claims.claim(index)?));
             }
-            for _ in 0..len {
-                let ready = get_varint(buf)?;
-                let idx = u32::try_from(get_varint(buf)?).ok()?;
-                q.push_back((ready, claims.claim(idx)?));
-            }
-        }
-        Some(())
+            Some(())
+        })
     }
 
     /// Serializes the free-slot counts of bounded queues (unbounded
     /// queues have none to write).
     pub(crate) fn save_free(&self, out: &mut Vec<u8>) {
         if let Some(free) = &self.free {
-            put_varint(out, free.len() as u64);
-            for &f in free {
-                put_varint(out, u64::from(f));
-            }
+            wire::put_slice(out, free);
         }
     }
 
     pub(crate) fn load_free(&mut self, buf: &mut &[u8]) -> Option<()> {
-        if let Some(free) = &mut self.free {
-            snap::get_len(buf, free.len())?;
-            for f in free.iter_mut() {
-                *f = u32::try_from(get_varint(buf)?).ok()?;
-            }
+        match &mut self.free {
+            Some(free) => wire::load_slice(free, buf),
+            None => Some(()),
         }
-        Some(())
     }
 
     pub(crate) fn save_arbiters(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.arbiters.len() as u64);
-        for a in &self.arbiters {
-            a.save(out);
-        }
+        wire::put_slice(out, &self.arbiters);
     }
 
     pub(crate) fn load_arbiters(&mut self, buf: &mut &[u8]) -> Option<()> {
-        snap::get_len(buf, self.arbiters.len())?;
-        self.arbiters.iter_mut().try_for_each(|a| a.load(buf))
+        wire::load_slice(&mut self.arbiters, buf)
     }
 }

@@ -15,13 +15,13 @@
 //!   with the port locked to the winner; a credit stall unlocks the port
 //!   so other packets with credits can take over.
 
+use supersim_des::wire::{self, WireCodec};
 use supersim_des::Rng;
 
 use supersim_netbase::Vc;
 
 use crate::arbiter::{arbiter_by_name, Arbiter, Request, ARBITER_POLICIES};
 use crate::common::RouterError;
-use crate::snapshot::{get_opt_u32, load_owners, put_opt_u32, put_owners};
 
 /// The flow control technique of a crossbar scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,16 +222,16 @@ impl OutputScheduler {
     /// Serializes the scheduler's dynamic state: VC ownership, the port
     /// lock, and the arbiter's history. Scratch vectors are not state.
     pub fn save(&self, out: &mut Vec<u8>) {
-        put_owners(out, &self.vc_owner);
-        put_opt_u32(out, self.lock);
+        wire::put_slice(out, &self.vc_owner);
+        self.lock.encode(out);
         self.arbiter.save_state(out);
     }
 
     /// Overlays saved state onto this scheduler. Total: `None` on
     /// malformed input or a VC-count mismatch with the built structure.
     pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        load_owners(&mut self.vc_owner, buf)?;
-        self.lock = get_opt_u32(buf)?;
+        wire::load_slice(&mut self.vc_owner, buf)?;
+        self.lock = Option::decode(buf)?;
         self.arbiter.load_state(buf)
     }
 

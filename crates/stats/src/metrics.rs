@@ -33,7 +33,7 @@ pub const HIST_BUCKETS: usize = 65;
 /// A monotonically increasing event count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter {
-    value: u64,
+    pub(crate) value: u64,
 }
 
 impl Counter {
@@ -59,18 +59,13 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value
     }
-
-    /// Rebuilds a counter from its saved value (checkpoint restore).
-    pub fn from_value(value: u64) -> Self {
-        Counter { value }
-    }
 }
 
 /// An instantaneous level with a high-water mark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Gauge {
-    value: u64,
-    max: u64,
+    pub(crate) value: u64,
+    pub(crate) max: u64,
 }
 
 impl Gauge {
@@ -98,16 +93,6 @@ impl Gauge {
     #[inline]
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Rebuilds a gauge from its saved parts (checkpoint restore). The
-    /// high-water mark is clamped up to the current level so the
-    /// invariant `max >= value` always holds.
-    pub fn from_parts(value: u64, max: u64) -> Self {
-        Gauge {
-            value,
-            max: max.max(value),
-        }
     }
 }
 

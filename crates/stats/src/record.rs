@@ -164,7 +164,7 @@ impl SampleRecord {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleLog {
-    records: Vec<SampleRecord>,
+    pub(crate) records: Vec<SampleRecord>,
 }
 
 impl SampleLog {

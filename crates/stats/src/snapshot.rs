@@ -1,207 +1,124 @@
-//! Checkpoint wire helpers for the stats planes.
-//!
-//! Encoders/decoders for the state-holding statistics primitives that
-//! live inside components (samplers, histograms, sample logs), built on
-//! the LEB128 wire plane of `supersim-des`. Component `snapshot`/`restore`
-//! implementations call these so a resumed run carries its observability
-//! state forward byte-identically.
+//! [`WireCodec`] for the state-holding statistics primitives: counters,
+//! gauges, histograms, window aggregates, samplers, sample records and
+//! logs. One encoding each, shared by the checkpoint file (components
+//! carry their observability state across a resume byte-identically) and
+//! the worker PARTIAL frame (the parent merges what the workers measured).
 //!
 //! All decoders are total: malformed input yields `None`, never a panic.
 
-use supersim_des::wire::{get_str, get_u8, get_varint, put_str, put_varint};
+use supersim_des::wire::{get_len, get_str, put_each, put_str, WireCodec};
+use supersim_des::{wire_enum, wire_struct};
 
-use crate::metrics::{Histogram, HIST_BUCKETS};
+use crate::metrics::{Counter, Gauge, Histogram, HIST_BUCKETS};
 use crate::record::{RecordKind, SampleLog, SampleRecord};
 use crate::timeseries::{intern_series, ComponentSampler, WindowAggregate, WindowSample};
 
-/// Serializes a histogram: non-zero buckets as `(index, count)` pairs
-/// plus the count/sum totals.
-pub fn put_hist(out: &mut Vec<u8>, h: &Histogram) {
-    let nonzero: Vec<(usize, u64)> = h
-        .buckets()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(i, &c)| (i, c))
-        .collect();
-    put_varint(out, nonzero.len() as u64);
-    for (i, c) in nonzero {
-        put_varint(out, i as u64);
-        put_varint(out, c);
-    }
-    put_varint(out, h.count());
-    put_varint(out, h.sum());
-}
+wire_struct!(Counter { value });
+wire_struct!(Gauge { value, max } if |g| g.max >= g.value);
 
-/// Decodes a histogram saved by [`put_hist`]. Total: `None` on malformed
-/// input.
-pub fn get_hist(buf: &mut &[u8]) -> Option<Histogram> {
-    let n = usize::try_from(get_varint(buf)?).ok()?;
-    if n > HIST_BUCKETS {
-        return None;
-    }
-    let mut counts = [0u64; HIST_BUCKETS];
-    for _ in 0..n {
-        let i = usize::try_from(get_varint(buf)?).ok()?;
-        if i >= HIST_BUCKETS || counts[i] != 0 {
-            return None;
+/// Non-zero buckets as `(index, count)` pairs, then the count and sum
+/// totals: a latency histogram fills a handful of its 64 buckets.
+impl WireCodec for Histogram {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let nonzero = self.buckets().iter().enumerate().filter(|&(_, &c)| c > 0);
+        nonzero.clone().count().encode(out);
+        for (i, c) in nonzero {
+            (i, *c).encode(out);
         }
-        counts[i] = get_varint(buf)?;
+        (self.count(), self.sum()).encode(out);
     }
-    let count = get_varint(buf)?;
-    let sum = get_varint(buf)?;
-    Some(Histogram::from_log2_counts(&counts, count, sum))
-}
-
-/// Serializes a window aggregate (histogram + raw max).
-pub fn put_aggregate(out: &mut Vec<u8>, agg: &WindowAggregate) {
-    put_hist(out, agg.hist());
-    put_varint(out, agg.max().unwrap_or(0));
-}
-
-/// Decodes a window aggregate saved by [`put_aggregate`].
-pub fn get_aggregate(buf: &mut &[u8]) -> Option<WindowAggregate> {
-    let hist = get_hist(buf)?;
-    let max = get_varint(buf)?;
-    Some(WindowAggregate::from_parts(hist, max))
-}
-
-fn put_series_aggs(out: &mut Vec<u8>, entries: &[(&'static str, WindowAggregate)]) {
-    put_varint(out, entries.len() as u64);
-    for (name, agg) in entries {
-        put_str(out, name);
-        put_aggregate(out, agg);
-    }
-}
-
-fn get_series_aggs(buf: &mut &[u8]) -> Option<Vec<(&'static str, WindowAggregate)>> {
-    let n = usize::try_from(get_varint(buf)?).ok()?;
-    if n > buf.len() {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = intern_series(&get_str(buf)?);
-        entries.push((name, get_aggregate(buf)?));
-    }
-    Some(entries)
-}
-
-/// Serializes a component sampler — closed windows, eviction count, and
-/// (unlike the end-of-run partial-result encoding) the **pending**
-/// window's accumulated distributions, so a mid-window checkpoint resumes
-/// with the in-progress observations intact.
-pub fn put_sampler(out: &mut Vec<u8>, s: &ComponentSampler) {
-    put_varint(out, s.capacity() as u64);
-    put_varint(out, s.evicted());
-    put_varint(out, s.len() as u64);
-    for w in s.windows() {
-        put_varint(out, w.edge);
-        put_varint(out, w.scalars.len() as u64);
-        for (name, v) in &w.scalars {
-            put_str(out, name);
-            put_varint(out, *v);
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let mut counts = [0u64; HIST_BUCKETS];
+        for _ in 0..get_len(buf)? {
+            let (i, c) = <(usize, u64)>::decode(buf)?;
+            let slot = counts.get_mut(i)?;
+            if c == 0 || *slot != 0 {
+                return None;
+            }
+            *slot = c;
         }
-        put_series_aggs(out, &w.dists);
-    }
-    put_series_aggs(out, s.pending());
-}
-
-/// Decodes a sampler saved by [`put_sampler`]. Total: `None` on malformed
-/// input.
-pub fn get_sampler(buf: &mut &[u8]) -> Option<ComponentSampler> {
-    let capacity = usize::try_from(get_varint(buf)?).ok()?;
-    let evicted = get_varint(buf)?;
-    let n = usize::try_from(get_varint(buf)?).ok()?;
-    if capacity == 0 || n > capacity || n > buf.len() {
-        return None;
-    }
-    let mut windows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let edge = get_varint(buf)?;
-        let n_scalars = usize::try_from(get_varint(buf)?).ok()?;
-        if n_scalars > buf.len() {
-            return None;
-        }
-        let mut scalars = Vec::with_capacity(n_scalars);
-        for _ in 0..n_scalars {
-            let name = intern_series(&get_str(buf)?);
-            scalars.push((name, get_varint(buf)?));
-        }
-        let dists = get_series_aggs(buf)?;
-        windows.push(WindowSample {
-            edge,
-            scalars,
-            dists,
-        });
-    }
-    let pending = get_series_aggs(buf)?;
-    let mut sampler = ComponentSampler::from_parts(capacity, windows, evicted);
-    sampler.set_pending(pending);
-    Some(sampler)
-}
-
-/// Serializes one sample record.
-pub fn put_record(out: &mut Vec<u8>, r: &SampleRecord) {
-    let kind = match r.kind {
-        RecordKind::Packet => 0u8,
-        RecordKind::Message => 1,
-        RecordKind::Transaction => 2,
-    };
-    out.push(kind);
-    out.push(r.app);
-    put_varint(out, u64::from(r.src));
-    put_varint(out, u64::from(r.dst));
-    put_varint(out, r.send);
-    put_varint(out, r.recv);
-    put_varint(out, u64::from(r.hops));
-    put_varint(out, u64::from(r.size));
-}
-
-/// Decodes a record saved by [`put_record`].
-pub fn get_record(buf: &mut &[u8]) -> Option<SampleRecord> {
-    let kind = match get_u8(buf)? {
-        0 => RecordKind::Packet,
-        1 => RecordKind::Message,
-        2 => RecordKind::Transaction,
-        _ => return None,
-    };
-    Some(SampleRecord {
-        kind,
-        app: get_u8(buf)?,
-        src: u32::try_from(get_varint(buf)?).ok()?,
-        dst: u32::try_from(get_varint(buf)?).ok()?,
-        send: get_varint(buf)?,
-        recv: get_varint(buf)?,
-        hops: u16::try_from(get_varint(buf)?).ok()?,
-        size: u32::try_from(get_varint(buf)?).ok()?,
-    })
-}
-
-/// Serializes a sample log record-by-record.
-pub fn put_log(out: &mut Vec<u8>, log: &SampleLog) {
-    put_varint(out, log.len() as u64);
-    for r in log.records() {
-        put_record(out, r);
+        let (count, sum) = WireCodec::decode(buf)?;
+        Some(Histogram::from_log2_counts(&counts, count, sum))
     }
 }
 
-/// Decodes a log saved by [`put_log`]. Total: `None` on malformed input.
-pub fn get_log(buf: &mut &[u8]) -> Option<SampleLog> {
-    let n = usize::try_from(get_varint(buf)?).ok()?;
-    if n > buf.len() {
-        return None;
-    }
-    let mut log = SampleLog::new();
-    for _ in 0..n {
-        log.push(get_record(buf)?);
-    }
-    Some(log)
+wire_struct!(WindowAggregate { hist, max });
+
+/// `(series, value)` lists. Series names are `&'static str` in memory;
+/// they travel as strings and are re-interned on decode.
+fn put_named<T: WireCodec>(out: &mut Vec<u8>, entries: &[(&'static str, T)]) {
+    put_each(out, entries, |(name, value), o| {
+        put_str(o, name);
+        value.encode(o);
+    });
 }
+
+fn get_named<T: WireCodec>(buf: &mut &[u8]) -> Option<Vec<(&'static str, T)>> {
+    (0..get_len(buf)?)
+        .map(|_| Some((intern_series(&get_str(buf)?), T::decode(buf)?)))
+        .collect()
+}
+
+impl WireCodec for WindowSample {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.edge.encode(out);
+        put_named(out, &self.scalars);
+        put_named(out, &self.dists);
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Some(WindowSample {
+            edge: u64::decode(buf)?,
+            scalars: get_named(buf)?,
+            dists: get_named(buf)?,
+        })
+    }
+}
+
+/// Closed windows, the eviction count, and the **pending** window's
+/// accumulated distributions, so a mid-window checkpoint resumes with the
+/// in-progress observations intact.
+impl WireCodec for ComponentSampler {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.capacity, self.evicted).encode(out);
+        self.windows.encode(out);
+        put_named(out, &self.pending);
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let (capacity, evicted) = WireCodec::decode(buf)?;
+        let sampler = ComponentSampler {
+            capacity,
+            evicted,
+            windows: WireCodec::decode(buf)?,
+            pending: get_named(buf)?,
+        };
+        (capacity != 0 && sampler.windows.len() <= capacity).then_some(sampler)
+    }
+}
+
+wire_enum!(RecordKind {
+    Packet = 0,
+    Message = 1,
+    Transaction = 2,
+});
+
+wire_struct!(SampleRecord {
+    kind,
+    app,
+    src,
+    dst,
+    send,
+    recv,
+    hops,
+    size,
+});
+
+wire_struct!(SampleLog { records });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supersim_des::wire::testing::check_codec;
+    use supersim_des::Rng;
 
     #[test]
     fn hist_round_trips() {
@@ -210,9 +127,17 @@ mod tests {
             h.record(v);
         }
         let mut out = Vec::new();
-        put_hist(&mut out, &h);
-        let got = get_hist(&mut out.as_slice()).unwrap();
+        h.encode(&mut out);
+        let got = Histogram::decode(&mut out.as_slice()).unwrap();
         assert_eq!(got, h);
+    }
+
+    #[test]
+    fn hist_rejects_repeated_empty_and_out_of_range_buckets() {
+        let past_end = [1, HIST_BUCKETS as u8, 1, 1, 1];
+        for bad in [&[2, 5, 1, 5, 1, 2, 2][..], &[1, 5, 0, 0, 0], &past_end] {
+            assert_eq!(Histogram::decode(&mut &*bad), None, "{bad:?}");
+        }
     }
 
     #[test]
@@ -223,15 +148,23 @@ mod tests {
         s.close(100, vec![(intern_series("flits"), 7)]);
         s.record("lat", 99); // pending, mid-window
         let mut out = Vec::new();
-        put_sampler(&mut out, &s);
-        let got = get_sampler(&mut out.as_slice()).unwrap();
+        s.encode(&mut out);
+        let got = ComponentSampler::decode(&mut out.as_slice()).unwrap();
         assert_eq!(got.len(), 1);
-        assert_eq!(got.pending().len(), 1);
-        assert_eq!(got.pending()[0].1.max(), Some(99));
+        assert_eq!(got.pending.len(), 1);
+        assert_eq!(got.pending[0].1.max(), Some(99));
         // Bit-identical re-encode.
         let mut out2 = Vec::new();
-        put_sampler(&mut out2, &got);
+        got.encode(&mut out2);
         assert_eq!(out, out2);
+    }
+
+    #[test]
+    fn sampler_rejects_zero_capacity_and_overfull_rings() {
+        // capacity 0; then capacity 1 holding two (empty) windows.
+        for bad in [&[0, 0, 0, 0][..], &[1, 0, 2, 5, 0, 0, 6, 0, 0, 0]] {
+            assert!(ComponentSampler::decode(&mut &*bad).is_none(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -248,22 +181,91 @@ mod tests {
             size: 8,
         });
         let mut out = Vec::new();
-        put_log(&mut out, &log);
-        let got = get_log(&mut out.as_slice()).unwrap();
+        log.encode(&mut out);
+        let got = SampleLog::decode(&mut out.as_slice()).unwrap();
         assert_eq!(got.records(), log.records());
     }
 
-    #[test]
-    fn decoders_are_total_on_garbage() {
-        for garbage in [
-            &[][..],
-            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
-            &[9, 1, 2, 3][..],
-        ] {
-            let _ = get_hist(&mut &garbage[..]);
-            let _ = get_sampler(&mut &garbage[..]);
-            let _ = get_log(&mut &garbage[..]);
-            let _ = get_record(&mut &garbage[..]);
+    fn rand_hist(rng: &mut Rng) -> Histogram {
+        let mut h = Histogram::new();
+        for _ in 0..rng.gen_u64() % 12 {
+            h.record(rng.gen_u64() >> (rng.gen_u64() % 64));
         }
+        h
+    }
+
+    fn rand_aggregate(rng: &mut Rng) -> WindowAggregate {
+        let mut agg = WindowAggregate::new();
+        for _ in 0..rng.gen_u64() % 6 {
+            agg.record(rng.gen_u64() >> 40);
+        }
+        agg
+    }
+
+    fn rand_window(rng: &mut Rng, edge: u64) -> WindowSample {
+        WindowSample {
+            edge,
+            scalars: (0..rng.gen_u64() % 3)
+                .map(|s| (intern_series(&format!("scalar_{s}")), rng.gen_u64() >> 8))
+                .collect(),
+            dists: (0..rng.gen_u64() % 3)
+                .map(|d| (intern_series(&format!("dist_{d}")), rand_aggregate(rng)))
+                .collect(),
+        }
+    }
+
+    fn rand_record(rng: &mut Rng) -> SampleRecord {
+        SampleRecord {
+            kind: [
+                RecordKind::Packet,
+                RecordKind::Message,
+                RecordKind::Transaction,
+            ][(rng.gen_u64() % 3) as usize],
+            app: rng.gen_u64() as u8,
+            src: rng.gen_u64() as u32,
+            dst: rng.gen_u64() as u32,
+            send: rng.gen_u64() >> 16,
+            recv: rng.gen_u64() >> 16,
+            hops: rng.gen_u64() as u16,
+            size: rng.gen_u64() as u32,
+        }
+    }
+
+    /// One row per `WireCodec` type this crate defines.
+    #[test]
+    fn every_stats_codec_is_total() {
+        check_codec(1, 20, |r| Counter {
+            value: r.gen_u64() >> 20,
+        });
+        check_codec(2, 20, |r| {
+            let mut g = Gauge::new();
+            g.set(r.gen_u64() >> 40);
+            g.set(r.gen_u64() >> 44);
+            g
+        });
+        check_codec(3, 40, rand_hist);
+        check_codec(4, 40, rand_aggregate);
+        check_codec(5, 40, |r| rand_window(r, 100));
+        check_codec(6, 40, |r| {
+            let mut s = ComponentSampler::new(1 + (r.gen_u64() as usize % 4));
+            for w in 0..r.gen_u64() % 6 {
+                let window = rand_window(r, (w + 1) * 100);
+                for (name, agg) in &window.dists {
+                    s.record(name, agg.max().unwrap_or(0));
+                }
+                s.close(window.edge, window.scalars);
+            }
+            s.record("lat", r.gen_u64() >> 50); // mid-window
+            s
+        });
+        check_codec(7, 20, |r| rand_record(r).kind);
+        check_codec(8, 40, rand_record);
+        check_codec(9, 40, |r| {
+            let mut log = SampleLog::new();
+            for _ in 0..r.gen_u64() % 6 {
+                log.push(rand_record(r));
+            }
+            log
+        });
     }
 }

@@ -120,8 +120,8 @@ impl TimeSeries {
 /// never on observation order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowAggregate {
-    hist: Histogram,
-    max: u64,
+    pub(crate) hist: Histogram,
+    pub(crate) max: u64,
 }
 
 impl Default for WindowAggregate {
@@ -185,19 +185,6 @@ impl WindowAggregate {
     pub fn percentile(&self, p: f64) -> Option<u64> {
         self.hist.percentile(p)
     }
-
-    /// The underlying log₂ histogram — the full serializable state of the
-    /// aggregate apart from [`WindowAggregate::max`].
-    pub fn hist(&self) -> &Histogram {
-        &self.hist
-    }
-
-    /// Rebuilds an aggregate from its serialized parts (the inverse of
-    /// reading [`WindowAggregate::hist`] and the raw max). Used by the
-    /// multi-process transport to ship window aggregates between shards.
-    pub fn from_parts(hist: Histogram, max: u64) -> Self {
-        WindowAggregate { hist, max }
-    }
 }
 
 /// One closed sampling window of one component: the window's closing edge
@@ -230,10 +217,10 @@ pub struct WindowSample {
 /// same window set — the fold over components never sees ragged history.
 #[derive(Debug, Clone)]
 pub struct ComponentSampler {
-    capacity: usize,
-    windows: VecDeque<WindowSample>,
-    pending: Vec<(&'static str, WindowAggregate)>,
-    evicted: u64,
+    pub(crate) capacity: usize,
+    pub(crate) windows: VecDeque<WindowSample>,
+    pub(crate) pending: Vec<(&'static str, WindowAggregate)>,
+    pub(crate) evicted: u64,
 }
 
 impl ComponentSampler {
@@ -300,48 +287,6 @@ impl ComponentSampler {
     /// Closed windows evicted to respect the ring capacity.
     pub fn evicted(&self) -> u64 {
         self.evicted
-    }
-
-    /// The ring capacity in windows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The pending (not yet closed) window's accumulated distributions,
-    /// in first-recorded order — checkpointed so a resumed run closes the
-    /// in-progress window with exactly the observations an uninterrupted
-    /// run would have.
-    pub fn pending(&self) -> &[(&'static str, WindowAggregate)] {
-        &self.pending
-    }
-
-    /// Overwrites the pending window's accumulated distributions
-    /// (checkpoint restore).
-    pub fn set_pending(&mut self, pending: Vec<(&'static str, WindowAggregate)>) {
-        self.pending = pending;
-    }
-
-    /// Rebuilds a sampler from serialized closed windows.
-    ///
-    /// The pending (unclosed) window starts empty: by the time a sampler
-    /// is shipped between processes the run is over and every window edge
-    /// has been closed, so there is nothing pending to carry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero or `windows` exceeds it.
-    pub fn from_parts(capacity: usize, windows: Vec<WindowSample>, evicted: u64) -> Self {
-        assert!(capacity > 0, "sampler capacity must be non-zero");
-        assert!(
-            windows.len() <= capacity,
-            "more retained windows than the ring capacity"
-        );
-        ComponentSampler {
-            capacity,
-            windows: windows.into(),
-            pending: Vec::new(),
-            evicted,
-        }
     }
 }
 

@@ -70,6 +70,8 @@ pub struct RouteChoice {
     pub vc: Vc,
 }
 
+supersim_des::wire_struct!(RouteChoice { port, vc });
+
 /// A routing algorithm instance bound to one router input port.
 ///
 /// Implementations may mutate the head flit to carry routing state with the
@@ -128,6 +130,14 @@ pub(crate) fn least_congested_vc(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn route_choice_codec_is_total() {
+        supersim_des::wire::testing::check_codec(1, 40, |r| RouteChoice {
+            port: r.gen_u64() as u32,
+            vc: r.gen_u64() as u32 % 16,
+        });
+    }
 
     struct FakeView;
     impl CongestionView for FakeView {

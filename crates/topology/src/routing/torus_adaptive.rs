@@ -20,6 +20,7 @@
 
 use std::sync::Arc;
 
+use supersim_des::wire::WireCodec;
 use supersim_netbase::{Flit, PacketId, Vc};
 
 use crate::routing::{least_congested_vc, RouteChoice, RoutingAlgorithm, RoutingContext};
@@ -152,25 +153,13 @@ impl RoutingAlgorithm for AdaptiveTorusRouting {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
-        put_varint(out, u64::from(self.attempts));
-        match self.last_packet {
-            None => out.push(0),
-            Some(PacketId(id)) => {
-                out.push(1);
-                put_varint(out, id);
-            }
-        }
+        self.attempts.encode(out);
+        self.last_packet.encode(out);
     }
 
     fn load_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::{get_u8, get_varint};
-        self.attempts = u32::try_from(get_varint(buf)?).ok()?;
-        self.last_packet = match get_u8(buf)? {
-            0 => None,
-            1 => Some(PacketId(get_varint(buf)?)),
-            _ => return None,
-        };
+        self.attempts = u32::decode(buf)?;
+        self.last_packet = Option::decode(buf)?;
         Some(())
     }
 }

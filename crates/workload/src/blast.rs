@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use supersim_des::wire::WireCodec;
 use supersim_des::Rng;
 
 use supersim_des::Tick;
@@ -224,32 +225,19 @@ impl Terminal for BlastTerminal {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
-        crate::snapshot::put_phase(out, self.phase);
-        crate::snapshot::put_opt_tick(out, self.next_gen);
-        match self.signal_at {
-            None => out.push(0),
-            Some((t, sig)) => {
-                out.push(1);
-                put_varint(out, t);
-                crate::snapshot::put_signal(out, sig);
-            }
-        }
-        put_varint(out, self.sampled_sent);
-        crate::snapshot::put_bool(out, self.completed);
+        self.phase.encode(out);
+        self.next_gen.encode(out);
+        self.signal_at.encode(out);
+        self.sampled_sent.encode(out);
+        self.completed.encode(out);
     }
 
     fn load_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::{get_u8, get_varint};
-        self.phase = crate::snapshot::get_phase(buf)?;
-        self.next_gen = crate::snapshot::get_opt_tick(buf)?;
-        self.signal_at = match get_u8(buf)? {
-            0 => None,
-            1 => Some((get_varint(buf)?, crate::snapshot::get_signal(buf)?)),
-            _ => return None,
-        };
-        self.sampled_sent = get_varint(buf)?;
-        self.completed = crate::snapshot::get_bool(buf)?;
+        self.phase = Phase::decode(buf)?;
+        self.next_gen = Option::decode(buf)?;
+        self.signal_at = Option::decode(buf)?;
+        self.sampled_sent = u64::decode(buf)?;
+        self.completed = bool::decode(buf)?;
         Some(())
     }
 }

@@ -29,7 +29,6 @@ mod pingpong;
 #[cfg(all(test, feature = "proptest"))]
 mod proptests;
 mod pulse;
-mod snapshot;
 mod terminal;
 mod traffic;
 

@@ -10,6 +10,7 @@
 
 use std::any::Any;
 
+use supersim_des::wire::{self, WireCodec};
 use supersim_des::{Component, ComponentId, Context, Tick};
 use supersim_netbase::{AppSignal, Ev, Phase, PhaseCommand};
 
@@ -133,49 +134,24 @@ impl Component<Ev> for WorkloadMonitor {
     }
 
     fn snapshot(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
         for counts in [&self.ready, &self.complete, &self.done] {
-            put_varint(out, counts.len() as u64);
-            for &c in counts {
-                put_varint(out, u64::from(c));
-            }
+            counts.encode(out);
         }
-        crate::snapshot::put_phase(out, self.phase);
-        put_varint(out, self.phase_times.len() as u64);
-        for &(p, t) in &self.phase_times {
-            crate::snapshot::put_phase(out, p);
-            put_varint(out, t);
-        }
+        self.phase.encode(out);
+        self.phase_times.encode(out);
     }
 
     fn restore(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::get_varint;
-        let apps = self.ready.len();
         let limit = self.terminals_per_app;
         for counts in [&mut self.ready, &mut self.complete, &mut self.done] {
-            let n = usize::try_from(get_varint(buf)?).ok()?;
-            if n != apps {
+            wire::load_slice(counts, buf)?;
+            if counts.iter().any(|&c| c > limit) {
                 return None;
             }
-            for c in counts.iter_mut() {
-                *c = u32::try_from(get_varint(buf)?).ok()?;
-                if *c > limit {
-                    return None;
-                }
-            }
         }
-        self.phase = crate::snapshot::get_phase(buf)?;
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n == 0 || n > buf.len() {
-            return None;
-        }
-        self.phase_times.clear();
-        for _ in 0..n {
-            let p = crate::snapshot::get_phase(buf)?;
-            let t = get_varint(buf)?;
-            self.phase_times.push((p, t));
-        }
-        Some(())
+        self.phase = Phase::decode(buf)?;
+        self.phase_times = Vec::decode(buf)?;
+        (!self.phase_times.is_empty()).then_some(())
     }
 }
 

@@ -10,6 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use supersim_des::wire::WireCodec;
 use supersim_des::Rng;
 
 use supersim_des::Tick;
@@ -186,29 +187,17 @@ impl Terminal for PingPongTerminal {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
-        crate::snapshot::put_phase(out, self.phase);
-        put_varint(out, self.in_flight.len() as u64);
-        for &t in &self.in_flight {
-            put_varint(out, t);
-        }
-        put_varint(out, self.completed);
-        crate::snapshot::put_opt_tick(out, self.fire_at);
+        self.phase.encode(out);
+        self.in_flight.encode(out);
+        self.completed.encode(out);
+        self.fire_at.encode(out);
     }
 
     fn load_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::get_varint;
-        self.phase = crate::snapshot::get_phase(buf)?;
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n > buf.len() {
-            return None;
-        }
-        self.in_flight.clear();
-        for _ in 0..n {
-            self.in_flight.push_back(get_varint(buf)?);
-        }
-        self.completed = get_varint(buf)?;
-        self.fire_at = crate::snapshot::get_opt_tick(buf)?;
+        self.phase = Phase::decode(buf)?;
+        self.in_flight = VecDeque::decode(buf)?;
+        self.completed = u64::decode(buf)?;
+        self.fire_at = Option::decode(buf)?;
         Some(())
     }
 }

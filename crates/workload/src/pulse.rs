@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use supersim_des::wire::WireCodec;
 use supersim_des::Rng;
 
 use supersim_des::Tick;
@@ -152,17 +153,15 @@ impl Terminal for PulseTerminal {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        use supersim_des::wire::put_varint;
-        crate::snapshot::put_phase(out, self.phase);
-        crate::snapshot::put_opt_tick(out, self.next_gen);
-        put_varint(out, self.remaining);
+        self.phase.encode(out);
+        self.next_gen.encode(out);
+        self.remaining.encode(out);
     }
 
     fn load_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use supersim_des::wire::get_varint;
-        self.phase = crate::snapshot::get_phase(buf)?;
-        self.next_gen = crate::snapshot::get_opt_tick(buf)?;
-        self.remaining = get_varint(buf)?;
+        self.phase = Phase::decode(buf)?;
+        self.next_gen = Option::decode(buf)?;
+        self.remaining = u64::decode(buf)?;
         Some(())
     }
 }

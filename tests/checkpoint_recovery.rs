@@ -176,6 +176,84 @@ fn crash_resume_case(label: &str, cfg: &Path, engine: &[&str]) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// FNV-1a-64, the hash the other format pins in the tree use.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The checkpoint file format, pinned byte for byte: `(engine flags,
+/// length, FNV-1a-64)` of `ckpt-00000001.ssckpt` as commit 454e265 — the
+/// last one with hand-written per-component encoders — wrote it for this
+/// run of the shipped 64-terminal Clos with every optional plane armed
+/// (sampling, spans, trace, faults). `checkpoint::VERSION` stays 1 only
+/// while these hold; each file must also still resume to outputs
+/// byte-identical to an uninterrupted run.
+#[test]
+fn checkpoint_file_bytes_are_pinned_and_resumable() {
+    const PLANES: [&str; 5] = [
+        "seed=uint=3",
+        "spans.enabled=bool=true",
+        "observability.trace.enabled=bool=true",
+        "fault.enabled=bool=true",
+        "fault.bit_error_rate=float=0.0005",
+    ];
+    let pins: [(&[&str], usize, u64); 2] = [
+        (
+            &["--engine", "sequential"],
+            1_581_671,
+            0x8a08_e84b_628a_a617,
+        ),
+        (
+            &["--engine", "sharded", "--shards", "2"],
+            1_581_770,
+            0x86e7_1a4e_b9d4_b8d2,
+        ),
+    ];
+    let cfg = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/configs/clos_adaptive.json"
+    ));
+    for (engine, len, hash) in pins {
+        let label = engine.join(" ");
+        let root = scratch_dir(&format!("pin-{}", engine[1]));
+        let ckpt_dir = root.join("ckpt");
+        let ckpt = ckpt_dir.join("ckpt-00000001.ssckpt");
+        let (ckpt_dir_s, ckpt_s) = (ckpt_dir.to_str().unwrap(), ckpt.to_str().unwrap());
+
+        let plain = [engine, &PLANES[..]].concat();
+        assert_eq!(run(cfg, &root.join("base"), &plain, &[]), 0, "{label}");
+        let mut crash_args = plain.clone();
+        crash_args.extend(["--checkpoint-interval", "800"]);
+        crash_args.extend(["--checkpoint-dir", ckpt_dir_s]);
+        let code = run(
+            cfg,
+            &root.join("crashed"),
+            &crash_args,
+            &[("SUPERSIM_TEST_EXIT_AT_CKPT", "1")],
+        );
+        assert_eq!(code, CRASH_CODE, "{label}: crash hook did not fire");
+
+        let image = std::fs::read(&ckpt).expect("round-1 checkpoint");
+        assert_eq!(
+            (image.len(), fnv1a(&image)),
+            (len, hash),
+            "{label}: checkpoint bytes differ from the pinned format"
+        );
+        let resumed = root.join("resumed");
+        let mut resume_args = plain.clone();
+        resume_args.extend(["--resume", ckpt_s]);
+        assert_eq!(
+            run(cfg, &resumed, &resume_args, &[]),
+            0,
+            "{label}: resume failed"
+        );
+        assert_identical(&root.join("base"), &resumed, &label);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
 #[test]
 fn sequential_crash_resume_is_byte_identical() {
     for (label, cfg) in matrix("seq") {
@@ -186,7 +264,11 @@ fn sequential_crash_resume_is_byte_identical() {
 #[test]
 fn sharded_crash_resume_is_byte_identical() {
     for (label, cfg) in matrix("sharded") {
-        crash_resume_case(&format!("sharded {label}"), &cfg, &["--shards", "2"]);
+        crash_resume_case(
+            &format!("sharded {label}"),
+            &cfg,
+            &["--engine", "sharded", "--shards", "2"],
+        );
     }
 }
 
