@@ -518,6 +518,8 @@ mod process_rows {
                 Duration::from_secs(60),
                 &payload,
                 None,
+                false,
+                None,
             )
             .expect("accept bench workers");
             let result = hub.run();

@@ -7,13 +7,13 @@
 //! block (and its `pattern` sub-block) to the application factory.
 
 use supersim_config::Value;
-use supersim_des::{ComponentId, Engine, Simulator, Tick, Time};
+use supersim_des::{ComponentId, Engine, EngineOptions, ProgressShared, Simulator, Tick, Time};
 use supersim_netbase::{
     Ev, FaultConfig, FaultPlane, LinkId, LinkTarget, RouterId, ScheduledOutage, TerminalId,
     TraceFilter, TraceKind,
 };
 use supersim_router::RouterPorts;
-use supersim_stats::{ComponentSampler, MetricsRegistry};
+use supersim_stats::{ComponentSampler, HostClock, MetricsRegistry};
 use supersim_topology::{partition_routers, ChannelClass, Topology};
 use supersim_workload::{Interface, InterfaceConfig, WorkloadMonitor};
 
@@ -70,6 +70,15 @@ pub(crate) struct HostPlan {
     /// Live-progress heartbeat interval in milliseconds; 0 = off
     /// (`progress.interval_ms`).
     pub progress_interval_ms: u64,
+    /// The board the heartbeat reads, present when it is on: written by
+    /// the engine of an in-process run and by the hub of a multi-process
+    /// one (where it also outlives fleet restarts).
+    pub board: Option<Arc<ProgressShared>>,
+    /// The run's host clock, which times checkpoint writes. Started
+    /// before the engine (whose recorders time rounds on their own
+    /// epochs, started with it), so on the exported timeline a checkpoint
+    /// never appears to begin before the round it follows ended.
+    pub clock: HostClock,
 }
 
 /// The checkpoint/restore policy of a run (the `checkpoint` block).
@@ -136,15 +145,18 @@ enum EngineChoice {
 /// `SUPERSIM_SHARDS` environment variables supply defaults when the
 /// configuration does not say — explicit configuration always wins, so a
 /// config that pins an engine stays pinned under a CI job that exports
-/// the sharded default.
+/// the sharded default. A configuration that asks for several shards but
+/// resolves to the sequential kind is an error rather than a silently
+/// sequential run.
 fn engine_choice(cfg: &Value) -> Result<EngineChoice, BuildError> {
     let kind = match cfg.req_str("engine.kind") {
         Ok(s) => s.to_string(),
         Err(_) => std::env::var("SUPERSIM_ENGINE").unwrap_or_else(|_| "sequential".into()),
     };
-    let shards = match cfg.req_u64("engine.shards") {
-        Ok(n) => n,
-        Err(_) => match std::env::var("SUPERSIM_SHARDS") {
+    let configured_shards = cfg.req_u64("engine.shards").ok();
+    let shards = match configured_shards {
+        Some(n) => n,
+        None => match std::env::var("SUPERSIM_SHARDS") {
             Ok(s) => s.parse().map_err(|_| {
                 BuildError::invalid(format!("SUPERSIM_SHARDS must be an integer, got {s:?}"))
             })?,
@@ -170,6 +182,12 @@ fn engine_choice(cfg: &Value) -> Result<EngineChoice, BuildError> {
                 return Err(BuildError::invalid(
                     "engine.transport \"process\" requires engine.kind \"sharded\"",
                 ));
+            }
+            if let Some(n) = configured_shards.filter(|&n| n > 1) {
+                return Err(BuildError::invalid(format!(
+                    "engine.shards is {n} but engine.kind is \"sequential\", which runs one \
+                     shard; set engine.kind to \"sharded\" (--engine sharded) or drop engine.shards"
+                )));
             }
             Ok(EngineChoice::Sequential)
         }
@@ -358,6 +376,8 @@ fn host_config(cfg: &Value) -> Result<HostPlan, BuildError> {
         sample,
         trace_enabled,
         progress_interval_ms: cfg.opt_u64("progress.interval_ms", 0)?,
+        board: None,
+        clock: HostClock::new(),
     })
 }
 
@@ -453,7 +473,7 @@ pub(crate) fn build_with(
     if fault.is_some() {
         registry.register("fault");
     }
-    let host = host_config(cfg)?;
+    let mut host = host_config(cfg)?;
     if host.enabled {
         registry.register("host");
         for s in 0..num_shards {
@@ -464,8 +484,32 @@ pub(crate) fn build_with(
         registry.register(format!("router_{r}"));
     }
 
+    let checkpoint = checkpoint_config(cfg)?;
+    // Workers publish no progress: the hub rebuilds the board parent-side
+    // from the per-round event deltas.
+    if host.progress_interval_ms > 0 && matches!(mode, EngineMode::Auto) {
+        host.board = Some(Arc::new(ProgressShared::new(num_shards)));
+    }
+
     // --- component id layout: interfaces, then routers, then monitor ---
-    let mut sim: Simulator<Ev> = Simulator::new(seed);
+    // Everything the engine observes is fixed here, once, and inherited by
+    // whichever backend the finished layout is converted into.
+    let mut sim: Simulator<Ev> = Simulator::with_options(
+        seed,
+        EngineOptions {
+            watchdog,
+            sample_interval,
+            trace: trace.map(|(filter, capacity)| (filter.to_spec(), capacity)),
+            // Armed on every backend — workers included, so their DONE
+            // frames carry host records.
+            host_sample: if host.enabled { host.sample } else { 0 },
+            progress: host.board.clone(),
+            // Only the worker backend acts on this (it pauses at barrier
+            // boundaries and ships state frames to the hub); the
+            // in-process engines are segmented by the run loop instead.
+            checkpoint_interval: checkpoint.interval,
+        },
+    );
     let cid = |index: usize| {
         ComponentId::try_from_index(index).ok_or_else(|| {
             BuildError::invalid(format!(
@@ -572,10 +616,6 @@ pub(crate) fn build_with(
         sim.schedule(id, Time::at(0), Ev::Inject);
     }
 
-    if let Some((filter, capacity)) = trace {
-        sim.set_trace(filter.to_spec(), capacity);
-    }
-
     // Components are registered and kicked on a sequential engine; the
     // sharded backends take over the finished layout. Routers partition by
     // topology locality, each interface rides with its attached router
@@ -599,7 +639,7 @@ pub(crate) fn build_with(
     };
 
     let mut process = None;
-    let mut engine: Box<dyn Engine<Ev>> = match mode {
+    let engine: Box<dyn Engine<Ev>> = match mode {
         #[cfg(unix)]
         EngineMode::Worker { index, link } => {
             let shard_of = shard_of.unwrap_or_else(|| vec![0u32; sim.num_components()]);
@@ -620,13 +660,9 @@ pub(crate) fn build_with(
                             BuildError::invalid(format!("cannot resolve engine.worker_bin: {e}"))
                         })?,
                     };
-                    // `process.timeout_ms` is the documented key;
-                    // `engine.worker_timeout_ms` remains as a fallback
-                    // for configurations written before the block existed.
-                    let fallback = cfg.opt_u64("engine.worker_timeout_ms", 60_000)?;
                     process = Some(ProcessPlan {
                         workers: num_shards as u32,
-                        timeout_ms: cfg.opt_u64("process.timeout_ms", fallback)?,
+                        timeout_ms: cfg.opt_u64("process.timeout_ms", 60_000)?,
                         worker_bin,
                         config_json: cfg.to_json(),
                         trace_capacity,
@@ -648,19 +684,6 @@ pub(crate) fn build_with(
             },
         },
     };
-    engine.set_watchdog(watchdog);
-    engine.set_sampler(sample_interval);
-    if host.enabled {
-        // Arms the out-of-band wall-clock profiler on every backend —
-        // workers included, so their DONE frames carry host records.
-        engine.set_host_profiling(host.sample);
-    }
-    let checkpoint = checkpoint_config(cfg)?;
-    // Only the worker backend acts on this (it pauses at barrier
-    // boundaries and ships state frames to the hub); the in-process
-    // engines are segmented by the run loop instead.
-    engine.set_checkpoint_interval(checkpoint.interval);
-
     Ok(Built {
         engine,
         interfaces: interface_ids,

@@ -298,11 +298,6 @@ pub fn latest_in_dir(dir: &Path) -> Option<PathBuf> {
     best.map(|(_, p)| p)
 }
 
-/// The first barrier boundary strictly after `tick` on an `interval` grid.
-pub fn next_boundary(tick: Tick, interval: Tick) -> Tick {
-    (tick / interval + 1).saturating_mul(interval)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,9 +436,10 @@ mod tests {
 
     #[test]
     fn boundary_grid() {
-        assert_eq!(next_boundary(0, 100), 100);
-        assert_eq!(next_boundary(99, 100), 100);
-        assert_eq!(next_boundary(100, 100), 200);
-        assert_eq!(next_boundary(101, 100), 200);
+        use supersim_des::next_edge_after;
+        assert_eq!(next_edge_after(0, 100), 100);
+        assert_eq!(next_edge_after(99, 100), 100);
+        assert_eq!(next_edge_after(100, 100), 200);
+        assert_eq!(next_edge_after(101, 100), 200);
     }
 }

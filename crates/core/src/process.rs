@@ -14,22 +14,20 @@
 use std::os::unix::net::UnixListener;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use supersim_config::Value;
 use supersim_des::wire::WireCodec;
-use supersim_des::{Hub, ProgressShared, RunOutcome, RunStats, Time, WorkerLink};
+use supersim_des::{Hub, RunOutcome, RunStats, Time, WorkerLink};
 use supersim_netbase::trace_json_lines;
-use supersim_stats::HostClock;
 
 use crate::builder::{build_with, Built, EngineMode, ProcessPlan};
-use crate::checkpoint::{self, CheckpointHeader};
+use crate::checkpoint;
 use crate::factory::Factories;
 use crate::partial::{extract_partial, ShardPartial};
 use crate::sim::{
-    assemble, fault_injected, resume_failure, resume_into, AssembleInputs, CkptTimes, HostData,
-    HubHost, RunReport,
+    assemble, resume_failure, resume_into, AssembleInputs, CheckpointWriter, HostData, HubHost,
+    RunReport,
 };
 
 /// Distinguishes concurrent runs (and runs within one process) in the
@@ -108,17 +106,9 @@ pub(crate) fn run_parent(built: Built, plan: ProcessPlan) -> RunReport {
     };
     let mut resume = built.checkpoint.resume.clone();
     let mut attempts = 0u32;
-    // The progress board outlives fleet attempts so restart counts and
-    // cumulative event totals survive a respawn.
-    let board = (built.host.progress_interval_ms > 0)
-        .then(|| Arc::new(ProgressShared::new(built.num_shards as usize)));
-    let heartbeat = board.as_ref().map(|b| {
-        crate::progress::start(
-            built.host.progress_interval_ms,
-            Arc::clone(b),
-            built.tick_limit,
-        )
-    });
+    // The progress board is the build's, so it outlives fleet attempts:
+    // restart counts and cumulative event totals survive a respawn.
+    let heartbeat = crate::progress::start(&built);
     let inputs = loop {
         let kill = (attempts == 0).then(kill_hook).flatten();
         let respawn = attempts > 0;
@@ -130,7 +120,6 @@ pub(crate) fn run_parent(built: Built, plan: ProcessPlan) -> RunReport {
             kill,
             respawn,
             start,
-            board.as_ref(),
         ) {
             Ok(a) => a,
             Err(report) => return *report,
@@ -142,7 +131,7 @@ pub(crate) fn run_parent(built: Built, plan: ProcessPlan) -> RunReport {
             if let Some(p) = &resume {
                 if attempts < max_restarts {
                     attempts += 1;
-                    if let Some(b) = &board {
+                    if let Some(b) = &built.host.board {
                         b.add_restart();
                     }
                     eprintln!(
@@ -158,10 +147,7 @@ pub(crate) fn run_parent(built: Built, plan: ProcessPlan) -> RunReport {
     };
     let report = assemble(&built, inputs);
     if let Some(hb) = heartbeat {
-        hb.finish(
-            report.error.is_some(),
-            fault_injected(&report.output.metrics),
-        );
+        hb.finish(&report);
     }
     report
 }
@@ -170,7 +156,6 @@ pub(crate) fn run_parent(built: Built, plan: ProcessPlan) -> RunReport {
 /// collects the report inputs. `resume` is patched into the shipped
 /// configuration so every worker restores its shard from the same file
 /// the hub restores its trace ring from.
-#[allow(clippy::too_many_arguments)]
 fn run_fleet(
     built: &Built,
     plan: &ProcessPlan,
@@ -179,7 +164,6 @@ fn run_fleet(
     kill: Option<(u32, u64)>,
     respawn: bool,
     start: Instant,
-    board: Option<&Arc<ProgressShared>>,
 ) -> Result<FleetAttempt, Box<RunReport>> {
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -236,12 +220,16 @@ fn run_fleet(
         }
     }
 
+    // Host-plane arming (hub fold timing, the live-progress board) is
+    // out-of-band: none of it alters a single protocol byte.
     let mut hub = match Hub::accept(
         &listener,
         plan.workers,
         timeout,
         config_json.as_bytes(),
         plan.trace_capacity,
+        built.host.enabled,
+        built.host.board.clone(),
     ) {
         Ok(hub) => hub,
         Err(e) => {
@@ -272,55 +260,17 @@ fn run_fleet(
             )));
         }
     }
-    // Host-plane arming: hub fold timing, the live-progress board, and
-    // a clock for checkpoint write attribution — all out-of-band, none
-    // of it alters a single protocol byte.
-    if built.host.enabled {
-        hub.set_host_profiling(true);
-    }
-    if let Some(b) = board {
-        hub.set_progress(Arc::clone(b));
-    }
-    let fleet_clock = HostClock::new();
-    let ckpt_times: Rc<RefCell<CkptTimes>> = Rc::new(RefCell::new(CkptTimes::default()));
     // The hub assembles one uniform engine-state blob per completed
-    // barrier checkpoint; the sink wraps it in the versioned file
-    // format. A write failure degrades to a warning — losing a
-    // checkpoint must never kill a healthy run.
-    let written: Rc<RefCell<Option<std::path::PathBuf>>> = Rc::new(RefCell::new(None));
+    // barrier checkpoint; the sink is the same writer the in-process run
+    // loop uses.
+    let writer = Rc::new(RefCell::new(CheckpointWriter::new(built)));
     if built.checkpoint.interval > 0 {
-        let interval = built.checkpoint.interval;
-        let dir = built.checkpoint.dir.clone();
-        let (seed, num_shards) = (built.seed, built.num_shards);
-        let (terminals, routers) = (built.topology.num_terminals(), built.topology.num_routers());
-        let sink_written = Rc::clone(&written);
-        let sink_times = Rc::clone(&ckpt_times);
-        let sink_clock = fleet_clock.clone();
+        let writer = Rc::clone(&writer);
         let pids: Vec<u32> = children.iter().map(|c| c.id()).collect();
         hub.set_checkpoint_sink(Box::new(move |time, blob| {
-            let round = time.tick() / interval;
-            let header = CheckpointHeader {
-                version: checkpoint::VERSION,
-                seed,
-                num_shards,
-                tick: time.tick(),
-                round,
-                terminals,
-                routers,
-            };
-            let p = checkpoint::round_path(&dir, round);
-            let start_ns = sink_clock.now_ns();
-            match checkpoint::write_file(&p, &header, blob) {
-                Ok(()) => {
-                    sink_times.borrow_mut().record(
-                        start_ns,
-                        sink_clock.now_ns(),
-                        blob.len() as u64,
-                    );
-                    *sink_written.borrow_mut() = Some(p);
-                }
-                Err(e) => eprintln!("supersim: checkpoint round {round} not written: {e}"),
-            }
+            let mut writer = writer.borrow_mut();
+            let started_ns = writer.now_ns();
+            let round = writer.write(time.tick(), started_ns, blob);
             if let Some((w, at)) = kill {
                 if round == at {
                     if let Some(pid) = pids.get(w as usize) {
@@ -367,10 +317,9 @@ fn run_fleet(
         wall: start.elapsed(),
         outcome: result.outcome,
     };
-    let trace = built
-        .engine
-        .trace_enabled()
-        .then(|| trace_json_lines(&hub.trace_records()));
+    let trace = plan
+        .trace_capacity
+        .map(|_| trace_json_lines(&hub.trace_records()));
     let host = built.host.enabled.then(|| HostData {
         shards: result.host,
         hub: Some(HubHost {
@@ -379,11 +328,9 @@ fn run_fleet(
             wire_in: result.hub_stats.wire_in_bytes,
             wire_out: result.hub_stats.wire_out_bytes,
         }),
-        ckpt: ckpt_times.borrow().clone(),
+        ckpt: writer.borrow().times.clone(),
     });
     let inputs = AssembleInputs {
-        events_executed: stats.events_executed,
-        total_enqueued: stats.total_enqueued,
         shard_metrics: result.metrics,
         trace,
         partials,
@@ -391,7 +338,7 @@ fn run_fleet(
         stats,
         host,
     };
-    let last_checkpoint = written.borrow().clone();
+    let last_checkpoint = writer.borrow().last_written.clone();
     Ok(FleetAttempt {
         inputs,
         last_checkpoint,
@@ -410,8 +357,6 @@ fn startup_failure(built: &Built, reason: String, start: Instant) -> RunReport {
             wall: start.elapsed(),
             outcome: RunOutcome::Failed(reason.clone()),
         },
-        events_executed: 0,
-        total_enqueued: 0,
         shard_metrics: Vec::new(),
         trace: None,
         partials: Vec::new(),

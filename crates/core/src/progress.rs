@@ -15,7 +15,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use supersim_des::{ProgressShared, Tick};
-use supersim_stats::{HostClock, ProgressLine};
+use supersim_stats::{HostClock, MetricValue, ProgressLine};
+
+use crate::builder::Built;
+use crate::sim::RunReport;
 
 /// A running heartbeat thread. Call [`Heartbeat::finish`] to stop it
 /// and emit the final summary line.
@@ -76,8 +79,12 @@ fn emit(line: &ProgressLine, last: bool) {
     let _ = err.flush();
 }
 
-/// Starts the heartbeat thread. `interval_ms` must be non-zero.
-pub(crate) fn start(interval_ms: u64, board: Arc<ProgressShared>, tick_limit: Tick) -> Heartbeat {
+/// Starts the heartbeat thread of a run, if `progress.interval_ms` armed
+/// one (which is exactly when the build created a board).
+pub(crate) fn start(built: &Built) -> Option<Heartbeat> {
+    let board = Arc::clone(built.host.board.as_ref()?);
+    let interval_ms = built.host.progress_interval_ms;
+    let tick_limit = built.tick_limit;
     let stop = Arc::new(AtomicBool::new(false));
     let clock = HostClock::new();
     let handle = {
@@ -101,19 +108,24 @@ pub(crate) fn start(interval_ms: u64, board: Arc<ProgressShared>, tick_limit: Ti
             }
         })
     };
-    Heartbeat {
+    Some(Heartbeat {
         stop,
         board,
         clock,
         tick_limit,
         handle: Some(handle),
-    }
+    })
 }
 
 impl Heartbeat {
     /// Stops the thread and emits the final summary line, which adds
-    /// the run's degraded flag and fault count.
-    pub(crate) fn finish(mut self, degraded: bool, faults: u64) {
+    /// the run's degraded flag and its `fault.injected` count (0 when the
+    /// fault plane was off).
+    pub(crate) fn finish(mut self, report: &RunReport) {
+        let faults = match report.output.metrics.get("fault", "injected") {
+            Some(MetricValue::Counter(n)) => *n,
+            _ => 0,
+        };
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
@@ -122,7 +134,7 @@ impl Heartbeat {
         let mut line = beat(&self.board, &self.clock, self.tick_limit, &mut prev);
         line.eps_inst = line.eps_cum;
         line.eta_ms = None;
-        line.done = Some((degraded, faults));
+        line.done = Some((report.error.is_some(), faults));
         emit(&line, true);
     }
 }

@@ -1,9 +1,16 @@
 //! The simulator facade: build from configuration, run, collect results.
+//!
+//! A run is one path — resume, heartbeat, drive, assemble — for the
+//! sequential and thread backends ([`SuperSim::run_report`]); the
+//! multi-process backend drives its worker fleet from `process.rs` and
+//! rejoins at [`assemble`]. Every checkpoint file of either path is
+//! written by the one [`CheckpointWriter`].
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use supersim_config::Value;
-use supersim_des::{EngineMetrics, HostShardTimes, ProgressShared, RunOutcome, RunStats, Tick};
+use supersim_des::{next_edge_after, EngineMetrics, HostShardTimes, RunOutcome, RunStats, Tick};
 use supersim_netbase::{trace_json_lines, FaultCounters, Phase};
 use supersim_stats::analysis::{LoadPoint, WindowAnalysis};
 use supersim_stats::{
@@ -14,6 +21,7 @@ use supersim_topology::Topology;
 use supersim_workload::{InterfaceCounters, SpanMetrics, SpanRecord};
 
 use crate::builder::{build, Built};
+use crate::checkpoint::CheckpointHeader;
 use crate::error::{BuildError, SimError};
 use crate::factory::Factories;
 use crate::partial::{extract_partial, InterfacePartial, RouterPartial, ShardPartial};
@@ -96,18 +104,9 @@ impl SuperSim {
                 return resume_failure(&self.built, reason);
             }
         }
-        let heartbeat = (self.built.host.progress_interval_ms > 0).then(|| {
-            let board = Arc::new(ProgressShared::new(self.built.num_shards as usize));
-            self.built.engine.set_progress(Arc::clone(&board));
-            crate::progress::start(
-                self.built.host.progress_interval_ms,
-                board,
-                self.built.tick_limit,
-            )
-        });
-        let run_clock = HostClock::new();
-        let mut ckpt = CkptTimes::default();
-        let stats = run_with_checkpoints(&mut self.built, &mut ckpt, &run_clock);
+        let heartbeat = crate::progress::start(&self.built);
+        let mut writer = CheckpointWriter::new(&self.built);
+        let stats = drive(&mut self.built, &mut writer);
         let engine = self.built.engine.as_ref();
         let partial = extract_partial(
             engine,
@@ -118,26 +117,19 @@ impl SuperSim {
         let host = self.built.host.enabled.then(|| HostData {
             shards: engine.host_times(),
             hub: None,
-            ckpt,
+            ckpt: writer.times,
         });
         let inputs = AssembleInputs {
             stats,
-            events_executed: engine.events_executed(),
-            total_enqueued: engine.total_enqueued(),
             shard_metrics: engine.shard_metrics(),
-            trace: engine
-                .trace_enabled()
-                .then(|| trace_json_lines(&engine.trace_records())),
+            trace: engine.trace_records().map(|t| trace_json_lines(&t)),
             partials: vec![partial],
             worker_error: None,
             host,
         };
         let report = assemble(&self.built, inputs);
         if let Some(hb) = heartbeat {
-            hb.finish(
-                report.error.is_some(),
-                fault_injected(&report.output.metrics),
-            );
+            hb.finish(&report);
         }
         report
     }
@@ -200,8 +192,6 @@ pub(crate) fn resume_failure(built: &Built, reason: String) -> RunReport {
         built,
         AssembleInputs {
             stats,
-            events_executed: 0,
-            total_enqueued: 0,
             shard_metrics: engine.shard_metrics(),
             trace: None,
             partials: vec![partial],
@@ -213,15 +203,6 @@ pub(crate) fn resume_failure(built: &Built, reason: String) -> RunReport {
     report
 }
 
-/// The `fault.injected` counter of an assembled snapshot (0 when the
-/// fault plane was off) — the heartbeat's final-line fault count.
-pub(crate) fn fault_injected(metrics: &MetricsSnapshot) -> u64 {
-    match metrics.get("fault", "injected") {
-        Some(MetricValue::Counter(n)) => *n,
-        _ => 0,
-    }
-}
-
 /// Drives the engine to its tick limit, pausing at every `k * interval`
 /// barrier boundary to capture a checkpoint file. With checkpointing
 /// disabled (`interval == 0`) this is a single `run_until` call.
@@ -231,19 +212,13 @@ pub(crate) fn fault_injected(metrics: &MetricsSnapshot) -> u64 {
 /// after a pause. Segment statistics accumulate so the returned
 /// [`RunStats`] is indistinguishable from an unsegmented run (modulo
 /// wall-clock).
-fn run_with_checkpoints(built: &mut Built, ckpt: &mut CkptTimes, clock: &HostClock) -> RunStats {
+fn drive(built: &mut Built, writer: &mut CheckpointWriter) -> RunStats {
     let tick_limit = built.tick_limit;
     let interval = built.checkpoint.interval;
     if interval == 0 {
         return built.engine.run_until(tick_limit);
     }
-    // Test hook: exit the process hard (no cleanup, no report) right
-    // after completing checkpoint round N — a reproducible "crash" for
-    // the recovery integration tests.
-    let exit_at: Option<u64> = std::env::var("SUPERSIM_TEST_EXIT_AT_CKPT")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    let mut next = crate::checkpoint::next_boundary(built.engine.now().tick(), interval);
+    let mut next = next_edge_after(built.engine.now().tick(), interval);
     let mut total: Option<RunStats> = None;
     loop {
         let bound = next.min(tick_limit);
@@ -263,52 +238,95 @@ fn run_with_checkpoints(built: &mut Built, ckpt: &mut CkptTimes, clock: &HostClo
         if !paused {
             return total.expect("at least one segment ran");
         }
-        write_round_checkpoint(built, bound, interval, exit_at, ckpt, clock);
+        let started_ns = writer.now_ns();
+        let mut blob = Vec::new();
+        if built.engine.save_state(&mut blob) {
+            writer.write(bound, started_ns, &blob);
+        }
         next = next.saturating_add(interval);
     }
 }
 
-/// Captures the engine state at barrier tick `bound` and writes the
-/// checkpoint file for its round. A write failure degrades to a warning
-/// — losing a checkpoint must never kill a healthy run. Wall time and
-/// bytes of each write land in `times` (the host plane's checkpoint
-/// attribution; strictly out-of-band).
-fn write_round_checkpoint(
-    built: &Built,
-    bound: Tick,
+/// The one place a checkpoint file is written: the in-process segment
+/// loop ([`drive`]) calls it with the engine's own state blob, the
+/// multi-process parent installs it as the hub's checkpoint sink, which
+/// hands it the blob assembled from the workers' frames. It stamps the
+/// identity header, writes `ckpt-<round>.ssckpt` atomically, and records
+/// wall time and bytes of each write (the host plane's checkpoint
+/// attribution; strictly out-of-band). A write failure degrades to a
+/// warning — losing a checkpoint must never kill a healthy run.
+pub(crate) struct CheckpointWriter {
+    /// The identity fields of every header; `tick` and `round` are set
+    /// per file.
+    header: CheckpointHeader,
     interval: Tick,
+    dir: PathBuf,
+    clock: HostClock,
+    /// Test hook (`SUPERSIM_TEST_EXIT_AT_CKPT=<round>`): exit the process
+    /// hard — no cleanup, no report — right after completing that round,
+    /// a reproducible "crash" for the recovery integration tests.
     exit_at: Option<u64>,
-    times: &mut CkptTimes,
-    clock: &HostClock,
-) {
-    use crate::checkpoint as ckpt;
-    let start_ns = clock.now_ns();
-    let mut blob = Vec::new();
-    if !built.engine.save_state(&mut blob) {
-        return; // backend without checkpoint support
+    /// Attribution of the writes so far.
+    pub times: CkptTimes,
+    /// The newest file completed.
+    pub last_written: Option<PathBuf>,
+}
+
+impl CheckpointWriter {
+    /// A writer for the run of `built`, timing on the run's host clock.
+    pub fn new(built: &Built) -> Self {
+        CheckpointWriter {
+            header: CheckpointHeader {
+                version: crate::checkpoint::VERSION,
+                seed: built.seed,
+                num_shards: built.num_shards,
+                tick: 0,
+                round: 0,
+                terminals: built.topology.num_terminals(),
+                routers: built.topology.num_routers(),
+            },
+            interval: built.checkpoint.interval,
+            dir: built.checkpoint.dir.clone(),
+            clock: built.host.clock.clone(),
+            exit_at: std::env::var("SUPERSIM_TEST_EXIT_AT_CKPT")
+                .ok()
+                .and_then(|s| s.parse().ok()),
+            times: CkptTimes::default(),
+            last_written: None,
+        }
     }
-    let round = bound / interval;
-    let header = ckpt::CheckpointHeader {
-        version: ckpt::VERSION,
-        seed: built.seed,
-        num_shards: built.num_shards,
-        tick: bound,
-        round,
-        terminals: built.topology.num_terminals(),
-        routers: built.topology.num_routers(),
-    };
-    let path = ckpt::round_path(&built.checkpoint.dir, round);
-    if let Err(e) = ckpt::write_file(&path, &header, &blob) {
-        eprintln!("supersim: checkpoint round {round} not written: {e}");
-        return;
+
+    /// Now, on the clock the writes are timed against.
+    pub fn now_ns(&self) -> u64 {
+        self.clock.now_ns()
     }
-    times.record(start_ns, clock.now_ns(), blob.len() as u64);
-    if exit_at == Some(round) {
-        // Simulated crash: the checkpoint file for this round is complete
-        // on disk, nothing later is.
-        std::process::exit(86);
+
+    /// Writes the engine state `blob` captured at barrier tick `tick` as
+    /// the file of its round, and returns that round. `started_ns` is
+    /// when capturing it began ([`CheckpointWriter::now_ns`]), so the
+    /// recorded time covers state capture as well as the file write.
+    pub fn write(&mut self, tick: Tick, started_ns: u64, blob: &[u8]) -> u64 {
+        let round = tick / self.interval;
+        self.header.tick = tick;
+        self.header.round = round;
+        let path = crate::checkpoint::round_path(&self.dir, round);
+        match crate::checkpoint::write_file(&path, &self.header, blob) {
+            Ok(()) => {
+                self.times
+                    .record(started_ns, self.clock.now_ns(), blob.len() as u64);
+                self.last_written = Some(path);
+                if self.exit_at == Some(round) {
+                    // Simulated crash: the checkpoint file for this round
+                    // is complete on disk, nothing later is.
+                    std::process::exit(86);
+                }
+            }
+            Err(e) => eprintln!("supersim: checkpoint round {round} not written: {e}"),
+        }
+        round
     }
 }
+
 /// Wall-clock attribution of checkpoint writes (the parent-side save +
 /// file write), on the run's host clock. Out-of-band: never touches
 /// simulation state.
@@ -368,11 +386,8 @@ pub(crate) struct HostData {
 /// DONE frames.
 pub(crate) struct AssembleInputs {
     pub stats: RunStats,
-    /// Lifetime events executed (the `engine` metrics plane value).
-    pub events_executed: u64,
-    /// Lifetime events enqueued (the `engine` metrics plane value).
-    pub total_enqueued: u64,
-    /// Per-shard executor diagnostics, in shard order.
+    /// Per-shard executor diagnostics, in shard order. Their sums are
+    /// the lifetime totals of the `engine` metrics plane.
     pub shard_metrics: Vec<EngineMetrics>,
     /// The rendered JSON-lines flit trace, when tracing was armed.
     pub trace: Option<String>,
@@ -393,6 +408,8 @@ pub(crate) struct AssembleInputs {
 /// skipped, degrading the report instead of failing it.
 pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
     let stats = inputs.stats;
+    let events_executed: u64 = inputs.shard_metrics.iter().map(|m| m.events_executed).sum();
+    let total_enqueued: u64 = inputs.shard_metrics.iter().map(|m| m.total_enqueued).sum();
     let mut iface_parts: Vec<Option<InterfacePartial>> =
         built.interfaces.iter().map(|_| None).collect();
     let mut router_parts: Vec<Option<RouterPartial>> = built.routers.iter().map(|_| None).collect();
@@ -456,8 +473,8 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
     // shard 0). Wall-clock throughput is reported by the CLI from
     // `RunStats`, not recorded in the snapshot.
     let mut metrics = built.registry.snapshot();
-    metrics.push_counter("engine", "events_executed", inputs.events_executed);
-    metrics.push_counter("engine", "total_enqueued", inputs.total_enqueued);
+    metrics.push_counter("engine", "events_executed", events_executed);
+    metrics.push_counter("engine", "total_enqueued", total_enqueued);
     {
         for (s, em) in inputs.shard_metrics.iter().enumerate() {
             let name = format!("engine_shard_{s}");
@@ -549,7 +566,7 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
                 arena_high = arena_high.max(high as u64);
             }
         }
-        metrics.push_counter("profile", "events_dispatched", inputs.events_executed);
+        metrics.push_counter("profile", "events_dispatched", events_executed);
         metrics.push_counter("profile", "router_cycles", cycles);
         metrics.push_counter("profile", "flits_advanced", advanced);
         metrics.push(
@@ -687,8 +704,8 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
         DiagnosticSnapshot {
             tick: stats.end_time.tick(),
             last_progress,
-            events_executed: inputs.events_executed,
-            events_pending: inputs.total_enqueued.saturating_sub(inputs.events_executed),
+            events_executed,
+            events_pending: total_enqueued.saturating_sub(events_executed),
             shard_queue_depths: inputs
                 .shard_metrics
                 .iter()

@@ -87,8 +87,7 @@ pub trait Component<E>: Any + Send {
     fn handle(&mut self, ctx: &mut Context<'_, E>, event: E);
 
     /// Closes one sampling window at the window edge `edge` (a multiple
-    /// of the interval armed via
-    /// [`Engine::set_sampler`](crate::Engine::set_sampler)).
+    /// of [`EngineOptions::sample_interval`](crate::EngineOptions::sample_interval)).
     ///
     /// The engine guarantees that every event with a tick strictly below
     /// `edge` has executed and no event at or beyond `edge` has, so the

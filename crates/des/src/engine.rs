@@ -1,20 +1,30 @@
 //! The engine abstraction: what it means to execute a simulation.
 //!
 //! The executor is split from the component model so that one simulation
-//! can run on either backend:
+//! can run on any backend. There is **one generation loop**,
+//! `run_shard_rounds` in `protocol.rs`, written against the crate-private
+//! `ShardTransport` trait; a backend is a set of shards plus the
+//! transport that synchronizes them:
 //!
-//! - [`SequentialEngine`](crate::SequentialEngine) — the single-threaded
-//!   calendar-queue executor (the original `Simulator`, which remains as a
-//!   type alias),
+//! - [`SequentialEngine`](crate::SequentialEngine) — one shard on the
+//!   calling thread over the solo transport, whose fold and exchange are
+//!   no-ops (the original `Simulator`, which remains as a type alias),
 //! - [`ShardedEngine`](crate::ShardedEngine) — components partitioned
-//!   across worker threads advancing in conservatively synchronized
-//!   rounds.
+//!   across worker threads over the barrier transport,
+//! - [`WorkerEngine`](crate::WorkerEngine) — one shard per OS process
+//!   over the socket transport, relayed by a parent [`Hub`](crate::Hub).
+//!
+//! What a run observes — watchdog, sampling, tracing, host profiling,
+//! live progress, worker checkpoints — is fixed once, by the
+//! [`EngineOptions`] given when the engine is created.
 //!
 //! # The determinism contract
 //!
-//! Both engines produce **bit-identical** simulations for the same
+//! Every backend produces **bit-identical** simulations for the same
 //! `(configuration, seed)`: the same events in the same canonical order,
-//! the same per-component random draws, and the same trace byte stream.
+//! the same per-component random draws, the same trace byte stream, and
+//! the same halt point (`stop`/`fail` finish the current generation on
+//! every backend).
 //! Three mechanisms make that possible:
 //!
 //! 1. **Event stamps.** Every scheduled event carries an [`EventStamp`]:
@@ -33,16 +43,18 @@
 //!    `(seed, component index)`, so no draw depends on global ordering.
 //!
 //! Events scheduled *during* a generation at the same `(tick, epsilon)`
-//! join the **next** generation — this was already the sequential batch
-//! semantics, and it is exactly what a barrier-synchronized engine can
-//! guarantee for cross-shard events, so zero-latency messages (e.g. the
-//! workload monitor's same-tick command broadcast) need no special case.
+//! join the **next** generation — exactly what a barrier-synchronized
+//! engine can guarantee for cross-shard events, so zero-latency messages
+//! (e.g. the workload monitor's same-tick command broadcast) need no
+//! special case.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::component::{Component, ComponentId};
 use crate::event::{EventQueue, Generation};
+use crate::host::{HostShardTimes, ProgressShared};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
 use crate::trace::{TraceBuffer, TraceEvent, TraceSpec};
@@ -101,10 +113,10 @@ impl<E: WireCodec> WireCodec for Stamped<E> {
 /// in ascending `seq`**: a source stamps its sends in order and they
 /// reach a given queue by one route (direct pushes, or its shard's
 /// sender-ordered outbox); the queue keeps equal times FIFO through the
-/// overflow heap; conversions between backends and checkpoint restores
-/// re-push in drain order; and an aborted generation's remainder goes
-/// back to the front in stamp order, ahead of anything its source sent
-/// later.
+/// overflow heap; and conversions between backends and checkpoint
+/// restores re-push in drain order. A generation, once taken, always runs
+/// to its end (a `stop` or `fail` takes effect after it), so nothing is
+/// ever put back.
 pub(crate) fn take_generation<E>(
     queue: &mut EventQueue<Stamped<E>>,
     tick_limit: Tick,
@@ -287,12 +299,13 @@ crate::wire_struct!(EngineMetrics {
     overflow_len,
 });
 
-/// The first sampling-window edge strictly after `now`: edges lie at
-/// `k * interval` for `k = 1, 2, …` (saturating, so an absurdly large
-/// interval simply never fires).
+/// The first edge strictly after `now` on the `k * interval` grid
+/// (`k = 1, 2, …`; saturating, so an absurdly large interval simply never
+/// fires) — where the next sampling window closes and where the next
+/// checkpoint pause falls.
 #[inline]
-pub(crate) fn next_edge_after(now: Tick, interval: Tick) -> Tick {
-    debug_assert!(interval > 0, "sampler must be armed");
+pub fn next_edge_after(now: Tick, interval: Tick) -> Tick {
+    debug_assert!(interval > 0, "the grid must be armed");
     (now / interval).saturating_add(1).saturating_mul(interval)
 }
 
@@ -309,7 +322,8 @@ pub(crate) fn log2_bucket(v: u64) -> usize {
 
 /// Where a [`Context`] delivers scheduled events.
 pub(crate) enum SinkRef<'a, E> {
-    /// Single queue (sequential engine, or shard-local fast path).
+    /// Single queue: the solo transport's lone shard, where every target
+    /// is local.
     Local(&'a mut EventQueue<Stamped<E>>),
     /// Sharded routing: local targets go to this shard's queue, remote
     /// targets to the per-destination outbox flushed at the next barrier.
@@ -458,16 +472,18 @@ impl<E> Context<'_, E> {
         sink.recno += 1;
     }
 
-    /// Requests an orderly stop, leaving remaining events pending. The
-    /// sequential engine returns after the current event completes; the
-    /// sharded engine completes the current generation first (stop is a
-    /// cooperative signal, not an abort, so both are valid stop points).
+    /// Requests an orderly stop, leaving later events pending. Stop is a
+    /// cooperative signal, not an abort: every backend completes the
+    /// current generation first, so the stop point is part of the
+    /// determinism contract.
     pub fn stop(&mut self) {
         *self.stop_requested = true;
     }
 
     /// Reports a fatal modeling error (paper §IV-D error detection). The
-    /// engine halts and surfaces the message in [`RunOutcome::Failed`].
+    /// engine halts after the current generation and surfaces the message
+    /// in [`RunOutcome::Failed`]; when several events of one generation
+    /// fail, the one with the smallest stamp is reported.
     pub fn fail(&mut self, message: impl Into<String>) {
         if self.failure.is_none() {
             *self.failure = Some(message.into());
@@ -486,13 +502,89 @@ impl<E> Context<'_, E> {
     }
 }
 
+/// What an engine observes and reports while it runs, fixed once when
+/// the engine is created ([`SequentialEngine::with_options`]) and
+/// inherited by [`into_sharded`] and [`into_worker`]. The default is
+/// everything disarmed. Every field is out-of-band or a pure function of
+/// the deterministic event stream, so no option changes which events run
+/// or in what order.
+///
+/// [`SequentialEngine::with_options`]: crate::SequentialEngine::with_options
+/// [`into_sharded`]: crate::SequentialEngine::into_sharded
+/// [`into_worker`]: crate::SequentialEngine::into_worker
+#[derive(Debug, Clone, Default)]
+pub struct EngineOptions {
+    /// No-progress watchdog window in ticks; 0 disarms it. A run breaks
+    /// with [`RunOutcome::Watchdog`] when the next pending event lies
+    /// more than this many ticks after the last reported progress
+    /// ([`Context::progress`]). The check is a pure function of the
+    /// deterministic event stream (taken from the fold values, so
+    /// unanimous across shards): the trip tick is identical on every
+    /// backend and shard count.
+    pub watchdog: Tick,
+    /// Sampling window width in ticks; 0 disarms the sampler. Before
+    /// executing the first generation at or past each window edge
+    /// `k * interval` (`k = 1, 2, …`), the engine calls
+    /// [`Component::sample`] with that edge on every component. Edges are
+    /// crossed in order and each exactly once, even when a single
+    /// generation jumps several windows; a run that ends mid-window never
+    /// closes the trailing partial window. The edge sequence is a pure
+    /// function of the global generation sequence, so sampling is
+    /// identical on every backend and shard count (each shard samples its
+    /// own components in the round covering the edge). The disarmed path
+    /// costs one branch per generation.
+    pub sample_interval: Tick,
+    /// Trace collection: records matching the spec are kept in a ring of
+    /// the given capacity, merged in canonical stamp order. `None`
+    /// disables tracing. A worker process collects by the spec but keeps
+    /// no ring — its records ship to the hub every round, which holds the
+    /// ring (capacity given to [`Hub::accept`](crate::Hub::accept)).
+    pub trace: Option<(TraceSpec, usize)>,
+    /// Host-time profiling stride; 0 disarms it. Phase wall-times are
+    /// measured every batch and per-event component-class attribution
+    /// runs on one batch in `host_sample`, on one recorder per shard whose
+    /// epoch is the engine's creation. Host clocks are strictly
+    /// out-of-band: they never influence event ordering, delivery, or any
+    /// deterministic output. The disarmed path costs one branch per
+    /// batch.
+    pub host_sample: u32,
+    /// Live-progress board the in-process engines publish to after each
+    /// batch (cumulative events per shard; shard 0 adds the current tick
+    /// and round count). Relaxed atomic stores only — the board is read
+    /// by an out-of-band heartbeat emitter and never feeds back into the
+    /// simulation. Workers publish nothing: the hub rebuilds the board
+    /// parent-side from the per-round event deltas.
+    pub progress: Option<Arc<ProgressShared>>,
+    /// Transport-driven checkpoint spacing in ticks; 0 disarms it. Acted
+    /// on by the worker backend only: it pauses whenever the run crosses
+    /// a `k * interval` boundary and ships its shard's state to the hub.
+    /// The in-process engines are checkpointed by their caller, which
+    /// segments [`Engine::run_until`] and calls [`Engine::save_state`].
+    pub checkpoint_interval: Tick,
+}
+
+impl EngineOptions {
+    /// The trace spec, when tracing is armed.
+    pub(crate) fn trace_spec(&self) -> Option<TraceSpec> {
+        self.trace.map(|(spec, _)| spec)
+    }
+
+    /// A fresh trace ring of the configured capacity, when tracing is
+    /// armed.
+    pub(crate) fn trace_ring(&self) -> Option<TraceBuffer> {
+        self.trace
+            .map(|(_, capacity)| TraceBuffer::with_capacity(capacity))
+    }
+}
+
 /// An execution backend: owns registered components and pending events,
 /// and advances the simulation.
 ///
 /// Object-safe so callers can hold a `Box<dyn Engine<E>>` chosen at
 /// configuration time. Construction is backend-specific (components are
 /// registered on a [`SequentialEngine`](crate::SequentialEngine), which
-/// can then be [sharded](crate::SequentialEngine::into_sharded)).
+/// can then be [sharded](crate::SequentialEngine::into_sharded)); what
+/// the engine observes is fixed at construction by [`EngineOptions`].
 pub trait Engine<E: 'static>: fmt::Debug {
     /// Enqueues an initial event from outside any component.
     ///
@@ -514,9 +606,6 @@ pub trait Engine<E: 'static>: fmt::Debug {
     /// Current simulation time (time of the most recent event).
     fn now(&self) -> Time;
 
-    /// Number of registered components.
-    fn num_components(&self) -> usize;
-
     /// Number of shards executing this simulation (1 for sequential).
     fn num_shards(&self) -> usize;
 
@@ -526,46 +615,18 @@ pub trait Engine<E: 'static>: fmt::Debug {
     /// Mutably borrows a component by id. `None` for an unknown id.
     fn component_dyn_mut(&mut self, id: ComponentId) -> Option<&mut dyn Component<E>>;
 
-    /// Per-shard self-metrics, in shard order (one entry for sequential).
+    /// Per-shard self-metrics, in shard order (one entry for sequential;
+    /// a worker process reports only its own shard). Lifetime totals are
+    /// their sums.
     fn shard_metrics(&self) -> Vec<EngineMetrics>;
 
-    /// Events executed since construction, across all shards.
-    fn events_executed(&self) -> u64;
-
-    /// Events ever enqueued, across all shards.
-    fn total_enqueued(&self) -> u64;
-
-    /// Arms the no-progress watchdog: a run breaks with
-    /// [`RunOutcome::Watchdog`] when the next pending event lies more
-    /// than `window` ticks after the last reported progress
-    /// ([`Context::progress`]). `window = 0` disarms it. The check is a
-    /// pure function of the deterministic event stream, so the trip tick
-    /// is identical on every backend and shard count.
-    fn set_watchdog(&mut self, window: Tick);
-
-    /// Arms the windowed sampler: before executing the first generation
-    /// at or past each window edge `k * interval` (`k = 1, 2, …`), the
-    /// engine calls [`Component::sample`] with that edge on every
-    /// component. Edges are crossed in order and each exactly once, even
-    /// when a single generation jumps several windows; a run that ends
-    /// mid-window never closes the trailing partial window. The edge
-    /// sequence is a pure function of the global generation sequence, so
-    /// sampling is identical on every backend and shard count (each shard
-    /// samples its own components at the barrier round covering the
-    /// edge). `interval = 0` disarms the sampler; the disabled path costs
-    /// one branch per generation.
-    fn set_sampler(&mut self, interval: Tick);
-
-    /// Enables trace collection into a ring of `capacity` records
-    /// matching `spec`. Replaces any previous trace state.
-    fn set_trace(&mut self, spec: TraceSpec, capacity: usize);
-
-    /// Whether trace collection is enabled.
-    fn trace_enabled(&self) -> bool;
-
-    /// The collected trace records in canonical order, empty when
+    /// The collected trace records in canonical order, `None` when
     /// tracing is disabled.
-    fn trace_records(&self) -> Vec<TraceEvent>;
+    fn trace_records(&self) -> Option<Vec<TraceEvent>>;
+
+    /// The host-time records collected so far, one per shard in shard
+    /// order. Empty when profiling is disarmed.
+    fn host_times(&self) -> Vec<HostShardTimes>;
 
     /// Serializes the engine's complete dynamic state — clock, pending
     /// events, per-component RNG streams and send counters, component
@@ -592,43 +653,7 @@ pub trait Engine<E: 'static>: fmt::Debug {
     /// not be used afterwards.
     fn load_state(&mut self, buf: &mut &[u8]) -> bool
     where
-        E: crate::wire::WireCodec,
-    {
-        let _ = buf;
-        false
-    }
-
-    /// Arms transport-driven checkpointing (multi-process workers only):
-    /// the engine emits its state to the hub whenever the run crosses a
-    /// `k * interval` tick boundary. A no-op on backends whose caller
-    /// drives checkpointing by segmenting [`Engine::run_until`].
-    fn set_checkpoint_interval(&mut self, interval: Tick) {
-        let _ = interval;
-    }
-
-    /// Arms host-time profiling: phase wall-times are measured every
-    /// batch and per-event component-class attribution runs on one batch
-    /// in `sample`. `sample = 0` (the default) disarms profiling — the
-    /// disabled path costs one branch per batch. Host clocks are
-    /// strictly out-of-band: they never influence event ordering,
-    /// delivery, or any deterministic output.
-    fn set_host_profiling(&mut self, sample: u32) {
-        let _ = sample;
-    }
-
-    /// The host-time records collected so far, one per shard in shard
-    /// order. Empty when profiling is disarmed or unsupported.
-    fn host_times(&self) -> Vec<crate::host::HostShardTimes> {
-        Vec::new()
-    }
-
-    /// Installs a live-progress board the engine publishes to after each
-    /// batch (cumulative events, current tick). Relaxed atomic stores
-    /// only — the board is read by an out-of-band heartbeat emitter and
-    /// never feeds back into the simulation.
-    fn set_progress(&mut self, progress: std::sync::Arc<crate::host::ProgressShared>) {
-        let _ = progress;
-    }
+        E: crate::wire::WireCodec;
 }
 
 impl<E: 'static> dyn Engine<E> + '_ {
@@ -648,8 +673,8 @@ impl<E: 'static> dyn Engine<E> + '_ {
 
 /// Moves one finished generation's trace records into the ring.
 ///
-/// `round` must already be in canonical order — naturally true for the
-/// sequential engine, established by a stamp sort for the sharded merge.
+/// `round` must already be in canonical order — naturally true for one
+/// shard, established by a stamp sort for the cross-shard merge.
 pub(crate) fn flush_trace(buffer: &mut TraceBuffer, round: &mut Vec<TaggedTrace>) {
     for t in round.drain(..) {
         buffer.push(t.ev);

@@ -1021,9 +1021,10 @@ impl<E> EventQueue<E> {
     /// bucket, undoing part of a [`EventQueue::take_batch`] or
     /// [`EventQueue::take_generation_until`].
     ///
-    /// Used when the executor aborts mid-batch (stop, failure): the
-    /// remaining events were enqueued before anything scheduled during the
-    /// batch, so they must run first when the simulation resumes.
+    /// For a caller that abandons a batch part-way: the remaining events
+    /// were enqueued before anything scheduled during the batch, so they
+    /// must run first when it resumes. The engines of this crate never do
+    /// — a generation, once taken, runs to its end.
     pub fn requeue_front(&mut self, entries: impl Iterator<Item = EventEntry<E>>) {
         let mut chain = Bucket::EMPTY;
         let mut count = 0usize;

@@ -22,8 +22,8 @@ pub const MAX_ROUND_SLICES: usize = 8192;
 
 /// Wall-time of one executed round (generation batch) on one shard.
 ///
-/// `start_ns` is relative to the owning recorder's epoch (the start of
-/// that engine's `run_until`), so slices from different worker processes
+/// `start_ns` is relative to the owning recorder's epoch (the creation
+/// of that shard's engine), so slices from different worker processes
 /// are aligned only approximately — good enough for a timeline view,
 /// never used for anything else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -111,9 +111,9 @@ impl HostShardTimes {
         }
     }
 
-    /// Folds another record (e.g. one `run_until` segment) into this
-    /// one: counters add, classes merge by name, slices append under the
-    /// cap. The stride is taken from `other` when set.
+    /// Folds another record (e.g. another shard's) into this one:
+    /// counters add, classes merge by name, slices append under the cap.
+    /// The stride is taken from `other` when set.
     pub fn merge(&mut self, other: &HostShardTimes) {
         if other.sample != 0 {
             self.sample = other.sample;
@@ -167,9 +167,10 @@ crate::wire_struct!(HostShardTimes {
 } if |t| t.round_slices.len() <= MAX_ROUND_SLICES);
 
 /// Engine-side helper pairing a [`HostShardTimes`] with its wall-clock
-/// epoch and the batch-sampling counter. Created disabled; an engine
-/// arms it via [`HostRecorder::set_sample`] and resets the epoch at the
-/// start of each `run_until`.
+/// epoch and the batch-sampling counter. One recorder serves one shard
+/// for the life of its engine: the epoch is fixed at creation, so the
+/// slices of every `run_until` segment (a checkpointed run has many) lie
+/// on one timeline, and the 1-in-N stride runs on across segments.
 #[derive(Debug)]
 pub struct HostRecorder {
     epoch: Instant,
@@ -178,43 +179,24 @@ pub struct HostRecorder {
     pub times: HostShardTimes,
 }
 
-impl Default for HostRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl HostRecorder {
-    /// A disabled recorder: every probe is a no-op until armed.
-    pub fn new() -> Self {
+    /// A recorder armed with the given stride; 0 leaves it disabled, and
+    /// every probe a no-op.
+    pub fn with_sample(sample: u32) -> Self {
         HostRecorder {
             epoch: Instant::now(),
             counter: 0,
-            times: HostShardTimes::default(),
+            times: HostShardTimes {
+                sample,
+                ..HostShardTimes::default()
+            },
         }
-    }
-
-    /// A recorder armed with the given stride (0 keeps it disabled).
-    pub fn with_sample(sample: u32) -> Self {
-        let mut r = Self::new();
-        r.set_sample(sample);
-        r
-    }
-
-    /// Arms (sample ≥ 1) or disarms (0) profiling.
-    pub fn set_sample(&mut self, sample: u32) {
-        self.times.sample = sample;
     }
 
     /// Whether any probing should happen at all.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.times.sample != 0
-    }
-
-    /// Re-bases `start_ns` of future slices on "now".
-    pub fn reset_epoch(&mut self) {
-        self.epoch = Instant::now();
     }
 
     /// Nanoseconds since the epoch (saturating to `u64`).

@@ -68,7 +68,8 @@ pub mod wire;
 pub use clock::Clock;
 pub use component::{Component, ComponentId};
 pub use engine::{
-    Context, Engine, EngineMetrics, EventStamp, RunOutcome, RunStats, BATCH_BUCKETS, EXTERNAL_SRC,
+    next_edge_after, Context, Engine, EngineMetrics, EngineOptions, EventStamp, RunOutcome,
+    RunStats, BATCH_BUCKETS, EXTERNAL_SRC,
 };
 pub use event::{EventEntry, EventQueue, Generation};
 pub use host::{HostRecorder, HostRoundSlice, HostShardTimes, ProgressShared, MAX_ROUND_SLICES};

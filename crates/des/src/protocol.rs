@@ -1,9 +1,10 @@
-//! The generation-lockstep round protocol, written once against
-//! [`ShardTransport`] and shared by the in-process
-//! [`ShardedEngine`](crate::ShardedEngine) and the multi-process
-//! [`WorkerEngine`].
+//! The generation loop, written once against [`ShardTransport`] and
+//! run by every backend: the [`SequentialEngine`](crate::SequentialEngine)
+//! (one shard, solo transport), the in-process
+//! [`ShardedEngine`](crate::ShardedEngine) (thread transport) and the
+//! multi-process [`WorkerEngine`] (socket transport).
 //!
-//! Each loop iteration is one barrier round covering one generation:
+//! Each loop iteration is one round covering one generation:
 //!
 //! 1. **Fold.** Publish the local queue head and last-progress tick; the
 //!    transport returns the global minimum head `m` and maximum progress.
@@ -20,43 +21,124 @@
 //!
 //! Because cross-shard events are delivered at the end of the round, an
 //! event scheduled *during* generation `m` at time `m` joins the *next*
-//! generation — exactly the sequential batch semantics.
+//! generation on every backend, and because stop/failure flags are read
+//! at the exchange, a generation once started always completes. With one
+//! shard both transport calls are no-ops and the loop is the classic
+//! sequential executor (paper §III-A, Figure 1).
+
+use std::time::Instant;
 
 use crate::component::{Component, ComponentId};
 use crate::engine::{
-    next_edge_after, take_generation, Context, Engine, EngineMetrics, EventStamp, RunOutcome,
-    RunStats, SinkRef, Stamped, TaggedTrace, TraceSink, EXTERNAL_SRC,
+    log2_bucket, next_edge_after, take_generation, Context, Engine, EngineMetrics, EngineOptions,
+    EventStamp, RunOutcome, RunStats, SinkRef, Stamped, TaggedTrace, TraceSink, BATCH_BUCKETS,
+    EXTERNAL_SRC,
 };
 use crate::event::{EventQueue, Generation};
-use crate::host::{HostRecorder, HostRoundSlice, ProgressShared};
+use crate::host::{HostRecorder, HostRoundSlice, HostShardTimes};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
-use crate::trace::{TraceEvent, TraceSpec};
 use crate::transport::{RoundOut, ShardTransport, TransportError};
 
 /// One shard: a slice of the component space plus its own event queue and
 /// executor counters. `components` is full-length (indexed by component
 /// id) with `None` in the slots other shards own, so dispatch needs no id
-/// translation.
+/// translation; `rngs` and `seqs` are full-length too, and only the
+/// owner's entries ever advance.
 pub(crate) struct Shard<E> {
     pub(crate) components: Vec<Option<Box<dyn Component<E>>>>,
+    /// Per-component random streams, derived from `(seed, index)`.
     pub(crate) rngs: Vec<Rng>,
+    /// Per-component send counters (event stamp sources).
     pub(crate) seqs: Vec<u64>,
     pub(crate) queue: EventQueue<Stamped<E>>,
-    pub(crate) batch: Generation<Stamped<E>>,
+    /// Scratch buffer for generation draining, reused across runs.
+    batch: Generation<Stamped<E>>,
     pub(crate) events_executed: u64,
     pub(crate) batches: u64,
-    pub(crate) batch_counts: [u64; crate::engine::BATCH_BUCKETS],
+    pub(crate) batch_counts: [u64; BATCH_BUCKETS],
 }
 
 impl<E> Shard<E> {
-    pub(crate) fn record_batch(&mut self, done: u64) {
+    /// A shard owning nothing yet, over the given stream and counter
+    /// tables.
+    pub(crate) fn new(rngs: Vec<Rng>, seqs: Vec<u64>) -> Self {
+        Shard {
+            components: Vec::new(),
+            rngs,
+            seqs,
+            queue: EventQueue::new(),
+            batch: Generation::new(),
+            events_executed: 0,
+            batches: 0,
+            batch_counts: [0; BATCH_BUCKETS],
+        }
+    }
+
+    /// Partitions this whole-simulation shard into `num_shards`,
+    /// component `c` going to shard `shard_of[c]` and every pending event
+    /// to its target's shard (unknown targets to shard 0, which reports
+    /// the usual unregistered-target failure). Streams and send counters
+    /// are copied to every part; lifetime executor totals carry to part
+    /// 0 so summed counters survive the conversion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_shards` is zero, `shard_of` is not exactly one
+    /// entry per registered component, or any entry is out of range.
+    pub(crate) fn split(mut self, num_shards: usize, shard_of: &[u32]) -> Vec<Shard<E>> {
+        assert!(num_shards > 0, "need at least one shard");
+        assert_eq!(
+            shard_of.len(),
+            self.components.len(),
+            "shard map must cover every component"
+        );
+        assert!(
+            shard_of.iter().all(|&s| (s as usize) < num_shards),
+            "shard map entry out of range"
+        );
+        let n = self.components.len();
+        let mut parts: Vec<Shard<E>> = (0..num_shards)
+            .map(|_| {
+                let mut part = Shard::new(self.rngs.clone(), self.seqs.clone());
+                part.components.resize_with(n, || None);
+                part
+            })
+            .collect();
+        parts[0].events_executed = self.events_executed;
+        for (idx, slot) in self.components.drain(..).enumerate() {
+            parts[shard_of[idx] as usize].components[idx] = slot;
+        }
+        let mut pending = Vec::new();
+        while self.queue.take_batch(&mut pending) > 0 {
+            for e in pending.drain(..) {
+                let owner = shard_of.get(e.target.index()).copied().unwrap_or(0) as usize;
+                parts[owner].queue.push(e.target, e.time, e.payload);
+            }
+        }
+        parts
+    }
+
+    /// Borrows a component this shard owns.
+    pub(crate) fn component(&self, id: ComponentId) -> Option<&dyn Component<E>> {
+        self.components.get(id.index()).and_then(|c| c.as_deref())
+    }
+
+    /// Mutably borrows a component this shard owns.
+    pub(crate) fn component_mut(&mut self, id: ComponentId) -> Option<&mut dyn Component<E>> {
+        self.components
+            .get_mut(id.index())
+            .and_then(|c| c.as_deref_mut())
+    }
+
+    /// Folds one executed batch into the shard counters.
+    fn record_batch(&mut self, done: u64) {
         if done == 0 {
             return;
         }
         self.events_executed += done;
         self.batches += 1;
-        self.batch_counts[crate::engine::log2_bucket(done)] += 1;
+        self.batch_counts[log2_bucket(done)] += 1;
     }
 
     pub(crate) fn metrics(&self) -> EngineMetrics {
@@ -75,74 +157,86 @@ impl<E> Shard<E> {
     }
 }
 
-impl<E: crate::wire::WireCodec + 'static> Shard<E> {
-    /// Serializes this shard as one canonical shard blob (see
-    /// [`crate::snapshot`]). The engine-global scalars ride inside each
-    /// blob so a worker process can restore from its own blob alone.
-    pub(crate) fn save_state(
-        &self,
-        now: Time,
-        ext_seq: u64,
-        last_progress: Tick,
-        out: &mut Vec<u8>,
-    ) {
-        let scalars = crate::snapshot::ShardScalars {
-            now,
-            ext_seq,
-            last_progress,
-            events_executed: self.events_executed,
-            batches: self.batches,
-            batch_counts: self.batch_counts,
-        };
-        crate::snapshot::save_shard(
-            out,
-            &scalars,
-            &self.queue,
-            &self.components,
-            &self.rngs,
-            &self.seqs,
-        );
-    }
+/// Events executed over the lifetime of `shards`.
+pub(crate) fn events_executed<E>(shards: &[Shard<E>]) -> u64 {
+    shards.iter().map(|s| s.events_executed).sum()
+}
 
-    /// Overlays a shard blob onto this freshly built shard, returning
-    /// the engine-global scalars for the caller to apply. `None` on
-    /// malformed or mismatched state.
-    pub(crate) fn load_state(&mut self, buf: &mut &[u8]) -> Option<crate::snapshot::ShardScalars> {
-        let s = crate::snapshot::load_shard(
-            buf,
-            &mut self.queue,
-            &mut self.components,
-            &mut self.rngs,
-            &mut self.seqs,
-        )?;
-        self.events_executed = s.events_executed;
-        self.batches = s.batches;
-        self.batch_counts = s.batch_counts;
-        Some(s)
+/// The statistics of one finished `run_until` over `shards`, which had
+/// executed `start_events` events when it began at `start`.
+pub(crate) fn run_stats<E>(
+    shards: &[Shard<E>],
+    start_events: u64,
+    start: Instant,
+    end_time: Time,
+    outcome: RunOutcome,
+) -> RunStats {
+    RunStats {
+        events_executed: events_executed(shards) - start_events,
+        end_time,
+        queue_high_water: shards.iter().map(|s| s.queue.high_water_mark()).sum(),
+        total_enqueued: shards.iter().map(|s| s.queue.total_enqueued()).sum(),
+        wall: start.elapsed(),
+        outcome,
     }
 }
 
-/// The run parameters every shard agrees on before the loop starts.
+/// The host-time records of `hosts`, or nothing when profiling is
+/// disarmed.
+pub(crate) fn host_times(hosts: &[HostRecorder]) -> Vec<HostShardTimes> {
+    hosts
+        .iter()
+        .filter(|h| h.enabled())
+        .map(|h| h.times.clone())
+        .collect()
+}
+
+/// The engine-global run position every backend keeps beside its shards
+/// (and every shard blob repeats): the clock, the external send counter,
+/// and the last globally agreed progress tick.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RunCursor {
+    /// Time of the last executed generation.
+    pub now: Time,
+    /// Send counter for external ([`Engine::schedule`]) events.
+    pub ext_seq: u64,
+    /// Tick of the last [`Context::progress`] report on any shard.
+    pub last_progress: Tick,
+}
+
+impl RunCursor {
+    /// Stamps an event scheduled from outside any component at `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than the current simulation time.
+    pub(crate) fn stamp_external(&mut self, time: Time) -> EventStamp {
+        assert!(time >= self.now, "cannot schedule into the past");
+        let stamp = EventStamp {
+            src: EXTERNAL_SRC,
+            seq: self.ext_seq,
+        };
+        self.ext_seq += 1;
+        stamp
+    }
+}
+
+/// What one shard needs to know to run its side of the loop.
 pub(crate) struct ProtocolParams<'a> {
     pub my_shard: u32,
     pub num_shards: usize,
     pub tick_limit: Tick,
-    /// No-progress watchdog window in ticks; 0 = disarmed.
-    pub watchdog: Tick,
-    /// Sampling window width in ticks; 0 = disarmed.
-    pub sample_interval: Tick,
-    pub start_now: Time,
-    pub start_progress: Tick,
-    pub trace_spec: Option<TraceSpec>,
-    /// Component index → owning shard.
+    /// Watchdog window, sample interval, trace spec and progress board.
+    pub options: &'a EngineOptions,
+    /// Where the run stands when the loop starts (identical on every
+    /// shard).
+    pub start: RunCursor,
+    /// Component index → owning shard; unread under the solo transport.
     pub shard_of: &'a [u32],
-    /// Out-of-band live-progress board (shard 0 additionally publishes
-    /// the tick and round count); `None` when no heartbeat is armed.
-    pub progress_board: Option<&'a ProgressShared>,
 }
 
-/// Runs barrier rounds over `transport` until a halt decision. Returns
-/// the outcome, the time of the last executed generation, and the final
+/// Runs rounds over `transport` until a halt decision. Returns the
+/// outcome, the time of the last executed generation, and the final
 /// globally agreed progress tick.
 ///
 /// `host` collects out-of-band wall-time attribution (phase totals every
@@ -155,17 +249,23 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
     transport: &mut T,
     host: &mut HostRecorder,
 ) -> Result<(RunOutcome, Time, Tick), TransportError> {
-    let mut local_now = p.start_now;
+    let watchdog = p.options.watchdog;
+    let sample_interval = p.options.sample_interval;
+    let trace_spec = p.options.trace_spec();
+    let board = p.options.progress.as_deref();
+    let mut local_now = p.start.now;
     let mut local_out: Vec<Vec<(ComponentId, Time, Stamped<E>)>> =
         (0..p.num_shards).map(|_| Vec::new()).collect();
     let mut round_trace: Vec<TaggedTrace> = Vec::new();
     let mut batch = std::mem::take(&mut shard.batch);
-    let mut local_progress = p.start_progress;
-    // Every shard advances its edge cursor from the same global `m`
+    let mut local_progress = p.start.last_progress;
+    // The next window edge is a pure function of (now, interval), so a
+    // paused-and-resumed run samples exactly the edges a continuous run
+    // would; every shard advances its cursor from the same global `m`
     // sequence, so all cursors stay in lockstep and together the shards
-    // sample exactly the component set the sequential engine would.
+    // sample every component exactly once per edge.
     let mut next_edge =
-        (p.sample_interval > 0).then(|| next_edge_after(p.start_now.tick(), p.sample_interval));
+        (sample_interval > 0).then(|| next_edge_after(p.start.now.tick(), sample_interval));
     // Assigned by the fold before every loop exit.
     let mut global_progress;
     let outcome = loop {
@@ -174,7 +274,8 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
         // fold / sample-edge / drain / execute / exchange with at most
         // six clock reads per round.
         let m0 = if profiling { host.now_ns() } else { 0 };
-        let fold = transport.fold(shard.queue.peek_time(), local_progress)?;
+        let head = shard.queue.peek_time();
+        let fold = transport.fold(head, local_progress)?;
         let m1 = if profiling { host.now_ns() } else { 0 };
         let round_fold_ns = m1 - m0;
         if profiling {
@@ -182,23 +283,25 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
         }
         global_progress = fold.global_progress;
         // All halt decisions are unanimous: every shard computed them
-        // from the identical fold values.
+        // from the identical fold values. They are taken before the
+        // generation is drained, so the pending queue survives intact
+        // (for a resume, or for diagnostics after a watchdog trip).
         let Some(m) = fold.m else {
             break RunOutcome::Drained;
         };
         if m.tick() > p.tick_limit {
             break RunOutcome::TickLimit;
         }
-        if p.watchdog > 0 && m.tick().saturating_sub(global_progress) > p.watchdog {
+        if watchdog > 0 && m.tick().saturating_sub(global_progress) > watchdog {
             break RunOutcome::Watchdog {
                 last_progress: global_progress,
             };
         }
-        // This round covers any window edges up to `m`: every event
-        // below the edge executed in an earlier round, so each shard
-        // closes the window over its own components before generation
-        // `m` runs — the per-shard half of the sequential engine's
-        // pre-generation sweep.
+        debug_assert!(m >= local_now, "event queue went backwards");
+        // Window edges crossed by this generation close before any of
+        // its events run: everything below the edge has executed,
+        // nothing at or past it has. Each shard closes the window over
+        // its own components.
         if next_edge.is_some_and(|e| e <= m.tick()) {
             while let Some(edge) = next_edge.filter(|&e| e <= m.tick()) {
                 for slot in shard.components.iter_mut() {
@@ -206,7 +309,7 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
                         c.sample(edge);
                     }
                 }
-                next_edge = edge.checked_add(p.sample_interval);
+                next_edge = edge.checked_add(sample_interval);
             }
             if profiling {
                 host.times.sample_edge_ns += host.now_ns() - m1;
@@ -220,10 +323,9 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
         let mut round_exec_ns = 0u64;
         // The batch executes in stamp order, so the first failure seen
         // is this shard's smallest-stamp failure; the transport folds
-        // the cross-shard minimum (the failure the sequential engine
-        // would have hit first).
+        // the cross-shard minimum.
         let mut failure_local: Option<(EventStamp, String)> = None;
-        if shard.queue.peek_time() == Some(m) {
+        if head == Some(m) {
             let m2 = if profiling { host.now_ns() } else { 0 };
             let t = take_generation(&mut shard.queue, p.tick_limit, &mut batch);
             debug_assert_eq!(t, Some(m));
@@ -231,6 +333,9 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
             if profiling {
                 host.times.drain_ns += m3 - m2;
             }
+            // Engine stats update once per generation, not per event:
+            // `done` counts executed events in a register and folds into
+            // the shard's counters when the generation ends.
             let mut done = 0u64;
             let mut progress_local = false;
             // On sampled rounds, consecutive marks attribute each
@@ -245,18 +350,26 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
                         let mut ctx = Context {
                             now: m,
                             self_id: entry.target,
-                            sink: SinkRef::Sharded {
-                                queue: &mut shard.queue,
-                                shard_of: p.shard_of,
-                                my_shard: p.my_shard,
-                                outboxes: &mut local_out,
+                            // Resolved when the loop is compiled for its
+                            // transport: with no peer every target is
+                            // local, and `Context::schedule` pushes
+                            // straight into the queue.
+                            sink: if T::SOLO {
+                                SinkRef::Local(&mut shard.queue)
+                            } else {
+                                SinkRef::Sharded {
+                                    queue: &mut shard.queue,
+                                    shard_of: p.shard_of,
+                                    my_shard: p.my_shard,
+                                    outboxes: &mut local_out,
+                                }
                             },
                             seq: &mut shard.seqs[idx],
                             rng: &mut shard.rngs[idx],
                             stop_requested: &mut stop_local,
                             progress: &mut progress_local,
                             failure: &mut fail_local,
-                            trace: p.trace_spec.map(|spec| TraceSink {
+                            trace: trace_spec.map(|spec| TraceSink {
                                 spec,
                                 stamp: entry.payload.stamp,
                                 recno: 0,
@@ -320,7 +433,7 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
                 });
             }
         }
-        if let Some(board) = p.progress_board {
+        if let Some(board) = board {
             board.record_events(p.my_shard as usize, shard.events_executed);
             if p.my_shard == 0 {
                 board.record_tick(m.tick());
@@ -349,9 +462,10 @@ pub use worker::WorkerEngine;
 mod worker {
     use super::*;
     use crate::simulator::SequentialEngine;
+    use crate::snapshot::{load_shard, save_shard};
+    use crate::trace::TraceEvent;
     use crate::transport::{ProcessTransport, WorkerLink};
-    use crate::wire::WireCodec;
-    use std::time::Instant;
+    use crate::wire::{self, WireCodec};
 
     /// One shard of a simulation running in its own OS process, driven
     /// over a [`WorkerLink`] by the parent hub.
@@ -361,34 +475,32 @@ mod worker {
     /// scheduled) that is identical in every worker — same
     /// configuration, same seed. The conversion keeps only the
     /// components this shard owns and the pending events targeting
-    /// them; foreign slots become `None` and foreign events are
-    /// dropped, because the owning worker holds its own identically
-    /// stamped copies. Per-component RNG streams and send counters stay
-    /// full-length, so stamps and draws line up bit-for-bit with the
-    /// other backends.
+    /// them; the rest is dropped, because the owning worker holds its
+    /// own identically stamped copies. Per-component RNG streams and
+    /// send counters stay full-length, so stamps and draws line up
+    /// bit-for-bit with the other backends.
     ///
     /// Differences from the in-process engines, by construction:
     /// trace records ship to the hub every round (so
     /// [`Engine::trace_records`] is empty here — the hub merges them),
-    /// and [`Engine::shard_metrics`] reports only this shard (the hub
-    /// collects the full set from every worker's DONE frame).
+    /// [`Engine::shard_metrics`] and [`Engine::host_times`] report only
+    /// this shard (the hub collects the full set from every worker's
+    /// DONE frame), and checkpoints are driven by the transport: with
+    /// [`EngineOptions::checkpoint_interval`] set, the run pauses at
+    /// every `k * interval` boundary and ships this shard's state to the
+    /// hub.
     pub struct WorkerEngine<E> {
         shard: Shard<E>,
         shard_of: Vec<u32>,
         my_shard: u32,
         num_shards: usize,
-        now: Time,
-        ext_seq: u64,
-        trace_spec: Option<TraceSpec>,
-        watchdog: Tick,
-        sample_interval: Tick,
-        checkpoint_interval: Tick,
-        last_progress: Tick,
+        cursor: RunCursor,
+        options: EngineOptions,
         link: WorkerLink,
         host: HostRecorder,
     }
 
-    impl<E: WireCodec + Send + 'static> SequentialEngine<E> {
+    impl<E: WireCodec + 'static> SequentialEngine<E> {
         /// Converts this fully built engine into the `my_shard`-th of
         /// `num_shards` worker shards, communicating through `link`.
         ///
@@ -397,97 +509,48 @@ mod worker {
         /// Panics if `num_shards` is zero, `my_shard` is out of range,
         /// or `shard_of` is not exactly one entry per component.
         pub fn into_worker(
-            mut self,
+            self,
             my_shard: u32,
             num_shards: usize,
             shard_of: Vec<u32>,
             link: WorkerLink,
         ) -> WorkerEngine<E> {
-            assert!(num_shards > 0, "need at least one shard");
             assert!(
                 (my_shard as usize) < num_shards,
                 "worker index out of range"
             );
-            assert_eq!(
-                shard_of.len(),
-                self.components.len(),
-                "shard map must cover every component"
-            );
-            assert!(
-                shard_of.iter().all(|&s| (s as usize) < num_shards),
-                "shard map entry out of range"
-            );
-            let n = self.components.len();
-            let mut shard = Shard {
-                components: Vec::with_capacity(n),
-                rngs: self.rngs.clone(),
-                seqs: self.seqs.clone(),
-                queue: EventQueue::new(),
-                batch: Generation::new(),
-                // Lifetime totals carry to shard 0, mirroring
-                // `into_sharded`, so summed counters agree.
-                events_executed: if my_shard == 0 {
-                    Engine::events_executed(&self)
-                } else {
-                    0
-                },
-                batches: 0,
-                batch_counts: [0; crate::engine::BATCH_BUCKETS],
-            };
-            shard.components.resize_with(n, || None);
-            for (idx, slot) in self.components.drain(..).enumerate() {
-                if shard_of[idx] == my_shard {
-                    shard.components[idx] = slot;
-                }
-            }
-            // Keep only locally targeted pending events; every worker
-            // scheduled the same initial events with the same stamps, so
-            // each foreign event exists — identically stamped — in its
-            // owning worker's queue.
-            let mut pending = Vec::new();
-            while self.queue.take_batch(&mut pending) > 0 {
-                for e in pending.drain(..) {
-                    if shard_of.get(e.target.index()).copied() == Some(my_shard) {
-                        shard.queue.push(e.target, e.time, e.payload);
-                    }
-                }
-            }
+            // Every worker scheduled the same initial events with the
+            // same stamps, so each event of the other parts exists —
+            // identically stamped — in its owning worker's queue.
+            let shard = self
+                .shard
+                .split(num_shards, &shard_of)
+                .swap_remove(my_shard as usize);
             WorkerEngine {
                 shard,
                 shard_of,
                 my_shard,
                 num_shards,
-                now: self.now,
-                ext_seq: self.ext_seq,
-                trace_spec: self.trace.as_ref().map(|t| t.spec),
-                watchdog: self.watchdog,
-                sample_interval: self.sample_interval,
-                checkpoint_interval: 0,
-                last_progress: self.last_progress,
+                cursor: self.cursor,
+                // The hub tracks live progress parent-side from the
+                // per-round event deltas; workers publish nothing.
+                options: EngineOptions {
+                    progress: None,
+                    ..self.options
+                },
                 link,
-                host: HostRecorder::new(),
+                host: self.host,
             }
         }
     }
 
-    impl<E: WireCodec + Send + 'static> WorkerEngine<E> {
-        fn owned(&self, id: ComponentId) -> bool {
-            self.shard_of.get(id.index()).copied() == Some(self.my_shard)
-        }
-    }
-
-    impl<E: WireCodec + Send + 'static> Engine<E> for WorkerEngine<E> {
+    impl<E: WireCodec + 'static> Engine<E> for WorkerEngine<E> {
         /// External schedules must advance `ext_seq` on **every** worker
         /// to keep stamps aligned, but only the owning worker enqueues
         /// the event.
         fn schedule(&mut self, target: ComponentId, time: Time, payload: E) {
-            assert!(time >= self.now, "cannot schedule into the past");
-            let stamp = EventStamp {
-                src: EXTERNAL_SRC,
-                seq: self.ext_seq,
-            };
-            self.ext_seq += 1;
-            if self.owned(target) {
+            let stamp = self.cursor.stamp_external(time);
+            if self.shard_of.get(target.index()).copied() == Some(self.my_shard) {
                 self.shard
                     .queue
                     .push(target, time, Stamped { stamp, payload });
@@ -499,28 +562,23 @@ mod worker {
             let start_events = self.shard.events_executed;
             let link = self.link.clone();
             let mut transport = link.0.borrow_mut();
+            let interval = self.options.checkpoint_interval;
             // Track checkpoint boundaries by multiples of the interval,
             // not by `now`: after a pause the clock sits at the last
             // executed generation, which may be short of the boundary,
             // and recomputing from it would revisit the same edge
             // forever.
-            let mut next_ckpt = (self.checkpoint_interval > 0)
-                .then(|| next_edge_after(self.now.tick(), self.checkpoint_interval));
+            let mut next_ckpt =
+                (interval > 0).then(|| next_edge_after(self.cursor.now.tick(), interval));
             let outcome = loop {
                 let bound = next_ckpt.map_or(tick_limit, |c| c.min(tick_limit));
                 let params = ProtocolParams {
                     my_shard: self.my_shard,
                     num_shards: self.num_shards,
                     tick_limit: bound,
-                    watchdog: self.watchdog,
-                    sample_interval: self.sample_interval,
-                    start_now: self.now,
-                    start_progress: self.last_progress,
-                    trace_spec: self.trace_spec,
+                    options: &self.options,
+                    start: self.cursor,
                     shard_of: &self.shard_of,
-                    // The hub tracks live progress parent-side from the
-                    // per-round event deltas; workers publish nothing.
-                    progress_board: None,
                 };
                 let result = run_shard_rounds::<E, ProcessTransport>(
                     &mut self.shard,
@@ -528,93 +586,69 @@ mod worker {
                     &mut *transport,
                     &mut self.host,
                 );
-                match result {
-                    Ok((outcome, end_now, end_progress)) => {
-                        self.now = end_now;
-                        self.last_progress = end_progress;
-                        if outcome == RunOutcome::TickLimit && bound < tick_limit {
-                            // Paused at a checkpoint boundary, unanimously
-                            // across workers (the halt came from the folded
-                            // global head). Ship this shard's blob; the hub
-                            // collects one from every worker and writes the
-                            // checkpoint file.
-                            let profiling = self.host.enabled();
-                            let t_ckpt = profiling.then(Instant::now);
-                            let mut blob = Vec::new();
-                            self.shard.save_state(
-                                self.now,
-                                self.ext_seq,
-                                self.last_progress,
-                                &mut blob,
-                            );
-                            if let Some(t0) = t_ckpt {
-                                self.host.times.checkpoint_ns += t0.elapsed().as_nanos() as u64;
-                                self.host.times.checkpoint_writes += 1;
-                                self.host.times.checkpoint_bytes += blob.len() as u64;
-                            }
-                            if let Err(e) = transport.checkpoint(Time::at(bound), &blob) {
-                                break RunOutcome::Failed(format!("transport: {e}"));
-                            }
-                            next_ckpt =
-                                next_ckpt.and_then(|c| c.checked_add(self.checkpoint_interval));
-                            continue;
-                        }
-                        // Tell the hub how the run ended; a send failure here
-                        // degrades like any other transport error.
-                        match transport.finish(
-                            &outcome,
-                            end_now,
-                            end_progress,
-                            &self.shard.metrics(),
-                            &self.host.times,
-                        ) {
-                            Ok(()) => break outcome,
-                            Err(e) => break RunOutcome::Failed(format!("transport: {e}")),
-                        }
+                let (outcome, end_now, end_progress) = match result {
+                    Ok(r) => r,
+                    Err(e) => break RunOutcome::Failed(format!("transport: {e}")),
+                };
+                self.cursor.now = end_now;
+                self.cursor.last_progress = end_progress;
+                if outcome == RunOutcome::TickLimit && bound < tick_limit {
+                    // Paused at a checkpoint boundary, unanimously
+                    // across workers (the halt came from the folded
+                    // global head). Ship this shard's blob; the hub
+                    // collects one from every worker and writes the
+                    // checkpoint file.
+                    let t_ckpt = self.host.enabled().then(Instant::now);
+                    let mut blob = Vec::new();
+                    save_shard(&mut blob, &self.cursor, &self.shard);
+                    if let Some(t0) = t_ckpt {
+                        self.host.times.checkpoint_ns += t0.elapsed().as_nanos() as u64;
+                        self.host.times.checkpoint_writes += 1;
+                        self.host.times.checkpoint_bytes += blob.len() as u64;
                     }
+                    if let Err(e) = transport.checkpoint(Time::at(bound), &blob) {
+                        break RunOutcome::Failed(format!("transport: {e}"));
+                    }
+                    next_ckpt = next_ckpt.and_then(|c| c.checked_add(interval));
+                    continue;
+                }
+                // Tell the hub how the run ended; a send failure here
+                // degrades like any other transport error.
+                match transport.finish(
+                    &outcome,
+                    end_now,
+                    end_progress,
+                    &self.shard.metrics(),
+                    &self.host.times,
+                ) {
+                    Ok(()) => break outcome,
                     Err(e) => break RunOutcome::Failed(format!("transport: {e}")),
                 }
             };
-            RunStats {
-                events_executed: self.shard.events_executed - start_events,
-                end_time: self.now,
-                queue_high_water: self.shard.queue.high_water_mark(),
-                total_enqueued: self.shard.queue.total_enqueued(),
-                wall: start.elapsed(),
+            run_stats(
+                std::slice::from_ref(&self.shard),
+                start_events,
+                start,
+                self.cursor.now,
                 outcome,
-            }
+            )
         }
 
         fn now(&self) -> Time {
-            self.now
-        }
-
-        fn num_components(&self) -> usize {
-            self.shard_of.len()
+            self.cursor.now
         }
 
         fn num_shards(&self) -> usize {
             self.num_shards
         }
 
+        /// `None` for a component another worker owns.
         fn component(&self, id: ComponentId) -> Option<&dyn Component<E>> {
-            if !self.owned(id) {
-                return None;
-            }
-            self.shard
-                .components
-                .get(id.index())
-                .and_then(|c| c.as_deref())
+            self.shard.component(id)
         }
 
         fn component_dyn_mut(&mut self, id: ComponentId) -> Option<&mut dyn Component<E>> {
-            if !self.owned(id) {
-                return None;
-            }
-            self.shard
-                .components
-                .get_mut(id.index())
-                .and_then(|c| c.as_deref_mut())
+            self.shard.component_mut(id)
         }
 
         /// Only this worker's shard; the hub collects the full set.
@@ -622,87 +656,42 @@ mod worker {
             vec![self.shard.metrics()]
         }
 
-        fn events_executed(&self) -> u64 {
-            self.shard.events_executed
-        }
-
-        fn total_enqueued(&self) -> u64 {
-            self.shard.queue.total_enqueued()
-        }
-
-        fn set_watchdog(&mut self, window: Tick) {
-            self.watchdog = window;
-        }
-
-        fn set_sampler(&mut self, interval: Tick) {
-            self.sample_interval = interval;
-        }
-
-        fn set_checkpoint_interval(&mut self, interval: Tick) {
-            self.checkpoint_interval = interval;
-        }
-
-        fn set_host_profiling(&mut self, sample: u32) {
-            self.host.set_sample(sample);
-            self.host.reset_epoch();
+        /// Always empty when tracing is armed: records ship to the hub
+        /// every round.
+        fn trace_records(&self) -> Option<Vec<TraceEvent>> {
+            self.options.trace.map(|_| Vec::new())
         }
 
         /// Only this worker's shard; the hub collects the full set from
         /// the DONE frames.
-        fn host_times(&self) -> Vec<crate::host::HostShardTimes> {
-            if self.host.enabled() {
-                vec![self.host.times.clone()]
-            } else {
-                Vec::new()
-            }
+        fn host_times(&self) -> Vec<HostShardTimes> {
+            host_times(std::slice::from_ref(&self.host))
         }
 
         /// Restores this worker's shard from the uniform engine blob of a
         /// checkpoint file. The trace section is skipped (the ring lives
         /// hub-side); the shard count must match, and only this worker's
         /// own blob is decoded.
-        fn load_state(&mut self, buf: &mut &[u8]) -> bool
-        where
-            E: crate::wire::WireCodec,
-        {
+        fn load_state(&mut self, buf: &mut &[u8]) -> bool {
             let mut inner = || -> Option<()> {
-                use crate::wire;
                 if bool::decode(buf)? {
                     wire::get_bytes(buf)?;
                 }
                 if wire::get_len(buf)? != self.num_shards {
                     return None;
                 }
-                let mut scalars = None;
+                let mut cursor = None;
                 for w in 0..self.num_shards {
                     if w == self.my_shard as usize {
-                        scalars = Some(wire::get_section(buf, |b| self.shard.load_state(b))?);
+                        cursor = Some(wire::get_section(buf, |b| load_shard(b, &mut self.shard))?);
                     } else {
                         wire::get_bytes(buf)?;
                     }
                 }
-                let s = scalars?;
-                self.now = s.now;
-                self.ext_seq = s.ext_seq;
-                self.last_progress = s.last_progress;
+                self.cursor = cursor?;
                 Some(())
             };
             inner().is_some()
-        }
-
-        /// Arms record collection. The ring `capacity` is ignored here:
-        /// the buffer lives hub-side, where the per-round merge happens.
-        fn set_trace(&mut self, spec: TraceSpec, _capacity: usize) {
-            self.trace_spec = Some(spec);
-        }
-
-        fn trace_enabled(&self) -> bool {
-            self.trace_spec.is_some()
-        }
-
-        /// Always empty: records ship to the hub every round.
-        fn trace_records(&self) -> Vec<TraceEvent> {
-            Vec::new()
         }
     }
 
@@ -713,7 +702,7 @@ mod worker {
                 .field("num_shards", &self.num_shards)
                 .field("components", &self.shard_of.len())
                 .field("pending_events", &self.shard.queue.len())
-                .field("now", &self.now)
+                .field("now", &self.cursor.now)
                 .finish()
         }
     }

@@ -1,71 +1,42 @@
-//! The sequential engine: component storage, calendar-queue executor, and
-//! run statistics (paper §III-A, Figure 1).
+//! The sequential engine: component registration and the one-shard run
+//! of the generation loop (paper §III-A, Figure 1).
 //!
-//! This is the original `Simulator` (the name survives as a type alias),
-//! now one of two [`Engine`](crate::Engine) backends. It executes the
-//! whole simulation on the calling thread, draining same-`(tick,
-//! epsilon)` *generations* in canonical stamp order — see the
+//! This is the original `Simulator` (the name survives as a type alias).
+//! It owns a single [`Shard`] holding every component and runs
+//! `run_shard_rounds` — the loop every backend runs — over the solo
+//! transport, whose fold returns the local queue head and whose exchange
+//! only moves the generation's trace records into the ring. See the
 //! [`engine`](crate::engine) module for the determinism contract shared
-//! with the sharded backend.
+//! with the sharded backends, which are built *from* this engine
+//! ([`SequentialEngine::into_sharded`], [`SequentialEngine::into_worker`]).
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::component::{Component, ComponentId};
-use crate::engine::{
-    flush_trace, log2_bucket, next_edge_after, take_generation, Context, Engine, EngineMetrics,
-    EventStamp, RunOutcome, RunStats, SinkRef, Stamped, TaggedTrace, TraceSink, BATCH_BUCKETS,
-    EXTERNAL_SRC,
-};
-use crate::event::{EventQueue, Generation};
-use crate::host::{HostRecorder, HostRoundSlice, HostShardTimes, ProgressShared};
+use crate::engine::{Engine, EngineMetrics, EngineOptions, RunStats, Stamped};
+use crate::host::{HostRecorder, HostShardTimes};
+use crate::protocol::{host_times, run_shard_rounds, run_stats, ProtocolParams, RunCursor, Shard};
 use crate::rng::Rng;
-use crate::snapshot::{load_shard, save_shard, ShardScalars};
+use crate::snapshot::{load_engine, save_engine};
 use crate::time::{Tick, Time};
-use crate::trace::{TraceBuffer, TraceEvent, TraceSpec};
-use crate::wire;
+use crate::trace::{TraceBuffer, TraceEvent};
+use crate::transport::SoloTransport;
 
-/// Trace collection state: the spec plus the ring it fills.
-#[derive(Debug)]
-pub(crate) struct TraceState {
-    pub(crate) spec: TraceSpec,
-    pub(crate) buffer: TraceBuffer,
-}
-
-/// The single-threaded discrete event engine: owns the components, the
-/// global event queue, and the executor loop.
+/// The single-threaded discrete event engine: one shard owning every
+/// component and the global event queue, executed on the calling thread.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
 pub struct SequentialEngine<E> {
-    pub(crate) components: Vec<Option<Box<dyn Component<E>>>>,
-    /// Per-component random streams, derived from `(seed, index)`.
-    pub(crate) rngs: Vec<Rng>,
-    /// Per-component send counters (event stamp sources).
-    pub(crate) seqs: Vec<u64>,
-    pub(crate) queue: EventQueue<Stamped<E>>,
-    /// Scratch buffer for generation draining, reused across `run` calls.
-    batch: Generation<Stamped<E>>,
-    /// Scratch buffer for per-generation trace records.
-    trace_scratch: Vec<TaggedTrace>,
-    pub(crate) now: Time,
-    pub(crate) seed: u64,
-    /// Send counter for external ([`SequentialEngine::schedule`]) events.
-    pub(crate) ext_seq: u64,
-    pub(crate) trace: Option<TraceState>,
-    /// No-progress watchdog window in ticks; 0 = disarmed.
-    pub(crate) watchdog: Tick,
-    /// Sampling window width in ticks; 0 = disarmed.
-    pub(crate) sample_interval: Tick,
-    /// Tick of the last [`Context::progress`] report.
-    pub(crate) last_progress: Tick,
-    events_executed: u64,
-    batches: u64,
-    batch_counts: [u64; BATCH_BUCKETS],
-    /// Out-of-band host-time profiler (disabled by default).
-    host: HostRecorder,
-    /// Out-of-band live-progress board, written after each batch.
-    progress_board: Option<Arc<ProgressShared>>,
+    pub(crate) shard: Shard<E>,
+    pub(crate) cursor: RunCursor,
+    seed: u64,
+    pub(crate) options: EngineOptions,
+    /// The trace ring, when [`EngineOptions::trace`] is set.
+    pub(crate) trace: Option<TraceBuffer>,
+    /// Out-of-band host-time profiler; its epoch is this engine's
+    /// creation and survives the conversion to a sharded backend.
+    pub(crate) host: HostRecorder,
 }
 
 /// The historical name of the sequential engine. Existing models,
@@ -74,27 +45,23 @@ pub struct SequentialEngine<E> {
 pub type Simulator<E> = SequentialEngine<E>;
 
 impl<E: 'static> SequentialEngine<E> {
-    /// Creates an engine whose random streams are derived from `seed`.
+    /// Creates an engine whose random streams are derived from `seed`,
+    /// with every [`EngineOptions`] plane disarmed.
     pub fn new(seed: u64) -> Self {
+        Self::with_options(seed, EngineOptions::default())
+    }
+
+    /// Creates an engine whose random streams are derived from `seed`
+    /// and which observes what `options` arm, for its whole life and
+    /// that of any backend it is converted into.
+    pub fn with_options(seed: u64, options: EngineOptions) -> Self {
         SequentialEngine {
-            components: Vec::new(),
-            rngs: Vec::new(),
-            seqs: Vec::new(),
-            queue: EventQueue::new(),
-            batch: Generation::new(),
-            trace_scratch: Vec::new(),
-            now: Time::ZERO,
+            shard: Shard::new(Vec::new(), Vec::new()),
+            cursor: RunCursor::default(),
             seed,
-            ext_seq: 0,
-            trace: None,
-            watchdog: 0,
-            sample_interval: 0,
-            last_progress: 0,
-            events_executed: 0,
-            batches: 0,
-            batch_counts: [0; BATCH_BUCKETS],
-            host: HostRecorder::new(),
-            progress_board: None,
+            trace: options.trace_ring(),
+            host: HostRecorder::with_sample(options.host_sample),
+            options,
         }
     }
 
@@ -104,22 +71,22 @@ impl<E: 'static> SequentialEngine<E> {
     ///
     /// Panics if the component count would exceed the 32-bit id space.
     pub fn add_component(&mut self, component: Box<dyn Component<E>>) -> ComponentId {
-        let id = ComponentId::try_from_index(self.components.len())
+        let id = ComponentId::try_from_index(self.shard.components.len())
             .expect("component count exceeds the 32-bit id space");
-        self.rngs.push(Rng::stream(self.seed, id.0 as u64));
-        self.seqs.push(0);
-        self.components.push(Some(component));
+        self.shard.rngs.push(Rng::stream(self.seed, id.0 as u64));
+        self.shard.seqs.push(0);
+        self.shard.components.push(Some(component));
         id
     }
 
     /// Number of registered components.
     pub fn num_components(&self) -> usize {
-        self.components.len()
+        self.shard.components.len()
     }
 
     /// Current simulation time (time of the most recent event).
     pub fn now(&self) -> Time {
-        self.now
+        self.cursor.now
     }
 
     /// Enqueues an initial event from outside any component.
@@ -128,20 +95,17 @@ impl<E: 'static> SequentialEngine<E> {
     ///
     /// Panics if `time` is earlier than the current simulation time.
     pub fn schedule(&mut self, target: ComponentId, time: Time, payload: E) {
-        assert!(time >= self.now, "cannot schedule into the past");
-        let stamp = EventStamp {
-            src: EXTERNAL_SRC,
-            seq: self.ext_seq,
-        };
-        self.ext_seq += 1;
-        self.queue.push(target, time, Stamped { stamp, payload });
+        let stamp = self.cursor.stamp_external(time);
+        self.shard
+            .queue
+            .push(target, time, Stamped { stamp, payload });
     }
 
     /// Borrows a component by id.
     ///
     /// Returns `None` for an unknown id.
     pub fn component(&self, id: ComponentId) -> Option<&dyn Component<E>> {
-        self.components.get(id.index()).and_then(|c| c.as_deref())
+        self.shard.component(id)
     }
 
     /// Downcasts a component to its concrete type for post-run inspection.
@@ -152,55 +116,14 @@ impl<E: 'static> SequentialEngine<E> {
 
     /// Mutable variant of [`SequentialEngine::component_as`].
     pub fn component_as_mut<T: 'static>(&mut self, id: ComponentId) -> Option<&mut T> {
-        self.components
-            .get_mut(id.index())
-            .and_then(|c| c.as_deref_mut())
+        self.shard
+            .component_mut(id)
             .and_then(|c| c.as_any_mut().downcast_mut::<T>())
-    }
-
-    /// Arms the no-progress watchdog (see [`Engine::set_watchdog`]).
-    pub fn set_watchdog(&mut self, window: Tick) {
-        self.watchdog = window;
-    }
-
-    /// Arms the windowed sampler (see [`Engine::set_sampler`]).
-    pub fn set_sampler(&mut self, interval: Tick) {
-        self.sample_interval = interval;
-    }
-
-    /// Enables trace collection (see [`Engine::set_trace`]).
-    pub fn set_trace(&mut self, spec: TraceSpec, capacity: usize) {
-        self.trace = Some(TraceState {
-            spec,
-            buffer: TraceBuffer::with_capacity(capacity),
-        });
-    }
-
-    /// Folds one finished (or aborted) batch into the engine counters.
-    #[inline]
-    fn record_batch(&mut self, done: u64) {
-        if done == 0 {
-            return;
-        }
-        self.events_executed += done;
-        self.batches += 1;
-        self.batch_counts[log2_bucket(done)] += 1;
     }
 
     /// Engine self-metrics accumulated since construction.
     pub fn metrics(&self) -> EngineMetrics {
-        EngineMetrics {
-            events_executed: self.events_executed,
-            batches: self.batches,
-            batch_counts: self.batch_counts,
-            queue_len: self.queue.len(),
-            queue_high_water: self.queue.high_water_mark(),
-            total_enqueued: self.queue.total_enqueued(),
-            horizon: self.queue.horizon(),
-            horizon_resizes: self.queue.horizon_resizes(),
-            overflow_spills: self.queue.overflow_spills(),
-            overflow_len: self.queue.overflow_len(),
-        }
+        self.shard.metrics()
     }
 
     /// Runs until the event queue drains, a component stops or fails.
@@ -211,190 +134,36 @@ impl<E: 'static> SequentialEngine<E> {
     /// Runs until the queue drains, a component stops or fails, or the next
     /// event would execute at a tick strictly greater than `tick_limit`.
     ///
-    /// The executor drains the queue in same-`(tick, epsilon)` generations
-    /// ordered by [`EventStamp`]: every event in a generation is known to be
-    /// ready, so the hot loop dispatches the whole slice without
-    /// re-examining the queue between events. If a component stops or fails
-    /// mid-generation, the unexecuted remainder is requeued ahead of
-    /// anything scheduled during the generation, so resuming the run
-    /// observes the exact canonical order.
+    /// The queue is drained in same-`(tick, epsilon)` generations ordered
+    /// by [`EventStamp`](crate::EventStamp): every event in a generation
+    /// is known to be ready, so the hot loop dispatches the whole slice
+    /// without re-examining the queue between events. A generation always
+    /// runs to its end — a `stop` or `fail` raised inside it takes effect
+    /// after its last event, exactly as on the sharded backends.
     pub fn run_until(&mut self, tick_limit: Tick) -> RunStats {
         let start = Instant::now();
-        let start_events = self.events_executed;
-        let mut stop_requested = false;
-        let mut failure: Option<String> = None;
-        let mut progress = false;
-        let mut batch = std::mem::take(&mut self.batch);
-        let mut scratch = std::mem::take(&mut self.trace_scratch);
-        let trace_spec = self.trace.as_ref().map(|t| t.spec);
-        // The next window edge is a pure function of (now, interval), so a
-        // paused-and-resumed run samples exactly the edges a continuous run
-        // would: every edge up to `now` was crossed before `now` advanced.
-        let mut next_edge = (self.sample_interval > 0)
-            .then(|| next_edge_after(self.now.tick(), self.sample_interval));
-        let outcome = 'run: loop {
-            // No-progress watchdog: trips when the next runnable event
-            // lies more than `watchdog` ticks past the last progress
-            // report. Checked before the batch is taken, so the pending
-            // queue survives intact for diagnostics.
-            if self.watchdog > 0 {
-                if let Some(next) = self.queue.peek_time() {
-                    if next.tick() <= tick_limit
-                        && next.tick().saturating_sub(self.last_progress) > self.watchdog
-                    {
-                        break RunOutcome::Watchdog {
-                            last_progress: self.last_progress,
-                        };
-                    }
-                }
-            }
-            // Host-time probes are strictly out-of-band: wall clocks are
-            // read around phases but never influence which events run or
-            // in what order, so profiling cannot perturb determinism.
-            let profiling = self.host.enabled();
-            let t_drain = profiling.then(Instant::now);
-            // Canonical generation order (see the engine module docs):
-            // unique stamps make this a deterministic total order.
-            let took = take_generation(&mut self.queue, tick_limit, &mut batch);
-            if let Some(t0) = t_drain {
-                self.host.times.drain_ns += t0.elapsed().as_nanos() as u64;
-            }
-            let Some(next_time) = took else {
-                break if self.queue.is_empty() {
-                    RunOutcome::Drained
-                } else {
-                    RunOutcome::TickLimit
-                };
-            };
-            debug_assert!(next_time >= self.now, "event queue went backwards");
-            // Window edges crossed by this generation close before any of
-            // its events run: everything below the edge has executed,
-            // nothing at or past it has (see `Engine::set_sampler`).
-            if next_edge.is_some_and(|e| e <= next_time.tick()) {
-                let t_edge = profiling.then(Instant::now);
-                while let Some(edge) = next_edge.filter(|&e| e <= next_time.tick()) {
-                    for slot in self.components.iter_mut() {
-                        if let Some(c) = slot.as_deref_mut() {
-                            c.sample(edge);
-                        }
-                    }
-                    next_edge = edge.checked_add(self.sample_interval);
-                }
-                if let Some(t0) = t_edge {
-                    self.host.times.sample_edge_ns += t0.elapsed().as_nanos() as u64;
-                }
-            }
-            self.now = next_time;
-
-            // Engine stats update once per generation, not per event:
-            // `done` counts executed events in a register and folds into
-            // the engine's counters when the generation ends (normally or
-            // via an abort path), keeping the per-event loop free of stats
-            // writes.
-            let mut done = 0u64;
-            // One batch in `sample` additionally gets per-event
-            // component-class attribution.
-            let sampled = profiling && self.host.batch_sampled();
-            let exec_start_ns = profiling.then(|| self.host.now_ns());
-            let t_exec = profiling.then(Instant::now);
-            scratch.clear();
-            while let Some(entry) = batch.next() {
-                let idx = entry.target.index();
-                let slot = match self.components.get_mut(idx) {
-                    Some(slot) => slot,
-                    None => {
-                        let target = entry.target;
-                        self.record_batch(done + 1);
-                        self.queue.requeue_front(&mut batch);
-                        break 'run RunOutcome::Failed(format!(
-                            "event targeted unregistered {target}"
-                        ));
-                    }
-                };
-                let mut component = slot.take().expect("component re-entered while active");
-                let mut ctx = Context {
-                    now: self.now,
-                    self_id: entry.target,
-                    sink: SinkRef::Local(&mut self.queue),
-                    seq: &mut self.seqs[idx],
-                    rng: &mut self.rngs[idx],
-                    stop_requested: &mut stop_requested,
-                    failure: &mut failure,
-                    progress: &mut progress,
-                    trace: trace_spec.map(|spec| TraceSink {
-                        spec,
-                        stamp: entry.payload.stamp,
-                        recno: 0,
-                        out: &mut scratch,
-                    }),
-                };
-                if sampled {
-                    let t_ev = Instant::now();
-                    component.handle(&mut ctx, entry.payload.payload);
-                    let ev_ns = t_ev.elapsed().as_nanos() as u64;
-                    let class = component.host_class();
-                    self.components[idx] = Some(component);
-                    self.host.times.add_class(class, ev_ns, 1);
-                    self.host.times.sampled_events += 1;
-                } else {
-                    component.handle(&mut ctx, entry.payload.payload);
-                    self.components[idx] = Some(component);
-                }
-                done += 1;
-
-                if let Some(msg) = failure.take() {
-                    self.record_batch(done);
-                    self.queue.requeue_front(&mut batch);
-                    break 'run RunOutcome::Failed(msg);
-                }
-                if stop_requested {
-                    self.record_batch(done);
-                    self.queue.requeue_front(&mut batch);
-                    break 'run RunOutcome::Stopped;
-                }
-            }
-            self.record_batch(done);
-            if let Some(t0) = t_exec {
-                let exec_ns = t0.elapsed().as_nanos() as u64;
-                self.host.times.execute_ns += exec_ns;
-                if sampled {
-                    self.host.times.push_slice(HostRoundSlice {
-                        start_ns: exec_start_ns.unwrap_or(0),
-                        tick: self.now.tick(),
-                        events: done,
-                        execute_ns: exec_ns,
-                        fold_ns: 0,
-                        exchange_ns: 0,
-                    });
-                }
-            }
-            if let Some(board) = &self.progress_board {
-                board.record_events(0, self.events_executed);
-                board.record_tick(self.now.tick());
-                board.add_round();
-            }
-            if progress {
-                self.last_progress = self.now.tick();
-                progress = false;
-            }
-            if let Some(t) = &mut self.trace {
-                flush_trace(&mut t.buffer, &mut scratch);
-            }
+        let start_events = self.shard.events_executed;
+        let params = ProtocolParams {
+            my_shard: 0,
+            num_shards: 1,
+            tick_limit,
+            options: &self.options,
+            start: self.cursor,
+            shard_of: &[],
         };
-        // Records made by events that did execute survive an abort.
-        if let Some(t) = &mut self.trace {
-            flush_trace(&mut t.buffer, &mut scratch);
-        }
-        self.batch = batch;
-        self.trace_scratch = scratch;
-        RunStats {
-            events_executed: self.events_executed - start_events,
-            end_time: self.now,
-            queue_high_water: self.queue.high_water_mark(),
-            total_enqueued: self.queue.total_enqueued(),
-            wall: start.elapsed(),
+        let mut transport = SoloTransport::new(self.trace.as_mut());
+        let (outcome, end_now, end_progress) =
+            run_shard_rounds(&mut self.shard, &params, &mut transport, &mut self.host)
+                .expect("the solo transport is infallible");
+        self.cursor.now = end_now;
+        self.cursor.last_progress = end_progress;
+        run_stats(
+            std::slice::from_ref(&self.shard),
+            start_events,
+            start,
+            end_now,
             outcome,
-        }
+        )
     }
 }
 
@@ -408,11 +177,7 @@ impl<E: 'static> Engine<E> for SequentialEngine<E> {
     }
 
     fn now(&self) -> Time {
-        self.now
-    }
-
-    fn num_components(&self) -> usize {
-        self.components.len()
+        self.cursor.now
     }
 
     fn num_shards(&self) -> usize {
@@ -420,91 +185,35 @@ impl<E: 'static> Engine<E> for SequentialEngine<E> {
     }
 
     fn component(&self, id: ComponentId) -> Option<&dyn Component<E>> {
-        SequentialEngine::component(self, id)
+        self.shard.component(id)
     }
 
     fn component_dyn_mut(&mut self, id: ComponentId) -> Option<&mut dyn Component<E>> {
-        self.components
-            .get_mut(id.index())
-            .and_then(|c| c.as_deref_mut())
+        self.shard.component_mut(id)
     }
 
     fn shard_metrics(&self) -> Vec<EngineMetrics> {
-        vec![self.metrics()]
+        vec![self.shard.metrics()]
     }
 
-    fn events_executed(&self) -> u64 {
-        self.events_executed
-    }
-
-    fn total_enqueued(&self) -> u64 {
-        self.queue.total_enqueued()
-    }
-
-    fn set_watchdog(&mut self, window: Tick) {
-        SequentialEngine::set_watchdog(self, window);
-    }
-
-    fn set_sampler(&mut self, interval: Tick) {
-        SequentialEngine::set_sampler(self, interval);
-    }
-
-    fn set_trace(&mut self, spec: TraceSpec, capacity: usize) {
-        SequentialEngine::set_trace(self, spec, capacity);
-    }
-
-    fn set_host_profiling(&mut self, sample: u32) {
-        self.host.set_sample(sample);
-        self.host.reset_epoch();
+    fn trace_records(&self) -> Option<Vec<TraceEvent>> {
+        self.trace.as_ref().map(TraceBuffer::records)
     }
 
     fn host_times(&self) -> Vec<HostShardTimes> {
-        if self.host.enabled() {
-            vec![self.host.times.clone()]
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn set_progress(&mut self, progress: Arc<ProgressShared>) {
-        self.progress_board = Some(progress);
-    }
-
-    fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    fn trace_records(&self) -> Vec<TraceEvent> {
-        self.trace
-            .as_ref()
-            .map(|t| t.buffer.records())
-            .unwrap_or_default()
+        host_times(std::slice::from_ref(&self.host))
     }
 
     fn save_state(&self, out: &mut Vec<u8>) -> bool
     where
         E: crate::wire::WireCodec,
     {
-        crate::snapshot::put_trace(out, self.trace.as_ref().map(|t| &t.buffer));
-        out.push(1); // one shard
-        let scalars = ShardScalars {
-            now: self.now,
-            ext_seq: self.ext_seq,
-            last_progress: self.last_progress,
-            events_executed: self.events_executed,
-            batches: self.batches,
-            batch_counts: self.batch_counts,
-        };
-        wire::put_section(out, |o| {
-            save_shard(
-                o,
-                &scalars,
-                &self.queue,
-                &self.components,
-                &self.rngs,
-                &self.seqs,
-            )
-        });
+        save_engine(
+            out,
+            self.trace.as_ref(),
+            &self.cursor,
+            std::slice::from_ref(&self.shard),
+        );
         true
     }
 
@@ -512,39 +221,18 @@ impl<E: 'static> Engine<E> for SequentialEngine<E> {
     where
         E: crate::wire::WireCodec,
     {
-        let mut inner = || -> Option<()> {
-            crate::snapshot::get_trace(buf, self.trace.as_mut().map(|t| &mut t.buffer))?;
-            if wire::get_len(buf)? != 1 {
-                return None; // shard-count mismatch: not a sequential state
-            }
-            let s = wire::get_section(buf, |b| {
-                load_shard(
-                    b,
-                    &mut self.queue,
-                    &mut self.components,
-                    &mut self.rngs,
-                    &mut self.seqs,
-                )
-            })?;
-            self.now = s.now;
-            self.ext_seq = s.ext_seq;
-            self.last_progress = s.last_progress;
-            self.events_executed = s.events_executed;
-            self.batches = s.batches;
-            self.batch_counts = s.batch_counts;
-            Some(())
-        };
-        inner().is_some()
+        let shards = std::slice::from_mut(&mut self.shard);
+        load_engine(buf, self.trace.as_mut(), shards, &mut self.cursor)
     }
 }
 
 impl<E> fmt::Debug for SequentialEngine<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SequentialEngine")
-            .field("components", &self.components.len())
-            .field("pending_events", &self.queue.len())
-            .field("now", &self.now)
-            .field("events_executed", &self.events_executed)
+            .field("components", &self.shard.components.len())
+            .field("pending_events", &self.shard.queue.len())
+            .field("now", &self.cursor.now)
+            .field("events_executed", &self.shard.events_executed)
             .finish()
     }
 }
@@ -552,6 +240,8 @@ impl<E> fmt::Debug for SequentialEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Context, RunOutcome};
+    use crate::trace::TraceSpec;
     use std::any::Any;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -739,18 +429,21 @@ mod tests {
             received: vec![],
             limit: 0,
         }));
-        // Three same-time events; the second stops the run mid-batch.
+        // Three same-time events, the second of which stops the run: the
+        // generation completes, later work stays pending.
         sim.schedule(a, Time::at(1), Ev::Ping(0));
         sim.schedule(a, Time::at(1), Ev::Stop);
         sim.schedule(a, Time::at(1), Ev::Ping(1));
+        sim.schedule(a, Time::at(2), Ev::Ping(2));
         let stats = sim.run();
         assert_eq!(stats.outcome, RunOutcome::Stopped);
-        assert_eq!(stats.events_executed, 2);
+        assert_eq!(stats.events_executed, 3);
         let m = sim.metrics();
-        assert_eq!(m.events_executed, 2);
+        assert_eq!(m.events_executed, 3);
         assert_eq!(m.batches, 1);
-        assert_eq!(m.batch_counts[2], 1, "partial batch of 2 lands in bucket 2");
-        assert_eq!(m.queue_len, 1, "unexecuted remainder stays pending");
+        assert_eq!(m.batch_counts[2], 1, "the batch of 3 lands in bucket 2");
+        assert_eq!(m.queue_len, 1, "the next generation stays pending");
+        assert_eq!(sim.run().events_executed, 1, "resume runs it once");
     }
 
     #[test]
@@ -786,19 +479,22 @@ mod tests {
 
     #[test]
     fn context_trace_collects_through_spec() {
-        let mut sim = Simulator::new(0);
-        let a = sim.add_component(Box::new(TracerComp));
-        sim.set_trace(
-            TraceSpec {
-                kinds: 0b01, // kind 0 only
-                ..TraceSpec::default()
+        let spec = TraceSpec {
+            kinds: 0b01, // kind 0 only
+            ..TraceSpec::default()
+        };
+        let mut sim = Simulator::with_options(
+            0,
+            EngineOptions {
+                trace: Some((spec, 16)),
+                ..EngineOptions::default()
             },
-            16,
         );
+        let a = sim.add_component(Box::new(TracerComp));
         sim.schedule(a, Time::at(1), Ev::Ping(7));
         sim.schedule(a, Time::at(2), Ev::Ping(8));
         sim.run();
-        let recs = Engine::trace_records(&sim);
+        let recs = Engine::trace_records(&sim).expect("tracing armed");
         assert_eq!(recs.len(), 2, "kind-1 records filtered out");
         assert_eq!(recs[0].id, 7);
         assert_eq!(recs[1].id, 8);
@@ -835,15 +531,25 @@ mod tests {
         }
     }
 
+    /// An engine armed with a no-progress watchdog of `window` ticks.
+    fn watched(window: Tick) -> Simulator<Ev> {
+        Simulator::with_options(
+            0,
+            EngineOptions {
+                watchdog: window,
+                ..EngineOptions::default()
+            },
+        )
+    }
+
     #[test]
     fn watchdog_trips_on_unproductive_churn() {
-        let mut sim = Simulator::new(0);
+        let mut sim = watched(20);
         let a = sim.add_component(Box::new(Stepper {
             step: 5,
             count: 1000,
             productive: false,
         }));
-        sim.set_watchdog(20);
         sim.schedule(a, Time::at(0), Ev::Ping(0));
         let stats = sim.run();
         assert_eq!(stats.outcome, RunOutcome::Watchdog { last_progress: 0 });
@@ -856,13 +562,12 @@ mod tests {
 
     #[test]
     fn watchdog_resets_on_progress() {
-        let mut sim = Simulator::new(0);
+        let mut sim = watched(20);
         let a = sim.add_component(Box::new(Stepper {
             step: 5,
             count: 50,
             productive: true,
         }));
-        sim.set_watchdog(20);
         sim.schedule(a, Time::at(0), Ev::Ping(0));
         let stats = sim.run();
         assert_eq!(stats.outcome, RunOutcome::Drained);
@@ -884,13 +589,12 @@ mod tests {
     fn watchdog_defers_to_tick_limit() {
         // Events beyond the tick limit must not trip the watchdog: the
         // run pauses as TickLimit exactly as without one.
-        let mut sim = Simulator::new(0);
+        let mut sim = watched(30);
         let a = sim.add_component(Box::new(Stepper {
             step: 100,
             count: 5,
             productive: false,
         }));
-        sim.set_watchdog(30);
         sim.schedule(a, Time::at(0), Ev::Ping(0));
         let stats = sim.run_until(50);
         assert_eq!(stats.outcome, RunOutcome::TickLimit);
@@ -904,7 +608,7 @@ mod tests {
         let stats = engine.run();
         assert_eq!(stats.outcome, RunOutcome::Drained);
         assert_eq!(engine.num_shards(), 1);
-        assert_eq!(engine.events_executed(), 6);
+        assert_eq!(engine.shard_metrics()[0].events_executed, 6);
         let echo = engine
             .as_ref()
             .component_as::<Echo>(a)

@@ -16,16 +16,17 @@
 //! exactly, so drift between a component's `snapshot` and `restore` is
 //! caught at decode time instead of corrupting the resumed run.
 
-use crate::component::Component;
 use crate::engine::{Stamped, BATCH_BUCKETS};
 use crate::event::EventQueue;
+use crate::protocol::{RunCursor, Shard};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
 use crate::trace::TraceBuffer;
 use crate::wire::{self, WireCodec};
 
-/// The scalar head of a shard blob: the engine-global clock and counters
-/// (repeated in every shard's blob) and the shard's own lifetime counters.
+/// The scalar head of a shard blob: the engine-global run cursor
+/// (repeated in every shard's blob, so a worker process can restore from
+/// its own blob alone) and the shard's own lifetime counters.
 pub(crate) struct ShardScalars {
     pub now: Time,
     pub ext_seq: u64,
@@ -46,64 +47,107 @@ crate::wire_struct!(ShardScalars {
 
 /// Serializes one shard's dynamic state into `out`.
 ///
-/// `components` is the full-length component table; exactly the `Some`
-/// entries (the ones this shard owns) are captured, keyed by component
-/// index, together with their RNG stream and send counter.
+/// The component table is full-length; exactly the `Some` entries (the
+/// ones this shard owns) are captured, keyed by component index, together
+/// with their RNG stream and send counter.
 pub(crate) fn save_shard<E: WireCodec + 'static>(
     out: &mut Vec<u8>,
-    scalars: &ShardScalars,
-    queue: &EventQueue<Stamped<E>>,
-    components: &[Option<Box<dyn Component<E>>>],
-    rngs: &[Rng],
-    seqs: &[u64],
+    cursor: &RunCursor,
+    shard: &Shard<E>,
 ) {
-    scalars.encode(out);
-    wire::put_section(out, |o| queue.save(o, Stamped::encode));
-    components.iter().flatten().count().encode(out);
-    for (i, slot) in components.iter().enumerate() {
+    ShardScalars {
+        now: cursor.now,
+        ext_seq: cursor.ext_seq,
+        last_progress: cursor.last_progress,
+        events_executed: shard.events_executed,
+        batches: shard.batches,
+        batch_counts: shard.batch_counts,
+    }
+    .encode(out);
+    wire::put_section(out, |o| shard.queue.save(o, Stamped::encode));
+    shard.components.iter().flatten().count().encode(out);
+    for (i, slot) in shard.components.iter().enumerate() {
         let Some(c) = slot.as_deref() else { continue };
         i.encode(out);
-        rngs[i].encode(out);
-        seqs[i].encode(out);
+        shard.rngs[i].encode(out);
+        shard.seqs[i].encode(out);
         wire::put_section(out, |o| c.snapshot(o));
     }
 }
 
-/// Overlays a shard blob onto a freshly built shard: replaces the queue,
-/// restores every captured component (which must be owned here too), and
-/// returns the scalar state for the caller to apply. Total and strict —
-/// `None` on malformed input, unknown component indices, ownership
-/// mismatches, or any nested section not consumed exactly.
+/// Overlays a shard blob onto a freshly built shard: replaces the queue
+/// and counters, restores every captured component (which must be owned
+/// here too), and returns the run cursor for the engine to apply. Total
+/// and strict — `None` on malformed input, unknown component indices,
+/// ownership mismatches, or any nested section not consumed exactly.
 pub(crate) fn load_shard<E: WireCodec + 'static>(
     buf: &mut &[u8],
-    queue: &mut EventQueue<Stamped<E>>,
-    components: &mut [Option<Box<dyn Component<E>>>],
-    rngs: &mut [Rng],
-    seqs: &mut [u64],
-) -> Option<ShardScalars> {
+    shard: &mut Shard<E>,
+) -> Option<RunCursor> {
     let scalars = ShardScalars::decode(buf)?;
-    *queue = wire::get_section(buf, |b| EventQueue::load(b, Stamped::decode))?;
+    shard.queue = wire::get_section(buf, |b| EventQueue::load(b, Stamped::decode))?;
     let owned = wire::get_len(buf)?;
-    if owned > components.len() {
+    if owned > shard.components.len() {
         return None;
     }
     for _ in 0..owned {
         let i = usize::decode(buf)?;
         let rng = Rng::decode(buf)?;
         let seq = u64::decode(buf)?;
-        let c = components.get_mut(i)?.as_deref_mut()?;
+        let c = shard.components.get_mut(i)?.as_deref_mut()?;
         wire::get_section(buf, |b| c.restore(b))?;
-        *rngs.get_mut(i)? = rng;
-        *seqs.get_mut(i)? = seq;
+        *shard.rngs.get_mut(i)? = rng;
+        *shard.seqs.get_mut(i)? = seq;
     }
-    Some(scalars)
+    shard.events_executed = scalars.events_executed;
+    shard.batches = scalars.batches;
+    shard.batch_counts = scalars.batch_counts;
+    Some(RunCursor {
+        now: scalars.now,
+        ext_seq: scalars.ext_seq,
+        last_progress: scalars.last_progress,
+    })
 }
 
-/// Serializes the optional trace ring that heads the engine-level wrapper
-/// around shard blobs (ring, shard count, each shard's blob). Every
-/// backend's [`Engine::save_state`](crate::Engine::save_state) writes
-/// this layout, so a checkpoint file parses identically whichever
-/// transport produced it.
+/// Writes the uniform engine blob of an in-process engine: the optional
+/// trace ring, the shard count, then one length-prefixed shard blob per
+/// shard. A checkpoint file parses identically whichever backend produced
+/// it (the hub assembles the same layout from its workers' blobs).
+pub(crate) fn save_engine<E: WireCodec + 'static>(
+    out: &mut Vec<u8>,
+    trace: Option<&TraceBuffer>,
+    cursor: &RunCursor,
+    shards: &[Shard<E>],
+) {
+    put_trace(out, trace);
+    wire::put_each(out, shards, |shard, o| {
+        wire::put_section(o, |o| save_shard(o, cursor, shard))
+    });
+}
+
+/// Overlays an engine blob written by [`save_engine`] onto a rebuilt
+/// engine of the same shard count, setting `cursor` from it. Total:
+/// `false` on malformed or mismatched state.
+pub(crate) fn load_engine<E: WireCodec + 'static>(
+    buf: &mut &[u8],
+    trace: Option<&mut TraceBuffer>,
+    shards: &mut [Shard<E>],
+    cursor: &mut RunCursor,
+) -> bool {
+    let inner = || -> Option<()> {
+        get_trace(buf, trace)?;
+        let mut loaded = None;
+        wire::load_each(shards, buf, |shard, b| {
+            loaded = Some(wire::get_section(b, |b| load_shard(b, shard))?);
+            Some(())
+        })?;
+        *cursor = loaded?;
+        Some(())
+    };
+    inner().is_some()
+}
+
+/// Serializes the optional trace ring that heads the engine blob.
 pub(crate) fn put_trace(out: &mut Vec<u8>, buffer: Option<&TraceBuffer>) {
     wire::put_armed(out, buffer, |b, o| wire::put_section(o, |o| b.save(o)));
 }

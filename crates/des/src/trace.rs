@@ -11,11 +11,11 @@
 //! discriminator. The network layer maps these onto its own vocabulary
 //! (kind → flit event name, id → packet, sub → flit index).
 //!
-//! Both engines produce the **same byte-for-byte record sequence** for a
-//! given `(configuration, seed)`: the sequential engine appends records in
-//! execution order, and the sharded engine tags each record with the
-//! triggering event's stamp and merges per-shard buffers back into that
-//! exact order at every synchronization round.
+//! Every engine produces the **same byte-for-byte record sequence** for a
+//! given `(configuration, seed)`: each record is tagged with the
+//! triggering event's stamp, one shard's records are already in that
+//! order, and several shards' buffers are merged back into it at every
+//! synchronization round.
 
 use crate::time::Time;
 use crate::wire::WireCodec;

@@ -1,6 +1,6 @@
 //! Shard transports: how generation-lockstep shards synchronize.
 //!
-//! The round protocol itself (peek → fold → execute → exchange) lives in
+//! The generation loop itself (peek → fold → execute → exchange) lives in
 //! [`protocol`](crate::protocol) and is written once against the
 //! crate-internal `ShardTransport` trait defined here. A transport only
 //! answers two questions per round:
@@ -14,11 +14,14 @@
 //!   and stop/failure flags; deliver the inboxes from every other shard
 //!   **in sender order**; report the globally agreed stop/failure state.
 //!
-//! Two backends implement this:
+//! Three backends implement this:
 //!
-//! * [`ThreadTransport`] — the original in-process backend: shards are
-//!   threads sharing spin barriers and mutex-guarded outboxes. Zero
-//!   copies beyond the event values themselves.
+//! * [`SoloTransport`] — one shard, nobody to synchronize with: the fold
+//!   is the local head, the exchange only moves the round's trace records
+//!   into the ring. This is the sequential engine.
+//! * [`ThreadTransport`] — the in-process backend: shards are threads
+//!   sharing spin barriers and mutex-guarded outboxes. Zero copies beyond
+//!   the event values themselves.
 //! * [`ProcessTransport`] — each shard is its own OS process (a
 //!   *worker*), connected over a Unix socket to a parent [`Hub`] that
 //!   performs the fold and relays outbox bytes. Payloads cross the wire
@@ -26,7 +29,7 @@
 //!   payloads, only the framing, the trace records it must merge, and
 //!   the end-of-run summary.
 //!
-//! Both backends preserve the determinism contract: the fold values and
+//! Every backend preserves the determinism contract: the fold values and
 //! the sender-ordered delivery are identical, so a run is byte-identical
 //! across backends and shard counts.
 
@@ -109,6 +112,10 @@ pub(crate) struct RoundOut<'a, E> {
 /// One synchronization backend for the generation-lockstep protocol. See
 /// the [module docs](self) for the contract.
 pub(crate) trait ShardTransport<E> {
+    /// Whether this transport serves a lone shard, which then never
+    /// routes an event anywhere but its own queue.
+    const SOLO: bool = false;
+
     /// Publishes this shard's queue head and progress tick; returns the
     /// global fold. Blocks until every shard has contributed.
     fn fold(&mut self, peek: Option<Time>, progress: Tick) -> Result<RoundFold, TransportError>;
@@ -121,6 +128,50 @@ pub(crate) trait ShardTransport<E> {
         out: RoundOut<'_, E>,
         deliver: &mut dyn FnMut(ComponentId, Time, Stamped<E>),
     ) -> Result<RoundEnd, TransportError>;
+}
+
+// ---------------------------------------------------------------------------
+// One-shard (solo) backend
+// ---------------------------------------------------------------------------
+
+/// The transport of a run with a single shard: no peer, so nothing to
+/// wait for, ship, or deliver.
+pub(crate) struct SoloTransport<'a> {
+    buffer: Option<&'a mut TraceBuffer>,
+}
+
+impl<'a> SoloTransport<'a> {
+    pub(crate) fn new(buffer: Option<&'a mut TraceBuffer>) -> Self {
+        SoloTransport { buffer }
+    }
+}
+
+impl<E> ShardTransport<E> for SoloTransport<'_> {
+    const SOLO: bool = true;
+
+    #[inline]
+    fn fold(&mut self, peek: Option<Time>, progress: Tick) -> Result<RoundFold, TransportError> {
+        Ok(RoundFold {
+            m: peek,
+            global_progress: progress,
+        })
+    }
+
+    /// One shard's records are already in canonical order.
+    #[inline]
+    fn exchange(
+        &mut self,
+        out: RoundOut<'_, E>,
+        _deliver: &mut dyn FnMut(ComponentId, Time, Stamped<E>),
+    ) -> Result<RoundEnd, TransportError> {
+        if let Some(buffer) = self.buffer.as_deref_mut() {
+            flush_trace(buffer, out.traces);
+        }
+        Ok(RoundEnd {
+            stopped: out.stop,
+            failure: out.failure.map(|(_, msg)| msg),
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -681,7 +732,7 @@ mod process {
     /// Hub-side host accounting: wire traffic per worker and the wall
     /// time the hub spent computing and broadcasting folds. Byte counts
     /// are always on (one add per frame); fold timing only when armed
-    /// via [`Hub::set_host_profiling`].
+    /// in [`Hub::accept`].
     #[derive(Debug, Clone, Default)]
     pub struct HubHostStats {
         /// Rounds (FOLD frames) the hub relayed.
@@ -732,12 +783,24 @@ mod process {
         /// Accepts `n` worker connections on `listener`, orders them by
         /// their HELLO index, and sends each the setup frame. `timeout`
         /// bounds the whole accept phase and every later read.
+        ///
+        /// The rest is the hub's share of the workers'
+        /// [`EngineOptions`](crate::EngineOptions), fixed here for the
+        /// life of the hub: `trace_capacity` sizes the merged trace ring
+        /// (`None` = tracing off), `host_profiling` arms fold timing, and
+        /// `progress` is the live board the hub publishes to as rounds
+        /// complete (fold tick, round count, per-worker cumulative
+        /// executed events). The last two are purely host-side
+        /// observability — the wire protocol and every reply the hub
+        /// sends are byte-identical either way.
         pub fn accept(
             listener: &UnixListener,
             n: u32,
             timeout: Duration,
             setup_payload: &[u8],
             trace_capacity: Option<usize>,
+            host_profiling: bool,
+            progress: Option<Arc<ProgressShared>>,
         ) -> Result<Hub, TransportError> {
             listener.set_nonblocking(true)?;
             let deadline = Instant::now() + timeout;
@@ -798,28 +861,14 @@ mod process {
                 trace: trace_capacity.map(TraceBuffer::with_capacity),
                 merge_scratch: Vec::new(),
                 checkpoint_sink: None,
-                host_profiling: false,
+                host_profiling,
                 fold_ns: 0,
                 rounds: 0,
                 wire_in: vec![0; n],
                 wire_out: vec![0; n],
                 events_cum: vec![0; n],
-                progress: None,
+                progress,
             })
-        }
-
-        /// Arms (or disarms) hub-side fold timing. Purely host-side
-        /// observability: the wire protocol and every reply the hub
-        /// sends are byte-identical either way.
-        pub fn set_host_profiling(&mut self, on: bool) {
-            self.host_profiling = on;
-        }
-
-        /// Installs a live-progress board the hub publishes to as
-        /// rounds complete: the fold tick, round count, and per-worker
-        /// cumulative executed events. Out-of-band — readers only.
-        pub fn set_progress(&mut self, board: Arc<ProgressShared>) {
-            self.progress = Some(board);
         }
 
         /// Hub-side wire/fold accounting accumulated so far.

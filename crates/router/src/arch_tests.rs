@@ -2,7 +2,7 @@
 //! architectures: the arrival path and its error detection, conservation
 //! properties under random traffic, and the checkpoint format.
 
-use supersim_des::{Component, Rng, Simulator, Time};
+use supersim_des::{Component, Rng, Simulator, Tick, Time};
 use supersim_netbase::{Ev, TerminalId};
 
 use crate::congestion::{CongestionGranularity, CongestionSource};
@@ -51,11 +51,16 @@ impl Arch {
     /// The star network around one router of this architecture; IOQ runs
     /// its core at twice the link rate.
     fn net(self, vcs: u32, input_buffer: u32, eject: u32) -> TestNet {
+        self.net_sampled(0, vcs, input_buffer, eject)
+    }
+
+    /// [`Arch::net`] sampled every `interval` ticks (0 = off).
+    fn net_sampled(self, interval: Tick, vcs: u32, input_buffer: u32, eject: u32) -> TestNet {
         let periods = match self {
             Arch::Ioq(_) => (1, 2),
             _ => (1, 1),
         };
-        TestNet::build(vcs, eject, move |ports, routing| {
+        TestNet::build_sampled(interval, vcs, eject, move |ports, routing| {
             let sensor = sensor(CongestionSource::Downstream, CongestionGranularity::Vc);
             boxed(self.router(router_config(ports, routing, input_buffer, periods, sensor)))
         })
@@ -196,8 +201,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A fixed seeded run, sampled, stopped mid-flight.
 fn scripted_net(arch: Arch) -> TestNet {
-    let mut net = arch.net(2, 6, 8);
-    net.sample_every(10);
+    let mut net = arch.net_sampled(10, 2, 6, 8);
     for (src, dst, size, tick) in random_injections(&mut Rng::new(0x5EED_0013), 40, 60) {
         net.inject(src, TerminalId(dst), size, tick);
     }

@@ -5,7 +5,9 @@
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
-use supersim_des::{Component, ComponentId, Context, RunOutcome, Simulator, Tick, Time};
+use supersim_des::{
+    Component, ComponentId, Context, EngineOptions, RunOutcome, Simulator, Tick, Time,
+};
 use supersim_netbase::{
     AppId, CreditCounter, DeliveryChecker, Ev, Flit, LinkTarget, MessageId, PacketBuilder,
     PacketId, TerminalId,
@@ -372,8 +374,23 @@ impl TestNet {
     where
         F: FnOnce(RouterPorts, RoutingFactory) -> Result<Box<dyn Component<Ev>>, RouterError>,
     {
+        Self::build_sampled(0, vcs, eject_buffer, make_router)
+    }
+
+    /// [`TestNet::build`] with window sampling every `interval` ticks
+    /// armed on the engine and the router (0 = off).
+    pub fn build_sampled<F>(interval: Tick, vcs: u32, eject_buffer: u32, make_router: F) -> TestNet
+    where
+        F: FnOnce(RouterPorts, RoutingFactory) -> Result<Box<dyn Component<Ev>>, RouterError>,
+    {
         let n = Self::ENDPOINTS;
-        let mut sim = Simulator::new(0xBEEF);
+        let mut sim = Simulator::with_options(
+            0xBEEF,
+            EngineOptions {
+                sample_interval: interval,
+                ..EngineOptions::default()
+            },
+        );
         let router_id = ComponentId::from_index(n as usize); // endpoints first
         let mut endpoint_ids = Vec::new();
         // The endpoints grant the router's input-buffer credits; the value
@@ -416,12 +433,16 @@ impl TestNet {
             let ep = sim.component_as_mut::<Endpoint>(eid).expect("endpoint");
             ep.send_credits = (0..vcs).map(|_| CreditCounter::new(input_buffer)).collect();
         }
-        TestNet {
+        let mut net = TestNet {
             sim,
             endpoint_ids,
             router_ids: vec![router_id],
             next_packet: 1,
+        };
+        if interval > 0 {
+            net.router().core.sampler = Some(supersim_stats::ComponentSampler::new(8));
         }
+        net
     }
 
     /// Queues a packet of `size` flits from endpoint `src` to terminal
@@ -444,13 +465,6 @@ impl TestNet {
             .component_as_mut::<Endpoint>(self.endpoint_ids[idx])
             .expect("endpoint")
             .set_ignore_credits();
-    }
-
-    /// Arms window sampling every `interval` ticks on the engine and the
-    /// (first) router.
-    pub fn sample_every(&mut self, interval: Tick) {
-        self.sim.set_sampler(interval);
-        self.router().core.sampler = Some(supersim_stats::ComponentSampler::new(8));
     }
 
     /// Runs until `tick` and returns the (first) router's snapshot bytes.

@@ -41,11 +41,39 @@ fn with_process(cfg: &Value, workers: u64) -> Value {
     cfg
 }
 
+/// Runs `cfg` to completion, first checking that it ran on the backend
+/// [`with_engine`] pinned — a grid row that silently fell back to another
+/// engine would compare a backend with itself.
 fn run(cfg: &Value) -> RunOutput {
-    SuperSim::from_config(cfg)
-        .expect("build")
-        .run()
-        .expect("run")
+    let sim = SuperSim::from_config(cfg).expect("build");
+    let routers = sim.topology().num_routers();
+    let out = sim.run().expect("run");
+    assert_backend(cfg, routers, &out);
+    out
+}
+
+/// One `engine_shard_<i>` plane per shard that ran: the shard count
+/// `cfg` requests (clamped to the router count), or 1 for sequential. A
+/// configuration that pins no engine follows the environment and is not
+/// checked.
+fn assert_backend(cfg: &Value, routers: u32, out: &RunOutput) {
+    let want = match cfg.req_str("engine.kind") {
+        Ok("sharded") => cfg
+            .req_u64("engine.shards")
+            .expect("with_engine sets it")
+            .min(u64::from(routers)),
+        Ok(_) => 1,
+        Err(_) => return,
+    };
+    let mut planes: Vec<&str> = out
+        .metrics
+        .samples()
+        .iter()
+        .map(|s| s.component.as_str())
+        .filter(|c| c.starts_with("engine_shard_"))
+        .collect();
+    planes.dedup();
+    assert_eq!(planes.len() as u64, want, "shards that ran: {planes:?}");
 }
 
 /// The snapshot with the partition-dependent planes stripped: everything

@@ -92,6 +92,40 @@ fn code_1_unknown_arbiter_policy() {
 }
 
 #[test]
+fn code_1_shard_count_on_the_sequential_engine() {
+    // `--shards` without `--engine sharded` used to run sequentially and
+    // exit 0; a shard count the configuration states must be honoured or
+    // refused. The environment's default count is not a statement.
+    let cfg = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/quickstart.json");
+    let run = |args: &[&str], env_shards: Option<&str>| {
+        let mut cmd = Command::new(bin());
+        cmd.args([cfg, "--no-log"])
+            .args(args)
+            .env_remove("SUPERSIM_ENGINE")
+            .env_remove("SUPERSIM_SHARDS");
+        if let Some(n) = env_shards {
+            cmd.env("SUPERSIM_SHARDS", n);
+        }
+        cmd.output().expect("spawn supersim")
+    };
+    let out = run(&["--shards", "4"], None);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("engine.shards") && stderr.contains("engine.kind"),
+        "{stderr}"
+    );
+    assert_eq!(run(&["--shards", "1"], None).status.code(), Some(0));
+    assert_eq!(run(&[], Some("4")).status.code(), Some(0));
+    assert_eq!(
+        run(&["--engine", "sharded", "--shards", "4"], None)
+            .status
+            .code(),
+        Some(0)
+    );
+}
+
+#[test]
 fn code_2_degraded_run() {
     // A tick limit below the drain point leaves the run stalled with
     // traffic still in flight: degraded, not clean, not a usage error.

@@ -45,11 +45,39 @@ fn with_process(cfg: &Value, workers: u64) -> Value {
     cfg
 }
 
+/// Runs `cfg` to completion, first checking that it ran on the backend
+/// [`with_engine`] pinned — a grid row that silently fell back to another
+/// engine would compare a backend with itself.
 fn run(cfg: &Value) -> RunOutput {
-    SuperSim::from_config(cfg)
-        .expect("build")
-        .run()
-        .expect("run")
+    let sim = SuperSim::from_config(cfg).expect("build");
+    let routers = sim.topology().num_routers();
+    let out = sim.run().expect("run");
+    assert_backend(cfg, routers, &out);
+    out
+}
+
+/// One `engine_shard_<i>` plane per shard that ran: the shard count
+/// `cfg` requests (clamped to the router count), or 1 for sequential. A
+/// configuration that pins no engine follows the environment and is not
+/// checked.
+fn assert_backend(cfg: &Value, routers: u32, out: &RunOutput) {
+    let want = match cfg.req_str("engine.kind") {
+        Ok("sharded") => cfg
+            .req_u64("engine.shards")
+            .expect("with_engine sets it")
+            .min(u64::from(routers)),
+        Ok(_) => 1,
+        Err(_) => return,
+    };
+    let mut planes: Vec<&str> = out
+        .metrics
+        .samples()
+        .iter()
+        .map(|s| s.component.as_str())
+        .filter(|c| c.starts_with("engine_shard_"))
+        .collect();
+    planes.dedup();
+    assert_eq!(planes.len() as u64, want, "shards that ran: {planes:?}");
 }
 
 /// The snapshot minus the partition-dependent scheduler planes and the
@@ -233,7 +261,10 @@ fn total_credit_loss_trips_the_watchdog() {
     #[cfg(unix)]
     rows.push(("process", with_process(&cfg, 2)));
     for (kind, row_cfg) in rows {
-        let report = SuperSim::from_config(&row_cfg).expect("build").run_report();
+        let sim = SuperSim::from_config(&row_cfg).expect("build");
+        let routers = sim.topology().num_routers();
+        let report = sim.run_report();
+        assert_backend(&row_cfg, routers, &report.output);
         let err = report.error.as_ref().expect("run must degrade");
         let (tick, last_progress) = match err {
             SimError::Watchdog {

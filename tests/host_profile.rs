@@ -27,9 +27,7 @@ fn with_profiling(cfg: &Value) -> Value {
     cfg
 }
 
-/// Arms the trace export (which implies profiling). Checkpointing stays
-/// off: the trace timeline is per-run-segment, so validity is asserted
-/// on single-segment runs.
+/// Arms the trace export (which implies profiling).
 fn with_trace(cfg: &Value) -> Value {
     let mut cfg = cfg.clone();
     cfg.set_path("host.trace.enabled", Value::Bool(true))
@@ -101,6 +99,7 @@ fn host_plane_attributes_wall_time_when_enabled() {
 
 /// One parsed `ph:"X"` slice.
 struct Slice {
+    name: String,
     pid: u64,
     tid: u64,
     ts: u64,
@@ -124,13 +123,14 @@ fn check_trace(doc: &str) -> Vec<Slice> {
     for ev in events {
         let ph = ev.get("ph").and_then(Value::as_str).expect("ph");
         let pid = ev.get("pid").and_then(Value::as_u64).expect("pid");
-        assert!(ev.get("name").and_then(Value::as_str).is_some(), "name");
+        let name = ev.get("name").and_then(Value::as_str).expect("name");
         match ph {
             "X" => {
                 let tid = ev.get("tid").and_then(Value::as_u64).expect("tid");
                 let ts = ev.get("ts").and_then(Value::as_u64).expect("ts");
                 let dur = ev.get("dur").and_then(Value::as_u64).expect("dur");
                 slices.push(Slice {
+                    name: name.to_string(),
                     pid,
                     tid,
                     ts,
@@ -210,6 +210,48 @@ fn sharded_host_trace_has_one_track_per_shard() {
         tids.contains(&0) && tids.contains(&1),
         "both shard tracks present, got tids {tids:?}"
     );
+}
+
+#[test]
+fn checkpointed_host_trace_is_one_timeline() {
+    // A checkpointed run is many `run_until` segments. Every segment's
+    // round slices must land on the run's one timeline — not restart at
+    // zero — with each checkpoint write after the rounds it captured.
+    for (engine, base) in [
+        ("sequential", presets::quickstart()),
+        ("sharded", with_shards(&presets::quickstart(), 2)),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "supersim-host-trace-{engine}-{}",
+            std::process::id()
+        ));
+        let mut cfg = with_trace(&base);
+        for (path, value) in [
+            ("host.profile.sample", Value::Int(1)),
+            ("checkpoint.interval", Value::Int(200)),
+            (
+                "checkpoint.dir",
+                Value::Str(dir.to_string_lossy().into_owned()),
+            ),
+        ] {
+            cfg.set_path(path, value).expect("obj");
+        }
+        let out = run(&cfg);
+        let _ = std::fs::remove_dir_all(&dir);
+        let slices = check_trace(out.host_trace.as_deref().expect("trace collected"));
+        let rounds: Vec<&Slice> = slices.iter().filter(|s| s.name == "round").collect();
+        let checkpoints: Vec<&Slice> = slices.iter().filter(|s| s.name == "checkpoint").collect();
+        assert!(checkpoints.len() >= 2, "{engine}: a multi-segment run");
+        for c in checkpoints {
+            let before = rounds.iter().filter(|r| r.ts <= c.ts).map(|r| r.end).max();
+            let before = before.expect("a checkpoint follows the rounds it captured");
+            assert!(
+                c.ts >= before,
+                "{engine}: checkpoint at {} starts inside a round ending at {before}",
+                c.ts
+            );
+        }
+    }
 }
 
 #[cfg(unix)]

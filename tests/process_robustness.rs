@@ -35,7 +35,7 @@ fn process_cfg(timeout_ms: u64) -> Value {
             "engine.worker_bin",
             Value::Str(env!("CARGO_BIN_EXE_supersim").into()),
         ),
-        ("engine.worker_timeout_ms", Value::Int(timeout_ms as i64)),
+        ("process.timeout_ms", Value::Int(timeout_ms as i64)),
     ] {
         cfg.set_path(path, value).expect("object");
     }
@@ -142,16 +142,12 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn wedged_worker_is_cut_off_by_the_process_timeout() {
     // A worker that wedges before it ever connects must be cut off by
-    // the accept-phase budget, not waited on forever. The canonical
-    // `process.timeout_ms` key must also win over the legacy
-    // `engine.worker_timeout_ms` fallback that `process_cfg` sets.
+    // the accept-phase budget (`process.timeout_ms`), not waited on
+    // forever.
     let _guard = ENV_LOCK.lock().unwrap();
     std::env::set_var("SUPERSIM_TEST_WORKER_WEDGE", "1");
-    let mut cfg = process_cfg(600_000);
-    cfg.set_path("process.timeout_ms", Value::Int(500))
-        .expect("object");
     let started = Instant::now();
-    let report = run_report(&cfg);
+    let report = run_report(&process_cfg(500));
     let elapsed = started.elapsed();
     std::env::remove_var("SUPERSIM_TEST_WORKER_WEDGE");
     assert_degraded_by_worker(&report, 0, "wedged worker");
