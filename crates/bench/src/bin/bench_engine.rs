@@ -1,48 +1,42 @@
-//! In-tree engine micro-benchmarks (no external harness).
+//! In-tree engine micro-benchmarks and the `BENCH_BASELINE.json` floor
+//! gate (no external harness).
 //!
-//! Replaces the old criterion benches with a plain `--release` binary so
-//! the workspace builds and measures fully offline. Two workload families:
+//! A plain `--release` binary so the workspace builds and measures fully
+//! offline. Three workload families:
 //!
-//! - **queue**: raw event-queue throughput — push N mixed-time events,
-//!   pop them all. Run against both the calendar queue that now powers the
-//!   engine and an in-binary copy of the seed `BinaryHeap` queue, so the
-//!   speedup is measured on the same machine in the same process.
+//! - **queue**: raw calendar event-queue throughput — push N mixed-time
+//!   events, pop them all.
 //! - **relay ring**: full engine dispatch — a ring of components bouncing
 //!   events one tick apart, the dominant shape of flit/credit traffic.
 //! - **work ring**: the relay ring with a fixed per-event compute load,
-//!   run on the sequential engine and on the sharded engine at several
-//!   shard counts — the engine-scaling measurement. (The plain relay ring
-//!   is also measured sharded: with near-zero per-event work it is
+//!   run on the sequential engine and on the sharded engine at 2 and 4
+//!   shards — the engine-scaling measurement. (The plain relay ring is
+//!   also measured sharded: with near-zero per-event work it is
 //!   barrier-dominated and shows the overhead honestly.)
+//!
+//! Profiles of real network runs come from `supersim --host-profile
+//! --metrics m.json` and `ssreport m.json --host-profile`.
 //!
 //! Usage:
 //!   bench_engine                      # full measurement, prints a table
 //!   bench_engine --smoke              # quick run with floor assertions (CI tier-1)
-//!   bench_engine --engine seq        # skip the sharded rows
-//!   bench_engine --engine sharded    # only the sharded rows
-//!   bench_engine --shards N          # measure one shard count instead of 2 and 4
 //!   bench_engine --workers N[,M...]  # add multi-process rows: same ring, one
 //!                                    # OS process per shard over the Unix-socket
 //!                                    # transport (unix only; measures the full
 //!                                    # spawn + wire protocol end to end)
-//!   bench_engine --profile           # run a real torus router workload and
-//!                                    # print the hot-path profiling plane
-//!                                    # (batching, arena pressure, clones)
 //!
-//! Both modes additionally compare every calendar-queue rate against the
-//! floors in `BENCH_BASELINE.json` at the repository root (override the
-//! path with the `BENCH_BASELINE` environment variable) and exit non-zero
-//! when any measured rate falls below its floor. The floors are
-//! hand-maintained and never auto-bumped.
+//! Both modes additionally compare every measured rate against the floors
+//! in `BENCH_BASELINE.json` at the repository root (override the path with
+//! the `BENCH_BASELINE` environment variable) and exit non-zero when any
+//! measured rate falls below its floor. The floors are hand-maintained and
+//! never auto-bumped.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use supersim_config::{obj, Value};
+use supersim_config::Value;
 use supersim_des::{Component, ComponentId, Context, EventQueue, Simulator, Time};
-use supersim_stats::{HostClock, MetricValue};
+use supersim_stats::HostClock;
 
 /// Heap-allocation counter wrapped around the system allocator, so every
 /// workload can report allocations per event alongside its rate — the
@@ -55,14 +49,14 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, AtomicOrdering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, AtomicOrdering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -72,69 +66,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations during `f`, attributed per event.
 fn allocs_per_event(events: u64, f: impl FnOnce()) -> f64 {
-    let before = ALLOCATIONS.load(AtomicOrdering::Relaxed);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
     f();
-    let after = ALLOCATIONS.load(AtomicOrdering::Relaxed);
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
     (after - before) as f64 / events.max(1) as f64
-}
-
-/// The seed engine's event queue: a global `BinaryHeap` with a per-event
-/// sequence number for FIFO tie-breaks. Kept here verbatim as the
-/// reference baseline for the calendar queue.
-struct RefEntry<E> {
-    time: Time,
-    seq: u64,
-    target: ComponentId,
-    payload: E,
-}
-
-impl<E> PartialEq for RefEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for RefEntry<E> {}
-impl<E> PartialOrd for RefEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for RefEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct RefHeapQueue<E> {
-    heap: BinaryHeap<RefEntry<E>>,
-    next_seq: u64,
-}
-
-impl<E> RefHeapQueue<E> {
-    fn new() -> Self {
-        RefHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-    #[inline]
-    fn push(&mut self, target: ComponentId, time: Time, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(RefEntry {
-            time,
-            seq,
-            target,
-            payload,
-        });
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<(Time, ComponentId, E)> {
-        self.heap.pop().map(|e| (e.time, e.target, e.payload))
-    }
 }
 
 /// Best-of-`reps` wall time for `f`, as events/second over `events`.
@@ -169,21 +104,6 @@ fn bench_queue_calendar(n: usize, reps: usize) -> f64 {
     let target = ComponentId::try_from_index(0).expect("bench index fits the id space");
     measure((2 * n) as u64, reps, || {
         let mut q = EventQueue::<u64>::new();
-        for i in 0..n {
-            q.push(target, Time::at(scatter(i, n)), i as u64);
-        }
-        let mut popped = 0usize;
-        while q.pop().is_some() {
-            popped += 1;
-        }
-        assert_eq!(popped, n);
-    })
-}
-
-fn bench_queue_refheap(n: usize, reps: usize) -> f64 {
-    let target = ComponentId::try_from_index(0).expect("bench index fits the id space");
-    measure((2 * n) as u64, reps, || {
-        let mut q = RefHeapQueue::<u64>::new();
         for i in 0..n {
             q.push(target, Time::at(scatter(i, n)), i as u64);
         }
@@ -248,87 +168,6 @@ fn bench_relay_ring(ring: usize, tokens: usize, hops: u64, reps: usize) -> f64 {
         assert_eq!(stats.events_executed, events_per_run);
         assert!(stats.queue_high_water >= tokens);
     })
-}
-
-/// A faithful replica of the seed engine's dispatch shape: boxed dyn
-/// components taken out of their slot per event, a context struct, and
-/// one heap pop (plus one peek) per event — so the relay-ring comparison
-/// isolates the queue + executor-loop difference, not dispatch cost.
-mod refsim {
-    use super::{ComponentId, RefHeapQueue, Time};
-
-    pub struct RefContext<'a> {
-        pub now: Time,
-        queue: &'a mut RefHeapQueue<u64>,
-    }
-
-    impl RefContext<'_> {
-        #[inline]
-        pub fn schedule(&mut self, target: ComponentId, time: Time, payload: u64) {
-            assert!(time >= self.now, "cannot schedule into the past");
-            self.queue.push(target, time, payload);
-        }
-    }
-
-    pub trait RefComponent {
-        fn handle(&mut self, ctx: &mut RefContext<'_>, event: u64);
-    }
-
-    pub struct RefSimulator {
-        components: Vec<Option<Box<dyn RefComponent>>>,
-        queue: RefHeapQueue<u64>,
-        pub events_executed: u64,
-    }
-
-    impl RefSimulator {
-        pub fn new() -> Self {
-            RefSimulator {
-                components: Vec::new(),
-                queue: RefHeapQueue::new(),
-                events_executed: 0,
-            }
-        }
-
-        pub fn add_component(&mut self, c: Box<dyn RefComponent>) -> ComponentId {
-            let id = ComponentId::try_from_index(self.components.len())
-                .expect("bench index fits the id space");
-            self.components.push(Some(c));
-            id
-        }
-
-        pub fn schedule(&mut self, target: ComponentId, time: Time, payload: u64) {
-            self.queue.push(target, time, payload);
-        }
-
-        /// The seed `run_until(Tick::MAX)` loop: peek, pop, dispatch.
-        pub fn run(&mut self) {
-            while let Some((time, target, payload)) = self.queue.pop() {
-                self.events_executed += 1;
-                let slot = self.components.get_mut(target.index()).expect("target");
-                let mut component = slot.take().expect("component re-entered");
-                let mut ctx = RefContext {
-                    now: time,
-                    queue: &mut self.queue,
-                };
-                component.handle(&mut ctx, payload);
-                self.components[target.index()] = Some(component);
-            }
-        }
-    }
-}
-
-struct RefRelay {
-    next: ComponentId,
-    remaining: u64,
-}
-
-impl refsim::RefComponent for RefRelay {
-    fn handle(&mut self, ctx: &mut refsim::RefContext<'_>, event: u64) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            ctx.schedule(self.next, ctx.now.plus_ticks(1), event + 1);
-        }
-    }
 }
 
 /// A relay with a fixed per-event compute load: `work` rounds of an
@@ -538,28 +377,6 @@ mod process_rows {
     }
 }
 
-/// The same relay-ring workload driven through the reference engine.
-fn bench_relay_ring_refheap(ring: usize, tokens: usize, hops: u64, reps: usize) -> f64 {
-    let events_per_run = ring as u64 * hops + tokens as u64;
-    measure(events_per_run, reps, || {
-        let mut sim = refsim::RefSimulator::new();
-        let ids: Vec<ComponentId> = (0..ring)
-            .map(|i| {
-                sim.add_component(Box::new(RefRelay {
-                    next: ComponentId::try_from_index((i + 1) % ring)
-                        .expect("bench index fits the id space"),
-                    remaining: hops,
-                }))
-            })
-            .collect();
-        for t in 0..tokens {
-            sim.schedule(ids[t * ring / tokens.max(1)], Time::at(0), 0);
-        }
-        sim.run();
-        assert_eq!(sim.events_executed, events_per_run);
-    })
-}
-
 /// Loads the floor table: `$BENCH_BASELINE` if set, else
 /// `BENCH_BASELINE.json` at the repository root. A missing or malformed
 /// file disables floor checking with a warning (the binary stays usable
@@ -598,102 +415,6 @@ fn check_floor(baseline: Option<&Value>, name: &str, rate: f64, below: &mut Vec<
     }
 }
 
-/// The `--profile` workload: a 3-D torus under uniform random Blast
-/// traffic, sized so router pipeline cycles (not workload generation)
-/// dominate the event mix. `--smoke` shrinks it to a 2-D torus and a
-/// shorter sampling window.
-fn profile_config(smoke: bool) -> Value {
-    let (widths, sample_messages) = if smoke {
-        (vec![4u64, 4], 60u64)
-    } else {
-        (vec![8u64, 8, 4], 300u64)
-    };
-    obj! {
-        "seed" => 3u64,
-        // The profile run doubles as a host-time measurement: the host
-        // plane attributes the same wall clock the bench columns use.
-        "host" => obj! { "profile" => obj! { "enabled" => true } },
-        "network" => obj! {
-            "topology" => obj! {
-                "name" => "torus",
-                "widths" => widths,
-                "concentration" => 1u64,
-            },
-            "vcs" => 4u64,
-            "routing" => obj! { "algorithm" => "dimension_order" },
-            "channel" => obj! {
-                "terminal_latency" => 1u64,
-                "local_latency" => 5u64,
-                "link_period" => 1u64,
-            },
-            "router" => obj! {
-                "architecture" => "input_queued",
-                "input_buffer" => 64u64,
-                "xbar_latency" => 8u64,
-                "flow_control" => "winner_take_all",
-                "arbiter" => "age_based",
-            },
-            "interface" => obj! { "eject_buffer" => 64u64, "max_packet_size" => 8u64 },
-        },
-        "workload" => obj! {
-            "applications" => vec![obj! {
-                "name" => "blast",
-                "load" => 0.55f64,
-                "message_size" => 8u64,
-                "warmup_ticks" => 2000u64,
-                "sample_messages" => sample_messages,
-                "pattern" => obj! { "name" => "uniform_random" },
-            }],
-        },
-    }
-}
-
-/// Runs the real-router profiling workload once and prints the hot-path
-/// profiling plane (the same report `ssreport --profile` renders from a
-/// saved snapshot), plus wall-clock throughput for context.
-fn run_profile(smoke: bool) {
-    let config = profile_config(smoke);
-    let sim = supersim_core::SuperSim::from_config(&config).expect("profile config is valid");
-    let allocs_before = ALLOCATIONS.load(AtomicOrdering::Relaxed);
-    let clock = HostClock::new();
-    let out = sim.run().expect("profile run completes");
-    let secs = clock.now_ns() as f64 / 1e9;
-    let allocs = ALLOCATIONS.load(AtomicOrdering::Relaxed) - allocs_before;
-    let events = out.engine.events_executed;
-    let rate = events as f64 / secs;
-    println!(
-        "torus router workload: {events} events in {secs:.3}s ({})",
-        human(rate)
-    );
-    println!(
-        "heap allocations     {allocs} ({:.3} per event)",
-        allocs as f64 / events.max(1) as f64
-    );
-    println!("{:<20} {:.0}", "ns_per_event", ns_per_event(rate));
-    // Barrier-wait fraction from the host plane (zero on a sequential
-    // run, where there is no fold barrier to wait on).
-    let barrier_millis = match out.metrics.get("host", "barrier_wait_millis") {
-        Some(MetricValue::Counter(v)) => *v,
-        _ => 0,
-    };
-    println!(
-        "{:<20} {:.1}%",
-        "barrier_wait",
-        barrier_millis as f64 / 10.0
-    );
-    match supersim_tools::profile_report(&out.metrics) {
-        Some(text) => print!("{text}"),
-        None => {
-            eprintln!("bench_engine: run produced no profile plane");
-            std::process::exit(1);
-        }
-    }
-    if let Some(text) = supersim_tools::host_profile_report(&out.metrics) {
-        println!("\nhost-time attribution:");
-        print!("{text}");
-    }
-}
-
 fn human(rate: f64) -> String {
     if rate >= 1e6 {
         format!("{:7.2} M/s", rate / 1e6)
@@ -717,35 +438,11 @@ fn main() {
         }
     }
     let mut smoke = false;
-    let mut profile = false;
-    let mut run_seq = true;
-    let mut run_sharded = true;
-    let mut shard_counts = vec![2usize, 4];
     let mut worker_counts: Vec<usize> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--profile" => profile = true,
-            "--engine" => match it.next().as_deref() {
-                Some("seq") | Some("sequential") => run_sharded = false,
-                Some("sharded") => run_seq = false,
-                other => {
-                    eprintln!("bench_engine: --engine must be seq or sharded, got {other:?}");
-                    std::process::exit(2);
-                }
-            },
-            "--shards" => {
-                let Some(n) = it
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("bench_engine: --shards needs a positive integer");
-                    std::process::exit(2);
-                };
-                shard_counts = vec![n];
-            }
             "--workers" => {
                 let parsed: Option<Vec<usize>> = it.next().map(|s| {
                     s.split(',')
@@ -768,14 +465,13 @@ fn main() {
                 }
             }
             other => {
-                eprintln!("bench_engine: unknown argument {other:?}");
+                eprintln!(
+                    "bench_engine: unknown argument {other:?}\n\
+                     usage: bench_engine [--smoke] [--workers N[,M...]]"
+                );
                 std::process::exit(2);
             }
         }
-    }
-    if profile {
-        run_profile(smoke);
-        return;
     }
     let (reps, sizes, ring_hops, work_hops) = if smoke {
         (2, vec![1_000usize], 200u64, 40u64)
@@ -791,105 +487,87 @@ fn main() {
     let baseline = load_baseline();
     let mut below = Vec::new();
     let mut floors_ok = true;
-    if run_seq {
-        println!(
-            "{:<28} {:>12} {:>12} {:>8}",
-            "workload", "calendar", "binary-heap", "speedup"
-        );
-        for &n in &sizes {
-            let name = format!("queue/push_pop_{n}");
-            let cal = bench_queue_calendar(n, reps);
-            let heap = bench_queue_refheap(n, reps);
-            println!(
-                "{name:<28} {:>12} {:>12} {:>7.2}x",
-                human(cal),
-                human(heap),
-                cal / heap
-            );
-            floors_ok &= cal > 0.0 && heap > 0.0;
-            check_floor(baseline.as_ref(), &name, cal, &mut below);
-        }
-
-        for &(ring, tokens) in &[(64usize, 16usize), (1024, 256)] {
-            let name = format!("relay_ring/{ring}x{tokens}");
-            let cal = bench_relay_ring(ring, tokens, ring_hops, reps);
-            let heap = bench_relay_ring_refheap(ring, tokens, ring_hops, reps);
-            println!(
-                "{name:<28} {:>12} {:>12} {:>7.2}x",
-                human(cal),
-                human(heap),
-                cal / heap
-            );
-            floors_ok &= cal > 0.0 && heap > 0.0;
-            check_floor(baseline.as_ref(), &name, cal, &mut below);
-        }
+    println!("{:<28} {:>12} {:>8}", "workload", "rate", "ns/ev");
+    let queue_rows = sizes
+        .iter()
+        .map(|&n| (format!("queue/push_pop_{n}"), bench_queue_calendar(n, reps)));
+    let relay_rows = [(64usize, 16usize), (1024, 256)]
+        .into_iter()
+        .map(|(ring, tokens)| {
+            (
+                format!("relay_ring/{ring}x{tokens}"),
+                bench_relay_ring(ring, tokens, ring_hops, reps),
+            )
+        });
+    for (name, rate) in queue_rows.chain(relay_rows) {
+        println!("{name:<28} {:>12} {:>8.0}", human(rate), ns_per_event(rate));
+        floors_ok &= rate > 0.0;
+        check_floor(baseline.as_ref(), &name, rate, &mut below);
     }
 
     // --- engine scaling: sequential vs sharded on the same workload -----
-    if run_sharded {
+    println!(
+        "{:<28} {:>12} {:>12} {:>8} {:>10} {:>8}",
+        "workload", "sharded", "sequential", "speedup", "allocs/ev", "ns/ev"
+    );
+    // Xorshift rounds per event, calibrated so one synthetic event costs
+    // about as much as one event of a real torus router workload (the
+    // `router` class ns/event of `supersim --host-profile`) on the same
+    // build — re-derived whenever the router hot path changes materially.
+    // The arena/fused pipeline dispatches the torus at ~2.5 M events/s
+    // (~400 ns/event); 128 rounds (~390 ns including dispatch) match that,
+    // where the pre-calibration value of 256 (~780 ns/event) nearly
+    // doubled it.
+    const WORK: u32 = 128;
+    for &(ring, tokens, work) in &[(1024usize, 256usize, 0u32), (1024, 256, WORK)] {
+        let family = if work == 0 { "relay_ring" } else { "work_ring" };
+        let (seq, seq_allocs) = bench_work_ring(ring, tokens, work_hops, work, 1, reps);
+        let seq_name = format!("{family}_engine/{ring}x{tokens}/seq");
         println!(
-            "{:<28} {:>12} {:>12} {:>8} {:>10} {:>8}",
-            "workload", "sharded", "sequential", "speedup", "allocs/ev", "ns/ev"
+            "{seq_name:<28} {:>12} {:>12} {:>7.2}x {:>10.3} {:>8.0}",
+            "",
+            human(seq),
+            1.0,
+            seq_allocs,
+            ns_per_event(seq)
         );
-        // Xorshift rounds per event, calibrated so one synthetic event
-        // costs about as much as one event of the real torus router
-        // workload (`--profile`) on the same build — re-derived whenever
-        // the router hot path changes materially. The arena/fused
-        // pipeline dispatches the torus at ~2.5 M events/s (~400
-        // ns/event); 128 rounds (~390 ns including dispatch) match
-        // that, where the pre-calibration value of 256 (~780 ns/event)
-        // nearly doubled it.
-        const WORK: u32 = 128;
-        for &(ring, tokens, work) in &[(1024usize, 256usize, 0u32), (1024, 256, WORK)] {
-            let family = if work == 0 { "relay_ring" } else { "work_ring" };
-            let (seq, seq_allocs) = bench_work_ring(ring, tokens, work_hops, work, 1, reps);
-            let seq_name = format!("{family}_engine/{ring}x{tokens}/seq");
+        floors_ok &= seq > 0.0;
+        check_floor(baseline.as_ref(), &seq_name, seq, &mut below);
+        for s in [2, 4] {
+            let name = format!("{family}_engine/{ring}x{tokens}/s{s}");
+            let (rate, allocs) = bench_work_ring(ring, tokens, work_hops, work, s, reps);
             println!(
-                "{seq_name:<28} {:>12} {:>12} {:>7.2}x {:>10.3} {:>8.0}",
-                "",
+                "{name:<28} {:>12} {:>12} {:>7.2}x {:>10.3} {:>8.0}",
+                human(rate),
                 human(seq),
-                1.0,
-                seq_allocs,
-                ns_per_event(seq)
+                rate / seq,
+                allocs,
+                ns_per_event(rate)
             );
-            floors_ok &= seq > 0.0;
-            check_floor(baseline.as_ref(), &seq_name, seq, &mut below);
-            for &s in &shard_counts {
-                let name = format!("{family}_engine/{ring}x{tokens}/s{s}");
-                let (rate, allocs) = bench_work_ring(ring, tokens, work_hops, work, s, reps);
-                println!(
-                    "{name:<28} {:>12} {:>12} {:>7.2}x {:>10.3} {:>8.0}",
-                    human(rate),
-                    human(seq),
-                    rate / seq,
-                    allocs,
-                    ns_per_event(rate)
-                );
-                floors_ok &= rate > 0.0;
-                check_floor(baseline.as_ref(), &name, rate, &mut below);
-            }
-            // Process-transport rows (opt-in via --workers): same ring,
-            // one OS process per shard, the full socket protocol on the
-            // wire. Allocations happen in the workers, so that column is
-            // blank. These rows carry no floors — spawn cost and
-            // machine-dependent IPC latency would make any floor either
-            // meaningless or flaky.
-            #[cfg(unix)]
-            for &w in &worker_counts {
-                let name = format!("{family}_engine/{ring}x{tokens}/w{w}");
-                let rate =
-                    process_rows::bench_work_ring_process(ring, tokens, work_hops, work, w, reps);
-                println!(
-                    "{name:<28} {:>12} {:>12} {:>7.2}x {:>10} {:>8.0}",
-                    human(rate),
-                    human(seq),
-                    rate / seq,
-                    "-",
-                    ns_per_event(rate)
-                );
-                floors_ok &= rate > 0.0;
-                check_floor(baseline.as_ref(), &name, rate, &mut below);
-            }
+            floors_ok &= rate > 0.0;
+            check_floor(baseline.as_ref(), &name, rate, &mut below);
+        }
+        // Process-transport rows (opt-in via --workers): same ring,
+        // one OS process per shard, the full socket protocol on the
+        // wire. Allocations happen in the workers, so that column is
+        // blank. These rows carry no floors — spawn cost and
+        // machine-dependent IPC latency would make any floor either
+        // meaningless or flaky.
+        #[cfg(unix)]
+        for &w in &worker_counts {
+            let name = format!("{family}_engine/{ring}x{tokens}/w{w}");
+            let rate =
+                process_rows::bench_work_ring_process(ring, tokens, work_hops, work, w, reps);
+            println!(
+                "{name:<28} {:>12} {:>12} {:>7.2}x {:>10} {:>8.0}",
+                human(rate),
+                human(seq),
+                rate / seq,
+                "-",
+                ns_per_event(rate)
+            );
+            floors_ok &= rate > 0.0;
+            check_floor(baseline.as_ref(), &name, rate, &mut below);
         }
     }
     #[cfg(not(unix))]

@@ -15,9 +15,9 @@
 //! cargo run --release -p supersim-bench --bin fig09 [--full]
 //! ```
 
-use supersim_bench::{percentile_row, run_point, sweep, write_artifact, Scale, PERCENTILE_HEADER};
+use supersim_bench::{percentile_row, write_artifact, Scale, PERCENTILE_HEADER};
 use supersim_config::Value;
-use supersim_core::presets;
+use supersim_core::{presets, run_load_sweep, LoadSweepSpec};
 use supersim_tools as tools;
 
 fn main() {
@@ -40,8 +40,11 @@ fn main() {
         let mut csv_a = format!("delay,{PERCENTILE_HEADER}\n");
         let mut latency_series = Vec::new();
         for &delay in delays {
-            let cfg = presets::latent_congestion(levels, k, delay, None, 50, 50, 0.1, samples);
-            let sw = sweep(&cfg, &format!("9a delay={delay}"), &loads_a);
+            let mut cfg = presets::latent_congestion(levels, k, delay, None, 50, 50, 0.1, samples);
+            cfg.set_path("seed", Value::from(1000u64)).expect("object");
+            let label = format!("9a delay={delay}");
+            let sw = run_load_sweep(&LoadSweepSpec::simple(cfg, &label, loads_a.to_vec()))
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             let mut pts = Vec::new();
             for p in &sw.points {
                 csv_a.push_str(&format!("{delay},{}\n", percentile_row(p)));
@@ -84,7 +87,9 @@ fn main() {
         // in within a few channel round trips.
         cfg.set_path("workload.applications.0.warmup_ticks", Value::from(600u64))
             .expect("object");
-        let point = run_point(&cfg, offered, "fig09b");
+        let point = run_load_sweep(&LoadSweepSpec::simple(cfg, "fig09b", vec![offered]))
+            .unwrap_or_else(|e| panic!("fig09b: {e}"))
+            .points[0];
         best = best.max(point.delivered);
         results.push((delay, point.delivered));
     }

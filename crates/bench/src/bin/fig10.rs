@@ -7,8 +7,9 @@
 //! cargo run --release -p supersim-bench --bin fig10 [--full]
 //! ```
 
-use supersim_bench::{sweep, write_artifact, Scale};
-use supersim_core::presets;
+use supersim_bench::{write_artifact, Scale};
+use supersim_config::Value;
+use supersim_core::{presets, run_load_sweep, LoadSweepSpec};
 
 fn main() {
     let scale = Scale::from_args();
@@ -27,7 +28,7 @@ fn main() {
         for granularity in ["vc", "port"] {
             for source in ["output", "downstream", "both"] {
                 let style = format!("{granularity}/{source}");
-                let cfg = presets::credit_accounting(
+                let mut cfg = presets::credit_accounting(
                     routers,
                     conc,
                     source,
@@ -38,7 +39,9 @@ fn main() {
                     0.1,
                     samples,
                 );
-                let sw = sweep(&cfg, &style, &loads);
+                cfg.set_path("seed", Value::from(1000u64)).expect("object");
+                let sw = run_load_sweep(&LoadSweepSpec::simple(cfg, &style, loads.clone()))
+                    .unwrap_or_else(|e| panic!("{style}: {e}"));
                 for p in &sw.points {
                     csv.push_str(&format!(
                         "{style},{:.2},{:.4},{},{}\n",

@@ -7,8 +7,8 @@
 //! cargo run --release -p supersim-bench --bin fig11 [--full]
 //! ```
 
-use supersim_bench::{run_point, write_artifact, Scale};
-use supersim_core::presets;
+use supersim_bench::{write_artifact, Scale};
+use supersim_core::{presets, run_load_sweep, LoadSweepSpec};
 
 fn main() {
     let scale = Scale::from_args();
@@ -42,7 +42,9 @@ fn main() {
                     0.1,
                     samples,
                 );
-                let point = run_point(&cfg, offered, "fig11");
+                let point = run_load_sweep(&LoadSweepSpec::simple(cfg, "fig11", vec![offered]))
+                    .unwrap_or_else(|e| panic!("fig11: {e}"))
+                    .points[0];
                 row.push_str(&format!(" {:>14.3}", point.delivered));
                 csv.push_str(&format!(
                     "{vcs},{size},{technique},{offered:.2},{:.4}\n",

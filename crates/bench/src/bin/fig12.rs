@@ -7,8 +7,9 @@
 //! cargo run --release -p supersim-bench --bin fig12 [--full]
 //! ```
 
-use supersim_bench::{percentile_row, sweep, write_artifact, Scale, PERCENTILE_HEADER};
-use supersim_core::presets;
+use supersim_bench::{percentile_row, write_artifact, Scale, PERCENTILE_HEADER};
+use supersim_config::Value;
+use supersim_core::{presets, run_load_sweep, LoadSweepSpec};
 use supersim_tools as tools;
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
     let mut chart = Vec::new();
     let mut tails: Vec<(&str, u64, u64)> = Vec::new();
     for technique in techniques {
-        let cfg = presets::flow_control(
+        let mut cfg = presets::flow_control(
             widths.clone(),
             1,
             8,
@@ -33,7 +34,9 @@ fn main() {
             0.1,
             scale.pick(100, 150),
         );
-        let sw = sweep(&cfg, technique, &loads);
+        cfg.set_path("seed", Value::from(1000u64)).expect("object");
+        let sw = run_load_sweep(&LoadSweepSpec::simple(cfg, technique, loads.to_vec()))
+            .unwrap_or_else(|e| panic!("{technique}: {e}"));
         let mut pts = Vec::new();
         for p in sw.unsaturated_prefix(0.1) {
             csv.push_str(&format!("{technique},{}\n", percentile_row(p)));

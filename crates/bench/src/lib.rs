@@ -7,13 +7,15 @@
 //! the paper's configurations and accept `--full` for paper scale; the
 //! *shape* of each result (who wins, by roughly what factor, where
 //! crossovers fall) is the reproduction target, not absolute numbers.
+//! Load sweeps go through `supersim_core::run_load_sweep`; the other axes
+//! of a figure are loops in its binary.
 
 use std::path::PathBuf;
 
 use supersim_config::Value;
 use supersim_core::{RunOutput, SuperSim};
-use supersim_stats::analysis::{LoadPoint, LoadSweep};
-use supersim_stats::{Filter, RecordKind};
+use supersim_stats::analysis::LoadPoint;
+use supersim_stats::RecordKind;
 
 /// Experiment scale selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,37 +68,6 @@ pub fn run(config: &Value, what: &str) -> RunOutput {
         .unwrap_or_else(|e| panic!("{what}: simulation failed: {e}"))
 }
 
-/// Runs one configuration at a given offered load and returns its load
-/// point (throughput + latency distribution summary).
-pub fn run_point(config: &Value, load: f64, what: &str) -> LoadPoint {
-    let mut cfg = config.clone();
-    cfg.set_path("workload.applications.0.load", Value::Float(load))
-        .expect("object config");
-    let out = run(&cfg, what);
-    out.load_point(load, &Filter::new())
-        .unwrap_or_else(|| panic!("{what}: no sampling window"))
-}
-
-/// Runs a load sweep serially with progress output (figure binaries are
-/// typically the only thing running; parallel sweeps are available through
-/// `supersim_core::run_load_sweep`).
-pub fn sweep(config: &Value, label: &str, loads: &[f64]) -> LoadSweep {
-    let mut sweep = LoadSweep::new(label);
-    for (i, &load) in loads.iter().enumerate() {
-        let mut cfg = config.clone();
-        cfg.set_path("seed", Value::from(1000 + i as u64))
-            .expect("object config");
-        let point = run_point(&cfg, load, label);
-        eprintln!(
-            "  {label} load={load:.2}: delivered={:.3} mean={:.1}",
-            point.delivered,
-            point.latency.map_or(f64::NAN, |l| l.mean)
-        );
-        sweep.push(point);
-    }
-    sweep
-}
-
 /// Fraction of sampled packets that took a non-minimal path, judged by
 /// comparing recorded hop counts against the caller-supplied minimal
 /// router count for each (src, dst) record.
@@ -114,11 +85,6 @@ pub fn nonminimal_fraction(out: &RunOutput, min_routers: impl Fn(u32, u32) -> u1
     } else {
         nonmin as f64 / total as f64
     }
-}
-
-/// Builds a `Filter` over the whole log (no terms).
-pub fn no_filter() -> Filter {
-    Filter::new()
 }
 
 /// Formats a percentile row used by several figures.

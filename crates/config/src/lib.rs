@@ -46,6 +46,3 @@ pub use expand::{expand_file, expand_refs};
 pub use overrides::{apply_override, apply_overrides, parse_override, Override, OverrideValue};
 pub use parse::parse;
 pub use value::{Map, Value};
-
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;

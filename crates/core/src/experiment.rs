@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use supersim_config::Value;
+use supersim_config::{ConfigError, Value};
 use supersim_stats::analysis::{LoadPoint, LoadSweep};
 use supersim_stats::Filter;
 
@@ -83,21 +83,29 @@ impl std::error::Error for SweepError {}
 /// Runs one point of a sweep.
 fn run_point(spec: &LoadSweepSpec, index: usize, load: f64) -> Result<LoadPoint, SweepError> {
     let filter = Filter::parse_all(&spec.filter).map_err(|e| SweepError::Filter(e.to_string()))?;
+    let config_error = |e| SweepError::Build {
+        load,
+        source: BuildError::Config(e),
+    };
     let mut cfg = spec.base.clone();
     for path in &spec.load_paths {
         cfg.set_path(path, Value::Float(load))
-            .map_err(|e| SweepError::Build {
-                load,
-                source: BuildError::Config(e),
-            })?;
+            .map_err(config_error)?;
     }
-    // Decorrelate the points without losing reproducibility.
-    let seed = cfg.opt_u64("seed", 1).unwrap_or(1) + index as u64;
-    cfg.set_path("seed", Value::from(seed))
-        .map_err(|e| SweepError::Build {
-            load,
-            source: BuildError::Config(e),
+    // Decorrelate the points without losing reproducibility. The point's
+    // seed must stay a valid config integer (`i64`).
+    let base = cfg.opt_u64("seed", 1).map_err(config_error)?;
+    let seed = base
+        .checked_add(index as u64)
+        .and_then(|seed| i64::try_from(seed).ok())
+        .ok_or_else(|| {
+            config_error(ConfigError::invalid(
+                "seed",
+                format!("seed {base} + point {index} exceeds the largest config integer"),
+            ))
         })?;
+    cfg.set_path("seed", Value::Int(seed))
+        .map_err(config_error)?;
     let sim = SuperSim::from_config(&cfg).map_err(|source| SweepError::Build { load, source })?;
     let output = sim
         .run()
@@ -164,6 +172,39 @@ mod tests {
         assert!(sweep.points[1].delivered > sweep.points[0].delivered);
         let l0 = sweep.points[0].latency.expect("sampled");
         assert!(l0.mean > 0.0);
+    }
+
+    #[test]
+    fn invalid_seeds_are_build_errors() {
+        // `SuperSim::from_config` rejects these seeds; the sweep must not
+        // quietly run seeds 1, 2, ... instead.
+        for seed in [Value::Int(-5), Value::from("x")] {
+            let mut spec = LoadSweepSpec::simple(presets::quickstart(), "x", vec![0.1]);
+            spec.base.set_path("seed", seed).expect("object");
+            assert!(matches!(
+                run_load_sweep(&spec),
+                Err(SweepError::Build {
+                    source: BuildError::Config(_),
+                    ..
+                })
+            ));
+        }
+        // The second point's seed does not fit the config's `i64`.
+        let mut spec = LoadSweepSpec::simple(presets::quickstart(), "x", vec![0.1, 0.2]);
+        spec.base
+            .set_path("seed", Value::Int(i64::MAX))
+            .expect("object");
+        let err = run_load_sweep(&spec).expect_err("seed overflow");
+        assert!(
+            matches!(
+                &err,
+                SweepError::Build {
+                    source: BuildError::Config(ConfigError::Invalid { .. }),
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -10,51 +10,11 @@ use supersim_config::{obj, Value};
 use supersim_des::Tick;
 
 /// A small HyperX network under uniform random Blast traffic — the
-/// "hello world" configuration used by the quickstart example.
+/// "hello world" configuration used by the quickstart example. The
+/// document is `configs/quickstart.json`, compiled in.
 pub fn quickstart() -> Value {
-    obj! {
-        "seed" => 1u64,
-        "network" => obj! {
-            "topology" => obj! {
-                "name" => "hyperx",
-                "widths" => vec![4u64],
-                "concentration" => 4u64,
-            },
-            "vcs" => 2u64,
-            "routing" => obj! { "algorithm" => "minimal" },
-            "channel" => obj! {
-                "terminal_latency" => 1u64,
-                "local_latency" => 5u64,
-                "link_period" => 1u64,
-            },
-            "router" => obj! {
-                "architecture" => "input_queued",
-                "input_buffer" => 16u64,
-                "xbar_latency" => 2u64,
-                "flow_control" => "flit_buffer",
-                "arbiter" => "age_based",
-                "congestion_sensor" => obj! {
-                    "source" => "downstream",
-                    "granularity" => "vc",
-                    "delay" => 0u64,
-                },
-            },
-            "interface" => obj! {
-                "eject_buffer" => 32u64,
-                "max_packet_size" => 4u64,
-            },
-        },
-        "workload" => obj! {
-            "applications" => vec![obj! {
-                "name" => "blast",
-                "load" => 0.3f64,
-                "message_size" => 2u64,
-                "warmup_ticks" => 200u64,
-                "sample_messages" => 50u64,
-                "pattern" => obj! { "name" => "uniform_random" },
-            }],
-        },
-    }
+    supersim_config::parse(include_str!("../../../configs/quickstart.json"))
+        .expect("configs/quickstart.json is valid JSON")
 }
 
 /// Case study A (paper §VI-A, Figure 9): latent congestion detection on a

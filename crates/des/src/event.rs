@@ -553,9 +553,8 @@ impl<E> ChunkPool<E> {
 /// One drained `(tick, epsilon)` generation, ordered for dispatch.
 ///
 /// Filled by [`EventQueue::take_generation_until`]; iterating yields the
-/// events in ascending `(source id, enqueue position)`. An iteration
-/// abandoned part-way keeps the remainder; hand the generation to
-/// [`EventQueue::requeue_front`] to put it back.
+/// events in ascending `(source id, enqueue position)`. An engine runs a
+/// generation, once taken, to its end.
 #[derive(Debug)]
 pub struct Generation<E> {
     /// The events not yet dispatched, the next one last: dispatching is a
@@ -1017,47 +1016,6 @@ impl<E> EventQueue<E> {
         Some(time)
     }
 
-    /// Reinserts not-yet-executed batch events at the *front* of their
-    /// bucket, undoing part of a [`EventQueue::take_batch`] or
-    /// [`EventQueue::take_generation_until`].
-    ///
-    /// For a caller that abandons a batch part-way: the remaining events
-    /// were enqueued before anything scheduled during the batch, so they
-    /// must run first when it resumes. The engines of this crate never do
-    /// — a generation, once taken, runs to its end.
-    pub fn requeue_front(&mut self, entries: impl Iterator<Item = EventEntry<E>>) {
-        let mut chain = Bucket::EMPTY;
-        let mut count = 0usize;
-        let mut tick = 0u64;
-        for e in entries {
-            debug_assert!(count == 0 || e.time.tick() == tick);
-            tick = e.time.tick();
-            self.pool
-                .append(&mut chain, e.time.epsilon(), e.target, e.payload);
-            count += 1;
-        }
-        if count == 0 {
-            return;
-        }
-        debug_assert!(tick >= self.cur_tick && tick - self.cur_tick <= self.mask as u64);
-        let idx = tick as usize & self.mask;
-        let mut old = self.buckets[idx];
-        if old.head != NIL {
-            self.pool.give_header(&mut chain);
-            self.pool.give_header(&mut old);
-            let epsilon = self
-                .pool
-                .min_epsilon(&chain)
-                .min(self.pool.min_epsilon(&old));
-            self.pool.chunk_mut(chain.tail).next = old.head;
-            chain.tail = old.tail;
-            self.pool.chunk_mut(chain.tail).min_epsilon = epsilon;
-        }
-        self.buckets[idx] = chain;
-        self.set_occupied(idx);
-        self.ring_len += count;
-    }
-
     /// The time of the earliest pending event, if any.
     ///
     /// Does not advance the cursor past empty buckets; cost is bounded by
@@ -1346,24 +1304,6 @@ mod tests {
     }
 
     #[test]
-    fn requeue_front_restores_order() {
-        let mut q = EventQueue::new();
-        for i in 0..4 {
-            q.push(id(0), Time::at(5), i);
-        }
-        let mut batch = Vec::new();
-        q.take_batch(&mut batch);
-        // Execute only the first event; a new same-time event arrives.
-        let mut it = batch.drain(..);
-        let first = it.next().unwrap();
-        assert_eq!(first.payload, 0);
-        q.push(id(0), Time::at(5), 99);
-        q.requeue_front(it);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec![1, 2, 3, 99]);
-    }
-
-    #[test]
     fn len_spans_both_levels() {
         let mut q = EventQueue::with_horizon(64);
         q.push(id(0), Time::at(1), ());
@@ -1522,16 +1462,12 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Time::new(5, 1)));
         q.push(id(0), Time::new(5, 0), "a");
         assert_eq!(q.peek_time(), Some(Time::at(5)));
-        // Draining "a" leaves "b" on its own again; requeueing the one
-        // taken event in front of the one survivor joins two lone events.
+        // Draining "a" leaves "b" on its own again.
         let mut batch = Vec::new();
         assert_eq!(q.take_batch(&mut batch), 1);
         assert_eq!(q.peek_time(), Some(Time::new(5, 1)));
-        q.requeue_front(batch.drain(..));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Time::at(5)));
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec!["a", "b"]);
+        assert_eq!(order, vec!["b"]);
         assert_eq!(q.peek_time(), None);
     }
 
@@ -1576,18 +1512,9 @@ mod tests {
         let mut want = pushed.to_vec();
         want.sort();
         assert_eq!(generation.pending().copied().collect::<Vec<_>>(), want);
-        // Dispatch two, put the rest back: it runs first on resume, ahead
-        // of a same-time event scheduled meanwhile.
-        let first: Vec<_> = generation.by_ref().take(2).map(|e| e.payload).collect();
-        assert_eq!(first, want[..2]);
-        q.push(id(0), Time::at(4), (0, 1));
-        q.requeue_front(&mut generation);
-        assert_eq!(q.len(), 6);
-        let mut batch = Vec::new();
-        q.take_batch(&mut batch);
-        let rest: Vec<_> = batch.iter().map(|e| e.payload).collect();
-        assert_eq!(rest[..4], want[2..]);
-        assert_eq!(rest[4], (0, 1));
+        let dispatched: Vec<_> = generation.by_ref().map(|e| e.payload).collect();
+        assert_eq!(dispatched, want);
+        assert_eq!(q.len(), 1);
         // Beyond the limit nothing moves, cursor included.
         assert_eq!(q.take_generation_until(3, &mut generation, |p| p.0), None);
         assert!(generation.is_empty());

@@ -53,8 +53,6 @@ mod component;
 mod engine;
 mod event;
 mod host;
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;
 mod protocol;
 mod rng;
 mod sharded;

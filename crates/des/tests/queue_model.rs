@@ -182,8 +182,8 @@ fn batch_interface_matches_pop_sequence() {
 /// Drives the queue's generation interface and a `BinaryHeap<(Time,
 /// EventStamp)>` through the life of an engine run: mixed-epsilon ticks,
 /// pushes at the running generation's own time, spills past the horizon
-/// and their migration back, horizon growth, generations aborted part-way
-/// and requeued, and save/load round trips in the middle of it all.
+/// and their migration back, horizon growth, and save/load round trips in
+/// the middle of it all.
 ///
 /// Every event's payload is its stamp, and each source stamps its sends
 /// with its own ascending counter, so the per-source enqueue-order
@@ -215,7 +215,7 @@ fn generations_match_reference(seed: u64) {
             schedule(&mut queue, &mut reference, src, time);
         }
     }
-    let (mut requeues, mut reloads, mut generations) = (0, 0, 0);
+    let (mut reloads, mut generations) = (0, 0);
     while let Some(&Reverse((now, _))) = reference.peek() {
         assert_eq!(queue.peek_time(), Some(now), "seed {seed}");
         assert_eq!(queue.len(), reference.len(), "seed {seed}");
@@ -248,14 +248,8 @@ fn generations_match_reference(seed: u64) {
         assert_eq!(generation.len(), want.len());
         generations += 1;
 
-        let abort_after = rng.gen_bool(0.1).then(|| rng.gen_range(0..want.len()));
-        let mut done = 0;
-        while abort_after != Some(done) {
-            let Some(entry) = generation.next() else {
-                break;
-            };
+        for (done, entry) in generation.by_ref().enumerate() {
             assert_eq!((entry.time, entry.payload), (now, want[done]));
-            done += 1;
             // The handler of this event sends a few more.
             for _ in 0..rng.gen_range(0u32..3) {
                 let time = match rng.gen_range(0u32..20) {
@@ -271,21 +265,12 @@ fn generations_match_reference(seed: u64) {
                 }
             }
         }
-        if done < want.len() {
-            // Aborted: the remainder goes back in front of what the
-            // executed part sent to this same time.
-            for &stamp in &want[done..] {
-                reference.push(Reverse((now, stamp)));
-            }
-            queue.requeue_front(&mut generation);
-            requeues += 1;
-        }
         if generations > 4_000 {
             break;
         }
     }
     assert!(queue.horizon_resizes() > 0 && queue.overflow_spills() > 0);
-    assert!(requeues > 10 && reloads > 10 && generations > 500);
+    assert!(reloads > 10 && generations > 500);
 }
 
 #[test]
@@ -297,8 +282,7 @@ fn generations_match_reference_in_stamp_order() {
 
 /// A fixed script over the whole interface a checkpoint can follow:
 /// mixed-epsilon buckets, spills and growth, single pops out of the middle
-/// of a bucket, a batch taken and partly requeued, far stragglers left in
-/// the overflow.
+/// of a bucket, a batch taken, far stragglers left in the overflow.
 fn scripted_queue() -> EventQueue<u32> {
     let mut rng = Rng::new(0xC0FFEE);
     let mut q = EventQueue::with_horizon(64);
@@ -322,12 +306,9 @@ fn scripted_queue() -> EventQueue<u32> {
     let mut batch = Vec::new();
     while q.take_batch(&mut batch) < 3 {}
     let time = batch[0].time;
-    let mut rest = batch.drain(..);
-    rest.next();
     for _ in 0..2 {
         q.push(ComponentId::from_index(1), time, 9_000);
     }
-    q.requeue_front(rest);
     for _ in 0..100 {
         push(&mut q, &mut rng, floor.max(time.tick()), 200);
     }
@@ -353,11 +334,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn save_bytes_are_the_format_older_checkpoints_use() {
-    // Length and hash of `scripted_queue().save(..)` as written by the
-    // slab-and-list queue this storage replaced (commit b8910f6): the same
-    // pushes must still serialize to the same bytes, event for event.
-    const LEN: usize = 2403;
-    const HASH: u64 = 0x34e3_f2f7_5b65_8c96;
+    // Length and hash of `scripted_queue().save(..)`. The script lost its
+    // partial requeue with the queue's requeue method; these values come
+    // from running the rewritten script at commit e571659, the last with
+    // the queue storage the old pin (2403 bytes, 0x34e3_f2f7_5b65_8c96)
+    // tied to the slab-and-list queue of commit b8910f6. The same pushes
+    // must keep serializing to the same bytes, event for event.
+    const LEN: usize = 2388;
+    const HASH: u64 = 0x1546_66fa_bf1d_3d78;
     let q = scripted_queue();
     let mut bytes = Vec::new();
     q.save(&mut bytes, encode_u32);

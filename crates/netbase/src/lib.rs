@@ -38,8 +38,6 @@ mod flit;
 mod ids;
 mod link;
 mod phase;
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;
 mod trace;
 mod wire;
 

@@ -14,11 +14,10 @@
 //!                                           # with aggregate totals
 //! ssreport <snapshot.json> --faults         # fault-plane lifecycle
 //!                                           # summary + degraded flag
-//! ssreport <snapshot.json> --profile        # hot-path profiling plane:
-//!                                           # batching and arena pressure
 //! ssreport <snapshot.json> --host-profile   # host-time profiling plane:
 //!                                           # wall-clock phase attribution,
-//!                                           # shard imbalance, wire bytes
+//!                                           # shard imbalance, wire bytes,
+//!                                           # flits per router cycle
 //! ssreport <snapshot.json> --checkpoint     # checkpoint write costs from
 //!                                           # the host plane (count, bytes,
 //!                                           # wall time per write)
@@ -81,7 +80,7 @@ fn main() -> ExitCode {
     }
     let Some((path, rest)) = args.split_first() else {
         eprintln!(
-            "usage: ssreport <snapshot.json> [--csv | --shards | --faults | --profile | --host-profile | --checkpoint | --list-hist | --hist <component> <metric>]\n       ssreport --checkpoint <file.ssckpt>"
+            "usage: ssreport <snapshot.json> [--csv | --shards | --faults | --host-profile | --checkpoint | --list-hist | --hist <component> <metric>]\n       ssreport --checkpoint <file.ssckpt>"
         );
         return ExitCode::FAILURE;
     };
@@ -113,13 +112,6 @@ fn main() -> ExitCode {
             Some(text) => print!("{text}"),
             None => {
                 eprintln!("ssreport: snapshot has no fault plane (run with fault.enabled)");
-                return ExitCode::FAILURE;
-            }
-        },
-        [flag] if flag == "--profile" => match supersim_tools::profile_report(&snap) {
-            Some(text) => print!("{text}"),
-            None => {
-                eprintln!("ssreport: snapshot has no profile plane");
                 return ExitCode::FAILURE;
             }
         },
@@ -165,7 +157,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: ssreport <snapshot.json> [--csv | --shards | --faults | --profile | \
+                "usage: ssreport <snapshot.json> [--csv | --shards | --faults | \
                  --host-profile | --checkpoint | --list-hist | --hist <component> <metric> | \
                  --hist-ascii <component> <metric>]"
             );

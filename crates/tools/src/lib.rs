@@ -4,14 +4,10 @@
 //!
 //! The common workflow for a simulation experiment is configure →
 //! simulate → parse → analyze → plot → view; this crate provides the
-//! supporting tools:
+//! supporting tools. Sweeps are not here: a load sweep is
+//! `supersim_core::run_load_sweep`, and every other axis is a plain loop
+//! around it (as the figure binaries do).
 //!
-//! - [`TaskGraph`] — **TaskRun**: dependency-ordered task execution with
-//!   thread workers, counted resources, and conditional execution
-//!   (dependents of failed tasks are skipped).
-//! - [`Sweep`] — **SSSweep**: a few lines per sweep variable expand into
-//!   the cartesian product of simulations, executed in parallel, with
-//!   results collected into tables keyed by permutation ids.
 //! - [`ssparse`] — **SSParse**: parse sample logs, apply `+field=value`
 //!   filters, and compute latency/hop statistics for packets, messages,
 //!   and transactions.
@@ -25,8 +21,6 @@
 pub mod ssparse;
 pub mod ssplot;
 pub mod ssreport;
-mod sweep;
-mod taskrun;
 
 pub use ssparse::{analyze, analyze_text, Analysis, KindAnalysis, SsparseError};
 pub use ssplot::{
@@ -35,8 +29,5 @@ pub use ssplot::{
 };
 pub use ssreport::{
     checkpoint_host_report, counters_csv, fault_report, histogram_ascii, histogram_ascii_report,
-    histogram_names, histogram_report, host_profile_report, profile_report, report_text,
-    shard_report,
+    histogram_names, histogram_report, host_profile_report, report_text, shard_report,
 };
-pub use sweep::{Permutation, Sweep, SweepResult, SweepVariable};
-pub use taskrun::{TaskGraph, TaskId, TaskReport, TaskStatus};

@@ -254,45 +254,6 @@ pub fn fault_report(snap: &MetricsSnapshot) -> Option<String> {
     Some(out)
 }
 
-/// Renders the hot-path profiling summary of a snapshot: events
-/// dispatched, batched router pipeline cycles, flits advanced per batch,
-/// the flit-arena occupancy high-water mark, and — when the fault plane
-/// was enabled — the flit copies taken on fault-episode paths (zero on a
-/// clean run: the hot path never clones). `None` when the snapshot has no
-/// `profile` plane (it predates the profiling plane).
-pub fn profile_report(snap: &MetricsSnapshot) -> Option<String> {
-    let counter = |name: &str| -> Option<u64> {
-        match snap.get("profile", name) {
-            Some(MetricValue::Counter(v)) => Some(*v),
-            _ => None,
-        }
-    };
-    let events = counter("events_dispatched")?;
-    let cycles = counter("router_cycles").unwrap_or(0);
-    let advanced = counter("flits_advanced").unwrap_or(0);
-    let (live, high) = match snap.get("profile", "arena_occupancy") {
-        Some(MetricValue::Gauge { value, max }) => (*value, *max),
-        _ => (0, 0),
-    };
-    let mut out = String::new();
-    let _ = writeln!(out, "{:<20} {events}", "events_dispatched");
-    let _ = writeln!(out, "{:<20} {cycles}", "router_cycles");
-    let _ = writeln!(out, "{:<20} {advanced}", "flits_advanced");
-    if cycles > 0 {
-        let _ = writeln!(
-            out,
-            "{:<20} {:.2}",
-            "flits_per_cycle",
-            advanced as f64 / cycles as f64
-        );
-    }
-    let _ = writeln!(out, "{:<20} {live} (max {high})", "arena_occupancy");
-    if let Some(MetricValue::Counter(clones)) = snap.get("fault", "flit_clones") {
-        let _ = writeln!(out, "{:<20} {clones}", "fault_flit_clones");
-    }
-    Some(out)
-}
-
 /// Reads a counter off an arbitrary plane, defaulting missing or
 /// non-counter metrics to zero.
 fn plane_counter(snap: &MetricsSnapshot, component: &str, name: &str) -> u64 {
@@ -306,8 +267,9 @@ fn plane_counter(snap: &MetricsSnapshot, component: &str, name: &str) -> u64 {
 /// attributing wall-clock time (drain / execute / sample-edge / fold /
 /// exchange / checkpoint) with percent-of-wall columns, the sampled
 /// per-component-class attribution, per-shard execute/fold/exchange
-/// rows with imbalance and barrier-wait gauges, checkpoint write costs,
-/// and — for worker-fleet runs — hub fold time and per-worker wire
+/// rows with imbalance and barrier-wait gauges, flits advanced per
+/// router pipeline cycle (from the `profile` plane), checkpoint write
+/// costs, and — for worker-fleet runs — hub fold time and per-worker wire
 /// bytes. `None` when the snapshot has no `host` plane (the run did not
 /// enable `host.profile.enabled`).
 pub fn host_profile_report(snap: &MetricsSnapshot) -> Option<String> {
@@ -416,6 +378,15 @@ pub fn host_profile_report(snap: &MetricsSnapshot) -> Option<String> {
     }
     if let Some(MetricValue::Counter(millis)) = snap.get("host", "barrier_wait_millis") {
         let _ = writeln!(out, "barrier wait fraction: {:.1}%", *millis as f64 / 10.0);
+    }
+    let cycles = plane_counter(snap, "profile", "router_cycles");
+    if cycles > 0 {
+        let advanced = plane_counter(snap, "profile", "flits_advanced");
+        let _ = writeln!(
+            out,
+            "flits per router cycle: {:.2}",
+            advanced as f64 / cycles as f64
+        );
     }
 
     // Checkpoint write costs.
@@ -597,30 +568,6 @@ mod tests {
         assert!(fault_report(&clean).unwrap().contains("complete"));
     }
 
-    #[test]
-    fn profile_report_summarizes_hot_path() {
-        let mut snap = MetricsSnapshot::new();
-        snap.push_counter("profile", "events_dispatched", 1000);
-        snap.push_counter("profile", "router_cycles", 200);
-        snap.push_counter("profile", "flits_advanced", 500);
-        snap.push(
-            "profile",
-            "arena_occupancy",
-            MetricValue::Gauge { value: 0, max: 37 },
-        );
-        snap.push_counter("fault", "flit_clones", 4);
-        let text = profile_report(&snap).expect("profile plane present");
-        assert!(text.contains("events_dispatched    1000"));
-        assert!(text.contains("flits_per_cycle      2.50"));
-        assert!(text.contains("arena_occupancy      0 (max 37)"));
-        assert!(text.contains("fault_flit_clones    4"));
-        // No profile plane → no report; no fault plane → no clone row.
-        assert!(profile_report(&snapshot()).is_none());
-        let mut lean = MetricsSnapshot::new();
-        lean.push_counter("profile", "events_dispatched", 1);
-        assert!(!profile_report(&lean).unwrap().contains("flit_clones"));
-    }
-
     fn host_snapshot() -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         snap.push_counter("host", "wall_ns", 10_000_000); // 10 ms
@@ -667,8 +614,15 @@ mod tests {
         assert!(text.contains("execute imbalance (max/min): 1.50x"));
         assert!(text.contains("barrier wait fraction: 12.5%"));
         assert!(text.contains("checkpoints: 2 writes, 4096 bytes, 3.00 ms"));
-        // No hub section on an in-process run.
+        // No hub section on an in-process run; no profile plane, no
+        // flits-per-cycle line.
         assert!(!text.contains("hub:"));
+        assert!(!text.contains("flits per router cycle"));
+        let mut snap = host_snapshot();
+        snap.push_counter("profile", "router_cycles", 200);
+        snap.push_counter("profile", "flits_advanced", 500);
+        let text = host_profile_report(&snap).expect("host plane present");
+        assert!(text.contains("flits per router cycle: 2.50"));
         // No host plane → no report.
         assert!(host_profile_report(&snapshot()).is_none());
     }

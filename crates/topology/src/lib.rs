@@ -51,6 +51,3 @@ pub use routing::updown::{UpDownMode, UpDownRouting};
 pub use routing::{CongestionView, RouteChoice, RoutingAlgorithm, RoutingContext, ZeroCongestion};
 pub use torus::Torus;
 pub use types::{ChannelClass, Topology, TopologyError};
-
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;

@@ -48,8 +48,8 @@ pub enum ChannelClass {
 ///   follow.
 /// - [`Topology::neighbor`] is an involution at the port level: if
 ///   `neighbor(r, p) == Some((s, q))` then `neighbor(s, q) == Some((r, p))`
-///   — channels are bidirectional pairs of unidirectional links. The
-///   property-based tests enforce this for every provided topology.
+///   — channels are bidirectional pairs of unidirectional links.
+///   `tests/wiring_properties.rs` checks this for every provided topology.
 pub trait Topology: Send + Sync {
     /// Short topology name (e.g. `"torus"`).
     fn name(&self) -> &str;
@@ -84,7 +84,9 @@ pub trait Topology: Send + Sync {
     }
 
     /// Minimal router-to-router hop count between two terminals' routers
-    /// (0 when both attach to the same router).
+    /// (0 when both attach to the same router). On the dragonfly this is
+    /// the hop count of minimal routing (at most one global channel),
+    /// which can exceed the graph distance by one.
     fn min_hops(&self, src: TerminalId, dst: TerminalId) -> u32;
 }
 

@@ -26,8 +26,6 @@ mod injection;
 mod interface;
 mod monitor;
 mod pingpong;
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;
 mod pulse;
 mod terminal;
 mod traffic;

@@ -2,94 +2,47 @@
 //!
 //! Compares flit-buffer, packet-buffer, and winner-take-all crossbar
 //! scheduling with long messages and several virtual channels on a small
-//! 2-D torus, using the SSSweep-style sweep tool to expand the
-//! technique × message-size grid.
+//! 2-D torus: a plain loop over technique × message size around
+//! `run_load_sweep`, which runs each load sweep's points in parallel.
 //!
 //! ```text
 //! cargo run --release --example flow_control_torus
 //! ```
 
-use supersim::core::SuperSim;
-use supersim::stats::Filter;
-use supersim::tools::Sweep;
+use supersim::core::{presets, run_load_sweep, LoadSweepSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let base = supersim::core::presets::flow_control(
-        vec![4, 4], // widths
-        1,          // concentration
-        4,          // VCs
-        "flit_buffer",
-        8,    // message size in flits (rewritten by the sweep)
-        2,    // channel latency
-        2,    // crossbar latency
-        0.55, // offered load
-        150,  // sampled messages per terminal
-    );
-
-    // Paper Listing 2 style: a few lines per variable expand into the
-    // full cartesian product of simulations.
-    let mut sweep = Sweep::new(base);
-    sweep.add_variable(
-        "FlowControl",
-        "FC",
-        vec![
-            "flit_buffer".into(),
-            "packet_buffer".into(),
-            "winner_take_all".into(),
-        ],
-        |v, cfg| {
-            cfg.set_path("network.router.flow_control", v.clone())
-                .map_err(|e| e.to_string())
-        },
-    );
-    sweep.add_variable(
-        "MessageFlits",
-        "MF",
-        vec![1u64.into(), 8u64.into(), 32u64.into()],
-        |v, cfg| {
-            cfg.set_path("workload.applications.0.message_size", v.clone())
-                .map_err(|e| e.to_string())?;
+    let loads = vec![0.25, 0.55];
+    println!("| technique | message flits | offered | delivered (flits/tick/term) | mean latency (ticks) |");
+    println!("|---|---|---|---|---|");
+    for technique in ["flit_buffer", "packet_buffer", "winner_take_all"] {
+        for message_flits in [1u32, 8, 32] {
             // One packet per message so the technique governs whole
             // messages.
-            cfg.set_path("network.interface.max_packet_size", v.clone())
-                .map_err(|e| e.to_string())
-        },
-    );
-
-    println!("running {} simulations...", sweep.len());
-    let results = sweep.run(
-        std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-        |perm| {
-            let sim = SuperSim::from_config(&perm.config).map_err(|e| e.to_string())?;
-            let out = sim.run().map_err(|e| e.to_string())?;
-            let load = perm
-                .config
-                .req_f64("workload.applications.0.load")
-                .map_err(|e| e.to_string())?;
-            let point = out
-                .load_point(load, &Filter::new())
-                .ok_or_else(|| "no sampling window".to_string())?;
-            Ok((
-                point.delivered,
-                point.latency.map(|l| l.mean).unwrap_or(f64::NAN),
-            ))
-        },
-    );
-
-    let table = Sweep::results_markdown(&results, |(delivered, mean)| {
-        vec![
-            (
-                "delivered (flits/tick/term)".to_string(),
-                format!("{delivered:.3}"),
-            ),
-            ("mean latency (ticks)".to_string(), format!("{mean:.1}")),
-        ]
-    });
-    println!("\n{table}");
+            let base = presets::flow_control(
+                vec![4, 4], // widths
+                1,          // concentration
+                4,          // VCs
+                technique,
+                message_flits,
+                2,   // channel latency
+                2,   // crossbar latency
+                0.1, // offered load (rewritten by the sweep)
+                150, // sampled messages per terminal
+            );
+            let label = format!("{technique}/{message_flits}");
+            let sweep = run_load_sweep(&LoadSweepSpec::simple(base, label, loads.clone()))?;
+            for p in &sweep.points {
+                let mean = p.latency.map_or(f64::NAN, |l| l.mean);
+                println!(
+                    "| {technique} | {message_flits} | {:.2} | {:.3} | {mean:.1} |",
+                    p.offered, p.delivered
+                );
+            }
+        }
+    }
     println!(
-        "Expectation from the paper: with 1-flit messages the three techniques \
+        "\nExpectation from the paper: with 1-flit messages the three techniques \
          are identical; differences grow with message length, and packet-buffer \
          pays the largest latency penalty."
     );

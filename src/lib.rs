@@ -21,10 +21,11 @@
 //! - [`stats`] — sample logs, latency distributions, percentiles, and
 //!   load-latency analysis.
 //! - [`core`] — the simulator facade that assembles everything from a
-//!   configuration and runs it.
+//!   configuration and runs it, and `run_load_sweep`, the one sweep
+//!   runner (SSSweep's role).
 //! - [`scenario`] — the scenario compiler: compact declarations expand
 //!   deterministically into full configurations (`supersim --scenario`).
-//! - [`tools`] — the SSParse / SSPlot / TaskRun / SSSweep tool ecosystem.
+//! - [`tools`] — the SSParse / SSPlot / SSReport tool ecosystem.
 //!
 //! # Quickstart
 //!

@@ -1,11 +1,10 @@
 //! The full tool workflow of paper §V: simulate → write the log → parse
-//! with filters (SSParse) → analyze → render series (SSPlot) — plus an
-//! SSSweep-driven grid of real simulations.
+//! with filters (SSParse) → analyze → render series (SSPlot) — plus a
+//! load sweep of real simulations (SSSweep's job, `run_load_sweep`).
 
-use supersim::config::Value;
 use supersim::core::{presets, SuperSim};
 use supersim::stats::{Filter, RecordKind, SampleLog};
-use supersim::tools::{self, Sweep};
+use supersim::tools;
 
 #[test]
 fn log_text_round_trips_through_ssparse() {
@@ -63,52 +62,6 @@ fn percentile_distribution_like_figure_7() {
     // The tail percentile read off the curve matches the summary.
     let p999 = kind.distribution.percentile(99.9).expect("non-empty");
     assert!(curve.iter().any(|&(p, l)| p >= 0.999 && l >= p999));
-}
-
-#[test]
-fn sweep_grid_runs_real_simulations() {
-    let mut sweep = Sweep::new(presets::quickstart());
-    sweep.add_variable(
-        "Load",
-        "L",
-        vec![Value::Float(0.1), Value::Float(0.3)],
-        |v, cfg| {
-            cfg.set_path("workload.applications.0.load", v.clone())
-                .map_err(|e| e.to_string())
-        },
-    );
-    sweep.add_variable(
-        "Arbiter",
-        "ARB",
-        vec!["round_robin".into(), "age_based".into()],
-        |v, cfg| {
-            cfg.set_path("network.router.arbiter", v.clone())
-                .map_err(|e| e.to_string())
-        },
-    );
-    assert_eq!(sweep.len(), 4);
-    let results = sweep.run(2, |perm| {
-        let out = SuperSim::from_config(&perm.config)
-            .map_err(|e| e.to_string())?
-            .run()
-            .map_err(|e| e.to_string())?;
-        out.mean_packet_latency()
-            .ok_or_else(|| "no samples".to_string())
-    });
-    assert_eq!(results.len(), 4);
-    for r in &results {
-        let mean = *r.outcome.as_ref().expect("all points run");
-        assert!(mean > 0.0, "{}: empty mean", r.permutation.id);
-    }
-    // Higher load never *reduces* latency on this tiny network.
-    let low = results[0].outcome.as_ref().unwrap();
-    let high = results[2].outcome.as_ref().unwrap();
-    assert!(high >= low, "latency decreased with load: {low} -> {high}");
-
-    let md = Sweep::results_markdown(&results, |mean| {
-        vec![("mean_latency".into(), format!("{mean:.2}"))]
-    });
-    assert!(md.contains("| L0p1_ARBroundrobin |"));
 }
 
 #[test]
