@@ -8,7 +8,8 @@
 //! - [`Value`] — a JSON document model with ergonomic typed accessors,
 //! - [`parse`]/[`Value::parse`] — a from-scratch JSON parser (with `//` line
 //!   comments as an extension, useful in hand-written configs),
-//! - pretty and compact serialization ([`Value::to_json_pretty`]),
+//! - pretty and compact serialization ([`Value::to_json_pretty`]), and
+//!   [`push_uint`], the integer text writer every output format shares,
 //! - dotted-path access (`network.router.architecture`) via [`Value::path`]
 //!   and [`Value::set_path`],
 //! - the paper's Listing-1 command-line override syntax
@@ -45,4 +46,5 @@ pub use error::{ConfigError, ParseErrorKind};
 pub use expand::{expand_file, expand_refs};
 pub use overrides::{apply_override, apply_overrides, parse_override, Override, OverrideValue};
 pub use parse::parse;
+pub use ser::push_uint;
 pub use value::{Map, Value};

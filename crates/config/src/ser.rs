@@ -1,8 +1,52 @@
-//! JSON serialization: compact and pretty printers.
+//! JSON serialization: compact and pretty printers, and the one integer
+//! text writer every output format shares.
 
 use std::fmt::Write;
 
 use crate::value::Value;
+
+/// `"00" "01" … "99"` back to back: [`push_uint`] emits two digits per
+/// division. A `str`, so a pair is appended without re-validating it.
+const DIGIT_PAIRS: &str = "\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends the decimal form of `n` to `out`, byte-identical to
+/// `n.to_string()` but without the formatting machinery or an
+/// allocation. Every text output of a run — the sample log, span log,
+/// flit trace, time series, and [`Value::Int`] in JSON — writes its
+/// integers through this one function.
+///
+/// # Example
+///
+/// ```
+/// let mut s = String::from("tick ");
+/// supersim_config::push_uint(&mut s, 1_000_042);
+/// assert_eq!(s, "tick 1000042");
+/// ```
+pub fn push_uint(out: &mut String, mut n: u64) {
+    // Pairs come out least significant first; `u64::MAX` has ten.
+    let mut low = [0u8; 10];
+    let mut pairs = 0;
+    while n >= 100 {
+        low[pairs] = (n % 100) as u8;
+        n /= 100;
+        pairs += 1;
+    }
+    if n >= 10 {
+        let at = 2 * n as usize;
+        out.push_str(&DIGIT_PAIRS[at..at + 2]);
+    } else {
+        out.push(char::from(b'0' + n as u8));
+    }
+    for &pair in low[..pairs].iter().rev() {
+        let at = 2 * usize::from(pair);
+        out.push_str(&DIGIT_PAIRS[at..at + 2]);
+    }
+}
 
 impl Value {
     /// Serializes to compact JSON (no whitespace).
@@ -35,7 +79,10 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: us
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
         Value::Int(i) => {
-            write!(out, "{i}").expect("writing to String cannot fail");
+            if *i < 0 {
+                out.push('-');
+            }
+            push_uint(out, i.unsigned_abs());
         }
         Value::Float(x) => write_float(out, *x),
         Value::Str(s) => write_string(out, s),
@@ -162,6 +209,49 @@ mod tests {
         assert_eq!(Value::object().to_json(), "{}");
         assert_eq!(Value::Array(vec![]).to_json(), "[]");
         assert_eq!(Value::object().to_json_pretty(), "{}\n");
+    }
+
+    fn uint_text(n: u64) -> String {
+        let mut s = String::new();
+        super::push_uint(&mut s, n);
+        s
+    }
+
+    #[test]
+    fn push_uint_matches_to_string() {
+        let mut edges = vec![0, u64::MAX];
+        let mut p = 1u64;
+        for _ in 0..20 {
+            edges.extend([p - 1, p, p + 1]);
+            match p.checked_mul(10) {
+                Some(next) => p = next,
+                None => break,
+            }
+        }
+        for n in edges {
+            assert_eq!(uint_text(n), n.to_string(), "{n}");
+        }
+        let mut rng = supersim_des::Rng::new(0x5EED_D161);
+        for _ in 0..10_000 {
+            // Shift by a random width so every digit count is drawn.
+            let n = rng.gen_u64() >> (rng.gen_u64() % 64);
+            assert_eq!(uint_text(n), n.to_string(), "{n}");
+        }
+        let mut s = String::from("x=");
+        super::push_uint(&mut s, 42);
+        assert_eq!(s, "x=42", "appends, never overwrites");
+    }
+
+    #[test]
+    fn int_extremes_serialize_as_before() {
+        assert_eq!(Value::Int(i64::MIN).to_json(), "-9223372036854775808");
+        assert_eq!(Value::Int(i64::MAX).to_json(), "9223372036854775807");
+        assert_eq!(Value::Int(-1).to_json(), "-1");
+        assert_eq!(Value::Int(0).to_json(), "0");
+        assert_eq!(
+            parse("[-9223372036854775808]").unwrap().to_json(),
+            "[-9223372036854775808]"
+        );
     }
 
     #[test]

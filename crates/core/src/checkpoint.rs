@@ -28,9 +28,10 @@
 //! recovery pass could mistake for a completed checkpoint.
 
 use std::fmt;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use supersim_des::wire::{crc32, get_bytes, get_len, put_bytes, WireCodec};
+use supersim_des::wire::{crc32, crc32_extend, get_bytes, get_len, put_varint, WireCodec};
 use supersim_des::{wire_struct, Tick};
 
 /// File magic: the first four bytes of every checkpoint.
@@ -138,14 +139,24 @@ impl std::error::Error for CheckpointError {
     }
 }
 
+/// Writes a checkpoint image — magic, header, blob length, blob, CRC
+/// footer — to `w`, checksumming each piece as it is written, so the
+/// blob is never copied into a second buffer.
+fn write_image<W: Write>(w: &mut W, header: &CheckpointHeader, blob: &[u8]) -> io::Result<()> {
+    let mut head = Vec::with_capacity(64);
+    head.extend_from_slice(&MAGIC);
+    header.encode(&mut head);
+    put_varint(&mut head, blob.len() as u64);
+    w.write_all(&head)?;
+    w.write_all(blob)?;
+    let crc = crc32_extend(crc32(&head), blob);
+    w.write_all(&crc.to_le_bytes())
+}
+
 /// Serializes a checkpoint into its wire form (header + blob + CRC).
 pub fn encode(header: &CheckpointHeader, blob: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(blob.len() + 64);
-    out.extend_from_slice(&MAGIC);
-    header.encode(&mut out);
-    put_bytes(&mut out, blob);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    write_image(&mut out, header, blob).expect("writing to a Vec cannot fail");
     out
 }
 
@@ -184,13 +195,13 @@ pub fn decode(image: &[u8]) -> Result<(CheckpointHeader, Vec<u8>), CheckpointErr
     Ok((header, blob.to_vec()))
 }
 
-/// Writes a checkpoint file atomically (temporary file + rename).
+/// Writes a checkpoint file atomically: the image is streamed into a
+/// temporary file beside `path`, which is then renamed over it.
 pub fn write_file(
     path: &Path,
     header: &CheckpointHeader,
     blob: &[u8],
 ) -> Result<(), CheckpointError> {
-    let image = encode(header, blob);
     let io = |error| CheckpointError::Io {
         path: path.to_path_buf(),
         error,
@@ -201,7 +212,9 @@ pub fn write_file(
         }
     }
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &image).map_err(io)?;
+    let mut file = std::fs::File::create(&tmp).map_err(io)?;
+    write_image(&mut file, header, blob).map_err(io)?;
+    drop(file);
     std::fs::rename(&tmp, path).map_err(io)?;
     Ok(())
 }
@@ -301,6 +314,7 @@ pub fn latest_in_dir(dir: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supersim_des::wire::put_bytes;
 
     fn header() -> CheckpointHeader {
         CheckpointHeader {
@@ -343,6 +357,28 @@ mod tests {
         assert_eq!(info.trace_bytes, None);
         assert_eq!(info.shard_bytes, vec![3, 2]);
         assert_eq!(latest_in_dir(&dir), Some(path));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The streamed file and the in-memory image are one byte sequence:
+    /// magic, header, length-prefixed blob, CRC-32 of all of it.
+    #[test]
+    fn encode_is_the_bytes_write_file_puts_on_disk() {
+        let dir = std::env::temp_dir().join(format!("ssckpt-stream-{}", std::process::id()));
+        let mut rng = supersim_des::Rng::new(0xB10B);
+        for len in [0usize, 1, 7, 300, 70_000] {
+            let blob: Vec<u8> = (0..len).map(|_| rng.gen_u64() as u8).collect();
+            let path = round_path(&dir, len as u64);
+            write_file(&path, &header(), &blob).expect("writes");
+            let image = encode(&header(), &blob);
+            assert_eq!(std::fs::read(&path).expect("reads"), image, "blob of {len}");
+            let mut want = MAGIC.to_vec();
+            header().encode(&mut want);
+            put_bytes(&mut want, &blob);
+            let crc = crc32(&want);
+            want.extend_from_slice(&crc.to_le_bytes());
+            assert_eq!(image, want, "blob of {len}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

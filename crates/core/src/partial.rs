@@ -94,15 +94,21 @@ wire_struct!(ShardPartial {
 /// Reads the partial of every component the engine owns. On the
 /// single-process engines that is every component; on a worker engine,
 /// foreign components are absent and silently skipped.
+///
+/// The two large per-interface logs — samples and span records — are
+/// moved out, not copied: extraction is the engine's last use on every
+/// path (the run report consumes the simulation, a worker ships its
+/// partial and exits, and a failed resume never ran), so the components
+/// are left with empty logs.
 pub(crate) fn extract_partial(
-    engine: &dyn Engine<Ev>,
+    engine: &mut dyn Engine<Ev>,
     interfaces: &[ComponentId],
     routers: &[ComponentId],
     monitor: ComponentId,
 ) -> ShardPartial {
     let mut partial = ShardPartial::default();
     for (t, &id) in interfaces.iter().enumerate() {
-        let Some(iface) = engine.component_as::<Interface>(id) else {
+        let Some(iface) = engine.component_as_mut::<Interface>(id) else {
             continue;
         };
         partial.interfaces.push((
@@ -110,15 +116,16 @@ pub(crate) fn extract_partial(
             InterfacePartial {
                 flits_generating: iface.flits_at_phase(Phase::Generating),
                 flits_finishing: iface.flits_at_phase(Phase::Finishing),
-                log: iface.log.clone(),
+                log: std::mem::take(&mut iface.log),
                 counters: iface.counters,
                 metrics: iface.metrics.clone(),
-                span_records: iface.span_log.clone(),
+                span_records: std::mem::take(&mut iface.span_log),
                 fault: iface.fault.as_ref().map(|f| (f.counters, f.held_flits())),
                 sampler: iface.sampler.clone(),
             },
         ));
     }
+    let engine = &*engine;
     for (r, &id) in routers.iter().enumerate() {
         // A worker that owns none of this router's planes contributes
         // nothing; an owned custom router contributes an all-None entry,

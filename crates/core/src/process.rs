@@ -97,7 +97,7 @@ struct FleetAttempt {
 /// protocol continues in lockstep. The restart budget is
 /// `checkpoint.max_restarts`; once it is spent the run degrades to a
 /// typed [`SimError::Worker`](crate::SimError::Worker) as before.
-pub(crate) fn run_parent(built: Built, plan: ProcessPlan) -> RunReport {
+pub(crate) fn run_parent(mut built: Built, plan: ProcessPlan) -> RunReport {
     let start = Instant::now();
     let max_restarts = built.checkpoint.max_restarts;
     let base_cfg = match Value::parse(&plan.config_json) {
@@ -113,7 +113,7 @@ pub(crate) fn run_parent(built: Built, plan: ProcessPlan) -> RunReport {
         let kill = (attempts == 0).then(kill_hook).flatten();
         let respawn = attempts > 0;
         let attempt = match run_fleet(
-            &built,
+            &mut built,
             &plan,
             &base_cfg,
             resume.as_deref(),
@@ -157,7 +157,7 @@ pub(crate) fn run_parent(built: Built, plan: ProcessPlan) -> RunReport {
 /// configuration so every worker restores its shard from the same file
 /// the hub restores its trace ring from.
 fn run_fleet(
-    built: &Built,
+    built: &mut Built,
     plan: &ProcessPlan,
     base_cfg: &Value,
     resume: Option<&std::path::Path>,
@@ -419,7 +419,7 @@ fn worker_inner(socket: &str, index: u32) -> Result<(), String> {
     // its DONE frame, so even a failed run exits 0 here.
     let _ = built.engine.run_until(built.tick_limit);
     let partial = extract_partial(
-        built.engine.as_ref(),
+        built.engine.as_mut(),
         &built.interfaces,
         &built.routers,
         built.monitor,

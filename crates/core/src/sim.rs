@@ -18,7 +18,7 @@ use supersim_stats::{
     HostClock, MetricValue, MetricsSnapshot, RecordKind, SampleLog, TraceEventBuilder,
 };
 use supersim_topology::Topology;
-use supersim_workload::{InterfaceCounters, SpanMetrics, SpanRecord};
+use supersim_workload::{spans_json_lines, InterfaceCounters, SpanMetrics, SpanRecord};
 
 use crate::builder::{build, Built};
 use crate::checkpoint::CheckpointHeader;
@@ -101,19 +101,19 @@ impl SuperSim {
         }
         if let Some(path) = self.built.checkpoint.resume.clone() {
             if let Err(reason) = resume_into(&mut self.built, &path) {
-                return resume_failure(&self.built, reason);
+                return resume_failure(&mut self.built, reason);
             }
         }
         let heartbeat = crate::progress::start(&self.built);
         let mut writer = CheckpointWriter::new(&self.built);
         let stats = drive(&mut self.built, &mut writer);
-        let engine = self.built.engine.as_ref();
         let partial = extract_partial(
-            engine,
+            self.built.engine.as_mut(),
             &self.built.interfaces,
             &self.built.routers,
             self.built.monitor,
         );
+        let engine = self.built.engine.as_ref();
         let host = self.built.host.enabled.then(|| HostData {
             shards: engine.host_times(),
             hub: None,
@@ -177,22 +177,26 @@ pub(crate) fn resume_into(built: &mut Built, path: &std::path::Path) -> Result<(
 
 /// The report of a run that never started because its checkpoint could
 /// not be restored: empty output, a typed [`SimError::Resume`].
-pub(crate) fn resume_failure(built: &Built, reason: String) -> RunReport {
-    let engine = built.engine.as_ref();
+pub(crate) fn resume_failure(built: &mut Built, reason: String) -> RunReport {
     let stats = RunStats {
         events_executed: 0,
-        end_time: engine.now(),
+        end_time: built.engine.now(),
         queue_high_water: 0,
         total_enqueued: 0,
         wall: std::time::Duration::ZERO,
         outcome: RunOutcome::Stopped,
     };
-    let partial = extract_partial(engine, &built.interfaces, &built.routers, built.monitor);
+    let partial = extract_partial(
+        built.engine.as_mut(),
+        &built.interfaces,
+        &built.routers,
+        built.monitor,
+    );
     let mut report = assemble(
         built,
         AssembleInputs {
             stats,
-            shard_metrics: engine.shard_metrics(),
+            shard_metrics: built.engine.shard_metrics(),
             trace: None,
             partials: vec![partial],
             worker_error: None,
@@ -220,6 +224,9 @@ fn drive(built: &mut Built, writer: &mut CheckpointWriter) -> RunStats {
     }
     let mut next = next_edge_after(built.engine.now().tick(), interval);
     let mut total: Option<RunStats> = None;
+    // One state buffer for every segment: a checkpoint reuses the memory
+    // of the one before it.
+    let mut blob = Vec::new();
     loop {
         let bound = next.min(tick_limit);
         let stats = built.engine.run_until(bound);
@@ -239,7 +246,7 @@ fn drive(built: &mut Built, writer: &mut CheckpointWriter) -> RunStats {
             return total.expect("at least one segment ran");
         }
         let started_ns = writer.now_ns();
-        let mut blob = Vec::new();
+        blob.clear();
         if built.engine.save_state(&mut blob) {
             writer.write(bound, started_ns, &blob);
         }
@@ -430,7 +437,10 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
         }
     }
 
-    let mut log = SampleLog::new();
+    let parts = iface_parts.iter().flatten();
+    let mut log = SampleLog::with_capacity(parts.clone().map(|ip| ip.log.len()).sum());
+    let mut span_records: Vec<SpanRecord> =
+        Vec::with_capacity(parts.map(|ip| ip.span_records.len()).sum());
     let mut counters = InterfaceCounters::default();
     let mut window_flits = 0u64;
     let mut inject_stalls = 0u64;
@@ -438,12 +448,12 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
     let mut queue_depth_high = 0u64;
     let mut phase_latency = [Histogram::new(); 4];
     let mut span_metrics = SpanMetrics::default();
-    let mut span_records: Vec<SpanRecord> = Vec::new();
-    for ip in iface_parts.iter().flatten() {
+    for ip in iface_parts.iter_mut().flatten() {
         if let (Some(start), Some(end)) = (ip.flits_generating, ip.flits_finishing) {
             window_flits += end - start;
         }
-        log.extend_from(&ip.log);
+        // Each interface's logs are freed as soon as they are merged.
+        log.extend_from(&std::mem::take(&mut ip.log));
         counters.messages_sent += ip.counters.messages_sent;
         counters.packets_sent += ip.counters.packets_sent;
         counters.flits_sent += ip.counters.flits_sent;
@@ -459,11 +469,20 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
             agg.merge(h);
         }
         span_metrics.merge(&ip.metrics.spans);
-        span_records.extend(ip.span_records.iter().copied());
+        span_records.append(&mut ip.span_records);
     }
     // Per-packet records sort by (recv, packet): a total order that is
-    // engine-independent, unlike interface iteration order vs. time.
-    span_records.sort_by_key(|r| (r.recv, r.packet));
+    // engine-independent, unlike interface iteration order vs. time. The
+    // key is unique — a packet's tail is ejected, and its record taken,
+    // exactly once — so an unstable sort yields the same sequence as a
+    // stable one.
+    span_records.sort_unstable_by_key(|r| (r.recv, r.packet));
+    debug_assert!(
+        span_records
+            .windows(2)
+            .all(|w| (w[0].recv, w[0].packet) < (w[1].recv, w[1].packet)),
+        "span record keys must be unique"
+    );
 
     // --- metrics snapshot (assembled on demand, paper-style) -------
     // The `engine` plane holds only values the determinism contract
@@ -891,33 +910,6 @@ fn push_host_plane(
     }
     tb.counter(0, "arena_occupancy_peak", 0, arena_high);
     Some(tb.finish())
-}
-
-/// Serializes per-packet span records as deterministic JSON-lines, one
-/// packet per line, integer fields only.
-fn spans_json_lines(records: &[SpanRecord]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for r in records {
-        let b = &r.breakdown;
-        let _ = writeln!(
-            out,
-            "{{\"packet\":{},\"src\":{},\"dst\":{},\"recv\":{},\"total\":{},\"queueing\":{},\
-             \"alloc\":{},\"serialization\":{},\"channel\":{},\"credit\":{},\"residual\":{}}}",
-            r.packet,
-            r.src,
-            r.dst,
-            r.recv,
-            b.total,
-            b.queueing,
-            b.alloc,
-            b.serialization,
-            b.channel,
-            b.credit,
-            b.residual,
-        );
-    }
-    out
 }
 
 impl std::fmt::Debug for SuperSim {

@@ -158,12 +158,51 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
+/// Slice-by-8 tables: `CRC32_SLICES[k][b]` is the CRC state after byte
+/// `b` is followed by `k` zero bytes, so eight input bytes fold in with
+/// eight independent lookups instead of eight dependent ones.
+const CRC32_SLICES: [[u32; 256]; 8] = {
+    let mut slices = [CRC32_TABLE; 8];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev >> 8) ^ CRC32_TABLE[(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
+};
+
 /// CRC-32 of `bytes` (IEEE polynomial, the same checksum gzip uses).
 /// Footers every checkpoint file so torn or bit-flipped recovery points
 /// are rejected instead of silently resuming corrupt state.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
+    crc32_extend(0, bytes)
+}
+
+/// Extends a finished CRC-32 over more bytes:
+/// `crc32_extend(crc32(a), b) == crc32(a ++ b)`, so a writer can checksum
+/// its output piece by piece as it streams it.
+pub fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_SLICES;
+    let mut crc = !crc;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
         crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
@@ -641,6 +680,39 @@ mod tests {
         let wide = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
         let mut slice: &[u8] = &wide;
         assert_eq!(get_varint(&mut slice), None, "65-bit value");
+    }
+
+    /// The byte-at-a-time CRC-32 the sliced one must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "the standard check value");
+        assert_eq!(crc32(b""), 0);
+        for (seed, mb) in [(0xC3C3, 3), (0x51CE, 2)] {
+            let mut rng = Rng::new(seed);
+            let buf: Vec<u8> = (0..mb << 20).map(|_| rng.gen_u64() as u8).collect();
+            for len in 0..=64 {
+                assert_eq!(crc32(&buf[..len]), crc32_bytewise(&buf[..len]), "len {len}");
+            }
+            // Misaligned sub-slices, and the whole multi-MB buffer.
+            for (start, len) in [(1, 1000), (3, 4097), (7, 65_543), (5, 1 << 20)] {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "{start}+{len}");
+            }
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "seed {seed:#x}");
+            // Extending piece by piece equals one pass, at any split.
+            for split in [0, 1, 7, 8, 9, 1000, buf.len()] {
+                let (a, b) = buf.split_at(split);
+                assert_eq!(crc32_extend(crc32(a), b), crc32(&buf), "split {split}");
+            }
+        }
     }
 
     #[test]

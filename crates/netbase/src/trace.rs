@@ -21,10 +21,11 @@
 //! packet-id range, so a paper-style investigation ("follow packet 93124
 //! through the Clos") costs only the flits it watches.
 //!
-//! Serialization is JSON-lines through the workspace's own JSON writer
-//! (`supersim-config`), one record per line, in canonical order.
+//! Serialization is JSON-lines written with the workspace's integer text
+//! writer (`supersim_config::push_uint`), one record per line, in
+//! canonical order.
 
-use supersim_config::Value;
+use supersim_config::push_uint;
 use supersim_des::{Context, Time, TraceEvent, TraceSpec};
 
 use crate::event::Ev;
@@ -126,24 +127,6 @@ impl TraceRecord {
             flit: ev.sub,
         })
     }
-
-    /// Compact one-line JSON form.
-    pub fn to_json(&self) -> String {
-        let mut v = Value::object();
-        v.set_path("tick", Value::Int(self.time.tick() as i64))
-            .expect("object");
-        v.set_path("eps", Value::Int(self.time.epsilon() as i64))
-            .expect("object");
-        v.set_path("src", Value::Int(self.src as i64))
-            .expect("object");
-        v.set_path("kind", Value::Str(self.kind.name().to_string()))
-            .expect("object");
-        v.set_path("packet", Value::Int(self.packet as i64))
-            .expect("object");
-        v.set_path("flit", Value::Int(self.flit as i64))
-            .expect("object");
-        v.to_json()
-    }
 }
 
 /// What the engine collects. The default filter accepts everything.
@@ -193,15 +176,39 @@ impl TraceFilter {
 /// Renders engine trace records as JSON-lines: one compact object per
 /// flit record, in canonical order. Records whose `kind` tag is not a
 /// flit event are skipped.
+///
+/// Keys are in sorted order (`eps, flit, kind, packet, src, tick`) and
+/// integers are JSON `Int`s, exactly as a [`Value`](supersim_config::Value)
+/// object of the record would serialize.
 pub fn trace_json_lines(records: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for ev in records {
-        if let Some(rec) = TraceRecord::from_event(ev) {
-            out.push_str(&rec.to_json());
-            out.push('\n');
-        }
+    // A line runs ~85 bytes on the shipped networks.
+    let mut out = String::with_capacity(96 * records.len());
+    for rec in records.iter().filter_map(TraceRecord::from_event) {
+        out.push_str("{\"eps\":");
+        push_json_int(&mut out, rec.time.epsilon().into());
+        out.push_str(",\"flit\":");
+        push_json_int(&mut out, rec.flit.into());
+        out.push_str(",\"kind\":\"");
+        out.push_str(rec.kind.name());
+        out.push_str("\",\"packet\":");
+        push_json_int(&mut out, rec.packet);
+        out.push_str(",\"src\":");
+        push_json_int(&mut out, rec.src.into());
+        out.push_str(",\"tick\":");
+        push_json_int(&mut out, rec.time.tick());
+        out.push_str("}\n");
     }
     out
+}
+
+/// `v` as the JSON `Int` (an `i64`) it has always been written as: a
+/// value past `i64::MAX` wraps negative, as `Value::Int(v as i64)` did.
+fn push_json_int(out: &mut String, v: u64) {
+    let v = v as i64;
+    if v < 0 {
+        out.push('-');
+    }
+    push_uint(out, v.unsigned_abs());
 }
 
 /// Flit-level tracing sugar for the execution context: encodes the flit's
@@ -223,6 +230,7 @@ impl FlitTraceExt for Context<'_, Ev> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supersim_config::Value;
 
     fn ev(tick: u64, kind: u8, packet: u64) -> TraceEvent {
         TraceEvent {
@@ -290,6 +298,43 @@ mod tests {
         assert_eq!(v.get("eps").and_then(Value::as_u64), Some(1));
         assert_eq!(v.get("kind").and_then(Value::as_str), Some("router_arrive"));
         assert_eq!(v.get("packet").and_then(Value::as_u64), Some(42));
+    }
+
+    /// The writer emits what a `Value` object of the record serializes
+    /// to: sorted keys, `i64` integers (so ids past `i64::MAX` wrap).
+    #[test]
+    fn json_lines_match_the_value_serialization() {
+        let mut rng = supersim_des::Rng::new(0x7EAC);
+        let mut records = Vec::new();
+        for i in 0..400u64 {
+            let wide = |rng: &mut supersim_des::Rng| rng.gen_u64() >> (rng.gen_u64() % 64);
+            records.push(TraceEvent {
+                time: Time::new(wide(&mut rng), rng.gen_u64() as u8),
+                src: wide(&mut rng) as u32,
+                kind: (i % 8) as u8,
+                id: if i == 0 { u64::MAX } else { wide(&mut rng) },
+                sub: wide(&mut rng) as u32,
+            });
+        }
+        let mut want = String::new();
+        for ev in &records {
+            let r = TraceRecord::from_event(ev).expect("flit kind");
+            let mut v = Value::object();
+            for (key, value) in [
+                ("tick", Value::Int(r.time.tick() as i64)),
+                ("eps", Value::Int(r.time.epsilon() as i64)),
+                ("src", Value::Int(r.src as i64)),
+                ("kind", Value::Str(r.kind.name().to_string())),
+                ("packet", Value::Int(r.packet as i64)),
+                ("flit", Value::Int(r.flit as i64)),
+            ] {
+                v.set_path(key, value).expect("object");
+            }
+            want.push_str(&v.to_json());
+            want.push('\n');
+        }
+        assert_eq!(trace_json_lines(&records), want);
+        assert!(want.contains("\"packet\":-1,"));
     }
 
     #[test]

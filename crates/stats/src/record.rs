@@ -7,7 +7,7 @@
 //! [`SampleLog::to_json`] / [`SampleLog::from_json`] a JSON form built on
 //! the workspace's own `supersim-config` JSON (no external serializer).
 
-use supersim_config::Value;
+use supersim_config::{push_uint, Value};
 
 /// What a [`SampleRecord`] measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,20 +74,6 @@ impl SampleRecord {
     pub fn latency(&self) -> u64 {
         debug_assert!(self.recv >= self.send, "record ends before it starts");
         self.recv - self.send
-    }
-
-    fn to_line(self) -> String {
-        format!(
-            "{} {} {} {} {} {} {} {}",
-            self.kind.name(),
-            self.app,
-            self.src,
-            self.dst,
-            self.send,
-            self.recv,
-            self.hops,
-            self.size
-        )
     }
 
     /// Converts this record to a JSON object value.
@@ -175,6 +161,13 @@ impl SampleLog {
         }
     }
 
+    /// Creates an empty log with room for `capacity` records.
+    pub fn with_capacity(capacity: usize) -> Self {
+        SampleLog {
+            records: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends one record.
     pub fn push(&mut self, record: SampleRecord) {
         self.records.push(record);
@@ -208,9 +201,26 @@ impl SampleLog {
     /// Serializes to the SSParse text format: a `#` header line followed by
     /// one whitespace-separated record per line.
     pub fn to_text(&self) -> String {
-        let mut out = String::from("# kind app src dst send recv hops size\n");
+        const HEADER: &str = "# kind app src dst send recv hops size\n";
+        // A record line runs ~30 bytes on the shipped networks. Reserving
+        // high is cheaper than regrowing: pages past the end are never
+        // written.
+        let mut out = String::with_capacity(HEADER.len() + 40 * self.records.len());
+        out.push_str(HEADER);
         for r in &self.records {
-            out.push_str(&r.to_line());
+            out.push_str(r.kind.name());
+            for v in [
+                u64::from(r.app),
+                u64::from(r.src),
+                u64::from(r.dst),
+                r.send,
+                r.recv,
+                u64::from(r.hops),
+                u64::from(r.size),
+            ] {
+                out.push(' ');
+                push_uint(&mut out, v);
+            }
             out.push('\n');
         }
         out
@@ -310,6 +320,58 @@ mod tests {
         assert!(text.starts_with('#'));
         let back = SampleLog::parse(&text).unwrap();
         assert_eq!(back, log);
+    }
+
+    #[test]
+    fn text_is_the_formatted_fields() {
+        let mut rng = supersim_des::Rng::new(0x7E47);
+        let mut wide = || rng.gen_u64() >> (rng.gen_u64() % 64);
+        let kinds = [
+            RecordKind::Packet,
+            RecordKind::Message,
+            RecordKind::Transaction,
+        ];
+        let extremes = SampleRecord {
+            kind: RecordKind::Transaction,
+            app: u8::MAX,
+            src: 0,
+            dst: u32::MAX,
+            send: 0,
+            recv: u64::MAX,
+            hops: u16::MAX,
+            size: u32::MAX,
+        };
+        let random = (0..500).map(|i| SampleRecord {
+            kind: kinds[i % 3],
+            app: wide() as u8,
+            src: wide() as u32,
+            dst: wide() as u32,
+            send: wide(),
+            recv: wide(),
+            hops: wide() as u16,
+            size: wide() as u32,
+        });
+        let mut log = SampleLog::new();
+        let mut want = String::from("# kind app src dst send recv hops size\n");
+        for r in std::iter::once(extremes).chain(random) {
+            want.push_str(&format!(
+                "{} {} {} {} {} {} {} {}\n",
+                r.kind.name(),
+                r.app,
+                r.src,
+                r.dst,
+                r.send,
+                r.recv,
+                r.hops,
+                r.size
+            ));
+            log.push(r);
+        }
+        assert_eq!(log.to_text(), want);
+        assert_eq!(
+            SampleLog::new().to_text(),
+            "# kind app src dst send recv hops size\n"
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! the end of a run.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
+
+use supersim_config::push_uint;
 
 use crate::metrics::Histogram;
 use crate::record::SampleRecord;
@@ -381,22 +382,28 @@ pub fn fold_windows<'a>(
 /// keeping the emitter free of floating point is what makes the output
 /// byte-identical across engines and shard counts.
 pub fn timeseries_json_lines(windows: &[FoldedWindow]) -> String {
-    let mut out = String::new();
+    // ~70 bytes per series aggregate, ~30 per window of framing.
+    let series: usize = windows.iter().map(|w| w.series.len()).sum();
+    let mut out = String::with_capacity(32 * windows.len() + 80 * series);
     for w in windows {
-        let _ = write!(out, "{{\"edge\":{},\"series\":{{", w.edge);
+        out.push_str("{\"edge\":");
+        push_uint(&mut out, w.edge);
+        out.push_str(",\"series\":{");
         for (i, (name, agg)) in w.series.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"max\":{},\"p99\":{}}}",
-                name,
-                agg.count(),
-                agg.sum(),
-                agg.max().unwrap_or(0),
-                agg.p99().unwrap_or(0),
-            );
+            out.push('"');
+            out.push_str(name);
+            out.push_str("\":{\"count\":");
+            push_uint(&mut out, agg.count());
+            out.push_str(",\"sum\":");
+            push_uint(&mut out, agg.sum());
+            out.push_str(",\"max\":");
+            push_uint(&mut out, agg.max().unwrap_or(0));
+            out.push_str(",\"p99\":");
+            push_uint(&mut out, agg.p99().unwrap_or(0));
+            out.push('}');
         }
         out.push_str("}}\n");
     }

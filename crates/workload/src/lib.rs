@@ -35,7 +35,8 @@ pub use injection::{
     BernoulliProcess, BurstyProcess, InjectionProcess, PeriodicProcess, SizeDistribution,
 };
 pub use interface::{
-    Interface, InterfaceConfig, InterfaceCounters, InterfaceMetrics, SpanMetrics, SpanRecord,
+    spans_json_lines, Interface, InterfaceConfig, InterfaceCounters, InterfaceMetrics, SpanMetrics,
+    SpanRecord,
 };
 pub use monitor::WorkloadMonitor;
 pub use pingpong::{PingPongApp, PingPongConfig};

@@ -518,6 +518,29 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // An output the final configuration never collects is refused before
+    // the run, not after it. The build above has type-checked each key.
+    let uncollected = [
+        (
+            args.trace_path.is_some()
+                && !cfg
+                    .opt_bool("observability.trace.enabled", false)
+                    .unwrap_or(false),
+            "--trace needs observability.trace.enabled=bool=true in the configuration",
+        ),
+        (
+            args.span_log_path.is_some() && !cfg.opt_bool("spans.enabled", false).unwrap_or(false),
+            "--span-log needs --spans or spans.enabled in the configuration",
+        ),
+        (
+            args.timeseries_path.is_some() && cfg.opt_u64("sample.interval", 0).unwrap_or(0) == 0,
+            "--timeseries needs --sample-interval <n> or sample.interval in the configuration",
+        ),
+    ];
+    if let Some((_, msg)) = uncollected.iter().find(|(refused, _)| *refused) {
+        eprintln!("supersim: {msg}");
+        return ExitCode::FAILURE;
+    }
     eprintln!(
         "supersim: {} — {} terminals, {} routers",
         sim.topology().name(),
@@ -578,10 +601,9 @@ fn main() -> ExitCode {
     }
     if let Some(path) = &args.trace_path {
         let Some(trace) = &out.trace else {
-            eprintln!(
-                "supersim: --trace needs observability.trace.enabled=bool=true \
-                 in the configuration"
-            );
+            // Tracing was armed (checked before the run), so the run
+            // never assembled its outputs.
+            eprintln!("supersim: no flit trace collected");
             return ExitCode::FAILURE;
         };
         if let Err(e) = std::fs::write(path, trace) {
@@ -607,12 +629,6 @@ fn main() -> ExitCode {
             path.display(),
             ts.lines().count()
         );
-    } else if args.timeseries_path.is_some() {
-        eprintln!(
-            "supersim: --timeseries needs --sample-interval <n> or \
-             sample.interval in the configuration"
-        );
-        return ExitCode::FAILURE;
     }
     if let Some(path) = &args.host_trace_path {
         let Some(host_trace) = &out.host_trace else {
@@ -628,11 +644,8 @@ fn main() -> ExitCode {
         }
         eprintln!("supersim: wrote {} (host trace)", path.display());
     }
-    if let Some(path) = &args.span_log_path {
-        let Some(spans) = &out.spans else {
-            eprintln!("supersim: --span-log needs --spans or spans.enabled in the configuration");
-            return ExitCode::FAILURE;
-        };
+    // Spans were armed (checked before the run), so the dump is present.
+    if let (Some(path), Some(spans)) = (&args.span_log_path, &out.spans) {
         if let Err(e) = std::fs::write(path, spans) {
             eprintln!("supersim: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;

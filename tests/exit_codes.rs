@@ -126,6 +126,35 @@ fn code_1_shard_count_on_the_sequential_engine() {
 }
 
 #[test]
+fn code_1_output_the_configuration_never_collects_before_simulating() {
+    // Each output flag whose plane the final configuration leaves off is
+    // refused before the run: exit 1, the reason, and no simulation.
+    let dir = scratch_dir("uncollected");
+    let cfg = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/quickstart.json");
+    let out_file = dir.join("out");
+    let out_file = out_file.to_str().unwrap();
+    for (flag, reason) in [
+        ("--trace", "observability.trace.enabled"),
+        ("--span-log", "spans.enabled"),
+        ("--timeseries", "sample.interval"),
+    ] {
+        let out = Command::new(bin())
+            .args([cfg, "--no-log", flag, out_file])
+            .output()
+            .expect("spawn supersim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(reason), "{flag}: {stderr}");
+        assert!(
+            !stderr.contains("drained at tick"),
+            "{flag} simulated: {stderr}"
+        );
+        assert!(!dir.join("out").exists(), "{flag} wrote its file");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn code_2_degraded_run() {
     // A tick limit below the drain point leaves the run stalled with
     // traffic still in flight: degraded, not clean, not a usage error.

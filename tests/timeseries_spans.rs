@@ -48,6 +48,30 @@ fn timeseries_is_byte_identical_across_engines_and_shards() {
             "span dump diverged at {shards} shards"
         );
     }
+    // Two worker processes: each ships its interfaces' span logs to the
+    // parent inside its end-of-run partial.
+    #[cfg(unix)]
+    {
+        let mut cfg = latent_congestion();
+        cfg.set_path("engine.transport", Value::Str("process".into()))
+            .expect("object");
+        cfg.set_path(
+            "engine.worker_bin",
+            Value::Str(env!("CARGO_BIN_EXE_supersim").into()),
+        )
+        .expect("object");
+        let workers = run_with(cfg, "sharded", 2);
+        assert_eq!(
+            Some(ts),
+            workers.timeseries.as_deref(),
+            "time-series diverged on 2 workers"
+        );
+        assert_eq!(
+            Some(spans),
+            workers.spans.as_deref(),
+            "span dump diverged on 2 workers"
+        );
+    }
     // The checked-in golden file pins the exact output; regenerate with
     //   supersim configs/latent_congestion.json --spans \
     //     --timeseries tests/golden/latent_congestion.timeseries --no-log
