@@ -313,10 +313,11 @@ mod process_rows {
         let sim = build_work_ring(ring, tokens, hops, work);
         let shard_of: Vec<u32> = (0..ring).map(|i| (i * shards / ring) as u32).collect();
         let mut worker = sim.into_worker(index, shards, shard_of, link.clone());
-        let _ = worker.run();
-        // The bench has no report to assemble; an empty partial completes
-        // the protocol.
-        link.send_partial(&[]).map_err(|e| format!("partial: {e}"))
+        let outcome = worker.run().outcome;
+        // The bench has no report to assemble, so DONE ships no state.
+        let (now, metrics) = (worker.now(), &worker.shard_metrics()[0]);
+        link.finish(&outcome, now, metrics, &Default::default(), &[])
+            .map_err(|e| format!("done: {e}"))
     }
 
     pub fn bench_work_ring_process(
@@ -361,7 +362,7 @@ mod process_rows {
                 None,
             )
             .expect("accept bench workers");
-            let result = hub.run();
+            let result = hub.run(&mut |_, _| {});
             assert!(
                 result.error.is_none(),
                 "bench worker failed: {:?}",

@@ -7,7 +7,9 @@
 //! block (and its `pattern` sub-block) to the application factory.
 
 use supersim_config::Value;
-use supersim_des::{ComponentId, Engine, EngineOptions, ProgressShared, Simulator, Tick, Time};
+use supersim_des::{
+    ComponentId, Engine, EngineOptions, ProgressShared, ShardedEngine, Simulator, Tick, Time,
+};
 use supersim_netbase::{
     Ev, FaultConfig, FaultPlane, LinkId, LinkTarget, RouterId, ScheduledOutage, TerminalId,
     TraceFilter, TraceKind,
@@ -38,10 +40,13 @@ pub(crate) struct Built {
     /// Whether per-packet latency-attribution spans are enabled.
     pub spans: bool,
     /// `Some` when `engine.transport` is `"process"` and this is the
-    /// parent: the launch plan for the worker fleet. `engine` is then a
-    /// placeholder that never runs.
+    /// parent: the launch plan for the worker fleet, and the same
+    /// `into_sharded` layout the thread backend runs, which the parent
+    /// never runs but restores the fleet's final shard blobs into.
+    /// `engine` is then an empty placeholder until the layout replaces
+    /// it for the report.
     #[cfg_attr(not(unix), allow(dead_code))]
-    pub process: Option<ProcessPlan>,
+    pub process: Option<(ProcessPlan, ShardedEngine<Ev>)>,
     /// The simulation seed (stamped into checkpoint headers).
     pub seed: u64,
     /// The clamped shard count of the chosen backend (1 for sequential).
@@ -504,10 +509,6 @@ pub(crate) fn build_with(
             // frames carry host records.
             host_sample: if host.enabled { host.sample } else { 0 },
             progress: host.board.clone(),
-            // Only the worker backend acts on this (it pauses at barrier
-            // boundaries and ships state frames to the hub); the
-            // in-process engines are segmented by the run loop instead.
-            checkpoint_interval: checkpoint.interval,
         },
     );
     let cid = |index: usize| {
@@ -660,16 +661,18 @@ pub(crate) fn build_with(
                             BuildError::invalid(format!("cannot resolve engine.worker_bin: {e}"))
                         })?,
                     };
-                    process = Some(ProcessPlan {
+                    let plan = ProcessPlan {
                         workers: num_shards as u32,
                         timeout_ms: cfg.opt_u64("process.timeout_ms", 60_000)?,
                         worker_bin,
                         config_json: cfg.to_json(),
                         trace_capacity,
-                    });
-                    // Placeholder; `run_report` dispatches on the plan
-                    // before this engine would ever run.
-                    Box::new(sim)
+                    };
+                    let shard_of = shard_of.unwrap_or_else(|| vec![0u32; sim.num_components()]);
+                    process = Some((plan, sim.into_sharded(num_shards, shard_of)));
+                    // `run_report` dispatches on the plan before this
+                    // engine would ever run.
+                    Box::new(Simulator::<Ev>::new(seed))
                 }
                 #[cfg(not(unix))]
                 {

@@ -41,7 +41,6 @@ mod defaults;
 mod error;
 pub mod experiment;
 pub mod factory;
-mod partial;
 pub mod presets;
 #[cfg(unix)]
 mod process;

@@ -5,11 +5,15 @@
 //! (`<worker_bin> __worker <socket> <index>`), and relays rounds through
 //! the payload-agnostic [`Hub`]. Each worker rebuilds the *identical*
 //! simulation from the configuration shipped in the setup frame, keeps
-//! only its shard, and runs the same generation-lockstep protocol as the
-//! in-process thread backend — so logs, traces, metrics, and time-series
-//! come out byte-identical. A worker that dies or hangs degrades the run
-//! into a typed [`SimError::Worker`](crate::SimError::Worker) with
-//! best-effort partial outputs from the survivors, never a silent stall.
+//! only its shard, and runs the same [`drive`] as an in-process run, with
+//! the hub as its checkpoint destination. Its state leaves it one way:
+//! as its shard blob, at every checkpoint and in the DONE frame at the
+//! end. The parent restores the final blobs into its never-run layout of
+//! the same simulation — the one the thread backend runs — and assembles
+//! the report from it, so logs, traces, metrics, and time-series come out
+//! byte-identical. A worker that dies or hangs degrades the run into a
+//! typed [`SimError::Worker`](crate::SimError::Worker) with the survivors'
+//! outputs, never a silent stall.
 
 use std::os::unix::net::UnixListener;
 use std::process::{Child, Command, Stdio};
@@ -17,17 +21,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use supersim_config::Value;
-use supersim_des::wire::WireCodec;
-use supersim_des::{Hub, RunOutcome, RunStats, Time, WorkerLink};
-use supersim_netbase::trace_json_lines;
+use supersim_des::{Hub, RunOutcome, RunStats, ShardedEngine, Time, TraceBuffer, WorkerLink};
+use supersim_netbase::Ev;
 
 use crate::builder::{build_with, Built, EngineMode, ProcessPlan};
 use crate::checkpoint;
 use crate::factory::Factories;
-use crate::partial::{extract_partial, ShardPartial};
 use crate::sim::{
-    assemble, resume_failure, resume_into, AssembleInputs, CheckpointWriter, HostData, HubHost,
-    RunReport,
+    assemble, drive, resume_failure, resume_into, AssembleInputs, CheckpointWriter, CkptTimes,
+    HostData, HubHost, RunReport,
 };
 
 /// Distinguishes concurrent runs (and runs within one process) in the
@@ -44,8 +46,8 @@ impl Drop for SocketGuard {
 }
 
 /// Kills any worker that has not exited by `deadline`, then reaps all of
-/// them. Workers exit on their own right after shipping their partial,
-/// so the kill path only fires on degraded runs.
+/// them. Workers exit on their own right after their DONE frame, so the
+/// kill path only fires on degraded runs.
 fn reap(children: &mut [Child], deadline: Instant) {
     loop {
         let mut alive = false;
@@ -80,15 +82,29 @@ fn kill_hook() -> Option<(u32, u64)> {
     Some((w.parse().ok()?, r.parse().ok()?))
 }
 
-/// What one fleet launch produced: the assembled report inputs plus the
-/// newest checkpoint file the hub completed during the attempt.
+/// What one fleet launch produced: the report inputs, what the fleet
+/// delivered for the layout (final shard blobs in worker order and the
+/// hub's merged trace ring), and the newest checkpoint file the hub
+/// completed during the attempt.
 struct FleetAttempt {
     inputs: AssembleInputs,
+    shards: Vec<Option<Vec<u8>>>,
+    trace: Option<TraceBuffer>,
     last_checkpoint: Option<std::path::PathBuf>,
 }
 
-/// Runs a multi-process simulation from the parent side and assembles
-/// the report from the workers' partials.
+/// Why a fleet launch produced no run at all.
+enum FleetStop {
+    /// Binding, spawning or accepting the workers failed.
+    Startup(String),
+    /// The checkpoint to resume from could not be restored hub-side.
+    Resume(String),
+}
+
+/// Runs a multi-process simulation from the parent side: the fleet runs
+/// it, and the report is assembled from `layout` — the never-run
+/// `into_sharded` layout of the same simulation — once the workers'
+/// final shard blobs are restored into it.
 ///
 /// Crash recovery: when checkpointing is armed and a worker dies or
 /// hangs after at least one checkpoint completed, the whole fleet is
@@ -97,23 +113,27 @@ struct FleetAttempt {
 /// protocol continues in lockstep. The restart budget is
 /// `checkpoint.max_restarts`; once it is spent the run degrades to a
 /// typed [`SimError::Worker`](crate::SimError::Worker) as before.
-pub(crate) fn run_parent(mut built: Built, plan: ProcessPlan) -> RunReport {
+pub(crate) fn run_parent(
+    mut built: Built,
+    plan: ProcessPlan,
+    mut layout: ShardedEngine<Ev>,
+) -> RunReport {
     let start = Instant::now();
     let max_restarts = built.checkpoint.max_restarts;
     let base_cfg = match Value::parse(&plan.config_json) {
         Ok(v) => v,
-        Err(e) => return startup_failure(&built, format!("config: {e}"), start),
+        Err(e) => return startup_failure(built, layout, format!("config: {e}"), start),
     };
     let mut resume = built.checkpoint.resume.clone();
     let mut attempts = 0u32;
     // The progress board is the build's, so it outlives fleet attempts:
     // restart counts and cumulative event totals survive a respawn.
     let heartbeat = crate::progress::start(&built);
-    let inputs = loop {
+    let attempt = loop {
         let kill = (attempts == 0).then(kill_hook).flatten();
         let respawn = attempts > 0;
-        let attempt = match run_fleet(
-            &mut built,
+        let mut attempt = match run_fleet(
+            &built,
             &plan,
             &base_cfg,
             resume.as_deref(),
@@ -122,9 +142,15 @@ pub(crate) fn run_parent(mut built: Built, plan: ProcessPlan) -> RunReport {
             start,
         ) {
             Ok(a) => a,
-            Err(report) => return *report,
+            Err(FleetStop::Startup(reason)) => {
+                return startup_failure(built, layout, reason, start)
+            }
+            Err(FleetStop::Resume(reason)) => {
+                built.engine = Box::new(layout);
+                return resume_failure(&mut built, reason);
+            }
         };
-        if let Some(p) = attempt.last_checkpoint {
+        if let Some(p) = attempt.last_checkpoint.take() {
             resume = Some(p);
         }
         if let Some((w, why)) = &attempt.inputs.worker_error {
@@ -143,9 +169,24 @@ pub(crate) fn run_parent(mut built: Built, plan: ProcessPlan) -> RunReport {
                 }
             }
         }
-        break attempt.inputs;
+        break attempt;
     };
-    let report = assemble(&built, inputs);
+    let FleetAttempt {
+        mut inputs,
+        shards,
+        trace,
+        ..
+    } = attempt;
+    if let Err(w) = layout.load_fleet(trace, &shards) {
+        let why = if shards.get(w).is_some_and(Option::is_some) {
+            "sent a final shard blob that does not restore"
+        } else {
+            "delivered no final shard blob"
+        };
+        inputs.worker_error.get_or_insert((w as u32, why.into()));
+    }
+    built.engine = Box::new(layout);
+    let report = assemble(&mut built, inputs);
     if let Some(hb) = heartbeat {
         hb.finish(&report);
     }
@@ -157,17 +198,14 @@ pub(crate) fn run_parent(mut built: Built, plan: ProcessPlan) -> RunReport {
 /// configuration so every worker restores its shard from the same file
 /// the hub restores its trace ring from.
 fn run_fleet(
-    built: &mut Built,
+    built: &Built,
     plan: &ProcessPlan,
     base_cfg: &Value,
     resume: Option<&std::path::Path>,
     kill: Option<(u32, u64)>,
     respawn: bool,
     start: Instant,
-) -> Result<FleetAttempt, Box<RunReport>> {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
+) -> Result<FleetAttempt, FleetStop> {
     let path = std::env::temp_dir().join(format!(
         "supersim-hub-{}-{}.sock",
         std::process::id(),
@@ -189,13 +227,7 @@ fn run_fleet(
 
     let listener = match UnixListener::bind(&path) {
         Ok(l) => l,
-        Err(e) => {
-            return Err(Box::new(startup_failure(
-                built,
-                format!("bind {}: {e}", path.display()),
-                start,
-            )))
-        }
+        Err(e) => return Err(FleetStop::Startup(format!("bind {}: {e}", path.display()))),
     };
     let mut children: Vec<Child> = Vec::with_capacity(plan.workers as usize);
     for w in 0..plan.workers {
@@ -215,7 +247,7 @@ fn run_fleet(
             Err(e) => {
                 let reason = format!("spawn {}: {e}", plan.worker_bin.display());
                 reap(&mut children, Instant::now());
-                return Err(Box::new(startup_failure(built, reason, start)));
+                return Err(FleetStop::Startup(reason));
             }
         }
     }
@@ -234,11 +266,7 @@ fn run_fleet(
         Ok(hub) => hub,
         Err(e) => {
             reap(&mut children, Instant::now());
-            return Err(Box::new(startup_failure(
-                built,
-                format!("accept: {e}"),
-                start,
-            )));
+            return Err(FleetStop::Startup(format!("accept: {e}")));
         }
     };
     // A resumed run restores the hub's merged trace ring from the same
@@ -249,61 +277,36 @@ fn run_fleet(
             Ok((_, blob)) => hub.load_trace(&mut blob.as_slice()),
             Err(e) => {
                 reap(&mut children, Instant::now());
-                return Err(Box::new(resume_failure(built, e.to_string())));
+                return Err(FleetStop::Resume(e.to_string()));
             }
         };
         if !restored {
             reap(&mut children, Instant::now());
-            return Err(Box::new(resume_failure(
-                built,
-                format!("hub trace section of {} did not restore", p.display()),
+            return Err(FleetStop::Resume(format!(
+                "hub trace section of {} did not restore",
+                p.display()
             )));
         }
     }
     // The hub assembles one uniform engine-state blob per completed
-    // barrier checkpoint; the sink is the same writer the in-process run
-    // loop uses.
-    let writer = Rc::new(RefCell::new(CheckpointWriter::new(built)));
-    if built.checkpoint.interval > 0 {
-        let writer = Rc::clone(&writer);
-        let pids: Vec<u32> = children.iter().map(|c| c.id()).collect();
-        hub.set_checkpoint_sink(Box::new(move |time, blob| {
-            let mut writer = writer.borrow_mut();
-            let started_ns = writer.now_ns();
-            let round = writer.write(time.tick(), started_ns, blob);
-            if let Some((w, at)) = kill {
-                if round == at {
-                    if let Some(pid) = pids.get(w as usize) {
-                        let _ = Command::new("kill")
-                            .args(["-KILL", &pid.to_string()])
-                            .status();
-                    }
-                }
-            }
-        }));
-    }
-    let result = hub.run();
-    // On a clean run the workers are already exiting; on a degraded one
-    // give survivors a moment to flush their partials, then kill.
-    reap(&mut children, Instant::now() + timeout);
-
-    let mut worker_error = result.error.clone();
-    let mut partials = Vec::with_capacity(result.partials.len());
-    for (w, p) in result.partials.iter().enumerate() {
-        match p {
-            Some(bytes) => match ShardPartial::decode(&mut bytes.as_slice()) {
-                Some(sp) => partials.push(sp),
-                None => {
-                    worker_error
-                        .get_or_insert_with(|| (w as u32, "sent a malformed partial".into()));
-                }
-            },
-            None => {
-                worker_error
-                    .get_or_insert_with(|| (w as u32, "delivered no end-of-run partial".into()));
+    // barrier checkpoint and hands it to the writer every checkpoint
+    // file goes through.
+    let mut writer = CheckpointWriter::new(built);
+    let pids: Vec<u32> = children.iter().map(|c| c.id()).collect();
+    let result = hub.run(&mut |time, blob| {
+        let started_ns = writer.now_ns();
+        let round = writer.write(time.tick(), started_ns, blob);
+        if let Some((w, _)) = kill.filter(|&(_, at)| at == round) {
+            if let Some(pid) = pids.get(w as usize) {
+                let _ = Command::new("kill")
+                    .args(["-KILL", &pid.to_string()])
+                    .status();
             }
         }
-    }
+    });
+    // On a clean run the workers are already exiting; on a degraded one
+    // give survivors a moment to ship their final state, then kill.
+    reap(&mut children, Instant::now() + timeout);
 
     // The engine-plane aggregates the thread backend reads off its
     // shards, reconstructed here from the workers' DONE metrics. Same
@@ -317,10 +320,7 @@ fn run_fleet(
         wall: start.elapsed(),
         outcome: result.outcome,
     };
-    let trace = plan
-        .trace_capacity
-        .map(|_| trace_json_lines(&hub.trace_records()));
-    let host = built.host.enabled.then(|| HostData {
+    let host = built.host.enabled.then_some(HostData {
         shards: result.host,
         hub: Some(HubHost {
             rounds: result.hub_stats.rounds,
@@ -328,26 +328,32 @@ fn run_fleet(
             wire_in: result.hub_stats.wire_in_bytes,
             wire_out: result.hub_stats.wire_out_bytes,
         }),
-        ckpt: writer.borrow().times.clone(),
+        ckpt: writer.times,
     });
-    let inputs = AssembleInputs {
-        shard_metrics: result.metrics,
-        trace,
-        partials,
-        worker_error,
-        stats,
-        host,
-    };
-    let last_checkpoint = writer.borrow().last_written.clone();
     Ok(FleetAttempt {
-        inputs,
-        last_checkpoint,
+        inputs: AssembleInputs {
+            stats,
+            shard_metrics: result.metrics,
+            worker_error: result.error,
+            host,
+        },
+        shards: result.shards,
+        trace: result.trace,
+        last_checkpoint: writer.last_written,
     })
 }
 
-/// The run never got going: no worker metrics, no partials, just a
-/// typed startup error in an otherwise empty report.
-fn startup_failure(built: &Built, reason: String, start: Instant) -> RunReport {
+/// The run never got going: no worker metrics and no component — every
+/// shard of the layout is emptied — just a typed startup error in an
+/// otherwise empty report.
+fn startup_failure(
+    mut built: Built,
+    mut layout: ShardedEngine<Ev>,
+    reason: String,
+    start: Instant,
+) -> RunReport {
+    let _ = layout.load_fleet(None, &[]);
+    built.engine = Box::new(layout);
     let inputs = AssembleInputs {
         stats: RunStats {
             events_executed: 0,
@@ -358,18 +364,16 @@ fn startup_failure(built: &Built, reason: String, start: Instant) -> RunReport {
             outcome: RunOutcome::Failed(reason.clone()),
         },
         shard_metrics: Vec::new(),
-        trace: None,
-        partials: Vec::new(),
         worker_error: Some((0, format!("startup: {reason}"))),
         host: None,
     };
-    assemble(built, inputs)
+    assemble(&mut built, inputs)
 }
 
 /// The worker-process entry point behind the `__worker` argv role:
 /// connect to the hub at `socket` as shard `index`, rebuild the
 /// simulation from the shipped configuration, run it, and deliver the
-/// end-of-run partial. Returns the process exit code.
+/// final shard blob. Returns the process exit code.
 ///
 /// Workers rebuild with the *default* factories: a binary embedding
 /// custom models must dispatch the `__worker` role itself and register
@@ -415,18 +419,31 @@ fn worker_inner(socket: &str, index: u32) -> Result<(), String> {
     if let Some(p) = built.checkpoint.resume.clone() {
         resume_into(&mut built, &p).map_err(|e| format!("resume: {e}"))?;
     }
-    // Outcome handling is the parent's job: every worker reported it in
-    // its DONE frame, so even a failed run exits 0 here.
-    let _ = built.engine.run_until(built.tick_limit);
-    let partial = extract_partial(
-        built.engine.as_mut(),
-        &built.interfaces,
-        &built.routers,
-        built.monitor,
-    );
-    let mut bytes = Vec::new();
-    partial.encode(&mut bytes);
-    link.send_partial(&bytes)
-        .map_err(|e| format!("send partial: {e}"))?;
-    Ok(())
+    // The pause loop every backend runs, with the hub as checkpoint
+    // destination: a send failure surfaces at the next round as a
+    // transport error.
+    let (clock, profiling) = (built.host.clock.clone(), built.host.enabled);
+    let mut captures = CkptTimes::default();
+    let stats = drive(&mut built, &mut |tick, started_ns, blob| {
+        if link.checkpoint(Time::at(tick), blob).is_ok() && profiling {
+            captures.record(started_ns, clock.now_ns(), blob.len() as u64);
+        }
+    });
+    // Outcome handling is the parent's job: DONE reports it, so even a
+    // failed run exits 0 here.
+    let engine = built.engine.as_ref();
+    let mut host = engine.host_times().pop().unwrap_or_default();
+    host.checkpoint_ns = captures.ns;
+    host.checkpoint_writes = captures.writes;
+    host.checkpoint_bytes = captures.bytes;
+    let mut state = Vec::new();
+    engine.save_state(&mut state);
+    link.finish(
+        &stats.outcome,
+        engine.now(),
+        &engine.shard_metrics()[0],
+        &host,
+        &state,
+    )
+    .map_err(|e| format!("send DONE: {e}"))
 }

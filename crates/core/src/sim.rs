@@ -1,10 +1,13 @@
 //! The simulator facade: build from configuration, run, collect results.
 //!
-//! A run is one path — resume, heartbeat, drive, assemble — for the
-//! sequential and thread backends ([`SuperSim::run_report`]); the
-//! multi-process backend drives its worker fleet from `process.rs` and
-//! rejoins at [`assemble`]. Every checkpoint file of either path is
-//! written by the one [`CheckpointWriter`].
+//! A run is one path — resume, heartbeat, [`drive`], [`assemble`] — on
+//! every backend. The sequential and thread backends take it in
+//! [`SuperSim::run_report`]. A worker process takes it in `process.rs`
+//! with the hub as its checkpoint destination and ships its final shard
+//! blob; the parent restores the fleet's blobs into its never-run layout
+//! of the same simulation and rejoins at [`assemble`], which reads every
+//! report straight from the engine's components. Every checkpoint file
+//! is written by the one [`CheckpointWriter`].
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -12,19 +15,21 @@ use std::sync::Arc;
 use supersim_config::Value;
 use supersim_des::{next_edge_after, EngineMetrics, HostShardTimes, RunOutcome, RunStats, Tick};
 use supersim_netbase::{trace_json_lines, FaultCounters, Phase};
+use supersim_router::Router;
 use supersim_stats::analysis::{LoadPoint, WindowAnalysis};
 use supersim_stats::{
-    fold_windows, timeseries_json_lines, ComponentSampler, Filter, FoldedWindow, Histogram,
-    HostClock, MetricValue, MetricsSnapshot, RecordKind, SampleLog, TraceEventBuilder,
+    fold_windows, timeseries_json_lines, Filter, FoldedWindow, Histogram, HostClock, MetricValue,
+    MetricsSnapshot, RecordKind, SampleLog, TraceEventBuilder,
 };
 use supersim_topology::Topology;
-use supersim_workload::{spans_json_lines, InterfaceCounters, SpanMetrics, SpanRecord};
+use supersim_workload::{
+    spans_json_lines, Interface, InterfaceCounters, SpanMetrics, SpanRecord, WorkloadMonitor,
+};
 
 use crate::builder::{build, Built};
 use crate::checkpoint::CheckpointHeader;
 use crate::error::{BuildError, SimError};
 use crate::factory::Factories;
-use crate::partial::{extract_partial, InterfacePartial, RouterPartial, ShardPartial};
 
 /// A fully assembled SuperSim simulation.
 ///
@@ -96,8 +101,8 @@ impl SuperSim {
     /// diagnostic snapshot of where the network stood when it stopped.
     pub fn run_report(mut self) -> RunReport {
         #[cfg(unix)]
-        if let Some(plan) = self.built.process.take() {
-            return crate::process::run_parent(self.built, plan);
+        if let Some((plan, layout)) = self.built.process.take() {
+            return crate::process::run_parent(self.built, plan, layout);
         }
         if let Some(path) = self.built.checkpoint.resume.clone() {
             if let Err(reason) = resume_into(&mut self.built, &path) {
@@ -106,13 +111,9 @@ impl SuperSim {
         }
         let heartbeat = crate::progress::start(&self.built);
         let mut writer = CheckpointWriter::new(&self.built);
-        let stats = drive(&mut self.built, &mut writer);
-        let partial = extract_partial(
-            self.built.engine.as_mut(),
-            &self.built.interfaces,
-            &self.built.routers,
-            self.built.monitor,
-        );
+        let stats = drive(&mut self.built, &mut |tick, started_ns, blob| {
+            writer.write(tick, started_ns, blob);
+        });
         let engine = self.built.engine.as_ref();
         let host = self.built.host.enabled.then(|| HostData {
             shards: engine.host_times(),
@@ -122,12 +123,10 @@ impl SuperSim {
         let inputs = AssembleInputs {
             stats,
             shard_metrics: engine.shard_metrics(),
-            trace: engine.trace_records().map(|t| trace_json_lines(&t)),
-            partials: vec![partial],
             worker_error: None,
             host,
         };
-        let report = assemble(&self.built, inputs);
+        let report = assemble(&mut self.built, inputs);
         if let Some(hb) = heartbeat {
             hb.finish(&report);
         }
@@ -176,7 +175,7 @@ pub(crate) fn resume_into(built: &mut Built, path: &std::path::Path) -> Result<(
 }
 
 /// The report of a run that never started because its checkpoint could
-/// not be restored: empty output, a typed [`SimError::Resume`].
+/// not be restored: a typed [`SimError::Resume`] and no flit trace.
 pub(crate) fn resume_failure(built: &mut Built, reason: String) -> RunReport {
     let stats = RunStats {
         events_executed: 0,
@@ -186,37 +185,33 @@ pub(crate) fn resume_failure(built: &mut Built, reason: String) -> RunReport {
         wall: std::time::Duration::ZERO,
         outcome: RunOutcome::Stopped,
     };
-    let partial = extract_partial(
-        built.engine.as_mut(),
-        &built.interfaces,
-        &built.routers,
-        built.monitor,
-    );
+    let shard_metrics = built.engine.shard_metrics();
     let mut report = assemble(
         built,
         AssembleInputs {
             stats,
-            shard_metrics: built.engine.shard_metrics(),
-            trace: None,
-            partials: vec![partial],
+            shard_metrics,
             worker_error: None,
             host: None,
         },
     );
+    report.output.trace = None;
     report.error = Some(SimError::Resume { reason });
     report
 }
 
-/// Drives the engine to its tick limit, pausing at every `k * interval`
-/// barrier boundary to capture a checkpoint file. With checkpointing
-/// disabled (`interval == 0`) this is a single `run_until` call.
+/// Drives the engine to its tick limit on every backend, pausing at each
+/// `k * interval` barrier boundary to hand `checkpoint` the boundary
+/// tick, when its capture began on the run's host clock, and the
+/// engine's state blob. With checkpointing disabled (`interval == 0`)
+/// this is a single `run_until` call.
 ///
 /// The boundary cursor advances by `interval` from its previous value —
 /// never recomputed from the clock, which sits short of the boundary
 /// after a pause. Segment statistics accumulate so the returned
 /// [`RunStats`] is indistinguishable from an unsegmented run (modulo
 /// wall-clock).
-fn drive(built: &mut Built, writer: &mut CheckpointWriter) -> RunStats {
+pub(crate) fn drive(built: &mut Built, checkpoint: &mut dyn FnMut(Tick, u64, &[u8])) -> RunStats {
     let tick_limit = built.tick_limit;
     let interval = built.checkpoint.interval;
     if interval == 0 {
@@ -245,23 +240,22 @@ fn drive(built: &mut Built, writer: &mut CheckpointWriter) -> RunStats {
         if !paused {
             return total.expect("at least one segment ran");
         }
-        let started_ns = writer.now_ns();
+        let started_ns = built.host.clock.now_ns();
         blob.clear();
-        if built.engine.save_state(&mut blob) {
-            writer.write(bound, started_ns, &blob);
-        }
+        built.engine.save_state(&mut blob);
+        checkpoint(bound, started_ns, &blob);
         next = next.saturating_add(interval);
     }
 }
 
-/// The one place a checkpoint file is written: the in-process segment
-/// loop ([`drive`]) calls it with the engine's own state blob, the
-/// multi-process parent installs it as the hub's checkpoint sink, which
-/// hands it the blob assembled from the workers' frames. It stamps the
-/// identity header, writes `ckpt-<round>.ssckpt` atomically, and records
-/// wall time and bytes of each write (the host plane's checkpoint
-/// attribution; strictly out-of-band). A write failure degrades to a
-/// warning — losing a checkpoint must never kill a healthy run.
+/// The one place a checkpoint file is written: an in-process run's
+/// [`drive`] hands it the engine's own state blob, and the multi-process
+/// parent's hub hands it the blob assembled from the workers' frames. It
+/// stamps the identity header, writes `ckpt-<round>.ssckpt` atomically,
+/// and records wall time and bytes of each write (the host plane's
+/// checkpoint attribution; strictly out-of-band). A write failure
+/// degrades to a warning — losing a checkpoint must never kill a healthy
+/// run.
 pub(crate) struct CheckpointWriter {
     /// The identity fields of every header; `tick` and `round` are set
     /// per file.
@@ -334,9 +328,9 @@ impl CheckpointWriter {
     }
 }
 
-/// Wall-clock attribution of checkpoint writes (the parent-side save +
-/// file write), on the run's host clock. Out-of-band: never touches
-/// simulation state.
+/// Wall-clock attribution of checkpoints on the run's host clock: state
+/// capture plus file write, or a worker's capture plus its send to the
+/// hub. Out-of-band: never touches simulation state.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CkptTimes {
     /// Checkpoint files written.
@@ -388,18 +382,14 @@ pub(crate) struct HostData {
     pub ckpt: CkptTimes,
 }
 
-/// [`ShardPartial`]s. The single-process path reads them off its own
-/// engine; the multi-process parent reconstructs them from the workers'
-/// DONE frames.
+/// What [`assemble`] takes besides the engine's components: how the run
+/// went. The in-process path reads it off its own engine; the
+/// multi-process parent from the workers' DONE frames and the hub.
 pub(crate) struct AssembleInputs {
     pub stats: RunStats,
     /// Per-shard executor diagnostics, in shard order. Their sums are
     /// the lifetime totals of the `engine` metrics plane.
     pub shard_metrics: Vec<EngineMetrics>,
-    /// The rendered JSON-lines flit trace, when tracing was armed.
-    pub trace: Option<String>,
-    /// One partial per shard (any order; components merge by index).
-    pub partials: Vec<ShardPartial>,
     /// `Some((worker, reason))` when a worker process died or hung; the
     /// report degrades to a typed [`SimError::Worker`].
     pub worker_error: Option<(u32, String)>,
@@ -407,40 +397,54 @@ pub(crate) struct AssembleInputs {
     pub host: Option<HostData>,
 }
 
-/// Assembles the run report from per-shard partials. The walk order is
-/// fixed (interfaces by index, then routers by index) and every merge is
-/// commutative integer arithmetic, so the result is byte-identical no
-/// matter how the components were partitioned across shards or
-/// processes. Components missing from every partial (dead worker) are
-/// skipped, degrading the report instead of failing it.
-pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
+/// Assembles the run report from the engine's components. The walk
+/// order is fixed (interfaces by index, then routers by index) and every
+/// merge is commutative integer arithmetic, so the result is
+/// byte-identical no matter how the components were partitioned across
+/// shards or processes. Components the engine does not hold (a dead
+/// worker's) are skipped, degrading the report instead of failing it.
+///
+/// The two large per-interface logs — samples and span records — are
+/// moved out, not copied: assembly is the engine's last use on every
+/// path, so the components are left with empty logs.
+pub(crate) fn assemble(built: &mut Built, inputs: AssembleInputs) -> RunReport {
     let stats = inputs.stats;
     let events_executed: u64 = inputs.shard_metrics.iter().map(|m| m.events_executed).sum();
     let total_enqueued: u64 = inputs.shard_metrics.iter().map(|m| m.total_enqueued).sum();
-    let mut iface_parts: Vec<Option<InterfacePartial>> =
-        built.interfaces.iter().map(|_| None).collect();
-    let mut router_parts: Vec<Option<RouterPartial>> = built.routers.iter().map(|_| None).collect();
-    let mut phase_times: Option<Vec<(Phase, Tick)>> = None;
-    for p in inputs.partials {
-        for (i, ip) in p.interfaces {
-            if let Some(slot) = iface_parts.get_mut(i as usize) {
-                *slot = Some(ip);
-            }
-        }
-        for (r, rp) in p.routers {
-            if let Some(slot) = router_parts.get_mut(r as usize) {
-                *slot = Some(rp);
-            }
-        }
-        if let Some(pt) = p.phase_times {
-            phase_times = Some(pt);
-        }
-    }
 
-    let parts = iface_parts.iter().flatten();
-    let mut log = SampleLog::with_capacity(parts.clone().map(|ip| ip.log.len()).sum());
-    let mut span_records: Vec<SpanRecord> =
-        Vec::with_capacity(parts.map(|ip| ip.span_records.len()).sum());
+    let (log, mut span_records) = {
+        let engine = built.engine.as_mut();
+        let (mut records, mut spans) = (0, 0);
+        for &id in &built.interfaces {
+            if let Some(iface) = engine.component_as::<Interface>(id) {
+                records += iface.log.len();
+                spans += iface.span_log.len();
+            }
+        }
+        let mut log = SampleLog::with_capacity(records);
+        let mut span_records: Vec<SpanRecord> = Vec::with_capacity(spans);
+        for &id in &built.interfaces {
+            if let Some(iface) = engine.component_as_mut::<Interface>(id) {
+                // Each interface's logs are freed as soon as they are merged.
+                log.extend_from(&std::mem::take(&mut iface.log));
+                span_records.append(&mut iface.span_log);
+            }
+        }
+        (log, span_records)
+    };
+    let engine = built.engine.as_ref();
+    let ifaces: Vec<&Interface> = built
+        .interfaces
+        .iter()
+        .filter_map(|&id| engine.component_as::<Interface>(id))
+        .collect();
+    // `None` for a router the engine does not hold, and for a custom
+    // (non-skeleton) router architecture, which reports no router planes.
+    let routers: Vec<Option<&Router>> = built
+        .routers
+        .iter()
+        .map(|&id| engine.component_as::<Router>(id))
+        .collect();
     let mut counters = InterfaceCounters::default();
     let mut window_flits = 0u64;
     let mut inject_stalls = 0u64;
@@ -448,28 +452,26 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
     let mut queue_depth_high = 0u64;
     let mut phase_latency = [Histogram::new(); 4];
     let mut span_metrics = SpanMetrics::default();
-    for ip in iface_parts.iter_mut().flatten() {
-        if let (Some(start), Some(end)) = (ip.flits_generating, ip.flits_finishing) {
+    for iface in &ifaces {
+        if let (Some(start), Some(end)) = (
+            iface.flits_at_phase(Phase::Generating),
+            iface.flits_at_phase(Phase::Finishing),
+        ) {
             window_flits += end - start;
         }
-        // Each interface's logs are freed as soon as they are merged.
-        log.extend_from(&std::mem::take(&mut ip.log));
-        counters.messages_sent += ip.counters.messages_sent;
-        counters.packets_sent += ip.counters.packets_sent;
-        counters.flits_sent += ip.counters.flits_sent;
-        counters.flits_received += ip.counters.flits_received;
-        counters.messages_received += ip.counters.messages_received;
-        inject_stalls += ip.metrics.inject_stalls.get();
-        queue_depth_now += ip.metrics.queue_depth.get();
-        queue_depth_high = queue_depth_high.max(ip.metrics.queue_depth.max());
-        for (agg, h) in phase_latency
-            .iter_mut()
-            .zip(ip.metrics.phase_latency.iter())
-        {
+        counters.messages_sent += iface.counters.messages_sent;
+        counters.packets_sent += iface.counters.packets_sent;
+        counters.flits_sent += iface.counters.flits_sent;
+        counters.flits_received += iface.counters.flits_received;
+        counters.messages_received += iface.counters.messages_received;
+        let m = &iface.metrics;
+        inject_stalls += m.inject_stalls.get();
+        queue_depth_now += m.queue_depth.get();
+        queue_depth_high = queue_depth_high.max(m.queue_depth.max());
+        for (agg, h) in phase_latency.iter_mut().zip(m.phase_latency.iter()) {
             agg.merge(h);
         }
-        span_metrics.merge(&ip.metrics.spans);
-        span_records.append(&mut ip.span_records);
+        span_metrics.merge(&m.spans);
     }
     // Per-packet records sort by (recv, packet): a total order that is
     // engine-independent, unlike interface iteration order vs. time. The
@@ -547,8 +549,8 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
         }
     }
 
-    for (r, rp) in router_parts.iter().enumerate() {
-        if let Some(m) = rp.as_ref().and_then(|p| p.metrics.as_ref()) {
+    for (r, router) in routers.iter().enumerate() {
+        if let Some(m) = router.map(|x| &x.core.metrics) {
             let name = format!("router_{r}");
             metrics.push_counter(&name, "grants", m.grants.get());
             metrics.push_counter(&name, "denials", m.denials.get());
@@ -577,13 +579,12 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
         let mut cycles = 0u64;
         let mut advanced = 0u64;
         let mut arena_live = 0u64;
-        for rp in router_parts.iter().flatten() {
-            if let Some((c, a, live, high)) = rp.profile {
-                cycles += c;
-                advanced += a;
-                arena_live += live as u64;
-                arena_high = arena_high.max(high as u64);
-            }
+        for core in routers.iter().flatten().map(|x| &x.core) {
+            let (live, high) = core.arena_stats();
+            cycles += core.counters.cycles;
+            advanced += core.counters.flits_advanced;
+            arena_live += live as u64;
+            arena_high = arena_high.max(high as u64);
         }
         metrics.push_counter("profile", "events_dispatched", events_executed);
         metrics.push_counter("profile", "router_cycles", cycles);
@@ -616,8 +617,11 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
         })
         .unwrap_or_default();
 
-    let trace = inputs.trace;
-    let phase_times = phase_times.unwrap_or_default();
+    let trace = engine.trace_records().map(|t| trace_json_lines(&t));
+    let phase_times = engine
+        .component_as::<WorkloadMonitor>(built.monitor)
+        .map(|m| m.phase_times.clone())
+        .unwrap_or_default();
 
     // --- outcome classification ------------------------------------
     // A drained queue is only success when the workload actually got
@@ -653,17 +657,14 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
     let fault_summary = built.fault.is_some().then(|| {
         let mut agg = FaultCounters::default();
         let mut held = 0u64;
-        for ip in iface_parts.iter().flatten() {
-            if let Some((c, h)) = &ip.fault {
-                agg.absorb(c);
-                held += h;
-            }
-        }
-        for rp in router_parts.iter().flatten() {
-            if let Some((c, h)) = &rp.fault {
-                agg.absorb(c);
-                held += h;
-            }
+        let faults = ifaces.iter().filter_map(|i| i.fault.as_ref());
+        let router_faults = routers
+            .iter()
+            .flatten()
+            .filter_map(|x| x.core.fault.as_ref());
+        for f in faults.chain(router_faults) {
+            agg.absorb(&f.counters);
+            held += f.held_flits();
         }
         (agg, held)
     });
@@ -683,18 +684,12 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
     // emitted JSON-lines are byte-identical across engines and shard
     // counts.
     let folded = (built.sample_interval > 0).then(|| {
-        let mut samplers: Vec<&ComponentSampler> = Vec::new();
-        for ip in iface_parts.iter().flatten() {
-            if let Some(s) = ip.sampler.as_ref() {
-                samplers.push(s);
-            }
-        }
-        for rp in router_parts.iter().flatten() {
-            if let Some(s) = rp.sampler.as_ref() {
-                samplers.push(s);
-            }
-        }
-        fold_windows(samplers)
+        let samplers = ifaces.iter().filter_map(|i| i.sampler.as_ref());
+        let router_samplers = routers
+            .iter()
+            .flatten()
+            .filter_map(|x| x.core.sampler.as_ref());
+        fold_windows(samplers.chain(router_samplers))
     });
     let timeseries = folded.as_deref().map(timeseries_json_lines);
     let spans_dump = built.spans.then(|| spans_json_lines(&span_records));
@@ -705,13 +700,12 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
             RunOutcome::Watchdog { last_progress } => Some(*last_progress),
             _ => None,
         };
-        let routers = router_parts
+        let routers = routers
             .iter()
             .enumerate()
-            .map(|(r, rp)| {
-                let (buffered_flits, credits) = rp
-                    .as_ref()
-                    .and_then(|p| p.occupancy.clone())
+            .map(|(r, router)| {
+                let (buffered_flits, credits) = router
+                    .map(|x| (x.buffered_flits(), x.core.credit_state()))
                     .unwrap_or_default();
                 RouterDiag {
                     router: r as u32,

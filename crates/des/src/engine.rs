@@ -15,8 +15,10 @@
 //!   over the socket transport, relayed by a parent [`Hub`](crate::Hub).
 //!
 //! What a run observes — watchdog, sampling, tracing, host profiling,
-//! live progress, worker checkpoints — is fixed once, by the
-//! [`EngineOptions`] given when the engine is created.
+//! live progress — is fixed once, by the [`EngineOptions`] given when the
+//! engine is created. Checkpoints are the caller's: it segments
+//! [`Engine::run_until`] at the boundaries it wants and captures
+//! [`Engine::save_state`] at each pause, on every backend alike.
 //!
 //! # The determinism contract
 //!
@@ -555,12 +557,6 @@ pub struct EngineOptions {
     /// simulation. Workers publish nothing: the hub rebuilds the board
     /// parent-side from the per-round event deltas.
     pub progress: Option<Arc<ProgressShared>>,
-    /// Transport-driven checkpoint spacing in ticks; 0 disarms it. Acted
-    /// on by the worker backend only: it pauses whenever the run crosses
-    /// a `k * interval` boundary and ships its shard's state to the hub.
-    /// The in-process engines are checkpointed by their caller, which
-    /// segments [`Engine::run_until`] and calls [`Engine::save_state`].
-    pub checkpoint_interval: Tick,
 }
 
 impl EngineOptions {
@@ -636,15 +632,9 @@ pub trait Engine<E: 'static>: fmt::Debug {
     ///
     /// Only meaningful at a quiescent point: between [`Engine::run_until`]
     /// calls (the engine paused at a tick limit) or before the first run.
-    /// Returns `false` when the backend does not support checkpointing
-    /// (the default).
-    fn save_state(&self, out: &mut Vec<u8>) -> bool
+    fn save_state(&self, out: &mut Vec<u8>)
     where
-        E: crate::wire::WireCodec,
-    {
-        let _ = out;
-        false
-    }
+        E: crate::wire::WireCodec;
 
     /// Overlays dynamic state captured by [`Engine::save_state`] onto
     /// this engine, which must have been freshly built from the same

@@ -9,8 +9,9 @@
 //!
 //! The structs are plain `std` data: the `stats` crate turns them into
 //! metric planes and Chrome `trace_event` JSON, and the `core` crate
-//! wires them to configuration. Only the engines in this crate write
-//! them.
+//! wires them to configuration. The engines in this crate write them,
+//! except a worker's checkpoint fields, which the run loop in `core`
+//! times.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

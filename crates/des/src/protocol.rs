@@ -25,6 +25,11 @@
 //! at the exchange, a generation once started always completes. With one
 //! shard both transport calls are no-ops and the loop is the classic
 //! sequential executor (paper §III-A, Figure 1).
+//!
+//! The loop knows nothing of checkpoints. A caller pauses it with a tick
+//! limit — unanimous across shards, since it is decided from the fold —
+//! and captures [`Engine::save_state`] at the pause; a worker process is
+//! paused by the same caller as the in-process engines.
 
 use std::time::Instant;
 
@@ -484,11 +489,12 @@ mod worker {
     /// trace records ship to the hub every round (so
     /// [`Engine::trace_records`] is empty here — the hub merges them),
     /// [`Engine::shard_metrics`] and [`Engine::host_times`] report only
-    /// this shard (the hub collects the full set from every worker's
-    /// DONE frame), and checkpoints are driven by the transport: with
-    /// [`EngineOptions::checkpoint_interval`] set, the run pauses at
-    /// every `k * interval` boundary and ships this shard's state to the
-    /// hub.
+    /// this shard, and [`Engine::save_state`] writes this shard's blob
+    /// alone — what the worker ships to the hub at every checkpoint
+    /// ([`WorkerLink::checkpoint`]) and at the end of the run
+    /// ([`WorkerLink::finish`]) — while [`Engine::load_state`] reads the
+    /// whole engine blob of a checkpoint file and restores this shard
+    /// from it.
     pub struct WorkerEngine<E> {
         shard: Shard<E>,
         shard_of: Vec<u32>,
@@ -557,73 +563,33 @@ mod worker {
             }
         }
 
+        /// One stretch of rounds in lockstep with the other workers. A
+        /// transport failure (a dead peer, or the hub's abort) ends it
+        /// as [`RunOutcome::Failed`].
         fn run_until(&mut self, tick_limit: Tick) -> RunStats {
             let start = Instant::now();
             let start_events = self.shard.events_executed;
-            let link = self.link.clone();
-            let mut transport = link.0.borrow_mut();
-            let interval = self.options.checkpoint_interval;
-            // Track checkpoint boundaries by multiples of the interval,
-            // not by `now`: after a pause the clock sits at the last
-            // executed generation, which may be short of the boundary,
-            // and recomputing from it would revisit the same edge
-            // forever.
-            let mut next_ckpt =
-                (interval > 0).then(|| next_edge_after(self.cursor.now.tick(), interval));
-            let outcome = loop {
-                let bound = next_ckpt.map_or(tick_limit, |c| c.min(tick_limit));
-                let params = ProtocolParams {
-                    my_shard: self.my_shard,
-                    num_shards: self.num_shards,
-                    tick_limit: bound,
-                    options: &self.options,
-                    start: self.cursor,
-                    shard_of: &self.shard_of,
-                };
-                let result = run_shard_rounds::<E, ProcessTransport>(
-                    &mut self.shard,
-                    &params,
-                    &mut *transport,
-                    &mut self.host,
-                );
-                let (outcome, end_now, end_progress) = match result {
-                    Ok(r) => r,
-                    Err(e) => break RunOutcome::Failed(format!("transport: {e}")),
-                };
-                self.cursor.now = end_now;
-                self.cursor.last_progress = end_progress;
-                if outcome == RunOutcome::TickLimit && bound < tick_limit {
-                    // Paused at a checkpoint boundary, unanimously
-                    // across workers (the halt came from the folded
-                    // global head). Ship this shard's blob; the hub
-                    // collects one from every worker and writes the
-                    // checkpoint file.
-                    let t_ckpt = self.host.enabled().then(Instant::now);
-                    let mut blob = Vec::new();
-                    save_shard(&mut blob, &self.cursor, &self.shard);
-                    if let Some(t0) = t_ckpt {
-                        self.host.times.checkpoint_ns += t0.elapsed().as_nanos() as u64;
-                        self.host.times.checkpoint_writes += 1;
-                        self.host.times.checkpoint_bytes += blob.len() as u64;
-                    }
-                    if let Err(e) = transport.checkpoint(Time::at(bound), &blob) {
-                        break RunOutcome::Failed(format!("transport: {e}"));
-                    }
-                    next_ckpt = next_ckpt.and_then(|c| c.checked_add(interval));
-                    continue;
+            let params = ProtocolParams {
+                my_shard: self.my_shard,
+                num_shards: self.num_shards,
+                tick_limit,
+                options: &self.options,
+                start: self.cursor,
+                shard_of: &self.shard_of,
+            };
+            let result = run_shard_rounds::<E, ProcessTransport>(
+                &mut self.shard,
+                &params,
+                &mut *self.link.0.borrow_mut(),
+                &mut self.host,
+            );
+            let outcome = match result {
+                Ok((outcome, end_now, end_progress)) => {
+                    self.cursor.now = end_now;
+                    self.cursor.last_progress = end_progress;
+                    outcome
                 }
-                // Tell the hub how the run ended; a send failure here
-                // degrades like any other transport error.
-                match transport.finish(
-                    &outcome,
-                    end_now,
-                    end_progress,
-                    &self.shard.metrics(),
-                    &self.host.times,
-                ) {
-                    Ok(()) => break outcome,
-                    Err(e) => break RunOutcome::Failed(format!("transport: {e}")),
-                }
+                Err(e) => RunOutcome::Failed(format!("transport: {e}")),
             };
             run_stats(
                 std::slice::from_ref(&self.shard),
@@ -666,6 +632,12 @@ mod worker {
         /// the DONE frames.
         fn host_times(&self) -> Vec<HostShardTimes> {
             host_times(std::slice::from_ref(&self.host))
+        }
+
+        /// This worker's shard blob — one section of the engine blob the
+        /// hub assembles from every worker's.
+        fn save_state(&self, out: &mut Vec<u8>) {
+            save_shard(out, &self.cursor, &self.shard);
         }
 
         /// Restores this worker's shard from the uniform engine blob of a

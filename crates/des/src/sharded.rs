@@ -40,10 +40,11 @@ use crate::protocol::{
     events_executed, host_times, run_shard_rounds, run_stats, ProtocolParams, RunCursor, Shard,
 };
 use crate::simulator::SequentialEngine;
-use crate::snapshot::{load_engine, save_engine};
+use crate::snapshot::{load_engine, load_shard, save_engine};
 use crate::time::{Tick, Time};
 use crate::trace::{TraceBuffer, TraceEvent};
 use crate::transport::{PanicFence, ThreadShared, ThreadTransport};
+use crate::wire::WireCodec;
 
 /// The multi-threaded engine: a [`SequentialEngine`]'s components
 /// partitioned across shards, one worker thread per shard.
@@ -175,6 +176,40 @@ impl<E: Send + 'static> ShardedEngine<E> {
     }
 }
 
+impl<E: Send + WireCodec + 'static> ShardedEngine<E> {
+    /// Overlays the end-of-run state of a worker fleet onto this layout
+    /// of the same simulation, which never ran: `trace` is the hub's
+    /// merged trace ring and `shards[w]` the final shard blob of worker
+    /// `w`, restored by the strict decoder a resume uses. A shard whose
+    /// worker delivered no blob, or a blob that does not restore, is
+    /// emptied — components and pending events dropped — so nothing a
+    /// dead worker owned is read as if it had run; `Err` names the first
+    /// such worker.
+    pub fn load_fleet(
+        &mut self,
+        trace: Option<TraceBuffer>,
+        shards: &[Option<Vec<u8>>],
+    ) -> Result<(), usize> {
+        self.trace = trace;
+        let mut lost = None;
+        for (w, shard) in self.shards.iter_mut().enumerate() {
+            let blob = shards.get(w).and_then(Option::as_deref);
+            let restored = blob.and_then(|mut b| {
+                let cursor = load_shard(&mut b, shard)?;
+                b.is_empty().then_some(cursor)
+            });
+            match restored {
+                Some(cursor) => self.cursor = cursor,
+                None => {
+                    *shard = Shard::new(Vec::new(), Vec::new());
+                    lost.get_or_insert(w);
+                }
+            }
+        }
+        lost.map_or(Ok(()), Err)
+    }
+}
+
 impl<E: Send + 'static> Engine<E> for ShardedEngine<E> {
     fn schedule(&mut self, target: ComponentId, time: Time, payload: E) {
         ShardedEngine::schedule(self, target, time, payload);
@@ -216,12 +251,11 @@ impl<E: Send + 'static> Engine<E> for ShardedEngine<E> {
     /// Writes the uniform engine blob: trace section, shard count, then
     /// one canonical shard blob per shard (the run cursor repeated in
     /// each — see `des/src/snapshot.rs`).
-    fn save_state(&self, out: &mut Vec<u8>) -> bool
+    fn save_state(&self, out: &mut Vec<u8>)
     where
         E: crate::wire::WireCodec,
     {
         save_engine(out, self.trace.as_ref(), &self.cursor, &self.shards);
-        true
     }
 
     fn load_state(&mut self, buf: &mut &[u8]) -> bool

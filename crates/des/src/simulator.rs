@@ -204,7 +204,7 @@ impl<E: 'static> Engine<E> for SequentialEngine<E> {
         host_times(std::slice::from_ref(&self.host))
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) -> bool
+    fn save_state(&self, out: &mut Vec<u8>)
     where
         E: crate::wire::WireCodec,
     {
@@ -214,7 +214,6 @@ impl<E: 'static> Engine<E> for SequentialEngine<E> {
             &self.cursor,
             std::slice::from_ref(&self.shard),
         );
-        true
     }
 
     fn load_state(&mut self, buf: &mut &[u8]) -> bool

@@ -10,11 +10,18 @@
 //! means a checkpoint file always reads as "N shards paused at tick T"
 //! regardless of which transport produced it.
 //!
+//! The shard blob is also the only way a worker's state leaves it: the
+//! worker ships one at every checkpoint and its final one at the end of
+//! the run, which the parent restores into its never-run layout of the
+//! same simulation and reads the report from.
+//!
 //! Encoding uses the LEB128 wire plane ([`crate::wire`]) and is a pure
 //! function of the state; decoding is total (`None` on malformed input,
-//! never a panic) and *strict* — every nested section must be consumed
-//! exactly, so drift between a component's `snapshot` and `restore` is
-//! caught at decode time instead of corrupting the resumed run.
+//! never a panic) and *strict* — a blob must list exactly the components
+//! the rebuilt shard owns, in ascending order, and every nested section
+//! must be consumed exactly, so drift between a component's `snapshot`
+//! and `restore` is caught at decode time instead of corrupting the
+//! resumed run.
 
 use crate::engine::{Stamped, BATCH_BUCKETS};
 use crate::event::EventQueue;
@@ -76,25 +83,30 @@ pub(crate) fn save_shard<E: WireCodec + 'static>(
 }
 
 /// Overlays a shard blob onto a freshly built shard: replaces the queue
-/// and counters, restores every captured component (which must be owned
-/// here too), and returns the run cursor for the engine to apply. Total
-/// and strict — `None` on malformed input, unknown component indices,
-/// ownership mismatches, or any nested section not consumed exactly.
+/// and counters, restores every component the shard owns, and returns
+/// the run cursor for the engine to apply. Total and strict — `None` on
+/// malformed input, a component list that is not exactly the owned set
+/// in ascending order (a repeated or omitted component would otherwise
+/// resume silently wrong), or any nested section not consumed exactly.
 pub(crate) fn load_shard<E: WireCodec + 'static>(
     buf: &mut &[u8],
     shard: &mut Shard<E>,
 ) -> Option<RunCursor> {
     let scalars = ShardScalars::decode(buf)?;
     shard.queue = wire::get_section(buf, |b| EventQueue::load(b, Stamped::decode))?;
-    let owned = wire::get_len(buf)?;
-    if owned > shard.components.len() {
+    let owned: Vec<usize> = (0..shard.components.len())
+        .filter(|&i| shard.components[i].is_some())
+        .collect();
+    if wire::get_len(buf)? != owned.len() {
         return None;
     }
-    for _ in 0..owned {
-        let i = usize::decode(buf)?;
+    for i in owned {
+        if usize::decode(buf)? != i {
+            return None;
+        }
         let rng = Rng::decode(buf)?;
         let seq = u64::decode(buf)?;
-        let c = shard.components.get_mut(i)?.as_deref_mut()?;
+        let c = shard.components[i].as_deref_mut()?;
         wire::get_section(buf, |b| c.restore(b))?;
         *shard.rngs.get_mut(i)? = rng;
         *shard.seqs.get_mut(i)? = seq;
@@ -157,4 +169,81 @@ pub(crate) fn put_trace(out: &mut Vec<u8>, buffer: Option<&TraceBuffer>) {
 /// snapshot (both come from the same configuration).
 pub(crate) fn get_trace(buf: &mut &[u8], buffer: Option<&mut TraceBuffer>) -> Option<()> {
     wire::load_armed(buf, buffer, |b, s| wire::get_section(s, |s| b.load(s)))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::component::Component;
+    use crate::engine::{Context, Engine};
+    use crate::simulator::Simulator;
+    use crate::wire::{self, WireCodec};
+
+    struct Idle;
+
+    impl Component<u64> for Idle {
+        fn name(&self) -> &str {
+            "idle"
+        }
+        fn handle(&mut self, _ctx: &mut Context<'_, u64>, _event: u64) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    fn three_idle() -> Simulator<u64> {
+        let mut sim = Simulator::new(5);
+        for _ in 0..3 {
+            sim.add_component(Box::new(Idle));
+        }
+        sim
+    }
+
+    /// The engine blob of [`three_idle`] with its component entries
+    /// replaced by the saved entries at `order`.
+    fn with_entries(order: &[usize]) -> Vec<u8> {
+        let mut saved = Vec::new();
+        three_idle().save_state(&mut saved);
+        let buf = &mut saved.as_slice();
+        assert_eq!(u8::decode(buf), Some(0), "no trace ring");
+        assert_eq!(wire::get_len(buf), Some(1), "one shard");
+        let blob = wire::get_bytes(buf).expect("shard blob");
+        let rest = &mut &blob[..];
+        super::ShardScalars::decode(rest).expect("scalars");
+        wire::get_bytes(rest).expect("queue section");
+        let head = &blob[..blob.len() - rest.len()];
+        assert_eq!(wire::get_len(rest), Some(3));
+        let entries: Vec<&[u8]> = (0..3)
+            .map(|_| {
+                let start = *rest;
+                usize::decode(rest).expect("index");
+                crate::rng::Rng::decode(rest).expect("stream");
+                u64::decode(rest).expect("send counter");
+                wire::get_bytes(rest).expect("snapshot section");
+                &start[..start.len() - rest.len()]
+            })
+            .collect();
+        let mut shard = head.to_vec();
+        order.len().encode(&mut shard);
+        for &e in order {
+            shard.extend_from_slice(entries[e]);
+        }
+        let mut engine = vec![0];
+        1usize.encode(&mut engine);
+        wire::put_bytes(&mut engine, &shard);
+        engine
+    }
+
+    /// A blob must list exactly the components the rebuilt shard owns,
+    /// in ascending order: one that repeats a component or leaves one
+    /// out would resume with that component silently fresh.
+    #[test]
+    fn shard_blob_must_list_exactly_the_owned_components() {
+        let loads = |order: &[usize]| three_idle().load_state(&mut with_entries(order).as_slice());
+        assert!(loads(&[0, 1, 2]), "the saved blob itself restores");
+        assert!(!loads(&[0, 1, 1]), "a duplicate entry");
+        assert!(!loads(&[0, 1]), "a missing entry");
+    }
 }

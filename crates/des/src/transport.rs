@@ -27,7 +27,10 @@
 //!   performs the fold and relays outbox bytes. Payloads cross the wire
 //!   in the [`wire`](crate::wire) format; the hub never decodes event
 //!   payloads, only the framing, the trace records it must merge, and
-//!   the end-of-run summary.
+//!   the end-of-run summary. A worker's state leaves it one way: as its
+//!   shard blob, in a CKPT frame at every checkpoint (the hub assembles
+//!   the checkpoint file's engine blob from them) and in its DONE frame
+//!   at the end of the run (the hub hands the blobs back unread).
 //!
 //! Every backend preserves the determinism contract: the fold values and
 //! the sender-ordered delivery are identical, so a run is byte-identical
@@ -414,6 +417,7 @@ mod process {
     use crate::component::ComponentId;
     use crate::engine::{flush_trace, EngineMetrics, EventStamp, RunOutcome, Stamped, TaggedTrace};
     use crate::host::{HostShardTimes, ProgressShared};
+    use crate::snapshot::put_trace;
     use crate::time::{Tick, Time};
     use crate::trace::TraceBuffer;
     use crate::wire::{
@@ -429,7 +433,6 @@ mod process {
         pub const EXCH: u8 = 5;
         pub const EXCH_R: u8 = 6;
         pub const DONE: u8 = 7;
-        pub const PARTIAL: u8 = 8;
         pub const ABORT: u8 = 9;
         pub const CKPT: u8 = 10;
     }
@@ -476,7 +479,6 @@ mod process {
     pub struct ProcessTransport {
         reader: BufReader<UnixStream>,
         writer: BufWriter<UnixStream>,
-        my_index: u32,
         num_workers: u32,
         scratch: Vec<u8>,
         fail_hook: Option<(FailMode, u64)>,
@@ -493,59 +495,6 @@ mod process {
                 return proto_err(format!("expected frame tag {want}, got {tag}"));
             }
             Ok(body)
-        }
-
-        /// Sends the end-of-run summary: the locally decided outcome (the
-        /// fold makes it identical on every worker), the final time and
-        /// progress tick, this shard's executor metrics, and its host-time
-        /// record (all-zero when profiling is disarmed). The DONE frame is
-        /// end-of-run, so the host payload cannot influence delivery.
-        pub fn finish(
-            &mut self,
-            outcome: &RunOutcome,
-            local_now: Time,
-            global_progress: Tick,
-            metrics: &EngineMetrics,
-            host: &HostShardTimes,
-        ) -> Result<(), TransportError> {
-            let mut body = Vec::new();
-            outcome.encode(&mut body);
-            local_now.encode(&mut body);
-            global_progress.encode(&mut body);
-            metrics.encode(&mut body);
-            host.encode(&mut body);
-            write_frame(&mut self.writer, tag::DONE, &body)?;
-            Ok(())
-        }
-
-        /// Sends the opaque end-of-run partial (component statistics
-        /// encoded by the layer above).
-        pub fn send_partial(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-            write_frame(&mut self.writer, tag::PARTIAL, payload)?;
-            Ok(())
-        }
-
-        /// Ships this shard's checkpoint blob for the boundary at `at`.
-        /// Fire-and-forget: the worker resumes immediately; the hub
-        /// collects one CKPT from every worker (the tick-limit pause is
-        /// unanimous, so the frames arrive in lockstep) and assembles
-        /// the checkpoint file.
-        pub fn checkpoint(&mut self, at: Time, blob: &[u8]) -> Result<(), TransportError> {
-            let mut body = Vec::new();
-            at.encode(&mut body);
-            put_bytes(&mut body, blob);
-            write_frame(&mut self.writer, tag::CKPT, &body)?;
-            Ok(())
-        }
-
-        /// Total workers in the run.
-        pub fn num_workers(&self) -> u32 {
-            self.num_workers
-        }
-
-        /// This worker's index.
-        pub fn my_index(&self) -> u32 {
-            self.my_index
         }
     }
 
@@ -630,11 +579,16 @@ mod process {
     /// tick.
     type FoldBody = (Option<Time>, Tick);
 
+    /// The head of a DONE body: the outcome, the final time, the shard's
+    /// executor metrics and host-time record. The final shard blob
+    /// follows, length-prefixed.
+    type DoneHead = (RunOutcome, Time, EngineMetrics, HostShardTimes);
+
     /// A cheaply clonable handle to a worker's [`ProcessTransport`].
     ///
-    /// The engine owns the transport for the duration of a run (it drives
-    /// fold/exchange rounds), but the process entry point still needs it
-    /// afterwards to ship the end-of-run partial — hence the shared
+    /// The engine borrows the transport for each stretch of rounds, but
+    /// the process entry point also ships frames between and after them
+    /// — checkpoints at every pause, DONE at the end — hence the shared
     /// handle. Single-threaded by construction: one worker process, one
     /// socket.
     #[derive(Clone)]
@@ -652,7 +606,6 @@ mod process {
             let mut transport = ProcessTransport {
                 reader: BufReader::new(stream),
                 writer,
-                my_index: index,
                 num_workers: 0,
                 scratch: Vec::new(),
                 fail_hook: parse_fail_hook(index),
@@ -685,11 +638,44 @@ mod process {
             Ok((WorkerLink(Rc::new(RefCell::new(transport))), setup))
         }
 
-        /// Sends the opaque end-of-run partial. Best-effort on an aborted
-        /// run: the error is returned but the worker can still exit
-        /// cleanly.
-        pub fn send_partial(&self, payload: &[u8]) -> Result<(), TransportError> {
-            self.0.borrow_mut().send_partial(payload)
+        /// Ships this shard's blob ([`Engine::save_state`]) captured at
+        /// the checkpoint boundary `at`. Fire-and-forget: the worker
+        /// resumes immediately; the hub collects one CKPT from every
+        /// worker (the tick-limit pause is unanimous, so the frames
+        /// arrive in lockstep) and assembles the checkpoint file.
+        ///
+        /// [`Engine::save_state`]: crate::Engine::save_state
+        pub fn checkpoint(&self, at: Time, blob: &[u8]) -> Result<(), TransportError> {
+            let mut body = Vec::new();
+            at.encode(&mut body);
+            put_bytes(&mut body, blob);
+            write_frame(&mut self.0.borrow_mut().writer, tag::CKPT, &body)?;
+            Ok(())
+        }
+
+        /// Ends the run for the hub with the DONE frame: the outcome (the
+        /// fold makes it identical on every worker), the final time, this
+        /// shard's executor metrics and host-time record (all-zero when
+        /// profiling is disarmed), and its final shard blob — everything
+        /// the parent reads the report from. Also sent after an abort, so
+        /// a survivor's state still reaches the parent; a send failure is
+        /// returned but the worker can still exit cleanly.
+        pub fn finish(
+            &self,
+            outcome: &RunOutcome,
+            now: Time,
+            metrics: &EngineMetrics,
+            host: &HostShardTimes,
+            state: &[u8],
+        ) -> Result<(), TransportError> {
+            let mut body = Vec::new();
+            outcome.encode(&mut body);
+            now.encode(&mut body);
+            metrics.encode(&mut body);
+            host.encode(&mut body);
+            put_bytes(&mut body, state);
+            write_frame(&mut self.0.borrow_mut().writer, tag::DONE, &body)?;
+            Ok(())
         }
     }
 
@@ -710,8 +696,6 @@ mod process {
         pub outcome: RunOutcome,
         /// Time of the last executed generation.
         pub end_time: Time,
-        /// Tick of the last globally agreed progress report.
-        pub last_progress: Tick,
         /// Per-worker executor metrics, in worker order. Empty when the
         /// run degraded before completion.
         pub metrics: Vec<EngineMetrics>,
@@ -721,9 +705,11 @@ mod process {
         pub host: Vec<HostShardTimes>,
         /// Hub-side wire and fold accounting for the run.
         pub hub_stats: HubHostStats,
-        /// Per-worker opaque end-of-run partials, in worker order.
-        /// `None` for workers that died before delivering one.
-        pub partials: Vec<Option<Vec<u8>>>,
+        /// Per-worker final shard blobs from the DONE frames, in worker
+        /// order, unread. `None` for a worker that delivered none.
+        pub shards: Vec<Option<Vec<u8>>>,
+        /// The merged trace ring, when tracing was armed.
+        pub trace: Option<TraceBuffer>,
         /// `Some((worker, reason))` when a worker died or hung and the
         /// run was aborted; the remaining fields hold best-effort data.
         pub error: Option<(u32, String)>,
@@ -746,11 +732,6 @@ mod process {
         pub wire_out_bytes: Vec<u64>,
     }
 
-    /// A callback the parent installs to persist assembled checkpoint
-    /// blobs: invoked with the boundary time and the uniform engine-state
-    /// blob each time every worker ships a CKPT frame for one boundary.
-    pub type CheckpointSink = Box<dyn FnMut(Time, &[u8])>;
-
     /// The parent-side relay of the process backend.
     ///
     /// The hub is payload-agnostic: it computes the per-round fold,
@@ -763,7 +744,6 @@ mod process {
         conns: Vec<HubConn>,
         trace: Option<TraceBuffer>,
         merge_scratch: Vec<TaggedTrace>,
-        checkpoint_sink: Option<CheckpointSink>,
         /// When set, the hub times its fold computation (host clock
         /// only — never feeds the protocol).
         host_profiling: bool,
@@ -860,7 +840,6 @@ mod process {
                 conns,
                 trace: trace_capacity.map(TraceBuffer::with_capacity),
                 merge_scratch: Vec::new(),
-                checkpoint_sink: None,
                 host_profiling,
                 fold_ns: 0,
                 rounds: 0,
@@ -881,15 +860,6 @@ mod process {
             }
         }
 
-        /// Installs the checkpoint sink: invoked with the boundary time
-        /// and the assembled engine-state blob (trace section + shard
-        /// blobs, the uniform layout every backend writes) each time all
-        /// workers ship a CKPT frame for the same boundary. Without a
-        /// sink, CKPT frames are folded and dropped.
-        pub fn set_checkpoint_sink(&mut self, sink: CheckpointSink) {
-            self.checkpoint_sink = Some(sink);
-        }
-
         /// Restores the hub-side trace ring from a checkpoint's engine
         /// blob. Only the leading trace section is consumed — the shard
         /// blobs are each worker's concern. `false` on malformed input
@@ -900,19 +870,16 @@ mod process {
             crate::snapshot::get_trace(buf, self.trace.as_mut()).is_some()
         }
 
-        /// The merged trace records collected over the run (empty when
-        /// tracing was not armed).
-        pub fn trace_records(&self) -> Vec<crate::trace::TraceEvent> {
-            self.trace.as_ref().map(|t| t.records()).unwrap_or_default()
-        }
-
-        /// Drives rounds until every worker reports DONE, then collects
-        /// the per-worker partials. Never returns `Err` for a *worker*
-        /// failure — that degrades into `HubResult::error` with
-        /// best-effort partials — only for hub-side invariant
-        /// violations.
-        pub fn run(&mut self) -> HubResult {
-            match self.run_rounds() {
+        /// Drives rounds until every worker reports DONE and hands back
+        /// their final shard blobs with the merged trace ring. Each time
+        /// every worker has shipped a CKPT frame for one boundary,
+        /// `checkpoint` receives the boundary time and the engine blob
+        /// assembled from them (trace section + shard blobs, the uniform
+        /// layout every backend writes). A *worker* failure never stops
+        /// the hub: it degrades into `HubResult::error` with whatever
+        /// blobs the survivors deliver.
+        pub fn run(&mut self, checkpoint: &mut dyn FnMut(Time, &[u8])) -> HubResult {
+            match self.run_rounds(checkpoint) {
                 Ok(result) => result,
                 Err((worker, reason)) => self.degrade(worker, reason),
             }
@@ -943,7 +910,10 @@ mod process {
             })
         }
 
-        fn run_rounds(&mut self) -> Result<HubResult, (u32, String)> {
+        fn run_rounds(
+            &mut self,
+            checkpoint: &mut dyn FnMut(Time, &[u8]),
+        ) -> Result<HubResult, (u32, String)> {
             let n = self.conns.len();
             loop {
                 // Workers act in lockstep: each round every worker sends
@@ -966,7 +936,7 @@ mod process {
                 match round_tag {
                     tag::FOLD => self.round_fold(&frames)?,
                     tag::EXCH => self.round_exchange(frames)?,
-                    tag::CKPT => self.round_checkpoint(&frames)?,
+                    tag::CKPT => self.round_checkpoint(&frames, checkpoint)?,
                     tag::DONE => return self.collect_done(frames),
                     other => {
                         return Err((0, format!("unexpected frame tag {other} mid-run")));
@@ -1074,8 +1044,12 @@ mod process {
         /// Every worker paused at the same checkpoint boundary and
         /// shipped its shard blob. Assemble the uniform engine blob
         /// (hub-side trace ring + shard blobs in worker order) and hand
-        /// it to the sink. No reply: workers resumed already.
-        fn round_checkpoint(&mut self, frames: &[(u8, Vec<u8>)]) -> Result<(), (u32, String)> {
+        /// it to `checkpoint`. No reply: workers resumed already.
+        fn round_checkpoint(
+            &mut self,
+            frames: &[(u8, Vec<u8>)],
+            checkpoint: &mut dyn FnMut(Time, &[u8]),
+        ) -> Result<(), (u32, String)> {
             let mut at: Option<Time> = None;
             let mut shard_blobs: Vec<&[u8]> = Vec::with_capacity(frames.len());
             for (w, (_, body)) in frames.iter().enumerate() {
@@ -1090,26 +1064,21 @@ mod process {
                 shard_blobs.push(blob);
             }
             let Some(at) = at else { return Ok(()) };
-            if let Some(sink) = self.checkpoint_sink.as_mut() {
-                let mut engine = Vec::new();
-                crate::snapshot::put_trace(&mut engine, self.trace.as_ref());
-                put_each(&mut engine, &shard_blobs, |blob, o| put_bytes(o, blob));
-                sink(at, &engine);
-            }
+            let mut engine = Vec::new();
+            put_trace(&mut engine, self.trace.as_ref());
+            put_each(&mut engine, &shard_blobs, |blob, o| put_bytes(o, blob));
+            checkpoint(at, &engine);
             Ok(())
         }
 
         fn collect_done(&mut self, frames: Vec<(u8, Vec<u8>)>) -> Result<HubResult, (u32, String)> {
             let mut outcome: Option<RunOutcome> = None;
             let mut end_time = Time::ZERO;
-            let mut last_progress: Tick = 0;
             let mut metrics = Vec::with_capacity(frames.len());
             let mut host = Vec::with_capacity(frames.len());
-            for (w, (_, body)) in frames.iter().enumerate() {
-                let buf = &mut body.as_slice();
-                let parsed = <(RunOutcome, Time, Tick, EngineMetrics)>::decode(buf)
-                    .and_then(|done| Some((done, HostShardTimes::decode(buf)?)));
-                let Some(((o, now, progress, m), h)) = parsed else {
+            let mut shards = Vec::with_capacity(frames.len());
+            for (w, (_, body)) in frames.into_iter().enumerate() {
+                let Some(((o, now, m, h), state)) = parse_done(body) else {
                     return Err((w as u32, "malformed DONE".into()));
                 };
                 debug_assert!(
@@ -1118,39 +1087,24 @@ mod process {
                 );
                 outcome.get_or_insert(o);
                 end_time = now;
-                last_progress = progress;
                 metrics.push(m);
                 host.push(h);
-            }
-            let mut partials = Vec::with_capacity(self.conns.len());
-            let mut error = None;
-            for w in 0..self.conns.len() {
-                match self.read_from(w) {
-                    Ok((tag::PARTIAL, body)) => partials.push(Some(body)),
-                    Ok((t, _)) => {
-                        partials.push(None);
-                        error.get_or_insert((w as u32, format!("expected PARTIAL, got tag {t}")));
-                    }
-                    Err((w, reason)) => {
-                        partials.push(None);
-                        error.get_or_insert((w, reason));
-                    }
-                }
+                shards.push(Some(state));
             }
             Ok(HubResult {
                 outcome: outcome.unwrap_or(RunOutcome::Drained),
                 end_time,
-                last_progress,
                 metrics,
                 host,
                 hub_stats: self.host_stats(),
-                partials,
-                error,
+                shards,
+                trace: self.trace.take(),
+                error: None,
             })
         }
 
         /// A worker died or hung: abort the survivors and collect
-        /// whatever partials they can still deliver.
+        /// whatever final shard blobs they can still deliver.
         fn degrade(&mut self, worker: u32, reason: String) -> HubResult {
             let n = self.conns.len();
             for w in 0..n {
@@ -1158,37 +1112,50 @@ mod process {
                     let _ = self.send_to(w, tag::ABORT, &[]);
                 }
             }
-            let mut partials: Vec<Option<Vec<u8>>> = Vec::with_capacity(n);
+            let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(n);
             for w in 0..n {
                 if !self.conns[w].alive {
-                    partials.push(None);
+                    shards.push(None);
                     continue;
                 }
                 // The worker may still have pre-abort frames in flight
-                // (its last FOLD/EXCH, or a DONE); skip to its PARTIAL.
+                // (its last FOLD/EXCH, or a CKPT); skip to its DONE.
                 let mut found = None;
                 for _ in 0..64 {
                     match self.read_from(w) {
-                        Ok((tag::PARTIAL, body)) => {
-                            found = Some(body);
+                        Ok((tag::DONE, body)) => {
+                            found = parse_done(body).map(|(_, state)| state);
                             break;
                         }
                         Ok(_) => continue,
                         Err(_) => break,
                     }
                 }
-                partials.push(found);
+                shards.push(found);
             }
             HubResult {
                 outcome: RunOutcome::Failed(format!("worker {worker}: {reason}")),
                 end_time: Time::ZERO,
-                last_progress: 0,
                 metrics: Vec::new(),
                 host: Vec::new(),
                 hub_stats: self.host_stats(),
-                partials,
+                shards,
+                trace: self.trace.take(),
                 error: Some((worker, reason)),
             }
         }
+    }
+
+    /// Splits a DONE body into its head and the final shard blob, which
+    /// keeps the body's allocation.
+    fn parse_done(mut body: Vec<u8>) -> Option<(DoneHead, Vec<u8>)> {
+        let buf = &mut &body[..];
+        let head = DoneHead::decode(buf)?;
+        let len = get_len(buf)?;
+        if buf.len() != len {
+            return None;
+        }
+        body.drain(..body.len() - len);
+        Some((head, body))
     }
 }

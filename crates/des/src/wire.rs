@@ -1,5 +1,5 @@
 //! The one codec discipline: every serialized value in the workspace —
-//! cross-shard events, end-of-run partials, checkpoint state — is encoded
+//! cross-shard events, shard blobs, checkpoint files — is encoded
 //! by its [`WireCodec`] impl, written once in the crate that defines the
 //! type. All hand-rolled, so the workspace stays free of registry
 //! dependencies.

@@ -1,8 +1,9 @@
 //! [`WireCodec`] for the state-holding statistics primitives: counters,
 //! gauges, histograms, window aggregates, samplers, sample records and
-//! logs. One encoding each, shared by the checkpoint file (components
-//! carry their observability state across a resume byte-identically) and
-//! the worker PARTIAL frame (the parent merges what the workers measured).
+//! logs. One encoding each, inside the components' snapshots: they carry
+//! observability state across a resume byte-identically, and from each
+//! worker process to the parent, which restores the workers' final shard
+//! blobs and reads the report from them.
 //!
 //! All decoders are total: malformed input yields `None`, never a panic.
 
@@ -161,8 +162,16 @@ mod tests {
 
     #[test]
     fn sampler_rejects_zero_capacity_and_overfull_rings() {
-        // capacity 0; then capacity 1 holding two (empty) windows.
-        for bad in [&[0, 0, 0, 0][..], &[1, 0, 2, 5, 0, 0, 6, 0, 0, 0]] {
+        // capacity 0; then capacity 1 holding two (empty) windows; then
+        // a hostile worker's ring claiming 2^62 capacity and 2^62
+        // retained windows, which must be rejected, not allocated.
+        let mut hostile = Vec::new();
+        (1u64 << 62, 0u64, 1u64 << 62).encode(&mut hostile);
+        for bad in [
+            &[0, 0, 0, 0][..],
+            &[1, 0, 2, 5, 0, 0, 6, 0, 0, 0],
+            hostile.as_slice(),
+        ] {
             assert!(ComponentSampler::decode(&mut &*bad).is_none(), "{bad:?}");
         }
     }

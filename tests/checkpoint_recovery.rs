@@ -189,7 +189,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// run of the shipped 64-terminal Clos with every optional plane armed
 /// (sampling, spans, trace, faults). `checkpoint::VERSION` stays 1 only
 /// while these hold; each file must also still resume to outputs
-/// byte-identical to an uninterrupted run.
+/// byte-identical to an uninterrupted run. A worker fleet writes the
+/// very file the two-shard thread backend writes.
 #[test]
 fn checkpoint_file_bytes_are_pinned_and_resumable() {
     const PLANES: [&str; 5] = [
@@ -199,7 +200,7 @@ fn checkpoint_file_bytes_are_pinned_and_resumable() {
         "fault.enabled=bool=true",
         "fault.bit_error_rate=float=0.0005",
     ];
-    let pins: [(&[&str], usize, u64); 2] = [
+    let pins: [(&[&str], usize, u64); 3] = [
         (
             &["--engine", "sequential"],
             1_581_671,
@@ -210,6 +211,7 @@ fn checkpoint_file_bytes_are_pinned_and_resumable() {
             1_581_770,
             0x86e7_1a4e_b9d4_b8d2,
         ),
+        (&["--workers", "2"], 1_581_770, 0x86e7_1a4e_b9d4_b8d2),
     ];
     let cfg = Path::new(concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -272,6 +272,35 @@ fn worker_host_trace_has_one_process_per_worker() {
     assert!(host_counter(&out, "hub_rounds").unwrap_or(0) > 0);
 }
 
+#[cfg(unix)]
+#[test]
+fn worker_checkpoint_captures_match_the_checkpoint_files() {
+    // Each worker captures its shard once per checkpoint file the parent
+    // writes, and its host plane counts exactly those captures.
+    let dir = std::env::temp_dir().join(format!("supersim-host-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = with_profiling(&with_process(&presets::quickstart(), 2));
+    cfg.set_path("checkpoint.interval", Value::Int(200))
+        .expect("obj");
+    cfg.set_path(
+        "checkpoint.dir",
+        Value::Str(dir.to_string_lossy().into_owned()),
+    )
+    .expect("obj");
+    let out = run(&cfg);
+    let files = std::fs::read_dir(&dir).expect("checkpoint dir").count() as u64;
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(files >= 2, "a multi-segment run wrote {files} files");
+    for w in 0..2 {
+        let plane = format!("host_shard_{w}");
+        assert_eq!(
+            out.metrics.get(&plane, "checkpoint_writes"),
+            Some(&MetricValue::Counter(files)),
+            "{plane}"
+        );
+    }
+}
+
 #[test]
 fn profiling_is_invisible_to_simulation_bytes() {
     // The direct sequential pin; the determinism grids pin the same

@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 use supersim::config::Value;
 use supersim::core::{presets, RunReport, SimError, SuperSim};
 use supersim::stats::MetricValue;
+use supersim::topology::partition_routers;
 
 /// Serializes the tests in this file: they all mutate the same
 /// process-global environment variable that spawned workers inherit.
@@ -81,6 +82,31 @@ fn killed_worker_degrades_to_a_typed_error() {
         reason.contains("died") || reason.contains("closed"),
         "reason should point at the dead connection, got {reason:?}"
     );
+}
+
+#[test]
+fn killed_worker_report_holds_only_the_survivors_components() {
+    // No checkpoints, so no respawn: the report is assembled from what
+    // the surviving worker delivered. Worker 0 owns the routers the
+    // partition puts on shard 0; exactly their planes are reported, and
+    // nothing the dead worker owned appears as if it had run.
+    let _guard = ENV_LOCK.lock().unwrap();
+    std::env::set_var("SUPERSIM_TEST_WORKER_FAIL", "exit:1:40");
+    let sim = SuperSim::from_config(&process_cfg(10_000)).expect("build");
+    let topology = std::sync::Arc::clone(sim.topology());
+    let report = sim.run_report();
+    std::env::remove_var("SUPERSIM_TEST_WORKER_FAIL");
+    assert_degraded_by_worker(&report, 1, "killed worker");
+    let owner = partition_routers(topology.as_ref(), 2);
+    assert!(owner.contains(&0) && owner.contains(&1), "{owner:?}");
+    for (r, &shard) in owner.iter().enumerate() {
+        let plane = report.output.metrics.get(&format!("router_{r}"), "grants");
+        assert_eq!(
+            plane.is_some(),
+            shard == 0,
+            "router_{r} (worker {shard}) in the degraded report"
+        );
+    }
 }
 
 #[test]
