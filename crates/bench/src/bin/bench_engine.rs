@@ -279,7 +279,7 @@ mod process_rows {
     use std::time::Duration;
 
     use supersim_des::wire::{get_varint, put_varint};
-    use supersim_des::{Engine, Hub, WorkerLink};
+    use supersim_des::{EngineOptions, Hub, WorkerLink};
 
     use super::{build_work_ring, measure};
 
@@ -357,9 +357,7 @@ mod process_rows {
                 workers as u32,
                 Duration::from_secs(60),
                 &payload,
-                None,
-                false,
-                None,
+                &EngineOptions::default(),
             )
             .expect("accept bench workers");
             let result = hub.run(&mut |_, _| {});

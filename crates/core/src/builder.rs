@@ -5,11 +5,15 @@
 //! child constructors: `network` builds the topology and hands `router` to
 //! the router-architecture factory; `workload` hands each application
 //! block (and its `pattern` sub-block) to the application factory.
+//!
+//! The components are registered on one unsplit `des::Simulator`, which
+//! is then split into the layout the `engine` block asks for — kept
+//! whole, `into_sharded` for threads and for the parent of a worker
+//! fleet, `into_worker` inside a worker. The layout implies the
+//! transport, so nothing else about the backend is carried forward.
 
 use supersim_config::Value;
-use supersim_des::{
-    ComponentId, Engine, EngineOptions, ProgressShared, ShardedEngine, Simulator, Tick, Time,
-};
+use supersim_des::{ComponentId, EngineOptions, ProgressShared, Simulator, Tick, Time};
 use supersim_netbase::{
     Ev, FaultConfig, FaultPlane, LinkId, LinkTarget, RouterId, ScheduledOutage, TerminalId,
     TraceFilter, TraceKind,
@@ -26,7 +30,11 @@ use crate::factory::{AppCtx, Factories, RouterCtx};
 
 /// A fully wired simulation, ready to run.
 pub(crate) struct Built {
-    pub engine: Box<dyn Engine<Ev>>,
+    /// The layout the configuration asks for. For the parent of a
+    /// multi-process run it is the `into_sharded` layout the thread
+    /// backend runs, which the parent never runs but restores the fleet's
+    /// final shard blobs into.
+    pub engine: Simulator<Ev>,
     pub interfaces: Vec<ComponentId>,
     pub routers: Vec<ComponentId>,
     pub monitor: ComponentId,
@@ -40,13 +48,9 @@ pub(crate) struct Built {
     /// Whether per-packet latency-attribution spans are enabled.
     pub spans: bool,
     /// `Some` when `engine.transport` is `"process"` and this is the
-    /// parent: the launch plan for the worker fleet, and the same
-    /// `into_sharded` layout the thread backend runs, which the parent
-    /// never runs but restores the fleet's final shard blobs into.
-    /// `engine` is then an empty placeholder until the layout replaces
-    /// it for the report.
+    /// parent: the launch plan for the worker fleet.
     #[cfg_attr(not(unix), allow(dead_code))]
-    pub process: Option<(ProcessPlan, ShardedEngine<Ev>)>,
+    pub process: Option<ProcessPlan>,
     /// The simulation seed (stamped into checkpoint headers).
     pub seed: u64,
     /// The clamped shard count of the chosen backend (1 for sequential).
@@ -113,8 +117,6 @@ pub(crate) struct ProcessPlan {
     pub worker_bin: std::path::PathBuf,
     /// The resolved configuration, shipped to workers in the setup frame.
     pub config_json: String,
-    /// Hub-side trace ring capacity, when tracing is armed.
-    pub trace_capacity: Option<usize>,
 }
 
 /// How [`build_with`] should assemble the execution backend.
@@ -123,7 +125,7 @@ pub(crate) enum EngineMode {
     /// the configuration.
     Auto,
     /// Worker-process assembly: build the full simulation, then keep only
-    /// the shard this worker owns, driven over `link`.
+    /// the shard this worker owns, synchronized over `link`.
     #[cfg(unix)]
     Worker {
         /// This worker's shard index.
@@ -461,7 +463,6 @@ pub(crate) fn build_with(
         EngineChoice::Sharded(n) | EngineChoice::Process(n) => n.min(routers as usize).max(1),
     };
     let trace = trace_config(cfg)?;
-    let trace_capacity = trace.as_ref().map(|&(_, c)| c);
     let fault = fault_config(cfg)?;
     let watchdog = cfg.opt_u64("watchdog.ticks", 0)?;
     let (sample_interval, sample_capacity) = sample_config(cfg)?;
@@ -617,15 +618,16 @@ pub(crate) fn build_with(
         sim.schedule(id, Time::at(0), Ev::Inject);
     }
 
-    // Components are registered and kicked on a sequential engine; the
-    // sharded backends take over the finished layout. Routers partition by
-    // topology locality, each interface rides with its attached router
-    // (the terminal channel is the hottest link in the graph), and the
-    // monitor lands on shard 0. The map is a pure function of the
-    // configuration, so every worker process recomputes it identically.
-    let shard_of = if num_shards > 1 {
+    // Components are registered and kicked on an unsplit simulator, which
+    // is then split into the layout the configuration asks for. Routers
+    // partition by topology locality, each interface rides with its
+    // attached router (the terminal channel is the hottest link in the
+    // graph), and the monitor lands on shard 0. The map is a pure function
+    // of the configuration, so every worker process recomputes it
+    // identically.
+    let mut shard_of = vec![0u32; sim.num_components()];
+    if num_shards > 1 {
         let rpart = partition_routers(topology.as_ref(), num_shards);
-        let mut shard_of = vec![0u32; sim.num_components()];
         for t in 0..terminals {
             let (router, _) = topology.terminal_attachment(TerminalId(t));
             shard_of[iface_cid(t)?.index()] = rpart[router.0 as usize];
@@ -633,25 +635,22 @@ pub(crate) fn build_with(
         for r in 0..routers {
             shard_of[router_cid(r)?.index()] = rpart[r as usize];
         }
-        shard_of[monitor.index()] = 0;
-        Some(shard_of)
-    } else {
-        None
-    };
+    }
 
     let mut process = None;
-    let engine: Box<dyn Engine<Ev>> = match mode {
+    let engine = match mode {
         #[cfg(unix)]
         EngineMode::Worker { index, link } => {
-            let shard_of = shard_of.unwrap_or_else(|| vec![0u32; sim.num_components()]);
             if index as usize >= num_shards {
                 return Err(BuildError::invalid(format!(
                     "worker index {index} out of range for {num_shards} shards"
                 )));
             }
-            Box::new(sim.into_worker(index, num_shards, shard_of, link))
+            sim.into_worker(index, num_shards, shard_of, link)
         }
         EngineMode::Auto => match choice {
+            EngineChoice::Sequential => sim,
+            EngineChoice::Sharded(_) => sim.into_sharded(num_shards, shard_of),
             EngineChoice::Process(_) => {
                 #[cfg(unix)]
                 {
@@ -661,18 +660,13 @@ pub(crate) fn build_with(
                             BuildError::invalid(format!("cannot resolve engine.worker_bin: {e}"))
                         })?,
                     };
-                    let plan = ProcessPlan {
+                    process = Some(ProcessPlan {
                         workers: num_shards as u32,
                         timeout_ms: cfg.opt_u64("process.timeout_ms", 60_000)?,
                         worker_bin,
                         config_json: cfg.to_json(),
-                        trace_capacity,
-                    };
-                    let shard_of = shard_of.unwrap_or_else(|| vec![0u32; sim.num_components()]);
-                    process = Some((plan, sim.into_sharded(num_shards, shard_of)));
-                    // `run_report` dispatches on the plan before this
-                    // engine would ever run.
-                    Box::new(Simulator::<Ev>::new(seed))
+                    });
+                    sim.into_sharded(num_shards, shard_of)
                 }
                 #[cfg(not(unix))]
                 {
@@ -681,10 +675,6 @@ pub(crate) fn build_with(
                     ));
                 }
             }
-            _ => match shard_of {
-                Some(shard_of) => Box::new(sim.into_sharded(num_shards, shard_of)),
-                None => Box::new(sim),
-            },
         },
     };
     Ok(Built {

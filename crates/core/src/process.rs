@@ -3,16 +3,18 @@
 //!
 //! The parent binds a Unix socket, spawns one worker process per shard
 //! (`<worker_bin> __worker <socket> <index>`), and relays rounds through
-//! the payload-agnostic [`Hub`]. Each worker rebuilds the *identical*
-//! simulation from the configuration shipped in the setup frame, keeps
-//! only its shard, and runs the same [`drive`] as an in-process run, with
-//! the hub as its checkpoint destination. Its state leaves it one way:
-//! as its shard blob, at every checkpoint and in the DONE frame at the
-//! end. The parent restores the final blobs into its never-run layout of
-//! the same simulation — the one the thread backend runs — and assembles
-//! the report from it, so logs, traces, metrics, and time-series come out
-//! byte-identical. A worker that dies or hangs degrades the run into a
-//! typed [`SimError::Worker`](crate::SimError::Worker) with the survivors'
+//! the payload-agnostic [`Hub`], which takes its share of the layout's
+//! engine options. Each worker rebuilds the *identical* simulation from
+//! the configuration shipped in the setup frame, keeps only its shard
+//! (`into_worker`), and runs the same [`drive`] as an in-process run,
+//! with the hub as its checkpoint destination. Its state leaves it one
+//! way: as its shard blob, at every checkpoint and in the DONE frame at
+//! the end. The parent's own simulator is the never-run layout of the
+//! same simulation — the one the thread backend runs: the parent restores
+//! the final blobs into it and assembles the report from it, so logs,
+//! traces, metrics, and time-series come out byte-identical. A worker
+//! that dies or hangs degrades the run into a typed
+//! [`SimError::Worker`](crate::SimError::Worker) with the survivors'
 //! outputs, never a silent stall.
 
 use std::os::unix::net::UnixListener;
@@ -21,8 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use supersim_config::Value;
-use supersim_des::{Hub, RunOutcome, RunStats, ShardedEngine, Time, TraceBuffer, WorkerLink};
-use supersim_netbase::Ev;
+use supersim_des::{Hub, RunOutcome, RunStats, Time, TraceBuffer, WorkerLink};
 
 use crate::builder::{build_with, Built, EngineMode, ProcessPlan};
 use crate::checkpoint;
@@ -102,7 +103,7 @@ enum FleetStop {
 }
 
 /// Runs a multi-process simulation from the parent side: the fleet runs
-/// it, and the report is assembled from `layout` — the never-run
+/// it, and the report is assembled from `built.engine` — the never-run
 /// `into_sharded` layout of the same simulation — once the workers'
 /// final shard blobs are restored into it.
 ///
@@ -113,16 +114,12 @@ enum FleetStop {
 /// protocol continues in lockstep. The restart budget is
 /// `checkpoint.max_restarts`; once it is spent the run degrades to a
 /// typed [`SimError::Worker`](crate::SimError::Worker) as before.
-pub(crate) fn run_parent(
-    mut built: Built,
-    plan: ProcessPlan,
-    mut layout: ShardedEngine<Ev>,
-) -> RunReport {
+pub(crate) fn run_parent(mut built: Built, plan: ProcessPlan) -> RunReport {
     let start = Instant::now();
     let max_restarts = built.checkpoint.max_restarts;
     let base_cfg = match Value::parse(&plan.config_json) {
         Ok(v) => v,
-        Err(e) => return startup_failure(built, layout, format!("config: {e}"), start),
+        Err(e) => return startup_failure(built, format!("config: {e}"), start),
     };
     let mut resume = built.checkpoint.resume.clone();
     let mut attempts = 0u32;
@@ -142,13 +139,8 @@ pub(crate) fn run_parent(
             start,
         ) {
             Ok(a) => a,
-            Err(FleetStop::Startup(reason)) => {
-                return startup_failure(built, layout, reason, start)
-            }
-            Err(FleetStop::Resume(reason)) => {
-                built.engine = Box::new(layout);
-                return resume_failure(&mut built, reason);
-            }
+            Err(FleetStop::Startup(reason)) => return startup_failure(built, reason, start),
+            Err(FleetStop::Resume(reason)) => return resume_failure(&mut built, reason),
         };
         if let Some(p) = attempt.last_checkpoint.take() {
             resume = Some(p);
@@ -177,7 +169,7 @@ pub(crate) fn run_parent(
         trace,
         ..
     } = attempt;
-    if let Err(w) = layout.load_fleet(trace, &shards) {
+    if let Err(w) = built.engine.load_fleet(trace, &shards) {
         let why = if shards.get(w).is_some_and(Option::is_some) {
             "sent a final shard blob that does not restore"
         } else {
@@ -185,7 +177,6 @@ pub(crate) fn run_parent(
         };
         inputs.worker_error.get_or_insert((w as u32, why.into()));
     }
-    built.engine = Box::new(layout);
     let report = assemble(&mut built, inputs);
     if let Some(hb) = heartbeat {
         hb.finish(&report);
@@ -252,16 +243,15 @@ fn run_fleet(
         }
     }
 
-    // Host-plane arming (hub fold timing, the live-progress board) is
-    // out-of-band: none of it alters a single protocol byte.
+    // The hub takes its share of the layout's options: the trace ring,
+    // and host-plane arming (fold timing, the live-progress board), which
+    // is out-of-band — none of it alters a single protocol byte.
     let mut hub = match Hub::accept(
         &listener,
         plan.workers,
         timeout,
         config_json.as_bytes(),
-        plan.trace_capacity,
-        built.host.enabled,
-        built.host.board.clone(),
+        built.engine.options(),
     ) {
         Ok(hub) => hub,
         Err(e) => {
@@ -346,14 +336,8 @@ fn run_fleet(
 /// The run never got going: no worker metrics and no component — every
 /// shard of the layout is emptied — just a typed startup error in an
 /// otherwise empty report.
-fn startup_failure(
-    mut built: Built,
-    mut layout: ShardedEngine<Ev>,
-    reason: String,
-    start: Instant,
-) -> RunReport {
-    let _ = layout.load_fleet(None, &[]);
-    built.engine = Box::new(layout);
+fn startup_failure(mut built: Built, reason: String, start: Instant) -> RunReport {
+    let _ = built.engine.load_fleet(None, &[]);
     let inputs = AssembleInputs {
         stats: RunStats {
             events_executed: 0,
@@ -431,7 +415,7 @@ fn worker_inner(socket: &str, index: u32) -> Result<(), String> {
     });
     // Outcome handling is the parent's job: DONE reports it, so even a
     // failed run exits 0 here.
-    let engine = built.engine.as_ref();
+    let engine = &built.engine;
     let mut host = engine.host_times().pop().unwrap_or_default();
     host.checkpoint_ns = captures.ns;
     host.checkpoint_writes = captures.writes;

@@ -1,13 +1,14 @@
 //! The simulator facade: build from configuration, run, collect results.
 //!
-//! A run is one path — resume, heartbeat, [`drive`], [`assemble`] — on
-//! every backend. The sequential and thread backends take it in
-//! [`SuperSim::run_report`]. A worker process takes it in `process.rs`
-//! with the hub as its checkpoint destination and ships its final shard
-//! blob; the parent restores the fleet's blobs into its never-run layout
-//! of the same simulation and rejoins at [`assemble`], which reads every
-//! report straight from the engine's components. Every checkpoint file
-//! is written by the one [`CheckpointWriter`].
+//! The engine is one concrete `des::Simulator` on every backend, and a
+//! run is one path — resume, heartbeat, [`drive`], [`assemble`]. The
+//! sequential and thread backends take it in [`SuperSim::run_report`]. A
+//! worker process takes it in `process.rs` with the hub as its
+//! checkpoint destination and ships its final shard blob; the parent's
+//! own simulator is the never-run layout of the same simulation, which
+//! restores the fleet's blobs and rejoins at [`assemble`], which reads
+//! every report straight from the engine's components. Every checkpoint
+//! file is written by the one [`CheckpointWriter`].
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -101,8 +102,8 @@ impl SuperSim {
     /// diagnostic snapshot of where the network stood when it stopped.
     pub fn run_report(mut self) -> RunReport {
         #[cfg(unix)]
-        if let Some((plan, layout)) = self.built.process.take() {
-            return crate::process::run_parent(self.built, plan, layout);
+        if let Some(plan) = self.built.process.take() {
+            return crate::process::run_parent(self.built, plan);
         }
         if let Some(path) = self.built.checkpoint.resume.clone() {
             if let Err(reason) = resume_into(&mut self.built, &path) {
@@ -114,7 +115,7 @@ impl SuperSim {
         let stats = drive(&mut self.built, &mut |tick, started_ns, blob| {
             writer.write(tick, started_ns, blob);
         });
-        let engine = self.built.engine.as_ref();
+        let engine = &self.built.engine;
         let host = self.built.host.enabled.then(|| HostData {
             shards: engine.host_times(),
             hub: None,
@@ -413,7 +414,7 @@ pub(crate) fn assemble(built: &mut Built, inputs: AssembleInputs) -> RunReport {
     let total_enqueued: u64 = inputs.shard_metrics.iter().map(|m| m.total_enqueued).sum();
 
     let (log, mut span_records) = {
-        let engine = built.engine.as_mut();
+        let engine = &mut built.engine;
         let (mut records, mut spans) = (0, 0);
         for &id in &built.interfaces {
             if let Some(iface) = engine.component_as::<Interface>(id) {
@@ -432,7 +433,7 @@ pub(crate) fn assemble(built: &mut Built, inputs: AssembleInputs) -> RunReport {
         }
         (log, span_records)
     };
-    let engine = built.engine.as_ref();
+    let engine = &built.engine;
     let ifaces: Vec<&Interface> = built
         .interfaces
         .iter()

@@ -1,28 +1,29 @@
-//! The engine abstraction: what it means to execute a simulation.
+//! What it means to execute a simulation: the vocabulary every layout of
+//! a [`Simulator`](crate::Simulator) shares.
 //!
 //! The executor is split from the component model so that one simulation
-//! can run on any backend. There is **one generation loop**,
+//! can run on any layout. There is **one engine type**,
+//! [`Simulator`](crate::Simulator) — the shards this process executes
+//! out of an N-shard simulation — and **one generation loop**,
 //! `run_shard_rounds` in `protocol.rs`, written against the crate-private
-//! `ShardTransport` trait; a backend is a set of shards plus the
-//! transport that synchronizes them:
-//!
-//! - [`SequentialEngine`](crate::SequentialEngine) — one shard on the
-//!   calling thread over the solo transport, whose fold and exchange are
-//!   no-ops (the original `Simulator`, which remains as a type alias),
-//! - [`ShardedEngine`](crate::ShardedEngine) — components partitioned
-//!   across worker threads over the barrier transport,
-//! - [`WorkerEngine`](crate::WorkerEngine) — one shard per OS process
-//!   over the socket transport, relayed by a parent [`Hub`](crate::Hub).
+//! `ShardTransport` trait. The layout implies the transport: one local
+//! shard runs on the calling thread over the solo transport, whose fold
+//! and exchange are no-ops; several local shards
+//! ([`into_sharded`](crate::Simulator::into_sharded)) run on threads over
+//! the barrier transport; a fleet worker
+//! ([`into_worker`](crate::Simulator::into_worker)) runs its one shard
+//! over the socket to a parent [`Hub`](crate::Hub).
 //!
 //! What a run observes — watchdog, sampling, tracing, host profiling,
 //! live progress — is fixed once, by the [`EngineOptions`] given when the
-//! engine is created. Checkpoints are the caller's: it segments
-//! [`Engine::run_until`] at the boundaries it wants and captures
-//! [`Engine::save_state`] at each pause, on every backend alike.
+//! simulator is created. Checkpoints are the caller's: it segments
+//! [`run_until`](crate::Simulator::run_until) at the boundaries it wants
+//! and captures [`save_state`](crate::Simulator::save_state) at each
+//! pause, on every layout alike.
 //!
 //! # The determinism contract
 //!
-//! Every backend produces **bit-identical** simulations for the same
+//! Every layout produces **bit-identical** simulations for the same
 //! `(configuration, seed)`: the same events in the same canonical order,
 //! the same per-component random draws, the same trace byte stream, and
 //! the same halt point (`stop`/`fail` finish the current generation on
@@ -35,7 +36,7 @@
 //!    counter). Stamps are unique and depend only on each component's own
 //!    execution history — not on how components interleave.
 //! 2. **Canonical batch order.** All events at the earliest pending
-//!    `(tick, epsilon)` form one *generation*; every engine dispatches each
+//!    `(tick, epsilon)` form one *generation*; every layout dispatches each
 //!    generation in ascending stamp order (`take_generation`, the one
 //!    place a generation is ordered). By induction, identical
 //!    generations produce identical per-component histories, hence
@@ -54,16 +55,16 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::component::{Component, ComponentId};
+use crate::component::ComponentId;
 use crate::event::{EventQueue, Generation};
-use crate::host::{HostShardTimes, ProgressShared};
+use crate::host::ProgressShared;
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
 use crate::trace::{TraceBuffer, TraceEvent, TraceSpec};
 use crate::wire::WireCodec;
 
 /// Stamp `src` for events scheduled from outside any component
-/// ([`Engine::schedule`]).
+/// ([`Simulator::schedule`](crate::Simulator::schedule)).
 pub const EXTERNAL_SRC: u32 = u32::MAX;
 
 /// The canonical identity of a scheduled event: who scheduled it and at
@@ -151,7 +152,8 @@ pub enum RunOutcome {
     Drained,
     /// A component requested an orderly stop via [`Context::stop`].
     Stopped,
-    /// The tick limit given to [`Engine::run_until`] was reached.
+    /// The tick limit given to
+    /// [`Simulator::run_until`](crate::Simulator::run_until) was reached.
     TickLimit,
     /// A component reported a fatal modeling error via [`Context::fail`].
     Failed(String),
@@ -227,10 +229,10 @@ pub struct RunStats {
     pub events_executed: u64,
     /// Simulation time of the last executed event.
     pub end_time: Time,
-    /// Largest number of simultaneously pending events. On the sharded
-    /// engine this is the sum of per-shard high-water marks (an upper
+    /// Largest number of simultaneously pending events. With several
+    /// shards this is the sum of per-shard high-water marks (an upper
     /// bound of the global value) — a capacity diagnostic, not part of
-    /// the cross-engine determinism contract.
+    /// the cross-layout determinism contract.
     pub queue_high_water: usize,
     /// Total events enqueued over the lifetime of the engine.
     pub total_enqueued: u64,
@@ -256,8 +258,8 @@ impl RunStats {
 /// least one event), bucket `i` covers sizes in `[2^(i-1), 2^i)`.
 pub const BATCH_BUCKETS: usize = 65;
 
-/// Per-shard engine self-metrics accumulated over the engine's lifetime.
-/// The sequential engine reports exactly one shard.
+/// Per-shard engine self-metrics accumulated over the simulator's
+/// lifetime. An unsplit simulator reports exactly one shard.
 ///
 /// The `des` crate sits below the stats crate in the dependency order, so
 /// the batch-size distribution is exposed as a raw log₂-bucketed count
@@ -504,16 +506,16 @@ impl<E> Context<'_, E> {
     }
 }
 
-/// What an engine observes and reports while it runs, fixed once when
-/// the engine is created ([`SequentialEngine::with_options`]) and
-/// inherited by [`into_sharded`] and [`into_worker`]. The default is
-/// everything disarmed. Every field is out-of-band or a pure function of
-/// the deterministic event stream, so no option changes which events run
-/// or in what order.
+/// What a simulation observes and reports while it runs, fixed once when
+/// it is created ([`Simulator::with_options`]) and inherited by
+/// [`Simulator::into_sharded`] and [`Simulator::into_worker`]. The
+/// default is everything disarmed. Every field is out-of-band or a pure
+/// function of the deterministic event stream, so no option changes which
+/// events run or in what order.
 ///
-/// [`SequentialEngine::with_options`]: crate::SequentialEngine::with_options
-/// [`into_sharded`]: crate::SequentialEngine::into_sharded
-/// [`into_worker`]: crate::SequentialEngine::into_worker
+/// [`Simulator::with_options`]: crate::Simulator::with_options
+/// [`Simulator::into_sharded`]: crate::Simulator::into_sharded
+/// [`Simulator::into_worker`]: crate::Simulator::into_worker
 #[derive(Debug, Clone, Default)]
 pub struct EngineOptions {
     /// No-progress watchdog window in ticks; 0 disarms it. A run breaks
@@ -527,7 +529,7 @@ pub struct EngineOptions {
     /// Sampling window width in ticks; 0 disarms the sampler. Before
     /// executing the first generation at or past each window edge
     /// `k * interval` (`k = 1, 2, …`), the engine calls
-    /// [`Component::sample`] with that edge on every component. Edges are
+    /// [`Component::sample`](crate::Component::sample) with that edge on every component. Edges are
     /// crossed in order and each exactly once, even when a single
     /// generation jumps several windows; a run that ends mid-window never
     /// closes the trailing partial window. The edge sequence is a pure
@@ -540,22 +542,24 @@ pub struct EngineOptions {
     /// the given capacity, merged in canonical stamp order. `None`
     /// disables tracing. A worker process collects by the spec but keeps
     /// no ring — its records ship to the hub every round, which holds the
-    /// ring (capacity given to [`Hub::accept`](crate::Hub::accept)).
+    /// ring (sized from the options given to
+    /// [`Hub::accept`](crate::Hub::accept)).
     pub trace: Option<(TraceSpec, usize)>,
     /// Host-time profiling stride; 0 disarms it. Phase wall-times are
     /// measured every batch and per-event component-class attribution
     /// runs on one batch in `host_sample`, on one recorder per shard whose
-    /// epoch is the engine's creation. Host clocks are strictly
+    /// epoch is the simulator's creation. Host clocks are strictly
     /// out-of-band: they never influence event ordering, delivery, or any
     /// deterministic output. The disarmed path costs one branch per
     /// batch.
     pub host_sample: u32,
-    /// Live-progress board the in-process engines publish to after each
+    /// Live-progress board an in-process run publishes to after each
     /// batch (cumulative events per shard; shard 0 adds the current tick
     /// and round count). Relaxed atomic stores only — the board is read
     /// by an out-of-band heartbeat emitter and never feeds back into the
-    /// simulation. Workers publish nothing: the hub rebuilds the board
-    /// parent-side from the per-round event deltas.
+    /// simulation. Workers publish nothing: the hub, given the board in
+    /// its options, rebuilds it parent-side from the per-round event
+    /// deltas.
     pub progress: Option<Arc<ProgressShared>>,
 }
 
@@ -570,94 +574,6 @@ impl EngineOptions {
     pub(crate) fn trace_ring(&self) -> Option<TraceBuffer> {
         self.trace
             .map(|(_, capacity)| TraceBuffer::with_capacity(capacity))
-    }
-}
-
-/// An execution backend: owns registered components and pending events,
-/// and advances the simulation.
-///
-/// Object-safe so callers can hold a `Box<dyn Engine<E>>` chosen at
-/// configuration time. Construction is backend-specific (components are
-/// registered on a [`SequentialEngine`](crate::SequentialEngine), which
-/// can then be [sharded](crate::SequentialEngine::into_sharded)); what
-/// the engine observes is fixed at construction by [`EngineOptions`].
-pub trait Engine<E: 'static>: fmt::Debug {
-    /// Enqueues an initial event from outside any component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the current simulation time.
-    fn schedule(&mut self, target: ComponentId, time: Time, payload: E);
-
-    /// Runs until the queue drains, a component stops or fails, or the
-    /// next event would execute at a tick strictly greater than
-    /// `tick_limit`.
-    fn run_until(&mut self, tick_limit: Tick) -> RunStats;
-
-    /// Runs until the event queue drains, a component stops or fails.
-    fn run(&mut self) -> RunStats {
-        self.run_until(Tick::MAX)
-    }
-
-    /// Current simulation time (time of the most recent event).
-    fn now(&self) -> Time;
-
-    /// Number of shards executing this simulation (1 for sequential).
-    fn num_shards(&self) -> usize;
-
-    /// Borrows a component by id. `None` for an unknown id.
-    fn component(&self, id: ComponentId) -> Option<&dyn Component<E>>;
-
-    /// Mutably borrows a component by id. `None` for an unknown id.
-    fn component_dyn_mut(&mut self, id: ComponentId) -> Option<&mut dyn Component<E>>;
-
-    /// Per-shard self-metrics, in shard order (one entry for sequential;
-    /// a worker process reports only its own shard). Lifetime totals are
-    /// their sums.
-    fn shard_metrics(&self) -> Vec<EngineMetrics>;
-
-    /// The collected trace records in canonical order, `None` when
-    /// tracing is disabled.
-    fn trace_records(&self) -> Option<Vec<TraceEvent>>;
-
-    /// The host-time records collected so far, one per shard in shard
-    /// order. Empty when profiling is disarmed.
-    fn host_times(&self) -> Vec<HostShardTimes>;
-
-    /// Serializes the engine's complete dynamic state — clock, pending
-    /// events, per-component RNG streams and send counters, component
-    /// snapshots, trace ring, and lifetime counters — into `out`, so a
-    /// later [`Engine::load_state`] on an identically *built* engine
-    /// resumes the run with byte-identical results.
-    ///
-    /// Only meaningful at a quiescent point: between [`Engine::run_until`]
-    /// calls (the engine paused at a tick limit) or before the first run.
-    fn save_state(&self, out: &mut Vec<u8>)
-    where
-        E: crate::wire::WireCodec;
-
-    /// Overlays dynamic state captured by [`Engine::save_state`] onto
-    /// this engine, which must have been freshly built from the same
-    /// configuration (same components, same shard layout). Total:
-    /// malformed or mismatched state yields `false` and the engine must
-    /// not be used afterwards.
-    fn load_state(&mut self, buf: &mut &[u8]) -> bool
-    where
-        E: crate::wire::WireCodec;
-}
-
-impl<E: 'static> dyn Engine<E> + '_ {
-    /// Downcasts a component to its concrete type for post-run
-    /// inspection.
-    pub fn component_as<T: 'static>(&self, id: ComponentId) -> Option<&T> {
-        self.component(id)
-            .and_then(|c| c.as_any().downcast_ref::<T>())
-    }
-
-    /// Mutable variant of `component_as`.
-    pub fn component_as_mut<T: 'static>(&mut self, id: ComponentId) -> Option<&mut T> {
-        self.component_dyn_mut(id)
-            .and_then(|c| c.as_any_mut().downcast_mut::<T>())
     }
 }
 

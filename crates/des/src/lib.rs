@@ -47,6 +47,17 @@
 //! assert_eq!(stats.events_executed, 4);
 //! assert_eq!(sim.component_as::<Counter>(id).unwrap().fires, 4);
 //! ```
+//!
+//! # One engine, three layouts
+//!
+//! [`Simulator`] is the only engine type. Components are registered on a
+//! fresh one, which runs them as a single shard on the calling thread;
+//! [`Simulator::into_sharded`] splits it into N shards run on N threads
+//! of this process, and [`Simulator::into_worker`] keeps one of N shards
+//! for a worker process that synchronizes with the others through a
+//! parent [`Hub`]. [`Simulator::run_until`] picks the transport from the
+//! layout, and every layout produces bit-identical results for one
+//! `(configuration, seed)` — see the `engine` module.
 
 mod clock;
 mod component;
@@ -55,7 +66,6 @@ mod event;
 mod host;
 mod protocol;
 mod rng;
-mod sharded;
 mod simulator;
 mod snapshot;
 mod time;
@@ -66,16 +76,13 @@ pub mod wire;
 pub use clock::Clock;
 pub use component::{Component, ComponentId};
 pub use engine::{
-    next_edge_after, Context, Engine, EngineMetrics, EngineOptions, EventStamp, RunOutcome,
-    RunStats, BATCH_BUCKETS, EXTERNAL_SRC,
+    next_edge_after, Context, EngineMetrics, EngineOptions, EventStamp, RunOutcome, RunStats,
+    BATCH_BUCKETS, EXTERNAL_SRC,
 };
 pub use event::{EventEntry, EventQueue, Generation};
 pub use host::{HostRecorder, HostRoundSlice, HostShardTimes, ProgressShared, MAX_ROUND_SLICES};
-#[cfg(unix)]
-pub use protocol::WorkerEngine;
 pub use rng::{Rng, SampleRange};
-pub use sharded::ShardedEngine;
-pub use simulator::{SequentialEngine, Simulator};
+pub use simulator::Simulator;
 pub use time::{Epsilon, Tick, Time};
 pub use trace::{TraceBuffer, TraceEvent, TraceSpec};
 pub use transport::TransportError;

@@ -1,8 +1,7 @@
-//! The generation loop, written once against [`ShardTransport`] and
-//! run by every backend: the [`SequentialEngine`](crate::SequentialEngine)
-//! (one shard, solo transport), the in-process
-//! [`ShardedEngine`](crate::ShardedEngine) (thread transport) and the
-//! multi-process [`WorkerEngine`] (socket transport).
+//! The generation loop, written once against [`ShardTransport`] and run
+//! by [`Simulator::run_until`](crate::Simulator::run_until) on every
+//! layout: over the solo transport for one local shard, the thread
+//! transport for several, and the socket transport for a fleet worker.
 //!
 //! Each loop iteration is one round covering one generation:
 //!
@@ -28,19 +27,17 @@
 //!
 //! The loop knows nothing of checkpoints. A caller pauses it with a tick
 //! limit — unanimous across shards, since it is decided from the fold —
-//! and captures [`Engine::save_state`] at the pause; a worker process is
-//! paused by the same caller as the in-process engines.
-
-use std::time::Instant;
+//! and captures [`Simulator::save_state`](crate::Simulator::save_state)
+//! at the pause; a worker process is paused by the same caller as an
+//! in-process run.
 
 use crate::component::{Component, ComponentId};
 use crate::engine::{
-    log2_bucket, next_edge_after, take_generation, Context, Engine, EngineMetrics, EngineOptions,
-    EventStamp, RunOutcome, RunStats, SinkRef, Stamped, TaggedTrace, TraceSink, BATCH_BUCKETS,
-    EXTERNAL_SRC,
+    log2_bucket, next_edge_after, take_generation, Context, EngineMetrics, EngineOptions,
+    EventStamp, RunOutcome, SinkRef, Stamped, TaggedTrace, TraceSink, BATCH_BUCKETS, EXTERNAL_SRC,
 };
 use crate::event::{EventQueue, Generation};
-use crate::host::{HostRecorder, HostRoundSlice, HostShardTimes};
+use crate::host::{HostRecorder, HostRoundSlice};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
 use crate::transport::{RoundOut, ShardTransport, TransportError};
@@ -162,48 +159,15 @@ impl<E> Shard<E> {
     }
 }
 
-/// Events executed over the lifetime of `shards`.
-pub(crate) fn events_executed<E>(shards: &[Shard<E>]) -> u64 {
-    shards.iter().map(|s| s.events_executed).sum()
-}
-
-/// The statistics of one finished `run_until` over `shards`, which had
-/// executed `start_events` events when it began at `start`.
-pub(crate) fn run_stats<E>(
-    shards: &[Shard<E>],
-    start_events: u64,
-    start: Instant,
-    end_time: Time,
-    outcome: RunOutcome,
-) -> RunStats {
-    RunStats {
-        events_executed: events_executed(shards) - start_events,
-        end_time,
-        queue_high_water: shards.iter().map(|s| s.queue.high_water_mark()).sum(),
-        total_enqueued: shards.iter().map(|s| s.queue.total_enqueued()).sum(),
-        wall: start.elapsed(),
-        outcome,
-    }
-}
-
-/// The host-time records of `hosts`, or nothing when profiling is
-/// disarmed.
-pub(crate) fn host_times(hosts: &[HostRecorder]) -> Vec<HostShardTimes> {
-    hosts
-        .iter()
-        .filter(|h| h.enabled())
-        .map(|h| h.times.clone())
-        .collect()
-}
-
-/// The engine-global run position every backend keeps beside its shards
-/// (and every shard blob repeats): the clock, the external send counter,
-/// and the last globally agreed progress tick.
-#[derive(Debug, Clone, Copy, Default)]
+/// The simulation-global run position a [`Simulator`](crate::Simulator)
+/// keeps beside its shards (and every shard blob repeats): the clock, the
+/// external send counter, and the last globally agreed progress tick.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RunCursor {
     /// Time of the last executed generation.
     pub now: Time,
-    /// Send counter for external ([`Engine::schedule`]) events.
+    /// Send counter for external
+    /// ([`Simulator::schedule`](crate::Simulator::schedule)) events.
     pub ext_seq: u64,
     /// Tick of the last [`Context::progress`] report on any shard.
     pub last_progress: Tick,
@@ -454,228 +418,4 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
     };
     shard.batch = batch;
     Ok((outcome, local_now, global_progress))
-}
-
-// ---------------------------------------------------------------------------
-// Multi-process worker engine
-// ---------------------------------------------------------------------------
-
-#[cfg(unix)]
-pub use worker::WorkerEngine;
-
-#[cfg(unix)]
-mod worker {
-    use super::*;
-    use crate::simulator::SequentialEngine;
-    use crate::snapshot::{load_shard, save_shard};
-    use crate::trace::TraceEvent;
-    use crate::transport::{ProcessTransport, WorkerLink};
-    use crate::wire::{self, WireCodec};
-
-    /// One shard of a simulation running in its own OS process, driven
-    /// over a [`WorkerLink`] by the parent hub.
-    ///
-    /// Built with [`SequentialEngine::into_worker`] from a *fully
-    /// constructed* engine (every component registered, initial events
-    /// scheduled) that is identical in every worker — same
-    /// configuration, same seed. The conversion keeps only the
-    /// components this shard owns and the pending events targeting
-    /// them; the rest is dropped, because the owning worker holds its
-    /// own identically stamped copies. Per-component RNG streams and
-    /// send counters stay full-length, so stamps and draws line up
-    /// bit-for-bit with the other backends.
-    ///
-    /// Differences from the in-process engines, by construction:
-    /// trace records ship to the hub every round (so
-    /// [`Engine::trace_records`] is empty here — the hub merges them),
-    /// [`Engine::shard_metrics`] and [`Engine::host_times`] report only
-    /// this shard, and [`Engine::save_state`] writes this shard's blob
-    /// alone — what the worker ships to the hub at every checkpoint
-    /// ([`WorkerLink::checkpoint`]) and at the end of the run
-    /// ([`WorkerLink::finish`]) — while [`Engine::load_state`] reads the
-    /// whole engine blob of a checkpoint file and restores this shard
-    /// from it.
-    pub struct WorkerEngine<E> {
-        shard: Shard<E>,
-        shard_of: Vec<u32>,
-        my_shard: u32,
-        num_shards: usize,
-        cursor: RunCursor,
-        options: EngineOptions,
-        link: WorkerLink,
-        host: HostRecorder,
-    }
-
-    impl<E: WireCodec + 'static> SequentialEngine<E> {
-        /// Converts this fully built engine into the `my_shard`-th of
-        /// `num_shards` worker shards, communicating through `link`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `num_shards` is zero, `my_shard` is out of range,
-        /// or `shard_of` is not exactly one entry per component.
-        pub fn into_worker(
-            self,
-            my_shard: u32,
-            num_shards: usize,
-            shard_of: Vec<u32>,
-            link: WorkerLink,
-        ) -> WorkerEngine<E> {
-            assert!(
-                (my_shard as usize) < num_shards,
-                "worker index out of range"
-            );
-            // Every worker scheduled the same initial events with the
-            // same stamps, so each event of the other parts exists —
-            // identically stamped — in its owning worker's queue.
-            let shard = self
-                .shard
-                .split(num_shards, &shard_of)
-                .swap_remove(my_shard as usize);
-            WorkerEngine {
-                shard,
-                shard_of,
-                my_shard,
-                num_shards,
-                cursor: self.cursor,
-                // The hub tracks live progress parent-side from the
-                // per-round event deltas; workers publish nothing.
-                options: EngineOptions {
-                    progress: None,
-                    ..self.options
-                },
-                link,
-                host: self.host,
-            }
-        }
-    }
-
-    impl<E: WireCodec + 'static> Engine<E> for WorkerEngine<E> {
-        /// External schedules must advance `ext_seq` on **every** worker
-        /// to keep stamps aligned, but only the owning worker enqueues
-        /// the event.
-        fn schedule(&mut self, target: ComponentId, time: Time, payload: E) {
-            let stamp = self.cursor.stamp_external(time);
-            if self.shard_of.get(target.index()).copied() == Some(self.my_shard) {
-                self.shard
-                    .queue
-                    .push(target, time, Stamped { stamp, payload });
-            }
-        }
-
-        /// One stretch of rounds in lockstep with the other workers. A
-        /// transport failure (a dead peer, or the hub's abort) ends it
-        /// as [`RunOutcome::Failed`].
-        fn run_until(&mut self, tick_limit: Tick) -> RunStats {
-            let start = Instant::now();
-            let start_events = self.shard.events_executed;
-            let params = ProtocolParams {
-                my_shard: self.my_shard,
-                num_shards: self.num_shards,
-                tick_limit,
-                options: &self.options,
-                start: self.cursor,
-                shard_of: &self.shard_of,
-            };
-            let result = run_shard_rounds::<E, ProcessTransport>(
-                &mut self.shard,
-                &params,
-                &mut *self.link.0.borrow_mut(),
-                &mut self.host,
-            );
-            let outcome = match result {
-                Ok((outcome, end_now, end_progress)) => {
-                    self.cursor.now = end_now;
-                    self.cursor.last_progress = end_progress;
-                    outcome
-                }
-                Err(e) => RunOutcome::Failed(format!("transport: {e}")),
-            };
-            run_stats(
-                std::slice::from_ref(&self.shard),
-                start_events,
-                start,
-                self.cursor.now,
-                outcome,
-            )
-        }
-
-        fn now(&self) -> Time {
-            self.cursor.now
-        }
-
-        fn num_shards(&self) -> usize {
-            self.num_shards
-        }
-
-        /// `None` for a component another worker owns.
-        fn component(&self, id: ComponentId) -> Option<&dyn Component<E>> {
-            self.shard.component(id)
-        }
-
-        fn component_dyn_mut(&mut self, id: ComponentId) -> Option<&mut dyn Component<E>> {
-            self.shard.component_mut(id)
-        }
-
-        /// Only this worker's shard; the hub collects the full set.
-        fn shard_metrics(&self) -> Vec<EngineMetrics> {
-            vec![self.shard.metrics()]
-        }
-
-        /// Always empty when tracing is armed: records ship to the hub
-        /// every round.
-        fn trace_records(&self) -> Option<Vec<TraceEvent>> {
-            self.options.trace.map(|_| Vec::new())
-        }
-
-        /// Only this worker's shard; the hub collects the full set from
-        /// the DONE frames.
-        fn host_times(&self) -> Vec<HostShardTimes> {
-            host_times(std::slice::from_ref(&self.host))
-        }
-
-        /// This worker's shard blob — one section of the engine blob the
-        /// hub assembles from every worker's.
-        fn save_state(&self, out: &mut Vec<u8>) {
-            save_shard(out, &self.cursor, &self.shard);
-        }
-
-        /// Restores this worker's shard from the uniform engine blob of a
-        /// checkpoint file. The trace section is skipped (the ring lives
-        /// hub-side); the shard count must match, and only this worker's
-        /// own blob is decoded.
-        fn load_state(&mut self, buf: &mut &[u8]) -> bool {
-            let mut inner = || -> Option<()> {
-                if bool::decode(buf)? {
-                    wire::get_bytes(buf)?;
-                }
-                if wire::get_len(buf)? != self.num_shards {
-                    return None;
-                }
-                let mut cursor = None;
-                for w in 0..self.num_shards {
-                    if w == self.my_shard as usize {
-                        cursor = Some(wire::get_section(buf, |b| load_shard(b, &mut self.shard))?);
-                    } else {
-                        wire::get_bytes(buf)?;
-                    }
-                }
-                self.cursor = cursor?;
-                Some(())
-            };
-            inner().is_some()
-        }
-    }
-
-    impl<E> std::fmt::Debug for WorkerEngine<E> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("WorkerEngine")
-                .field("shard", &self.my_shard)
-                .field("num_shards", &self.num_shards)
-                .field("components", &self.shard_of.len())
-                .field("pending_events", &self.shard.queue.len())
-                .field("now", &self.cursor.now)
-                .finish()
-        }
-    }
 }

@@ -1,14 +1,16 @@
-//! Shard-state snapshot encoding shared by every engine backend.
+//! Shard-state snapshot encoding shared by every simulation layout.
 //!
 //! A *shard blob* is the complete dynamic state of one executor shard at
 //! a quiescent point (paused between generations): its clock, pending
 //! events, per-component RNG streams and send counters, per-component
 //! model snapshots, and the lifetime counters that feed the engine
-//! metrics plane. The sequential engine is one shard; the thread-sharded
-//! engine writes one blob per shard; each worker process writes the blob
-//! for the shard it owns. Keeping the layout identical across backends
-//! means a checkpoint file always reads as "N shards paused at tick T"
-//! regardless of which transport produced it.
+//! metrics plane. A [`Simulator`](crate::Simulator) running every shard
+//! writes the *engine blob* — the trace ring, then one shard blob per
+//! shard — and a fleet worker writes the blob of the shard it owns, which
+//! the hub assembles into the same engine blob. So a checkpoint file
+//! always reads as "N shards paused at tick T" regardless of which
+//! transport produced it, and restoring it is one function on every
+//! layout: each process decodes the sections of the shards it runs.
 //!
 //! The shard blob is also the only way a worker's state leaves it: the
 //! worker ships one at every checkpoint and its final one at the end of
@@ -33,7 +35,8 @@ use crate::wire::{self, WireCodec};
 
 /// The scalar head of a shard blob: the engine-global run cursor
 /// (repeated in every shard's blob, so a worker process can restore from
-/// its own blob alone) and the shard's own lifetime counters.
+/// its own blob alone — and every copy must agree on restore) and the
+/// shard's own lifetime counters.
 pub(crate) struct ShardScalars {
     pub now: Time,
     pub ext_seq: u64,
@@ -51,6 +54,16 @@ crate::wire_struct!(ShardScalars {
     batches,
     batch_counts,
 });
+
+impl ShardScalars {
+    fn cursor(&self) -> RunCursor {
+        RunCursor {
+            now: self.now,
+            ext_seq: self.ext_seq,
+            last_progress: self.last_progress,
+        }
+    }
+}
 
 /// Serializes one shard's dynamic state into `out`.
 ///
@@ -114,17 +127,14 @@ pub(crate) fn load_shard<E: WireCodec + 'static>(
     shard.events_executed = scalars.events_executed;
     shard.batches = scalars.batches;
     shard.batch_counts = scalars.batch_counts;
-    Some(RunCursor {
-        now: scalars.now,
-        ext_seq: scalars.ext_seq,
-        last_progress: scalars.last_progress,
-    })
+    Some(scalars.cursor())
 }
 
-/// Writes the uniform engine blob of an in-process engine: the optional
-/// trace ring, the shard count, then one length-prefixed shard blob per
-/// shard. A checkpoint file parses identically whichever backend produced
-/// it (the hub assembles the same layout from its workers' blobs).
+/// Writes the engine blob of a simulation that runs every shard: the
+/// optional trace ring, the shard count, then one length-prefixed shard
+/// blob per shard. A checkpoint file parses identically whichever
+/// transport produced it (the hub assembles the same layout from its
+/// workers' blobs).
 pub(crate) fn save_engine<E: WireCodec + 'static>(
     out: &mut Vec<u8>,
     trace: Option<&TraceBuffer>,
@@ -137,26 +147,33 @@ pub(crate) fn save_engine<E: WireCodec + 'static>(
     });
 }
 
-/// Overlays an engine blob written by [`save_engine`] onto a rebuilt
-/// engine of the same shard count, setting `cursor` from it. Total:
-/// `false` on malformed or mismatched state.
-pub(crate) fn load_engine<E: WireCodec + 'static>(
+/// Overlays the shard sections of an engine blob, read past its trace
+/// section, onto `shards`: the rebuilt shards `first..` of a
+/// `num_shards`-shard layout. Sections of shards run elsewhere are
+/// skipped, but the run cursor every section repeats is read from each
+/// and must agree — a blob whose shards disagree would otherwise resume
+/// silently on one of them. Returns that cursor. Total: `None` on
+/// malformed or mismatched state.
+pub(crate) fn load_shards<E: WireCodec + 'static>(
     buf: &mut &[u8],
-    trace: Option<&mut TraceBuffer>,
+    num_shards: usize,
+    first: usize,
     shards: &mut [Shard<E>],
-    cursor: &mut RunCursor,
-) -> bool {
-    let inner = || -> Option<()> {
-        get_trace(buf, trace)?;
-        let mut loaded = None;
-        wire::load_each(shards, buf, |shard, b| {
-            loaded = Some(wire::get_section(b, |b| load_shard(b, shard))?);
-            Some(())
-        })?;
-        *cursor = loaded?;
-        Some(())
-    };
-    inner().is_some()
+) -> Option<RunCursor> {
+    if wire::get_len(buf)? != num_shards {
+        return None;
+    }
+    let mut agreed = None;
+    for w in 0..num_shards {
+        let cursor = match w.checked_sub(first).and_then(|l| shards.get_mut(l)) {
+            Some(shard) => wire::get_section(buf, |b| load_shard(b, shard))?,
+            None => ShardScalars::decode(&mut wire::get_bytes(buf)?)?.cursor(),
+        };
+        if *agreed.get_or_insert(cursor) != cursor {
+            return None;
+        }
+    }
+    agreed
 }
 
 /// Serializes the optional trace ring that heads the engine blob.
@@ -171,10 +188,19 @@ pub(crate) fn get_trace(buf: &mut &[u8], buffer: Option<&mut TraceBuffer>) -> Op
     wire::load_armed(buf, buffer, |b, s| wire::get_section(s, |s| b.load(s)))
 }
 
+/// Reads past the trace section written by [`put_trace`], for a fleet
+/// worker, whose ring lives in the hub.
+pub(crate) fn skip_trace(buf: &mut &[u8]) -> Option<()> {
+    if bool::decode(buf)? {
+        wire::get_bytes(buf)?;
+    }
+    Some(())
+}
+
 #[cfg(test)]
 mod tests {
     use crate::component::Component;
-    use crate::engine::{Context, Engine};
+    use crate::engine::Context;
     use crate::simulator::Simulator;
     use crate::wire::{self, WireCodec};
 
@@ -245,5 +271,40 @@ mod tests {
         assert!(loads(&[0, 1, 2]), "the saved blob itself restores");
         assert!(!loads(&[0, 1, 1]), "a duplicate entry");
         assert!(!loads(&[0, 1]), "a missing entry");
+    }
+
+    /// Every shard blob repeats the run cursor, and the copies must agree
+    /// on restore: a blob whose shards disagree would otherwise resume
+    /// silently on the last shard's cursor.
+    #[test]
+    fn shard_cursors_must_agree_on_restore() {
+        let layout = || three_idle().into_sharded(2, vec![0, 1, 1]);
+        let mut saved = Vec::new();
+        layout().save_state(&mut saved);
+        let buf = &mut saved.as_slice();
+        assert_eq!(u8::decode(buf), Some(0), "no trace ring");
+        assert_eq!(wire::get_len(buf), Some(2), "two shards");
+        let first = wire::get_bytes(buf).expect("shard 0 blob").to_vec();
+        let second = wire::get_bytes(buf).expect("shard 1 blob");
+        let rest = &mut &second[..];
+        let mut scalars = super::ShardScalars::decode(rest).expect("scalars");
+        scalars.now = crate::time::Time::at(7);
+        let mut skewed = Vec::new();
+        scalars.encode(&mut skewed);
+        skewed.extend_from_slice(rest);
+        let mut engine = vec![0];
+        2usize.encode(&mut engine);
+        wire::put_bytes(&mut engine, &first);
+        wire::put_bytes(&mut engine, &skewed);
+
+        assert!(layout().load_state(&mut saved.as_slice()), "the saved blob");
+        assert!(
+            !layout().load_state(&mut engine.as_slice()),
+            "a skewed shard"
+        );
+        let fleet =
+            |second: Vec<u8>| layout().load_fleet(None, &[Some(first.clone()), Some(second)]);
+        assert_eq!(fleet(second.to_vec()), Ok(()), "the saved blobs");
+        assert_eq!(fleet(skewed), Err(1), "a skewed shard");
     }
 }

@@ -14,16 +14,17 @@
 //!   and stop/failure flags; deliver the inboxes from every other shard
 //!   **in sender order**; report the globally agreed stop/failure state.
 //!
-//! Three backends implement this:
+//! [`Simulator::run_until`](crate::Simulator::run_until) picks one of
+//! three from the layout it runs:
 //!
-//! * [`SoloTransport`] — one shard, nobody to synchronize with: the fold
-//!   is the local head, the exchange only moves the round's trace records
-//!   into the ring. This is the sequential engine.
-//! * [`ThreadTransport`] — the in-process backend: shards are threads
-//!   sharing spin barriers and mutex-guarded outboxes. Zero copies beyond
-//!   the event values themselves.
-//! * [`ProcessTransport`] — each shard is its own OS process (a
-//!   *worker*), connected over a Unix socket to a parent [`Hub`] that
+//! * [`SoloTransport`] — one local shard, nobody to synchronize with: the
+//!   fold is the local head, the exchange only moves the round's trace
+//!   records into the ring.
+//! * `ThreadTransport` — several local shards, one scoped thread each
+//!   ([`run_threads`]), sharing spin barriers and mutex-guarded outboxes.
+//!   Zero copies beyond the event values themselves.
+//! * [`ProcessTransport`] — a fleet worker's link: each shard is its own
+//!   OS process, connected over a Unix socket to a parent [`Hub`] that
 //!   performs the fold and relays outbox bytes. Payloads cross the wire
 //!   in the [`wire`](crate::wire) format; the hub never decodes event
 //!   payloads, only the framing, the trace records it must merge, and
@@ -32,15 +33,17 @@
 //!   the checkpoint file's engine blob from them) and in its DONE frame
 //!   at the end of the run (the hub hands the blobs back unread).
 //!
-//! Every backend preserves the determinism contract: the fold values and
-//! the sender-ordered delivery are identical, so a run is byte-identical
-//! across backends and shard counts.
+//! Every transport preserves the determinism contract: the fold values
+//! and the sender-ordered delivery are identical, so a run is
+//! byte-identical across layouts and shard counts.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::component::ComponentId;
-use crate::engine::{flush_trace, EventStamp, Stamped, TaggedTrace};
+use crate::engine::{flush_trace, EventStamp, RunOutcome, Stamped, TaggedTrace};
+use crate::host::HostRecorder;
+use crate::protocol::{run_shard_rounds, ProtocolParams, Shard};
 use crate::time::{Tick, Time};
 use crate::trace::TraceBuffer;
 
@@ -230,14 +233,14 @@ impl SpinBarrier {
 
 /// Raises the poison flag if dropped during a panic, so sibling threads
 /// spinning at a barrier abort instead of waiting forever.
-pub(crate) struct PanicFence<'a> {
+struct PanicFence<'a> {
     poisoned: &'a AtomicBool,
     armed: bool,
 }
 
 impl<'a> PanicFence<'a> {
     /// Arms a fence against the shared poison flag.
-    pub(crate) fn arm(poisoned: &'a AtomicBool) -> Self {
+    fn arm(poisoned: &'a AtomicBool) -> Self {
         PanicFence {
             poisoned,
             armed: true,
@@ -245,7 +248,7 @@ impl<'a> PanicFence<'a> {
     }
 
     /// Disarms on the clean exit path.
-    pub(crate) fn disarm(&mut self) {
+    fn disarm(&mut self) {
         self.armed = false;
     }
 }
@@ -262,9 +265,9 @@ impl Drop for PanicFence<'_> {
 type OutboxEntry<E> = (ComponentId, Time, Stamped<E>);
 
 /// State shared by every [`ThreadTransport`] endpoint of one run.
-pub(crate) struct ThreadShared<E> {
+struct ThreadShared<E> {
     barrier: SpinBarrier,
-    pub(crate) poisoned: AtomicBool,
+    poisoned: AtomicBool,
     /// Per-shard published (queue head, last-progress tick).
     peeks: Vec<Mutex<(Option<Time>, Tick)>>,
     /// `outboxes[dst][src]`: receivers drain in sender order.
@@ -275,7 +278,7 @@ pub(crate) struct ThreadShared<E> {
 }
 
 impl<E> ThreadShared<E> {
-    pub(crate) fn new(n: usize, start_progress: Tick) -> Self {
+    fn new(n: usize, start_progress: Tick) -> Self {
         ThreadShared {
             barrier: SpinBarrier::new(n),
             poisoned: AtomicBool::new(false),
@@ -291,7 +294,7 @@ impl<E> ThreadShared<E> {
 }
 
 /// One shard thread's endpoint of the in-process backend.
-pub(crate) struct ThreadTransport<'a, E> {
+struct ThreadTransport<'a, E> {
     shared: &'a ThreadShared<E>,
     s: usize,
     local_sense: bool,
@@ -301,11 +304,7 @@ pub(crate) struct ThreadTransport<'a, E> {
 }
 
 impl<'a, E> ThreadTransport<'a, E> {
-    pub(crate) fn new(
-        shared: &'a ThreadShared<E>,
-        s: usize,
-        buffer: Option<&'a mut TraceBuffer>,
-    ) -> Self {
+    fn new(shared: &'a ThreadShared<E>, s: usize, buffer: Option<&'a mut TraceBuffer>) -> Self {
         ThreadTransport {
             shared,
             s,
@@ -400,22 +399,69 @@ impl<E> ShardTransport<E> for ThreadTransport<'_, E> {
     }
 }
 
+/// Runs one stretch of rounds of `shards`, one scoped thread per shard
+/// over the barrier transport, each with its own host recorder. The
+/// first shard holds `trace` and performs the merge. Returns what every
+/// shard's loop returned — the same for all of them, since each halt is
+/// decided from the shared fold.
+pub(crate) fn run_threads<E: Send + 'static>(
+    shards: &mut [Shard<E>],
+    hosts: &mut [HostRecorder],
+    mut trace: Option<&mut TraceBuffer>,
+    params: &ProtocolParams<'_>,
+) -> (RunOutcome, Time, Tick) {
+    let shared: ThreadShared<E> = ThreadShared::new(shards.len(), params.start.last_progress);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .iter_mut()
+            .zip(hosts)
+            .enumerate()
+            .map(|(s, (shard, host))| {
+                let buffer = trace.take();
+                let shared = &shared;
+                scope.spawn(move || {
+                    let mut fence = PanicFence::arm(&shared.poisoned);
+                    let mut transport = ThreadTransport::new(shared, s, buffer);
+                    let params = ProtocolParams {
+                        my_shard: s as u32,
+                        ..*params
+                    };
+                    let r = run_shard_rounds(shard, &params, &mut transport, host)
+                        .expect("the in-process transport is infallible");
+                    fence.disarm();
+                    r
+                })
+            })
+            .collect();
+        let mut agreed = None;
+        for h in handles {
+            let r = h.join().expect("shard thread panicked");
+            debug_assert!(
+                agreed.as_ref().is_none_or(|a| *a == r),
+                "shards disagreed on the run outcome"
+            );
+            agreed = Some(r);
+        }
+        agreed.expect("at least one shard")
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Multi-process (Unix socket) backend
 // ---------------------------------------------------------------------------
 
 #[cfg(unix)]
 mod process {
-    use std::cell::RefCell;
     use std::io::{self, BufReader, BufWriter};
     use std::os::unix::net::{UnixListener, UnixStream};
-    use std::rc::Rc;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     use super::{RoundEnd, RoundFold, RoundOut, ShardTransport, TransportError};
     use crate::component::ComponentId;
-    use crate::engine::{flush_trace, EngineMetrics, EventStamp, RunOutcome, Stamped, TaggedTrace};
+    use crate::engine::{
+        flush_trace, EngineMetrics, EngineOptions, EventStamp, RunOutcome, Stamped, TaggedTrace,
+    };
     use crate::host::{HostShardTimes, ProgressShared};
     use crate::snapshot::put_trace;
     use crate::time::{Tick, Time};
@@ -586,13 +632,14 @@ mod process {
 
     /// A cheaply clonable handle to a worker's [`ProcessTransport`].
     ///
-    /// The engine borrows the transport for each stretch of rounds, but
+    /// The simulator locks the transport for each stretch of rounds, but
     /// the process entry point also ships frames between and after them
     /// — checkpoints at every pause, DONE at the end — hence the shared
-    /// handle. Single-threaded by construction: one worker process, one
-    /// socket.
+    /// handle. One worker process drives one socket, so the lock is never
+    /// contended; it only keeps a worker's [`Simulator`](crate::Simulator)
+    /// `Send`.
     #[derive(Clone)]
-    pub struct WorkerLink(pub(crate) Rc<RefCell<ProcessTransport>>);
+    pub struct WorkerLink(Arc<Mutex<ProcessTransport>>);
 
     impl WorkerLink {
         /// Connects to the hub at `path`, introduces this worker by
@@ -635,21 +682,28 @@ mod process {
                     .get_ref()
                     .set_read_timeout(Some(Duration::from_millis(setup.timeout_ms)))?;
             }
-            Ok((WorkerLink(Rc::new(RefCell::new(transport))), setup))
+            Ok((WorkerLink(Arc::new(Mutex::new(transport))), setup))
         }
 
-        /// Ships this shard's blob ([`Engine::save_state`]) captured at
-        /// the checkpoint boundary `at`. Fire-and-forget: the worker
+        /// The transport, held for one stretch of rounds or one frame.
+        pub(crate) fn transport(&self) -> MutexGuard<'_, ProcessTransport> {
+            self.0
+                .lock()
+                .expect("a worker's transport lock is only poisoned by a panic mid-frame")
+        }
+
+        /// Ships this shard's blob ([`Simulator::save_state`]) captured
+        /// at the checkpoint boundary `at`. Fire-and-forget: the worker
         /// resumes immediately; the hub collects one CKPT from every
         /// worker (the tick-limit pause is unanimous, so the frames
         /// arrive in lockstep) and assembles the checkpoint file.
         ///
-        /// [`Engine::save_state`]: crate::Engine::save_state
+        /// [`Simulator::save_state`]: crate::Simulator::save_state
         pub fn checkpoint(&self, at: Time, blob: &[u8]) -> Result<(), TransportError> {
             let mut body = Vec::new();
             at.encode(&mut body);
             put_bytes(&mut body, blob);
-            write_frame(&mut self.0.borrow_mut().writer, tag::CKPT, &body)?;
+            write_frame(&mut self.transport().writer, tag::CKPT, &body)?;
             Ok(())
         }
 
@@ -674,7 +728,7 @@ mod process {
             metrics.encode(&mut body);
             host.encode(&mut body);
             put_bytes(&mut body, state);
-            write_frame(&mut self.0.borrow_mut().writer, tag::DONE, &body)?;
+            write_frame(&mut self.transport().writer, tag::DONE, &body)?;
             Ok(())
         }
     }
@@ -717,8 +771,8 @@ mod process {
 
     /// Hub-side host accounting: wire traffic per worker and the wall
     /// time the hub spent computing and broadcasting folds. Byte counts
-    /// are always on (one add per frame); fold timing only when armed
-    /// in [`Hub::accept`].
+    /// are always on (one add per frame); fold timing only when host
+    /// profiling is armed in the options given to [`Hub::accept`].
     #[derive(Debug, Clone, Default)]
     pub struct HubHostStats {
         /// Rounds (FOLD frames) the hub relayed.
@@ -764,10 +818,9 @@ mod process {
         /// their HELLO index, and sends each the setup frame. `timeout`
         /// bounds the whole accept phase and every later read.
         ///
-        /// The rest is the hub's share of the workers'
-        /// [`EngineOptions`](crate::EngineOptions), fixed here for the
-        /// life of the hub: `trace_capacity` sizes the merged trace ring
-        /// (`None` = tracing off), `host_profiling` arms fold timing, and
+        /// `options` are the fleet's [`EngineOptions`]; the hub acts on
+        /// its share of them for its whole life: `trace` sizes the merged
+        /// trace ring, a non-zero `host_sample` arms fold timing, and
         /// `progress` is the live board the hub publishes to as rounds
         /// complete (fold tick, round count, per-worker cumulative
         /// executed events). The last two are purely host-side
@@ -778,9 +831,7 @@ mod process {
             n: u32,
             timeout: Duration,
             setup_payload: &[u8],
-            trace_capacity: Option<usize>,
-            host_profiling: bool,
-            progress: Option<Arc<ProgressShared>>,
+            options: &EngineOptions,
         ) -> Result<Hub, TransportError> {
             listener.set_nonblocking(true)?;
             let deadline = Instant::now() + timeout;
@@ -838,15 +889,15 @@ mod process {
             let n = conns.len();
             Ok(Hub {
                 conns,
-                trace: trace_capacity.map(TraceBuffer::with_capacity),
+                trace: options.trace_ring(),
                 merge_scratch: Vec::new(),
-                host_profiling,
+                host_profiling: options.host_sample > 0,
                 fold_ns: 0,
                 rounds: 0,
                 wire_in: vec![0; n],
                 wire_out: vec![0; n],
                 events_cum: vec![0; n],
-                progress,
+                progress: options.progress.clone(),
             })
         }
 

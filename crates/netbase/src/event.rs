@@ -68,6 +68,14 @@ mod tests {
     use crate::flit::PacketBuilder;
     use crate::ids::{MessageId, PacketId, TerminalId};
 
+    /// The network's simulator moves between threads on every layout, a
+    /// fleet worker's included.
+    #[test]
+    fn network_simulator_is_send() {
+        fn send<T: Send>() {}
+        send::<supersim_des::Simulator<Ev>>();
+    }
+
     #[test]
     fn events_are_cloneable_and_debuggable() {
         let flit = PacketBuilder {

@@ -25,10 +25,10 @@
 //!
 //! Determinism: every stochastic draw comes from the *sending* component's
 //! own RNG stream (`Context::rng`), which is a pure function of
-//! `(seed, component index)`. Neither the engine backend nor the shard
-//! count can perturb a draw, so fault schedules — and therefore entire
-//! faulty runs — are bit-identical across `SequentialEngine` and
-//! `ShardedEngine` for one `(configuration, seed)`. Lost credits are *not*
+//! `(seed, component index)`. Neither the simulator's layout nor the
+//! shard count can perturb a draw, so fault schedules — and therefore
+//! entire faulty runs — are bit-identical across one shard and any split
+//! for one `(configuration, seed)`. Lost credits are *not*
 //! recovered; at high `fault.credit_loss_rate` a run starves into the
 //! watchdog on purpose.
 

@@ -6,10 +6,11 @@
 //! 2. `cargo test -q --workspace --locked --offline` — every crate's own
 //!    tests (the queue and router model tests among them), not only the
 //!    root package's integration suites
-//! 3. the engine benchmark in smoke mode (`bench_engine --smoke`), which
-//!    asserts its own floors (every workload > 0 events/s, run stats
-//!    non-empty) so a scheduler regression fails the gate, not just a
-//!    correctness bug.
+//! 3. the engine benchmark in smoke mode with its two-worker rows
+//!    (`bench_engine --smoke --workers 2`), which asserts its own floors
+//!    (every workload > 0 events/s, run stats non-empty) so a scheduler
+//!    regression fails the gate, not just a correctness bug, and drives a
+//!    worker fleet and its hub end to end.
 //!
 //! ```text
 //! cargo run --release -p supersim-tools --bin check
@@ -59,6 +60,8 @@ fn main() -> ExitCode {
                 "bench_engine",
                 "--",
                 "--smoke",
+                "--workers",
+                "2",
             ],
         ),
     ];
