@@ -24,7 +24,7 @@ use supersim_stats::{
 };
 use supersim_topology::Topology;
 use supersim_workload::{
-    spans_json_lines, Interface, InterfaceCounters, SpanMetrics, SpanRecord, WorkloadMonitor,
+    spans_json_lines, Interface, InterfaceCounters, SpanMetrics, WorkloadMonitor,
 };
 
 use crate::builder::{build, Built};
@@ -405,33 +405,35 @@ pub(crate) struct AssembleInputs {
 /// shards or processes. Components the engine does not hold (a dead
 /// worker's) are skipped, degrading the report instead of failing it.
 ///
-/// The two large per-interface logs — samples and span records — are
-/// moved out, not copied: assembly is the engine's last use on every
-/// path, so the components are left with empty logs.
+/// The two large per-interface logs — samples and span records, each
+/// held as its wire encoding — are moved out, not copied: assembly is the
+/// engine's last use on every path, so the components are left with empty
+/// logs. Each interface's sample log is decoded into the merged
+/// [`SampleLog`] and freed right after; the span logs are streamed into
+/// the span text by a k-way merge, with no merged record vector.
 pub(crate) fn assemble(built: &mut Built, inputs: AssembleInputs) -> RunReport {
     let stats = inputs.stats;
     let events_executed: u64 = inputs.shard_metrics.iter().map(|m| m.events_executed).sum();
     let total_enqueued: u64 = inputs.shard_metrics.iter().map(|m| m.total_enqueued).sum();
 
-    let (log, mut span_records) = {
+    let (log, span_logs, log_bytes) = {
         let engine = &mut built.engine;
-        let (mut records, mut spans) = (0, 0);
+        let (mut records, mut log_bytes) = (0, 0);
         for &id in &built.interfaces {
             if let Some(iface) = engine.component_as::<Interface>(id) {
                 records += iface.log.len();
-                spans += iface.span_log.len();
+                log_bytes += iface.log.byte_len() + iface.span_log.byte_len();
             }
         }
         let mut log = SampleLog::with_capacity(records);
-        let mut span_records: Vec<SpanRecord> = Vec::with_capacity(spans);
+        let mut span_logs = Vec::with_capacity(built.interfaces.len());
         for &id in &built.interfaces {
             if let Some(iface) = engine.component_as_mut::<Interface>(id) {
-                // Each interface's logs are freed as soon as they are merged.
-                log.extend_from(&std::mem::take(&mut iface.log));
-                span_records.append(&mut iface.span_log);
+                log.extend(std::mem::take(&mut iface.log).iter());
+                span_logs.push(std::mem::take(&mut iface.span_log));
             }
         }
-        (log, span_records)
+        (log, span_logs, log_bytes as u64)
     };
     let engine = &built.engine;
     let ifaces: Vec<&Interface> = built
@@ -474,19 +476,6 @@ pub(crate) fn assemble(built: &mut Built, inputs: AssembleInputs) -> RunReport {
         }
         span_metrics.merge(&m.spans);
     }
-    // Per-packet records sort by (recv, packet): a total order that is
-    // engine-independent, unlike interface iteration order vs. time. The
-    // key is unique — a packet's tail is ejected, and its record taken,
-    // exactly once — so an unstable sort yields the same sequence as a
-    // stable one.
-    span_records.sort_unstable_by_key(|r| (r.recv, r.packet));
-    debug_assert!(
-        span_records
-            .windows(2)
-            .all(|w| (w[0].recv, w[0].packet) < (w[1].recv, w[1].packet)),
-        "span record keys must be unique"
-    );
-
     // --- metrics snapshot (assembled on demand, paper-style) -------
     // The `engine` plane holds only values the determinism contract
     // pins across backends; scheduler diagnostics (batching, queue
@@ -614,6 +603,7 @@ pub(crate) fn assemble(built: &mut Built, inputs: AssembleInputs) -> RunReport {
                 &stats,
                 built.host.trace_enabled,
                 arena_high,
+                log_bytes,
             )
         })
         .unwrap_or_default();
@@ -693,7 +683,7 @@ pub(crate) fn assemble(built: &mut Built, inputs: AssembleInputs) -> RunReport {
         fold_windows(samplers.chain(router_samplers))
     });
     let timeseries = folded.as_deref().map(timeseries_json_lines);
-    let spans_dump = built.spans.then(|| spans_json_lines(&span_records));
+    let spans_dump = built.spans.then(|| spans_json_lines(&span_logs));
 
     // --- diagnostic snapshot of a degraded run ---------------------
     let diagnostic = error.as_ref().map(|_| {
@@ -764,6 +754,7 @@ fn push_host_plane(
     stats: &RunStats,
     trace_enabled: bool,
     arena_high: u64,
+    log_bytes: u64,
 ) -> Option<String> {
     let wall_ns = u64::try_from(stats.wall.as_nanos()).unwrap_or(u64::MAX);
     let mut sums = HostShardTimes::default();
@@ -795,6 +786,9 @@ fn push_host_plane(
     metrics.push_counter("host", "total_batches", sums.total_batches);
     metrics.push_counter("host", "sampled_batches", sums.sampled_batches);
     metrics.push_counter("host", "sampled_events", sums.sampled_events);
+    // Encoded bytes of the per-interface sample and span logs when
+    // assembly began: what the run held for its two largest outputs.
+    metrics.push_counter("host", "log_bytes", log_bytes);
     // Imbalance gauges, scaled by 1000 (integer metrics plane):
     // `execute_imbalance_millis` is the max/min per-shard execute-time
     // ratio (1000 = perfectly balanced); `barrier_wait_millis` the

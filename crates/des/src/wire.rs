@@ -12,6 +12,9 @@
 //!   are length-prefixed, and [`get_len`] bounds every such prefix by the
 //!   bytes that remain; tuples, arrays, `Box` and `Arc` are their
 //!   elements in order.
+//! * **Logs** — an [`EncodedLog`] holds an append-only record log as its
+//!   encoding, so a long log is stored, checkpointed and restored as the
+//!   bytes a `Vec` of its records would encode to.
 //! * **Field lists** — [`wire_struct!`](crate::wire_struct) declares a
 //!   plain-data struct's field order once and derives both directions;
 //!   [`wire_enum!`](crate::wire_enum) does the same for a fieldless enum
@@ -39,6 +42,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Upper bound on a single frame body, as a guard against a corrupt
@@ -575,6 +579,117 @@ pub fn load_armed<T>(
 }
 
 // ---------------------------------------------------------------------------
+// Encoded logs
+// ---------------------------------------------------------------------------
+
+/// An append-only log of records kept as their wire encoding: the
+/// concatenated [`WireCodec`] bytes of every record plus the record
+/// count. A long per-component log costs its encoded size (a few bytes
+/// per varint field) instead of `size_of::<T>()` per record, and its
+/// encoding is byte-identical to `Vec<T>`'s — the count, then the bytes —
+/// so a checkpoint copies the bytes instead of re-encoding every record.
+/// Decoding is total: [`WireCodec::decode`] decodes every record to
+/// validate it, so [`EncodedLog::iter`] never meets a malformed one.
+pub struct EncodedLog<T> {
+    bytes: Vec<u8>,
+    len: usize,
+    _records: PhantomData<fn() -> T>,
+}
+
+impl<T: WireCodec> EncodedLog<T> {
+    /// An empty log.
+    pub fn new() -> Self {
+        EncodedLog {
+            bytes: Vec::new(),
+            len: 0,
+            _records: PhantomData,
+        }
+    }
+
+    /// Appends one record.
+    #[inline]
+    pub fn push(&mut self, record: T) {
+        record.encode(&mut self.bytes);
+        self.len += 1;
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the log holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes of record encoding the log holds (excluding the count).
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Decodes the records in insertion order.
+    pub fn iter(&self) -> LogIter<'_, T> {
+        LogIter {
+            rest: &self.bytes,
+            left: self.len,
+            _records: PhantomData,
+        }
+    }
+}
+
+impl<T: WireCodec> Default for EncodedLog<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: WireCodec> WireCodec for EncodedLog<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len as u64);
+        out.extend_from_slice(&self.bytes);
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let len = get_len(buf)?;
+        let start = *buf;
+        for _ in 0..len {
+            T::decode(buf)?;
+        }
+        Some(EncodedLog {
+            bytes: start[..start.len() - buf.len()].to_vec(),
+            len,
+            _records: PhantomData,
+        })
+    }
+}
+
+/// The decoding iterator of an [`EncodedLog`].
+pub struct LogIter<'a, T> {
+    rest: &'a [u8],
+    left: usize,
+    _records: PhantomData<fn() -> T>,
+}
+
+impl<T: WireCodec> Iterator for LogIter<'_, T> {
+    type Item = T;
+
+    #[inline]
+    fn next(&mut self) -> Option<T> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(T::decode(&mut self.rest).expect("a log holds only records it encoded or validated"))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<T: WireCodec> ExactSizeIterator for LogIter<'_, T> {}
+
+// ---------------------------------------------------------------------------
 // Totality harness
 // ---------------------------------------------------------------------------
 
@@ -966,5 +1081,36 @@ mod tests {
             dropped_slices: r.gen_u64() % 3,
             ..HostShardTimes::default()
         });
+        check_codec(28, 40, |r| {
+            let mut log = EncodedLog::new();
+            for _ in 0..r.gen_u64() % 9 {
+                log.push(rand_stamp(r));
+            }
+            log
+        });
+    }
+
+    /// A log's encoding is its records' `Vec` encoding, and it decodes
+    /// back to the records it was given.
+    #[test]
+    fn encoded_log_is_the_vec_encoding() {
+        let mut rng = Rng::new(0x10C5);
+        for n in [0, 1, 2, 200] {
+            let stamps: Vec<EventStamp> = (0..n).map(|_| rand_stamp(&mut rng)).collect();
+            let mut log = EncodedLog::new();
+            for &s in &stamps {
+                log.push(s);
+            }
+            assert_eq!(log.len(), n);
+            assert_eq!(log.iter().len(), n);
+            assert_eq!(log.iter().collect::<Vec<_>>(), stamps);
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            stamps.encode(&mut want);
+            log.encode(&mut got);
+            assert_eq!(got, want);
+            assert_eq!(log.byte_len(), want.len() - 1 - usize::from(n >= 128));
+            let back = EncodedLog::<EventStamp>::decode(&mut want.as_slice()).expect("decodes");
+            assert_eq!(back.iter().collect::<Vec<_>>(), stamps);
+        }
     }
 }
