@@ -46,6 +46,8 @@ pub mod presets;
 mod process;
 mod progress;
 mod sim;
+#[doc(hidden)]
+pub mod testing;
 
 pub use error::{BuildError, SimError};
 pub use experiment::{run_load_sweep, LoadSweepSpec, SweepError};

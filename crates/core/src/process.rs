@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use supersim_config::Value;
+use supersim_des::wire::Overlay;
 use supersim_des::{Hub, RunOutcome, RunStats, Time, TraceBuffer, WorkerLink};
 
 use crate::builder::{build_with, Built, EngineMode, ProcessPlan};
@@ -421,7 +422,7 @@ fn worker_inner(socket: &str, index: u32) -> Result<(), String> {
     host.checkpoint_writes = captures.writes;
     host.checkpoint_bytes = captures.bytes;
     let mut state = Vec::new();
-    engine.save_state(&mut state);
+    engine.save(&mut state);
     link.finish(
         &stats.outcome,
         engine.now(),

@@ -14,6 +14,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use supersim_config::Value;
+use supersim_des::wire::Overlay;
 use supersim_des::{next_edge_after, EngineMetrics, HostShardTimes, RunOutcome, RunStats, Tick};
 use supersim_netbase::{trace_json_lines, FaultCounters, Phase};
 use supersim_router::Router;
@@ -166,7 +167,7 @@ pub(crate) fn resume_into(built: &mut Built, path: &std::path::Path) -> Result<(
             ));
         }
     }
-    if !built.engine.load_state(&mut blob.as_slice()) {
+    if built.engine.load(&mut blob.as_slice()).is_none() {
         return Err(format!(
             "state blob of {} did not restore cleanly",
             path.display()
@@ -243,7 +244,7 @@ pub(crate) fn drive(built: &mut Built, checkpoint: &mut dyn FnMut(Tick, u64, &[u
         }
         let started_ns = built.host.clock.now_ns();
         blob.clear();
-        built.engine.save_state(&mut blob);
+        built.engine.save(&mut blob);
         checkpoint(bound, started_ns, &blob);
         next = next.saturating_add(interval);
     }

@@ -18,8 +18,8 @@
 //! live progress — is fixed once, by the [`EngineOptions`] given when the
 //! simulator is created. Checkpoints are the caller's: it segments
 //! [`run_until`](crate::Simulator::run_until) at the boundaries it wants
-//! and captures [`save_state`](crate::Simulator::save_state) at each
-//! pause, on every layout alike.
+//! and captures its [`Overlay::save`](crate::wire::Overlay::save) at
+//! each pause, on every layout alike.
 //!
 //! # The determinism contract
 //!

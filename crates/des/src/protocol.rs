@@ -27,7 +27,7 @@
 //!
 //! The loop knows nothing of checkpoints. A caller pauses it with a tick
 //! limit — unanimous across shards, since it is decided from the fold —
-//! and captures [`Simulator::save_state`](crate::Simulator::save_state)
+//! and captures the simulator's [`Overlay::save`](crate::wire::Overlay::save)
 //! at the pause; a worker process is paused by the same caller as an
 //! in-process run.
 

@@ -20,7 +20,7 @@ use crate::trace::{TraceBuffer, TraceEvent};
 use crate::transport::{run_threads, SoloTransport};
 #[cfg(unix)]
 use crate::transport::{ProcessTransport, TransportError, WorkerLink};
-use crate::wire::WireCodec;
+use crate::wire::{Overlay, WireCodec};
 
 /// A discrete-event simulation, or this process's part of one: the
 /// shards it executes out of an N-shard layout, the run cursor they
@@ -161,7 +161,7 @@ impl<E: 'static> Simulator<E> {
     ///
     /// A worker keeps no trace ring and publishes no progress: its
     /// records and event counts ship to the hub every round. It reports
-    /// only its own shard, and [`Simulator::save_state`] writes that
+    /// only its own shard, and its [`Overlay::save`] writes that
     /// shard's blob alone — what the worker ships to the hub at every
     /// checkpoint ([`WorkerLink::checkpoint`]) and at the end of the run
     /// ([`WorkerLink::finish`]).
@@ -373,19 +373,22 @@ impl<E: 'static> Simulator<E> {
     }
 }
 
-impl<E: WireCodec + 'static> Simulator<E> {
-    /// Serializes the complete dynamic state of the shards this process
-    /// runs — clock, pending events, per-component RNG streams and send
-    /// counters, component snapshots, trace ring, and lifetime counters —
-    /// so that [`Simulator::load_state`] on an identically built layout
-    /// resumes the run with byte-identical results. Running every shard,
-    /// it writes the engine blob (trace section, shard count, one shard
-    /// blob per shard); a fleet worker writes its lone shard blob, one
-    /// section of the engine blob the hub assembles.
-    ///
-    /// Only meaningful at a quiescent point: between
-    /// [`Simulator::run_until`] calls or before the first run.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
+/// The complete dynamic state of the shards this process runs — clock,
+/// pending events, per-component RNG streams and send counters,
+/// component snapshots, trace ring, and lifetime counters — so that a
+/// load onto an identically built layout resumes the run with
+/// byte-identical results. Running every shard, it is the engine blob
+/// (trace section, shard count, one shard blob per shard); a fleet worker
+/// saves its lone shard blob, one section of the engine blob the hub
+/// assembles.
+///
+/// Only meaningful at a quiescent point: between
+/// [`Simulator::run_until`] calls or before the first run. A load
+/// restores the shards this process runs and skips the others — a worker
+/// skips the trace section too, which its hub restores — and the run
+/// cursor every shard blob repeats must agree across all of them.
+impl<E: WireCodec + 'static> Overlay for Simulator<E> {
+    fn save(&self, out: &mut Vec<u8>) {
         if self.is_worker() {
             save_shard(out, &self.cursor, &self.shards[0]);
         } else {
@@ -393,25 +396,19 @@ impl<E: WireCodec + 'static> Simulator<E> {
         }
     }
 
-    /// Overlays an engine blob captured by [`Simulator::save_state`] onto
-    /// this freshly built layout of the same simulation (same components,
-    /// same shard count). This process restores the shards it runs and
-    /// skips the others — a worker skips the trace section too, which its
-    /// hub restores — and the run cursor every shard blob repeats must
-    /// agree across all of them. Total: malformed or mismatched state
-    /// yields `false`, and the simulation must not be used afterwards.
-    pub fn load_state(&mut self, buf: &mut &[u8]) -> bool {
-        let trace = if self.is_worker() {
-            skip_trace(buf)
+    fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
+        if self.is_worker() {
+            skip_trace(buf)?;
         } else {
-            get_trace(buf, self.trace.as_mut())
-        };
+            get_trace(buf, self.trace.as_mut())?;
+        }
         let first = self.first_shard as usize;
-        let cursor =
-            trace.and_then(|()| load_shards(buf, self.num_shards, first, &mut self.shards));
-        cursor.map(|c| self.cursor = c).is_some()
+        self.cursor = load_shards(buf, self.num_shards, first, &mut self.shards)?;
+        Some(())
     }
+}
 
+impl<E: WireCodec + 'static> Simulator<E> {
     /// Overlays the end-of-run state of a worker fleet onto this layout
     /// of the same simulation, which never ran: `trace` is the hub's
     /// merged trace ring and `shards[w]` the final shard blob of worker

@@ -202,7 +202,7 @@ mod tests {
     use crate::component::Component;
     use crate::engine::Context;
     use crate::simulator::Simulator;
-    use crate::wire::{self, WireCodec};
+    use crate::wire::{self, Overlay, WireCodec};
 
     struct Idle;
 
@@ -231,7 +231,7 @@ mod tests {
     /// replaced by the saved entries at `order`.
     fn with_entries(order: &[usize]) -> Vec<u8> {
         let mut saved = Vec::new();
-        three_idle().save_state(&mut saved);
+        three_idle().save(&mut saved);
         let buf = &mut saved.as_slice();
         assert_eq!(u8::decode(buf), Some(0), "no trace ring");
         assert_eq!(wire::get_len(buf), Some(1), "one shard");
@@ -267,7 +267,11 @@ mod tests {
     /// out would resume with that component silently fresh.
     #[test]
     fn shard_blob_must_list_exactly_the_owned_components() {
-        let loads = |order: &[usize]| three_idle().load_state(&mut with_entries(order).as_slice());
+        let loads = |order: &[usize]| {
+            three_idle()
+                .load(&mut with_entries(order).as_slice())
+                .is_some()
+        };
         assert!(loads(&[0, 1, 2]), "the saved blob itself restores");
         assert!(!loads(&[0, 1, 1]), "a duplicate entry");
         assert!(!loads(&[0, 1]), "a missing entry");
@@ -280,7 +284,7 @@ mod tests {
     fn shard_cursors_must_agree_on_restore() {
         let layout = || three_idle().into_sharded(2, vec![0, 1, 1]);
         let mut saved = Vec::new();
-        layout().save_state(&mut saved);
+        layout().save(&mut saved);
         let buf = &mut saved.as_slice();
         assert_eq!(u8::decode(buf), Some(0), "no trace ring");
         assert_eq!(wire::get_len(buf), Some(2), "two shards");
@@ -297,9 +301,12 @@ mod tests {
         wire::put_bytes(&mut engine, &first);
         wire::put_bytes(&mut engine, &skewed);
 
-        assert!(layout().load_state(&mut saved.as_slice()), "the saved blob");
         assert!(
-            !layout().load_state(&mut engine.as_slice()),
+            layout().load(&mut saved.as_slice()).is_some(),
+            "the saved blob"
+        );
+        assert!(
+            layout().load(&mut engine.as_slice()).is_none(),
             "a skewed shard"
         );
         let fleet =

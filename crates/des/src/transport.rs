@@ -692,13 +692,13 @@ mod process {
                 .expect("a worker's transport lock is only poisoned by a panic mid-frame")
         }
 
-        /// Ships this shard's blob ([`Simulator::save_state`]) captured
+        /// Ships this shard's blob ([`Overlay::save`]) captured
         /// at the checkpoint boundary `at`. Fire-and-forget: the worker
         /// resumes immediately; the hub collects one CKPT from every
         /// worker (the tick-limit pause is unanimous, so the frames
         /// arrive in lockstep) and assembles the checkpoint file.
         ///
-        /// [`Simulator::save_state`]: crate::Simulator::save_state
+        /// [`Overlay::save`]: crate::wire::Overlay::save
         pub fn checkpoint(&self, at: Time, blob: &[u8]) -> Result<(), TransportError> {
             let mut body = Vec::new();
             at.encode(&mut body);

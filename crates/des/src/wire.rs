@@ -23,9 +23,12 @@
 //!   that is only meaningful against a structurally rebuilt owner (a
 //!   table whose length is configuration, a section another component
 //!   must consume exactly, an optional plane that must be armed on both
-//!   sides) is an *overlay*: [`load_each`] / [`load_slice`],
-//!   [`get_section`] and [`load_armed`] validate the saved shape against
-//!   the rebuilt one over the same primitives.
+//!   sides) is an [`Overlay`]: it saves its dynamic state and loads it in
+//!   place, and [`load_each`] / [`load_slice`], [`get_section`] and
+//!   [`load_armed`] validate the saved shape against the rebuilt one over
+//!   the same primitives. [`wire_overlay!`](crate::wire_overlay) declares
+//!   an overlay's field order once and derives both directions; a model
+//!   with no dynamic state declares an empty list.
 //! * **Framing** — each socket message is `len: u32 LE` (length of
 //!   everything after the length field) followed by `tag: u8` and an
 //!   opaque body; [`write_frame`] / [`read_frame`].
@@ -34,13 +37,14 @@
 //! corrupt or truncated peer or file cannot crash the reader.
 //! [`testing::check_codec`] checks that contract for any impl.
 //!
-//! Determinism note: encoding is a pure function of the value (no maps,
-//! no pointers, no padding), so identical values always produce identical
-//! bytes — a prerequisite for the byte-identity tests that compare the
-//! backends against each other and resumed runs against uninterrupted
-//! ones.
+//! Determinism note: encoding is a pure function of the value (maps are
+//! written in key order; no pointers, no padding), so identical values
+//! always produce identical bytes — a prerequisite for the byte-identity
+//! tests that compare the backends against each other and resumed runs
+//! against uninterrupted ones.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -493,6 +497,105 @@ macro_rules! wire_enum {
 // Overlays
 // ---------------------------------------------------------------------------
 
+/// State saved for a checkpoint and loaded back *in place*, onto an owner
+/// rebuilt from the same configuration: structure (wiring, table shapes,
+/// configuration) is rebuilt, only what evolves during a run is saved.
+/// `save` is a pure function of that state; `load` is total — malformed
+/// input, or a shape that disagrees with the rebuilt owner, is `None`,
+/// never a panic, and the owner must not be used afterwards. The model
+/// traits (terminals, arbiters, routing engines) have it as a supertrait
+/// with no default, so every model declares its state with
+/// [`wire_overlay!`](crate::wire_overlay) — `wire_overlay!(Model {})`
+/// when it has none.
+pub trait Overlay {
+    /// Appends the dynamic state to `out`.
+    fn save(&self, out: &mut Vec<u8>);
+    /// Overlays state written by [`Overlay::save`], advancing `buf`.
+    fn load(&mut self, buf: &mut &[u8]) -> Option<()>;
+}
+
+impl<T: Overlay + ?Sized> Overlay for Box<T> {
+    fn save(&self, out: &mut Vec<u8>) {
+        (**self).save(out);
+    }
+    fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
+        (**self).load(buf)
+    }
+}
+
+/// Implements [`Overlay`] from one ordered field list, so the order is
+/// written once: `wire_overlay!(Type { a, b: kind, … } if |s| …)`. A
+/// field without a kind is a [`WireCodec`] value. The kinds: `overlay`, a
+/// nested [`Overlay`]; `each` / `sections`, a table of overlays
+/// ([`put_each`] / [`put_sections`]); `inline`, a table of overlays
+/// without a count, its length fixed by an earlier field; `slice`, a
+/// table of values ([`put_slice`]); `armed`, an optional overlay plane
+/// ([`put_armed`]); `map`, a `HashMap` ([`put_map`]). Counted and armed
+/// kinds check the saved shape against the rebuilt owner, and the
+/// optional `if |s| …` clause runs after a load to reject state that
+/// breaks an invariant. `wire_overlay!(value Type)` makes a value an
+/// overlay that replaces itself.
+#[macro_export]
+macro_rules! wire_overlay {
+    (@save $s:ident $o:ident $f:ident) => { $crate::wire::WireCodec::encode(&$s.$f, $o) };
+    (@save $s:ident $o:ident $f:ident overlay) => { $crate::wire::Overlay::save(&$s.$f, $o) };
+    (@save $s:ident $o:ident $f:ident each) => {
+        $crate::wire::put_each($o, &$s.$f, $crate::wire::Overlay::save)
+    };
+    (@save $s:ident $o:ident $f:ident sections) => { $crate::wire::put_sections($o, &$s.$f) };
+    (@save $s:ident $o:ident $f:ident inline) => {
+        $s.$f.iter().for_each(|x| $crate::wire::Overlay::save(x, $o))
+    };
+    (@save $s:ident $o:ident $f:ident slice) => { $crate::wire::put_slice($o, &$s.$f) };
+    (@save $s:ident $o:ident $f:ident armed) => {
+        $crate::wire::put_armed($o, $s.$f.as_ref(), $crate::wire::Overlay::save)
+    };
+    (@save $s:ident $o:ident $f:ident map) => { $crate::wire::put_map($o, &$s.$f) };
+    (@load $s:ident $b:ident $f:ident) => { $crate::wire::load_value(&mut $s.$f, $b) };
+    (@load $s:ident $b:ident $f:ident overlay) => { $crate::wire::Overlay::load(&mut $s.$f, $b) };
+    (@load $s:ident $b:ident $f:ident each) => {
+        $crate::wire::load_each(&mut $s.$f, $b, $crate::wire::Overlay::load)
+    };
+    (@load $s:ident $b:ident $f:ident sections) => { $crate::wire::load_sections(&mut $s.$f, $b) };
+    (@load $s:ident $b:ident $f:ident inline) => {
+        $s.$f.iter_mut().try_for_each(|x| $crate::wire::Overlay::load(x, $b))
+    };
+    (@load $s:ident $b:ident $f:ident slice) => { $crate::wire::load_slice(&mut $s.$f, $b) };
+    (@load $s:ident $b:ident $f:ident armed) => {
+        $crate::wire::load_armed($b, $s.$f.as_mut(), $crate::wire::Overlay::load)
+    };
+    (@load $s:ident $b:ident $f:ident map) => { $crate::wire::load_map(&mut $s.$f, $b) };
+    (value $ty:ty) => {
+        impl $crate::wire::Overlay for $ty {
+            fn save(&self, out: &mut Vec<u8>) {
+                $crate::wire::WireCodec::encode(self, out)
+            }
+            fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
+                $crate::wire::load_value(self, buf)
+            }
+        }
+    };
+    ($ty:ty { $($field:ident $(: $kind:ident)?),* $(,)? } $(if $valid:expr)?) => {
+        impl $crate::wire::Overlay for $ty {
+            fn save(&self, out: &mut Vec<u8>) {
+                let _ = &out;
+                $($crate::wire_overlay!(@save self out $field $($kind)?);)*
+            }
+            fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
+                let _ = &buf;
+                $($crate::wire_overlay!(@load self buf $field $($kind)?)?;)*
+                $(
+                    let valid: fn(&Self) -> bool = $valid;
+                    if !valid(self) {
+                        return None;
+                    }
+                )?
+                Some(())
+            }
+        }
+    };
+}
+
 /// Writes a table whose length is structural: the count, then each
 /// element through `put`.
 pub fn put_each<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&T, &mut Vec<u8>)) {
@@ -553,6 +656,44 @@ pub fn get_section<R>(buf: &mut &[u8], body: impl FnOnce(&mut &[u8]) -> Option<R
     let mut section = get_bytes(buf)?;
     let value = body(&mut section)?;
     section.is_empty().then_some(value)
+}
+
+/// [`put_each`] for overlays whose elements vary by type (`dyn` models):
+/// each element's state is a section of its own.
+pub fn put_sections<T: Overlay>(out: &mut Vec<u8>, items: &[T]) {
+    put_each(out, items, |item, o| put_section(o, |o| item.save(o)));
+}
+
+/// [`load_each`] for a table written by [`put_sections`]; every element
+/// must consume its section exactly.
+pub fn load_sections<T: Overlay>(items: &mut [T], buf: &mut &[u8]) -> Option<()> {
+    load_each(items, buf, |item, b| get_section(b, |b| item.load(b)))
+}
+
+/// Writes a map as its entries in ascending key order — iteration order
+/// is not state — so the bytes are those of the sorted `Vec<(K, V)>`.
+pub fn put_map<K: WireCodec + Ord, V: WireCodec>(out: &mut Vec<u8>, map: &HashMap<K, V>) {
+    let mut entries: Vec<(&K, &V)> = map.iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    put_each(out, &entries, |(k, v), o| {
+        k.encode(o);
+        v.encode(o);
+    });
+}
+
+/// Replaces a map with entries written by [`put_map`]. Keys must be
+/// strictly ascending, so a repeated key is malformed instead of
+/// resolving last-one-wins.
+pub fn load_map<K: WireCodec + Ord + Hash, V: WireCodec>(
+    map: &mut HashMap<K, V>,
+    buf: &mut &[u8],
+) -> Option<()> {
+    let entries = Vec::<(K, V)>::decode(buf)?;
+    if !entries.is_sorted_by(|a, b| a.0 < b.0) {
+        return None;
+    }
+    *map = entries.into_iter().collect();
+    Some(())
 }
 
 /// Writes an optional plane: an armed marker, then the plane through
@@ -937,6 +1078,121 @@ mod tests {
         buf.resize(buf.len() + (1 << 20), 0);
         type Big = [[u64; 32]; 32];
         assert_eq!(Vec::<Big>::decode(&mut buf.as_slice()), None);
+    }
+
+    /// An overlay with an invariant: `n` stays below 100.
+    struct Part {
+        n: u32,
+    }
+    crate::wire_overlay!(Part { n } if |p| p.n < 100);
+
+    /// One field of every kind `wire_overlay!` accepts.
+    struct Owner {
+        value: u64,
+        nested: Part,
+        rows: Vec<Part>,
+        dyns: Vec<Box<dyn Overlay>>,
+        fixed: Vec<Part>,
+        values: Vec<u16>,
+        plane: Option<Part>,
+        index: HashMap<u32, u8>,
+    }
+    crate::wire_overlay!(Owner {
+        value,
+        nested: overlay,
+        rows: each,
+        dyns: sections,
+        fixed: inline,
+        values: slice,
+        plane: armed,
+        index: map,
+    });
+
+    /// A freshly built owner: `rows` tables, the plane armed or not.
+    fn owner(rows: usize, armed: bool) -> Owner {
+        let parts = |k| (0..k).map(|_| Part { n: 0 }).collect::<Vec<_>>();
+        Owner {
+            value: 0,
+            nested: Part { n: 0 },
+            rows: parts(rows),
+            dyns: (0..rows).map(|_| Box::new(Part { n: 0 }) as _).collect(),
+            fixed: parts(rows),
+            values: vec![0; rows],
+            plane: armed.then_some(Part { n: 0 }),
+            index: HashMap::new(),
+        }
+    }
+
+    fn saved(o: &Owner) -> Vec<u8> {
+        let mut out = Vec::new();
+        o.save(&mut out);
+        out
+    }
+
+    #[test]
+    fn overlay_fields_round_trip_and_check_their_shape() {
+        let mut live = owner(3, true);
+        live.value = 1 << 40;
+        live.nested.n = 7;
+        live.rows[1].n = 11;
+        live.dyns[2] = Box::new(Part { n: 12 });
+        live.fixed[0].n = 13;
+        live.values[2] = 300;
+        live.plane.as_mut().unwrap().n = 14;
+        live.index.extend([(9, 1), (2, 3), (5, 4)]);
+        let bytes = saved(&live);
+
+        let mut back = owner(3, true);
+        let mut rest = bytes.as_slice();
+        assert_eq!(back.load(&mut rest), Some(()));
+        assert!(rest.is_empty(), "load left {} bytes", rest.len());
+        assert_eq!(saved(&back), bytes, "re-save diverged");
+        assert_eq!(back.index, live.index);
+
+        assert_eq!(
+            owner(2, true).load(&mut bytes.as_slice()),
+            None,
+            "table shape"
+        );
+        assert_eq!(
+            owner(3, false).load(&mut bytes.as_slice()),
+            None,
+            "plane armed"
+        );
+        for cut in 0..bytes.len() {
+            assert_eq!(owner(3, true).load(&mut &bytes[..cut]), None, "cut {cut}");
+        }
+        live.fixed[2].n = 100;
+        let broken = saved(&live);
+        assert_eq!(
+            owner(3, true).load(&mut broken.as_slice()),
+            None,
+            "invariant"
+        );
+    }
+
+    #[test]
+    fn maps_save_sorted_and_reject_unsorted_keys() {
+        let map: HashMap<u32, u8> = [(30, 1), (10, 2), (20, 3)].into();
+        let mut out = Vec::new();
+        put_map(&mut out, &map);
+        assert_eq!(out, [3, 10, 2, 20, 3, 30, 1]);
+        let mut back = HashMap::new();
+        assert_eq!(load_map(&mut back, &mut out.as_slice()), Some(()));
+        assert_eq!(back, map);
+        for bad in [[2, 10, 2, 10, 3], [2, 20, 2, 10, 3]] {
+            assert_eq!(load_map(&mut back, &mut bad.as_slice()), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_stateless_overlay_saves_nothing() {
+        struct Stateless;
+        crate::wire_overlay!(Stateless {});
+        let mut out = Vec::new();
+        Stateless.save(&mut out);
+        assert!(out.is_empty());
+        assert_eq!(Stateless.load(&mut [].as_slice()), Some(()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use supersim_des::wire::WireCodec;
+use supersim_des::wire_overlay;
 
 use crate::flit::Flit;
 use crate::ids::{PacketId, TerminalId};
@@ -160,33 +160,20 @@ impl DeliveryChecker {
     pub fn packets_in_flight(&self) -> usize {
         self.expected.len()
     }
-
-    /// Serializes the checker's dynamic state (in-flight packet cursors
-    /// sorted by packet id, plus lifetime counters) for a checkpoint.
-    pub fn save(&self, out: &mut Vec<u8>) {
-        let mut entries: Vec<(PacketId, u32)> =
-            self.expected.iter().map(|(k, v)| (*k, *v)).collect();
-        entries.sort_unstable();
-        entries.encode(out);
-        self.packets_completed.encode(out);
-        self.flits_delivered.encode(out);
-    }
-
-    /// Overlays saved state onto this checker. Total: `None` on
-    /// malformed input.
-    pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        self.expected = Vec::<(PacketId, u32)>::decode(buf)?.into_iter().collect();
-        self.packets_completed = u64::decode(buf)?;
-        self.flits_delivered = u64::decode(buf)?;
-        Some(())
-    }
 }
+
+wire_overlay!(DeliveryChecker {
+    expected: map,
+    packets_completed,
+    flits_delivered,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flit::PacketBuilder;
     use crate::ids::{AppId, MessageId};
+    use supersim_des::wire::{Overlay, WireCodec};
 
     fn packet(id: u64, dst: TerminalId, size: u32) -> Vec<Flit> {
         PacketBuilder {
@@ -279,5 +266,37 @@ mod tests {
         c2.expected.insert(PacketId(1), 1);
         let err = c2.deliver(&dup[0]).unwrap_err();
         assert!(matches!(err, CheckError::AfterTail { .. }));
+    }
+
+    /// In-flight packets save in ascending id order and load back; a blob
+    /// that repeats a packet id, or lists ids out of order, is malformed
+    /// instead of resolving last-one-wins.
+    #[test]
+    fn load_requires_strictly_ascending_packet_ids() {
+        let mut c = DeliveryChecker::new(TerminalId(1));
+        for id in [9, 4, 6] {
+            c.deliver(&packet(id, TerminalId(1), 3)[0]).unwrap();
+        }
+        let mut saved = Vec::new();
+        c.save(&mut saved);
+        let mut back = DeliveryChecker::new(TerminalId(1));
+        assert_eq!(back.load(&mut saved.as_slice()), Some(()));
+        assert_eq!(back.packets_in_flight(), 3);
+        let mut again = Vec::new();
+        back.save(&mut again);
+        assert_eq!(again, saved);
+
+        let blob = |ids: &[u64]| {
+            let entries: Vec<(PacketId, u32)> = ids.iter().map(|&id| (PacketId(id), 1)).collect();
+            let mut out = Vec::new();
+            entries.encode(&mut out);
+            (2u64, 3u64).encode(&mut out);
+            out
+        };
+        let load =
+            |ids: &[u64]| DeliveryChecker::new(TerminalId(1)).load(&mut blob(ids).as_slice());
+        assert_eq!(load(&[4, 9]), Some(()));
+        assert_eq!(load(&[4, 4]), None, "a repeated packet id");
+        assert_eq!(load(&[9, 4]), None, "descending packet ids");
     }
 }

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use supersim_des::wire::WireCodec;
+use supersim_des::wire_overlay;
 
 /// Errors raised by credit accounting (paper §IV-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,20 +134,10 @@ impl CreditCounter {
             Err(CreditError::Overflow)
         }
     }
-
-    /// Writes the available count for a checkpoint; the capacity is
-    /// structural.
-    pub fn save(&self, out: &mut Vec<u8>) {
-        self.available.encode(out);
-    }
-
-    /// Overlays a saved available count. `None` on malformed input or a
-    /// count above the structural capacity.
-    pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        let available = u32::decode(buf)?;
-        (available <= self.capacity).then(|| self.available = available)
-    }
 }
+
+// The capacity is structural; a saved count above it is malformed.
+wire_overlay!(CreditCounter { available } if |c| c.available <= c.capacity);
 
 #[cfg(test)]
 mod tests {

@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use supersim_des::wire::{self, WireCodec};
+use supersim_des::wire_overlay;
 use supersim_des::{Context, Tick, Time};
 
 use crate::event::Ev;
@@ -565,45 +565,24 @@ impl LinkFaults {
         }
         false
     }
-
-    /// Serializes the dynamic half for a checkpoint. The structural half
-    /// (the shared plane, per-port link identities) is rebuilt from
-    /// configuration on restore.
-    pub fn save(&self, out: &mut Vec<u8>) {
-        wire::put_each(out, &self.tx, |t, o| {
-            t.outstanding.encode(o);
-            t.corrupt_seen.encode(o);
-            t.attempts.encode(o);
-            t.hold.encode(o);
-            t.outage_until.encode(o);
-            t.escalated.encode(o);
-        });
-        for r in &self.rx {
-            r.awaiting_retx.encode(out);
-        }
-        self.counters.encode(out);
-    }
-
-    /// Overlays a saved dynamic state onto this structurally rebuilt
-    /// instance. Total: `None` on malformed input or a port-count
-    /// mismatch (the snapshot came from a different configuration).
-    pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        wire::load_each(&mut self.tx, buf, |t, b| {
-            t.outstanding = WireCodec::decode(b)?;
-            t.corrupt_seen = bool::decode(b)?;
-            t.attempts = u32::decode(b)?;
-            t.hold = WireCodec::decode(b)?;
-            t.outage_until = Tick::decode(b)?;
-            t.escalated = bool::decode(b)?;
-            Some(())
-        })?;
-        for r in self.rx.iter_mut() {
-            r.awaiting_retx = bool::decode(buf)?;
-        }
-        self.counters = FaultCounters::decode(buf)?;
-        Some(())
-    }
 }
+
+// The shared plane and the per-port link identities are structural; `rx`
+// has one entry per `tx` port, so its length is already checked.
+wire_overlay!(LinkFaults {
+    tx: each,
+    rx: inline,
+    counters,
+});
+wire_overlay!(TxState {
+    outstanding,
+    corrupt_seen,
+    attempts,
+    hold,
+    outage_until,
+    escalated,
+});
+wire_overlay!(RxState { awaiting_retx });
 
 #[cfg(test)]
 mod tests {

@@ -6,8 +6,9 @@
 //! (round-robin unfairness fixed by age-based arbitration) is a direct
 //! comparison of two of these policies.
 
-use supersim_des::wire::{self, WireCodec};
+use supersim_des::wire::Overlay;
 use supersim_des::Rng;
+use supersim_des::{wire_overlay, wire_struct};
 
 /// One arbitration request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,23 +25,13 @@ pub struct Request {
 ///
 /// `grant` returns the index into `requests` of the winner, or `None` when
 /// `requests` is empty. Arbiters may carry state between invocations (e.g.
-/// a round-robin pointer).
-pub trait Arbiter: Send {
+/// a round-robin pointer); that state is the arbiter's [`Overlay`].
+pub trait Arbiter: Overlay + Send {
     /// Short policy name (e.g. `"round_robin"`).
     fn name(&self) -> &str;
 
     /// Chooses a winner among `requests`.
     fn grant(&mut self, requests: &[Request], rng: &mut Rng) -> Option<usize>;
-
-    /// Serializes arbitration history for a checkpoint. Stateless
-    /// policies (the default) write nothing.
-    fn save_state(&self, _out: &mut Vec<u8>) {}
-
-    /// Overlays saved arbitration history. Total: `None` on malformed
-    /// input. The stateless default accepts the empty snapshot.
-    fn load_state(&mut self, _buf: &mut &[u8]) -> Option<()> {
-        Some(())
-    }
 }
 
 /// The policy names [`arbiter_by_name`] accepts.
@@ -75,7 +66,8 @@ impl RoundRobinArbiter {
     }
 }
 
-supersim_des::wire_struct!(RoundRobinArbiter { last });
+wire_struct!(RoundRobinArbiter { last });
+wire_overlay!(value RoundRobinArbiter);
 
 impl Arbiter for RoundRobinArbiter {
     fn name(&self) -> &str {
@@ -98,14 +90,6 @@ impl Arbiter for RoundRobinArbiter {
         self.last = Some(requests[idx].id);
         Some(idx)
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.encode(out);
-    }
-
-    fn load_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        wire::load_value(self, buf)
-    }
 }
 
 /// Age-based arbitration: the oldest request (smallest `age`) wins; ties
@@ -120,6 +104,8 @@ impl AgeBasedArbiter {
         AgeBasedArbiter
     }
 }
+
+wire_overlay!(AgeBasedArbiter {});
 
 impl Arbiter for AgeBasedArbiter {
     fn name(&self) -> &str {
@@ -146,6 +132,8 @@ impl RandomArbiter {
     }
 }
 
+wire_overlay!(RandomArbiter {});
+
 impl Arbiter for RandomArbiter {
     fn name(&self) -> &str {
         "random"
@@ -171,6 +159,8 @@ impl FixedPriorityArbiter {
         FixedPriorityArbiter
     }
 }
+
+wire_overlay!(FixedPriorityArbiter {});
 
 impl Arbiter for FixedPriorityArbiter {
     fn name(&self) -> &str {

@@ -19,8 +19,8 @@
 
 use std::collections::VecDeque;
 
-use supersim_des::wire::WireCodec;
-use supersim_des::Tick;
+use supersim_des::wire::{Overlay, WireCodec};
+use supersim_des::{wire_overlay, Tick};
 use supersim_netbase::{Port, Vc};
 use supersim_topology::CongestionView;
 
@@ -86,22 +86,6 @@ impl DelayedValue {
         }
     }
 
-    /// Serializes the delayed value's dynamic state (committed history
-    /// and the horizon value). The delay itself is configuration.
-    pub fn save(&self, out: &mut Vec<u8>) {
-        self.history.encode(out);
-        self.current.encode(out);
-    }
-
-    /// Overlays saved state onto this delayed value. Total: `None` on
-    /// malformed input or non-increasing history ticks.
-    pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        self.history = VecDeque::decode(buf)?;
-        self.current = f64::decode(buf)?;
-        let increasing = self.history.iter().is_sorted_by(|a, b| a.0 < b.0);
-        increasing.then_some(())
-    }
-
     /// Reads the value as seen at `tick`: the newest update made at or
     /// before `tick - delay`.
     pub fn get(&self, tick: Tick) -> f64 {
@@ -123,6 +107,11 @@ impl DelayedValue {
         value
     }
 }
+
+// The committed history and the horizon value; the delay is
+// configuration, and history ticks must be strictly increasing.
+wire_overlay!(DelayedValue { history, current }
+    if |v| v.history.iter().is_sorted_by(|a, b| a.0 < b.0));
 
 /// Which buffers the sensor counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,7 +11,8 @@
 //!
 //! Stages: route → crossbar into the output queues → output-queue drain.
 
-use supersim_des::{Context, Rng, Tick};
+use supersim_des::wire::Overlay;
+use supersim_des::{wire_overlay, Context, Rng, Tick};
 use supersim_netbase::{Ev, FlitHandle, Port};
 
 use crate::common::RouterError;
@@ -134,15 +135,9 @@ impl Pipeline for Ioq {
         self.queues.load_free(buf)?;
         self.xbar.load(buf)
     }
-
-    fn save_after_credits(&self, out: &mut Vec<u8>) {
-        self.queues.save_arbiters(out);
-    }
-
-    fn load_after_credits(&mut self, buf: &mut &[u8]) -> Option<()> {
-        self.queues.load_arbiters(buf)
-    }
 }
+
+wire_overlay!(Ioq { queues: overlay });
 
 #[cfg(test)]
 mod tests {

@@ -11,8 +11,8 @@
 //! Stages: route (re-routing until a packet starts) → crossbar straight
 //! onto the channel.
 
-use supersim_des::wire;
-use supersim_des::{Context, Tick};
+use supersim_des::wire::{self, Overlay};
+use supersim_des::{wire_overlay, Context, Tick};
 use supersim_netbase::{Ev, FlitHandle, Port};
 
 use crate::common::RouterError;
@@ -116,6 +116,9 @@ impl Pipeline for Iq {
         self.xbar.load(buf)
     }
 }
+
+// No stage state follows the credit counters.
+wire_overlay!(Iq {});
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //! → output-queue drain.
 
 use supersim_des::wire::{self, WireCodec};
-use supersim_des::{Context, Rng, Tick};
+use supersim_des::{wire_overlay, Context, Rng, Tick};
 use supersim_netbase::Ev;
 
 use crate::common::RouterError;
@@ -141,15 +141,9 @@ impl Pipeline for Oq {
         self.queues.load_free(buf)?;
         wire::load_slice(&mut self.owner, buf)
     }
-
-    fn save_after_credits(&self, out: &mut Vec<u8>) {
-        self.queues.save_arbiters(out);
-    }
-
-    fn load_after_credits(&mut self, buf: &mut &[u8]) -> Option<()> {
-        self.queues.load_arbiters(buf)
-    }
 }
+
+wire_overlay!(Oq { queues: overlay });
 
 #[cfg(test)]
 mod tests {

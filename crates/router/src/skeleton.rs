@@ -16,7 +16,7 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use supersim_des::wire::{self, WireCodec};
+use supersim_des::wire::{self, Overlay, WireCodec};
 use supersim_des::{wire_struct, Clock, Component, Context, Tick, Time};
 use supersim_netbase::{
     retry_port, CreditCounter, Ev, FaultPlane, Flit, FlitArena, FlitHandle, FlitTraceExt,
@@ -80,7 +80,9 @@ wire_struct!(RouterCounters {
 });
 
 /// One architecture's stage composition over the shared [`RouterCore`].
-pub(crate) trait Pipeline: Send {
+/// Its [`Overlay`] is the stage state that follows the credit counters in
+/// the checkpoint frame.
+pub(crate) trait Pipeline: Overlay + Send {
     /// Runs one switch cycle: route, move flits through the stages, and
     /// re-arm the pipeline by the architecture's own rule.
     fn cycle(&mut self, core: &mut RouterCore, ctx: &mut Context<'_, Ev>);
@@ -98,15 +100,6 @@ pub(crate) trait Pipeline: Send {
     /// handles are claimed from the restored arena.
     fn load_before_credits(&mut self, claims: &mut HandleClaims<'_>, buf: &mut &[u8])
         -> Option<()>;
-
-    /// Stage state that follows the credit counters in the checkpoint
-    /// frame.
-    fn save_after_credits(&self, _out: &mut Vec<u8>) {}
-
-    /// Overlays state saved by [`Pipeline::save_after_credits`].
-    fn load_after_credits(&mut self, _buf: &mut &[u8]) -> Option<()> {
-        Some(())
-    }
 }
 
 /// The state and stage helpers every router microarchitecture shares.
@@ -550,16 +543,16 @@ impl Component<Ev> for Router {
         snap::put_buffers(out, &core.inputs);
         wire::put_slice(out, &core.route_table);
         self.pipeline.save_before_credits(out);
-        wire::put_each(out, &core.credits, CreditCounter::save);
-        self.pipeline.save_after_credits(out);
-        snap::put_routing(out, &core.routing);
+        wire::put_each(out, &core.credits, Overlay::save);
+        self.pipeline.save(out);
+        wire::put_sections(out, &core.routing);
         core.sensor.save(out);
         wire::put_slice(out, &core.last_send);
         core.next_pipeline.encode(out);
         core.last_cycle.encode(out);
         core.counters.encode(out);
-        core.metrics.encode(out);
-        wire::put_armed(out, core.fault.as_ref(), LinkFaults::save);
+        core.metrics.save(out);
+        wire::put_armed(out, core.fault.as_ref(), Overlay::save);
         wire::put_armed(out, core.sampler.as_ref(), ComponentSampler::encode);
         core.win_base.encode(out);
     }
@@ -576,16 +569,16 @@ impl Component<Ev> for Router {
                 return None;
             }
         }
-        wire::load_each(&mut core.credits, buf, CreditCounter::load)?;
-        self.pipeline.load_after_credits(buf)?;
-        snap::load_routing(&mut core.routing, buf)?;
+        wire::load_each(&mut core.credits, buf, Overlay::load)?;
+        self.pipeline.load(buf)?;
+        wire::load_sections(&mut core.routing, buf)?;
         core.sensor.load(buf)?;
         wire::load_slice(&mut core.last_send, buf)?;
         core.next_pipeline = Option::decode(buf)?;
         core.last_cycle = Option::decode(buf)?;
         core.counters = RouterCounters::decode(buf)?;
         core.metrics.load(buf)?;
-        wire::load_armed(buf, core.fault.as_mut(), LinkFaults::load)?;
+        wire::load_armed(buf, core.fault.as_mut(), Overlay::load)?;
         wire::load_armed(buf, core.sampler.as_mut(), wire::load_value)?;
         core.win_base = RouterSampleBase::decode(buf)?;
         core.arena = arena;

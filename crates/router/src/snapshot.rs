@@ -10,7 +10,7 @@
 
 use supersim_des::wire::{self, WireCodec};
 use supersim_netbase::{FlitArena, FlitHandle};
-use supersim_topology::{RouteChoice, RoutingAlgorithm};
+use supersim_topology::RouteChoice;
 
 use crate::buffer::VcBuffer;
 
@@ -87,23 +87,4 @@ pub(crate) fn load_routes(
     wire::load_slice(table, buf)?;
     let fits = |r: &RouteChoice| r.port < radix && r.vc < vcs;
     table.iter().flatten().all(fits).then_some(())
-}
-
-/// Serializes per-port routing-engine state, one section per engine so
-/// stateless engines frame to a single zero byte.
-pub(crate) fn put_routing(out: &mut Vec<u8>, routing: &[Box<dyn RoutingAlgorithm>]) {
-    wire::put_each(out, routing, |engine, o| {
-        wire::put_section(o, |o| engine.save_state(o))
-    });
-}
-
-/// Overlays saved routing-engine state; every engine must consume its
-/// section exactly.
-pub(crate) fn load_routing(
-    routing: &mut [Box<dyn RoutingAlgorithm>],
-    buf: &mut &[u8],
-) -> Option<()> {
-    wire::load_each(routing, buf, |engine, b| {
-        wire::get_section(b, |b| engine.load_state(b))
-    })
 }

@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 
 use supersim_des::wire::{self, WireCodec};
-use supersim_des::{Context, Rng, Tick};
+use supersim_des::{wire_overlay, Context, Rng, Tick};
 use supersim_netbase::{Ev, FlitHandle, Port, Vc};
 
 use crate::arbiter::{Arbiter, Request, RoundRobinArbiter};
@@ -146,15 +146,9 @@ impl Crossbar {
         }
         progress
     }
-
-    pub(crate) fn save(&self, out: &mut Vec<u8>) {
-        wire::put_each(out, &self.schedulers, OutputScheduler::save);
-    }
-
-    pub(crate) fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        wire::load_each(&mut self.schedulers, buf, OutputScheduler::load)
-    }
 }
+
+wire_overlay!(Crossbar { schedulers: each });
 
 /// Output queues per (port, VC) and their drain onto the channels.
 pub(crate) struct OutputQueues {
@@ -340,12 +334,8 @@ impl OutputQueues {
             None => Some(()),
         }
     }
-
-    pub(crate) fn save_arbiters(&self, out: &mut Vec<u8>) {
-        wire::put_slice(out, &self.arbiters);
-    }
-
-    pub(crate) fn load_arbiters(&mut self, buf: &mut &[u8]) -> Option<()> {
-        wire::load_slice(&mut self.arbiters, buf)
-    }
 }
+
+// The drain arbiters only: the handle-bearing queues and their free
+// counts load before the credit table, through `load_queues` / `load_free`.
+wire_overlay!(OutputQueues { arbiters: slice });

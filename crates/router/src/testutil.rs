@@ -111,6 +111,8 @@ impl StaticRouting {
     }
 }
 
+supersim_des::wire_overlay!(StaticRouting {});
+
 impl RoutingAlgorithm for StaticRouting {
     fn name(&self) -> &str {
         "static_star"
@@ -140,6 +142,8 @@ impl RingRouting {
         RingRouting { my_index }
     }
 }
+
+supersim_des::wire_overlay!(RingRouting {});
 
 impl RoutingAlgorithm for RingRouting {
     fn name(&self) -> &str {

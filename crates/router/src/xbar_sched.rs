@@ -15,8 +15,7 @@
 //!   with the port locked to the winner; a credit stall unlocks the port
 //!   so other packets with credits can take over.
 
-use supersim_des::wire::{self, WireCodec};
-use supersim_des::Rng;
+use supersim_des::{wire_overlay, Rng};
 
 use supersim_netbase::Vc;
 
@@ -219,22 +218,6 @@ impl OutputScheduler {
         }
     }
 
-    /// Serializes the scheduler's dynamic state: VC ownership, the port
-    /// lock, and the arbiter's history. Scratch vectors are not state.
-    pub fn save(&self, out: &mut Vec<u8>) {
-        wire::put_slice(out, &self.vc_owner);
-        self.lock.encode(out);
-        self.arbiter.save_state(out);
-    }
-
-    /// Overlays saved state onto this scheduler. Total: `None` on
-    /// malformed input or a VC-count mismatch with the built structure.
-    pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
-        wire::load_slice(&mut self.vc_owner, buf)?;
-        self.lock = Option::decode(buf)?;
-        self.arbiter.load_state(buf)
-    }
-
     fn commit(&mut self, c: &XbarCandidate) {
         if c.is_head {
             self.vc_owner[c.out_vc as usize] = Some(c.input_key);
@@ -251,6 +234,14 @@ impl OutputScheduler {
         }
     }
 }
+
+// VC ownership, the port lock and the arbiter's history; the scratch
+// vectors are not state.
+wire_overlay!(OutputScheduler {
+    vc_owner: slice,
+    lock,
+    arbiter: overlay,
+});
 
 impl std::fmt::Debug for OutputScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -188,11 +188,6 @@ impl SampleLog {
         self.records.is_empty()
     }
 
-    /// Appends all records of `other`.
-    pub fn extend_from(&mut self, other: &SampleLog) {
-        self.records.extend_from_slice(&other.records);
-    }
-
     /// Records of one kind.
     pub fn of_kind(&self, kind: RecordKind) -> impl Iterator<Item = &SampleRecord> {
         self.records.iter().filter(move |r| r.kind == kind)
@@ -428,14 +423,6 @@ mod tests {
         .collect();
         assert_eq!(log.of_kind(RecordKind::Packet).count(), 2);
         assert_eq!(log.of_kind(RecordKind::Transaction).count(), 0);
-    }
-
-    #[test]
-    fn extend_merges_logs() {
-        let mut a: SampleLog = vec![rec(RecordKind::Packet, 1, 2)].into_iter().collect();
-        let b: SampleLog = vec![rec(RecordKind::Packet, 3, 4)].into_iter().collect();
-        a.extend_from(&b);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! [`WireCodec`] for the state-holding statistics primitives: counters,
-//! gauges, histograms, window aggregates, samplers, sample records and
-//! logs. One encoding each, inside the components' snapshots: they carry
+//! gauges, histograms, window aggregates, samplers and sample records.
+//! One encoding each, inside the components' snapshots: they carry
 //! observability state across a resume byte-identically, and from each
 //! worker process to the parent, which restores the workers' final shard
 //! blobs and reads the report from them.
@@ -8,10 +8,10 @@
 //! All decoders are total: malformed input yields `None`, never a panic.
 
 use supersim_des::wire::{get_len, get_str, put_each, put_str, WireCodec};
-use supersim_des::{wire_enum, wire_struct};
+use supersim_des::{wire_enum, wire_overlay, wire_struct};
 
 use crate::metrics::{Counter, Gauge, Histogram, HIST_BUCKETS};
-use crate::record::{RecordKind, SampleLog, SampleRecord};
+use crate::record::{RecordKind, SampleRecord};
 use crate::timeseries::{intern_series, ComponentSampler, WindowAggregate, WindowSample};
 
 wire_struct!(Counter { value });
@@ -96,6 +96,9 @@ impl WireCodec for ComponentSampler {
     }
 }
 
+// A sampler is an armed plane of its owner's snapshot, restored whole.
+wire_overlay!(value ComponentSampler);
+
 wire_enum!(RecordKind {
     Packet = 0,
     Message = 1,
@@ -112,8 +115,6 @@ wire_struct!(SampleRecord {
     hops,
     size,
 });
-
-wire_struct!(SampleLog { records });
 
 #[cfg(test)]
 mod tests {
@@ -174,25 +175,6 @@ mod tests {
         ] {
             assert!(ComponentSampler::decode(&mut &*bad).is_none(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn log_round_trips() {
-        let mut log = SampleLog::new();
-        log.push(SampleRecord {
-            kind: RecordKind::Message,
-            app: 2,
-            src: 3,
-            dst: 4,
-            send: 100,
-            recv: 250,
-            hops: 5,
-            size: 8,
-        });
-        let mut out = Vec::new();
-        log.encode(&mut out);
-        let got = SampleLog::decode(&mut out.as_slice()).unwrap();
-        assert_eq!(got.records(), log.records());
     }
 
     fn rand_hist(rng: &mut Rng) -> Histogram {
@@ -269,12 +251,5 @@ mod tests {
         });
         check_codec(7, 20, |r| rand_record(r).kind);
         check_codec(8, 40, rand_record);
-        check_codec(9, 40, |r| {
-            let mut log = SampleLog::new();
-            for _ in 0..r.gen_u64() % 6 {
-                log.push(rand_record(r));
-            }
-            log
-        });
     }
 }

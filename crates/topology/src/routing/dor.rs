@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 
+use supersim_des::wire_overlay;
 use supersim_netbase::{Flit, Vc};
 
 use crate::routing::{least_congested_vc, RouteChoice, RoutingAlgorithm, RoutingContext};
@@ -49,6 +50,8 @@ impl DimOrderRouting {
         (class * half)..((class + 1) * half)
     }
 }
+
+wire_overlay!(DimOrderRouting {});
 
 impl RoutingAlgorithm for DimOrderRouting {
     fn name(&self) -> &str {

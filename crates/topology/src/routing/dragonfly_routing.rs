@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use supersim_des::wire_overlay;
 use supersim_netbase::{Flit, Port, RouterId, Vc};
 
 use crate::dragonfly::Dragonfly;
@@ -101,6 +102,8 @@ impl DragonflyRouting {
         (flit.hops as u32).min(self.vcs - 1)
     }
 }
+
+wire_overlay!(DragonflyRouting {});
 
 impl RoutingAlgorithm for DragonflyRouting {
     fn name(&self) -> &str {

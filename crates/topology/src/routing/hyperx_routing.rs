@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use supersim_des::wire_overlay;
 use supersim_netbase::{Flit, Port, RouterId, Vc};
 
 use crate::hyperx::HyperX;
@@ -99,6 +100,8 @@ impl HyperXRouting {
         (0..vcs).filter(move |v| v % 2 == class % 2)
     }
 }
+
+wire_overlay!(HyperXRouting {});
 
 impl RoutingAlgorithm for HyperXRouting {
     fn name(&self) -> &str {

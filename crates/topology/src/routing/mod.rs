@@ -14,6 +14,7 @@ pub mod hyperx_routing;
 pub mod torus_adaptive;
 pub mod updown;
 
+use supersim_des::wire::Overlay;
 use supersim_des::Rng;
 
 use supersim_netbase::{Flit, Port, RouterId, Vc};
@@ -76,8 +77,9 @@ supersim_des::wire_struct!(RouteChoice { port, vc });
 ///
 /// Implementations may mutate the head flit to carry routing state with the
 /// packet (e.g. the Valiant intermediate router in
-/// [`Flit::inter`]).
-pub trait RoutingAlgorithm: Send {
+/// [`Flit::inter`]). State an engine carries across `route` calls is its
+/// [`Overlay`], saved at every checkpoint.
+pub trait RoutingAlgorithm: Overlay + Send {
     /// Short name for diagnostics.
     fn name(&self) -> &str;
 
@@ -95,18 +97,6 @@ pub trait RoutingAlgorithm: Send {
 
     /// Routes a head flit, returning the output port and VC.
     fn route(&mut self, ctx: &mut RoutingContext<'_>, flit: &mut Flit) -> RouteChoice;
-
-    /// Serializes per-engine routing state for a checkpoint. Stateless
-    /// algorithms (the default) write nothing; algorithms that carry
-    /// state across `route` calls must override this and
-    /// [`RoutingAlgorithm::load_state`] for deterministic resume.
-    fn save_state(&self, _out: &mut Vec<u8>) {}
-
-    /// Overlays saved routing state. Total: `None` on malformed input.
-    /// The stateless default accepts the empty snapshot.
-    fn load_state(&mut self, _buf: &mut &[u8]) -> Option<()> {
-        Some(())
-    }
 }
 
 /// Selects the least congested VC of `port` among `vcs`, breaking ties by

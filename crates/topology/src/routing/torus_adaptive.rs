@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use supersim_des::wire::WireCodec;
+use supersim_des::wire_overlay;
 use supersim_netbase::{Flit, PacketId, Vc};
 
 use crate::routing::{least_congested_vc, RouteChoice, RoutingAlgorithm, RoutingContext};
@@ -151,18 +151,12 @@ impl RoutingAlgorithm for AdaptiveTorusRouting {
             adaptive
         }
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.attempts.encode(out);
-        self.last_packet.encode(out);
-    }
-
-    fn load_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        self.attempts = u32::decode(buf)?;
-        self.last_packet = Option::decode(buf)?;
-        Some(())
-    }
 }
+
+wire_overlay!(AdaptiveTorusRouting {
+    attempts,
+    last_packet,
+});
 
 #[cfg(test)]
 mod tests {

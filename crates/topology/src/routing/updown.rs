@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use supersim_des::wire_overlay;
 use supersim_netbase::{Flit, Port};
 
 use crate::clos::FoldedClos;
@@ -76,6 +77,8 @@ impl UpDownRouting {
         }
     }
 }
+
+wire_overlay!(UpDownRouting {});
 
 impl RoutingAlgorithm for UpDownRouting {
     fn name(&self) -> &str {

@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use supersim_des::wire::WireCodec;
-use supersim_des::Rng;
+use supersim_des::{wire_overlay, Rng};
 
 use supersim_des::Tick;
 use supersim_netbase::{AppSignal, Phase, TerminalId};
@@ -223,24 +222,15 @@ impl Terminal for BlastTerminal {
     ) -> Vec<TerminalAction> {
         Vec::new() // blast is one-way traffic
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.phase.encode(out);
-        self.next_gen.encode(out);
-        self.signal_at.encode(out);
-        self.sampled_sent.encode(out);
-        self.completed.encode(out);
-    }
-
-    fn load_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        self.phase = Phase::decode(buf)?;
-        self.next_gen = Option::decode(buf)?;
-        self.signal_at = Option::decode(buf)?;
-        self.sampled_sent = u64::decode(buf)?;
-        self.completed = bool::decode(buf)?;
-        Some(())
-    }
 }
+
+wire_overlay!(BlastTerminal {
+    phase,
+    next_gen,
+    signal_at,
+    sampled_sent,
+    completed,
+});
 
 #[cfg(test)]
 mod tests {

@@ -10,8 +10,8 @@
 
 use std::any::Any;
 
-use supersim_des::wire::{self, WireCodec};
-use supersim_des::{Component, ComponentId, Context, Tick};
+use supersim_des::wire::Overlay;
+use supersim_des::{wire_overlay, Component, ComponentId, Context, Tick};
 use supersim_netbase::{AppSignal, Ev, Phase, PhaseCommand};
 
 /// The workload monitor component.
@@ -134,26 +134,26 @@ impl Component<Ev> for WorkloadMonitor {
     }
 
     fn snapshot(&self, out: &mut Vec<u8>) {
-        for counts in [&self.ready, &self.complete, &self.done] {
-            counts.encode(out);
-        }
-        self.phase.encode(out);
-        self.phase_times.encode(out);
+        self.save(out);
     }
 
     fn restore(&mut self, buf: &mut &[u8]) -> Option<()> {
-        let limit = self.terminals_per_app;
-        for counts in [&mut self.ready, &mut self.complete, &mut self.done] {
-            wire::load_slice(counts, buf)?;
-            if counts.iter().any(|&c| c > limit) {
-                return None;
-            }
-        }
-        self.phase = Phase::decode(buf)?;
-        self.phase_times = Vec::decode(buf)?;
-        (!self.phase_times.is_empty()).then_some(())
+        self.load(buf)
     }
 }
+
+// No app signals more often than it has terminals, and the phase history
+// always holds the initial entry.
+wire_overlay!(WorkloadMonitor {
+    ready: slice,
+    complete: slice,
+    done: slice,
+    phase,
+    phase_times,
+} if |m| {
+    let counts = [&m.ready, &m.complete, &m.done];
+    counts.iter().all(|c| c.iter().all(|&n| n <= m.terminals_per_app)) && !m.phase_times.is_empty()
+});
 
 #[cfg(test)]
 mod tests {

@@ -10,8 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use supersim_des::wire::WireCodec;
-use supersim_des::Rng;
+use supersim_des::{wire_overlay, Rng};
 
 use supersim_des::Tick;
 use supersim_netbase::{AppSignal, Phase, TerminalId};
@@ -185,22 +184,14 @@ impl Terminal for PingPongTerminal {
         }
         actions
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.phase.encode(out);
-        self.in_flight.encode(out);
-        self.completed.encode(out);
-        self.fire_at.encode(out);
-    }
-
-    fn load_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        self.phase = Phase::decode(buf)?;
-        self.in_flight = VecDeque::decode(buf)?;
-        self.completed = u64::decode(buf)?;
-        self.fire_at = Option::decode(buf)?;
-        Some(())
-    }
 }
+
+wire_overlay!(PingPongTerminal {
+    phase,
+    in_flight,
+    completed,
+    fire_at,
+});
 
 #[cfg(test)]
 mod tests {

@@ -8,8 +8,7 @@
 
 use std::sync::Arc;
 
-use supersim_des::wire::WireCodec;
-use supersim_des::Rng;
+use supersim_des::{wire_overlay, Rng};
 
 use supersim_des::Tick;
 use supersim_netbase::{AppSignal, Phase, TerminalId};
@@ -151,20 +150,13 @@ impl Terminal for PulseTerminal {
     ) -> Vec<TerminalAction> {
         Vec::new()
     }
-
-    fn save_state(&self, out: &mut Vec<u8>) {
-        self.phase.encode(out);
-        self.next_gen.encode(out);
-        self.remaining.encode(out);
-    }
-
-    fn load_state(&mut self, buf: &mut &[u8]) -> Option<()> {
-        self.phase = Phase::decode(buf)?;
-        self.next_gen = Option::decode(buf)?;
-        self.remaining = u64::decode(buf)?;
-        Some(())
-    }
 }
+
+wire_overlay!(PulseTerminal {
+    phase,
+    next_gen,
+    remaining,
+});
 
 #[cfg(test)]
 mod tests {

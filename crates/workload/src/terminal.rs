@@ -5,6 +5,7 @@
 //! changes, timed wake-ups, and message-arrival callbacks, and carries out
 //! the actions they return.
 
+use supersim_des::wire::Overlay;
 use supersim_des::Rng;
 
 use supersim_des::Tick;
@@ -40,8 +41,9 @@ pub enum TerminalAction {
     },
 }
 
-/// Per-endpoint traffic logic of one application.
-pub trait Terminal: Send {
+/// Per-endpoint traffic logic of one application. Its dynamic state is
+/// its [`Overlay`], saved in its interface's checkpoint section.
+pub trait Terminal: Overlay + Send {
     /// Short name for diagnostics.
     fn name(&self) -> &str;
 
@@ -66,16 +68,6 @@ pub trait Terminal: Send {
         now: Tick,
         rng: &mut Rng,
     ) -> Vec<TerminalAction>;
-
-    /// Serializes the terminal's dynamic state into a checkpoint.
-    /// Stateless terminals write nothing (the default).
-    fn save_state(&self, _out: &mut Vec<u8>) {}
-
-    /// Restores state saved by [`Terminal::save_state`]. Returns `None`
-    /// on malformed input; must never panic.
-    fn load_state(&mut self, _buf: &mut &[u8]) -> Option<()> {
-        Some(())
-    }
 }
 
 /// Constructs the per-endpoint [`Terminal`]s of one application.

@@ -20,6 +20,7 @@ use supersim_des::Rng;
 use supersim::config::obj;
 use supersim::core::factory::{Factories, NetworkPlan};
 use supersim::core::SuperSim;
+use supersim::des::wire_overlay;
 use supersim::netbase::{Flit, Port, RouterId, TerminalId};
 use supersim::stats::Filter;
 use supersim::topology::{HyperX, RouteChoice, RoutingAlgorithm, RoutingContext, Topology};
@@ -59,6 +60,10 @@ struct ShuffleRouting {
     topology: Arc<HyperX>,
     vcs: u32,
 }
+
+// No state survives between `route` calls, so nothing to checkpoint: a
+// model with state lists its fields here instead.
+wire_overlay!(ShuffleRouting {});
 
 impl RoutingAlgorithm for ShuffleRouting {
     fn name(&self) -> &str {

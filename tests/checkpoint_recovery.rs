@@ -183,14 +183,73 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The checkpoint file format, pinned byte for byte: `(engine flags,
-/// length, FNV-1a-64)` of `ckpt-00000001.ssckpt` as commit 454e265 — the
-/// last one with hand-written per-component encoders — wrote it for this
-/// run of the shipped 64-terminal Clos with every optional plane armed
-/// (sampling, spans, trace, faults). `checkpoint::VERSION` stays 1 only
-/// while these hold; each file must also still resume to outputs
-/// byte-identical to an uninterrupted run. A worker fleet writes the
-/// very file the two-shard thread backend writes.
+/// A 3x3 torus with minimal-adaptive routing over 3 VCs, carrying
+/// pingpong and pulse traffic beside blast — the stateful terminals and
+/// routing engines the Clos pin does not reach. `architecture` and
+/// `arbiter` pick the router: input-queued round-robin crossbar
+/// schedulers, or input-output-queued age-based ones in front of the
+/// round-robin output-queue drains.
+fn adaptive_torus_cfg(architecture: &str, arbiter: &str) -> Value {
+    Value::parse(&format!(
+        r#"{{
+          "seed": 2,
+          "network": {{
+            "topology": {{ "name": "torus", "widths": [3, 3], "concentration": 1 }},
+            "vcs": 3,
+            "routing": {{ "algorithm": "adaptive" }},
+            "channel": {{ "terminal_latency": 1, "local_latency": 4, "link_period": 1 }},
+            "router": {{
+              "architecture": "{architecture}",
+              "input_buffer": 8,
+              "output_queue": 8,
+              "xbar_latency": 2,
+              "arbiter": "{arbiter}"
+            }},
+            "interface": {{ "eject_buffer": 32, "max_packet_size": 4 }}
+          }},
+          "workload": {{
+            "applications": [
+              {{
+                "name": "blast",
+                "load": 0.3,
+                "message_size": 2,
+                "warmup_ticks": 300,
+                "sample_messages": 120,
+                "pattern": {{ "name": "uniform_random" }}
+              }},
+              {{
+                "name": "pingpong",
+                "request_size": 1,
+                "reply_size": 3,
+                "transactions": 60,
+                "pattern": {{ "name": "uniform_random" }}
+              }},
+              {{
+                "name": "pulse",
+                "load": 0.6,
+                "message_size": 3,
+                "count": 40,
+                "delay": 400,
+                "pattern": {{ "name": "uniform_random" }}
+              }}
+            ]
+          }}
+        }}"#
+    ))
+    .expect("adaptive torus config")
+}
+
+/// The checkpoint file format, pinned byte for byte: `(configuration,
+/// engine flags, length, FNV-1a-64)` of `ckpt-00000001.ssckpt`. The Clos
+/// rows are the shipped 64-terminal Clos as commit 454e265 — the last
+/// one with hand-written per-component encoders — wrote it; the torus
+/// rows are the adaptive torus above as commit 5b22100 — the last one
+/// with hand-written per-model save/load pairs — wrote it. Every run
+/// arms every optional plane (sampling, spans, trace, faults).
+/// `checkpoint::VERSION` stays 1 only while these hold; each file must
+/// also still resume to outputs byte-identical to an uninterrupted run.
+/// A worker fleet writes the very file the two-shard thread backend
+/// writes.
 #[test]
 fn checkpoint_file_bytes_are_pinned_and_resumable() {
     const PLANES: [&str; 5] = [
@@ -200,26 +259,49 @@ fn checkpoint_file_bytes_are_pinned_and_resumable() {
         "fault.enabled=bool=true",
         "fault.bit_error_rate=float=0.0005",
     ];
-    let pins: [(&[&str], usize, u64); 3] = [
+    let clos = PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/configs/clos_adaptive.json"
+    ));
+    let cfg_dir = scratch_dir("pin-cfgs");
+    let torus = |name: &str, architecture: &str, arbiter: &str| {
+        let path = cfg_dir.join(format!("{name}.json"));
+        let text = adaptive_torus_cfg(architecture, arbiter).to_json_pretty();
+        std::fs::write(&path, text).expect("write config");
+        path
+    };
+    let torus_iq = torus("torus-iq", "input_queued", "round_robin");
+    let torus_ioq = torus("torus-ioq", "input_output_queued", "age_based");
+    let pins: [(&Path, &[&str], usize, u64); 5] = [
         (
+            &clos,
             &["--engine", "sequential"],
             1_581_671,
             0x8a08_e84b_628a_a617,
         ),
         (
+            &clos,
             &["--engine", "sharded", "--shards", "2"],
             1_581_770,
             0x86e7_1a4e_b9d4_b8d2,
         ),
-        (&["--workers", "2"], 1_581_770, 0x86e7_1a4e_b9d4_b8d2),
+        (&clos, &["--workers", "2"], 1_581_770, 0x86e7_1a4e_b9d4_b8d2),
+        (
+            &torus_iq,
+            &["--engine", "sequential"],
+            321_785,
+            0x8d10_5e6c_d5f3_f072,
+        ),
+        (
+            &torus_ioq,
+            &["--engine", "sharded", "--shards", "2"],
+            323_746,
+            0xbfd7_d7b7_65b4_9a2d,
+        ),
     ];
-    let cfg = Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/configs/clos_adaptive.json"
-    ));
-    for (engine, len, hash) in pins {
-        let label = engine.join(" ");
-        let root = scratch_dir(&format!("pin-{}", engine[1]));
+    for (row, (cfg, engine, len, hash)) in pins.into_iter().enumerate() {
+        let label = format!("row {row}: {}", engine.join(" "));
+        let root = scratch_dir(&format!("pin-{row}"));
         let ckpt_dir = root.join("ckpt");
         let ckpt = ckpt_dir.join("ckpt-00000001.ssckpt");
         let (ckpt_dir_s, ckpt_s) = (ckpt_dir.to_str().unwrap(), ckpt.to_str().unwrap());
@@ -254,6 +336,7 @@ fn checkpoint_file_bytes_are_pinned_and_resumable() {
         assert_identical(&root.join("base"), &resumed, &label);
         let _ = std::fs::remove_dir_all(&root);
     }
+    let _ = std::fs::remove_dir_all(&cfg_dir);
 }
 
 #[test]

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use supersim::config::{obj, Value};
 use supersim::core::factory::{Factories, NetworkPlan};
 use supersim::core::{BuildError, SimError, SuperSim};
+use supersim::des::wire_overlay;
 use supersim::netbase::Flit;
 use supersim::topology::{HyperX, RouteChoice, RoutingAlgorithm, RoutingContext, Topology};
 
@@ -37,6 +38,8 @@ struct IllegalVcRouting {
     topology: Arc<HyperX>,
 }
 
+wire_overlay!(IllegalVcRouting {});
+
 impl RoutingAlgorithm for IllegalVcRouting {
     fn name(&self) -> &str {
         "illegal_vc"
@@ -63,6 +66,8 @@ impl RoutingAlgorithm for IllegalVcRouting {
 /// A routing engine that targets an unused (out of range) output port.
 struct WildPortRouting;
 
+wire_overlay!(WildPortRouting {});
+
 impl RoutingAlgorithm for WildPortRouting {
     fn name(&self) -> &str {
         "wild_port"
@@ -78,6 +83,8 @@ impl RoutingAlgorithm for WildPortRouting {
 /// A routing engine that misdelivers: everything goes to terminal port 0
 /// of the local router, regardless of destination.
 struct MisdeliverRouting;
+
+wire_overlay!(MisdeliverRouting {});
 
 impl RoutingAlgorithm for MisdeliverRouting {
     fn name(&self) -> &str {

@@ -8,6 +8,7 @@
 //! diagnostic snapshot.
 
 use supersim::config::Value;
+use supersim::core::testing::check_component_round_trip;
 use supersim::core::{presets, RunOutput, SimError, SuperSim};
 use supersim::stats::{MetricSample, MetricValue};
 
@@ -156,6 +157,25 @@ fn fault_schedule_is_identical_across_engines() {
             );
             let seq_faults = fault_trace(&seq);
             let seq_samples = stripped_samples(&seq);
+            // Every component's checkpoint state, with every optional
+            // plane armed, restores into a rebuilt simulation and
+            // snapshots back to the same bytes at a mid-run boundary.
+            let mut armed = cfg.clone();
+            armed
+                .set_path("sample.interval", Value::Int(100))
+                .expect("obj");
+            armed
+                .set_path("spans.enabled", Value::Bool(true))
+                .expect("obj");
+            let mid = seq.engine.end_time.tick() / 200 * 100;
+            for (row, layout) in [
+                ("seq", with_engine(&armed, "sequential", 1)),
+                ("shards=2", with_engine(&armed, "sharded", 2)),
+            ] {
+                if let Err(e) = check_component_round_trip(&layout, mid) {
+                    panic!("{name} seed={seed:#x} {row} at tick {mid}: {e}");
+                }
+            }
             let mut rows: Vec<(String, Value)> = [2u64, 4]
                 .iter()
                 .map(|&shards| {
