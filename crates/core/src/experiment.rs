@@ -160,11 +160,15 @@ pub fn run_load_sweep(spec: &LoadSweepSpec) -> Result<LoadSweep, SweepError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets;
+
+    fn quickstart() -> Value {
+        supersim_config::parse(include_str!("../../../configs/quickstart.json"))
+            .expect("valid JSON")
+    }
 
     #[test]
     fn sweep_produces_monotone_series() {
-        let spec = LoadSweepSpec::simple(presets::quickstart(), "quickstart", vec![0.05, 0.2]);
+        let spec = LoadSweepSpec::simple(quickstart(), "quickstart", vec![0.05, 0.2]);
         let sweep = run_load_sweep(&spec).expect("sweep runs");
         assert_eq!(sweep.points.len(), 2);
         assert!(sweep.points[0].delivered > 0.0);
@@ -179,7 +183,7 @@ mod tests {
         // `SuperSim::from_config` rejects these seeds; the sweep must not
         // quietly run seeds 1, 2, ... instead.
         for seed in [Value::Int(-5), Value::from("x")] {
-            let mut spec = LoadSweepSpec::simple(presets::quickstart(), "x", vec![0.1]);
+            let mut spec = LoadSweepSpec::simple(quickstart(), "x", vec![0.1]);
             spec.base.set_path("seed", seed).expect("object");
             assert!(matches!(
                 run_load_sweep(&spec),
@@ -190,7 +194,7 @@ mod tests {
             ));
         }
         // The second point's seed does not fit the config's `i64`.
-        let mut spec = LoadSweepSpec::simple(presets::quickstart(), "x", vec![0.1, 0.2]);
+        let mut spec = LoadSweepSpec::simple(quickstart(), "x", vec![0.1, 0.2]);
         spec.base
             .set_path("seed", Value::Int(i64::MAX))
             .expect("object");
@@ -209,7 +213,7 @@ mod tests {
 
     #[test]
     fn filter_errors_are_reported() {
-        let mut spec = LoadSweepSpec::simple(presets::quickstart(), "x", vec![0.1]);
+        let mut spec = LoadSweepSpec::simple(quickstart(), "x", vec![0.1]);
         spec.filter = vec!["+nonsense=1".to_string()];
         assert!(matches!(run_load_sweep(&spec), Err(SweepError::Filter(_))));
     }

@@ -15,17 +15,16 @@
 //!   ([`supersim_config::Value`]) and runs all four workload phases to
 //!   completion, returning a [`RunOutput`] with the sample log, phase
 //!   times, and engine statistics.
-//! - [`presets`] — ready-made configurations, including the three §VI case
-//!   studies, parameterized for scaled-down or paper-scale runs.
 //! - [`experiment`] — load-latency sweep execution.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use supersim_core::{presets, SuperSim};
+//! use supersim_core::SuperSim;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let output = SuperSim::from_config(&presets::quickstart())?.run()?;
+//! let config = supersim_config::parse(include_str!("../../../configs/quickstart.json"))?;
+//! let output = SuperSim::from_config(&config)?.run()?;
 //! println!(
 //!     "{} packets, mean latency {:.1} ticks",
 //!     output.packets_delivered(),
@@ -41,7 +40,6 @@ mod defaults;
 mod error;
 pub mod experiment;
 pub mod factory;
-pub mod presets;
 #[cfg(unix)]
 mod process;
 mod progress;

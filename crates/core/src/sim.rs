@@ -38,10 +38,11 @@ use crate::factory::Factories;
 /// # Example
 ///
 /// ```
-/// use supersim_core::{presets, SuperSim};
+/// use supersim_core::SuperSim;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let output = SuperSim::from_config(&presets::quickstart())?.run()?;
+/// let config = supersim_config::parse(include_str!("../../../configs/quickstart.json"))?;
+/// let output = SuperSim::from_config(&config)?.run()?;
 /// assert!(output.packets_delivered() > 0);
 /// # Ok(())
 /// # }

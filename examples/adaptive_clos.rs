@@ -10,23 +10,28 @@
 //! cargo run --release --example adaptive_clos
 //! ```
 
-use supersim::config::Value;
-use supersim::core::{presets, run_load_sweep, LoadSweepSpec};
+use supersim::config::{apply_overrides, parse, Value};
+use supersim::core::{run_load_sweep, LoadSweepSpec};
 use supersim::tools;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 2-level folded Clos of radix-16 routers: 64 terminals, one level of
-    // path diversity, 10-tick channels.
-    let base = presets::latent_congestion(
-        2,        // levels
-        8,        // k (up/down ports)
-        1,        // congestion sense delay
-        Some(16), // finite output queues
-        10,       // channel latency
-        10,       // core latency
-        0.1,      // load (rewritten by the sweep)
-        200,      // sampled messages per terminal
-    );
+    // Case study A's network, shrunk with command-line style overrides to
+    // a 2-level folded Clos of radix-16 routers: 64 terminals, one level
+    // of path diversity, 10-tick channels and 16-flit output queues.
+    let mut base = parse(include_str!("../configs/paper/case_a_clos.json"))?;
+    apply_overrides(
+        &mut base,
+        [
+            "network.topology.levels=uint=2",
+            "network.channel.local_latency=uint=10",
+            "network.router.core_latency=uint=10",
+            "network.router.output_queue=uint=16",
+            "workload.applications.0.load=float=0.1", // rewritten by the sweep
+            "workload.applications.0.warmup_ticks=uint=900",
+            "workload.applications.0.sample_messages=uint=200",
+            "workload.applications.0.pattern.per_subtree=uint=8",
+        ],
+    )?;
     let loads: Vec<f64> = (1..=9).map(|i| i as f64 * 0.1).collect();
 
     let mut sweeps = Vec::new();

@@ -5,14 +5,14 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use supersim::core::{presets, SuperSim};
+use supersim::core::SuperSim;
 use supersim::stats::Filter;
 use supersim::tools;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A ready-made configuration: a 4-router 1-D HyperX with 16 terminals,
+    // A shipped configuration: a 4-router 1-D HyperX with 16 terminals,
     // input-queued routers, and uniform-random Blast traffic.
-    let mut config = presets::quickstart();
+    let mut config = supersim::config::parse(include_str!("../configs/quickstart.json"))?;
 
     // Configurations are plain JSON documents; adjust anything before
     // building, or apply command-line style overrides (paper Listing 1).

@@ -33,7 +33,7 @@
 //! use supersim::core::SuperSim;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let config = supersim::core::presets::quickstart();
+//! let config = supersim::config::parse(include_str!("../configs/quickstart.json"))?;
 //! let output = SuperSim::from_config(&config)?.run()?;
 //! assert!(output.packets_delivered() > 0);
 //! # Ok(())

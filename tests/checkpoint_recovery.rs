@@ -14,11 +14,12 @@
 //! checkpoint within the same invocation.
 #![cfg(unix)]
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use supersim::config::Value;
-use supersim::core::presets;
 
 /// Exit status the `SUPERSIM_TEST_EXIT_AT_CKPT` hook uses for the
 /// simulated crash, distinct from every documented code.
@@ -82,7 +83,7 @@ fn torus_cfg() -> Value {
 fn matrix(tag: &str) -> Vec<(String, PathBuf)> {
     let dir = scratch_dir(&format!("cfgs-{tag}"));
     let mut out = Vec::new();
-    for (name, base) in [("hyperx", presets::quickstart()), ("torus", torus_cfg())] {
+    for (name, base) in [("hyperx", common::quickstart()), ("torus", torus_cfg())] {
         for seed in [1i64, 7] {
             let mut cfg = base.clone();
             cfg.set_path("seed", Value::Int(seed)).expect("object");

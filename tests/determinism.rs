@@ -2,13 +2,15 @@
 //! results; changing the seed changes the stochastic details but not the
 //! totals dictated by the workload.
 
+mod common;
+
 use supersim::config::Value;
-use supersim::core::{presets, SuperSim};
+use supersim::core::SuperSim;
 use supersim::des::{Component, ComponentId, Context, Simulator, Time};
 
 #[test]
 fn same_seed_is_bit_identical() {
-    let cfg = presets::quickstart();
+    let cfg = common::quickstart();
     let a = SuperSim::from_config(&cfg)
         .expect("build")
         .run()
@@ -118,7 +120,7 @@ fn identical_seed_yields_identical_event_trace_and_stats() {
 
 #[test]
 fn different_seed_changes_details_not_contracts() {
-    let cfg = presets::quickstart();
+    let cfg = common::quickstart();
     let mut cfg2 = cfg.clone();
     cfg2.set_path("seed", Value::from(4242u64)).expect("object");
     let a = SuperSim::from_config(&cfg)
@@ -143,7 +145,7 @@ fn different_seed_changes_details_not_contracts() {
 fn config_round_trip_preserves_results() {
     // Serializing the config to JSON text and parsing it back must not
     // change the simulation.
-    let cfg = presets::quickstart();
+    let cfg = common::quickstart();
     let text = cfg.to_json_pretty();
     let reparsed = supersim::config::parse(&text).expect("valid json");
     let a = SuperSim::from_config(&cfg)
@@ -160,10 +162,10 @@ fn config_round_trip_preserves_results() {
 #[test]
 fn overrides_behave_like_edits() {
     // Applying a Listing-1 override must equal editing the document.
-    let mut by_override = presets::quickstart();
+    let mut by_override = common::quickstart();
     supersim::config::apply_override(&mut by_override, "workload.applications.0.load=float=0.4")
         .expect("valid override");
-    let mut by_edit = presets::quickstart();
+    let mut by_edit = common::quickstart();
     by_edit
         .set_path("workload.applications.0.load", Value::Float(0.4))
         .expect("object");

@@ -8,8 +8,10 @@
 //! topologies × shard counts, so a synchronization bug that only shows up
 //! under a particular partition or event interleaving still trips it.
 
+mod common;
+
 use supersim::config::Value;
-use supersim::core::{presets, RunOutput, SuperSim};
+use supersim::core::{RunOutput, SuperSim};
 use supersim::stats::MetricSample;
 
 /// Pins the engine through configuration (which outranks the
@@ -113,15 +115,26 @@ fn with_host_profiling(cfg: &Value) -> Value {
 /// quickstart), a folded Clos, and a flattened butterfly under IOQ
 /// routers.
 fn topologies() -> Vec<(&'static str, Value)> {
-    let mut cfgs = vec![("hyperx", presets::quickstart())];
-    let mut clos = presets::latent_congestion(2, 4, 1, Some(64), 3, 1, 0.3, 20);
+    let mut cfgs = vec![("hyperx", common::quickstart())];
+    let mut clos = common::config(
+        "paper/case_a_clos.json",
+        &[
+            "network.topology.levels=uint=2",
+            "network.topology.k=uint=4",
+            "network.channel.local_latency=uint=3",
+            "network.router.core_latency=uint=1",
+            "network.router.output_queue=uint=64",
+            "workload.applications.0.load=float=0.3",
+            "workload.applications.0.warmup_ticks=uint=580",
+            "workload.applications.0.sample_messages=uint=20",
+            "workload.applications.0.pattern.subtrees=uint=4",
+            "workload.applications.0.pattern.per_subtree=uint=4",
+        ],
+    );
     clos.set_path("observability.trace.capacity", Value::Int(1 << 15))
         .expect("object");
     cfgs.push(("folded_clos", clos));
-    cfgs.push((
-        "flatbfly",
-        presets::credit_accounting(4, 4, "both", "vc", "uniform_random", 3, 1, 0.3, 20),
-    ));
+    cfgs.push(("flatbfly", common::small_fbfly()));
     cfgs
 }
 
@@ -199,7 +212,7 @@ fn sharded_run_is_byte_identical_to_sequential() {
 
 #[test]
 fn shard_planes_report_every_shard() {
-    let cfg = with_engine(&presets::quickstart(), "sharded", 2);
+    let cfg = with_engine(&common::quickstart(), "sharded", 2);
     let out = run(&cfg);
     // Both worker shards surface a diagnostics plane, and together they
     // account for every executed event.
@@ -221,14 +234,14 @@ fn shard_planes_report_every_shard() {
 fn requesting_more_shards_than_routers_still_runs() {
     // The builder clamps the worker count to the router count; a tiny
     // network under a huge shard request must still drain identically.
-    let seq = run(&with_engine(&presets::quickstart(), "sequential", 1));
-    let sh = run(&with_engine(&presets::quickstart(), "sharded", 64));
+    let seq = run(&with_engine(&common::quickstart(), "sequential", 1));
+    let sh = run(&with_engine(&common::quickstart(), "sharded", 64));
     assert_eq!(seq.log.to_text(), sh.log.to_text());
 }
 
 #[test]
 fn unknown_engine_kind_is_rejected() {
-    let mut cfg = presets::quickstart();
+    let mut cfg = common::quickstart();
     cfg.set_path("engine.kind", Value::Str("warp".into()))
         .expect("object");
     assert!(SuperSim::from_config(&cfg).is_err());

@@ -14,11 +14,12 @@
 //! codes the operating system reports, not an in-process approximation.
 #![cfg(unix)]
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::Command;
 
 use supersim::config::Value;
-use supersim::core::presets;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_supersim")
@@ -51,7 +52,7 @@ fn run_code(args: &[&str], env: &[(&str, &str)]) -> i32 {
 #[test]
 fn code_0_clean_run() {
     let dir = scratch_dir("clean");
-    let cfg = write_cfg(&dir, &presets::quickstart());
+    let cfg = write_cfg(&dir, &common::quickstart());
     assert_eq!(run_code(&[cfg.to_str().unwrap(), "--no-log"], &[]), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -159,7 +160,7 @@ fn code_2_degraded_run() {
     // A tick limit below the drain point leaves the run stalled with
     // traffic still in flight: degraded, not clean, not a usage error.
     let dir = scratch_dir("degraded");
-    let mut cfg = presets::quickstart();
+    let mut cfg = common::quickstart();
     cfg.set_path("tick_limit", Value::Int(300)).expect("object");
     let cfg = write_cfg(&dir, &cfg);
     assert_eq!(run_code(&[cfg.to_str().unwrap(), "--no-log"], &[]), 2);
@@ -175,7 +176,7 @@ fn code_3_watchdog_cutoff() {
 #[test]
 fn code_4_worker_failure() {
     let dir = scratch_dir("worker");
-    let cfg = write_cfg(&dir, &presets::quickstart());
+    let cfg = write_cfg(&dir, &common::quickstart());
     assert_eq!(
         run_code(
             &[cfg.to_str().unwrap(), "--no-log", "--workers", "2"],
@@ -189,7 +190,7 @@ fn code_4_worker_failure() {
 #[test]
 fn code_5_resume_failure() {
     let dir = scratch_dir("resume");
-    let cfg = write_cfg(&dir, &presets::quickstart());
+    let cfg = write_cfg(&dir, &common::quickstart());
     let junk = dir.join("junk.ssckpt");
     std::fs::write(&junk, b"this is not a checkpoint").expect("write junk");
     assert_eq!(

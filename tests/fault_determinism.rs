@@ -7,9 +7,11 @@
 //! no-progress watchdog must convert the hang into a typed error plus a
 //! diagnostic snapshot.
 
+mod common;
+
 use supersim::config::Value;
 use supersim::core::testing::check_component_round_trip;
-use supersim::core::{presets, RunOutput, SimError, SuperSim};
+use supersim::core::{RunOutput, SimError, SuperSim};
 use supersim::stats::{MetricSample, MetricValue};
 
 fn with_engine(cfg: &Value, kind: &str, shards: u64) -> Value {
@@ -132,11 +134,8 @@ fn fault_counter(out: &RunOutput, name: &str) -> u64 {
 /// enough that the grid below stays fast.
 fn topologies() -> Vec<(&'static str, Value)> {
     vec![
-        ("hyperx", presets::quickstart()),
-        (
-            "flatbfly",
-            presets::credit_accounting(4, 4, "both", "vc", "uniform_random", 3, 1, 0.3, 20),
-        ),
+        ("hyperx", common::quickstart()),
+        ("flatbfly", common::small_fbfly()),
     ]
 }
 
@@ -229,7 +228,7 @@ fn retransmission_delivers_every_packet_exactly_once() {
     // acceptance floor (1e-3) and beyond, every flit sent is received
     // exactly once — duplicates would make received exceed sent, loss
     // would wedge the drain — and nothing escalates.
-    let base = presets::quickstart();
+    let base = common::quickstart();
     let mut detected_total = 0u64;
     for seed in [2u64, 33, 0xBEEF] {
         for ber in [1e-4, 1e-3, 5e-3, 2e-2] {
@@ -266,7 +265,7 @@ fn total_credit_loss_trips_the_watchdog() {
     // injection stalls, and the interfaces burn wake events forever
     // without delivering a flit. The watchdog must cut that off — on both
     // engines, at the same simulated time.
-    let mut cfg = presets::quickstart();
+    let mut cfg = common::quickstart();
     cfg.set_path("fault.enabled", Value::Bool(true))
         .expect("obj");
     cfg.set_path("fault.credit_loss_rate", Value::Float(1.0))
@@ -321,7 +320,7 @@ fn total_credit_loss_trips_the_watchdog() {
 
 #[test]
 fn clean_runs_are_unmarked_and_fault_free_runs_have_no_fault_plane() {
-    let out = run(&presets::quickstart());
+    let out = run(&common::quickstart());
     assert!(matches!(
         out.metrics.get("run", "degraded"),
         Some(MetricValue::Counter(0))
@@ -340,7 +339,7 @@ fn clean_fault_path_never_clones_flits() {
     // clone counter. (Corruption legitimately clones — the retry hold
     // keeps the original while a corrupted copy goes out — so a lossy
     // run must show a nonzero count, proving the counter is live.)
-    let clean = run(&with_faults(&presets::quickstart(), 7, 0.0));
+    let clean = run(&with_faults(&common::quickstart(), 7, 0.0));
     assert!(
         clean.counters.flits_sent > 0,
         "clean run moved no flits — nothing was proven"
@@ -350,7 +349,7 @@ fn clean_fault_path_never_clones_flits() {
         0,
         "zero-injection run cloned flit payloads on the hot path"
     );
-    let lossy = run(&with_faults(&presets::quickstart(), 7, 2e-2));
+    let lossy = run(&with_faults(&common::quickstart(), 7, 2e-2));
     assert!(fault_counter(&lossy, "detected") > 0, "lossy run was clean");
     assert!(
         fault_counter(&lossy, "flit_clones") > 0,
@@ -363,7 +362,7 @@ fn scheduled_outage_recovers_and_is_deterministic() {
     // A finite scheduled outage on one router link: flits sent into the
     // outage are dropped and retransmitted after it lifts, so the run
     // still completes with exactly-once delivery.
-    let mut cfg = presets::quickstart();
+    let mut cfg = common::quickstart();
     cfg.set_path("fault.enabled", Value::Bool(true))
         .expect("obj");
     cfg.set_path(

@@ -8,8 +8,10 @@
 //! for the sequential engine and in the engine/fault determinism grids
 //! for every backend.
 
+mod common;
+
 use supersim::config::Value;
-use supersim::core::{presets, RunOutput, SuperSim};
+use supersim::core::{RunOutput, SuperSim};
 use supersim::stats::{MetricSample, MetricValue};
 
 fn run(cfg: &Value) -> RunOutput {
@@ -66,7 +68,7 @@ fn host_counter(out: &RunOutput, name: &str) -> Option<u64> {
 
 #[test]
 fn host_plane_is_pay_for_what_you_use() {
-    let out = run(&presets::quickstart());
+    let out = run(&common::quickstart());
     assert!(
         out.metrics.get("host", "wall_ns").is_none(),
         "unprofiled run must not register the host plane"
@@ -76,7 +78,7 @@ fn host_plane_is_pay_for_what_you_use() {
 
 #[test]
 fn host_plane_attributes_wall_time_when_enabled() {
-    let out = run(&with_profiling(&presets::quickstart()));
+    let out = run(&with_profiling(&common::quickstart()));
     assert!(host_counter(&out, "wall_ns").expect("host plane") > 0);
     assert!(
         host_counter(&out, "execute_ns").expect("execute phase") > 0,
@@ -188,7 +190,7 @@ fn check_trace(doc: &str) -> Vec<Slice> {
 
 #[test]
 fn host_trace_is_valid_trace_event_json() {
-    let out = run(&with_trace(&presets::quickstart()));
+    let out = run(&with_trace(&common::quickstart()));
     let doc = out.host_trace.as_deref().expect("trace collected");
     let slices = check_trace(doc);
     assert!(!slices.is_empty(), "trace has round slices");
@@ -201,7 +203,7 @@ fn host_trace_is_valid_trace_event_json() {
 
 #[test]
 fn sharded_host_trace_has_one_track_per_shard() {
-    let out = run(&with_trace(&with_shards(&presets::quickstart(), 2)));
+    let out = run(&with_trace(&with_shards(&common::quickstart(), 2)));
     let slices = check_trace(out.host_trace.as_deref().expect("trace collected"));
     let mut tids: Vec<u64> = slices.iter().map(|s| s.tid).collect();
     tids.sort_unstable();
@@ -218,8 +220,8 @@ fn checkpointed_host_trace_is_one_timeline() {
     // round slices must land on the run's one timeline — not restart at
     // zero — with each checkpoint write after the rounds it captured.
     for (engine, base) in [
-        ("sequential", presets::quickstart()),
-        ("sharded", with_shards(&presets::quickstart(), 2)),
+        ("sequential", common::quickstart()),
+        ("sharded", with_shards(&common::quickstart(), 2)),
     ] {
         let dir = std::env::temp_dir().join(format!(
             "supersim-host-trace-{engine}-{}",
@@ -257,7 +259,7 @@ fn checkpointed_host_trace_is_one_timeline() {
 #[cfg(unix)]
 #[test]
 fn worker_host_trace_has_one_process_per_worker() {
-    let out = run(&with_trace(&with_process(&presets::quickstart(), 2)));
+    let out = run(&with_trace(&with_process(&common::quickstart(), 2)));
     let slices = check_trace(out.host_trace.as_deref().expect("trace collected"));
     let mut pids: Vec<u64> = slices.iter().map(|s| s.pid).collect();
     pids.sort_unstable();
@@ -279,7 +281,7 @@ fn worker_checkpoint_captures_match_the_checkpoint_files() {
     // writes, and its host plane counts exactly those captures.
     let dir = std::env::temp_dir().join(format!("supersim-host-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = with_profiling(&with_process(&presets::quickstart(), 2));
+    let mut cfg = with_profiling(&with_process(&common::quickstart(), 2));
     cfg.set_path("checkpoint.interval", Value::Int(200))
         .expect("obj");
     cfg.set_path(
@@ -313,8 +315,8 @@ fn profiling_is_invisible_to_simulation_bytes() {
             .cloned()
             .collect()
     };
-    let plain = run(&presets::quickstart());
-    let profiled = run(&with_trace(&presets::quickstart()));
+    let plain = run(&common::quickstart());
+    let profiled = run(&with_trace(&common::quickstart()));
     assert_eq!(plain.log.to_text(), profiled.log.to_text());
     assert_eq!(strip(&plain), strip(&profiled));
     assert_eq!(

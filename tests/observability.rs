@@ -2,14 +2,16 @@
 //! and flit traces come out of a real run, stay deterministic, and feed
 //! the existing tool formats unchanged.
 
+mod common;
+
 use supersim::config::Value;
-use supersim::core::{presets, RunOutput, SuperSim};
+use supersim::core::{RunOutput, SuperSim};
 use supersim::stats::{Filter, MetricValue, MetricsSnapshot};
 use supersim::tools;
 
 /// The quickstart preset with tracing switched on.
 fn traced_config() -> Value {
-    let mut cfg = presets::quickstart();
+    let mut cfg = common::quickstart();
     cfg.set_path("observability.trace.enabled", Value::Bool(true))
         .expect("object");
     cfg.set_path("observability.trace.capacity", Value::Int(1 << 16))
@@ -48,7 +50,7 @@ fn trace_output_is_byte_identical_across_runs() {
 
 #[test]
 fn tracing_is_off_by_default() {
-    let out = run(&presets::quickstart());
+    let out = run(&common::quickstart());
     assert!(
         out.trace.is_none(),
         "no trace output without observability.trace.enabled"
@@ -86,7 +88,7 @@ fn trace_filter_narrows_to_requested_kinds() {
 
 #[test]
 fn metrics_snapshot_round_trips_and_feeds_ssreport() {
-    let out = run(&presets::quickstart());
+    let out = run(&common::quickstart());
     // Engine, workload, and router planes are all present.
     assert!(matches!(
         out.metrics.get("engine", "events_executed"),
@@ -129,7 +131,7 @@ fn metrics_snapshot_round_trips_and_feeds_ssreport() {
 fn sample_log_format_is_unchanged_by_observability() {
     // The paper-era pipeline — sample log text into ssparse — must see no
     // format change from the new layer, traced or not.
-    let plain = run(&presets::quickstart());
+    let plain = run(&common::quickstart());
     let traced = run(&traced_config());
     assert_eq!(
         plain.log.to_text(),
@@ -144,7 +146,7 @@ fn sample_log_format_is_unchanged_by_observability() {
 
 #[test]
 fn workload_latency_histograms_match_sampled_records() {
-    let out = run(&presets::quickstart());
+    let out = run(&common::quickstart());
     // Histograms are indexed by the phase a packet *completed* in, so a
     // sampled packet injected late in the window may land in a later
     // phase's histogram. Across all phases they cover every completed

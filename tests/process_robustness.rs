@@ -14,11 +14,13 @@
 //! worker right after checkpoint `<round>` completes).
 #![cfg(unix)]
 
+mod common;
+
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use supersim::config::Value;
-use supersim::core::{presets, RunReport, SimError, SuperSim};
+use supersim::core::{RunReport, SimError, SuperSim};
 use supersim::stats::MetricValue;
 use supersim::topology::partition_routers;
 
@@ -27,7 +29,7 @@ use supersim::topology::partition_routers;
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn process_cfg(timeout_ms: u64) -> Value {
-    let mut cfg = presets::quickstart();
+    let mut cfg = common::quickstart();
     for (path, value) in [
         ("engine.kind", Value::Str("sharded".into())),
         ("engine.transport", Value::Str("process".into())),

@@ -86,13 +86,17 @@ fn shipped_deadlock_config_trips_the_watchdog() {
 
 #[test]
 fn config_sweep_covers_the_whole_directory() {
-    // Enumerate configs/ and configs/scenarios/ so a newly added file can
+    // Enumerate configs/, configs/paper/ and configs/scenarios/ so a newly added file can
     // never be silently untested: each must run end-to-end through the
     // same load path the CLI uses (declarations are auto-compiled), or be
     // the deliberate deadlock case checked above.
     let root = format!("{}/configs", env!("CARGO_MANIFEST_DIR"));
     let mut paths = Vec::new();
-    for dir in [root.clone(), format!("{root}/scenarios")] {
+    for dir in [
+        root.clone(),
+        format!("{root}/paper"),
+        format!("{root}/scenarios"),
+    ] {
         for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}")) {
             let path = entry.expect("dir entry").path();
             if path.is_file() && path.extension().and_then(|e| e.to_str()) == Some("json") {
@@ -102,7 +106,7 @@ fn config_sweep_covers_the_whole_directory() {
     }
     paths.sort();
     assert!(
-        paths.len() >= 13,
+        paths.len() >= 17,
         "configs/ shrank to {} files",
         paths.len()
     );
@@ -141,6 +145,13 @@ fn config_sweep_covers_the_whole_directory() {
                 .is_some()
         {
             apply_override(&mut cfg, "workload.applications.0.sample_messages=uint=20")
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        // The paper's case studies warm up for many channel round trips
+        // (2500 ticks on the 512-terminal Clos); running the file is what
+        // this sweep checks, not its steady state.
+        if path.parent().is_some_and(|dir| dir.ends_with("paper")) {
+            apply_override(&mut cfg, "workload.applications.0.warmup_ticks=uint=200")
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
         let out = SuperSim::from_config(&cfg)

@@ -4,8 +4,10 @@
 //! the checked-in golden file, span components tile end-to-end latency
 //! exactly, and both features cost nothing when disabled.
 
+mod common;
+
 use supersim::config::{expand_file, Value};
-use supersim::core::{presets, RunOutput, SuperSim};
+use supersim::core::{RunOutput, SuperSim};
 use supersim::tools;
 
 fn latent_congestion() -> Value {
@@ -114,7 +116,7 @@ fn span_components_sum_exactly_to_end_to_end_latency() {
 
 #[test]
 fn observability_is_disabled_by_default() {
-    let out = SuperSim::from_config(&presets::quickstart())
+    let out = SuperSim::from_config(&common::quickstart())
         .expect("build")
         .run()
         .expect("run");

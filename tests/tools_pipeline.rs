@@ -2,13 +2,15 @@
 //! with filters (SSParse) → analyze → render series (SSPlot) — plus a
 //! load sweep of real simulations (SSSweep's job, `run_load_sweep`).
 
-use supersim::core::{presets, SuperSim};
+mod common;
+
+use supersim::core::SuperSim;
 use supersim::stats::{Filter, RecordKind, SampleLog};
 use supersim::tools;
 
 #[test]
 fn log_text_round_trips_through_ssparse() {
-    let out = SuperSim::from_config(&presets::quickstart())
+    let out = SuperSim::from_config(&common::quickstart())
         .expect("build")
         .run()
         .expect("run");
@@ -41,7 +43,7 @@ fn log_text_round_trips_through_ssparse() {
 
 #[test]
 fn percentile_distribution_like_figure_7() {
-    let out = SuperSim::from_config(&presets::quickstart())
+    let out = SuperSim::from_config(&common::quickstart())
         .expect("build")
         .run()
         .expect("run");
@@ -67,7 +69,7 @@ fn percentile_distribution_like_figure_7() {
 #[test]
 fn load_latency_csv_from_real_sweep() {
     let spec =
-        supersim::core::LoadSweepSpec::simple(presets::quickstart(), "quickstart", vec![0.1, 0.25]);
+        supersim::core::LoadSweepSpec::simple(common::quickstart(), "quickstart", vec![0.1, 0.25]);
     let sweep = supersim::core::run_load_sweep(&spec).expect("sweep");
     let csv = tools::load_latency_csv(&[sweep], 0.05);
     let lines: Vec<&str> = csv.lines().collect();

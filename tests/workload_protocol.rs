@@ -1,14 +1,16 @@
 //! The four-phase workload protocol observed end to end: sampling windows,
 //! multi-application interop, and sample flagging (paper §IV-A).
 
+mod common;
+
 use supersim::config::Value;
-use supersim::core::{presets, SuperSim};
+use supersim::core::SuperSim;
 use supersim::netbase::Phase;
 use supersim::stats::RecordKind;
 
 #[test]
 fn sampled_packets_were_sent_inside_the_window() {
-    let cfg = presets::quickstart();
+    let cfg = common::quickstart();
     let out = SuperSim::from_config(&cfg)
         .expect("build")
         .run()
@@ -30,7 +32,7 @@ fn sampled_packets_were_sent_inside_the_window() {
 fn warmup_traffic_is_not_sampled() {
     // With a long warmup the interfaces carry traffic before the window;
     // none of it may appear in the log.
-    let mut cfg = presets::quickstart();
+    let mut cfg = common::quickstart();
     cfg.set_path("workload.applications.0.warmup_ticks", Value::from(2000u64))
         .expect("object");
     let out = SuperSim::from_config(&cfg)
@@ -53,7 +55,16 @@ fn warmup_traffic_is_not_sampled() {
 
 #[test]
 fn blast_and_pulse_interoperate() {
-    let cfg = presets::transient(0.2, 2000, 0.8, 20, 500);
+    let cfg = common::config(
+        "paper/transient.json",
+        &[
+            "workload.applications.0.load=float=0.2",
+            "workload.applications.0.sample_ticks=uint=2000",
+            "workload.applications.1.load=float=0.8",
+            "workload.applications.1.count=uint=20",
+            "workload.applications.1.delay=uint=500",
+        ],
+    );
     let out = SuperSim::from_config(&cfg)
         .expect("build")
         .run()
@@ -80,7 +91,7 @@ fn blast_and_pulse_interoperate() {
 
 #[test]
 fn pingpong_transactions_are_recorded() {
-    let mut cfg = presets::quickstart();
+    let mut cfg = common::quickstart();
     cfg.set_path(
         "workload.applications.0",
         supersim::config::obj! {
@@ -123,7 +134,7 @@ fn obj_pattern() -> Value {
 fn messages_latencies_bound_packet_latencies() {
     // A message completes no earlier than its last packet; with one packet
     // per message the two records agree exactly.
-    let cfg = presets::quickstart();
+    let cfg = common::quickstart();
     let out = SuperSim::from_config(&cfg)
         .expect("build")
         .run()
