@@ -15,7 +15,7 @@
 
 use supersim_netbase::{Port, RouterId, TerminalId};
 
-use crate::types::{from_coords, to_coords, Topology, TopologyError};
+use crate::types::{from_coords, Topology, TopologyError};
 
 /// An L-level folded-Clos network (paper case study A).
 ///
@@ -81,11 +81,9 @@ impl FoldedClos {
         self.routers_per_level
     }
 
-    /// `(level, digits)` of a router.
-    pub fn router_position(&self, router: RouterId) -> (u32, Vec<u32>) {
-        let level = router.0 / self.routers_per_level;
-        let widths = vec![self.k; self.levels as usize - 1];
-        (level, to_coords(router.0 % self.routers_per_level, &widths))
+    /// The level of a router (0 = leaf, `levels - 1` = root).
+    pub fn router_level(&self, router: RouterId) -> u32 {
+        router.0 / self.routers_per_level
     }
 
     /// Router id from `(level, digits)`.
@@ -104,36 +102,42 @@ impl FoldedClos {
         self.k
     }
 
-    /// Base-`k` digits of a terminal id: `D[0]` is the leaf terminal port.
-    pub fn terminal_digits(&self, terminal: TerminalId) -> Vec<u32> {
-        to_coords(terminal.0, &vec![self.k; self.levels as usize])
-    }
-
     /// The level of the lowest common ancestor a packet must climb to when
-    /// traveling between two terminals (0 = same leaf router).
+    /// traveling between two terminals (0 = same leaf router): the fewest
+    /// low digits `D[0..=a]` whose removal leaves the two ids equal.
     pub fn ancestor_level(&self, src: TerminalId, dst: TerminalId) -> u32 {
-        let sd = self.terminal_digits(src);
-        let dd = self.terminal_digits(dst);
-        // Highest differing digit position above 0 forces the climb.
-        (1..self.levels as usize)
-            .rev()
-            .find(|&i| sd[i] != dd[i])
-            .map_or(0, |i| i as u32)
+        let (mut s, mut d) = (src.0 / self.k, dst.0 / self.k);
+        let mut level = 0;
+        while s != d {
+            s /= self.k;
+            d /= self.k;
+            level += 1;
+        }
+        level
     }
 
     /// Whether the subtree below `router` (at its level) contains `dst`:
     /// true when the router's digit positions `level..L-1` match the
     /// destination digits `level+1..L`.
     pub fn subtree_contains(&self, router: RouterId, dst: TerminalId) -> bool {
-        let (level, digits) = self.router_position(router);
-        let dd = self.terminal_digits(dst);
-        (level as usize..self.levels as usize - 1).all(|i| digits[i] == dd[i + 1])
+        let level = self.router_level(router);
+        let below = self.k.pow(level);
+        (router.0 % self.routers_per_level) / below == dst.0 / (below * self.k)
     }
 
     /// The down port toward `dst` from a router at `level` whose subtree
     /// contains it: digit `D[level]` of the destination.
     pub fn down_port_toward(&self, level: u32, dst: TerminalId) -> Port {
-        self.terminal_digits(dst)[level as usize]
+        dst.0 / self.k.pow(level) % self.k
+    }
+
+    /// The router at `level` whose in-level index is `index` with digit
+    /// `position` replaced by `digit`, and the digit it replaced.
+    fn with_digit(&self, level: u32, index: u32, position: u32, digit: u32) -> (RouterId, u32) {
+        let stride = self.k.pow(position);
+        let old = index / stride % self.k;
+        let index = index - old * stride + digit * stride;
+        (RouterId(level * self.routers_per_level + index), old)
     }
 }
 
@@ -151,8 +155,7 @@ impl Topology for FoldedClos {
     }
 
     fn radix(&self, router: RouterId) -> u32 {
-        let (level, _) = self.router_position(router);
-        if level + 1 == self.levels {
+        if self.router_level(router) + 1 == self.levels {
             self.k // root level: down ports only
         } else {
             2 * self.k
@@ -165,30 +168,25 @@ impl Topology for FoldedClos {
     }
 
     fn terminal_at(&self, router: RouterId, port: Port) -> Option<TerminalId> {
-        let (level, _) = self.router_position(router);
-        (level == 0 && port < self.k).then(|| TerminalId(router.0 * self.k + port))
+        (self.router_level(router) == 0 && port < self.k)
+            .then(|| TerminalId(router.0 * self.k + port))
     }
 
     fn neighbor(&self, router: RouterId, port: Port) -> Option<(RouterId, Port)> {
-        let (level, digits) = self.router_position(router);
+        let level = self.router_level(router);
+        let index = router.0 % self.routers_per_level;
         if port >= self.radix(router) {
             return None;
         }
         if self.is_up_port(level, port) {
             // Up port u: replace digit[level] with u; arrive on the down
             // port equal to the replaced digit.
-            let u = port - self.k;
-            let mut up = digits.clone();
-            let old = up[level as usize];
-            up[level as usize] = u;
-            Some((self.router_id(level + 1, &up), old))
+            Some(self.with_digit(level + 1, index, level, port - self.k))
         } else if level > 0 {
             // Down port p at level > 0: replace digit[level-1] with p;
             // arrive on the up port equal to the replaced digit.
-            let mut down = digits.clone();
-            let old = down[(level - 1) as usize];
-            down[(level - 1) as usize] = port;
-            Some((self.router_id(level - 1, &down), self.k + old))
+            let (down, old) = self.with_digit(level - 1, index, level - 1, port);
+            Some((down, self.k + old))
         } else {
             None // level-0 down ports are terminal ports
         }
@@ -230,11 +228,15 @@ mod tests {
     }
 
     #[test]
-    fn position_round_trip() {
+    fn router_id_round_trip() {
         let c = FoldedClos::new(3, 4).unwrap();
         for r in 0..c.num_routers() {
-            let (level, digits) = c.router_position(RouterId(r));
-            assert_eq!(c.router_id(level, &digits), RouterId(r));
+            let index = r % c.routers_per_level();
+            let digits = [index % 4, index / 4];
+            assert_eq!(
+                c.router_id(c.router_level(RouterId(r)), &digits),
+                RouterId(r)
+            );
         }
     }
 
@@ -292,7 +294,7 @@ mod tests {
             router = next;
         }
         assert!(c.subtree_contains(router, dst));
-        let (mut level, _) = c.router_position(router);
+        let mut level = c.router_level(router);
         while level > 0 {
             let port = c.down_port_toward(level, dst);
             let (next, _) = c.neighbor(router, port).unwrap();

@@ -12,7 +12,7 @@
 
 use supersim_netbase::{Port, RouterId, TerminalId};
 
-use crate::types::{from_coords, to_coords, Topology, TopologyError};
+use crate::types::{coords, from_coords, Topology, TopologyError};
 
 /// A HyperX network.
 ///
@@ -89,9 +89,16 @@ impl HyperX {
         self.widths.len()
     }
 
-    /// Coordinates of a router.
-    pub fn router_coords(&self, router: RouterId) -> Vec<u32> {
-        to_coords(router.0, &self.widths)
+    /// Coordinates of a router, least significant dimension first.
+    pub fn router_coords(&self, router: RouterId) -> impl Iterator<Item = u32> + '_ {
+        coords(router.0, &self.widths)
+    }
+
+    /// The coordinate of `router` in dimension `dim`.
+    fn coord(&self, router: RouterId, dim: usize) -> u32 {
+        self.router_coords(router)
+            .nth(dim)
+            .expect("dimension in range")
     }
 
     /// Router at the given coordinates.
@@ -107,7 +114,7 @@ impl HyperX {
     /// Panics if `to` equals the router's own coordinate in `dim` (no
     /// self-link exists) or is out of range.
     pub fn port_toward(&self, router: RouterId, dim: usize, to: u32) -> Port {
-        let own = self.router_coords(router)[dim];
+        let own = self.coord(router, dim);
         assert!(to < self.widths[dim], "coordinate out of range");
         assert_ne!(to, own, "no self-link in a fully connected dimension");
         // Ports are ordered by target coordinate with `own` skipped.
@@ -126,7 +133,7 @@ impl HyperX {
         if rel >= self.widths[dim] - 1 {
             return None;
         }
-        let own = self.router_coords(router)[dim];
+        let own = self.coord(router, dim);
         Some((dim, if rel < own { rel } else { rel + 1 }))
     }
 }
@@ -161,7 +168,7 @@ impl Topology for HyperX {
 
     fn neighbor(&self, router: RouterId, port: Port) -> Option<(RouterId, Port)> {
         let (dim, to) = self.port_target(router, port)?;
-        let mut coords = self.router_coords(router);
+        let mut coords: Vec<u32> = self.router_coords(router).collect();
         let own = coords[dim];
         coords[dim] = to;
         let other = self.router_at(&coords);
@@ -171,9 +178,10 @@ impl Topology for HyperX {
     fn min_hops(&self, src: TerminalId, dst: TerminalId) -> u32 {
         let (sr, _) = self.terminal_attachment(src);
         let (dr, _) = self.terminal_attachment(dst);
-        let sc = self.router_coords(sr);
-        let dc = self.router_coords(dr);
-        sc.iter().zip(&dc).filter(|(a, b)| a != b).count() as u32
+        self.router_coords(sr)
+            .zip(self.router_coords(dr))
+            .filter(|(a, b)| a != b)
+            .count() as u32
     }
 }
 
@@ -211,8 +219,7 @@ mod tests {
         let h = HyperX::new(vec![4, 3], 2).unwrap();
         for r in 0..h.num_routers() {
             let router = RouterId(r);
-            let coords = h.router_coords(router);
-            for (dim, &here) in coords.iter().enumerate() {
+            for (dim, here) in h.router_coords(router).enumerate() {
                 for to in 0..h.widths()[dim] {
                     if to == here {
                         continue;

@@ -70,12 +70,10 @@ impl RoutingAlgorithm for DimOrderRouting {
             let vc = least_congested_vc(ctx.congestion, dst_port, 0..self.vcs);
             return RouteChoice { port: dst_port, vc };
         }
-        let cur = t.router_coords(ctx.router);
-        let dst = t.router_coords(dst_router);
         // First differing dimension, in index order.
-        let (dim, (&c, &d)) = cur
-            .iter()
-            .zip(&dst)
+        let (dim, (c, d)) = t
+            .router_coords(ctx.router)
+            .zip(t.router_coords(dst_router))
             .enumerate()
             .find(|(_, (a, b))| a != b)
             .expect("not at destination router, so some coordinate differs");

@@ -118,7 +118,7 @@ impl RoutingAlgorithm for DragonflyRouting {
     }
 
     fn route(&mut self, ctx: &mut RoutingContext<'_>, flit: &mut Flit) -> RouteChoice {
-        let t = Arc::clone(&self.topology);
+        let t = &*self.topology;
         let (dst_router, dst_port) = t.terminal_attachment(flit.pkt.dst);
 
         if flit.inter == Some(ctx.router) {

@@ -74,21 +74,18 @@ impl HyperXRouting {
     /// toward router `to`; `None` when already there.
     fn min_port(&self, from: RouterId, to: RouterId) -> Option<Port> {
         let t = &self.topology;
-        let fc = t.router_coords(from);
-        let tc = t.router_coords(to);
-        fc.iter()
-            .zip(&tc)
+        t.router_coords(from)
+            .zip(t.router_coords(to))
             .enumerate()
             .find(|(_, (a, b))| a != b)
-            .map(|(dim, (_, &b))| t.port_toward(from, dim, b))
+            .map(|(dim, (_, b))| t.port_toward(from, dim, b))
     }
 
     /// Dimension-order hop count between routers.
     fn hops_between(&self, a: RouterId, b: RouterId) -> u32 {
         let t = &self.topology;
         t.router_coords(a)
-            .iter()
-            .zip(&t.router_coords(b))
+            .zip(t.router_coords(b))
             .filter(|(x, y)| x != y)
             .count() as u32
     }
@@ -117,7 +114,7 @@ impl RoutingAlgorithm for HyperXRouting {
     }
 
     fn route(&mut self, ctx: &mut RoutingContext<'_>, flit: &mut Flit) -> RouteChoice {
-        let t = Arc::clone(&self.topology);
+        let t = &*self.topology;
         let (dst_router, dst_port) = t.terminal_attachment(flit.pkt.dst);
 
         // Phase bookkeeping: reaching the intermediate clears it.

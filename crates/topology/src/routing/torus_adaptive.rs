@@ -105,13 +105,10 @@ impl RoutingAlgorithm for AdaptiveTorusRouting {
         }
         let force_escape = self.attempts % ESCAPE_EVERY == ESCAPE_EVERY - 1;
 
-        let cur = t.router_coords(ctx.router);
-        let dst = t.router_coords(dst_router);
+        let pairs = || t.router_coords(ctx.router).zip(t.router_coords(dst_router));
 
         // Escape choice: strict dimension order on the escape classes.
-        let (esc_dim, (&ec, &ed)) = cur
-            .iter()
-            .zip(&dst)
+        let (esc_dim, (ec, ed)) = pairs()
             .enumerate()
             .find(|(_, (a, b))| a != b)
             .expect("not at destination router");
@@ -128,7 +125,7 @@ impl RoutingAlgorithm for AdaptiveTorusRouting {
         // Adaptive candidates: every productive dimension, shorter way,
         // least congested adaptive VC (2..v).
         let mut best: Option<(f64, RouteChoice)> = None;
-        for (dim, (&c, &d)) in cur.iter().zip(&dst).enumerate() {
+        for (dim, (c, d)) in pairs().enumerate() {
             if c == d {
                 continue;
             }

@@ -31,6 +31,9 @@ pub struct UpDownRouting {
     topology: Arc<FoldedClos>,
     mode: UpDownMode,
     vcs: u32,
+    /// The adaptive tie list, allocated once with capacity `k` and cleared
+    /// on every call. Scratch, not state: no checkpoint carries it.
+    ties: Vec<Port>,
 }
 
 impl UpDownRouting {
@@ -41,14 +44,16 @@ impl UpDownRouting {
     /// Panics if `vcs` is zero.
     pub fn new(topology: Arc<FoldedClos>, mode: UpDownMode, vcs: u32) -> Self {
         assert!(vcs > 0, "at least one VC required");
+        let ties = Vec::with_capacity(topology.k() as usize);
         UpDownRouting {
             topology,
             mode,
             vcs,
+            ties,
         }
     }
 
-    fn pick_up_port(&self, ctx: &mut RoutingContext<'_>, flit: &Flit) -> Port {
+    fn pick_up_port(&mut self, ctx: &mut RoutingContext<'_>, flit: &Flit) -> Port {
         let k = self.topology.k();
         let base = self.topology.up_port_base();
         match self.mode {
@@ -60,7 +65,8 @@ impl UpDownRouting {
             UpDownMode::Adaptive => {
                 // Least congested up port; random tie break so that
                 // simultaneous engines do not all pile onto port 0.
-                let mut best = Vec::with_capacity(4);
+                let best = &mut self.ties;
+                best.clear();
                 let mut best_c = f64::INFINITY;
                 for u in 0..k {
                     let c = ctx.congestion.port_congestion(base + u);
@@ -96,8 +102,7 @@ impl RoutingAlgorithm for UpDownRouting {
         let t = &self.topology;
         let port = if t.subtree_contains(ctx.router, flit.pkt.dst) {
             // Descend (or eject): the address digit names the down port.
-            let (level, _) = t.router_position(ctx.router);
-            t.down_port_toward(level, flit.pkt.dst)
+            t.down_port_toward(t.router_level(ctx.router), flit.pkt.dst)
         } else {
             self.pick_up_port(ctx, flit)
         };

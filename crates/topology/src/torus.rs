@@ -7,7 +7,7 @@
 
 use supersim_netbase::{Port, RouterId, TerminalId};
 
-use crate::types::{from_coords, to_coords, Topology, TopologyError};
+use crate::types::{coords, from_coords, Topology, TopologyError};
 
 /// A torus with arbitrary per-dimension widths.
 ///
@@ -72,9 +72,9 @@ impl Torus {
         self.widths.len()
     }
 
-    /// Coordinates of a router.
-    pub fn router_coords(&self, router: RouterId) -> Vec<u32> {
-        to_coords(router.0, &self.widths)
+    /// Coordinates of a router, least significant dimension first.
+    pub fn router_coords(&self, router: RouterId) -> impl Iterator<Item = u32> + '_ {
+        coords(router.0, &self.widths)
     }
 
     /// Router at the given coordinates.
@@ -154,7 +154,7 @@ impl Topology for Torus {
 
     fn neighbor(&self, router: RouterId, port: Port) -> Option<(RouterId, Port)> {
         let (dim, plus) = self.port_direction(port)?;
-        let mut coords = self.router_coords(router);
+        let mut coords: Vec<u32> = self.router_coords(router).collect();
         let w = self.widths[dim];
         coords[dim] = if plus {
             (coords[dim] + 1) % w
@@ -169,12 +169,10 @@ impl Topology for Torus {
     fn min_hops(&self, src: TerminalId, dst: TerminalId) -> u32 {
         let (sr, _) = self.terminal_attachment(src);
         let (dr, _) = self.terminal_attachment(dst);
-        let sc = self.router_coords(sr);
-        let dc = self.router_coords(dr);
-        sc.iter()
-            .zip(&dc)
+        self.router_coords(sr)
+            .zip(self.router_coords(dr))
             .zip(&self.widths)
-            .map(|((&a, &b), &w)| Torus::ring_step(a, b, w).map_or(0, |(d, _)| d))
+            .map(|((a, b), &w)| Torus::ring_step(a, b, w).map_or(0, |(d, _)| d))
             .sum()
     }
 }

@@ -91,17 +91,17 @@ pub trait Topology: Send + Sync {
 }
 
 /// Decodes `index` into mixed-radix coordinates with the given `widths`
-/// (least significant dimension first).
-pub(crate) fn to_coords(mut index: u32, widths: &[u32]) -> Vec<u32> {
-    let mut coords = Vec::with_capacity(widths.len());
-    for &w in widths {
-        coords.push(index % w);
+/// (least significant dimension first), lazily and without allocating:
+/// routing engines compare and pick coordinates without building a `Vec`.
+pub(crate) fn coords(mut index: u32, widths: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    widths.iter().map(move |&w| {
+        let c = index % w;
         index /= w;
-    }
-    coords
+        c
+    })
 }
 
-/// Inverse of [`to_coords`].
+/// Inverse of [`coords`].
 pub(crate) fn from_coords(coords: &[u32], widths: &[u32]) -> u32 {
     debug_assert_eq!(coords.len(), widths.len());
     let mut index = 0u32;
@@ -123,7 +123,7 @@ mod tests {
     fn coordinate_round_trip() {
         let widths = [4u32, 3, 2];
         for i in 0..24 {
-            let c = to_coords(i, &widths);
+            let c: Vec<u32> = coords(i, &widths).collect();
             assert_eq!(from_coords(&c, &widths), i);
             assert!(c.iter().zip(&widths).all(|(&x, &w)| x < w));
         }
@@ -131,9 +131,10 @@ mod tests {
 
     #[test]
     fn coords_are_little_endian() {
-        assert_eq!(to_coords(5, &[4, 3]), vec![1, 1]);
+        assert!(coords(5, &[4, 3]).eq([1, 1]));
         assert_eq!(from_coords(&[1, 1], &[4, 3]), 5);
-        assert_eq!(to_coords(0, &[4, 3]), vec![0, 0]);
+        assert!(coords(0, &[4, 3]).eq([0, 0]));
+        assert_eq!(coords(23, &[4, 3, 2]).nth(2), Some(1));
     }
 
     #[test]

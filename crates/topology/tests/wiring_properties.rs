@@ -7,6 +7,9 @@
 //! a 2–4 × h 1–2 × p 1–2. Every shape in those ranges is checked, so a
 //! failure names its shape directly.
 
+mod common;
+
+use common::all_widths;
 use supersim_netbase::{RouterId, TerminalId};
 use supersim_topology::{Dragonfly, FoldedClos, HyperX, Topology, Torus};
 
@@ -128,15 +131,6 @@ fn check_min_hops(t: &dyn Topology, shape: &str, kind: MinHops, samples: u32) {
 fn check(t: &dyn Topology, shape: String, kind: MinHops) {
     check_wiring(t, &shape);
     check_min_hops(t, &shape, kind, 12);
-}
-
-/// Every widths vector of `1..=max_dims` dimensions, each width in 2–4.
-fn all_widths(max_dims: u32) -> Vec<Vec<u32>> {
-    (1..=max_dims)
-        .flat_map(|dims| {
-            (0..3u32.pow(dims)).map(move |i| (0..dims).map(|d| 2 + i / 3u32.pow(d) % 3).collect())
-        })
-        .collect()
 }
 
 #[test]

@@ -83,7 +83,10 @@ impl RoutingAlgorithm for ShuffleRouting {
         }
         // 1-D HyperX: go straight to the destination router (every pair is
         // directly connected), choosing the emptier VC.
-        let dst_coord = t.router_coords(dst_router)[0];
+        let dst_coord = t
+            .router_coords(dst_router)
+            .next()
+            .expect("a HyperX has at least one dimension");
         let port: Port = t.port_toward(ctx.router, 0, dst_coord);
         let vc = (0..self.vcs)
             .min_by(|&a, &b| {

@@ -55,7 +55,11 @@ impl RoutingAlgorithm for IllegalVcRouting {
                 vc: 99,
             }; // unregistered VC
         }
-        let coord = self.topology.router_coords(dst_router)[0];
+        let coord = self
+            .topology
+            .router_coords(dst_router)
+            .next()
+            .expect("a HyperX has at least one dimension");
         RouteChoice {
             port: self.topology.port_toward(ctx.router, 0, coord),
             vc: 0,
