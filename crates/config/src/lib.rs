@@ -46,5 +46,5 @@ pub use error::{ConfigError, ParseErrorKind};
 pub use expand::{expand_file, expand_refs};
 pub use overrides::{apply_override, apply_overrides, parse_override, Override, OverrideValue};
 pub use parse::parse;
-pub use ser::push_uint;
+pub use ser::{push_json_str, push_uint};
 pub use value::{Map, Value};

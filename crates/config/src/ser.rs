@@ -1,5 +1,5 @@
 //! JSON serialization: compact and pretty printers, and the one integer
-//! text writer every output format shares.
+//! and one string writer every output format shares.
 
 use std::fmt::Write;
 
@@ -85,7 +85,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: us
             push_uint(out, i.unsigned_abs());
         }
         Value::Float(x) => write_float(out, *x),
-        Value::Str(s) => write_string(out, s),
+        Value::Str(s) => push_json_str(out, s),
         Value::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -113,7 +113,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: us
                     out.push(',');
                 }
                 newline_indent(out, indent, level + 1);
-                write_string(out, key);
+                push_json_str(out, key);
                 out.push(':');
                 if indent.is_some() {
                     out.push(' ');
@@ -149,7 +149,19 @@ fn write_float(out: &mut String, x: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string literal, escaping
+/// quotes, backslashes and control characters. The one JSON string
+/// writer: [`Value::Str`] and object keys go through it, and so do the
+/// labels of the host trace.
+///
+/// # Example
+///
+/// ```
+/// let mut s = String::new();
+/// supersim_config::push_json_str(&mut s, "a \"b\"\n");
+/// assert_eq!(s, r#""a \"b\"\n""#);
+/// ```
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -154,13 +154,16 @@ enum EngineChoice {
 /// config that pins an engine stays pinned under a CI job that exports
 /// the sharded default. A configuration that asks for several shards but
 /// resolves to the sequential kind is an error rather than a silently
-/// sequential run.
+/// sequential run, and a stated count of 0 is an error on either kind.
 fn engine_choice(cfg: &Value) -> Result<EngineChoice, BuildError> {
     let kind = match cfg.req_str("engine.kind") {
         Ok(s) => s.to_string(),
         Err(_) => std::env::var("SUPERSIM_ENGINE").unwrap_or_else(|_| "sequential".into()),
     };
     let configured_shards = cfg.req_u64("engine.shards").ok();
+    if configured_shards == Some(0) {
+        return Err(BuildError::invalid("engine.shards must be non-zero"));
+    }
     let shards = match configured_shards {
         Some(n) => n,
         None => match std::env::var("SUPERSIM_SHARDS") {

@@ -12,7 +12,8 @@ use supersim_router::{
 use supersim_stats::ComponentSampler;
 use supersim_topology::{
     AdaptiveTorusRouting, DimOrderRouting, Dragonfly, DragonflyMode, DragonflyRouting, FoldedClos,
-    HyperX, HyperXMode, HyperXRouting, RoutingAlgorithm, Torus, UpDownMode, UpDownRouting,
+    HyperX, HyperXMode, HyperXRouting, RoutingAlgorithm, Topology, Torus, UpDownMode,
+    UpDownRouting,
 };
 use supersim_workload::{
     Application, BitComplement, BlastApp, BlastConfig, CrossSubtree, Hotspot, Incast, Neighbor,
@@ -135,6 +136,15 @@ fn register_networks(f: &mut Factories) {
                 })
             }
         };
+        // A two-phase packet draws an intermediate router other than its
+        // source and destination; with two routers the draw never ends.
+        if mode != HyperXMode::Minimal && topology.num_routers() < 3 {
+            return Err(BuildError::invalid(format!(
+                "network.routing.algorithm {algo:?} needs at least 3 routers, \
+                 this hyperx has {}",
+                topology.num_routers()
+            )));
+        }
         let t = Arc::clone(&topology);
         let routing: Arc<dyn Fn(_, _) -> Box<dyn RoutingAlgorithm> + Send + Sync> =
             Arc::new(move |_, _| Box::new(HyperXRouting::new(Arc::clone(&t), mode, vcs)));
@@ -166,6 +176,15 @@ fn register_networks(f: &mut Factories) {
         if vcs < need {
             return Err(BuildError::invalid(format!(
                 "dragonfly {algo} routing needs at least {need} VCs"
+            )));
+        }
+        // UGAL draws an intermediate group other than the source and
+        // destination groups; with two groups the draw never ends.
+        if mode != DragonflyMode::Minimal && topology.num_groups() < 3 {
+            return Err(BuildError::invalid(format!(
+                "network.routing.algorithm {algo:?} needs at least 3 groups, \
+                 this dragonfly has {}",
+                topology.num_groups()
             )));
         }
         let t = Arc::clone(&topology);

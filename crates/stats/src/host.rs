@@ -17,6 +17,8 @@
 use std::fmt::Write;
 use std::time::Instant;
 
+use supersim_config::push_json_str;
+
 /// A monotonic host-time epoch. All reads are nanoseconds since the
 /// clock was created (saturating at `u64::MAX`, i.e. after ~584 years).
 #[derive(Debug, Clone)]
@@ -131,25 +133,6 @@ impl TraceEventBuilder {
         self.buf.push_str("]}\n");
         self.buf
     }
-}
-
-/// Appends `s` as a JSON string literal (quoted, minimally escaped).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to String cannot fail");
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// One live-progress heartbeat, rendered as a single integer-only JSON

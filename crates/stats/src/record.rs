@@ -3,11 +3,9 @@
 //! During the sampling window SuperSim logs network transaction information
 //! to a verbose format that the SSParse tool consumes. [`SampleLog`] is the
 //! in-memory form; [`SampleLog::to_text`] / [`SampleLog::parse`] define the
-//! text format used on disk by the tools crate, and
-//! [`SampleLog::to_json`] / [`SampleLog::from_json`] a JSON form built on
-//! the workspace's own `supersim-config` JSON (no external serializer).
+//! log's one on-disk format, the SSParse text the tools crate reads.
 
-use supersim_config::{push_uint, Value};
+use supersim_config::push_uint;
 
 /// What a [`SampleRecord`] measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,42 +72,6 @@ impl SampleRecord {
     pub fn latency(&self) -> u64 {
         debug_assert!(self.recv >= self.send, "record ends before it starts");
         self.recv - self.send
-    }
-
-    /// Converts this record to a JSON object value.
-    pub fn to_value(&self) -> Value {
-        let mut v = Value::object();
-        v.set_path("kind", Value::Str(self.kind.name().to_string()))
-            .expect("object");
-        v.set_path("app", Value::Int(self.app as i64))
-            .expect("object");
-        v.set_path("src", Value::Int(self.src as i64))
-            .expect("object");
-        v.set_path("dst", Value::Int(self.dst as i64))
-            .expect("object");
-        v.set_path("send", Value::Int(self.send as i64))
-            .expect("object");
-        v.set_path("recv", Value::Int(self.recv as i64))
-            .expect("object");
-        v.set_path("hops", Value::Int(self.hops as i64))
-            .expect("object");
-        v.set_path("size", Value::Int(self.size as i64))
-            .expect("object");
-        v
-    }
-
-    /// Reads a record back from a JSON object value.
-    pub fn from_value(v: &Value) -> Option<SampleRecord> {
-        Some(SampleRecord {
-            kind: RecordKind::from_name(v.get("kind")?.as_str()?)?,
-            app: u8::try_from(v.get("app")?.as_u64()?).ok()?,
-            src: u32::try_from(v.get("src")?.as_u64()?).ok()?,
-            dst: u32::try_from(v.get("dst")?.as_u64()?).ok()?,
-            send: v.get("send")?.as_u64()?,
-            recv: v.get("recv")?.as_u64()?,
-            hops: u16::try_from(v.get("hops")?.as_u64()?).ok()?,
-            size: u32::try_from(v.get("size")?.as_u64()?).ok()?,
-        })
     }
 
     fn parse_line(line: &str) -> Option<SampleRecord> {
@@ -219,30 +181,6 @@ impl SampleLog {
             out.push('\n');
         }
         out
-    }
-
-    /// Serializes to JSON (an array of record objects) using the
-    /// workspace's own JSON implementation.
-    pub fn to_json(&self) -> String {
-        Value::Array(self.records.iter().map(SampleRecord::to_value).collect()).to_json()
-    }
-
-    /// Parses the JSON form produced by [`SampleLog::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first syntactic or structural
-    /// problem.
-    pub fn from_json(text: &str) -> Result<SampleLog, String> {
-        let value = supersim_config::parse(text).map_err(|e| e.to_string())?;
-        let arr = value.as_array().ok_or("sample log JSON must be an array")?;
-        let mut log = SampleLog::new();
-        for (i, v) in arr.iter().enumerate() {
-            let rec = SampleRecord::from_value(v)
-                .ok_or_else(|| format!("malformed record at index {i}"))?;
-            log.push(rec);
-        }
-        Ok(log)
     }
 
     /// Parses the text format produced by [`SampleLog::to_text`].
@@ -384,32 +322,6 @@ mod tests {
         let log = SampleLog::parse("\n# c\n  \npacket 0 1 2 3 4 5 6\n").unwrap();
         assert_eq!(log.len(), 1);
         assert_eq!(log.records()[0].dst, 2);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let log: SampleLog = vec![
-            rec(RecordKind::Packet, 1, 2),
-            rec(RecordKind::Message, 3, 9),
-            rec(RecordKind::Transaction, 5, 50),
-        ]
-        .into_iter()
-        .collect();
-        let json = log.to_json();
-        let back = SampleLog::from_json(&json).unwrap();
-        assert_eq!(back, log);
-        // Empty logs round-trip too.
-        assert_eq!(
-            SampleLog::from_json(&SampleLog::new().to_json()).unwrap(),
-            SampleLog::new()
-        );
-    }
-
-    #[test]
-    fn json_rejects_malformed_input() {
-        assert!(SampleLog::from_json("{}").is_err());
-        assert!(SampleLog::from_json("not json").is_err());
-        assert!(SampleLog::from_json(r#"[{"kind":"flow"}]"#).is_err());
     }
 
     #[test]

@@ -45,13 +45,21 @@ impl DragonflyRouting {
     /// # Panics
     ///
     /// Panics if `vcs` is below the ladder depth the mode requires
-    /// (3 for minimal, 6 for UGAL).
+    /// (3 for minimal, 6 for UGAL), or if the mode is UGAL and the network
+    /// has fewer than 3 groups: UGAL draws an intermediate group other
+    /// than the source and destination groups, and with 2 none exists.
     pub fn new(topology: Arc<Dragonfly>, mode: DragonflyMode, vcs: u32) -> Self {
         let need = match mode {
             DragonflyMode::Minimal => 3,
             DragonflyMode::Ugal { .. } => 6,
         };
         assert!(vcs >= need, "dragonfly {mode:?} needs at least {need} VCs");
+        if matches!(mode, DragonflyMode::Ugal { .. }) {
+            assert!(
+                topology.num_groups() >= 3,
+                "dragonfly UGAL needs at least 3 groups"
+            );
+        }
         DragonflyRouting {
             topology,
             mode,
@@ -330,5 +338,12 @@ mod tests {
     fn insufficient_vcs_rejected() {
         let t = Arc::new(Dragonfly::new(3, 2, 2).unwrap());
         let _ = DragonflyRouting::new(t, DragonflyMode::Ugal { threshold: 0.0 }, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 3 groups")]
+    fn ugal_requires_an_intermediate_group() {
+        let t = Arc::new(Dragonfly::new(1, 1, 1).unwrap());
+        let _ = DragonflyRouting::new(t, DragonflyMode::Ugal { threshold: 0.0 }, 6);
     }
 }

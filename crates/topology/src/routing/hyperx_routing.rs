@@ -57,11 +57,18 @@ impl HyperXRouting {
     ///
     /// # Panics
     ///
-    /// Panics if `vcs` is zero, or if the mode is UGAL and `vcs < 2`.
+    /// Panics if `vcs` is zero, or if the mode is Valiant or UGAL and
+    /// `vcs < 2` or the network has fewer than 3 routers: a two-phase
+    /// packet draws an intermediate router other than its source and
+    /// destination, and with 2 routers none exists.
     pub fn new(topology: Arc<HyperX>, mode: HyperXMode, vcs: u32) -> Self {
         assert!(vcs > 0, "at least one VC required");
         if matches!(mode, HyperXMode::Ugal { .. } | HyperXMode::Valiant) {
             assert!(vcs >= 2, "two-phase routing needs at least 2 VCs");
+            assert!(
+                topology.num_routers() >= 3,
+                "two-phase routing needs at least 3 routers"
+            );
         }
         HyperXRouting {
             topology,
@@ -333,6 +340,13 @@ mod tests {
     fn ugal_requires_two_vcs() {
         let t = Arc::new(HyperX::new(vec![4], 1).unwrap());
         let _ = HyperXRouting::new(t, HyperXMode::Ugal { threshold: 0.0 }, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 3 routers")]
+    fn two_phase_routing_requires_an_intermediate_router() {
+        let t = Arc::new(HyperX::new(vec![2], 1).unwrap());
+        let _ = HyperXRouting::new(t, HyperXMode::Valiant, 2);
     }
 
     #[test]

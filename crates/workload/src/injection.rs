@@ -1,23 +1,11 @@
-//! Injection processes and message size distributions: when traffic is
-//! created and how big it is.
+//! The injection process and message size distributions: when traffic
+//! is created and how big it is.
 
-use supersim_des::Rng;
-
-use supersim_des::Tick;
-
-/// Samples the gap (in ticks) until the next message creation.
-pub trait InjectionProcess: Send {
-    /// Short process name.
-    fn name(&self) -> &str;
-
-    /// Ticks until the next message (at least 1).
-    fn next_gap(&mut self, rng: &mut Rng) -> Tick;
-}
+use supersim_des::{Rng, Tick};
 
 /// Memoryless injection: every tick creates a message with probability
 /// `p`; gaps are geometric. With message size `S` flits and a target load
-/// of `r` flits per tick, use `p = r / S` (see
-/// [`BernoulliProcess::for_load`]).
+/// of `r` flits per tick, use `p = r / S`.
 #[derive(Debug, Clone)]
 pub struct BernoulliProcess {
     p: f64,
@@ -28,122 +16,21 @@ impl BernoulliProcess {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < p <= 1`.
+    /// Panics unless `0 < p <= 1` — a rate above one message per tick
+    /// cannot be offered by one terminal.
     pub fn new(p: f64) -> Self {
         assert!(p > 0.0 && p <= 1.0, "probability must be in (0, 1]");
         BernoulliProcess { p }
     }
 
-    /// Creates a process injecting `load` flits per tick with messages of
-    /// `message_flits` flits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting per-tick probability leaves `(0, 1]` — a
-    /// load above one message per tick cannot be offered by one terminal.
-    pub fn for_load(load: f64, message_flits: u32) -> Self {
-        Self::new(load / message_flits as f64)
-    }
-}
-
-impl InjectionProcess for BernoulliProcess {
-    fn name(&self) -> &str {
-        "bernoulli"
-    }
-
-    fn next_gap(&mut self, rng: &mut Rng) -> Tick {
+    /// Ticks until the next message (at least 1).
+    pub fn next_gap(&mut self, rng: &mut Rng) -> Tick {
         if self.p >= 1.0 {
             return 1;
         }
         // Geometric via inversion: gap >= 1.
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         (u.ln() / (1.0 - self.p).ln()).floor() as Tick + 1
-    }
-}
-
-/// Fixed-period injection.
-#[derive(Debug, Clone)]
-pub struct PeriodicProcess {
-    period: Tick,
-}
-
-impl PeriodicProcess {
-    /// Creates a process emitting one message every `period` ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn new(period: Tick) -> Self {
-        assert!(period > 0, "period must be non-zero");
-        PeriodicProcess { period }
-    }
-}
-
-impl InjectionProcess for PeriodicProcess {
-    fn name(&self) -> &str {
-        "periodic"
-    }
-
-    fn next_gap(&mut self, _rng: &mut Rng) -> Tick {
-        self.period
-    }
-}
-
-/// Two-state Markov on/off (bursty) injection: in the ON state messages
-/// are created every tick; each ON tick ends the burst with probability
-/// `1/mean_burst`; OFF gaps are geometric with the rate needed to hit the
-/// configured average load.
-#[derive(Debug, Clone)]
-pub struct BurstyProcess {
-    /// Probability that an OFF tick turns ON.
-    p_on: f64,
-    /// Probability that an ON tick stays ON.
-    p_stay: f64,
-    on: bool,
-}
-
-impl BurstyProcess {
-    /// Creates a bursty process with average per-tick message probability
-    /// `p` and mean burst length `mean_burst` messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < p < 1` and `mean_burst >= 1`.
-    pub fn new(p: f64, mean_burst: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "probability must be in (0, 1)");
-        assert!(mean_burst >= 1.0, "mean burst must be at least 1");
-        let p_stay = 1.0 - 1.0 / mean_burst;
-        // Duty cycle d = p (fraction of ticks ON); mean ON run = mean_burst
-        // so mean OFF run = mean_burst * (1 - p) / p.
-        let mean_off = mean_burst * (1.0 - p) / p;
-        BurstyProcess {
-            p_on: 1.0 / mean_off,
-            p_stay,
-            on: false,
-        }
-    }
-}
-
-impl InjectionProcess for BurstyProcess {
-    fn name(&self) -> &str {
-        "bursty"
-    }
-
-    fn next_gap(&mut self, rng: &mut Rng) -> Tick {
-        if self.on && rng.gen_bool(self.p_stay) {
-            return 1;
-        }
-        self.on = false;
-        // Sample the OFF run length, then start a new burst.
-        let mut gap = 1;
-        while !rng.gen_bool(self.p_on.min(1.0)) {
-            gap += 1;
-            if gap > 1_000_000 {
-                break; // numerical guard for extreme loads
-            }
-        }
-        self.on = true;
-        gap
     }
 }
 
@@ -237,46 +124,9 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_for_load_divides_by_size() {
-        let mut p = BernoulliProcess::for_load(0.5, 4);
-        let mut rng = rng();
-        // p = 0.125 -> mean gap 8.
-        let n = 20_000;
-        let total: u64 = (0..n).map(|_| p.next_gap(&mut rng)).sum();
-        assert!((total as f64 / n as f64 - 8.0).abs() < 0.3);
-    }
-
-    #[test]
     #[should_panic(expected = "probability")]
     fn bernoulli_rejects_overload() {
-        let _ = BernoulliProcess::for_load(2.0, 1);
-    }
-
-    #[test]
-    fn periodic_is_constant() {
-        let mut p = PeriodicProcess::new(7);
-        let mut rng = rng();
-        assert_eq!(p.next_gap(&mut rng), 7);
-        assert_eq!(p.next_gap(&mut rng), 7);
-    }
-
-    #[test]
-    fn bursty_average_rate_is_close() {
-        let mut p = BurstyProcess::new(0.2, 8.0);
-        let mut rng = rng();
-        let n = 40_000;
-        let total: u64 = (0..n).map(|_| p.next_gap(&mut rng)).sum();
-        let rate = n as f64 / total as f64;
-        assert!((rate - 0.2).abs() < 0.03, "rate {rate}");
-    }
-
-    #[test]
-    fn bursty_produces_runs() {
-        let mut p = BurstyProcess::new(0.2, 8.0);
-        let mut rng = rng();
-        let gaps: Vec<Tick> = (0..1000).map(|_| p.next_gap(&mut rng)).collect();
-        let ones = gaps.iter().filter(|&&g| g == 1).count();
-        assert!(ones > 500, "no burstiness: {ones} unit gaps");
+        let _ = BernoulliProcess::new(2.0);
     }
 
     #[test]

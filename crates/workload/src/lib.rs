@@ -9,9 +9,8 @@
 //! - [`TrafficPattern`]s decide destinations ([`UniformRandom`],
 //!   [`BitComplement`], [`Tornado`], [`Transpose`], [`Neighbor`],
 //!   [`CrossSubtree`], [`RandomPermutation`], [`Hotspot`], [`Incast`]),
-//! - [`InjectionProcess`]es decide timing ([`BernoulliProcess`],
-//!   [`PeriodicProcess`], [`BurstyProcess`]) with [`SizeDistribution`]s
-//!   for message sizes,
+//! - the [`BernoulliProcess`] decides timing, with
+//!   [`SizeDistribution`]s for message sizes,
 //! - [`Application`]s build one [`Terminal`] per endpoint ([`BlastApp`],
 //!   [`PulseApp`], [`PingPongApp`]),
 //! - the [`Interface`] component hosts the terminals of all applications
@@ -31,9 +30,7 @@ mod terminal;
 mod traffic;
 
 pub use blast::{BlastApp, BlastConfig};
-pub use injection::{
-    BernoulliProcess, BurstyProcess, InjectionProcess, PeriodicProcess, SizeDistribution,
-};
+pub use injection::{BernoulliProcess, SizeDistribution};
 pub use interface::{
     spans_json_lines, Interface, InterfaceConfig, InterfaceCounters, InterfaceMetrics, SpanMetrics,
     SpanRecord,

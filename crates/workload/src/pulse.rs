@@ -13,7 +13,7 @@ use supersim_des::{wire_overlay, Rng};
 use supersim_des::Tick;
 use supersim_netbase::{AppSignal, Phase, TerminalId};
 
-use crate::injection::{BernoulliProcess, InjectionProcess, SizeDistribution};
+use crate::injection::{BernoulliProcess, SizeDistribution};
 use crate::terminal::{Application, MessageSpec, Terminal, TerminalAction};
 use crate::traffic::TrafficPattern;
 

@@ -8,9 +8,9 @@ use std::sync::Arc;
 use supersim_des::Rng;
 use supersim_netbase::{AppSignal, Phase, TerminalId};
 use supersim_workload::{
-    Application, BernoulliProcess, BitComplement, BlastApp, BlastConfig, InjectionProcess,
-    Neighbor, RandomPermutation, SizeDistribution, Terminal, TerminalAction, Tornado,
-    TrafficPattern, Transpose, UniformRandom,
+    Application, BernoulliProcess, BitComplement, BlastApp, BlastConfig, Neighbor,
+    RandomPermutation, SizeDistribution, Terminal, TerminalAction, Tornado, TrafficPattern,
+    Transpose, UniformRandom,
 };
 
 /// What one Blast terminal did over warm-up and generation.

@@ -9,100 +9,187 @@
 //! Loads a JSON configuration — expanding `$include` files and `$ref`
 //! object references (paper §III-C) — applies `path=type=value` overrides
 //! in order, runs the simulation, prints an SSParse-style summary, and
-//! writes the sample log next to the configuration as `<config>.log`
-//! (parse it later with the `ssparse` tool or `--log <path>` to choose
-//! the location; `--no-log` skips it).
+//! writes the requested output files.
 //!
-//! Observability outputs: `--metrics <file>` writes the end-of-run
-//! metrics snapshot as JSON (render it with `ssreport`), and
-//! `--trace <file>` writes the JSON-lines flit trace (requires
-//! `observability.trace.enabled=bool=true` in the configuration).
-//!
-//! Time-resolved measurement: `--sample-interval <n>` arms the windowed
-//! sampling plane (shorthand for `sample.interval`) and writes the
-//! JSON-lines time-series next to the configuration as `<config>.timeseries`
-//! (or `--timeseries <path>` to choose the location; render it with
-//! `ssplot`). `--spans` enables per-packet latency attribution
-//! (shorthand for `spans.enabled`); `--span-log <path>` additionally
-//! dumps the per-packet span records as JSON-lines. Both outputs are
-//! byte-identical across engines and shard counts.
-//!
-//! Engine selection: `--engine sequential|sharded` picks the execution
-//! backend and `--shards <n>` the worker count (sharded only). Both are
-//! shorthand for the `engine.kind` / `engine.shards` configuration paths
-//! and take precedence over the configuration file and the
-//! `SUPERSIM_ENGINE` / `SUPERSIM_SHARDS` environment variables. Results
-//! are bit-identical across engines for one `(configuration, seed)`.
-//!
-//! Multi-process execution: `--workers <n>` runs the sharded engine
-//! across `n` OS processes (shorthand for `engine.kind=sharded`,
-//! `engine.transport=process`, `engine.shards=n`). The parent re-executes
-//! this binary in the hidden `__worker` role, one process per shard, and
-//! merges their outputs — byte-identical to the single-process backends
-//! for one `(configuration, seed)`.
-//!
-//! Checkpoint/restore: `--checkpoint-interval <n>` captures the complete
-//! simulation state into `--checkpoint-dir` (default `checkpoints/`)
-//! every `n` ticks, on every backend. `--resume <file>` restores a
-//! checkpoint into a freshly built simulation and continues the run —
-//! logs, traces, metrics, and time-series come out byte-identical to an
-//! uninterrupted run. In `--workers` mode the parent additionally
-//! respawns a crashed or hung fleet from the last completed checkpoint
-//! (budget `checkpoint.max_restarts`, default 3). `--worker-timeout-ms`
-//! bounds how long the parent waits on a wedged worker socket
-//! (shorthand for `process.timeout_ms`).
-//!
-//! Host-time observability: `--host-profile` arms the out-of-band
-//! wall-clock profiler (`host.profile.enabled`) — where the run's host
-//! time went, per engine phase and component class, in the `host` /
-//! `host_shard_<s>` metrics planes (render with `ssreport
-//! --host-profile`). `--host-trace <file>` additionally writes a Chrome
-//! `trace_event` JSON timeline loadable in Perfetto. `--progress[=<ms>]`
-//! emits a live JSON-lines heartbeat to stderr (tick, events/s, ETA;
-//! default every 1000 ms). All three are strictly out-of-band:
-//! simulation outputs stay byte-identical with them on or off.
-//!
-//! Scenarios: `--scenario <name|file>` compiles a compact scenario
-//! declaration (a library name like `incast_storm`, or a declaration
-//! file) into a full configuration and runs it. A declaration file given
-//! as the plain configuration argument is detected by its top-level
-//! `"scenario"` name and compiled the same way, so every file under
+//! Three ways in: a configuration file; `--scenario <name|file>`, which
+//! compiles a library scenario (like `incast_storm`) or a declaration file
+//! into a full configuration; or a declaration file given as the plain
+//! argument, detected by its top-level `"scenario"` name. Every file under
 //! `configs/` — plain or declarative — runs with the same command line.
-//! Expand without running via the `ssgen` tool.
+//! Expand a declaration without running it via the `ssgen` tool.
+//!
+//! **Configuration flags are overrides.** Each flag in the `SHORTHANDS`
+//! table below stands for the `path=type=value` overrides its row lists
+//! (`supersim --help` prints them all): `--workers 2` is
+//! `engine.kind=string=sharded engine.transport=string=process
+//! engine.shards=uint=2`, `--faults 0.002` is `fault.enabled=bool=true
+//! fault.bit_error_rate=float=0.002`. The expansions are applied after the
+//! positional overrides, in command-line order, so a flag outranks the
+//! configuration file, the positional overrides and the `SUPERSIM_ENGINE`
+//! / `SUPERSIM_SHARDS` environment defaults. The configuration layer is
+//! the one parser and the builder the one validator of every value; a bad
+//! value fails as `--flag: <override error>` or with the builder's
+//! message, exit code 1. What the command line checks itself is what the
+//! configuration cannot say: a zero interval (0 means "off" in a file),
+//! `--workers` together with `--engine` or `--shards`, and the three ways
+//! in.
+//!
+//! **Output files come from the `OUTPUTS` table.** The sample log is
+//! written next to the configuration as `<config>.log` unless `--log
+//! <file>` moves it or `--no-log` drops it, and the time series as
+//! `<config>.timeseries` whenever sampling is on; `--metrics`, `--trace`,
+//! `--span-log` and `--host-trace` write only when asked. An output whose
+//! plane the final configuration leaves off is refused before the run.
+//! The sample log, flit trace, time series and span log are
+//! byte-identical across engines and shard counts for one
+//! `(configuration, seed)`, and so is the metrics snapshot minus its
+//! `engine_shard_*` and host planes.
 
+use std::borrow::Cow;
+use std::fmt::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use supersim::config;
-use supersim::core::{SimError, SuperSim};
+use supersim::config::{self, Value};
+use supersim::core::{RunOutput, SimError, SuperSim};
 use supersim::scenario;
 use supersim::stats::Filter;
 use supersim::tools;
 
+/// A configuration flag and the overrides it stands for: space-separated
+/// `path=type=value` texts, `{}` standing for the flag's value.
+struct Shorthand {
+    flag: &'static str,
+    /// The value's name in `--help`; `None` for a switch. A flag ending in
+    /// `=` takes its value inline (`--progress=500`).
+    value: Option<&'static str>,
+    overrides: &'static str,
+    /// Refuse a zero value: in a configuration file 0 turns the plane off,
+    /// so the builder accepts it, but a flag naming an interval means one.
+    non_zero: bool,
+    /// A command-line spelling of a value: `(alias, value)`.
+    alias: Option<(&'static str, &'static str)>,
+}
+
+/// The columns most rows leave empty.
+const FLAG: Shorthand = Shorthand {
+    flag: "",
+    value: None,
+    overrides: "",
+    non_zero: false,
+    alias: None,
+};
+
+#[rustfmt::skip]
+const SHORTHANDS: &[Shorthand] = &[
+    // The execution backend; results are byte-identical across engines.
+    Shorthand { flag: "--engine", value: Some("sequential|sharded"), alias: Some(("seq", "sequential")),
+                overrides: "engine.kind=string={}", ..FLAG },
+    Shorthand { flag: "--shards", value: Some("n"),
+                overrides: "engine.shards=uint={}", ..FLAG },
+    // One OS process per shard: the parent re-executes this binary in the
+    // hidden `__worker` role and merges the workers' outputs.
+    Shorthand { flag: "--workers", value: Some("n"),
+                overrides: "engine.kind=string=sharded engine.transport=string=process \
+                            engine.shards=uint={}", ..FLAG },
+    Shorthand { flag: "--faults", value: Some("bit-error-rate"),
+                overrides: "fault.enabled=bool=true fault.bit_error_rate=float={}", ..FLAG },
+    Shorthand { flag: "--watchdog-ticks", value: Some("n"),
+                overrides: "watchdog.ticks=uint={}", ..FLAG },
+    // The windowed time series and per-packet latency attribution.
+    Shorthand { flag: "--sample-interval", value: Some("n"), non_zero: true,
+                overrides: "sample.interval=uint={}", ..FLAG },
+    Shorthand { flag: "--spans",
+                overrides: "spans.enabled=bool=true", ..FLAG },
+    // Checkpoint every n ticks; `--resume` restores one and continues the
+    // run to the uninterrupted run's bytes.
+    Shorthand { flag: "--checkpoint-interval", value: Some("n"), non_zero: true,
+                overrides: "checkpoint.interval=uint={}", ..FLAG },
+    Shorthand { flag: "--checkpoint-dir", value: Some("dir"),
+                overrides: "checkpoint.dir=string={}", ..FLAG },
+    Shorthand { flag: "--resume", value: Some("checkpoint"),
+                overrides: "checkpoint.resume=string={}", ..FLAG },
+    Shorthand { flag: "--worker-timeout-ms", value: Some("ms"), non_zero: true,
+                overrides: "process.timeout_ms=uint={}", ..FLAG },
+    // Host time, strictly out-of-band: the wall-clock profiler, its Chrome
+    // trace (the file is an `OUTPUTS` row) and the stderr heartbeat.
+    Shorthand { flag: "--host-profile",
+                overrides: "host.profile.enabled=bool=true", ..FLAG },
+    Shorthand { flag: "--host-trace", value: Some("file"),
+                overrides: "host.profile.enabled=bool=true host.trace.enabled=bool=true", ..FLAG },
+    Shorthand { flag: "--progress",
+                overrides: "progress.interval_ms=uint=1000", ..FLAG },
+    Shorthand { flag: "--progress=", value: Some("ms"), non_zero: true,
+                overrides: "progress.interval_ms=uint={}", ..FLAG },
+];
+
+/// An output file of the run.
+struct Output {
+    flag: &'static str,
+    /// What the file holds, for messages.
+    what: &'static str,
+    /// The switch that drops a default output.
+    off: Option<&'static str>,
+    /// Without the flag, the file is written next to the configuration
+    /// with this extension whenever the run collected it.
+    default_ext: Option<&'static str>,
+    /// The setting the final configuration must turn on for the run to
+    /// collect this output, and how to turn it on; checked before the run.
+    needs: Option<(&'static str, &'static str)>,
+    text: fn(&RunOutput) -> Option<Cow<'_, str>>,
+}
+
+/// The columns most rows leave empty.
+const FILE: Output = Output {
+    flag: "",
+    what: "",
+    off: None,
+    default_ext: None,
+    needs: None,
+    text: |_| None,
+};
+
+#[rustfmt::skip]
+const OUTPUTS: &[Output] = &[
+    Output { flag: "--log", what: "sample log", off: Some("--no-log"), default_ext: Some("log"),
+             text: |o| Some(o.log.to_text().into()), ..FILE },
+    Output { flag: "--metrics", what: "metrics snapshot",
+             text: |o| Some(o.metrics.to_json().into()), ..FILE },
+    Output { flag: "--trace", what: "flit trace",
+             needs: Some(("observability.trace.enabled", "observability.trace.enabled=bool=true")),
+             text: |o| o.trace.as_deref().map(Cow::from), ..FILE },
+    Output { flag: "--timeseries", what: "time series", default_ext: Some("timeseries"),
+             needs: Some(("sample.interval", "--sample-interval <n> or sample.interval")),
+             text: |o| o.timeseries.as_deref().map(Cow::from), ..FILE },
+    Output { flag: "--host-trace", what: "host trace",
+             text: |o| o.host_trace.as_deref().map(Cow::from), ..FILE },
+    Output { flag: "--span-log", what: "span log",
+             needs: Some(("spans.enabled", "--spans or spans.enabled")),
+             text: |o| o.spans.as_deref().map(Cow::from), ..FILE },
+];
+
+/// Where one `OUTPUTS` row goes.
+#[derive(Debug, Default, PartialEq)]
+enum Dest {
+    /// Next to the configuration, if the row has a default extension.
+    #[default]
+    Default,
+    File(PathBuf),
+    /// Dropped by the row's `off` switch, whatever else the line says.
+    Off,
+}
+
+#[derive(Default)]
 struct Args {
     config_path: Option<PathBuf>,
     scenario: Option<String>,
+    /// Positional `path=type=value` overrides.
     overrides: Vec<String>,
-    log_path: Option<PathBuf>,
-    no_log: bool,
-    metrics_path: Option<PathBuf>,
-    trace_path: Option<PathBuf>,
-    engine: Option<String>,
-    shards: Option<u64>,
-    workers: Option<u64>,
-    faults: Option<f64>,
-    watchdog_ticks: Option<u64>,
-    sample_interval: Option<u64>,
-    timeseries_path: Option<PathBuf>,
-    spans: bool,
-    span_log_path: Option<PathBuf>,
-    checkpoint_interval: Option<u64>,
-    checkpoint_dir: Option<PathBuf>,
-    resume: Option<PathBuf>,
-    worker_timeout_ms: Option<u64>,
-    host_profile: bool,
-    host_trace_path: Option<PathBuf>,
-    progress_interval_ms: Option<u64>,
+    /// `(flag, override)` expansions of the configuration flags, applied
+    /// after `overrides`.
+    flags: Vec<(&'static str, String)>,
+    /// One destination per `OUTPUTS` row.
+    outputs: [Dest; OUTPUTS.len()],
 }
 
 /// The pinned exit code of a degraded run; documented in the README.
@@ -119,427 +206,137 @@ fn exit_code(error: &SimError) -> u8 {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut config_path = None;
-    let mut scenario = None;
-    let mut overrides = Vec::new();
-    let mut log_path = None;
-    let mut no_log = false;
-    let mut metrics_path = None;
-    let mut trace_path = None;
-    let mut engine = None;
-    let mut shards = None;
-    let mut workers = None;
-    let mut faults = None;
-    let mut watchdog_ticks = None;
-    let mut sample_interval = None;
-    let mut timeseries_path = None;
-    let mut spans = false;
-    let mut span_log_path = None;
-    let mut checkpoint_interval = None;
-    let mut checkpoint_dir = None;
-    let mut resume = None;
-    let mut worker_timeout_ms = None;
-    let mut host_profile = false;
-    let mut host_trace_path = None;
-    let mut progress_interval_ms = None;
-    let mut it = std::env::args().skip(1);
+/// The `--help` text, generated from the two tables.
+fn usage() -> String {
+    let mut s = String::from(
+        "usage: supersim <config.json | --scenario <name|file>> [path=type=value ...] [flags]\n\
+         \noutputs:\n",
+    );
+    for o in OUTPUTS {
+        let off = o.off.map_or(String::new(), |off| format!(" | {off}"));
+        let ext = o
+            .default_ext
+            .map_or(String::new(), |e| format!(" (default <config>.{e})"));
+        let flag = format!("{} <file>{off}", o.flag);
+        writeln!(s, "  {flag:<30} {}{ext}", o.what).expect("write to String");
+    }
+    s.push_str("\nconfiguration flags, each the overrides shown, after the positional ones:\n");
+    for f in SHORTHANDS {
+        let value = f.value.map_or(String::new(), |v| format!("<{v}>"));
+        let flag = format!("{} {value}", f.flag).replacen("= ", "=", 1);
+        let overrides = f.overrides.replace("{}", &value);
+        writeln!(s, "  {:<30} {overrides}", flag.trim_end()).expect("write to String");
+    }
+    s
+}
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
-        if let Some(v) = arg.strip_prefix("--progress=") {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| format!("--progress interval must be in milliseconds, got {v:?}"))?;
-            if n == 0 {
-                return Err("--progress interval must be non-zero".to_string());
+        // `--flag=value` names the inline row `--flag=`.
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (&arg[..=f.len()], Some(v)),
+            _ => (arg.as_str(), None),
+        };
+        let shorthand = SHORTHANDS.iter().find(|s| s.flag == flag);
+        let output = OUTPUTS.iter().position(|o| o.flag == flag);
+        if shorthand.is_some() || output.is_some() {
+            let takes = output.is_some() || shorthand.is_some_and(|s| s.value.is_some());
+            let value = match inline {
+                Some(v) => v.to_string(),
+                None if takes => it.next().ok_or(format!("{flag} needs a value"))?,
+                None => String::new(),
+            };
+            if let Some(s) = shorthand {
+                let v = match s.alias {
+                    Some((alias, to)) if alias == value => to,
+                    _ => &value,
+                };
+                if s.non_zero && v.parse::<u64>() == Ok(0) {
+                    return Err(format!("{} must be non-zero", flag.trim_end_matches('=')));
+                }
+                let texts = s.overrides.split(' ').map(|o| (s.flag, o.replace("{}", v)));
+                args.flags.extend(texts);
             }
-            progress_interval_ms = Some(n);
+            if let Some(i) = output.filter(|&i| args.outputs[i] != Dest::Off) {
+                args.outputs[i] = Dest::File(PathBuf::from(value));
+            }
+            continue;
+        }
+        if let Some(i) = OUTPUTS.iter().position(|o| o.off == Some(flag)) {
+            args.outputs[i] = Dest::Off;
             continue;
         }
         match arg.as_str() {
-            "--host-profile" => host_profile = true,
-            "--host-trace" => {
-                let p = it.next().ok_or("--host-trace needs a path")?;
-                host_trace_path = Some(PathBuf::from(p));
-            }
-            "--progress" => progress_interval_ms = Some(1000),
-            "--log" => {
-                let p = it.next().ok_or("--log needs a path")?;
-                log_path = Some(PathBuf::from(p));
-            }
-            "--no-log" => no_log = true,
-            "--metrics" => {
-                let p = it.next().ok_or("--metrics needs a path")?;
-                metrics_path = Some(PathBuf::from(p));
-            }
-            "--trace" => {
-                let p = it.next().ok_or("--trace needs a path")?;
-                trace_path = Some(PathBuf::from(p));
-            }
-            "--engine" => {
-                let k = it.next().ok_or("--engine needs a kind")?;
-                engine = Some(match k.as_str() {
-                    "seq" | "sequential" => "sequential".to_string(),
-                    "sharded" => k,
-                    _ => {
-                        return Err(format!(
-                        "--engine must be \"sequential\" (alias \"seq\") or \"sharded\", got {k:?}"
-                    ))
-                    }
-                });
-            }
-            "--shards" => {
-                let n = it.next().ok_or("--shards needs a count")?;
-                let n: u64 = n
-                    .parse()
-                    .map_err(|_| format!("--shards must be an integer, got {n:?}"))?;
-                if n == 0 {
-                    return Err("--shards must be non-zero".to_string());
-                }
-                shards = Some(n);
-            }
-            "--workers" => {
-                let n = it.next().ok_or("--workers needs a count")?;
-                let n: u64 = n
-                    .parse()
-                    .map_err(|_| format!("--workers must be an integer, got {n:?}"))?;
-                if n == 0 {
-                    return Err("--workers must be non-zero".to_string());
-                }
-                workers = Some(n);
-            }
-            "--faults" => {
-                let r = it.next().ok_or("--faults needs a bit-error rate")?;
-                let r: f64 = r
-                    .parse()
-                    .map_err(|_| format!("--faults must be a probability, got {r:?}"))?;
-                if !(0.0..=1.0).contains(&r) {
-                    return Err(format!("--faults must be in [0, 1], got {r}"));
-                }
-                faults = Some(r);
-            }
-            "--watchdog-ticks" => {
-                let n = it.next().ok_or("--watchdog-ticks needs a tick count")?;
-                let n: u64 = n
-                    .parse()
-                    .map_err(|_| format!("--watchdog-ticks must be an integer, got {n:?}"))?;
-                watchdog_ticks = Some(n);
-            }
-            "--sample-interval" => {
-                let n = it.next().ok_or("--sample-interval needs a tick count")?;
-                let n: u64 = n
-                    .parse()
-                    .map_err(|_| format!("--sample-interval must be an integer, got {n:?}"))?;
-                if n == 0 {
-                    return Err("--sample-interval must be non-zero".to_string());
-                }
-                sample_interval = Some(n);
-            }
-            "--timeseries" => {
-                let p = it.next().ok_or("--timeseries needs a path")?;
-                timeseries_path = Some(PathBuf::from(p));
-            }
             "--scenario" => {
                 let s = it
                     .next()
                     .ok_or("--scenario needs a name or declaration file")?;
-                scenario = Some(s);
+                args.scenario = Some(s);
             }
-            "--spans" => spans = true,
-            "--span-log" => {
-                let p = it.next().ok_or("--span-log needs a path")?;
-                span_log_path = Some(PathBuf::from(p));
-            }
-            "--checkpoint-interval" => {
-                let n = it
-                    .next()
-                    .ok_or("--checkpoint-interval needs a tick count")?;
-                let n: u64 = n
-                    .parse()
-                    .map_err(|_| format!("--checkpoint-interval must be an integer, got {n:?}"))?;
-                if n == 0 {
-                    return Err("--checkpoint-interval must be non-zero".to_string());
-                }
-                checkpoint_interval = Some(n);
-            }
-            "--checkpoint-dir" => {
-                let p = it.next().ok_or("--checkpoint-dir needs a path")?;
-                checkpoint_dir = Some(PathBuf::from(p));
-            }
-            "--resume" => {
-                let p = it.next().ok_or("--resume needs a checkpoint file")?;
-                resume = Some(PathBuf::from(p));
-            }
-            "--worker-timeout-ms" => {
-                let n = it.next().ok_or("--worker-timeout-ms needs a budget")?;
-                let n: u64 = n
-                    .parse()
-                    .map_err(|_| format!("--worker-timeout-ms must be an integer, got {n:?}"))?;
-                if n == 0 {
-                    return Err("--worker-timeout-ms must be non-zero".to_string());
-                }
-                worker_timeout_ms = Some(n);
-            }
-            "--help" | "-h" => {
-                return Err("usage: supersim <config.json | --scenario <name|file>> \
-                            [path=type=value ...] \
-                            [--log <file> | --no-log] [--metrics <file>] [--trace <file>] \
-                            [--engine sequential|sharded] [--shards <n>] [--workers <n>] \
-                            [--faults <bit-error-rate>] [--watchdog-ticks <n>] \
-                            [--sample-interval <n>] [--timeseries <file>] \
-                            [--spans] [--span-log <file>] \
-                            [--checkpoint-interval <n>] [--checkpoint-dir <dir>] \
-                            [--resume <checkpoint>] [--worker-timeout-ms <n>] \
-                            [--host-profile] [--host-trace <file>] [--progress[=<ms>]]"
-                    .to_string())
-            }
-            a if a.contains('=') => overrides.push(a.to_string()),
-            a if config_path.is_none() => config_path = Some(PathBuf::from(a)),
+            "--help" | "-h" => return Err(usage()),
+            a if a.contains('=') => args.overrides.push(arg),
+            a if args.config_path.is_none() => args.config_path = Some(PathBuf::from(a)),
             a => return Err(format!("unexpected argument {a:?}")),
         }
     }
-    if config_path.is_none() && scenario.is_none() {
+    if args.config_path.is_none() && args.scenario.is_none() {
         return Err("missing configuration file (or --scenario <name|file>)".to_string());
     }
-    if config_path.is_some() && scenario.is_some() {
+    if args.config_path.is_some() && args.scenario.is_some() {
         return Err("give either a configuration file or --scenario, not both".to_string());
     }
-    if workers.is_some() && (engine.is_some() || shards.is_some()) {
+    let given = |flag: &str| args.flags.iter().any(|(f, _)| *f == flag);
+    if given("--workers") && (given("--engine") || given("--shards")) {
         return Err("--workers already implies --engine sharded and --shards; \
                     give one or the other"
             .to_string());
     }
-    Ok(Args {
-        config_path,
-        scenario,
-        overrides,
-        log_path,
-        no_log,
-        metrics_path,
-        trace_path,
-        engine,
-        shards,
-        workers,
-        faults,
-        watchdog_ticks,
-        sample_interval,
-        timeseries_path,
-        spans,
-        span_log_path,
-        checkpoint_interval,
-        checkpoint_dir,
-        resume,
-        worker_timeout_ms,
-        host_profile,
-        host_trace_path,
-        progress_interval_ms,
-    })
+    Ok(args)
 }
 
-fn main() -> ExitCode {
-    // The hidden worker role of `--workers` runs: the parent re-executes
-    // this binary as `supersim __worker <socket> <index>`. Dispatched
-    // before normal argument parsing — the configuration arrives over
-    // the socket, not argv.
-    #[cfg(unix)]
-    {
-        let argv: Vec<String> = std::env::args().collect();
-        if argv.get(1).is_some_and(|a| a == "__worker") {
-            let (Some(socket), Some(index)) = (argv.get(2), argv.get(3)) else {
-                eprintln!("usage: supersim __worker <socket> <index>");
-                return ExitCode::FAILURE;
-            };
-            let Ok(index) = index.parse::<u32>() else {
-                eprintln!("supersim __worker: index must be an integer, got {index:?}");
-                return ExitCode::FAILURE;
-            };
-            return ExitCode::from(supersim::core::run_worker(socket, index) as u8);
-        }
+/// The configuration to run and the path the default outputs sit next
+/// to, from whichever of the three ways in the command line took.
+fn load(args: &Args) -> Result<(Value, PathBuf), String> {
+    if let Some(arg) = &args.scenario {
+        let c = scenario::resolve(arg).map_err(|e| e.to_string())?;
+        eprintln!("supersim: scenario {} expanded", c.name);
+        return Ok((c.config, PathBuf::from(format!("{}.json", c.name))));
     }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Three ways in: `--scenario <name|file>`, a declaration file given as
-    // the plain argument (detected by its top-level "scenario" name), or a
-    // full configuration file. `base` anchors the default output paths.
-    let (mut cfg, base) = if let Some(arg) = &args.scenario {
-        match scenario::resolve(arg) {
-            Ok(c) => {
-                eprintln!("supersim: scenario {} expanded", c.name);
-                (c.config, PathBuf::from(format!("{}.json", c.name)))
-            }
-            Err(e) => {
-                eprintln!("supersim: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let path = args.config_path.clone().expect("checked in parse_args");
-        let loaded = match config::expand_file(&path) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("supersim: {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        if scenario::is_declaration(&loaded) {
-            match scenario::compile(&loaded) {
-                Ok(c) => {
-                    eprintln!("supersim: scenario {} expanded", c.name);
-                    (c.config, path)
-                }
-                Err(e) => {
-                    eprintln!("supersim: {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            (loaded, path)
-        }
-    };
-    if let Err(e) = config::apply_overrides(&mut cfg, &args.overrides) {
-        eprintln!("supersim: {e}");
-        return ExitCode::FAILURE;
+    let path = args.config_path.clone().expect("checked in parse_args");
+    let at = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+    let loaded = config::expand_file(&path).map_err(|e| at(&e))?;
+    if !scenario::is_declaration(&loaded) {
+        return Ok((loaded, path));
     }
-    // Flags outrank both the configuration file and the environment.
-    if let Some(kind) = &args.engine {
-        if cfg
-            .set_path("engine.kind", config::Value::Str(kind.clone()))
-            .is_err()
-        {
-            eprintln!("supersim: configuration root must be an object");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(n) = args.shards {
-        if cfg
-            .set_path("engine.shards", config::Value::Int(n as i64))
-            .is_err()
-        {
-            eprintln!("supersim: configuration root must be an object");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(n) = args.workers {
-        let kind = cfg.set_path("engine.kind", config::Value::Str("sharded".into()));
-        let transport = cfg.set_path("engine.transport", config::Value::Str("process".into()));
-        let count = cfg.set_path("engine.shards", config::Value::Int(n as i64));
-        if kind.is_err() || transport.is_err() || count.is_err() {
-            eprintln!("supersim: configuration root must be an object");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(rate) = args.faults {
-        let enabled = cfg.set_path("fault.enabled", config::Value::Bool(true));
-        let ber = cfg.set_path("fault.bit_error_rate", config::Value::Float(rate));
-        if enabled.is_err() || ber.is_err() {
-            eprintln!("supersim: configuration root must be an object");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(n) = args.watchdog_ticks {
-        if cfg
-            .set_path("watchdog.ticks", config::Value::Int(n as i64))
-            .is_err()
-        {
-            eprintln!("supersim: configuration root must be an object");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(n) = args.sample_interval {
-        if cfg
-            .set_path("sample.interval", config::Value::Int(n as i64))
-            .is_err()
-        {
-            eprintln!("supersim: configuration root must be an object");
-            return ExitCode::FAILURE;
-        }
-    }
-    if args.spans
-        && cfg
-            .set_path("spans.enabled", config::Value::Bool(true))
-            .is_err()
-    {
-        eprintln!("supersim: configuration root must be an object");
-        return ExitCode::FAILURE;
-    }
-    // Host-time observability flags: `--host-profile` arms the
-    // out-of-band wall-clock profiler, `--host-trace` additionally
-    // renders the Chrome trace (and implies profiling), `--progress`
-    // the live heartbeat. All shorthand for `host.*` / `progress.*`
-    // configuration paths.
-    let host_overrides = [
-        (args.host_profile || args.host_trace_path.is_some())
-            .then_some(("host.profile.enabled", config::Value::Bool(true))),
-        args.host_trace_path
-            .is_some()
-            .then_some(("host.trace.enabled", config::Value::Bool(true))),
-        args.progress_interval_ms
-            .map(|n| ("progress.interval_ms", config::Value::Int(n as i64))),
-    ];
-    for (path, value) in host_overrides.into_iter().flatten() {
-        if cfg.set_path(path, value).is_err() {
-            eprintln!("supersim: configuration root must be an object");
-            return ExitCode::FAILURE;
-        }
-    }
-    let checkpoint_overrides = [
-        args.checkpoint_interval
-            .map(|n| ("checkpoint.interval", config::Value::Int(n as i64))),
-        args.checkpoint_dir.as_ref().map(|p| {
-            (
-                "checkpoint.dir",
-                config::Value::Str(p.to_string_lossy().into_owned()),
-            )
-        }),
-        args.resume.as_ref().map(|p| {
-            (
-                "checkpoint.resume",
-                config::Value::Str(p.to_string_lossy().into_owned()),
-            )
-        }),
-        args.worker_timeout_ms
-            .map(|n| ("process.timeout_ms", config::Value::Int(n as i64))),
-    ];
-    for (path, value) in checkpoint_overrides.into_iter().flatten() {
-        if cfg.set_path(path, value).is_err() {
-            eprintln!("supersim: configuration root must be an object");
-            return ExitCode::FAILURE;
-        }
-    }
+    let c = scenario::compile(&loaded).map_err(|e| at(&e))?;
+    eprintln!("supersim: scenario {} expanded", c.name);
+    Ok((c.config, path))
+}
 
-    let sim = match SuperSim::from_config(&cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("supersim: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run(args: Args) -> Result<ExitCode, String> {
+    let (mut cfg, base) = load(&args)?;
+    config::apply_overrides(&mut cfg, &args.overrides).map_err(|e| e.to_string())?;
+    // Flags outrank the file, the positional overrides and the environment.
+    for (flag, text) in &args.flags {
+        config::apply_override(&mut cfg, text)
+            .map_err(|e| format!("{}: {e}", flag.trim_end_matches('=')))?;
+    }
+    let sim = SuperSim::from_config(&cfg).map_err(|e| e.to_string())?;
     // An output the final configuration never collects is refused before
     // the run, not after it. The build above has type-checked each key.
-    let uncollected = [
-        (
-            args.trace_path.is_some()
-                && !cfg
-                    .opt_bool("observability.trace.enabled", false)
-                    .unwrap_or(false),
-            "--trace needs observability.trace.enabled=bool=true in the configuration",
-        ),
-        (
-            args.span_log_path.is_some() && !cfg.opt_bool("spans.enabled", false).unwrap_or(false),
-            "--span-log needs --spans or spans.enabled in the configuration",
-        ),
-        (
-            args.timeseries_path.is_some() && cfg.opt_u64("sample.interval", 0).unwrap_or(0) == 0,
-            "--timeseries needs --sample-interval <n> or sample.interval in the configuration",
-        ),
-    ];
-    if let Some((_, msg)) = uncollected.iter().find(|(refused, _)| *refused) {
-        eprintln!("supersim: {msg}");
-        return ExitCode::FAILURE;
+    for (o, dest) in OUTPUTS.iter().zip(&args.outputs) {
+        let Some((key, how)) = o.needs.filter(|_| matches!(dest, Dest::File(_))) else {
+            continue;
+        };
+        // On is `true` or a non-zero count.
+        let on = cfg
+            .path(key)
+            .is_some_and(|v| v.as_bool().unwrap_or(v.as_u64() > Some(0)));
+        if !on {
+            return Err(format!("{} needs {how} in the configuration", o.flag));
+        }
     }
     eprintln!(
         "supersim: {} — {} terminals, {} routers",
@@ -576,92 +373,151 @@ fn main() -> ExitCode {
 
     print!("{}", tools::analyze(&out.log, &Filter::new()).to_table());
 
-    if !args.no_log {
-        let path = args.log_path.unwrap_or_else(|| base.with_extension("log"));
-        if let Err(e) = std::fs::write(&path, out.log.to_text()) {
-            eprintln!("supersim: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "supersim: wrote {} ({} records)",
-            path.display(),
-            out.log.len()
-        );
-    }
-    if let Some(path) = &args.metrics_path {
-        if let Err(e) = std::fs::write(path, out.metrics.to_json()) {
-            eprintln!("supersim: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "supersim: wrote {} ({} metrics)",
-            path.display(),
-            out.metrics.len()
-        );
-    }
-    if let Some(path) = &args.trace_path {
-        let Some(trace) = &out.trace else {
-            // Tracing was armed (checked before the run), so the run
-            // never assembled its outputs.
-            eprintln!("supersim: no flit trace collected");
-            return ExitCode::FAILURE;
+    for (o, dest) in OUTPUTS.iter().zip(args.outputs) {
+        let (path, asked) = match (dest, o.default_ext) {
+            (Dest::File(path), _) => (path, true),
+            (Dest::Default, Some(ext)) => (base.with_extension(ext), false),
+            _ => continue,
         };
-        if let Err(e) = std::fs::write(path, trace) {
-            eprintln!("supersim: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "supersim: wrote {} ({} trace lines)",
-            path.display(),
-            trace.lines().count()
-        );
-    }
-    if let Some(ts) = &out.timeseries {
-        let path = args
-            .timeseries_path
-            .unwrap_or_else(|| base.with_extension("timeseries"));
-        if let Err(e) = std::fs::write(&path, ts) {
-            eprintln!("supersim: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "supersim: wrote {} ({} sample windows)",
-            path.display(),
-            ts.lines().count()
-        );
-    }
-    if let Some(path) = &args.host_trace_path {
-        let Some(host_trace) = &out.host_trace else {
-            // `--host-trace` implies host.trace.enabled above, so an
-            // absent document means the run never assembled (degraded
-            // before any host data existed).
-            eprintln!("supersim: no host trace collected");
-            return ExitCode::FAILURE;
+        let text = match ((o.text)(out), asked) {
+            (Some(text), _) => text,
+            (None, false) => continue,
+            // The plane was armed (checked before the run), so the run
+            // never assembled this output.
+            (None, true) => return Err(format!("no {} collected", o.what)),
         };
-        if let Err(e) = std::fs::write(path, host_trace) {
-            eprintln!("supersim: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("supersim: wrote {} (host trace)", path.display());
-    }
-    // Spans were armed (checked before the run), so the dump is present.
-    if let (Some(path), Some(spans)) = (&args.span_log_path, &out.spans) {
-        if let Err(e) = std::fs::write(path, spans) {
-            eprintln!("supersim: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, text.as_bytes())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         eprintln!(
-            "supersim: wrote {} ({} span records)",
+            "supersim: wrote {} ({}, {} bytes)",
             path.display(),
-            spans.lines().count()
+            o.what,
+            text.len()
         );
     }
-    // Pinned exit codes, documented in the README: 0 clean, 1 usage /
-    // configuration / output-io error (the early returns above), 2
-    // degraded simulation, 3 watchdog trip, 4 worker failure, 5 resume
-    // failure.
-    match &report.error {
+    Ok(match &report.error {
         Some(e) => ExitCode::from(exit_code(e)),
         None => ExitCode::SUCCESS,
+    })
+}
+
+fn main() -> ExitCode {
+    // The hidden worker role of `--workers` runs: the parent re-executes
+    // this binary as `supersim __worker <socket> <index>`. Dispatched
+    // before normal argument parsing — the configuration arrives over
+    // the socket, not argv.
+    #[cfg(unix)]
+    {
+        let argv: Vec<String> = std::env::args().collect();
+        if argv.get(1).is_some_and(|a| a == "__worker") {
+            let (Some(socket), Some(index)) = (argv.get(2), argv.get(3)) else {
+                eprintln!("usage: supersim __worker <socket> <index>");
+                return ExitCode::FAILURE;
+            };
+            let Ok(index) = index.parse::<u32>() else {
+                eprintln!("supersim __worker: index must be an integer, got {index:?}");
+                return ExitCode::FAILURE;
+            };
+            return ExitCode::from(supersim::core::run_worker(socket, index) as u8);
+        }
+    }
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(a) => a,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // Pinned exit codes, documented in the README: 0 clean, 1 usage /
+    // configuration / output-io error, 2 degraded simulation, 3 watchdog
+    // trip, 4 worker failure, 5 resume failure.
+    run(args).unwrap_or_else(|msg| {
+        eprintln!("supersim: {msg}");
+        ExitCode::FAILURE
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split(' ').map(String::from))
+    }
+
+    #[test]
+    fn every_shorthand_expands_to_its_documented_overrides() {
+        #[rustfmt::skip]
+        let documented = [
+            ("--engine seq", "engine.kind=string=sequential"),
+            ("--engine sharded", "engine.kind=string=sharded"),
+            ("--shards 4", "engine.shards=uint=4"),
+            ("--workers 3",
+             "engine.kind=string=sharded engine.transport=string=process engine.shards=uint=3"),
+            ("--faults 0.002", "fault.enabled=bool=true fault.bit_error_rate=float=0.002"),
+            ("--watchdog-ticks 5000", "watchdog.ticks=uint=5000"),
+            ("--sample-interval 100", "sample.interval=uint=100"),
+            ("--spans", "spans.enabled=bool=true"),
+            ("--checkpoint-interval 200", "checkpoint.interval=uint=200"),
+            ("--checkpoint-dir ck", "checkpoint.dir=string=ck"),
+            ("--resume ck/a.ssckpt", "checkpoint.resume=string=ck/a.ssckpt"),
+            ("--worker-timeout-ms 900", "process.timeout_ms=uint=900"),
+            ("--host-profile", "host.profile.enabled=bool=true"),
+            ("--host-trace h.json", "host.profile.enabled=bool=true host.trace.enabled=bool=true"),
+            ("--progress", "progress.interval_ms=uint=1000"),
+            ("--progress=250", "progress.interval_ms=uint=250"),
+        ];
+        let mut covered = Vec::new();
+        for (line, want) in documented {
+            let args = parse(&format!("c.json {line}")).unwrap();
+            let got: Vec<&str> = args.flags.iter().map(|(_, o)| o.as_str()).collect();
+            assert_eq!(got.join(" "), want, "{line}");
+            covered.extend(args.flags.iter().map(|(flag, _)| *flag));
+        }
+        for row in SHORTHANDS {
+            assert!(covered.contains(&row.flag), "{} is undocumented", row.flag);
+        }
+    }
+
+    #[test]
+    fn flags_follow_positional_overrides_in_command_line_order() {
+        let args = parse("c.json --spans seed=uint=7 --shards 1").unwrap();
+        assert_eq!(args.overrides, ["seed=uint=7"]);
+        let flags: Vec<_> = args.flags.iter().map(|(f, _)| *f).collect();
+        assert_eq!(flags, ["--spans", "--shards"]);
+    }
+
+    #[test]
+    fn command_line_rules_the_configuration_cannot_state() {
+        for line in [
+            "c.json --sample-interval 0",
+            "c.json --checkpoint-interval 0",
+            "c.json --worker-timeout-ms 0",
+            "c.json --progress=0",
+            "c.json --workers 2 --shards 2",
+            "c.json --workers 2 --engine sharded",
+            "c.json --scenario incast_storm",
+            "--no-log",
+            "c.json --shards",
+        ] {
+            assert!(parse(line).is_err(), "{line} accepted");
+        }
+        // Values the builder checks pass the command line untouched.
+        assert!(parse("c.json --shards 0 --faults 1.5").is_ok());
+    }
+
+    #[test]
+    fn output_rows_take_paths_and_no_log_wins() {
+        let row = |flag| OUTPUTS.iter().position(|o| o.flag == flag).unwrap();
+        let args = parse("c.json --metrics m.json --no-log --log x").unwrap();
+        assert_eq!(args.outputs[row("--log")], Dest::Off);
+        assert_eq!(args.outputs[row("--metrics")], Dest::File("m.json".into()));
+        // `--host-trace` is both an output and a configuration flag.
+        let args = parse("c.json --host-trace h.json").unwrap();
+        assert_eq!(
+            args.outputs[row("--host-trace")],
+            Dest::File("h.json".into())
+        );
+        assert_eq!(args.flags.len(), 2);
     }
 }

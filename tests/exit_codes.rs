@@ -16,8 +16,10 @@
 
 mod common;
 
+use std::io::Read;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use supersim::config::Value;
 
@@ -206,4 +208,63 @@ fn code_5_resume_failure() {
         5
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn code_1_two_phase_routing_without_an_intermediate() {
+    // Valiant on a 2-router HyperX and UGAL on a 2-group dragonfly have no
+    // intermediate apart from source and destination; drawing one used to
+    // loop forever inside a routing handler, where the watchdog cannot
+    // fire. The build must refuse them. The child is killed at a deadline
+    // so a regression fails here instead of hanging the suite.
+    let cfg = |file: &str| format!("{}/configs/{file}", env!("CARGO_MANIFEST_DIR"));
+    for (file, overrides) in [
+        (
+            "quickstart.json",
+            &[
+                "network.topology.widths=json=[2]",
+                "network.routing.algorithm=string=valiant",
+            ],
+        ),
+        (
+            "dragonfly_ugal.json",
+            &[
+                "network.topology.group_size=uint=1",
+                "network.topology.global_ports=uint=1",
+            ],
+        ),
+    ] {
+        let mut child = Command::new(bin())
+            .arg(cfg(file))
+            .args(overrides)
+            .arg("--no-log")
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn supersim");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("wait") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{file} {overrides:?}: still running after 30 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped")
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        assert_eq!(status.code(), Some(1), "{file}: {stderr}");
+        assert!(
+            stderr.contains("network.routing.algorithm"),
+            "{file}: {stderr}"
+        );
+    }
 }
