@@ -12,14 +12,14 @@
 //! fleet, `into_worker` inside a worker. The layout implies the
 //! transport, so nothing else about the backend is carried forward.
 
-use supersim_config::Value;
-use supersim_des::{ComponentId, EngineOptions, ProgressShared, Simulator, Tick, Time};
+use supersim_config::{ConfigError, Value};
+use supersim_des::{ComponentId, EngineOptions, ProgressShared, Simulator, Tick, Time, TraceSpec};
 use supersim_netbase::{
     Ev, FaultConfig, FaultPlane, LinkId, LinkTarget, RouterId, ScheduledOutage, TerminalId,
-    TraceFilter, TraceKind,
+    TraceKind,
 };
 use supersim_router::RouterPorts;
-use supersim_stats::{ComponentSampler, HostClock, MetricsRegistry};
+use supersim_stats::{ComponentSampler, HostClock};
 use supersim_topology::{partition_routers, ChannelClass, Topology};
 use supersim_workload::{Interface, InterfaceConfig, WorkloadMonitor};
 
@@ -41,7 +41,6 @@ pub(crate) struct Built {
     pub topology: Arc<dyn Topology>,
     pub tick_limit: Tick,
     pub link_period: Tick,
-    pub registry: MetricsRegistry,
     pub fault: Option<Arc<FaultPlane>>,
     /// Sampling window width in ticks; zero = sampling disabled.
     pub sample_interval: Tick,
@@ -156,11 +155,11 @@ enum EngineChoice {
 /// resolves to the sequential kind is an error rather than a silently
 /// sequential run, and a stated count of 0 is an error on either kind.
 fn engine_choice(cfg: &Value) -> Result<EngineChoice, BuildError> {
-    let kind = match cfg.req_str("engine.kind") {
-        Ok(s) => s.to_string(),
-        Err(_) => std::env::var("SUPERSIM_ENGINE").unwrap_or_else(|_| "sequential".into()),
+    let kind = match opt_key(cfg, "engine.kind", Value::req_str)? {
+        Some(s) => s.to_string(),
+        None => std::env::var("SUPERSIM_ENGINE").unwrap_or_else(|_| "sequential".into()),
     };
-    let configured_shards = cfg.req_u64("engine.shards").ok();
+    let configured_shards = opt_key(cfg, "engine.shards", Value::req_u64)?;
     if configured_shards == Some(0) {
         return Err(BuildError::invalid("engine.shards must be non-zero"));
     }
@@ -173,11 +172,7 @@ fn engine_choice(cfg: &Value) -> Result<EngineChoice, BuildError> {
             Err(_) => 2,
         },
     };
-    let transport = match cfg.req_str("engine.transport") {
-        Ok(s) => s.to_string(),
-        Err(_) => "thread".into(),
-    };
-    let process = match transport.as_str() {
+    let process = match cfg.opt_str("engine.transport", "thread")? {
         "thread" => false,
         "process" => true,
         other => {
@@ -217,9 +212,23 @@ fn engine_choice(cfg: &Value) -> Result<EngineChoice, BuildError> {
     }
 }
 
-/// Parses the optional `observability.trace` block; `None` when tracing
-/// is absent or disabled (the free-when-off default).
-fn trace_config(cfg: &Value) -> Result<Option<(TraceFilter, usize)>, BuildError> {
+/// The value of an optional key read with `get`: `None` when the key is
+/// absent, an error when it is present with the wrong type.
+fn opt_key<'a, T>(
+    cfg: &'a Value,
+    key: &str,
+    get: impl FnOnce(&'a Value, &str) -> Result<T, ConfigError>,
+) -> Result<Option<T>, BuildError> {
+    match cfg.path(key) {
+        None => Ok(None),
+        Some(_) => Ok(Some(get(cfg, key)?)),
+    }
+}
+
+/// Parses the optional `observability.trace` block into the engine's
+/// collection spec and ring capacity; `None` when tracing is absent or
+/// disabled (the free-when-off default).
+fn trace_config(cfg: &Value) -> Result<Option<(TraceSpec, usize)>, BuildError> {
     if !cfg.opt_bool("observability.trace.enabled", false)? {
         return Ok(None);
     }
@@ -229,8 +238,8 @@ fn trace_config(cfg: &Value) -> Result<Option<(TraceFilter, usize)>, BuildError>
             "observability.trace.capacity must be non-zero",
         ));
     }
-    let mut filter = TraceFilter::default();
-    if let Ok(names) = cfg.req_array("observability.trace.kinds") {
+    let mut spec = TraceSpec::default();
+    if let Some(names) = opt_key(cfg, "observability.trace.kinds", Value::req_array)? {
         let mut mask = 0u8;
         for n in names {
             let s = n.as_str().ok_or_else(|| {
@@ -240,14 +249,16 @@ fn trace_config(cfg: &Value) -> Result<Option<(TraceFilter, usize)>, BuildError>
                 .ok_or_else(|| BuildError::invalid(format!("unknown trace kind {s:?}")))?;
             mask |= kind.bit();
         }
-        filter.kinds = mask;
+        spec.kinds = mask;
     }
-    if let Ok(src) = cfg.req_u64("observability.trace.src") {
-        filter.src = Some(src as u32);
+    if let Some(src) = opt_key(cfg, "observability.trace.src", Value::req_u64)? {
+        let src = u32::try_from(src)
+            .map_err(|_| BuildError::invalid("observability.trace.src is out of range"))?;
+        spec.src = Some(src);
     }
-    filter.packet_lo = cfg.opt_u64("observability.trace.packet_lo", 0)?;
-    filter.packet_hi = cfg.opt_u64("observability.trace.packet_hi", u64::MAX)?;
-    Ok(Some((filter, capacity as usize)))
+    spec.id_lo = cfg.opt_u64("observability.trace.packet_lo", 0)?;
+    spec.id_hi = cfg.opt_u64("observability.trace.packet_hi", u64::MAX)?;
+    Ok(Some((spec, capacity as usize)))
 }
 
 /// Parses the optional `fault` block into a shared fault plane; `None`
@@ -351,10 +362,8 @@ fn sample_config(cfg: &Value) -> Result<(Tick, usize), BuildError> {
 fn checkpoint_config(cfg: &Value) -> Result<CheckpointPlan, BuildError> {
     let interval = cfg.opt_u64("checkpoint.interval", 0)?;
     let dir = std::path::PathBuf::from(cfg.opt_str("checkpoint.dir", "checkpoints")?);
-    let resume = match cfg.req_str("checkpoint.resume") {
-        Ok(p) if !p.is_empty() => Some(std::path::PathBuf::from(p)),
-        _ => None,
-    };
+    let resume = cfg.opt_str("checkpoint.resume", "")?;
+    let resume = (!resume.is_empty()).then(|| std::path::PathBuf::from(resume));
     let max_restarts = cfg.opt_u64("checkpoint.max_restarts", 3)?;
     Ok(CheckpointPlan {
         interval,
@@ -471,27 +480,7 @@ pub(crate) fn build_with(
     let (sample_interval, sample_capacity) = sample_config(cfg)?;
     let spans_enabled = cfg.opt_bool("spans.enabled", false)?;
     let spans_min_latency = cfg.opt_u64("spans.min_latency", 0)?;
-    let mut registry = MetricsRegistry::new();
-    registry.register("engine");
-    for s in 0..num_shards {
-        registry.register(format!("engine_shard_{s}"));
-    }
-    registry.register("workload");
-    registry.register("run");
-    registry.register("profile");
-    if fault.is_some() {
-        registry.register("fault");
-    }
     let mut host = host_config(cfg)?;
-    if host.enabled {
-        registry.register("host");
-        for s in 0..num_shards {
-            registry.register(format!("host_shard_{s}"));
-        }
-    }
-    for r in 0..routers {
-        registry.register(format!("router_{r}"));
-    }
 
     let checkpoint = checkpoint_config(cfg)?;
     // Workers publish no progress: the hub rebuilds the board parent-side
@@ -508,7 +497,7 @@ pub(crate) fn build_with(
         EngineOptions {
             watchdog,
             sample_interval,
-            trace: trace.map(|(filter, capacity)| (filter.to_spec(), capacity)),
+            trace,
             // Armed on every backend — workers included, so their DONE
             // frames carry host records.
             host_sample: if host.enabled { host.sample } else { 0 },
@@ -657,9 +646,9 @@ pub(crate) fn build_with(
             EngineChoice::Process(_) => {
                 #[cfg(unix)]
                 {
-                    let worker_bin = match cfg.req_str("engine.worker_bin") {
-                        Ok(s) => std::path::PathBuf::from(s),
-                        Err(_) => std::env::current_exe().map_err(|e| {
+                    let worker_bin = match opt_key(cfg, "engine.worker_bin", Value::req_str)? {
+                        Some(s) => std::path::PathBuf::from(s),
+                        None => std::env::current_exe().map_err(|e| {
                             BuildError::invalid(format!("cannot resolve engine.worker_bin: {e}"))
                         })?,
                     };
@@ -688,7 +677,6 @@ pub(crate) fn build_with(
         topology,
         tick_limit,
         link_period,
-        registry,
         fault,
         sample_interval,
         spans: spans_enabled,

@@ -25,13 +25,13 @@ use std::time::{Duration, Instant};
 use supersim_config::Value;
 use supersim_des::wire::Overlay;
 use supersim_des::{Hub, RunOutcome, RunStats, Time, TraceBuffer, WorkerLink};
+use supersim_stats::{CkptTimes, HostData};
 
 use crate::builder::{build_with, Built, EngineMode, ProcessPlan};
 use crate::checkpoint;
 use crate::factory::Factories;
 use crate::sim::{
-    assemble, drive, resume_failure, resume_into, AssembleInputs, CheckpointWriter, CkptTimes,
-    HostData, HubHost, RunReport,
+    assemble, drive, resume_failure, resume_into, AssembleInputs, CheckpointWriter, RunReport,
 };
 
 /// Distinguishes concurrent runs (and runs within one process) in the
@@ -313,12 +313,7 @@ fn run_fleet(
     };
     let host = built.host.enabled.then_some(HostData {
         shards: result.host,
-        hub: Some(HubHost {
-            rounds: result.hub_stats.rounds,
-            fold_ns: result.hub_stats.fold_ns,
-            wire_in: result.hub_stats.wire_in_bytes,
-            wire_out: result.hub_stats.wire_out_bytes,
-        }),
+        hub: Some(result.hub_stats),
         ckpt: writer.times,
     });
     Ok(FleetAttempt {

@@ -6,26 +6,26 @@
 //! worker process takes it in `process.rs` with the hub as its
 //! checkpoint destination and ships its final shard blob; the parent's
 //! own simulator is the never-run layout of the same simulation, which
-//! restores the fleet's blobs and rejoins at [`assemble`], which reads
-//! every report straight from the engine's components. Every checkpoint
-//! file is written by the one [`CheckpointWriter`].
+//! restores the fleet's blobs and rejoins at [`assemble`], where each
+//! crate pushes the report planes it owns from the engine's components.
+//! Every checkpoint file is written by the one [`CheckpointWriter`].
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use supersim_config::Value;
 use supersim_des::wire::Overlay;
-use supersim_des::{next_edge_after, EngineMetrics, HostShardTimes, RunOutcome, RunStats, Tick};
-use supersim_netbase::{trace_json_lines, FaultCounters, Phase};
-use supersim_router::Router;
-use supersim_stats::analysis::{LoadPoint, WindowAnalysis};
+use supersim_des::{next_edge_after, EngineMetrics, RunOutcome, RunStats, Tick};
+use supersim_netbase::{trace_json_lines, FaultCounters, LinkFaults, Phase};
+use supersim_router::{push_router_planes, Router};
+use supersim_stats::analysis::{LatencySummary, LoadPoint};
 use supersim_stats::{
-    fold_windows, timeseries_json_lines, Filter, FoldedWindow, Histogram, HostClock, MetricValue,
-    MetricsSnapshot, RecordKind, SampleLog, TraceEventBuilder,
+    fold_windows, timeseries_json_lines, CkptTimes, Filter, FoldedWindow, Histogram, HostClock,
+    HostData, LatencyDistribution, MetricValue, MetricsSnapshot, RecordKind, SampleLog,
 };
 use supersim_topology::Topology;
 use supersim_workload::{
-    spans_json_lines, Interface, InterfaceCounters, SpanMetrics, WorkloadMonitor,
+    push_workload_plane, Interface, InterfaceCounters, InterfaceLogs, SpanMetrics, WorkloadMonitor,
 };
 
 use crate::builder::{build, Built};
@@ -331,60 +331,6 @@ impl CheckpointWriter {
     }
 }
 
-/// Wall-clock attribution of checkpoints on the run's host clock: state
-/// capture plus file write, or a worker's capture plus its send to the
-/// hub. Out-of-band: never touches simulation state.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CkptTimes {
-    /// Checkpoint files written.
-    pub writes: u64,
-    /// Total wall time spent capturing + writing them, in nanoseconds.
-    pub ns: u64,
-    /// Total bytes written (state blobs, excluding headers).
-    pub bytes: u64,
-    /// `(start_ns, dur_ns)` per write — the trace exporter's slices.
-    pub slices: Vec<(u64, u64)>,
-}
-
-impl CkptTimes {
-    /// Records one completed checkpoint write spanning
-    /// `[start_ns, end_ns]` that shipped `bytes` bytes of state.
-    pub fn record(&mut self, start_ns: u64, end_ns: u64, bytes: u64) {
-        let dur = end_ns.saturating_sub(start_ns);
-        self.writes += 1;
-        self.ns += dur;
-        self.bytes += bytes;
-        self.slices.push((start_ns, dur));
-    }
-}
-
-/// Hub-side host accounting of a multi-process run, mirrored out of the
-/// transport layer so this module stays platform-neutral.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct HubHost {
-    /// Rounds the hub relayed.
-    pub rounds: u64,
-    /// Wall time in the hub's fold compute + broadcast, nanoseconds.
-    pub fold_ns: u64,
-    /// Frame-body bytes received from each worker, in worker order.
-    pub wire_in: Vec<u64>,
-    /// Frame-body bytes sent to each worker, in worker order.
-    pub wire_out: Vec<u64>,
-}
-
-/// Everything the host-time plane collected over a run: per-shard
-/// wall-clock records, hub accounting (process runs), and checkpoint
-/// write attribution.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct HostData {
-    /// One record per shard (worker order for process runs).
-    pub shards: Vec<HostShardTimes>,
-    /// Hub accounting; `None` for in-process runs.
-    pub hub: Option<HubHost>,
-    /// Checkpoint write attribution.
-    pub ckpt: CkptTimes,
-}
-
 /// What [`assemble`] takes besides the engine's components: how the run
 /// went. The in-process path reads it off its own engine; the
 /// multi-process parent from the workers' DONE frames and the hub.
@@ -400,342 +346,105 @@ pub(crate) struct AssembleInputs {
     pub host: Option<HostData>,
 }
 
-/// Assembles the run report from the engine's components. The walk
-/// order is fixed (interfaces by index, then routers by index) and every
-/// merge is commutative integer arithmetic, so the result is
-/// byte-identical no matter how the components were partitioned across
-/// shards or processes. Components the engine does not hold (a dead
-/// worker's) are skipped, degrading the report instead of failing it.
+/// Assembles the run report from the engine's components: each metrics
+/// plane is pushed by the crate that owns its counters, in the snapshot's
+/// fixed order — `engine`, `engine_shard_*`, `workload`, `router_*`,
+/// `profile`, `host_shard_*` and `host`, `run`, `fault`. Components are
+/// walked by index and every merge is commutative integer arithmetic, so
+/// the result is byte-identical however the components were partitioned
+/// across shards or processes. Components the engine does not hold (a
+/// dead worker's) are skipped, degrading the report instead of failing
+/// it.
 ///
-/// The two large per-interface logs — samples and span records, each
-/// held as its wire encoding — are moved out, not copied: assembly is the
-/// engine's last use on every path, so the components are left with empty
-/// logs. Each interface's sample log is decoded into the merged
-/// [`SampleLog`] and freed right after; the span logs are streamed into
-/// the span text by a k-way merge, with no merged record vector.
+/// The interfaces' sample and span logs are moved out, not copied:
+/// assembly is the engine's last use on every path, so the components are
+/// left with empty logs.
 pub(crate) fn assemble(built: &mut Built, inputs: AssembleInputs) -> RunReport {
     let stats = inputs.stats;
-    let events_executed: u64 = inputs.shard_metrics.iter().map(|m| m.events_executed).sum();
-    let total_enqueued: u64 = inputs.shard_metrics.iter().map(|m| m.total_enqueued).sum();
-
-    let (log, span_logs, log_bytes) = {
-        let engine = &mut built.engine;
-        let (mut records, mut log_bytes) = (0, 0);
-        for &id in &built.interfaces {
-            if let Some(iface) = engine.component_as::<Interface>(id) {
-                records += iface.log.len();
-                log_bytes += iface.log.byte_len() + iface.span_log.byte_len();
-            }
-        }
-        let mut log = SampleLog::with_capacity(records);
-        let mut span_logs = Vec::with_capacity(built.interfaces.len());
-        for &id in &built.interfaces {
-            if let Some(iface) = engine.component_as_mut::<Interface>(id) {
-                log.extend(std::mem::take(&mut iface.log).iter());
-                span_logs.push(std::mem::take(&mut iface.span_log));
-            }
-        }
-        (log, span_logs, log_bytes as u64)
-    };
+    let logs: Vec<InterfaceLogs> = built
+        .interfaces
+        .iter()
+        .filter_map(|&id| built.engine.component_as_mut(id).map(Interface::take_logs))
+        .collect();
     let engine = &built.engine;
     let ifaces: Vec<&Interface> = built
         .interfaces
         .iter()
-        .filter_map(|&id| engine.component_as::<Interface>(id))
+        .filter_map(|&id| engine.component_as(id))
         .collect();
     // `None` for a router the engine does not hold, and for a custom
     // (non-skeleton) router architecture, which reports no router planes.
     let routers: Vec<Option<&Router>> = built
         .routers
         .iter()
-        .map(|&id| engine.component_as::<Router>(id))
+        .map(|&id| engine.component_as(id))
         .collect();
-    let mut counters = InterfaceCounters::default();
-    let mut window_flits = 0u64;
-    let mut inject_stalls = 0u64;
-    let mut queue_depth_now = 0u64;
-    let mut queue_depth_high = 0u64;
-    let mut phase_latency = [Histogram::new(); 4];
-    let mut span_metrics = SpanMetrics::default();
-    for iface in &ifaces {
-        if let (Some(start), Some(end)) = (
-            iface.flits_at_phase(Phase::Generating),
-            iface.flits_at_phase(Phase::Finishing),
-        ) {
-            window_flits += end - start;
-        }
-        counters.messages_sent += iface.counters.messages_sent;
-        counters.packets_sent += iface.counters.packets_sent;
-        counters.flits_sent += iface.counters.flits_sent;
-        counters.flits_received += iface.counters.flits_received;
-        counters.messages_received += iface.counters.messages_received;
-        let m = &iface.metrics;
-        inject_stalls += m.inject_stalls.get();
-        queue_depth_now += m.queue_depth.get();
-        queue_depth_high = queue_depth_high.max(m.queue_depth.max());
-        for (agg, h) in phase_latency.iter_mut().zip(m.phase_latency.iter()) {
-            agg.merge(h);
-        }
-        span_metrics.merge(&m.spans);
-    }
-    // --- metrics snapshot (assembled on demand, paper-style) -------
-    // The `engine` plane holds only values the determinism contract
-    // pins across backends; scheduler diagnostics (batching, queue
-    // capacity, horizon) vary with the partition and live in one
-    // `engine_shard_<i>` plane per shard (the sequential engine is
-    // shard 0). Wall-clock throughput is reported by the CLI from
-    // `RunStats`, not recorded in the snapshot.
-    let mut metrics = built.registry.snapshot();
-    metrics.push_counter("engine", "events_executed", events_executed);
-    metrics.push_counter("engine", "total_enqueued", total_enqueued);
-    {
-        for (s, em) in inputs.shard_metrics.iter().enumerate() {
-            let name = format!("engine_shard_{s}");
-            metrics.push_counter(&name, "events_executed", em.events_executed);
-            metrics.push_counter(&name, "batches", em.batches);
-            metrics.push_counter(&name, "total_enqueued", em.total_enqueued);
-            metrics.push_counter(&name, "horizon", em.horizon as u64);
-            metrics.push_counter(&name, "horizon_resizes", em.horizon_resizes);
-            metrics.push_counter(&name, "overflow_spills", em.overflow_spills);
-            metrics.push_counter(&name, "overflow_len", em.overflow_len as u64);
-            metrics.push(
-                &name,
-                "queue_len",
-                MetricValue::Gauge {
-                    value: em.queue_len as u64,
-                    max: em.queue_high_water as u64,
-                },
-            );
-            metrics.push_histogram(
-                &name,
-                "batch_size",
-                &Histogram::from_log2_counts(&em.batch_counts, em.batches, em.events_executed),
-            );
-        }
 
-        metrics.push_counter("workload", "messages_sent", counters.messages_sent);
-        metrics.push_counter("workload", "packets_sent", counters.packets_sent);
-        metrics.push_counter("workload", "flits_sent", counters.flits_sent);
-        metrics.push_counter("workload", "flits_received", counters.flits_received);
-        metrics.push_counter("workload", "messages_received", counters.messages_received);
-        metrics.push_counter("workload", "inject_stalls", inject_stalls);
-        metrics.push(
-            "workload",
-            "queue_depth",
-            MetricValue::Gauge {
-                value: queue_depth_now,
-                max: queue_depth_high,
-            },
-        );
-        for phase in Phase::ALL {
-            metrics.push_histogram(
-                "workload",
-                &format!("packet_latency_{phase}"),
-                &phase_latency[phase.index()],
-            );
-        }
-    }
-    if built.spans {
-        for (name, h) in span_metrics.named() {
-            metrics.push_histogram("workload", &format!("span_{name}"), h);
-        }
-    }
-
-    for (r, router) in routers.iter().enumerate() {
-        if let Some(m) = router.map(|x| &x.core.metrics) {
-            let name = format!("router_{r}");
-            metrics.push_counter(&name, "grants", m.grants.get());
-            metrics.push_counter(&name, "denials", m.denials.get());
-            metrics.push_counter(&name, "credit_stalls", m.credit_stalls.get());
-            for (p, gauge) in m.occupancy().iter().enumerate() {
-                metrics.push(
-                    &name,
-                    format!("occupancy_port_{p}"),
-                    MetricValue::Gauge {
-                        value: gauge.get(),
-                        max: gauge.max(),
-                    },
-                );
-            }
-        }
-    }
-
-    // --- hot-path profiling plane ----------------------------------
-    // Batching effectiveness and storage pressure of the router hot
-    // path: how many flits each batched pipeline event moved and how
-    // deep the per-router flit arenas ran. Aggregated with commutative
-    // integer sums/maxes, so the plane is byte-identical across
-    // engines and shard counts.
-    let mut arena_high = 0u64;
-    {
-        let mut cycles = 0u64;
-        let mut advanced = 0u64;
-        let mut arena_live = 0u64;
-        for core in routers.iter().flatten().map(|x| &x.core) {
-            let (live, high) = core.arena_stats();
-            cycles += core.counters.cycles;
-            advanced += core.counters.flits_advanced;
-            arena_live += live as u64;
-            arena_high = arena_high.max(high as u64);
-        }
-        metrics.push_counter("profile", "events_dispatched", events_executed);
-        metrics.push_counter("profile", "router_cycles", cycles);
-        metrics.push_counter("profile", "flits_advanced", advanced);
-        metrics.push(
-            "profile",
-            "arena_occupancy",
-            MetricValue::Gauge {
-                value: arena_live,
-                max: arena_high,
-            },
-        );
-    }
-
-    // --- host-time plane (out-of-band wall-clock attribution) -------
-    // Never present unless `host.profile.enabled` was set; when it is,
-    // the plane carries only wall-clock data, so the simulation planes
-    // above remain byte-identical with profiling on or off.
-    let host_trace = inputs
-        .host
-        .as_ref()
-        .map(|hd| {
-            push_host_plane(
-                &mut metrics,
-                hd,
-                &stats,
-                built.host.trace_enabled,
-                arena_high,
-                log_bytes,
-            )
-        })
-        .unwrap_or_default();
-
-    let trace = engine.trace_records().map(|t| trace_json_lines(&t));
+    let mut metrics = MetricsSnapshot::new();
+    let (events_executed, total_enqueued) = push_engine_planes(&mut metrics, &inputs.shard_metrics);
+    let workload = push_workload_plane(&mut metrics, &ifaces, logs, built.spans);
+    let router = push_router_planes(&mut metrics, &routers, events_executed);
+    let trace_enabled = built.host.trace_enabled;
+    let host_trace = inputs.host.as_ref().and_then(|host| {
+        let wall_ns = u64::try_from(stats.wall.as_nanos()).unwrap_or(u64::MAX);
+        host.push_planes(&mut metrics, wall_ns, workload.log_bytes);
+        trace_enabled.then(|| host.chrome_trace(router.arena_high))
+    });
     let phase_times = engine
         .component_as::<WorkloadMonitor>(built.monitor)
         .map(|m| m.phase_times.clone())
         .unwrap_or_default();
-
-    // --- outcome classification ------------------------------------
-    // A drained queue is only success when the workload actually got
-    // through its phase protocol; draining early means traffic (or
-    // credits) evaporated in flight.
-    let mut error = match &stats.outcome {
-        RunOutcome::Drained => {
-            if phase_times.iter().any(|&(p, _)| p == Phase::Draining) {
-                None
-            } else {
-                Some(SimError::Incomplete {
-                    tick: stats.end_time.tick(),
-                })
-            }
-        }
-        RunOutcome::Failed(msg) => Some(SimError::Model(msg.clone())),
-        RunOutcome::TickLimit | RunOutcome::Stopped => Some(SimError::Stalled {
-            tick: stats.end_time.tick(),
-        }),
-        RunOutcome::Watchdog { last_progress } => Some(SimError::Watchdog {
-            tick: stats.end_time.tick(),
-            last_progress: *last_progress,
-        }),
-    };
-    // A worker-process failure outranks the generic outcome: the typed
-    // error carries which worker died and why.
-    if let Some((worker, reason)) = inputs.worker_error {
-        error = Some(SimError::Worker { worker, reason });
-    }
+    let error = classify(&stats, &phase_times, inputs.worker_error);
     metrics.push_counter("run", "degraded", u64::from(error.is_some()));
+    let faults = workload.faults.iter().chain(&router.faults).copied();
+    let fault = built
+        .fault
+        .as_ref()
+        .map(|_| push_fault_plane(&mut metrics, faults));
 
-    // --- fault plane counters --------------------------------------
-    let fault_summary = built.fault.is_some().then(|| {
-        let mut agg = FaultCounters::default();
-        let mut held = 0u64;
-        let faults = ifaces.iter().filter_map(|i| i.fault.as_ref());
-        let router_faults = routers
-            .iter()
-            .flatten()
-            .filter_map(|x| x.core.fault.as_ref());
-        for f in faults.chain(router_faults) {
-            agg.absorb(&f.counters);
-            held += f.held_flits();
-        }
-        (agg, held)
-    });
-    if let Some((agg, held)) = &fault_summary {
-        metrics.push_counter("fault", "injected", agg.injected);
-        metrics.push_counter("fault", "detected", agg.detected);
-        metrics.push_counter("fault", "recovered", agg.recovered);
-        metrics.push_counter("fault", "escalated", agg.escalated);
-        metrics.push_counter("fault", "held_flits", *held);
-        metrics.push_counter("fault", "flit_clones", agg.flit_clones);
-    }
-
-    // --- windowed time-series fold ---------------------------------
-    // Component rings are gathered in a fixed order (interfaces, then
-    // routers, by index), but the fold itself is order-independent:
-    // every per-window merge is commutative integer arithmetic, so the
-    // emitted JSON-lines are byte-identical across engines and shard
-    // counts.
-    let folded = (built.sample_interval > 0).then(|| {
-        let samplers = ifaces.iter().filter_map(|i| i.sampler.as_ref());
-        let router_samplers = routers
-            .iter()
-            .flatten()
-            .filter_map(|x| x.core.sampler.as_ref());
-        fold_windows(samplers.chain(router_samplers))
-    });
-    let timeseries = folded.as_deref().map(timeseries_json_lines);
-    let spans_dump = built.spans.then(|| spans_json_lines(&span_logs));
-
-    // --- diagnostic snapshot of a degraded run ---------------------
-    let diagnostic = error.as_ref().map(|_| {
-        let last_progress = match &stats.outcome {
+    // The window fold is order-independent (commutative integer merges),
+    // so the time series is byte-identical across engines and shard counts.
+    let samplers = workload.samplers.iter().chain(&router.samplers).copied();
+    let folded = (built.sample_interval > 0).then(|| fold_windows(samplers));
+    let diagnostic = error.as_ref().map(|_| DiagnosticSnapshot {
+        tick: stats.end_time.tick(),
+        last_progress: match &stats.outcome {
             RunOutcome::Watchdog { last_progress } => Some(*last_progress),
             _ => None,
-        };
-        let routers = routers
+        },
+        events_executed,
+        events_pending: total_enqueued.saturating_sub(events_executed),
+        shard_queue_depths: inputs
+            .shard_metrics
+            .iter()
+            .map(|m| m.queue_len as u64)
+            .collect(),
+        routers: routers
             .iter()
             .enumerate()
-            .map(|(r, router)| {
-                let (buffered_flits, credits) = router
-                    .map(|x| (x.buffered_flits(), x.core.credit_state()))
-                    .unwrap_or_default();
-                RouterDiag {
-                    router: r as u32,
-                    buffered_flits,
-                    credits,
-                }
+            .map(|(r, router)| RouterDiag {
+                router: r as u32,
+                buffered_flits: router.map_or(0, Router::buffered_flits),
+                credits: router.map(Router::credit_state).unwrap_or_default(),
             })
-            .collect();
-        DiagnosticSnapshot {
-            tick: stats.end_time.tick(),
-            last_progress,
-            events_executed,
-            events_pending: total_enqueued.saturating_sub(events_executed),
-            shard_queue_depths: inputs
-                .shard_metrics
-                .iter()
-                .map(|m| m.queue_len as u64)
-                .collect(),
-            routers,
-            fault: fault_summary.map(|(agg, _)| agg),
-            last_window: folded.as_ref().and_then(|f| f.last().cloned()),
-            spans: built.spans.then(|| span_metrics.clone()),
-        }
+            .collect(),
+        fault,
+        last_window: folded.as_ref().and_then(|f| f.last().cloned()),
+        spans: built.spans.then(|| workload.span_metrics.clone()),
     });
 
     let output = RunOutput {
-        log,
+        log: workload.log,
         engine: stats,
         phase_times,
         terminals: built.topology.num_terminals(),
-        counters,
-        window_flits,
+        counters: workload.counters,
+        window_flits: workload.window_flits,
         link_period: built.link_period,
         metrics,
-        trace,
-        timeseries,
-        spans: spans_dump,
+        trace: engine.trace_records().map(|t| trace_json_lines(&t)),
+        timeseries: folded.as_deref().map(timeseries_json_lines),
+        spans: workload.spans,
         host_trace,
     };
     RunReport {
@@ -745,162 +454,89 @@ pub(crate) fn assemble(built: &mut Built, inputs: AssembleInputs) -> RunReport {
     }
 }
 
-/// Fills the `host` / `host_shard_<s>` metrics planes from the run's
-/// wall-clock records and, when `trace_enabled`, renders the Chrome
-/// `trace_event` document. These planes exist only when profiling was
-/// armed and carry host time exclusively — stripping them recovers the
-/// byte-identical simulation snapshot of an unprofiled run.
-fn push_host_plane(
-    metrics: &mut MetricsSnapshot,
-    hd: &HostData,
-    stats: &RunStats,
-    trace_enabled: bool,
-    arena_high: u64,
-    log_bytes: u64,
-) -> Option<String> {
-    let wall_ns = u64::try_from(stats.wall.as_nanos()).unwrap_or(u64::MAX);
-    let mut sums = HostShardTimes::default();
-    let mut min_exec = u64::MAX;
-    let mut max_exec = 0u64;
-    for (s, t) in hd.shards.iter().enumerate() {
-        let name = format!("host_shard_{s}");
-        metrics.push_counter(&name, "total_batches", t.total_batches);
-        metrics.push_counter(&name, "sampled_batches", t.sampled_batches);
-        metrics.push_counter(&name, "sampled_events", t.sampled_events);
-        metrics.push_counter(&name, "drain_ns", t.drain_ns);
-        metrics.push_counter(&name, "execute_ns", t.execute_ns);
-        metrics.push_counter(&name, "sample_edge_ns", t.sample_edge_ns);
-        metrics.push_counter(&name, "fold_ns", t.fold_ns);
-        metrics.push_counter(&name, "exchange_ns", t.exchange_ns);
-        metrics.push_counter(&name, "checkpoint_ns", t.checkpoint_ns);
-        metrics.push_counter(&name, "checkpoint_writes", t.checkpoint_writes);
-        metrics.push_counter(&name, "checkpoint_bytes", t.checkpoint_bytes);
-        sums.merge(t);
-        min_exec = min_exec.min(t.execute_ns);
-        max_exec = max_exec.max(t.execute_ns);
-    }
-    metrics.push_counter("host", "wall_ns", wall_ns);
-    metrics.push_counter("host", "drain_ns", sums.drain_ns);
-    metrics.push_counter("host", "execute_ns", sums.execute_ns);
-    metrics.push_counter("host", "sample_edge_ns", sums.sample_edge_ns);
-    metrics.push_counter("host", "fold_ns", sums.fold_ns);
-    metrics.push_counter("host", "exchange_ns", sums.exchange_ns);
-    metrics.push_counter("host", "total_batches", sums.total_batches);
-    metrics.push_counter("host", "sampled_batches", sums.sampled_batches);
-    metrics.push_counter("host", "sampled_events", sums.sampled_events);
-    // Encoded bytes of the per-interface sample and span logs when
-    // assembly began: what the run held for its two largest outputs.
-    metrics.push_counter("host", "log_bytes", log_bytes);
-    // Imbalance gauges, scaled by 1000 (integer metrics plane):
-    // `execute_imbalance_millis` is the max/min per-shard execute-time
-    // ratio (1000 = perfectly balanced); `barrier_wait_millis` the
-    // fraction of total loop time spent waiting at the fold barrier.
-    if hd.shards.len() > 1 && min_exec > 0 {
-        metrics.push_counter(
-            "host",
-            "execute_imbalance_millis",
-            max_exec.saturating_mul(1000) / min_exec,
-        );
-    }
-    let loop_ns =
-        sums.drain_ns + sums.execute_ns + sums.sample_edge_ns + sums.fold_ns + sums.exchange_ns;
-    if let Some(wait) = sums.fold_ns.saturating_mul(1000).checked_div(loop_ns) {
-        metrics.push_counter("host", "barrier_wait_millis", wait);
-    }
-    // Per-component-class attribution from the sampled batches, in
-    // name order so the plane layout is stable.
-    let mut classes = sums.classes.clone();
-    classes.sort_by(|a, b| a.0.cmp(&b.0));
-    for (class, ns, events) in &classes {
-        metrics.push_counter("host", &format!("class_{class}_ns"), *ns);
-        metrics.push_counter("host", &format!("class_{class}_events"), *events);
-    }
-    // Checkpoint attribution: worker-side state capture plus the
-    // parent-side file writes.
-    metrics.push_counter(
-        "host",
-        "checkpoint_writes",
-        sums.checkpoint_writes + hd.ckpt.writes,
-    );
-    metrics.push_counter("host", "checkpoint_ns", sums.checkpoint_ns + hd.ckpt.ns);
-    metrics.push_counter(
-        "host",
-        "checkpoint_bytes",
-        sums.checkpoint_bytes + hd.ckpt.bytes,
-    );
-    if let Some(hub) = &hd.hub {
-        metrics.push_counter("host", "hub_rounds", hub.rounds);
-        metrics.push_counter("host", "hub_fold_ns", hub.fold_ns);
-        for (w, (inb, outb)) in hub.wire_in.iter().zip(&hub.wire_out).enumerate() {
-            metrics.push_counter("host", &format!("worker_{w}_wire_in_bytes"), *inb);
-            metrics.push_counter("host", &format!("worker_{w}_wire_out_bytes"), *outb);
+/// Pushes the `engine` plane, which holds only values the determinism
+/// contract pins across backends, then one `engine_shard_<s>` plane per
+/// shard: scheduler diagnostics (batching, queue capacity, horizon) that
+/// vary with the partition. The sequential engine is shard 0. Returns the
+/// run's events executed and enqueued. Wall-clock throughput is reported
+/// by the CLI from [`RunStats`], not recorded in the snapshot.
+fn push_engine_planes(metrics: &mut MetricsSnapshot, shards: &[EngineMetrics]) -> (u64, u64) {
+    let executed = shards.iter().map(|m| m.events_executed).sum();
+    let enqueued = shards.iter().map(|m| m.total_enqueued).sum();
+    metrics.push_counter("engine", "events_executed", executed);
+    metrics.push_counter("engine", "total_enqueued", enqueued);
+    for (s, m) in shards.iter().enumerate() {
+        let name = format!("engine_shard_{s}");
+        for (metric, value) in [
+            ("events_executed", m.events_executed),
+            ("batches", m.batches),
+            ("total_enqueued", m.total_enqueued),
+            ("horizon", m.horizon as u64),
+            ("horizon_resizes", m.horizon_resizes),
+            ("overflow_spills", m.overflow_spills),
+            ("overflow_len", m.overflow_len as u64),
+        ] {
+            metrics.push_counter(&name, metric, value);
         }
+        let queue_len = MetricValue::Gauge {
+            value: m.queue_len as u64,
+            max: m.queue_high_water as u64,
+        };
+        metrics.push(&name, "queue_len", queue_len);
+        let batch_size = Histogram::from_log2_counts(&m.batch_counts, m.batches, m.events_executed);
+        metrics.push_histogram(&name, "batch_size", &batch_size);
     }
-    if !trace_enabled {
-        return None;
-    }
+    (executed, enqueued)
+}
 
-    // --- Chrome trace_event export ---------------------------------
-    // In-process runs put every shard on pid 0, one tid per shard;
-    // process runs get one pid per worker (the hub is pid 0). Each
-    // sampled round renders a parent "round" slice with fold/execute/
-    // exchange children laid end to end, so slices nest by
-    // construction. Worker processes time against their own epochs;
-    // cross-pid skew is cosmetic.
-    let process_run = hd.hub.is_some();
-    let mut tb = TraceEventBuilder::new();
-    tb.process_name(
-        0,
-        if process_run {
-            "supersim-hub"
-        } else {
-            "supersim"
-        },
-    );
-    for (s, t) in hd.shards.iter().enumerate() {
-        let (pid, tid) = if process_run {
-            (1 + s as u64, 0u64)
-        } else {
-            (0u64, s as u64)
-        };
-        if process_run {
-            tb.process_name(pid, &format!("worker-{s}"));
-        }
-        tb.thread_name(pid, tid, &format!("shard-{s}"));
-        for sl in &t.round_slices {
-            let start_us = sl.start_ns / 1000;
-            let fold_us = sl.fold_ns / 1000;
-            let exec_us = sl.execute_ns / 1000;
-            let exch_us = sl.exchange_ns / 1000;
-            tb.slice(pid, tid, "round", start_us, fold_us + exec_us + exch_us);
-            if fold_us > 0 {
-                tb.slice(pid, tid, "fold", start_us, fold_us);
-            }
-            if exec_us > 0 {
-                tb.slice(pid, tid, "execute", start_us + fold_us, exec_us);
-            }
-            if exch_us > 0 {
-                tb.slice(pid, tid, "exchange", start_us + fold_us + exec_us, exch_us);
-            }
-            let dur_ns = sl.fold_ns + sl.execute_ns + sl.exchange_ns;
-            if let Some(eps) = sl.events.saturating_mul(1_000_000_000).checked_div(dur_ns) {
-                tb.counter(pid, "events_per_sec", start_us, eps);
-            }
-        }
+/// Why a run degraded, if it did. A drained queue is only success when
+/// the workload got through its phase protocol: draining early means
+/// traffic (or credits) evaporated in flight. A worker-process failure
+/// outranks the generic outcome: the typed error carries which worker
+/// died and why.
+fn classify(
+    stats: &RunStats,
+    phase_times: &[(Phase, Tick)],
+    worker_error: Option<(u32, String)>,
+) -> Option<SimError> {
+    if let Some((worker, reason)) = worker_error {
+        return Some(SimError::Worker { worker, reason });
     }
-    if !hd.ckpt.slices.is_empty() {
-        let ckpt_tid = if process_run {
-            0
-        } else {
-            hd.shards.len() as u64
-        };
-        tb.thread_name(0, ckpt_tid, "checkpoint");
-        for &(start_ns, dur_ns) in &hd.ckpt.slices {
-            tb.slice(0, ckpt_tid, "checkpoint", start_ns / 1000, dur_ns / 1000);
-        }
+    let tick = stats.end_time.tick();
+    match &stats.outcome {
+        RunOutcome::Drained if phase_times.iter().any(|&(p, _)| p == Phase::Draining) => None,
+        RunOutcome::Drained => Some(SimError::Incomplete { tick }),
+        RunOutcome::Failed(msg) => Some(SimError::Model(msg.clone())),
+        RunOutcome::TickLimit | RunOutcome::Stopped => Some(SimError::Stalled { tick }),
+        RunOutcome::Watchdog { last_progress } => Some(SimError::Watchdog {
+            tick,
+            last_progress: *last_progress,
+        }),
     }
-    tb.counter(0, "arena_occupancy_peak", 0, arena_high);
-    Some(tb.finish())
+}
+
+/// Pushes the `fault` plane from the fault state of every interface and
+/// router, and returns the summed counters.
+fn push_fault_plane<'a>(
+    metrics: &mut MetricsSnapshot,
+    faults: impl Iterator<Item = &'a LinkFaults>,
+) -> FaultCounters {
+    let (mut sum, mut held) = (FaultCounters::default(), 0);
+    for f in faults {
+        sum.absorb(&f.counters);
+        held += f.held_flits();
+    }
+    for (name, value) in [
+        ("injected", sum.injected),
+        ("detected", sum.detected),
+        ("recovered", sum.recovered),
+        ("escalated", sum.escalated),
+        ("held_flits", held),
+        ("flit_clones", sum.flit_clones),
+    ] {
+        metrics.push_counter("fault", name, value);
+    }
+    sum
 }
 
 impl std::fmt::Debug for SuperSim {
@@ -1081,30 +717,29 @@ impl RunOutput {
             .map(|&(_, t)| t)
     }
 
-    /// A [`WindowAnalysis`] over the sampling window.
-    pub fn analysis(&self) -> Option<WindowAnalysis> {
-        let (start, end) = self.window()?;
-        Some(WindowAnalysis {
-            window_start: start,
-            window_end: end,
-            terminals: self.terminals as u64,
-        })
-    }
-
     /// Builds the load-latency point for this run at the given offered
-    /// load (flits/tick/terminal), filtered by `filter`.
+    /// load (flits/tick/terminal): the latencies of the sampled packets
+    /// `filter` keeps, and the delivered load.
     ///
     /// Delivered load uses the exact phase-boundary flit counts (all
     /// traffic, not just sampled packets), so steady-state throughput has
     /// no window edge effects.
     pub fn load_point(&self, offered: f64, filter: &Filter) -> Option<LoadPoint> {
-        let mut point = self.analysis()?.load_point(&self.log, filter, offered);
         let (start, end) = self.window()?;
-        // Normalize to a fraction of the line rate so offered and
-        // delivered are directly comparable at any link period.
-        point.delivered = self.window_flits as f64 / (end - start) as f64 / self.terminals as f64
-            * self.link_period as f64;
-        Some(point)
+        let mut latencies: LatencyDistribution = self
+            .log
+            .of_kind(RecordKind::Packet)
+            .filter(|r| filter.matches(r))
+            .map(|r| r.latency())
+            .collect();
+        Some(LoadPoint {
+            offered,
+            // A fraction of the line rate, so offered and delivered are
+            // directly comparable at any link period.
+            delivered: self.window_flits as f64 / (end - start) as f64 / self.terminals as f64
+                * self.link_period as f64,
+            latency: LatencySummary::of(&mut latencies),
+        })
     }
 
     /// Mean sampled packet latency in ticks.

@@ -167,6 +167,23 @@ crate::wire_struct!(HostShardTimes {
     dropped_slices,
 } if |t| t.round_slices.len() <= MAX_ROUND_SLICES);
 
+/// Hub-side host accounting of a worker fleet: wire traffic per worker
+/// and the wall time the hub spent computing and broadcasting folds.
+/// Byte counts are always on (one add per frame); fold timing only when
+/// host profiling is armed in the options given to the hub.
+#[derive(Debug, Clone, Default)]
+pub struct HubHostStats {
+    /// Rounds (FOLD frames) the hub relayed.
+    pub rounds: u64,
+    /// Wall time inside the hub's fold computation + broadcast, in
+    /// nanoseconds (0 when profiling is disarmed).
+    pub fold_ns: u64,
+    /// Frame-body bytes received from each worker, in worker order.
+    pub wire_in_bytes: Vec<u64>,
+    /// Frame-body bytes sent to each worker, in worker order.
+    pub wire_out_bytes: Vec<u64>,
+}
+
 /// Engine-side helper pairing a [`HostShardTimes`] with its wall-clock
 /// epoch and the batch-sampling counter. One recorder serves one shard
 /// for the life of its engine: the epoch is fixed at creation, so the

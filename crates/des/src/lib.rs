@@ -80,11 +80,13 @@ pub use engine::{
     BATCH_BUCKETS, EXTERNAL_SRC,
 };
 pub use event::{EventEntry, EventQueue, Generation};
-pub use host::{HostRecorder, HostRoundSlice, HostShardTimes, ProgressShared, MAX_ROUND_SLICES};
+pub use host::{
+    HostRecorder, HostRoundSlice, HostShardTimes, HubHostStats, ProgressShared, MAX_ROUND_SLICES,
+};
 pub use rng::{Rng, SampleRange};
 pub use simulator::Simulator;
 pub use time::{Epsilon, Tick, Time};
 pub use trace::{TraceBuffer, TraceEvent, TraceSpec};
 pub use transport::TransportError;
 #[cfg(unix)]
-pub use transport::{Hub, HubHostStats, HubResult, ProcessTransport, WorkerLink, WorkerSetup};
+pub use transport::{Hub, HubResult, ProcessTransport, WorkerLink, WorkerSetup};

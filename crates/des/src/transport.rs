@@ -48,7 +48,7 @@ use crate::time::{Tick, Time};
 use crate::trace::TraceBuffer;
 
 #[cfg(unix)]
-pub use process::{Hub, HubHostStats, HubResult, ProcessTransport, WorkerLink, WorkerSetup};
+pub use process::{Hub, HubResult, ProcessTransport, WorkerLink, WorkerSetup};
 
 /// Why a transport operation failed. Only the process backend can fail;
 /// the in-process backend panics on programming errors instead.
@@ -87,6 +87,53 @@ pub(crate) struct RoundFold {
     pub m: Option<Time>,
     /// Global maximum last-progress tick.
     pub global_progress: Tick,
+}
+
+impl RoundFold {
+    /// The fold of no shard yet.
+    pub(crate) const EMPTY: RoundFold = RoundFold {
+        m: None,
+        global_progress: 0,
+    };
+
+    /// Folds in one shard's `(queue head, last-progress tick)`: the
+    /// earliest head and the latest progress win. The thread transport
+    /// and the hub both fold with it, so their answers agree.
+    pub(crate) fn with(self, (peek, progress): (Option<Time>, Tick)) -> RoundFold {
+        RoundFold {
+            m: match (self.m, peek) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            },
+            global_progress: self.global_progress.max(progress),
+        }
+    }
+}
+
+/// Keeps the smallest-stamp failure of a round — the one the sequential
+/// engine would have hit first.
+pub(crate) fn keep_first_failure(
+    slot: &mut Option<(EventStamp, String)>,
+    failure: Option<(EventStamp, String)>,
+) {
+    if let Some((stamp, msg)) = failure {
+        if slot.as_ref().is_none_or(|(st, _)| stamp < *st) {
+            *slot = Some((stamp, msg));
+        }
+    }
+}
+
+/// Moves one round's trace records, gathered from every shard, into the
+/// ring in canonical `(stamp, recno)` order; drops them when no ring is
+/// armed here.
+pub(crate) fn merge_round_traces(buffer: Option<&mut TraceBuffer>, round: &mut Vec<TaggedTrace>) {
+    match buffer {
+        Some(buffer) => {
+            round.sort_unstable_by_key(|t| (t.stamp, t.recno));
+            flush_trace(buffer, round);
+        }
+        None => round.clear(),
+    }
 }
 
 /// The globally agreed end-of-round state.
@@ -322,19 +369,10 @@ impl<E> ShardTransport<E> for ThreadTransport<'_, E> {
         // productive generation, then wait for every sibling.
         *sh.peeks[self.s].lock().unwrap() = (peek, progress);
         sh.barrier.wait(&mut self.local_sense, &sh.poisoned);
-        // Identical global-minimum (and global max-progress) computation
-        // on every shard: same inputs, same result, no coordinator.
-        let mut m: Option<Time> = None;
-        let mut global_progress = progress;
-        for p in &sh.peeks {
-            let (v, lp) = *p.lock().unwrap();
-            m = match (m, v) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            global_progress = global_progress.max(lp);
-        }
-        Ok(RoundFold { m, global_progress })
+        // Identical computation on every shard: same inputs, same result,
+        // no coordinator.
+        let heads = sh.peeks.iter().map(|p| *p.lock().unwrap());
+        Ok(heads.fold(RoundFold::EMPTY, RoundFold::with))
     }
 
     fn exchange(
@@ -344,13 +382,8 @@ impl<E> ShardTransport<E> for ThreadTransport<'_, E> {
     ) -> Result<RoundEnd, TransportError> {
         let sh = self.shared;
         let s = self.s;
-        // Smallest-stamp failure wins: the one the sequential engine
-        // would have hit first.
-        if let Some((stamp, msg)) = out.failure {
-            let mut slot = sh.failure.lock().unwrap();
-            if slot.as_ref().is_none_or(|(st, _)| stamp < *st) {
-                *slot = Some((stamp, msg));
-            }
+        if out.failure.is_some() {
+            keep_first_failure(&mut sh.failure.lock().unwrap(), out.failure);
         }
         if out.stop {
             sh.stop_flag.store(true, Ordering::Release);
@@ -373,9 +406,7 @@ impl<E> ShardTransport<E> for ThreadTransport<'_, E> {
             for rt in &sh.round_traces {
                 self.merge_scratch.append(&mut rt.lock().unwrap());
             }
-            self.merge_scratch
-                .sort_unstable_by_key(|t| (t.stamp, t.recno));
-            flush_trace(buffer, &mut self.merge_scratch);
+            merge_round_traces(Some(buffer), &mut self.merge_scratch);
         }
         for src in sh.outboxes[s].iter() {
             let mut v = std::mem::take(&mut *src.lock().unwrap());
@@ -457,12 +488,15 @@ mod process {
     use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
-    use super::{RoundEnd, RoundFold, RoundOut, ShardTransport, TransportError};
+    use super::{
+        keep_first_failure, merge_round_traces, RoundEnd, RoundFold, RoundOut, ShardTransport,
+        TransportError,
+    };
     use crate::component::ComponentId;
     use crate::engine::{
-        flush_trace, EngineMetrics, EngineOptions, EventStamp, RunOutcome, Stamped, TaggedTrace,
+        EngineMetrics, EngineOptions, EventStamp, RunOutcome, Stamped, TaggedTrace,
     };
-    use crate::host::{HostShardTimes, ProgressShared};
+    use crate::host::{HostShardTimes, HubHostStats, ProgressShared};
     use crate::snapshot::put_trace;
     use crate::time::{Tick, Time};
     use crate::trace::TraceBuffer;
@@ -769,23 +803,6 @@ mod process {
         pub error: Option<(u32, String)>,
     }
 
-    /// Hub-side host accounting: wire traffic per worker and the wall
-    /// time the hub spent computing and broadcasting folds. Byte counts
-    /// are always on (one add per frame); fold timing only when host
-    /// profiling is armed in the options given to [`Hub::accept`].
-    #[derive(Debug, Clone, Default)]
-    pub struct HubHostStats {
-        /// Rounds (FOLD frames) the hub relayed.
-        pub rounds: u64,
-        /// Wall time inside the hub's fold computation + broadcast, in
-        /// nanoseconds (0 when profiling is disarmed).
-        pub fold_ns: u64,
-        /// Frame-body bytes received from each worker, in worker order.
-        pub wire_in_bytes: Vec<u64>,
-        /// Frame-body bytes sent to each worker, in worker order.
-        pub wire_out_bytes: Vec<u64>,
-    }
-
     /// The parent-side relay of the process backend.
     ///
     /// The hub is payload-agnostic: it computes the per-round fold,
@@ -998,18 +1015,14 @@ mod process {
 
         fn round_fold(&mut self, frames: &[(u8, Vec<u8>)]) -> Result<(), (u32, String)> {
             let t_fold = self.host_profiling.then(Instant::now);
-            let mut m: Option<Time> = None;
-            let mut global_progress: Tick = 0;
+            let mut fold = RoundFold::EMPTY;
             for (w, (_, body)) in frames.iter().enumerate() {
-                let Some((peek, progress)) = FoldBody::decode(&mut body.as_slice()) else {
+                let Some(head) = FoldBody::decode(&mut body.as_slice()) else {
                     return Err((w as u32, "malformed FOLD".into()));
                 };
-                m = match (m, peek) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                global_progress = global_progress.max(progress);
+                fold = fold.with(head);
             }
+            let RoundFold { m, global_progress } = fold;
             let mut reply = Vec::new();
             (m, global_progress).encode(&mut reply);
             for w in 0..self.conns.len() {
@@ -1058,23 +1071,11 @@ mod process {
                     board.record_events(w, self.events_cum[w]);
                 }
                 stopped |= stop;
-                if let Some((stamp, msg)) = fail {
-                    if failure.as_ref().is_none_or(|(st, _)| stamp < *st) {
-                        failure = Some((stamp, msg));
-                    }
-                }
+                keep_first_failure(&mut failure, fail);
                 self.merge_scratch.append(&mut traces);
                 blobs.push(dsts);
             }
-            // The same stamp-sorted per-round merge the thread backend's
-            // first shard performs.
-            if let Some(buffer) = self.trace.as_mut() {
-                self.merge_scratch
-                    .sort_unstable_by_key(|t| (t.stamp, t.recno));
-                flush_trace(buffer, &mut self.merge_scratch);
-            } else {
-                self.merge_scratch.clear();
-            }
+            merge_round_traces(self.trace.as_mut(), &mut self.merge_scratch);
             let failure_msg = failure.map(|(_, msg)| msg);
             let mut replies: Vec<Vec<u8>> = Vec::with_capacity(n);
             for dst in 0..n {

@@ -23,8 +23,8 @@
 //!   stop-and-wait link-level retransmission protocol that recovers from
 //!   them — bit-identical across engine backends for one
 //!   `(configuration, seed)`,
-//! - the flit-event tracing vocabulary ([`TraceKind`], [`TraceFilter`],
-//!   [`FlitTraceExt`]) over the engine's generic trace plane — filtered
+//! - the flit-event tracing vocabulary ([`TraceKind`], [`FlitTraceExt`])
+//!   over the engine's generic trace plane — filtered
 //!   collection that is free when disabled, engine-agnostic (the sharded
 //!   backend merges records back into canonical order), and serializes
 //!   to JSON-lines ([`trace_json_lines`]).
@@ -53,4 +53,4 @@ pub use flit::{Flit, FlitSpan, PacketBuilder, PacketInfo, SpanBreakdown};
 pub use ids::{AppId, MessageId, PacketId, Port, RouterId, TerminalId, Vc};
 pub use link::LinkTarget;
 pub use phase::{AppSignal, Phase, PhaseCommand};
-pub use trace::{trace_json_lines, FlitTraceExt, TraceFilter, TraceKind, TraceRecord};
+pub use trace::{trace_json_lines, FlitTraceExt, TraceKind, TraceRecord};

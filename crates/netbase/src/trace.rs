@@ -16,17 +16,18 @@
 //! vocabulary: [`TraceKind`] names the event (`kind` tag), the packet id
 //! rides in the record's `id`, and the flit's position in `sub`.
 //! Components record through [`FlitTraceExt::trace_flit`], which is free
-//! when tracing is off (one `Option` check in the engine). The
-//! [`TraceFilter`] narrows collection to event kinds, one component, or a
-//! packet-id range, so a paper-style investigation ("follow packet 93124
-//! through the Clos") costs only the flits it watches.
+//! when tracing is off (one `Option` check in the engine). The engine's
+//! `TraceSpec` narrows collection to event kinds ([`TraceKind::bit`]), one
+//! component, or a packet-id range, so a paper-style investigation
+//! ("follow packet 93124 through the Clos") costs only the flits it
+//! watches.
 //!
 //! Serialization is JSON-lines written with the workspace's integer text
 //! writer (`supersim_config::push_uint`), one record per line, in
 //! canonical order.
 
 use supersim_config::push_uint;
-use supersim_des::{Context, Time, TraceEvent, TraceSpec};
+use supersim_des::{Context, Time, TraceEvent};
 
 use crate::event::Ev;
 use crate::flit::Flit;
@@ -91,7 +92,7 @@ impl TraceKind {
         Self::ALL.into_iter().find(|k| *k as u8 == tag)
     }
 
-    /// This kind's bit in a [`TraceFilter::kinds`] mask.
+    /// This kind's bit in a `TraceSpec::kinds` mask.
     #[inline]
     pub fn bit(self) -> u8 {
         1 << (self as u8)
@@ -126,50 +127,6 @@ impl TraceRecord {
             packet: ev.id,
             flit: ev.sub,
         })
-    }
-}
-
-/// What the engine collects. The default filter accepts everything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceFilter {
-    /// Bitmask of accepted [`TraceKind`]s ([`TraceKind::bit`]).
-    pub kinds: u8,
-    /// Only events at this component index, when set.
-    pub src: Option<u32>,
-    /// Inclusive packet-id range.
-    pub packet_lo: u64,
-    /// Inclusive packet-id range.
-    pub packet_hi: u64,
-}
-
-impl Default for TraceFilter {
-    fn default() -> Self {
-        TraceFilter {
-            kinds: u8::MAX,
-            src: None,
-            packet_lo: 0,
-            packet_hi: u64::MAX,
-        }
-    }
-}
-
-impl TraceFilter {
-    /// Whether a record with these fields passes the filter.
-    #[inline]
-    pub fn accepts(&self, src: u32, kind: TraceKind, packet: u64) -> bool {
-        self.kinds & kind.bit() != 0
-            && self.src.is_none_or(|s| s == src)
-            && (self.packet_lo..=self.packet_hi).contains(&packet)
-    }
-
-    /// The engine-level spec enforcing this filter at collection time.
-    pub fn to_spec(&self) -> TraceSpec {
-        TraceSpec {
-            kinds: self.kinds,
-            src: self.src,
-            id_lo: self.packet_lo,
-            id_hi: self.packet_hi,
-        }
     }
 }
 
@@ -250,32 +207,6 @@ mod tests {
         }
         assert_eq!(TraceKind::from_name("nope"), None);
         assert_eq!(TraceKind::from_tag(8), None);
-    }
-
-    #[test]
-    fn filter_matches_its_spec() {
-        let filter = TraceFilter {
-            kinds: TraceKind::Eject.bit(),
-            src: Some(7),
-            packet_lo: 10,
-            packet_hi: 20,
-        };
-        let spec = filter.to_spec();
-        for (src, kind, packet) in [
-            (7u32, TraceKind::Eject, 15u64),
-            (7, TraceKind::Inject, 15),
-            (6, TraceKind::Eject, 15),
-            (7, TraceKind::Eject, 9),
-            (7, TraceKind::Eject, 21),
-        ] {
-            assert_eq!(
-                filter.accepts(src, kind, packet),
-                spec.accepts(kind as u8, src, packet),
-                "filter and spec disagree on ({src}, {kind:?}, {packet})"
-            );
-        }
-        assert!(filter.accepts(7, TraceKind::Eject, 15));
-        assert!(!filter.accepts(7, TraceKind::Inject, 15));
     }
 
     #[test]

@@ -32,6 +32,9 @@
 //! The building blocks (arbiters, buffers, crossbar schedulers, congestion
 //! sensors) are public so user-defined architectures can be assembled from
 //! them, mirroring the paper's extensibility story.
+//!
+//! At the end of a run, [`push_router_planes`] reports the routers'
+//! `router_<r>` and `profile` metrics planes.
 
 mod arbiter;
 #[cfg(test)]
@@ -45,6 +48,7 @@ mod ioq;
 mod iq;
 mod metrics;
 mod oq;
+mod report;
 mod skeleton;
 mod snapshot;
 mod stages;
@@ -62,6 +66,7 @@ pub use congestion::{
     CongestionGranularity, CongestionSensor, CongestionSource, DelayedValue, SensorConfig,
 };
 pub use metrics::RouterMetrics;
+pub use report::{push_router_planes, RouterReport};
 pub use skeleton::{Router, RouterConfig, RouterCore, RouterCounters};
 pub use stages::XbarConfig;
 pub use xbar_sched::{FlowControl, OutputScheduler};

@@ -179,15 +179,6 @@ impl RouterCore {
         self.input_buffer
     }
 
-    /// Per-(port, vc) downstream credit state as `(available, capacity)`,
-    /// for diagnostic snapshots.
-    pub fn credit_state(&self) -> Vec<(u32, u32)> {
-        self.credits
-            .iter()
-            .map(|c| (c.available(), c.capacity()))
-            .collect()
-    }
-
     /// Flit-arena occupancy as `(live, high_water)`, for the profiling
     /// plane.
     pub fn arena_stats(&self) -> (u32, u32) {
@@ -479,6 +470,16 @@ impl Router {
         inputs
             + self.pipeline.queued_flits()
             + self.core.fault.as_ref().map_or(0, |f| f.held_flits())
+    }
+
+    /// Per-(port, vc) downstream credit state as `(available, capacity)`,
+    /// for diagnostic snapshots.
+    pub fn credit_state(&self) -> Vec<(u32, u32)> {
+        self.core
+            .credits
+            .iter()
+            .map(|c| (c.available(), c.capacity()))
+            .collect()
     }
 }
 

@@ -6,8 +6,6 @@
 //! saturates (a saturated network yields unbounded latency).
 
 use crate::distribution::LatencyDistribution;
-use crate::filter::Filter;
-use crate::record::{RecordKind, SampleLog};
 
 /// A compact summary of one latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,57 +70,6 @@ impl LoadPoint {
     }
 }
 
-/// Computes packet-latency and throughput statistics from a sample log.
-#[derive(Debug, Clone)]
-pub struct WindowAnalysis {
-    /// First tick of the sampling window.
-    pub window_start: u64,
-    /// One past the last tick of the sampling window.
-    pub window_end: u64,
-    /// Number of traffic-generating terminals.
-    pub terminals: u64,
-}
-
-impl WindowAnalysis {
-    /// Latency distribution of all packet records matching `filter`.
-    pub fn packet_latencies(&self, log: &SampleLog, filter: &Filter) -> LatencyDistribution {
-        log.of_kind(RecordKind::Packet)
-            .filter(|r| filter.matches(r))
-            .map(|r| r.latency())
-            .collect()
-    }
-
-    /// Delivered load in flits per tick per terminal: the flits of sampled
-    /// packets *received inside the window*, normalized by window length
-    /// and terminal count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty or there are no terminals.
-    pub fn delivered_load(&self, log: &SampleLog, filter: &Filter) -> f64 {
-        assert!(self.window_end > self.window_start, "empty sampling window");
-        assert!(self.terminals > 0, "no terminals");
-        let flits: u64 = log
-            .of_kind(RecordKind::Packet)
-            .filter(|r| filter.matches(r))
-            .filter(|r| r.recv >= self.window_start && r.recv < self.window_end)
-            .map(|r| r.size as u64)
-            .sum();
-        let window = (self.window_end - self.window_start) as f64;
-        flits as f64 / window / self.terminals as f64
-    }
-
-    /// Builds a [`LoadPoint`] for a run at the given offered load.
-    pub fn load_point(&self, log: &SampleLog, filter: &Filter, offered: f64) -> LoadPoint {
-        let mut dist = self.packet_latencies(log, filter);
-        LoadPoint {
-            offered,
-            delivered: self.delivered_load(log, filter),
-            latency: LatencySummary::of(&mut dist),
-        }
-    }
-}
-
 /// A named series of load points — one line of a load-latency plot.
 #[derive(Debug, Clone)]
 pub struct LoadSweep {
@@ -176,56 +123,16 @@ impl LoadSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::SampleRecord;
-
-    fn packet(send: u64, recv: u64, size: u32) -> SampleRecord {
-        SampleRecord {
-            kind: RecordKind::Packet,
-            app: 0,
-            src: 0,
-            dst: 1,
-            send,
-            recv,
-            hops: 1,
-            size,
-        }
-    }
-
-    fn window() -> WindowAnalysis {
-        WindowAnalysis {
-            window_start: 100,
-            window_end: 200,
-            terminals: 2,
-        }
-    }
-
-    #[test]
-    fn delivered_load_counts_window_flits_only() {
-        let log: SampleLog = vec![
-            packet(100, 150, 4), // inside
-            packet(120, 199, 2), // inside
-            packet(90, 99, 8),   // before window
-            packet(150, 200, 8), // recv == end, excluded
-        ]
-        .into_iter()
-        .collect();
-        // 6 flits / 100 ticks / 2 terminals
-        let load = window().delivered_load(&log, &Filter::new());
-        assert!((load - 0.03).abs() < 1e-12);
-    }
 
     #[test]
     fn load_point_and_saturation() {
-        let log: SampleLog = vec![packet(100, 150, 4)].into_iter().collect();
-        let p = window().load_point(&log, &Filter::new(), 0.5);
-        assert_eq!(p.offered, 0.5);
-        assert!(p.is_saturated(0.05));
-        let healthy = LoadPoint {
-            offered: 0.02,
-            delivered: 0.02,
+        let point = |offered, delivered| LoadPoint {
+            offered,
+            delivered,
             latency: None,
         };
-        assert!(!healthy.is_saturated(0.05));
+        assert!(point(0.5, 0.04).is_saturated(0.05));
+        assert!(!point(0.02, 0.02).is_saturated(0.05));
     }
 
     #[test]
@@ -252,16 +159,6 @@ mod tests {
         }
         assert_eq!(sweep.unsaturated_prefix(0.05).len(), 2);
         assert!((sweep.saturation_throughput().unwrap() - 0.21).abs() < 1e-12);
-    }
-
-    #[test]
-    fn filtered_latencies() {
-        let log: SampleLog = vec![packet(100, 110, 1), packet(100, 190, 1)]
-            .into_iter()
-            .collect();
-        let f = Filter::parse_all(["+latency=0-50"]).unwrap();
-        let dist = window().packet_latencies(&log, &f);
-        assert_eq!(dist.count(), 1);
     }
 
     #[test]

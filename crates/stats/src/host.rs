@@ -12,12 +12,18 @@
 //!   complete-duration slices, counter tracks, and process/thread
 //!   metadata with no external dependencies,
 //! - [`ProgressLine`] — the live-progress heartbeat record rendered as
-//!   one integer-only JSON line per interval.
+//!   one integer-only JSON line per interval,
+//! - [`HostData`] — what a profiled run collected ([`CkptTimes`] among
+//!   it), and the owner of the `host` / `host_shard_<s>` metrics planes
+//!   and the Chrome trace built from it.
 
 use std::fmt::Write;
 use std::time::Instant;
 
 use supersim_config::push_json_str;
+use supersim_des::{HostShardTimes, HubHostStats};
+
+use crate::metrics::MetricsSnapshot;
 
 /// A monotonic host-time epoch. All reads are nanoseconds since the
 /// clock was created (saturating at `u64::MAX`, i.e. after ~584 years).
@@ -132,6 +138,189 @@ impl TraceEventBuilder {
         }
         self.buf.push_str("]}\n");
         self.buf
+    }
+}
+
+/// Wall-clock attribution of checkpoints on the run's host clock: state
+/// capture plus file write, or a worker's capture plus its send to the
+/// hub. Out-of-band: never touches simulation state.
+#[derive(Debug, Clone, Default)]
+pub struct CkptTimes {
+    /// Checkpoint files written.
+    pub writes: u64,
+    /// Total wall time spent capturing + writing them, in nanoseconds.
+    pub ns: u64,
+    /// Total bytes written (state blobs, excluding headers).
+    pub bytes: u64,
+    /// `(start_ns, dur_ns)` per write — the trace exporter's slices.
+    pub slices: Vec<(u64, u64)>,
+}
+
+impl CkptTimes {
+    /// Records one completed checkpoint write spanning
+    /// `[start_ns, end_ns]` that shipped `bytes` bytes of state.
+    pub fn record(&mut self, start_ns: u64, end_ns: u64, bytes: u64) {
+        let dur = end_ns.saturating_sub(start_ns);
+        self.writes += 1;
+        self.ns += dur;
+        self.bytes += bytes;
+        self.slices.push((start_ns, dur));
+    }
+}
+
+/// Everything the host-time plane collected over a run: per-shard
+/// wall-clock records, hub accounting (worker fleets), and checkpoint
+/// write attribution. Its planes exist only when profiling was armed and
+/// carry host time exclusively, so stripping them recovers the
+/// byte-identical simulation snapshot of an unprofiled run.
+#[derive(Debug, Clone, Default)]
+pub struct HostData {
+    /// One record per shard (worker order for a fleet).
+    pub shards: Vec<HostShardTimes>,
+    /// Hub accounting; `None` for in-process runs.
+    pub hub: Option<HubHostStats>,
+    /// Checkpoint write attribution.
+    pub ckpt: CkptTimes,
+}
+
+impl HostData {
+    /// Pushes the `host_shard_<s>` planes, then the `host` plane. `wall_ns`
+    /// is the run's wall time and `log_bytes` the encoded bytes the
+    /// interfaces' sample and span logs held when assembly began.
+    pub fn push_planes(&self, metrics: &mut MetricsSnapshot, wall_ns: u64, log_bytes: u64) {
+        let mut sums = HostShardTimes::default();
+        let (mut min_exec, mut max_exec) = (u64::MAX, 0);
+        for (s, t) in self.shards.iter().enumerate() {
+            let name = format!("host_shard_{s}");
+            for (metric, value) in [
+                ("total_batches", t.total_batches),
+                ("sampled_batches", t.sampled_batches),
+                ("sampled_events", t.sampled_events),
+                ("drain_ns", t.drain_ns),
+                ("execute_ns", t.execute_ns),
+                ("sample_edge_ns", t.sample_edge_ns),
+                ("fold_ns", t.fold_ns),
+                ("exchange_ns", t.exchange_ns),
+                ("checkpoint_ns", t.checkpoint_ns),
+                ("checkpoint_writes", t.checkpoint_writes),
+                ("checkpoint_bytes", t.checkpoint_bytes),
+            ] {
+                metrics.push_counter(&name, metric, value);
+            }
+            sums.merge(t);
+            min_exec = min_exec.min(t.execute_ns);
+            max_exec = max_exec.max(t.execute_ns);
+        }
+        for (metric, value) in [
+            ("wall_ns", wall_ns),
+            ("drain_ns", sums.drain_ns),
+            ("execute_ns", sums.execute_ns),
+            ("sample_edge_ns", sums.sample_edge_ns),
+            ("fold_ns", sums.fold_ns),
+            ("exchange_ns", sums.exchange_ns),
+            ("total_batches", sums.total_batches),
+            ("sampled_batches", sums.sampled_batches),
+            ("sampled_events", sums.sampled_events),
+            ("log_bytes", log_bytes),
+        ] {
+            metrics.push_counter("host", metric, value);
+        }
+        // Imbalance gauges, scaled by 1000 (integer metrics plane):
+        // `execute_imbalance_millis` is the max/min per-shard execute-time
+        // ratio (1000 = perfectly balanced); `barrier_wait_millis` the
+        // fraction of total loop time spent waiting at the fold barrier.
+        if self.shards.len() > 1 && min_exec > 0 {
+            let imbalance = max_exec.saturating_mul(1000) / min_exec;
+            metrics.push_counter("host", "execute_imbalance_millis", imbalance);
+        }
+        let loop_ns =
+            sums.drain_ns + sums.execute_ns + sums.sample_edge_ns + sums.fold_ns + sums.exchange_ns;
+        if let Some(wait) = sums.fold_ns.saturating_mul(1000).checked_div(loop_ns) {
+            metrics.push_counter("host", "barrier_wait_millis", wait);
+        }
+        // Per-component-class attribution from the sampled batches, in
+        // name order so the plane layout is stable.
+        sums.classes.sort_by(|a, b| a.0.cmp(&b.0));
+        for (class, ns, events) in &sums.classes {
+            metrics.push_counter("host", &format!("class_{class}_ns"), *ns);
+            metrics.push_counter("host", &format!("class_{class}_events"), *events);
+        }
+        // Checkpoint attribution: worker-side state capture plus the
+        // parent-side file writes.
+        let ckpt = &self.ckpt;
+        for (metric, value) in [
+            ("checkpoint_writes", sums.checkpoint_writes + ckpt.writes),
+            ("checkpoint_ns", sums.checkpoint_ns + ckpt.ns),
+            ("checkpoint_bytes", sums.checkpoint_bytes + ckpt.bytes),
+        ] {
+            metrics.push_counter("host", metric, value);
+        }
+        if let Some(hub) = &self.hub {
+            metrics.push_counter("host", "hub_rounds", hub.rounds);
+            metrics.push_counter("host", "hub_fold_ns", hub.fold_ns);
+            for (w, (inb, outb)) in hub
+                .wire_in_bytes
+                .iter()
+                .zip(&hub.wire_out_bytes)
+                .enumerate()
+            {
+                metrics.push_counter("host", &format!("worker_{w}_wire_in_bytes"), *inb);
+                metrics.push_counter("host", &format!("worker_{w}_wire_out_bytes"), *outb);
+            }
+        }
+    }
+
+    /// The Chrome `trace_event` document of the run. In-process runs put
+    /// every shard on pid 0, one tid per shard; a fleet gets one pid per
+    /// worker (the hub is pid 0). Each sampled round renders a parent
+    /// "round" slice with fold/execute/exchange children laid end to end,
+    /// so slices nest by construction. Worker processes time against their
+    /// own epochs; cross-pid skew is cosmetic. `arena_high` is the routers'
+    /// flit-arena high-water mark.
+    pub fn chrome_trace(&self, arena_high: u64) -> String {
+        let fleet = self.hub.is_some();
+        let mut tb = TraceEventBuilder::new();
+        tb.process_name(0, if fleet { "supersim-hub" } else { "supersim" });
+        for (s, t) in self.shards.iter().enumerate() {
+            let (pid, tid) = if fleet {
+                (1 + s as u64, 0)
+            } else {
+                (0, s as u64)
+            };
+            if fleet {
+                tb.process_name(pid, &format!("worker-{s}"));
+            }
+            tb.thread_name(pid, tid, &format!("shard-{s}"));
+            for sl in &t.round_slices {
+                let start_us = sl.start_ns / 1000;
+                let fold_us = sl.fold_ns / 1000;
+                let exec_us = sl.execute_ns / 1000;
+                let exch_us = sl.exchange_ns / 1000;
+                tb.slice(pid, tid, "round", start_us, fold_us + exec_us + exch_us);
+                if fold_us > 0 {
+                    tb.slice(pid, tid, "fold", start_us, fold_us);
+                }
+                if exec_us > 0 {
+                    tb.slice(pid, tid, "execute", start_us + fold_us, exec_us);
+                }
+                if exch_us > 0 {
+                    tb.slice(pid, tid, "exchange", start_us + fold_us + exec_us, exch_us);
+                }
+                let dur_ns = sl.fold_ns + sl.execute_ns + sl.exchange_ns;
+                if let Some(eps) = sl.events.saturating_mul(1_000_000_000).checked_div(dur_ns) {
+                    tb.counter(pid, "events_per_sec", start_us, eps);
+                }
+            }
+        }
+        if !self.ckpt.slices.is_empty() {
+            let ckpt_tid = if fleet { 0 } else { self.shards.len() as u64 };
+            tb.thread_name(0, ckpt_tid, "checkpoint");
+            for &(start_ns, dur_ns) in &self.ckpt.slices {
+                tb.slice(0, ckpt_tid, "checkpoint", start_ns / 1000, dur_ns / 1000);
+            }
+        }
+        tb.counter(0, "arena_occupancy_peak", 0, arena_high);
+        tb.finish()
     }
 }
 

@@ -22,8 +22,8 @@
 //! - [`StreamingStats`] — constant-space mean/variance accumulators,
 //! - [`metrics`] — the observability plane: zero-allocation counters,
 //!   gauges, and log₂-bucketed histograms embedded in hot components,
-//!   plus the [`MetricsRegistry`]/[`MetricsSnapshot`] naming and
-//!   snapshot layer serialized through the in-tree JSON writer.
+//!   plus the [`MetricsSnapshot`] layer serialized through the in-tree
+//!   JSON writer.
 
 pub mod analysis;
 mod distribution;
@@ -37,10 +37,8 @@ mod timeseries;
 
 pub use distribution::LatencyDistribution;
 pub use filter::{Filter, FilterError, FilterTerm};
-pub use host::{HostClock, ProgressLine, TraceEventBuilder};
-pub use metrics::{
-    Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot,
-};
+pub use host::{CkptTimes, HostClock, HostData, ProgressLine, TraceEventBuilder};
+pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsSnapshot};
 pub use record::{RecordKind, SampleLog, SampleRecord};
 pub use streaming::StreamingStats;
 pub use timeseries::{

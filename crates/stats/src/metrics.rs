@@ -1,5 +1,5 @@
 //! Low-overhead metrics: counters, gauges, log-bucketed histograms, and
-//! the snapshot registry (the observability plane's data model).
+//! the snapshot (the observability plane's data model).
 //!
 //! # Design
 //!
@@ -13,12 +13,11 @@
 //! path** (floating point enters only in reporting accessors such as
 //! [`Histogram::mean`]).
 //!
-//! The [`MetricsRegistry`] is the naming plane: component names are
-//! registered once at build time, and a [`MetricsSnapshot`] is assembled
-//! **on demand** (end of run, or at a checkpoint) by visiting the owners
-//! of the embedded primitives. Snapshots serialize to JSON through the
-//! workspace's own `supersim-config` writer and back, so the observability
-//! plane stays zero-dependency.
+//! A [`MetricsSnapshot`] is assembled **on demand** at the end of a run:
+//! each plane is pushed by the crate that owns its counters, visiting the
+//! owners of the embedded primitives. Snapshots serialize to JSON through
+//! the workspace's own `supersim-config` writer and back, so the
+//! observability plane stays zero-dependency.
 //!
 //! All record-path operations saturate instead of wrapping: a counter
 //! that hits `u64::MAX` stays there, which keeps pathological runs
@@ -274,84 +273,27 @@ pub struct MetricSample {
     pub value: MetricValue,
 }
 
-/// The build-time naming plane of the observability subsystem.
-///
-/// Components register their names once while the simulation is
-/// assembled; [`MetricsRegistry::snapshot`] then starts an on-demand
-/// [`MetricsSnapshot`] whose samples are restricted to registered
-/// component names, so a typo between registration and collection is a
-/// loud error instead of a silently missing series.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    components: Vec<String>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a component name; repeated registration is idempotent.
-    pub fn register(&mut self, component: impl Into<String>) {
-        let component = component.into();
-        if !self.components.contains(&component) {
-            self.components.push(component);
-        }
-    }
-
-    /// All registered component names, in registration order.
-    pub fn components(&self) -> &[String] {
-        &self.components
-    }
-
-    /// Whether `component` was registered.
-    pub fn is_registered(&self, component: &str) -> bool {
-        self.components.iter().any(|c| c == component)
-    }
-
-    /// Starts an empty snapshot bound to this registry's name table.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            registered: self.components.clone(),
-            samples: Vec::new(),
-        }
-    }
-}
-
 /// A point-in-time collection of metric samples, serializable to JSON.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Component names the snapshot may legally contain (empty = open).
-    registered: Vec<String>,
     samples: Vec<MetricSample>,
 }
 
 impl MetricsSnapshot {
-    /// An unrestricted snapshot (no registry).
+    /// An empty snapshot.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Adds one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the snapshot was created from a [`MetricsRegistry`]
-    /// and `component` was never registered.
     pub fn push(
         &mut self,
         component: impl Into<String>,
         name: impl Into<String>,
         value: MetricValue,
     ) {
-        let component = component.into();
-        assert!(
-            self.registered.is_empty() || self.registered.contains(&component),
-            "metric for unregistered component {component:?}"
-        );
         self.samples.push(MetricSample {
-            component,
+            component: component.into(),
             name: name.into(),
             value,
         });
@@ -451,8 +393,7 @@ impl MetricsSnapshot {
         self.to_value().to_json()
     }
 
-    /// Parses the JSON form back. The registry binding is not preserved —
-    /// a parsed snapshot is unrestricted.
+    /// Parses the JSON form back.
     ///
     /// # Errors
     ///
@@ -601,25 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_gates_component_names() {
-        let mut reg = MetricsRegistry::new();
-        reg.register("engine");
-        reg.register("engine"); // idempotent
-        assert_eq!(reg.components(), ["engine".to_string()]);
-        let mut snap = reg.snapshot();
-        snap.push_counter("engine", "events", 7);
-        assert_eq!(snap.get("engine", "events"), Some(&MetricValue::Counter(7)));
-    }
-
-    #[test]
-    #[should_panic(expected = "unregistered component")]
-    fn unregistered_component_is_rejected() {
-        let mut reg = MetricsRegistry::new();
-        reg.register("engine");
-        reg.snapshot().push_counter("router_0", "flits", 1);
-    }
-
-    #[test]
     fn snapshot_json_round_trip() {
         let mut h = Histogram::new();
         h.record(0);
@@ -636,6 +558,10 @@ mod tests {
         let json = snap.to_json();
         let back = MetricsSnapshot::from_json(&json).unwrap();
         assert_eq!(back.samples(), snap.samples());
+        assert_eq!(
+            back.get("engine", "queue_len"),
+            Some(&MetricValue::Gauge { value: 3, max: 99 })
+        );
         // Empty snapshots round-trip too.
         let empty = MetricsSnapshot::new();
         assert_eq!(MetricsSnapshot::from_json(&empty.to_json()).unwrap(), empty);

@@ -18,7 +18,9 @@
 //!   control,
 //! - the [`WorkloadMonitor`] runs the four-phase handshake
 //!   (warming / generating / finishing / draining) that aligns all
-//!   applications' areas of interest with the sampling window.
+//!   applications' areas of interest with the sampling window,
+//! - [`push_workload_plane`] reports what the interfaces did: the
+//!   `workload` metrics plane, the merged sample log and the span text.
 
 mod blast;
 mod injection;
@@ -26,18 +28,19 @@ mod interface;
 mod monitor;
 mod pingpong;
 mod pulse;
+mod report;
 mod terminal;
 mod traffic;
 
 pub use blast::{BlastApp, BlastConfig};
 pub use injection::{BernoulliProcess, SizeDistribution};
 pub use interface::{
-    spans_json_lines, Interface, InterfaceConfig, InterfaceCounters, InterfaceMetrics, SpanMetrics,
-    SpanRecord,
+    Interface, InterfaceConfig, InterfaceCounters, InterfaceMetrics, SpanMetrics, SpanRecord,
 };
 pub use monitor::WorkloadMonitor;
 pub use pingpong::{PingPongApp, PingPongConfig};
 pub use pulse::{PulseApp, PulseConfig};
+pub use report::{push_workload_plane, InterfaceLogs, WorkloadReport};
 pub use terminal::{Application, MessageSpec, Terminal, TerminalAction};
 pub use traffic::{
     BitComplement, CrossSubtree, Hotspot, Incast, Neighbor, RandomPermutation, Tornado,

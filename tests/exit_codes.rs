@@ -268,3 +268,61 @@ fn code_1_two_phase_routing_without_an_intermediate() {
         );
     }
 }
+
+#[test]
+fn code_1_a_present_key_of_the_wrong_type_or_range() {
+    // An optional key that is absent keeps its fallback (environment
+    // variable, default, or the current executable); a key that is present
+    // with the wrong type is the same configuration error any other
+    // setting gives, naming the key. These used to be read as "absent"
+    // and run to exit 0, and a trace source past the 32-bit component id
+    // space used to be truncated (2^32 traced component 0).
+    let cfg = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/quickstart.json");
+    let trace = "observability.trace.enabled=bool=true";
+    let wrong_type = |key: &str| format!("setting \"{key}\": expected");
+    for (expected, overrides) in [
+        (
+            wrong_type("engine.shards"),
+            &["engine.kind=string=sharded", "engine.shards=string=4"][..],
+        ),
+        (
+            wrong_type("checkpoint.resume"),
+            &["checkpoint.resume=uint=5"][..],
+        ),
+        (wrong_type("engine.kind"), &["engine.kind=uint=1"][..]),
+        (
+            wrong_type("engine.transport"),
+            &["engine.transport=bool=true"][..],
+        ),
+        (
+            wrong_type("observability.trace.src"),
+            &[trace, "observability.trace.src=string=zero"][..],
+        ),
+        (
+            wrong_type("observability.trace.kinds"),
+            &[trace, "observability.trace.kinds=string=inject"][..],
+        ),
+        (
+            wrong_type("engine.worker_bin"),
+            &[
+                "engine.kind=string=sharded",
+                "engine.transport=string=process",
+                "engine.worker_bin=uint=3",
+            ][..],
+        ),
+        (
+            "observability.trace.src is out of range".to_string(),
+            &[trace, "observability.trace.src=uint=4294967296"][..],
+        ),
+    ] {
+        let out = Command::new(bin())
+            .arg(cfg)
+            .args(overrides)
+            .arg("--no-log")
+            .output()
+            .expect("spawn supersim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{overrides:?}: {stderr}");
+        assert!(stderr.contains(&expected), "{overrides:?}: {stderr}");
+    }
+}
