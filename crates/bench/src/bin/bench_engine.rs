@@ -269,7 +269,7 @@ fn bench_work_ring(
 /// parent plays hub, the ring is cut into one contiguous arc per worker
 /// process, and each worker is this same binary re-executed in the
 /// `__bench_worker` role. The measured rate is end-to-end — process
-/// spawn, socket accept, every per-round FOLD/EXCH over the wire, and
+/// spawn, socket accept, every per-round EXCH/EXCH_R over the wire, and
 /// teardown — because that is what a real `--workers` run pays.
 #[cfg(unix)]
 mod process_rows {

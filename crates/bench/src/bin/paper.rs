@@ -366,7 +366,7 @@ fn fig08(_: Scale, configs: Vec<Value>) {
     let mut csv = format!("{PERCENTILE_HEADER},nonmin_fraction\n");
     print!("{csv}");
     for cfg in &configs {
-        let conc = cfg.req_u64("network.topology.concentration").expect("conc") as u32;
+        let conc = cfg.req_u32("network.topology.concentration").expect("conc");
         let load = cfg.req_f64("workload.applications.0.load").expect("load");
         let out = run(cfg, "fig08");
         // On a 1-D flattened butterfly the minimal path touches 2 routers

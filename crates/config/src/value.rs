@@ -272,11 +272,32 @@ impl Value {
         }
     }
 
+    /// A `uint` setting that must fit in 32 bits.
+    ///
+    /// # Errors
+    ///
+    /// As [`Value::req_u64`], and [`ConfigError::Invalid`] naming the
+    /// path when the value exceeds `u32::MAX`.
+    pub fn req_u32(&self, path: &str) -> Result<u32, ConfigError> {
+        let n = self.req_u64(path)?;
+        u32::try_from(n).map_err(|_| {
+            ConfigError::invalid(path, format!("{n} is out of range (at most {})", u32::MAX))
+        })
+    }
+
     /// Optional typed lookup with a default.
     pub fn opt_u64(&self, path: &str, default: u64) -> Result<u64, ConfigError> {
         match self.path(path) {
             None => Ok(default),
             Some(_) => self.req_u64(path),
+        }
+    }
+
+    /// See [`Value::opt_u64`] and [`Value::req_u32`].
+    pub fn opt_u32(&self, path: &str, default: u32) -> Result<u32, ConfigError> {
+        match self.path(path) {
+            None => Ok(default),
+            Some(_) => self.req_u32(path),
         }
     }
 
@@ -472,6 +493,13 @@ mod tests {
         ));
         let err = v.req_u64("network.router.arch").unwrap_err();
         assert!(err.to_string().contains("expected uint"));
+        // A 32-bit setting takes u32::MAX and names the key past it.
+        let v = Value::parse(r#"{"max": 4294967295, "over": 4294967296}"#).unwrap();
+        assert_eq!(v.req_u32("max").unwrap(), u32::MAX);
+        assert_eq!(
+            v.req_u32("over").unwrap_err().to_string(),
+            "invalid setting \"over\": 4294967296 is out of range (at most 4294967295)"
+        );
     }
 
     #[test]
@@ -480,6 +508,9 @@ mod tests {
         assert_eq!(v.opt_u64("network.missing", 7).unwrap(), 7);
         assert_eq!(v.opt_u64("network.router.radix", 7).unwrap(), 16);
         assert!(v.opt_u64("network.router.arch", 7).is_err());
+        assert_eq!(v.opt_u32("network.missing", 7).unwrap(), 7);
+        assert_eq!(v.opt_u32("network.router.radix", 7).unwrap(), 16);
+        assert!(v.opt_u32("network.router.arch", 7).is_err());
         assert_eq!(v.opt_str("network.missing", "dflt").unwrap(), "dflt");
     }
 

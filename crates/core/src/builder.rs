@@ -273,7 +273,7 @@ fn fault_config(cfg: &Value) -> Result<Option<Arc<FaultPlane>>, BuildError> {
         credit_loss_rate: cfg.opt_f64("fault.credit_loss_rate", 0.0)?,
         outage_rate: cfg.opt_f64("fault.outage.rate", 0.0)?,
         outage_duration: cfg.opt_u64("fault.outage.duration", 100)?,
-        max_retries: cfg.opt_u64("fault.retry.max", 8)? as u32,
+        max_retries: cfg.opt_u32("fault.retry.max", 8)?,
         backoff_base: cfg.opt_u64("fault.retry.backoff", 1)?,
         outages: fault_outages(cfg)?,
     };
@@ -313,19 +313,17 @@ fn fault_outages(cfg: &Value) -> Result<Vec<ScheduledOutage>, BuildError> {
     for (i, o) in list.iter().enumerate() {
         let bad = |msg: String| BuildError::invalid(format!("fault.outages[{i}]: {msg}"));
         let link = if let Some(t) = o.path("terminal") {
-            let t = t
+            let terminal = t
                 .as_u64()
-                .ok_or_else(|| bad("terminal must be an integer".into()))?;
-            LinkId::Terminal { terminal: t as u32 }
+                .and_then(|t| u32::try_from(t).ok())
+                .ok_or_else(|| bad("terminal must be a 32-bit integer".into()))?;
+            LinkId::Terminal { terminal }
         } else {
             let router = o
-                .req_u64("router")
+                .req_u32("router")
                 .map_err(|e| bad(format!("needs a router or terminal link ({e})")))?;
-            let port = o.req_u64("port").map_err(|e| bad(e.to_string()))?;
-            LinkId::Router {
-                router: router as u32,
-                port: port as u32,
-            }
+            let port = o.req_u32("port").map_err(|e| bad(e.to_string()))?;
+            LinkId::Router { router, port }
         };
         let start = o.req_u64("start").map_err(|e| bad(e.to_string()))?;
         let end = o.req_u64("end").map_err(|e| bad(e.to_string()))?;
@@ -422,7 +420,7 @@ pub(crate) fn build_with(
     if terminals == 0 || routers == 0 {
         return Err(BuildError::invalid("network has no terminals or routers"));
     }
-    let vcs = net.req_u64("vcs")? as u32;
+    let vcs = net.req_u32("vcs")?;
 
     let lat_terminal = net.opt_u64("channel.terminal_latency", 1)?;
     let lat_local = net.opt_u64("channel.local_latency", 1)?;
@@ -434,13 +432,13 @@ pub(crate) fn build_with(
 
     let router_cfg = net.req_obj("router")?;
     let arch = router_cfg.req_str("architecture")?;
-    let input_buffer = router_cfg.req_u64("input_buffer")? as u32;
+    let input_buffer = router_cfg.req_u32("input_buffer")?;
     if input_buffer == 0 {
         return Err(BuildError::invalid("router.input_buffer must be non-zero"));
     }
 
-    let eject_buffer = net.opt_u64("interface.eject_buffer", 64)? as u32;
-    let max_packet = net.opt_u64("interface.max_packet_size", 1 << 20)? as u32;
+    let eject_buffer = net.opt_u32("interface.eject_buffer", 64)?;
+    let max_packet = net.opt_u32("interface.max_packet_size", 1 << 20)?;
     let drain_period = net.opt_u64("interface.drain_period", link_period)?;
 
     // --- workload ------------------------------------------------------

@@ -32,12 +32,21 @@ pub(crate) fn register_builtin(f: &mut Factories) {
     register_patterns(f);
 }
 
-fn u32s(values: Vec<u64>) -> Vec<u32> {
-    values.into_iter().map(|x| x as u32).collect()
+/// A required array of 32-bit `uint`s, such as topology widths.
+fn u32s(cfg: &Value, key: &str) -> Result<Vec<u32>, BuildError> {
+    let values = cfg.req_u64_array(key)?;
+    values
+        .into_iter()
+        .map(|x| {
+            u32::try_from(x).map_err(|_| {
+                BuildError::invalid(format!("{key}: {x} is out of range (at most {})", u32::MAX))
+            })
+        })
+        .collect()
 }
 
 fn vcs_of(net: &Value) -> Result<u32, BuildError> {
-    let vcs = net.req_u64("vcs")? as u32;
+    let vcs = net.req_u32("vcs")?;
     if vcs == 0 {
         return Err(BuildError::invalid("network.vcs must be at least 1"));
     }
@@ -46,8 +55,8 @@ fn vcs_of(net: &Value) -> Result<u32, BuildError> {
 
 fn register_networks(f: &mut Factories) {
     f.networks.register_raw("torus", |net| {
-        let widths = u32s(net.req_u64_array("topology.widths")?);
-        let conc = net.req_u64("topology.concentration")? as u32;
+        let widths = u32s(net, "topology.widths")?;
+        let conc = net.req_u32("topology.concentration")?;
         let vcs = vcs_of(net)?;
         let algo = net
             .opt_str("routing.algorithm", "dimension_order")?
@@ -84,8 +93,8 @@ fn register_networks(f: &mut Factories) {
     });
 
     f.networks.register_raw("folded_clos", |net| {
-        let levels = net.req_u64("topology.levels")? as u32;
-        let k = net.req_u64("topology.k")? as u32;
+        let levels = net.req_u32("topology.levels")?;
+        let k = net.req_u32("topology.k")?;
         let vcs = vcs_of(net)?;
         let algo = net
             .opt_str("routing.algorithm", "adaptive_updown")?
@@ -108,8 +117,8 @@ fn register_networks(f: &mut Factories) {
     });
 
     f.networks.register_raw("hyperx", |net| {
-        let widths = u32s(net.req_u64_array("topology.widths")?);
-        let conc = net.req_u64("topology.concentration")? as u32;
+        let widths = u32s(net, "topology.widths")?;
+        let conc = net.req_u32("topology.concentration")?;
         let vcs = vcs_of(net)?;
         let algo = net.opt_str("routing.algorithm", "minimal")?.to_string();
         let topology = Arc::new(HyperX::new(widths, conc)?);
@@ -152,9 +161,9 @@ fn register_networks(f: &mut Factories) {
     });
 
     f.networks.register_raw("dragonfly", |net| {
-        let a = net.req_u64("topology.group_size")? as u32;
-        let h = net.req_u64("topology.global_ports")? as u32;
-        let p = net.req_u64("topology.concentration")? as u32;
+        let a = net.req_u32("topology.group_size")?;
+        let h = net.req_u32("topology.global_ports")?;
+        let p = net.req_u32("topology.concentration")?;
         let vcs = vcs_of(net)?;
         let algo = net.opt_str("routing.algorithm", "minimal")?.to_string();
         let topology = Arc::new(Dragonfly::new(a, h, p)?);
@@ -255,7 +264,7 @@ fn register_router(
         let shared = RouterConfig {
             id: ctx.id,
             ports: ctx.ports,
-            input_buffer: cfg.req_u64("input_buffer")? as u32,
+            input_buffer: cfg.req_u32("input_buffer")?,
             core_period: core_period(cfg, ctx.link_period)?,
             link_period: ctx.link_period,
             sensor: sensor_config(cfg)?,
@@ -273,7 +282,7 @@ fn register_routers(f: &mut Factories) {
         let output_queue = match cfg.path("output_queue") {
             None => None,
             Some(v) if v.as_str() == Some("infinite") => None,
-            Some(_) => Some(cfg.req_u64("output_queue")? as u32),
+            Some(_) => Some(cfg.req_u32("output_queue")?),
         };
         let core_latency = cfg.opt_u64("core_latency", 1)?;
         Ok(Router::output_queued(shared, output_queue, core_latency)?)
@@ -282,7 +291,7 @@ fn register_routers(f: &mut Factories) {
         Ok(Router::input_queued(shared, xbar_config(cfg)?)?)
     });
     register_router(f, "input_output_queued", |cfg, shared| {
-        let output_queue = cfg.req_u64("output_queue")? as u32;
+        let output_queue = cfg.req_u32("output_queue")?;
         Ok(Router::input_output_queued(
             shared,
             xbar_config(cfg)?,
@@ -306,24 +315,27 @@ fn size_distribution(cfg: &Value) -> Result<SizeDistribution, BuildError> {
                 .ok_or_else(|| BuildError::invalid("message_sizes entries are [size, weight]"))?;
             let size = pair[0]
                 .as_u64()
+                .and_then(|s| u32::try_from(s).ok())
                 .filter(|&s| s > 0)
-                .ok_or_else(|| BuildError::invalid("message size must be a positive integer"))?;
+                .ok_or_else(|| {
+                    BuildError::invalid("message size must be a positive 32-bit integer")
+                })?;
             let weight = pair[1]
                 .as_f64()
                 .filter(|&w| w > 0.0)
                 .ok_or_else(|| BuildError::invalid("message weight must be positive"))?;
-            choices.push((size as u32, weight));
+            choices.push((size, weight));
         }
         if choices.is_empty() {
             return Err(BuildError::invalid("message_sizes must not be empty"));
         }
         return Ok(SizeDistribution::Weighted(choices));
     }
-    let size = cfg.opt_u64("message_size", 1)?;
+    let size = cfg.opt_u32("message_size", 1)?;
     if size == 0 {
         return Err(BuildError::invalid("message_size must be at least 1"));
     }
-    Ok(SizeDistribution::Fixed(size as u32))
+    Ok(SizeDistribution::Fixed(size))
 }
 
 /// Parses an optional terminal-id set (the `sources` / `initiators` keys)
@@ -429,8 +441,8 @@ fn register_apps(f: &mut Factories) {
         let pattern = ctx
             .patterns
             .build(&pattern_name, &pattern_cfg, ctx.terminals)?;
-        let request_size = cfg.opt_u64("request_size", 1)? as u32;
-        let reply_size = cfg.opt_u64("reply_size", 2)? as u32;
+        let request_size = cfg.opt_u32("request_size", 1)?;
+        let reply_size = cfg.opt_u32("reply_size", 2)?;
         if request_size == reply_size || request_size == 0 || reply_size == 0 {
             return Err(BuildError::invalid(
                 "pingpong request and reply sizes must be distinct and non-zero",
@@ -464,8 +476,8 @@ fn register_patterns(f: &mut Factories) {
         Ok(Arc::new(BitComplement::new(terminals)) as Arc<dyn TrafficPattern>)
     });
     f.patterns.register("tornado", |cfg, _terminals| {
-        let widths = u32s(cfg.req_u64_array("widths")?);
-        let conc = cfg.req_u64("concentration")? as u32;
+        let widths = u32s(cfg, "widths")?;
+        let conc = cfg.req_u32("concentration")?;
         if widths.is_empty() || conc == 0 {
             return Err(BuildError::invalid(
                 "tornado needs torus widths and concentration",
@@ -486,12 +498,12 @@ fn register_patterns(f: &mut Factories) {
         if terminals < 2 {
             return Err(BuildError::invalid("neighbor needs at least 2 terminals"));
         }
-        let offset = cfg.opt_u64("offset", 1)? as u32;
+        let offset = cfg.opt_u32("offset", 1)?;
         Ok(Arc::new(Neighbor::new(terminals, offset)) as Arc<dyn TrafficPattern>)
     });
     f.patterns.register("cross_subtree", |cfg, terminals| {
-        let subtrees = cfg.req_u64("subtrees")? as u32;
-        let per = cfg.req_u64("per_subtree")? as u32;
+        let subtrees = cfg.req_u32("subtrees")?;
+        let per = cfg.req_u32("per_subtree")?;
         if subtrees < 2 || per == 0 || subtrees * per != terminals {
             return Err(BuildError::invalid(
                 "cross_subtree: subtrees * per_subtree must equal the terminal count",

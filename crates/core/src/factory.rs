@@ -13,7 +13,7 @@
 //!
 //! let mut factories = Factories::with_defaults();
 //! factories.patterns.register("my_neighbor", |cfg, terminals| {
-//!     let offset = cfg.opt_u64("offset", 1).map_err(supersim_core::BuildError::from)? as u32;
+//!     let offset = cfg.opt_u32("offset", 1).map_err(supersim_core::BuildError::from)?;
 //!     Ok(Arc::new(Neighbor::new(terminals, offset)) as Arc<dyn TrafficPattern>)
 //! });
 //! assert!(factories.patterns.contains("my_neighbor"));

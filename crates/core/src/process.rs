@@ -245,8 +245,8 @@ fn run_fleet(
     }
 
     // The hub takes its share of the layout's options: the trace ring,
-    // and host-plane arming (fold timing, the live-progress board), which
-    // is out-of-band — none of it alters a single protocol byte.
+    // and the live-progress board, which is out-of-band — it alters no
+    // protocol byte.
     let mut hub = match Hub::accept(
         &listener,
         plan.workers,

@@ -7,8 +7,8 @@
 //! out of an N-shard simulation — and **one generation loop**,
 //! `run_shard_rounds` in `protocol.rs`, written against the crate-private
 //! `ShardTransport` trait. The layout implies the transport: one local
-//! shard runs on the calling thread over the solo transport, whose fold
-//! and exchange are no-ops; several local shards
+//! shard runs on the calling thread over the solo transport, whose
+//! exchange only hands the shard's own head back; several local shards
 //! ([`into_sharded`](crate::Simulator::into_sharded)) run on threads over
 //! the barrier transport; a fleet worker
 //! ([`into_worker`](crate::Simulator::into_worker)) runs its one shard

@@ -37,8 +37,6 @@ pub struct HostRoundSlice {
     pub events: u64,
     /// Wall time spent executing events.
     pub execute_ns: u64,
-    /// Wall time inside the fold (includes barrier / hub wait).
-    pub fold_ns: u64,
     /// Wall time inside the exchange (includes barrier / hub wait).
     pub exchange_ns: u64,
 }
@@ -66,9 +64,8 @@ pub struct HostShardTimes {
     pub execute_ns: u64,
     /// Wall time closing sampling windows at window edges.
     pub sample_edge_ns: u64,
-    /// Wall time in the fold (barrier / hub wait for the global minimum).
-    pub fold_ns: u64,
-    /// Wall time in the exchange (shipping and delivering outboxes).
+    /// Wall time in the exchange: shipping and delivering outboxes, and
+    /// the barrier / hub wait for the next fold.
     pub exchange_ns: u64,
     /// Wall time serializing checkpoint state on this shard.
     pub checkpoint_ns: u64,
@@ -111,33 +108,6 @@ impl HostShardTimes {
             self.dropped_slices += 1;
         }
     }
-
-    /// Folds another record (e.g. another shard's) into this one:
-    /// counters add, classes merge by name, slices append under the cap.
-    /// The stride is taken from `other` when set.
-    pub fn merge(&mut self, other: &HostShardTimes) {
-        if other.sample != 0 {
-            self.sample = other.sample;
-        }
-        self.total_batches += other.total_batches;
-        self.sampled_batches += other.sampled_batches;
-        self.sampled_events += other.sampled_events;
-        self.drain_ns += other.drain_ns;
-        self.execute_ns += other.execute_ns;
-        self.sample_edge_ns += other.sample_edge_ns;
-        self.fold_ns += other.fold_ns;
-        self.exchange_ns += other.exchange_ns;
-        self.checkpoint_ns += other.checkpoint_ns;
-        self.checkpoint_writes += other.checkpoint_writes;
-        self.checkpoint_bytes += other.checkpoint_bytes;
-        for (name, ns, events) in &other.classes {
-            self.add_class(name, *ns, *events);
-        }
-        self.dropped_slices += other.dropped_slices;
-        for s in &other.round_slices {
-            self.push_slice(*s);
-        }
-    }
 }
 
 crate::wire_struct!(HostRoundSlice {
@@ -145,7 +115,6 @@ crate::wire_struct!(HostRoundSlice {
     tick,
     events,
     execute_ns,
-    fold_ns,
     exchange_ns,
 });
 
@@ -157,7 +126,6 @@ crate::wire_struct!(HostShardTimes {
     drain_ns,
     execute_ns,
     sample_edge_ns,
-    fold_ns,
     exchange_ns,
     checkpoint_ns,
     checkpoint_writes,
@@ -167,17 +135,12 @@ crate::wire_struct!(HostShardTimes {
     dropped_slices,
 } if |t| t.round_slices.len() <= MAX_ROUND_SLICES);
 
-/// Hub-side host accounting of a worker fleet: wire traffic per worker
-/// and the wall time the hub spent computing and broadcasting folds.
-/// Byte counts are always on (one add per frame); fold timing only when
-/// host profiling is armed in the options given to the hub.
+/// Hub-side host accounting of a worker fleet: rounds and wire traffic
+/// per worker, always on (one add per frame).
 #[derive(Debug, Clone, Default)]
 pub struct HubHostStats {
-    /// Rounds (FOLD frames) the hub relayed.
+    /// Rounds (EXCH frames from every worker) the hub relayed.
     pub rounds: u64,
-    /// Wall time inside the hub's fold computation + broadcast, in
-    /// nanoseconds (0 when profiling is disarmed).
-    pub fold_ns: u64,
     /// Frame-body bytes received from each worker, in worker order.
     pub wire_in_bytes: Vec<u64>,
     /// Frame-body bytes sent to each worker, in worker order.
@@ -324,7 +287,6 @@ mod tests {
             drain_ns: 11,
             execute_ns: 22,
             sample_edge_ns: 33,
-            fold_ns: 44,
             exchange_ns: 55,
             checkpoint_ns: 66,
             checkpoint_writes: 2,
@@ -339,7 +301,6 @@ mod tests {
             tick: 9,
             events: 3,
             execute_ns: 2,
-            fold_ns: 1,
             exchange_ns: 1,
         });
         let mut wire = Vec::new();

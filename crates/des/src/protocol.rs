@@ -3,26 +3,30 @@
 //! layout: over the solo transport for one local shard, the thread
 //! transport for several, and the socket transport for a fleet worker.
 //!
-//! Each loop iteration is one round covering one generation:
+//! Each `run_until` segment opens with one exchange of nothing, which
+//! publishes every shard's queue head and last-progress tick and returns
+//! the global minimum head `m` and maximum progress: the fold. After
+//! that, each loop iteration is one round covering one generation:
 //!
-//! 1. **Fold.** Publish the local queue head and last-progress tick; the
-//!    transport returns the global minimum head `m` and maximum progress.
-//!    Halt decisions (drained / tick limit / watchdog) are taken here
-//!    from the fold values — identical on every shard, so unanimous.
+//! 1. **Halt checks.** Drained / tick limit / watchdog are decided from
+//!    the fold values — identical on every shard, so unanimous.
 //! 2. **Sample + execute.** Close any sampling-window edges up to `m`
 //!    over the shard's own components, then execute the local slice of
 //!    generation `m` in canonical stamp order. Events for local
 //!    components go straight into the local queue; remote events
 //!    accumulate in per-destination outboxes.
-//! 3. **Exchange.** Ship outboxes, trace records, and stop/failure
-//!    flags; deliver inbound events in sender order; halt on the agreed
-//!    stop/failure state.
+//! 3. **Exchange.** Ship outboxes, trace records, stop/failure flags,
+//!    and the fold input — the earliest of the post-execute queue head
+//!    and the shipped events, with the progress tick; deliver inbound
+//!    events in sender order; halt on the agreed stop/failure state, or
+//!    carry the returned fold into the next round.
 //!
-//! Because cross-shard events are delivered at the end of the round, an
-//! event scheduled *during* generation `m` at time `m` joins the *next*
-//! generation on every backend, and because stop/failure flags are read
-//! at the exchange, a generation once started always completes. With one
-//! shard both transport calls are no-ops and the loop is the classic
+//! So a round costs one synchronization. Because cross-shard events are
+//! delivered at the end of the round, an event scheduled *during*
+//! generation `m` at time `m` joins the *next* generation on every
+//! backend, and because stop/failure flags are read at the exchange, a
+//! generation once started always completes. With one shard the
+//! exchange returns the shard's own head and the loop is the classic
 //! sequential executor (paper §III-A, Figure 1).
 //!
 //! The loop knows nothing of checkpoints. A caller pauses it with a tick
@@ -40,7 +44,7 @@ use crate::event::{EventQueue, Generation};
 use crate::host::{HostRecorder, HostRoundSlice};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
-use crate::transport::{RoundOut, ShardTransport, TransportError};
+use crate::transport::{earliest, RoundOut, ShardTransport, TransportError};
 
 /// One shard: a slice of the component space plus its own event queue and
 /// executor counters. `components` is full-length (indexed by component
@@ -204,6 +208,18 @@ pub(crate) struct ProtocolParams<'a> {
     pub shard_of: &'a [u32],
 }
 
+/// Delivers inbound events into `queue`, keeping `head`, its earliest
+/// time, current without a peek.
+fn inbox<'a, E>(
+    queue: &'a mut EventQueue<Stamped<E>>,
+    head: &'a mut Option<Time>,
+) -> impl FnMut(ComponentId, Time, Stamped<E>) + 'a {
+    |target, time, stamped| {
+        *head = earliest(*head, Some(time));
+        queue.push(target, time, stamped);
+    }
+}
+
 /// Runs rounds over `transport` until a halt decision. Returns the
 /// outcome, the time of the last executed generation, and the final
 /// globally agreed progress tick.
@@ -235,21 +251,35 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
     // sample every component exactly once per edge.
     let mut next_edge =
         (sample_interval > 0).then(|| next_edge_after(p.start.now.tick(), sample_interval));
-    // Assigned by the fold before every loop exit.
+    // The earliest time in the local queue, kept current through
+    // deliveries, so a round peeks the queue once: after its execute.
+    let mut head = shard.queue.peek_time();
+    // The segment's opening exchange of nothing folds the queues as they
+    // stand, external schedules and restored state included. No shard
+    // ships anything, so nothing arrives and no halt flag is raised.
+    let m0 = if host.enabled() { host.now_ns() } else { 0 };
+    let opening = transport.exchange(
+        RoundOut {
+            outboxes: &mut local_out,
+            traces: &mut round_trace,
+            stop: false,
+            failure: None,
+            events: 0,
+            next: (head, local_progress),
+        },
+        &mut inbox(&mut shard.queue, &mut head),
+    )?;
+    if host.enabled() {
+        host.times.exchange_ns += host.now_ns() - m0;
+    }
+    let mut fold = opening.next;
+    // Assigned from the fold before every loop exit.
     let mut global_progress;
     let outcome = loop {
         let profiling = host.enabled();
-        // Phase marks share boundaries: consecutive `now_ns` reads bound
-        // fold / sample-edge / drain / execute / exchange with at most
-        // six clock reads per round.
-        let m0 = if profiling { host.now_ns() } else { 0 };
-        let head = shard.queue.peek_time();
-        let fold = transport.fold(head, local_progress)?;
+        // Phase marks bound sample-edge / drain / execute / exchange
+        // with at most seven clock reads per round.
         let m1 = if profiling { host.now_ns() } else { 0 };
-        let round_fold_ns = m1 - m0;
-        if profiling {
-            host.times.fold_ns += round_fold_ns;
-        }
         global_progress = fold.global_progress;
         // All halt decisions are unanimous: every shard computed them
         // from the identical fold values. They are taken before the
@@ -375,8 +405,18 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
             if progress_local {
                 local_progress = m.tick();
             }
+            head = shard.queue.peek_time();
         }
 
+        // Every pending event is in some shard's queue or in flight to
+        // one, so the earliest of the two, folded over shards, is the
+        // next generation.
+        let shipped = if T::SOLO {
+            None
+        } else {
+            local_out.iter().flatten().map(|&(_, time, _)| time).min()
+        };
+        let next = (earliest(head, shipped), local_progress);
         let m4 = if profiling { host.now_ns() } else { 0 };
         let end = transport.exchange(
             RoundOut {
@@ -385,19 +425,19 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
                 stop: stop_local,
                 failure: failure_local,
                 events: round_events,
+                next,
             },
-            &mut |target, time, stamped| shard.queue.push(target, time, stamped),
+            &mut inbox(&mut shard.queue, &mut head),
         )?;
         if profiling {
             let round_exch_ns = host.now_ns() - m4;
             host.times.exchange_ns += round_exch_ns;
             if sampled {
                 host.times.push_slice(HostRoundSlice {
-                    start_ns: m0,
+                    start_ns: m1,
                     tick: m.tick(),
                     events: round_events,
                     execute_ns: round_exec_ns,
-                    fold_ns: round_fold_ns,
                     exchange_ns: round_exch_ns,
                 });
             }
@@ -415,6 +455,7 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
         if end.stopped {
             break RunOutcome::Stopped;
         }
+        fold = end.next;
     };
     shard.batch = batch;
     Ok((outcome, local_now, global_progress))

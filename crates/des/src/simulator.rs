@@ -1,8 +1,9 @@
 //! The one engine type: component registration, the layout of an
 //! N-shard simulation, and the generation loop (paper §III-A, Figure 1)
 //! run over the transport that layout implies — see [`Simulator`]. The
-//! loop (`run_shard_rounds`) is compiled once per transport, so the
-//! one-shard hot path pays nothing for the others. The
+//! loop (`run_shard_rounds`) synchronizes once per round, at the
+//! exchange, and is compiled once per transport, so the one-shard hot
+//! path pays nothing for the others. The
 //! [`engine`](crate::engine) module states the determinism contract every
 //! layout keeps.
 
@@ -35,9 +36,9 @@ use crate::wire::{Overlay, WireCodec};
 ///
 /// | layout | transport |
 /// |---|---|
-/// | one local shard | solo: fold = the local head, exchange = flush the round's trace records |
-/// | several local shards | threads: one scoped thread per shard, spin barriers |
-/// | a worker link | process: the Unix socket to the parent [`Hub`](crate::Hub) |
+/// | one local shard | solo: exchange = flush the round's trace records, fold = the local head |
+/// | several local shards | threads: one scoped thread per shard, one spin barrier per round |
+/// | a worker link | process: the Unix socket to the parent [`Hub`](crate::Hub), one frame each way per round |
 ///
 /// See the [crate-level documentation](crate) for a complete example.
 pub struct Simulator<E> {
@@ -860,6 +861,8 @@ mod layout_tests {
         /// Halts the run from inside the handler of ping `n`: `(n, true)`
         /// fails, `(n, false)` stops.
         trip: Option<(u32, bool)>,
+        /// Busy-loop iterations per hop: host time only, no state.
+        work: u32,
     }
 
     impl Component<Ev> for Relay {
@@ -869,6 +872,9 @@ mod layout_tests {
         fn handle(&mut self, ctx: &mut Context<'_, Ev>, event: Ev) {
             match event {
                 Ev::Ping(n) => {
+                    for i in 0..self.work {
+                        std::hint::black_box(i);
+                    }
                     self.seen.push(n);
                     self.draws.push(ctx.rng().gen_u64());
                     if self.productive {
@@ -921,6 +927,7 @@ mod layout_tests {
                     draws: vec![],
                     productive,
                     trip: None,
+                    work: 0,
                 }))
             })
             .collect();
@@ -1017,6 +1024,52 @@ mod layout_tests {
                     want,
                     "{trip:?} diverged at {shards} shards"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn drifting_shards_match_sequential_bit_for_bit() {
+        // The relays of one shard burn host time on every hop, so the
+        // others leave each barrier early and run into the next round
+        // while it still reads the last one — the case the thread
+        // transport's parity-buffered slots exist for. Which shard is
+        // slow, where the run halts and how, all vary with the seed.
+        const SIZE: usize = 12;
+        let traced = || EngineOptions {
+            trace: Some((TraceSpec::default(), 1 << 14)),
+            ..EngineOptions::default()
+        };
+        for seed in 0..16u64 {
+            // Tokens start at components 0, 4 and 8, so component `c`
+            // sees ping `n` at tick `n` whenever n ≡ c (mod 4): the trip
+            // lands in a generation of three events.
+            let at = (seed as usize * 5) % SIZE;
+            let ping = 8 + 4 * (seed as u32 % 6) + at as u32 % 4;
+            for trip in [None, Some((ping, true)), Some((ping, false))] {
+                let build = |slow: Option<(u32, u32)>| {
+                    let mut sim = build_ring_with(seed, SIZE, 3, 40, false, traced());
+                    let tripped = sim.component_as_mut::<Relay>(ComponentId::from_index(at));
+                    tripped.unwrap().trip = trip;
+                    if let Some((shards, slow)) = slow {
+                        for c in (0..SIZE).filter(|&c| c as u32 % shards == slow) {
+                            let relay = sim.component_as_mut::<Relay>(ComponentId::from_index(c));
+                            relay.unwrap().work = 20_000;
+                        }
+                    }
+                    sim
+                };
+                let want = observe(&mut build(None), SIZE);
+                for shards in [2u32, 3, 4] {
+                    let slow = Some((shards, seed as u32 % shards));
+                    let mut sharded =
+                        build(slow).into_sharded(shards as usize, striped(SIZE, shards));
+                    assert_eq!(
+                        observe(&mut sharded, SIZE),
+                        want,
+                        "seed {seed}, trip {trip:?}, {shards} shards"
+                    );
+                }
             }
         }
     }

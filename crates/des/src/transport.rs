@@ -1,18 +1,24 @@
 //! Shard transports: how generation-lockstep shards synchronize.
 //!
-//! The generation loop itself (peek → fold → execute → exchange) lives in
+//! The generation loop itself (halt checks → execute → exchange) lives in
 //! [`protocol`](crate::protocol) and is written once against the
-//! crate-internal `ShardTransport` trait defined here. A transport only
-//! answers two questions per round:
+//! crate-internal `ShardTransport` trait defined here. A transport has
+//! one operation, called once per round:
 //!
-//! * **fold** — given every shard's queue-head time and last-progress
-//!   tick, what are the global minimum head `m` and the global maximum
-//!   progress? Every shard receives the identical answer, which makes
-//!   all halt decisions (drained / tick limit / watchdog) unanimous
-//!   without a coordinator vote.
 //! * **exchange** — ship this round's cross-shard events, trace records,
-//!   and stop/failure flags; deliver the inboxes from every other shard
-//!   **in sender order**; report the globally agreed stop/failure state.
+//!   stop/failure flags, and this shard's part of the next fold (the
+//!   earliest time it holds or just shipped, and its last-progress
+//!   tick); deliver the inboxes from every other shard **in sender
+//!   order**; return the globally agreed stop/failure state and the
+//!   next round's fold — the global minimum head `m` and the global
+//!   maximum progress. Every shard receives the identical fold, which
+//!   makes all halt decisions (drained / tick limit / watchdog)
+//!   unanimous without a coordinator vote.
+//!
+//! The fold rides on the exchange because the next global head is the
+//! minimum, over shards, of each shard's post-execute queue head and the
+//! earliest event it shipped: every pending event is in some queue or in
+//! flight to one. So a round costs one synchronization.
 //!
 //! [`Simulator::run_until`](crate::Simulator::run_until) picks one of
 //! three from the layout it runs:
@@ -21,17 +27,18 @@
 //!   fold is the local head, the exchange only moves the round's trace
 //!   records into the ring.
 //! * `ThreadTransport` — several local shards, one scoped thread each
-//!   ([`run_threads`]), sharing spin barriers and mutex-guarded outboxes.
-//!   Zero copies beyond the event values themselves.
+//!   ([`run_threads`]), meeting at one spin barrier per round over
+//!   mutex-guarded slots. Zero copies beyond the event values themselves.
 //! * [`ProcessTransport`] — a fleet worker's link: each shard is its own
 //!   OS process, connected over a Unix socket to a parent [`Hub`] that
-//!   performs the fold and relays outbox bytes. Payloads cross the wire
-//!   in the [`wire`](crate::wire) format; the hub never decodes event
-//!   payloads, only the framing, the trace records it must merge, and
-//!   the end-of-run summary. A worker's state leaves it one way: as its
-//!   shard blob, in a CKPT frame at every checkpoint (the hub assembles
-//!   the checkpoint file's engine blob from them) and in its DONE frame
-//!   at the end of the run (the hub hands the blobs back unread).
+//!   performs the fold and relays outbox bytes, one frame per direction
+//!   per round. Payloads cross the wire in the [`wire`](crate::wire)
+//!   format; the hub never decodes event payloads, only the framing, the
+//!   trace records it must merge, and the end-of-run summary. A worker's
+//!   state leaves it one way: as its shard blob, in a CKPT frame at every
+//!   checkpoint (the hub assembles the checkpoint file's engine blob from
+//!   them) and in its DONE frame at the end of the run (the hub hands the
+//!   blobs back unread).
 //!
 //! Every transport preserves the determinism contract: the fold values
 //! and the sender-ordered delivery are identical, so a run is
@@ -81,6 +88,14 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
+/// The earlier of two optional times; `None` only when both are.
+pub(crate) fn earliest(a: Option<Time>, b: Option<Time>) -> Option<Time> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// The identical fold result every shard observes for one round.
 pub(crate) struct RoundFold {
     /// Global minimum queue-head time; `None` when every queue is empty.
@@ -96,15 +111,12 @@ impl RoundFold {
         global_progress: 0,
     };
 
-    /// Folds in one shard's `(queue head, last-progress tick)`: the
-    /// earliest head and the latest progress win. The thread transport
+    /// Folds in one shard's `(earliest time, last-progress tick)`: the
+    /// earliest time and the latest progress win. The thread transport
     /// and the hub both fold with it, so their answers agree.
-    pub(crate) fn with(self, (peek, progress): (Option<Time>, Tick)) -> RoundFold {
+    pub(crate) fn with(self, (head, progress): (Option<Time>, Tick)) -> RoundFold {
         RoundFold {
-            m: match (self.m, peek) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
+            m: earliest(self.m, head),
             global_progress: self.global_progress.max(progress),
         }
     }
@@ -142,6 +154,8 @@ pub(crate) struct RoundEnd {
     pub stopped: bool,
     /// The smallest-stamp failure reported this round, if any.
     pub failure: Option<String>,
+    /// The fold the next round starts from.
+    pub next: RoundFold,
 }
 
 /// What one shard ships at the end of a round.
@@ -160,6 +174,9 @@ pub(crate) struct RoundOut<'a, E> {
     /// the live-progress heartbeat; it never influences what the
     /// transport delivers back. The thread transport ignores it.
     pub events: u64,
+    /// This shard's part of the next fold: the earliest of its queue
+    /// head and the events in `outboxes`, and its last-progress tick.
+    pub next: (Option<Time>, Tick),
 }
 
 /// One synchronization backend for the generation-lockstep protocol. See
@@ -169,13 +186,10 @@ pub(crate) trait ShardTransport<E> {
     /// routes an event anywhere but its own queue.
     const SOLO: bool = false;
 
-    /// Publishes this shard's queue head and progress tick; returns the
-    /// global fold. Blocks until every shard has contributed.
-    fn fold(&mut self, peek: Option<Time>, progress: Tick) -> Result<RoundFold, TransportError>;
-
     /// Ships `out`, then delivers every inbound event (sender order:
     /// shard 0's events first, then shard 1's, …) through `deliver`, and
-    /// returns the agreed halt flags. Blocks until the round completes.
+    /// returns the agreed halt flags and the next round's fold. Blocks
+    /// until every shard has contributed.
     fn exchange(
         &mut self,
         out: RoundOut<'_, E>,
@@ -202,15 +216,8 @@ impl<'a> SoloTransport<'a> {
 impl<E> ShardTransport<E> for SoloTransport<'_> {
     const SOLO: bool = true;
 
-    #[inline]
-    fn fold(&mut self, peek: Option<Time>, progress: Tick) -> Result<RoundFold, TransportError> {
-        Ok(RoundFold {
-            m: peek,
-            global_progress: progress,
-        })
-    }
-
-    /// One shard's records are already in canonical order.
+    /// One shard's records are already in canonical order, and its fold
+    /// is its own head and progress.
     #[inline]
     fn exchange(
         &mut self,
@@ -223,6 +230,10 @@ impl<E> ShardTransport<E> for SoloTransport<'_> {
         Ok(RoundEnd {
             stopped: out.stop,
             failure: out.failure.map(|(_, msg)| msg),
+            next: RoundFold {
+                m: out.next.0,
+                global_progress: out.next.1,
+            },
         })
     }
 }
@@ -311,31 +322,52 @@ impl Drop for PanicFence<'_> {
 /// One pending cross-shard event: target, delivery time, stamped payload.
 type OutboxEntry<E> = (ComponentId, Time, Stamped<E>);
 
-/// State shared by every [`ThreadTransport`] endpoint of one run.
-struct ThreadShared<E> {
-    barrier: SpinBarrier,
-    poisoned: AtomicBool,
-    /// Per-shard published (queue head, last-progress tick).
-    peeks: Vec<Mutex<(Option<Time>, Tick)>>,
+/// What the shards write for one round and read after its barrier.
+struct RoundSlots<E> {
+    /// Per-shard part of the next fold: (earliest time, progress tick).
+    heads: Vec<Mutex<(Option<Time>, Tick)>>,
     /// `outboxes[dst][src]`: receivers drain in sender order.
     outboxes: Vec<Vec<Mutex<Vec<OutboxEntry<E>>>>>,
     round_traces: Vec<Mutex<Vec<TaggedTrace>>>,
-    stop_flag: AtomicBool,
+    stop: AtomicBool,
     failure: Mutex<Option<(EventStamp, String)>>,
 }
 
-impl<E> ThreadShared<E> {
-    fn new(n: usize, start_progress: Tick) -> Self {
-        ThreadShared {
-            barrier: SpinBarrier::new(n),
-            poisoned: AtomicBool::new(false),
-            peeks: (0..n).map(|_| Mutex::new((None, start_progress))).collect(),
+impl<E> RoundSlots<E> {
+    fn new(n: usize) -> Self {
+        RoundSlots {
+            heads: (0..n).map(|_| Mutex::new((None, 0))).collect(),
             outboxes: (0..n)
                 .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
                 .collect(),
             round_traces: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            stop_flag: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
             failure: Mutex::new(None),
+        }
+    }
+}
+
+/// State shared by every [`ThreadTransport`] endpoint of one run.
+///
+/// Shards meet at one barrier per round, so a shard that has passed the
+/// barrier of round `r` may already be writing round `r + 1` while a
+/// slower one still reads round `r`. The slots are therefore kept twice,
+/// by round parity: a shard writes a set again only in round `r + 2`,
+/// after the barrier of round `r + 1`, which no shard reaches before it
+/// has finished reading round `r`. The stop flag and failure are never
+/// reset: once raised, every shard halts at that round.
+struct ThreadShared<E> {
+    barrier: SpinBarrier,
+    poisoned: AtomicBool,
+    slots: [RoundSlots<E>; 2],
+}
+
+impl<E> ThreadShared<E> {
+    fn new(n: usize) -> Self {
+        ThreadShared {
+            barrier: SpinBarrier::new(n),
+            poisoned: AtomicBool::new(false),
+            slots: [RoundSlots::new(n), RoundSlots::new(n)],
         }
     }
 }
@@ -344,6 +376,8 @@ impl<E> ThreadShared<E> {
 struct ThreadTransport<'a, E> {
     shared: &'a ThreadShared<E>,
     s: usize,
+    /// The barrier's phase flag. It flips once per round, so it doubles
+    /// as the round parity that picks the slot set.
     local_sense: bool,
     /// Only the first shard holds the trace ring and performs the merge.
     buffer: Option<&'a mut TraceBuffer>,
@@ -363,18 +397,6 @@ impl<'a, E> ThreadTransport<'a, E> {
 }
 
 impl<E> ShardTransport<E> for ThreadTransport<'_, E> {
-    fn fold(&mut self, peek: Option<Time>, progress: Tick) -> Result<RoundFold, TransportError> {
-        let sh = self.shared;
-        // Publish the local head time and the tick of this shard's last
-        // productive generation, then wait for every sibling.
-        *sh.peeks[self.s].lock().unwrap() = (peek, progress);
-        sh.barrier.wait(&mut self.local_sense, &sh.poisoned);
-        // Identical computation on every shard: same inputs, same result,
-        // no coordinator.
-        let heads = sh.peeks.iter().map(|p| *p.lock().unwrap());
-        Ok(heads.fold(RoundFold::EMPTY, RoundFold::with))
-    }
-
     fn exchange(
         &mut self,
         out: RoundOut<'_, E>,
@@ -382,51 +404,59 @@ impl<E> ShardTransport<E> for ThreadTransport<'_, E> {
     ) -> Result<RoundEnd, TransportError> {
         let sh = self.shared;
         let s = self.s;
+        let slots = &sh.slots[usize::from(self.local_sense)];
         if out.failure.is_some() {
-            keep_first_failure(&mut sh.failure.lock().unwrap(), out.failure);
+            keep_first_failure(&mut slots.failure.lock().unwrap(), out.failure);
         }
         if out.stop {
-            sh.stop_flag.store(true, Ordering::Release);
+            slots.stop.store(true, Ordering::Release);
         }
-        // Ship remote events and this round's traces.
+        // Ship remote events, this round's traces, and the fold input.
         for (dst, o) in out.outboxes.iter_mut().enumerate() {
             if !o.is_empty() {
-                sh.outboxes[dst][s].lock().unwrap().append(o);
+                slots.outboxes[dst][s].lock().unwrap().append(o);
             }
         }
         if !out.traces.is_empty() {
-            sh.round_traces[s].lock().unwrap().append(out.traces);
+            slots.round_traces[s].lock().unwrap().append(out.traces);
         }
+        *slots.heads[s].lock().unwrap() = out.next;
         sh.barrier.wait(&mut self.local_sense, &sh.poisoned);
 
-        // Merge traces (shard 0), deliver inboxes, observe halt flags —
-        // all consistent because the flags were raised before the
-        // barrier.
+        // Merge traces (shard 0), deliver inboxes, observe halt flags and
+        // fold — all consistent because every write preceded the barrier.
         if let Some(buffer) = self.buffer.as_deref_mut() {
-            for rt in &sh.round_traces {
+            for rt in &slots.round_traces {
                 self.merge_scratch.append(&mut rt.lock().unwrap());
             }
             merge_round_traces(Some(buffer), &mut self.merge_scratch);
         }
-        for src in sh.outboxes[s].iter() {
+        for src in slots.outboxes[s].iter() {
             let mut v = std::mem::take(&mut *src.lock().unwrap());
             for (target, time, stamped) in v.drain(..) {
                 deliver(target, time, stamped);
             }
-            // Return the drained vector so its capacity is reused next
-            // round instead of reallocated by the sender; safe because
-            // the sender's next append is on the far side of the next
-            // fold barrier.
+            // Return the drained vector so its capacity is reused instead
+            // of reallocated by the sender, which writes this slot again
+            // two rounds on.
             *src.lock().unwrap() = v;
         }
-        let failure = sh
+        let failure = slots
             .failure
             .lock()
             .unwrap()
             .as_ref()
             .map(|(_, msg)| msg.clone());
-        let stopped = sh.stop_flag.load(Ordering::Acquire);
-        Ok(RoundEnd { stopped, failure })
+        let stopped = slots.stop.load(Ordering::Acquire);
+        // Identical computation on every shard: same inputs, same result,
+        // no coordinator.
+        let heads = slots.heads.iter().map(|h| *h.lock().unwrap());
+        let next = heads.fold(RoundFold::EMPTY, RoundFold::with);
+        Ok(RoundEnd {
+            stopped,
+            failure,
+            next,
+        })
     }
 }
 
@@ -441,7 +471,7 @@ pub(crate) fn run_threads<E: Send + 'static>(
     mut trace: Option<&mut TraceBuffer>,
     params: &ProtocolParams<'_>,
 ) -> (RunOutcome, Time, Tick) {
-    let shared: ThreadShared<E> = ThreadShared::new(shards.len(), params.start.last_progress);
+    let shared: ThreadShared<E> = ThreadShared::new(shards.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .iter_mut()
@@ -508,8 +538,6 @@ mod process {
     pub(crate) mod tag {
         pub const HELLO: u8 = 1;
         pub const SETUP: u8 = 2;
-        pub const FOLD: u8 = 3;
-        pub const FOLD_R: u8 = 4;
         pub const EXCH: u8 = 5;
         pub const EXCH_R: u8 = 6;
         pub const DONE: u8 = 7;
@@ -524,7 +552,7 @@ mod process {
     /// Deliberate mid-run worker misbehavior for robustness tests,
     /// driven by the `SUPERSIM_TEST_WORKER_FAIL` environment variable:
     /// `"exit:<worker>:<round>"` makes that worker exit abruptly at that
-    /// fold round, `"hang:<worker>:<round>"` makes it sleep forever.
+    /// exchange round, `"hang:<worker>:<round>"` makes it sleep forever.
     #[derive(Clone, Copy)]
     enum FailMode {
         Exit,
@@ -579,11 +607,11 @@ mod process {
     }
 
     impl<E: WireCodec> ShardTransport<E> for ProcessTransport {
-        fn fold(
+        fn exchange(
             &mut self,
-            peek: Option<Time>,
-            progress: Tick,
-        ) -> Result<RoundFold, TransportError> {
+            out: RoundOut<'_, E>,
+            deliver: &mut dyn FnMut(ComponentId, Time, Stamped<E>),
+        ) -> Result<RoundEnd, TransportError> {
             if let Some((mode, round)) = self.fail_hook {
                 if self.rounds == round {
                     match mode {
@@ -597,23 +625,7 @@ mod process {
             self.rounds += 1;
             self.scratch.clear();
             let mut body = std::mem::take(&mut self.scratch);
-            (peek, progress).encode(&mut body);
-            write_frame(&mut self.writer, tag::FOLD, &body)?;
-            self.scratch = body;
-            let reply = self.read_expect(tag::FOLD_R)?;
-            let Some((m, global_progress)) = FoldBody::decode(&mut reply.as_slice()) else {
-                return proto_err("malformed FOLD_R");
-            };
-            Ok(RoundFold { m, global_progress })
-        }
-
-        fn exchange(
-            &mut self,
-            out: RoundOut<'_, E>,
-            deliver: &mut dyn FnMut(ComponentId, Time, Stamped<E>),
-        ) -> Result<RoundEnd, TransportError> {
-            self.scratch.clear();
-            let mut body = std::mem::take(&mut self.scratch);
+            out.next.encode(&mut body);
             out.stop.encode(&mut body);
             out.failure.encode(&mut body);
             out.traces.encode(&mut body);
@@ -635,7 +647,7 @@ mod process {
 
             let reply = self.read_expect(tag::EXCH_R)?;
             let buf = &mut reply.as_slice();
-            let Some((stopped, failure)) = <(bool, Option<String>)>::decode(buf) else {
+            let Some((stopped, failure, m, global_progress)) = ReplyHead::decode(buf) else {
                 return proto_err("malformed EXCH_R");
             };
             // The inbox: one count-prefixed event list per source shard,
@@ -651,13 +663,18 @@ mod process {
                     deliver(target, time, stamped);
                 }
             }
-            Ok(RoundEnd { stopped, failure })
+            Ok(RoundEnd {
+                stopped,
+                failure,
+                next: RoundFold { m, global_progress },
+            })
         }
     }
 
-    /// The body of FOLD and FOLD_R frames: a queue head and a progress
-    /// tick.
-    type FoldBody = (Option<Time>, Tick);
+    /// The head of an EXCH_R body, the same for every worker: the agreed
+    /// stop flag and failure, then the next round's fold. The worker's
+    /// inbox follows.
+    type ReplyHead = (bool, Option<String>, Option<Time>, Tick);
 
     /// The head of a DONE body: the outcome, the final time, the shard's
     /// executor metrics and host-time record. The final shard blob
@@ -791,7 +808,7 @@ mod process {
         /// order (all-zero records when profiling was disarmed). Empty
         /// when the run degraded.
         pub host: Vec<HostShardTimes>,
-        /// Hub-side wire and fold accounting for the run.
+        /// Hub-side round and wire accounting for the run.
         pub hub_stats: HubHostStats,
         /// Per-worker final shard blobs from the DONE frames, in worker
         /// order, unread. `None` for a worker that delivered none.
@@ -805,20 +822,16 @@ mod process {
 
     /// The parent-side relay of the process backend.
     ///
-    /// The hub is payload-agnostic: it computes the per-round fold,
-    /// concatenates outbox blobs in sender order, merges trace records,
-    /// and folds stop/failure flags. It knows nothing about tick limits
-    /// or watchdogs — every halt decision is taken worker-side from the
-    /// identical fold values, so the workers halt unanimously and tell
-    /// the hub via their DONE frames.
+    /// The hub is payload-agnostic: each round it folds the workers'
+    /// heads, progress ticks and stop/failure flags, concatenates outbox
+    /// blobs in sender order, and merges trace records. It knows nothing
+    /// about tick limits or watchdogs — every halt decision is taken
+    /// worker-side from the identical fold values, so the workers halt
+    /// unanimously and tell the hub via their DONE frames.
     pub struct Hub {
         conns: Vec<HubConn>,
         trace: Option<TraceBuffer>,
         merge_scratch: Vec<TaggedTrace>,
-        /// When set, the hub times its fold computation (host clock
-        /// only — never feeds the protocol).
-        host_profiling: bool,
-        fold_ns: u64,
         rounds: u64,
         /// Frame-body bytes in/out per worker (always counted; a u64
         /// add per frame).
@@ -837,10 +850,9 @@ mod process {
         ///
         /// `options` are the fleet's [`EngineOptions`]; the hub acts on
         /// its share of them for its whole life: `trace` sizes the merged
-        /// trace ring, a non-zero `host_sample` arms fold timing, and
-        /// `progress` is the live board the hub publishes to as rounds
-        /// complete (fold tick, round count, per-worker cumulative
-        /// executed events). The last two are purely host-side
+        /// trace ring, and `progress` is the live board the hub publishes
+        /// to as rounds complete (fold tick, round count, per-worker
+        /// cumulative executed events). The board is purely host-side
         /// observability — the wire protocol and every reply the hub
         /// sends are byte-identical either way.
         pub fn accept(
@@ -908,8 +920,6 @@ mod process {
                 conns,
                 trace: options.trace_ring(),
                 merge_scratch: Vec::new(),
-                host_profiling: options.host_sample > 0,
-                fold_ns: 0,
                 rounds: 0,
                 wire_in: vec![0; n],
                 wire_out: vec![0; n],
@@ -918,11 +928,10 @@ mod process {
             })
         }
 
-        /// Hub-side wire/fold accounting accumulated so far.
+        /// Hub-side round and wire accounting accumulated so far.
         pub fn host_stats(&self) -> HubHostStats {
             HubHostStats {
                 rounds: self.rounds,
-                fold_ns: self.fold_ns,
                 wire_in_bytes: self.wire_in.clone(),
                 wire_out_bytes: self.wire_out.clone(),
             }
@@ -1002,7 +1011,6 @@ mod process {
                     ));
                 }
                 match round_tag {
-                    tag::FOLD => self.round_fold(&frames)?,
                     tag::EXCH => self.round_exchange(frames)?,
                     tag::CKPT => self.round_checkpoint(&frames, checkpoint)?,
                     tag::DONE => return self.collect_done(frames),
@@ -1013,36 +1021,9 @@ mod process {
             }
         }
 
-        fn round_fold(&mut self, frames: &[(u8, Vec<u8>)]) -> Result<(), (u32, String)> {
-            let t_fold = self.host_profiling.then(Instant::now);
-            let mut fold = RoundFold::EMPTY;
-            for (w, (_, body)) in frames.iter().enumerate() {
-                let Some(head) = FoldBody::decode(&mut body.as_slice()) else {
-                    return Err((w as u32, "malformed FOLD".into()));
-                };
-                fold = fold.with(head);
-            }
-            let RoundFold { m, global_progress } = fold;
-            let mut reply = Vec::new();
-            (m, global_progress).encode(&mut reply);
-            for w in 0..self.conns.len() {
-                self.send_to(w, tag::FOLD_R, &reply)?;
-            }
-            self.rounds += 1;
-            if let Some(t0) = t_fold {
-                self.fold_ns += t0.elapsed().as_nanos() as u64;
-            }
-            if let Some(board) = &self.progress {
-                if let Some(m) = m {
-                    board.record_tick(m.tick());
-                }
-                board.add_round();
-            }
-            Ok(())
-        }
-
         fn round_exchange(&mut self, frames: Vec<(u8, Vec<u8>)>) -> Result<(), (u32, String)> {
             let n = self.conns.len();
+            let mut fold = RoundFold::EMPTY;
             let mut stopped = false;
             let mut failure: Option<(EventStamp, String)> = None;
             // blobs[src][dst]: the opaque (count + events) byte runs.
@@ -1050,6 +1031,7 @@ mod process {
             for (w, (_, body)) in frames.iter().enumerate() {
                 let buf = &mut body.as_slice();
                 let parsed = (|| {
+                    let head = <(Option<Time>, Tick)>::decode(buf)?;
                     let stop = bool::decode(buf)?;
                     let fail = Option::<(EventStamp, String)>::decode(buf)?;
                     let traces = Vec::<TaggedTrace>::decode(buf)?;
@@ -1061,27 +1043,28 @@ mod process {
                     // trailing so older payload parsers stay valid. It
                     // feeds the progress board only — never any reply.
                     let events = u64::decode(buf).unwrap_or(0);
-                    Some((stop, fail, traces, dsts, events))
+                    Some((head, stop, fail, traces, dsts, events))
                 })();
-                let Some((stop, fail, mut traces, dsts, events)) = parsed else {
+                let Some((head, stop, fail, mut traces, dsts, events)) = parsed else {
                     return Err((w as u32, "malformed EXCH".into()));
                 };
                 self.events_cum[w] += events;
                 if let Some(board) = &self.progress {
                     board.record_events(w, self.events_cum[w]);
                 }
+                fold = fold.with(head);
                 stopped |= stop;
                 keep_first_failure(&mut failure, fail);
                 self.merge_scratch.append(&mut traces);
                 blobs.push(dsts);
             }
             merge_round_traces(self.trace.as_mut(), &mut self.merge_scratch);
-            let failure_msg = failure.map(|(_, msg)| msg);
+            let RoundFold { m, global_progress } = fold;
+            let mut prefix = Vec::new();
+            (stopped, failure.map(|(_, msg)| msg), m, global_progress).encode(&mut prefix);
             let mut replies: Vec<Vec<u8>> = Vec::with_capacity(n);
             for dst in 0..n {
-                let mut reply = Vec::new();
-                stopped.encode(&mut reply);
-                failure_msg.encode(&mut reply);
+                let mut reply = prefix.clone();
                 for src_blobs in &blobs {
                     reply.extend_from_slice(src_blobs[dst]);
                 }
@@ -1089,6 +1072,13 @@ mod process {
             }
             for (w, reply) in replies.iter().enumerate() {
                 self.send_to(w, tag::EXCH_R, reply)?;
+            }
+            self.rounds += 1;
+            if let Some(board) = &self.progress {
+                if let Some(m) = m {
+                    board.record_tick(m.tick());
+                }
+                board.add_round();
             }
             Ok(())
         }
@@ -1171,7 +1161,7 @@ mod process {
                     continue;
                 }
                 // The worker may still have pre-abort frames in flight
-                // (its last FOLD/EXCH, or a CKPT); skip to its DONE.
+                // (its last EXCH, or a CKPT); skip to its DONE.
                 let mut found = None;
                 for _ in 0..64 {
                     match self.read_from(w) {

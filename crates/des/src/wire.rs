@@ -1321,7 +1321,6 @@ mod tests {
             tick: r.gen_u64() >> 30,
             events: r.gen_u64() >> 40,
             execute_ns: r.gen_u64() >> 30,
-            fold_ns: r.gen_u64() >> 30,
             exchange_ns: r.gen_u64() >> 30,
         };
         check_codec(26, 40, slice);

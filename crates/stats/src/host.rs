@@ -17,6 +17,7 @@
 //!   it), and the owner of the `host` / `host_shard_<s>` metrics planes
 //!   and the Chrome trace built from it.
 
+use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::time::Instant;
 
@@ -188,9 +189,8 @@ impl HostData {
     /// is the run's wall time and `log_bytes` the encoded bytes the
     /// interfaces' sample and span logs held when assembly began.
     pub fn push_planes(&self, metrics: &mut MetricsSnapshot, wall_ns: u64, log_bytes: u64) {
-        let mut sums = HostShardTimes::default();
-        let (mut min_exec, mut max_exec) = (u64::MAX, 0);
-        for (s, t) in self.shards.iter().enumerate() {
+        let shards = &self.shards;
+        for (s, t) in shards.iter().enumerate() {
             let name = format!("host_shard_{s}");
             for (metric, value) in [
                 ("total_batches", t.total_batches),
@@ -199,7 +199,6 @@ impl HostData {
                 ("drain_ns", t.drain_ns),
                 ("execute_ns", t.execute_ns),
                 ("sample_edge_ns", t.sample_edge_ns),
-                ("fold_ns", t.fold_ns),
                 ("exchange_ns", t.exchange_ns),
                 ("checkpoint_ns", t.checkpoint_ns),
                 ("checkpoint_writes", t.checkpoint_writes),
@@ -207,20 +206,18 @@ impl HostData {
             ] {
                 metrics.push_counter(&name, metric, value);
             }
-            sums.merge(t);
-            min_exec = min_exec.min(t.execute_ns);
-            max_exec = max_exec.max(t.execute_ns);
         }
+        let sum = |field: fn(&HostShardTimes) -> u64| shards.iter().map(field).sum::<u64>();
+        let exchange_ns = sum(|t| t.exchange_ns);
         for (metric, value) in [
             ("wall_ns", wall_ns),
-            ("drain_ns", sums.drain_ns),
-            ("execute_ns", sums.execute_ns),
-            ("sample_edge_ns", sums.sample_edge_ns),
-            ("fold_ns", sums.fold_ns),
-            ("exchange_ns", sums.exchange_ns),
-            ("total_batches", sums.total_batches),
-            ("sampled_batches", sums.sampled_batches),
-            ("sampled_events", sums.sampled_events),
+            ("drain_ns", sum(|t| t.drain_ns)),
+            ("execute_ns", sum(|t| t.execute_ns)),
+            ("sample_edge_ns", sum(|t| t.sample_edge_ns)),
+            ("exchange_ns", exchange_ns),
+            ("total_batches", sum(|t| t.total_batches)),
+            ("sampled_batches", sum(|t| t.sampled_batches)),
+            ("sampled_events", sum(|t| t.sampled_events)),
             ("log_bytes", log_bytes),
         ] {
             metrics.push_counter("host", metric, value);
@@ -228,36 +225,46 @@ impl HostData {
         // Imbalance gauges, scaled by 1000 (integer metrics plane):
         // `execute_imbalance_millis` is the max/min per-shard execute-time
         // ratio (1000 = perfectly balanced); `barrier_wait_millis` the
-        // fraction of total loop time spent waiting at the fold barrier.
-        if self.shards.len() > 1 && min_exec > 0 {
+        // exchange's share of total loop time, the wait at the one
+        // synchronization of each round.
+        let min_exec = shards.iter().map(|t| t.execute_ns).min().unwrap_or(0);
+        let max_exec = shards.iter().map(|t| t.execute_ns).max().unwrap_or(0);
+        if shards.len() > 1 && min_exec > 0 {
             let imbalance = max_exec.saturating_mul(1000) / min_exec;
             metrics.push_counter("host", "execute_imbalance_millis", imbalance);
         }
-        let loop_ns =
-            sums.drain_ns + sums.execute_ns + sums.sample_edge_ns + sums.fold_ns + sums.exchange_ns;
-        if let Some(wait) = sums.fold_ns.saturating_mul(1000).checked_div(loop_ns) {
+        let loop_ns = sum(|t| t.drain_ns + t.execute_ns + t.sample_edge_ns + t.exchange_ns);
+        if let Some(wait) = exchange_ns.saturating_mul(1000).checked_div(loop_ns) {
             metrics.push_counter("host", "barrier_wait_millis", wait);
         }
-        // Per-component-class attribution from the sampled batches, in
-        // name order so the plane layout is stable.
-        sums.classes.sort_by(|a, b| a.0.cmp(&b.0));
-        for (class, ns, events) in &sums.classes {
-            metrics.push_counter("host", &format!("class_{class}_ns"), *ns);
-            metrics.push_counter("host", &format!("class_{class}_events"), *events);
+        // Per-component-class attribution from the sampled batches,
+        // summed over shards, in name order so the plane layout is
+        // stable.
+        let mut classes: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for (class, ns, events) in shards.iter().flat_map(|t| &t.classes) {
+            let slot = classes.entry(class).or_default();
+            slot.0 += ns;
+            slot.1 += events;
+        }
+        for (class, (ns, events)) in classes {
+            metrics.push_counter("host", &format!("class_{class}_ns"), ns);
+            metrics.push_counter("host", &format!("class_{class}_events"), events);
         }
         // Checkpoint attribution: worker-side state capture plus the
         // parent-side file writes.
         let ckpt = &self.ckpt;
         for (metric, value) in [
-            ("checkpoint_writes", sums.checkpoint_writes + ckpt.writes),
-            ("checkpoint_ns", sums.checkpoint_ns + ckpt.ns),
-            ("checkpoint_bytes", sums.checkpoint_bytes + ckpt.bytes),
+            (
+                "checkpoint_writes",
+                sum(|t| t.checkpoint_writes) + ckpt.writes,
+            ),
+            ("checkpoint_ns", sum(|t| t.checkpoint_ns) + ckpt.ns),
+            ("checkpoint_bytes", sum(|t| t.checkpoint_bytes) + ckpt.bytes),
         ] {
             metrics.push_counter("host", metric, value);
         }
         if let Some(hub) = &self.hub {
             metrics.push_counter("host", "hub_rounds", hub.rounds);
-            metrics.push_counter("host", "hub_fold_ns", hub.fold_ns);
             for (w, (inb, outb)) in hub
                 .wire_in_bytes
                 .iter()
@@ -273,7 +280,7 @@ impl HostData {
     /// The Chrome `trace_event` document of the run. In-process runs put
     /// every shard on pid 0, one tid per shard; a fleet gets one pid per
     /// worker (the hub is pid 0). Each sampled round renders a parent
-    /// "round" slice with fold/execute/exchange children laid end to end,
+    /// "round" slice with execute/exchange children laid end to end,
     /// so slices nest by construction. Worker processes time against their
     /// own epochs; cross-pid skew is cosmetic. `arena_high` is the routers'
     /// flit-arena high-water mark.
@@ -293,20 +300,16 @@ impl HostData {
             tb.thread_name(pid, tid, &format!("shard-{s}"));
             for sl in &t.round_slices {
                 let start_us = sl.start_ns / 1000;
-                let fold_us = sl.fold_ns / 1000;
                 let exec_us = sl.execute_ns / 1000;
                 let exch_us = sl.exchange_ns / 1000;
-                tb.slice(pid, tid, "round", start_us, fold_us + exec_us + exch_us);
-                if fold_us > 0 {
-                    tb.slice(pid, tid, "fold", start_us, fold_us);
-                }
+                tb.slice(pid, tid, "round", start_us, exec_us + exch_us);
                 if exec_us > 0 {
-                    tb.slice(pid, tid, "execute", start_us + fold_us, exec_us);
+                    tb.slice(pid, tid, "execute", start_us, exec_us);
                 }
                 if exch_us > 0 {
-                    tb.slice(pid, tid, "exchange", start_us + fold_us + exec_us, exch_us);
+                    tb.slice(pid, tid, "exchange", start_us + exec_us, exch_us);
                 }
-                let dur_ns = sl.fold_ns + sl.execute_ns + sl.exchange_ns;
+                let dur_ns = sl.execute_ns + sl.exchange_ns;
                 if let Some(eps) = sl.events.saturating_mul(1_000_000_000).checked_div(dur_ns) {
                     tb.counter(pid, "events_per_sec", start_us, eps);
                 }

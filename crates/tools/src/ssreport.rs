@@ -264,13 +264,12 @@ fn plane_counter(snap: &MetricsSnapshot, component: &str, name: &str) -> u64 {
 }
 
 /// Renders the host-time profiling plane of a snapshot: a phase table
-/// attributing wall-clock time (drain / execute / sample-edge / fold /
+/// attributing wall-clock time (drain / execute / sample-edge /
 /// exchange / checkpoint) with percent-of-wall columns, the sampled
-/// per-component-class attribution, per-shard execute/fold/exchange
-/// rows with imbalance and barrier-wait gauges, flits advanced per
-/// router pipeline cycle (from the `profile` plane), checkpoint write
-/// costs, and — for worker-fleet runs — hub fold time and per-worker wire
-/// bytes. `None` when the snapshot has no `host` plane (the run did not
+/// per-component-class attribution, per-shard execute/exchange rows with
+/// imbalance and barrier-wait gauges, flits advanced per router pipeline
+/// cycle (from the `profile` plane), checkpoint write costs, and — for
+/// worker-fleet runs — hub rounds and per-worker wire bytes. `None` when the snapshot has no `host` plane (the run did not
 /// enable `host.profile.enabled`).
 pub fn host_profile_report(snap: &MetricsSnapshot) -> Option<String> {
     let wall_ns = match snap.get("host", "wall_ns")? {
@@ -294,7 +293,6 @@ pub fn host_profile_report(snap: &MetricsSnapshot) -> Option<String> {
         ("execute", host("execute_ns")),
         ("drain", host("drain_ns")),
         ("sample_edge", host("sample_edge_ns")),
-        ("fold", host("fold_ns")),
         ("exchange", host("exchange_ns")),
         ("checkpoint", host("checkpoint_ns")),
     ]
@@ -351,17 +349,16 @@ pub fn host_profile_report(snap: &MetricsSnapshot) -> Option<String> {
     if !shards.is_empty() {
         let _ = writeln!(
             out,
-            "\n{:<8} {:>12} {:>12} {:>12} {:>12}",
-            "shard", "execute_ms", "fold_ms", "exchange_ms", "batches"
+            "\n{:<8} {:>12} {:>12} {:>12}",
+            "shard", "execute_ms", "exchange_ms", "batches"
         );
         for &s in &shards {
             let plane = format!("host_shard_{s}");
             let c = |name: &str| plane_counter(snap, &plane, name);
             let _ = writeln!(
                 out,
-                "{s:<8} {:>12.2} {:>12.2} {:>12.2} {:>12}",
+                "{s:<8} {:>12.2} {:>12.2} {:>12}",
                 ms(c("execute_ns")),
-                ms(c("fold_ns")),
                 ms(c("exchange_ns")),
                 c("total_batches"),
             );
@@ -403,11 +400,7 @@ pub fn host_profile_report(snap: &MetricsSnapshot) -> Option<String> {
     // Hub / per-worker wire accounting (worker-fleet runs only).
     let hub_rounds = host("hub_rounds");
     if hub_rounds > 0 {
-        let _ = writeln!(
-            out,
-            "\nhub: {hub_rounds} rounds, fold {:.2} ms",
-            ms(host("hub_fold_ns"))
-        );
+        let _ = writeln!(out, "\nhub: {hub_rounds} rounds");
         let mut workers: Vec<usize> = snap
             .samples()
             .iter()
@@ -574,8 +567,7 @@ mod tests {
         snap.push_counter("host", "execute_ns", 6_000_000);
         snap.push_counter("host", "drain_ns", 1_000_000);
         snap.push_counter("host", "sample_edge_ns", 500_000);
-        snap.push_counter("host", "fold_ns", 2_000_000);
-        snap.push_counter("host", "exchange_ns", 250_000);
+        snap.push_counter("host", "exchange_ns", 2_000_000);
         snap.push_counter("host", "checkpoint_ns", 3_000_000);
         snap.push_counter("host", "checkpoint_writes", 2);
         snap.push_counter("host", "checkpoint_bytes", 4096);
@@ -588,8 +580,7 @@ mod tests {
         for s in 0..2u32 {
             let plane = format!("host_shard_{s}");
             snap.push_counter(&plane, "execute_ns", 3_000_000);
-            snap.push_counter(&plane, "fold_ns", 1_000_000);
-            snap.push_counter(&plane, "exchange_ns", 100_000);
+            snap.push_counter(&plane, "exchange_ns", 1_000_000);
             snap.push_counter(&plane, "total_batches", 40 + s as u64);
         }
         snap
@@ -601,8 +592,8 @@ mod tests {
         assert!(text.contains("wall time: 10.0 ms"));
         // Phase table sorted heaviest-first with % of wall.
         let exec_at = text.find("execute ").expect("execute row");
-        let fold_at = text.find("fold ").expect("fold row");
-        assert!(exec_at < fold_at, "heaviest phase first:\n{text}");
+        let exchange_at = text.find("exchange ").expect("exchange row");
+        assert!(exec_at < exchange_at, "heaviest phase first:\n{text}");
         assert!(text.contains("60.0%"), "execute is 60% of wall:\n{text}");
         // Class attribution sorted heaviest-first, with ns/event.
         let router_at = text.find("router").expect("router class row");
@@ -631,13 +622,12 @@ mod tests {
     fn host_profile_report_shows_hub_wire_bytes() {
         let mut snap = host_snapshot();
         snap.push_counter("host", "hub_rounds", 12);
-        snap.push_counter("host", "hub_fold_ns", 900_000);
         snap.push_counter("host", "worker_0_wire_in_bytes", 111);
         snap.push_counter("host", "worker_0_wire_out_bytes", 222);
         snap.push_counter("host", "worker_1_wire_in_bytes", 333);
         snap.push_counter("host", "worker_1_wire_out_bytes", 444);
         let text = host_profile_report(&snap).expect("host plane present");
-        assert!(text.contains("hub: 12 rounds, fold 0.90 ms"));
+        assert!(text.contains("hub: 12 rounds\n"));
         assert!(text.contains("worker 0: wire in 111 bytes, out 222 bytes"));
         assert!(text.contains("worker 1: wire in 333 bytes, out 444 bytes"));
     }

@@ -276,7 +276,11 @@ fn code_1_a_present_key_of_the_wrong_type_or_range() {
     // with the wrong type is the same configuration error any other
     // setting gives, naming the key. These used to be read as "absent"
     // and run to exit 0, and a trace source past the 32-bit component id
-    // space used to be truncated (2^32 traced component 0).
+    // space used to be truncated (2^32 traced component 0). So were the
+    // settings the model holds in 32 bits: 2^32 + 2 virtual channels ran
+    // as 2, and an input buffer of 2^32 was reported as zero; their range
+    // errors name the key relative to the block its constructor reads,
+    // as type errors do.
     let cfg = concat!(env!("CARGO_MANIFEST_DIR"), "/configs/quickstart.json");
     let trace = "observability.trace.enabled=bool=true";
     let wrong_type = |key: &str| format!("setting \"{key}\": expected");
@@ -313,6 +317,14 @@ fn code_1_a_present_key_of_the_wrong_type_or_range() {
         (
             "observability.trace.src is out of range".to_string(),
             &[trace, "observability.trace.src=uint=4294967296"][..],
+        ),
+        (
+            "invalid setting \"vcs\": 4294967298 is out of range".to_string(),
+            &["network.vcs=uint=4294967298"][..],
+        ),
+        (
+            "invalid setting \"input_buffer\": 4294967296 is out of range".to_string(),
+            &["network.router.input_buffer=uint=4294967296"][..],
         ),
     ] {
         let out = Command::new(bin())

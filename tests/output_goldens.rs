@@ -132,7 +132,6 @@ fn layout_dependent_planes_keep_their_names_and_order() {
             "drain_ns",
             "execute_ns",
             "sample_edge_ns",
-            "fold_ns",
             "exchange_ns",
             "checkpoint_ns",
             "checkpoint_writes",
@@ -146,7 +145,6 @@ fn layout_dependent_planes_keep_their_names_and_order() {
         "drain_ns",
         "execute_ns",
         "sample_edge_ns",
-        "fold_ns",
         "exchange_ns",
         "total_batches",
         "sampled_batches",
