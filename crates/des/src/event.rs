@@ -1169,6 +1169,18 @@ mod tests {
         ComponentId::from_index(i)
     }
 
+    /// The network's event is at most 40 bytes, 8-aligned (pinned in
+    /// `supersim-netbase`); stamped, it must fill one 64-byte queue slot
+    /// and an 80-byte generation entry, not spill into a second line.
+    #[test]
+    fn a_network_event_fills_one_cache_line_slot() {
+        use crate::engine::Stamped;
+        use std::mem::size_of;
+        type NetworkEvent = [u64; 5];
+        assert!(size_of::<Slot<Stamped<NetworkEvent>>>() <= 64);
+        assert!(size_of::<EventEntry<Stamped<NetworkEvent>>>() <= 80);
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();

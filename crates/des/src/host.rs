@@ -141,9 +141,11 @@ crate::wire_struct!(HostShardTimes {
 pub struct HubHostStats {
     /// Rounds (EXCH frames from every worker) the hub relayed.
     pub rounds: u64,
-    /// Frame-body bytes received from each worker, in worker order.
+    /// Frame bytes (5-byte header and body) received from each
+    /// worker, in worker order.
     pub wire_in_bytes: Vec<u64>,
-    /// Frame-body bytes sent to each worker, in worker order.
+    /// Frame bytes (5-byte header and body) sent to each worker, in
+    /// worker order.
     pub wire_out_bytes: Vec<u64>,
 }
 

@@ -64,6 +64,7 @@ mod component;
 mod engine;
 mod event;
 mod host;
+mod idmap;
 mod protocol;
 mod rng;
 mod simulator;
@@ -83,6 +84,7 @@ pub use event::{EventEntry, EventQueue, Generation};
 pub use host::{
     HostRecorder, HostRoundSlice, HostShardTimes, HubHostStats, ProgressShared, MAX_ROUND_SLICES,
 };
+pub use idmap::{IdHasher, IdMap};
 pub use rng::{Rng, SampleRange};
 pub use simulator::Simulator;
 pub use time::{Epsilon, Tick, Time};

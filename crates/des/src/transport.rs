@@ -514,6 +514,7 @@ pub(crate) fn run_threads<E: Send + 'static>(
 #[cfg(unix)]
 mod process {
     use std::io::{self, BufReader, BufWriter};
+    use std::ops::Range;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
@@ -531,7 +532,8 @@ mod process {
     use crate::time::{Tick, Time};
     use crate::trace::TraceBuffer;
     use crate::wire::{
-        get_bytes, get_len, put_bytes, put_each, put_section, read_frame, write_frame, WireCodec,
+        get_bytes, get_len, put_bytes, put_each, put_section, read_frame, read_frame_into,
+        write_frame, WireCodec, FRAME_HEADER,
     };
 
     /// Frame tags of the worker ↔ hub protocol, in handshake order.
@@ -589,20 +591,23 @@ mod process {
         writer: BufWriter<UnixStream>,
         num_workers: u32,
         scratch: Vec<u8>,
+        /// The body of the last frame read, reused across rounds.
+        inbox: Vec<u8>,
         fail_hook: Option<(FailMode, u64)>,
         rounds: u64,
     }
 
     impl ProcessTransport {
-        fn read_expect(&mut self, want: u8) -> Result<Vec<u8>, TransportError> {
-            let (tag, body) = read_frame(&mut self.reader)?;
+        /// Reads the next frame into `inbox`, which must carry `want`.
+        fn read_expect(&mut self, want: u8) -> Result<(), TransportError> {
+            let tag = read_frame_into(&mut self.reader, &mut self.inbox)?;
             if tag == tag::ABORT {
                 return Err(TransportError::Aborted);
             }
             if tag != want {
                 return proto_err(format!("expected frame tag {want}, got {tag}"));
             }
-            Ok(body)
+            Ok(())
         }
     }
 
@@ -645,8 +650,8 @@ mod process {
             write_frame(&mut self.writer, tag::EXCH, &body)?;
             self.scratch = body;
 
-            let reply = self.read_expect(tag::EXCH_R)?;
-            let buf = &mut reply.as_slice();
+            self.read_expect(tag::EXCH_R)?;
+            let buf = &mut self.inbox.as_slice();
             let Some((stopped, failure, m, global_progress)) = ReplyHead::decode(buf) else {
                 return proto_err("malformed EXCH_R");
             };
@@ -706,14 +711,15 @@ mod process {
                 writer,
                 num_workers: 0,
                 scratch: Vec::new(),
+                inbox: Vec::new(),
                 fail_hook: parse_fail_hook(index),
                 rounds: 0,
             };
             let mut hello = Vec::new();
             index.encode(&mut hello);
             write_frame(&mut transport.writer, tag::HELLO, &hello)?;
-            let body = transport.read_expect(tag::SETUP)?;
-            let buf = &mut body.as_slice();
+            transport.read_expect(tag::SETUP)?;
+            let buf = &mut transport.inbox.as_slice();
             let setup = (|| {
                 Some(WorkerSetup {
                     workers: u32::decode(buf)?,
@@ -833,10 +839,18 @@ mod process {
         trace: Option<TraceBuffer>,
         merge_scratch: Vec<TaggedTrace>,
         rounds: u64,
-        /// Frame-body bytes in/out per worker (always counted; a u64
-        /// add per frame).
+        /// Frame bytes in/out per worker, headers included (always
+        /// counted; a u64 add per frame).
         wire_in: Vec<u64>,
         wire_out: Vec<u64>,
+        /// Each worker's last frame, tag and body, reused across rounds.
+        tags: Vec<u8>,
+        bodies: Vec<Vec<u8>>,
+        /// `sections[src * n + dst]`: where in `bodies[src]` the events
+        /// from `src` to `dst` lie, for this round's replies.
+        sections: Vec<Range<usize>>,
+        /// The reply being assembled, reused across workers and rounds.
+        reply: Vec<u8>,
         /// Cumulative executed-event counts per worker, rebuilt from
         /// the informational deltas trailing each EXCH frame.
         events_cum: Vec<u64>,
@@ -923,6 +937,10 @@ mod process {
                 rounds: 0,
                 wire_in: vec![0; n],
                 wire_out: vec![0; n],
+                tags: vec![0; n],
+                bodies: vec![Vec::new(); n],
+                sections: vec![0..0; n * n],
+                reply: Vec::new(),
                 events_cum: vec![0; n],
                 progress: options.progress.clone(),
             })
@@ -962,10 +980,12 @@ mod process {
             }
         }
 
-        /// One worker's next frame, or `(index, reason)` on failure.
-        fn read_from(&mut self, w: usize) -> Result<(u8, Vec<u8>), (u32, String)> {
-            let frame = read_frame(&mut self.conns[w].reader).map_err(|e| {
-                self.conns[w].alive = false;
+        /// Reads worker `w`'s next frame into `tags[w]` and `bodies[w]`,
+        /// or fails with `(index, reason)`.
+        fn read_from(&mut self, w: usize) -> Result<u8, (u32, String)> {
+            let conn = &mut self.conns[w];
+            let tag = read_frame_into(&mut conn.reader, &mut self.bodies[w]).map_err(|e| {
+                conn.alive = false;
                 let reason = match e.kind() {
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
                         "no frame within the timeout budget (worker hung?)".to_string()
@@ -975,12 +995,13 @@ mod process {
                 };
                 (w as u32, reason)
             })?;
-            self.wire_in[w] += frame.1.len() as u64;
-            Ok(frame)
+            self.wire_in[w] += (FRAME_HEADER + self.bodies[w].len()) as u64;
+            self.tags[w] = tag;
+            Ok(tag)
         }
 
         fn send_to(&mut self, w: usize, tag: u8, body: &[u8]) -> Result<(), (u32, String)> {
-            self.wire_out[w] += body.len() as u64;
+            self.wire_out[w] += (FRAME_HEADER + body.len()) as u64;
             write_frame(&mut self.conns[w].writer, tag, body).map_err(|e| {
                 self.conns[w].alive = false;
                 (w as u32, e.to_string())
@@ -996,24 +1017,23 @@ mod process {
                 // Workers act in lockstep: each round every worker sends
                 // the same next tag, so frames can be read in worker
                 // order without a poll loop.
-                let mut frames = Vec::with_capacity(n);
                 for w in 0..n {
-                    frames.push(self.read_from(w)?);
+                    self.read_from(w)?;
                 }
-                let round_tag = frames[0].0;
-                if let Some(w) = frames.iter().position(|(t, _)| *t != round_tag) {
+                let round_tag = self.tags[0];
+                if let Some(w) = self.tags.iter().position(|&t| t != round_tag) {
                     return Err((
                         w as u32,
                         format!(
                             "protocol desync: expected tag {round_tag}, got {}",
-                            frames[w].0
+                            self.tags[w]
                         ),
                     ));
                 }
                 match round_tag {
-                    tag::EXCH => self.round_exchange(frames)?,
-                    tag::CKPT => self.round_checkpoint(&frames, checkpoint)?,
-                    tag::DONE => return self.collect_done(frames),
+                    tag::EXCH => self.round_exchange()?,
+                    tag::CKPT => self.round_checkpoint(checkpoint)?,
+                    tag::DONE => return self.collect_done(),
                     other => {
                         return Err((0, format!("unexpected frame tag {other} mid-run")));
                     }
@@ -1021,31 +1041,32 @@ mod process {
             }
         }
 
-        fn round_exchange(&mut self, frames: Vec<(u8, Vec<u8>)>) -> Result<(), (u32, String)> {
+        fn round_exchange(&mut self) -> Result<(), (u32, String)> {
             let n = self.conns.len();
             let mut fold = RoundFold::EMPTY;
             let mut stopped = false;
             let mut failure: Option<(EventStamp, String)> = None;
-            // blobs[src][dst]: the opaque (count + events) byte runs.
-            let mut blobs: Vec<Vec<&[u8]>> = Vec::with_capacity(n);
-            for (w, (_, body)) in frames.iter().enumerate() {
+            for (w, body) in self.bodies.iter().enumerate() {
                 let buf = &mut body.as_slice();
+                // The opaque (count + events) byte run to each worker.
+                let sections = &mut self.sections[w * n..(w + 1) * n];
                 let parsed = (|| {
                     let head = <(Option<Time>, Tick)>::decode(buf)?;
                     let stop = bool::decode(buf)?;
                     let fail = Option::<(EventStamp, String)>::decode(buf)?;
                     let traces = Vec::<TaggedTrace>::decode(buf)?;
-                    let mut dsts = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        dsts.push(get_bytes(buf)?);
+                    for section in sections.iter_mut() {
+                        let len = get_bytes(buf)?.len();
+                        let end = body.len() - buf.len();
+                        *section = end - len..end;
                     }
                     // Informational per-round executed-event delta,
                     // trailing so older payload parsers stay valid. It
                     // feeds the progress board only — never any reply.
                     let events = u64::decode(buf).unwrap_or(0);
-                    Some((head, stop, fail, traces, dsts, events))
+                    Some((head, stop, fail, traces, events))
                 })();
-                let Some((head, stop, fail, mut traces, dsts, events)) = parsed else {
+                let Some((head, stop, fail, mut traces, events)) = parsed else {
                     return Err((w as u32, "malformed EXCH".into()));
                 };
                 self.events_cum[w] += events;
@@ -1056,23 +1077,26 @@ mod process {
                 stopped |= stop;
                 keep_first_failure(&mut failure, fail);
                 self.merge_scratch.append(&mut traces);
-                blobs.push(dsts);
             }
             merge_round_traces(self.trace.as_mut(), &mut self.merge_scratch);
             let RoundFold { m, global_progress } = fold;
-            let mut prefix = Vec::new();
-            (stopped, failure.map(|(_, msg)| msg), m, global_progress).encode(&mut prefix);
-            let mut replies: Vec<Vec<u8>> = Vec::with_capacity(n);
+            // Every reply is the shared head, then the sections addressed
+            // to its worker in sender order.
+            let mut reply = std::mem::take(&mut self.reply);
+            reply.clear();
+            (stopped, failure.map(|(_, msg)| msg), m, global_progress).encode(&mut reply);
+            let head = reply.len();
             for dst in 0..n {
-                let mut reply = prefix.clone();
-                for src_blobs in &blobs {
-                    reply.extend_from_slice(src_blobs[dst]);
+                reply.truncate(head);
+                for (src, body) in self.bodies.iter().enumerate() {
+                    reply.extend_from_slice(&body[self.sections[src * n + dst].clone()]);
                 }
-                replies.push(reply);
+                if let Err(e) = self.send_to(dst, tag::EXCH_R, &reply) {
+                    self.reply = reply;
+                    return Err(e);
+                }
             }
-            for (w, reply) in replies.iter().enumerate() {
-                self.send_to(w, tag::EXCH_R, reply)?;
-            }
+            self.reply = reply;
             self.rounds += 1;
             if let Some(board) = &self.progress {
                 if let Some(m) = m {
@@ -1089,12 +1113,11 @@ mod process {
         /// it to `checkpoint`. No reply: workers resumed already.
         fn round_checkpoint(
             &mut self,
-            frames: &[(u8, Vec<u8>)],
             checkpoint: &mut dyn FnMut(Time, &[u8]),
         ) -> Result<(), (u32, String)> {
             let mut at: Option<Time> = None;
-            let mut shard_blobs: Vec<&[u8]> = Vec::with_capacity(frames.len());
-            for (w, (_, body)) in frames.iter().enumerate() {
+            let mut shard_blobs: Vec<&[u8]> = Vec::with_capacity(self.bodies.len());
+            for (w, body) in self.bodies.iter().enumerate() {
                 let buf = &mut body.as_slice();
                 let parsed = Time::decode(buf).and_then(|t| Some((t, get_bytes(buf)?)));
                 let Some((t, blob)) = parsed else {
@@ -1113,14 +1136,16 @@ mod process {
             Ok(())
         }
 
-        fn collect_done(&mut self, frames: Vec<(u8, Vec<u8>)>) -> Result<HubResult, (u32, String)> {
+        fn collect_done(&mut self) -> Result<HubResult, (u32, String)> {
+            let n = self.bodies.len();
             let mut outcome: Option<RunOutcome> = None;
             let mut end_time = Time::ZERO;
-            let mut metrics = Vec::with_capacity(frames.len());
-            let mut host = Vec::with_capacity(frames.len());
-            let mut shards = Vec::with_capacity(frames.len());
-            for (w, (_, body)) in frames.into_iter().enumerate() {
-                let Some(((o, now, m, h), state)) = parse_done(body) else {
+            let mut metrics = Vec::with_capacity(n);
+            let mut host = Vec::with_capacity(n);
+            let mut shards = Vec::with_capacity(n);
+            for w in 0..n {
+                let Some(((o, now, m, h), state)) = parse_done(std::mem::take(&mut self.bodies[w]))
+                else {
                     return Err((w as u32, "malformed DONE".into()));
                 };
                 debug_assert!(
@@ -1165,7 +1190,8 @@ mod process {
                 let mut found = None;
                 for _ in 0..64 {
                     match self.read_from(w) {
-                        Ok((tag::DONE, body)) => {
+                        Ok(tag::DONE) => {
+                            let body = std::mem::take(&mut self.bodies[w]);
                             found = parse_done(body).map(|(_, state)| state);
                             break;
                         }

@@ -44,7 +44,7 @@
 //! against uninterrupted ones.
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -220,6 +220,9 @@ pub fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
 // Framing
 // ---------------------------------------------------------------------------
 
+/// Bytes a frame adds to its body: the `u32` length and the tag.
+pub const FRAME_HEADER: usize = 5;
+
 /// Writes one `len(u32 LE) | tag(u8) | body` frame and flushes.
 pub fn write_frame<W: Write>(w: &mut W, tag: u8, body: &[u8]) -> io::Result<()> {
     let len = u32::try_from(body.len() + 1)
@@ -235,8 +238,16 @@ pub fn write_frame<W: Write>(w: &mut W, tag: u8, body: &[u8]) -> io::Result<()> 
 /// Reads one frame, returning its tag and body. Fails with
 /// `InvalidData` on a zero or oversized length prefix.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
+    let mut body = Vec::new();
+    let tag = read_frame_into(r, &mut body)?;
+    Ok((tag, body))
+}
+
+/// [`read_frame`] into a reused buffer: replaces `body`'s contents with
+/// the frame body and returns the tag.
+pub fn read_frame_into<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<u8> {
     // A well-formed frame is never shorter than length + tag.
-    let mut head = [0u8; 5];
+    let mut head = [0u8; FRAME_HEADER];
     r.read_exact(&mut head)?;
     let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
     if len == 0 || len > MAX_FRAME_LEN {
@@ -245,9 +256,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
             format!("bad frame length {len}"),
         ));
     }
-    let mut body = vec![0u8; len as usize - 1];
-    r.read_exact(&mut body)?;
-    Ok((head[4], body))
+    body.clear();
+    body.resize(len as usize - 1, 0);
+    r.read_exact(body)?;
+    Ok(head[4])
 }
 
 // ---------------------------------------------------------------------------
@@ -672,7 +684,7 @@ pub fn load_sections<T: Overlay>(items: &mut [T], buf: &mut &[u8]) -> Option<()>
 
 /// Writes a map as its entries in ascending key order — iteration order
 /// is not state — so the bytes are those of the sorted `Vec<(K, V)>`.
-pub fn put_map<K: WireCodec + Ord, V: WireCodec>(out: &mut Vec<u8>, map: &HashMap<K, V>) {
+pub fn put_map<K: WireCodec + Ord, V: WireCodec, S>(out: &mut Vec<u8>, map: &HashMap<K, V, S>) {
     let mut entries: Vec<(&K, &V)> = map.iter().collect();
     entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
     put_each(out, &entries, |(k, v), o| {
@@ -684,8 +696,8 @@ pub fn put_map<K: WireCodec + Ord, V: WireCodec>(out: &mut Vec<u8>, map: &HashMa
 /// Replaces a map with entries written by [`put_map`]. Keys must be
 /// strictly ascending, so a repeated key is malformed instead of
 /// resolving last-one-wins.
-pub fn load_map<K: WireCodec + Ord + Hash, V: WireCodec>(
-    map: &mut HashMap<K, V>,
+pub fn load_map<K: WireCodec + Ord + Hash, V: WireCodec, S: BuildHasher + Default>(
+    map: &mut HashMap<K, V, S>,
     buf: &mut &[u8],
 ) -> Option<()> {
     let entries = Vec::<(K, V)>::decode(buf)?;
@@ -1177,6 +1189,11 @@ mod tests {
         let mut out = Vec::new();
         put_map(&mut out, &map);
         assert_eq!(out, [3, 10, 2, 20, 3, 30, 1]);
+        // The hasher is not state: an id-hashed map writes the same bytes.
+        let ids: crate::IdMap<u32, u8> = map.clone().into_iter().collect();
+        let mut same = Vec::new();
+        put_map(&mut same, &ids);
+        assert_eq!(same, out);
         let mut back = HashMap::new();
         assert_eq!(load_map(&mut back, &mut out.as_slice()), Some(()));
         assert_eq!(back, map);

@@ -8,9 +8,10 @@
 //! - a **slab** of flit records addressed by a compact [`FlitHandle`];
 //!   pipeline stages move the 4-byte handle and the payload stays put,
 //! - a **metadata side table** ([`FlitMeta`]): the head/body/tail flags,
-//!   packet size, and age that allocation-stage scans read every cycle,
-//!   stored structure-of-arrays so candidate collection never chases the
-//!   packet `Arc`.
+//!   packet size, age and whether a span rides on the flit, which
+//!   allocation-stage scans read every cycle, stored structure-of-arrays
+//!   so candidate collection never chases the packet `Arc` and a
+//!   disabled span plane never touches the slab slot.
 //!
 //! Lifetime rules (documented in DESIGN.md):
 //!
@@ -27,13 +28,15 @@
 //!
 //! The `span` discipline is unchanged: spans stay boxed on the flit
 //! payload (only on tail flits, only when the plane is enabled) and ride
-//! in the slab slot.
+//! in the slab slot; [`FlitArena::span_mut`] reaches them through the
+//! metadata flag. A span is neither attached nor detached while the
+//! flit is parked.
 //!
 //! [`Ev::Flit`]: crate::Ev::Flit
 
 use supersim_des::wire::WireCodec;
 
-use crate::flit::Flit;
+use crate::flit::{Flit, FlitSpan};
 
 /// Compact address of a flit parked in a [`FlitArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,6 +52,7 @@ impl FlitHandle {
 
 const META_HEAD: u8 = 1;
 const META_TAIL: u8 = 2;
+const META_SPAN: u8 = 4;
 
 /// The per-flit fields allocation-stage scans read every cycle, split
 /// from the payload (structure-of-arrays).
@@ -66,7 +70,9 @@ impl FlitMeta {
         FlitMeta {
             age: flit.pkt.inject_tick,
             packet_size: flit.pkt.size,
-            flags: u8::from(flit.is_head()) * META_HEAD + u8::from(flit.is_tail()) * META_TAIL,
+            flags: u8::from(flit.is_head()) * META_HEAD
+                + u8::from(flit.is_tail()) * META_TAIL
+                + u8::from(flit.span.is_some()) * META_SPAN,
         }
     }
 
@@ -80,6 +86,12 @@ impl FlitMeta {
     #[inline]
     pub fn is_tail(self) -> bool {
         self.flags & META_TAIL != 0
+    }
+
+    /// Whether a latency-attribution span rides on the flit.
+    #[inline]
+    pub fn has_span(self) -> bool {
+        self.flags & META_SPAN != 0
     }
 }
 
@@ -150,6 +162,21 @@ impl FlitArena {
     #[inline]
     pub fn get_mut(&mut self, h: FlitHandle) -> &mut Flit {
         self.slots[h.index()].as_mut().expect("vacant flit slot")
+    }
+
+    /// The span of the parked flit, if it carries one; the slab slot is
+    /// read only when it does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle's slot is vacant and its metadata says it
+    /// has a span.
+    #[inline]
+    pub fn span_mut(&mut self, h: FlitHandle) -> Option<&mut FlitSpan> {
+        if !self.meta(h).has_span() {
+            return None;
+        }
+        self.get_mut(h).span.as_deref_mut()
     }
 
     /// The scan metadata of the parked flit.
@@ -309,6 +336,24 @@ mod tests {
         }
         assert_eq!(a.slots.len(), before);
         assert_eq!(a.high_water(), 4);
+    }
+
+    #[test]
+    fn span_flag_follows_the_flit() {
+        let mut a = FlitArena::new();
+        let mut fs = flits(2);
+        fs[1].span = Some(Box::new(FlitSpan::new(5)));
+        let hs: Vec<FlitHandle> = fs.into_iter().map(|f| a.insert(f)).collect();
+        assert!(!a.meta(hs[0]).has_span());
+        assert!(a.span_mut(hs[0]).is_none());
+        assert!(a.meta(hs[1]).has_span());
+        a.span_mut(hs[1]).expect("spanned flit").queueing = 3;
+        assert_eq!(a.take(hs[1]).span.expect("span rides along").queueing, 3);
+        // A restored arena recomputes the flag from the flits.
+        let mut saved = Vec::new();
+        a.save(&mut saved);
+        let back = FlitArena::load(&mut saved.as_slice()).expect("well formed");
+        assert!(!back.meta(hs[0]).has_span());
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! in the packet." The [`DeliveryChecker`] enforces exactly that at each
 //! terminal, catching bugs in user-supplied component models early.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use supersim_des::wire_overlay;
+use supersim_des::{wire_overlay, IdMap};
 
 use crate::flit::Flit;
 use crate::ids::{PacketId, TerminalId};
@@ -90,7 +89,7 @@ impl std::error::Error for CheckError {}
 pub struct DeliveryChecker {
     terminal: TerminalId,
     /// Next expected flit sequence number per in-flight packet.
-    expected: HashMap<PacketId, u32>,
+    expected: IdMap<PacketId, u32>,
     packets_completed: u64,
     flits_delivered: u64,
 }
@@ -100,7 +99,7 @@ impl DeliveryChecker {
     pub fn new(terminal: TerminalId) -> Self {
         DeliveryChecker {
             terminal,
-            expected: HashMap::new(),
+            expected: IdMap::default(),
             packets_completed: 0,
             flits_delivered: 0,
         }

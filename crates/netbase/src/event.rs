@@ -76,6 +76,21 @@ mod tests {
         send::<supersim_des::Simulator<Ev>>();
     }
 
+    /// The hot-path layout: a queue slot is an `Ev` plus 24 bytes of
+    /// stamp, epsilon and target, so every byte here is paid per event.
+    #[test]
+    fn flits_and_events_keep_their_size() {
+        use crate::ids::Via;
+        use std::mem::size_of;
+        assert!(
+            size_of::<Flit>() <= 32,
+            "Flit is {} bytes",
+            size_of::<Flit>()
+        );
+        assert!(size_of::<Ev>() <= 40, "Ev is {} bytes", size_of::<Ev>());
+        assert_eq!(size_of::<Option<Via>>(), 4);
+    }
+
     #[test]
     fn events_are_cloneable_and_debuggable() {
         let flit = PacketBuilder {

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use supersim_des::Tick;
 
-use crate::ids::{AppId, MessageId, PacketId, RouterId, TerminalId, Vc};
+use crate::ids::{AppId, MessageId, PacketId, TerminalId, Vc, Via};
 
 /// Immutable metadata shared by all flits of one packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,8 +201,9 @@ pub struct Flit {
     pub hops: u16,
     /// Intermediate router for non-minimal (Valiant-style) routing, set on
     /// the head flit by the source router's routing algorithm and carried
-    /// with the packet until the intermediate is reached.
-    pub inter: Option<RouterId>,
+    /// with the packet until the intermediate is reached. Packed as a
+    /// [`Via`] so the flit stays 32 bytes and an [`Ev`](crate::Ev) 40.
+    pub inter: Option<Via>,
     /// Header checksum over the flit's identity, set at packet build time.
     /// The fault plane flips bits here to model in-flight corruption;
     /// receivers verify with [`Flit::crc_ok`].

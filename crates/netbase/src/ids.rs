@@ -4,6 +4,7 @@
 //! being confused with each other or with plain indices (C-NEWTYPE).
 
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// Index of a network endpoint (one per terminal of each application).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -44,6 +45,28 @@ impl RouterId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// A router id stored as `id + 1` in a [`NonZeroU32`], so an
+/// `Option<Via>` takes 4 bytes where an `Option<RouterId>` takes 8: the
+/// intermediate router a Valiant-style detour carries on its head flit
+/// ([`Flit::inter`](crate::Flit::inter)). Every id but `u32::MAX` has an
+/// encoding; on the wire a `Via` is its [`RouterId`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Via(NonZeroU32);
+
+impl Via {
+    /// The encoding of `router`, or `None` for `RouterId(u32::MAX)`.
+    #[inline]
+    pub fn new(router: RouterId) -> Option<Via> {
+        router.0.checked_add(1).and_then(NonZeroU32::new).map(Via)
+    }
+
+    /// The router this names.
+    #[inline]
+    pub fn router(self) -> RouterId {
+        RouterId(self.0.get() - 1)
     }
 }
 

@@ -50,7 +50,7 @@ pub use fault::{
     ScheduledOutage, RETRY_TAG,
 };
 pub use flit::{Flit, FlitSpan, PacketBuilder, PacketInfo, SpanBreakdown};
-pub use ids::{AppId, MessageId, PacketId, Port, RouterId, TerminalId, Vc};
+pub use ids::{AppId, MessageId, PacketId, Port, RouterId, TerminalId, Vc, Via};
 pub use link::LinkTarget;
 pub use phase::{AppSignal, Phase, PhaseCommand};
 pub use trace::{trace_json_lines, FlitTraceExt, TraceKind, TraceRecord};

@@ -21,7 +21,7 @@ use supersim_des::{wire_enum, wire_struct};
 use crate::event::Ev;
 use crate::fault::FaultCounters;
 use crate::flit::{Flit, FlitSpan, PacketInfo, SpanBreakdown};
-use crate::ids::{AppId, MessageId, PacketId, RouterId, TerminalId};
+use crate::ids::{AppId, MessageId, PacketId, RouterId, TerminalId, Via};
 use crate::phase::{AppSignal, Phase, PhaseCommand};
 
 wire_struct!(TerminalId { 0 });
@@ -29,6 +29,20 @@ wire_struct!(RouterId { 0 });
 wire_struct!(AppId { 0 });
 wire_struct!(PacketId { 0 });
 wire_struct!(MessageId { 0 });
+
+/// A [`Via`] travels as its [`RouterId`], so an `Option<Via>` has the
+/// bytes of an `Option<RouterId>`; the one id without an encoding,
+/// `u32::MAX`, is malformed.
+impl WireCodec for Via {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.router().encode(out);
+    }
+    #[inline]
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Via::new(RouterId::decode(buf)?)
+    }
+}
 
 wire_enum!(Phase {
     Warming = 0,
@@ -210,7 +224,9 @@ mod tests {
             pkt: Arc::new(pkt),
             vc: rng.gen_u64() as u32 % 8,
             hops: rng.gen_u64() as u16,
-            inter: rng.gen_bool(0.3).then(|| RouterId(rng.gen_u64() as u32)),
+            inter: rng
+                .gen_bool(0.3)
+                .then(|| Via::new(RouterId(rng.gen_u64() as u32 % u32::MAX)).unwrap()),
             crc: rng.gen_u64() as u16,
             span: (with_span && rng.gen_bool(0.7)).then(|| Box::new(rand_span(rng))),
         }
@@ -224,6 +240,25 @@ mod tests {
         assert_eq!(a.inter, b.inter);
         assert_eq!(a.crc, b.crc);
         assert_eq!(a.span, b.span);
+    }
+
+    #[test]
+    fn via_has_the_router_id_bytes_and_rejects_the_last_id() {
+        let mut rng = Rng::new(0x71A);
+        let sample = (0..1000).map(|_| rng.gen_u64() as u32 % u32::MAX);
+        for id in [0, 1, u32::MAX - 1].into_iter().chain(sample) {
+            let via = Via::new(RouterId(id)).expect("every id but the last has a Via");
+            assert_eq!(via.router(), RouterId(id));
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            Some(via).encode(&mut a);
+            Some(RouterId(id)).encode(&mut b);
+            assert_eq!(a, b, "Option<Via> must have the Option<RouterId> bytes");
+            assert_eq!(Option::<Via>::decode(&mut a.as_slice()), Some(Some(via)));
+        }
+        assert_eq!(Via::new(RouterId(u32::MAX)), None);
+        let mut last = Vec::new();
+        RouterId(u32::MAX).encode(&mut last);
+        assert_eq!(Via::decode(&mut last.as_slice()), None);
     }
 
     #[test]
@@ -382,7 +417,7 @@ mod tests {
                 pkt: Arc::new(pkt.clone()),
                 vc: 2,
                 hops: 4,
-                inter: Some(RouterId(9)),
+                inter: Via::new(RouterId(9)),
                 crc: 0xBEEF,
                 span: None,
             },
@@ -397,7 +432,7 @@ mod tests {
                 pkt: Arc::new(pkt),
                 vc: 2,
                 hops: 4,
-                inter: Some(RouterId(9)),
+                inter: Via::new(RouterId(9)),
                 crc: 0xBEEF,
                 span: Some(Box::new(FlitSpan {
                     enqueue: 40_100,

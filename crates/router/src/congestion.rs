@@ -179,14 +179,16 @@ pub struct SensorConfig {
 #[derive(Debug)]
 pub struct CongestionSensor {
     config: SensorConfig,
+    ports: u32,
     vcs: u32,
     /// Output-queue occupancy per (port, vc), flattened.
     output: Vec<u32>,
     /// Downstream credits in use per (port, vc), flattened.
     downstream: Vec<u32>,
-    /// Delayed per-(port,vc) view.
+    /// Delayed per-(port,vc) view; empty with zero delay, where a read
+    /// is the counters themselves.
     vc_values: Vec<DelayedValue>,
-    /// Delayed per-port aggregate view.
+    /// Delayed per-port aggregate view; empty with zero delay.
     port_values: Vec<DelayedValue>,
 }
 
@@ -194,17 +196,19 @@ impl CongestionSensor {
     /// Creates a sensor for `ports` × `vcs` outputs.
     pub fn new(ports: u32, vcs: u32, config: SensorConfig) -> Self {
         let n = (ports * vcs) as usize;
+        // A zero-delay value is its latest count: store only the counts.
+        let delayed = |len: usize| {
+            let len = if config.delay == 0 { 0 } else { len };
+            vec![DelayedValue::new(config.delay, 0.0); len]
+        };
         CongestionSensor {
             config,
+            ports,
             vcs,
             output: vec![0; n],
             downstream: vec![0; n],
-            vc_values: (0..n)
-                .map(|_| DelayedValue::new(config.delay, 0.0))
-                .collect(),
-            port_values: (0..ports as usize)
-                .map(|_| DelayedValue::new(config.delay, 0.0))
-                .collect(),
+            vc_values: delayed(n),
+            port_values: delayed(ports as usize),
         }
     }
 
@@ -258,20 +262,43 @@ impl CongestionSensor {
         }
     }
 
+    /// The instantaneous counted value summed over `port`'s VCs.
+    fn port_total(&self, port: Port) -> u32 {
+        (0..self.vcs).map(|v| self.instantaneous(port, v)).sum()
+    }
+
     fn publish(&mut self, tick: Tick, port: Port, vc: Vc) {
+        if self.config.delay == 0 {
+            return;
+        }
         let value = self.instantaneous(port, vc) as f64;
         let i = self.idx(port, vc);
         self.vc_values[i].set(tick, value);
-        let port_total: u32 = (0..self.vcs).map(|v| self.instantaneous(port, v)).sum();
+        let port_total = self.port_total(port);
         self.port_values[port as usize].set(tick, port_total as f64);
+    }
+
+    /// The counts a zero-delay sensor's values hold, in save order:
+    /// every (port, VC), then every port.
+    fn counted_values(&self) -> impl Iterator<Item = u32> + '_ {
+        let keys = (0..self.ports).flat_map(move |p| (0..self.vcs).map(move |v| (p, v)));
+        keys.map(|(p, v)| self.instantaneous(p, v))
+            .chain((0..self.ports).map(|p| self.port_total(p)))
     }
 
     /// Serializes the sensor's dynamic state: raw occupancy counters and
     /// every delayed value. Shape (ports × vcs, delay) is configuration.
+    /// A zero-delay sensor writes the values it would hold, so the bytes
+    /// do not depend on whether they are stored.
     pub fn save(&self, out: &mut Vec<u8>) {
         self.output.len().encode(out);
         for c in self.output.iter().chain(self.downstream.iter()) {
             c.encode(out);
+        }
+        if self.config.delay == 0 {
+            for c in self.counted_values() {
+                DelayedValue::new(0, c as f64).save(out);
+            }
         }
         for v in self.vc_values.iter().chain(self.port_values.iter()) {
             v.save(out);
@@ -279,13 +306,23 @@ impl CongestionSensor {
     }
 
     /// Overlays saved state onto this sensor. Total: `None` on malformed
-    /// input or a shape mismatch with the built structure.
+    /// input or a shape mismatch with the built structure; a zero-delay
+    /// sensor's values must be the restored counts with no history.
     pub fn load(&mut self, buf: &mut &[u8]) -> Option<()> {
         if usize::decode(buf)? != self.output.len() {
             return None;
         }
         for c in self.output.iter_mut().chain(self.downstream.iter_mut()) {
             *c = u32::decode(buf)?;
+        }
+        if self.config.delay == 0 {
+            let mut saved = DelayedValue::new(0, 0.0);
+            for c in self.counted_values() {
+                saved.load(buf)?;
+                if !saved.history.is_empty() || saved.current != c as f64 {
+                    return None;
+                }
+            }
         }
         for v in self.vc_values.iter_mut().chain(self.port_values.iter_mut()) {
             v.load(buf)?;
@@ -311,17 +348,22 @@ impl CongestionView for SensorView<'_> {
     fn vc_congestion(&self, port: Port, vc: Vc) -> f64 {
         let s = self.sensor;
         match s.config.granularity {
+            CongestionGranularity::Vc if s.config.delay == 0 => s.instantaneous(port, vc) as f64,
             CongestionGranularity::Vc => s.vc_values[s.idx(port, vc)].get(self.tick),
             CongestionGranularity::Port => {
                 // Port-based accounting: every VC sees the port aggregate,
                 // normalized per VC so magnitudes stay comparable.
-                s.port_values[port as usize].get(self.tick) / s.vcs as f64
+                self.port_congestion(port) / s.vcs as f64
             }
         }
     }
 
     fn port_congestion(&self, port: Port) -> f64 {
-        self.sensor.port_values[port as usize].get(self.tick)
+        let s = self.sensor;
+        if s.config.delay == 0 {
+            return s.port_total(port) as f64;
+        }
+        s.port_values[port as usize].get(self.tick)
     }
 }
 
@@ -461,6 +503,152 @@ mod tests {
         assert_eq!(s.view_at(104).vc_congestion(0, 0), 0.0);
         assert_eq!(s.view_at(108).vc_congestion(0, 0), 1.0);
         assert_eq!(s.view_at(104).port_congestion(0), 0.0);
+    }
+
+    /// The stored zero-delay sensor this one replaced: a
+    /// [`DelayedValue`] per (port, VC) and per port, set on every count
+    /// change.
+    struct StoredZeroDelay {
+        vcs: u32,
+        vc_values: Vec<DelayedValue>,
+        port_values: Vec<DelayedValue>,
+    }
+
+    impl StoredZeroDelay {
+        fn new(ports: u32, vcs: u32) -> Self {
+            let values = |n| (0..n).map(|_| DelayedValue::new(0, 0.0)).collect();
+            StoredZeroDelay {
+                vcs,
+                vc_values: values(ports * vcs),
+                port_values: values(ports),
+            }
+        }
+
+        fn publish(&mut self, counts: &CongestionSensor, tick: Tick, port: Port, vc: Vc) {
+            let value = counts.instantaneous(port, vc) as f64;
+            self.vc_values[(port * self.vcs + vc) as usize].set(tick, value);
+            let total: u32 = (0..self.vcs).map(|v| counts.instantaneous(port, v)).sum();
+            self.port_values[port as usize].set(tick, total as f64);
+        }
+
+        fn vc_congestion(
+            &self,
+            gran: CongestionGranularity,
+            tick: Tick,
+            port: Port,
+            vc: Vc,
+        ) -> f64 {
+            match gran {
+                CongestionGranularity::Vc => {
+                    self.vc_values[(port * self.vcs + vc) as usize].get(tick)
+                }
+                CongestionGranularity::Port => {
+                    self.port_values[port as usize].get(tick) / self.vcs as f64
+                }
+            }
+        }
+
+        fn save(&self, counts: &CongestionSensor, out: &mut Vec<u8>) {
+            counts.output.len().encode(out);
+            for c in counts.output.iter().chain(counts.downstream.iter()) {
+                c.encode(out);
+            }
+            for v in self.vc_values.iter().chain(self.port_values.iter()) {
+                v.save(out);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_delay_sensor_matches_stored_delayed_values() {
+        use supersim_des::Rng;
+        let sources = [
+            CongestionSource::Output,
+            CongestionSource::Downstream,
+            CongestionSource::Both,
+        ];
+        let grans = [CongestionGranularity::Vc, CongestionGranularity::Port];
+        let mut rng = Rng::new(0x5E_2507);
+        for source in sources {
+            for gran in grans {
+                let (ports, vcs) = (1 + rng.gen_below(6) as u32, 1 + rng.gen_below(4) as u32);
+                let mut s = CongestionSensor::new(
+                    ports,
+                    vcs,
+                    SensorConfig {
+                        source,
+                        granularity: gran,
+                        delay: 0,
+                    },
+                );
+                assert!(s.vc_values.is_empty() && s.port_values.is_empty());
+                let mut stored = StoredZeroDelay::new(ports, vcs);
+                for step in 0..400u64 {
+                    let tick = step / 3;
+                    let (port, vc) = (
+                        rng.gen_below(ports.into()) as u32,
+                        rng.gen_below(vcs.into()) as u32,
+                    );
+                    let kind = if rng.gen_bool(0.5) {
+                        CongestionSource::Output
+                    } else {
+                        CongestionSource::Downstream
+                    };
+                    let held = match kind {
+                        CongestionSource::Output => s.output[s.idx(port, vc)],
+                        _ => s.downstream[s.idx(port, vc)],
+                    };
+                    if held > 0 && rng.gen_bool(0.45) {
+                        s.remove(tick, kind, port, vc);
+                    } else {
+                        s.add(tick, kind, port, vc);
+                    }
+                    stored.publish(&s, tick, port, vc);
+                    let view = s.view_at(tick);
+                    for p in 0..ports {
+                        assert_eq!(
+                            view.port_congestion(p),
+                            stored.port_values[p as usize].get(tick),
+                            "{source:?}/{gran:?} port {p} at step {step}"
+                        );
+                        for v in 0..vcs {
+                            assert_eq!(
+                                view.vc_congestion(p, v),
+                                stored.vc_congestion(gran, tick, p, v),
+                                "{source:?}/{gran:?} ({p}, {v}) at step {step}"
+                            );
+                        }
+                    }
+                    if step % 40 == 0 {
+                        let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+                        s.save(&mut ours);
+                        stored.save(&s, &mut theirs);
+                        assert_eq!(ours, theirs, "{source:?}/{gran:?} bytes at step {step}");
+                        let mut back = CongestionSensor::new(ports, vcs, s.config);
+                        assert_eq!(back.load(&mut ours.as_slice()), Some(()));
+                        assert_eq!(
+                            (back.output, back.downstream),
+                            (s.output.clone(), s.downstream.clone())
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_delay_load_rejects_values_that_disagree_with_the_counts() {
+        let mut s = sensor(CongestionSource::Output, CongestionGranularity::Vc);
+        s.add(0, CongestionSource::Output, 1, 1);
+        let mut bytes = Vec::new();
+        s.save(&mut bytes);
+        let mut bad = bytes.clone();
+        // The last value written is port 1's aggregate, 1.0: make it 2.0.
+        let at = bad.len() - 8;
+        bad[at..].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
+        let mut back = sensor(CongestionSource::Output, CongestionGranularity::Vc);
+        assert_eq!(back.load(&mut bad.as_slice()), None);
+        assert_eq!(back.load(&mut bytes.as_slice()), Some(()));
     }
 
     #[test]

@@ -59,13 +59,13 @@ impl Oq {
     fn inputs_to_queues(&mut self, core: &mut RouterCore, ctx: &mut Context<'_, Ev>) -> bool {
         let tick = ctx.now().tick();
         let mut progress = false;
-        for k in 0..core.inputs.len() {
+        let mut at = 0;
+        while let Some(k) = core.inputs.next_occupied(at) {
+            at = k + 1;
             let Some(route) = core.route_table[k] else {
                 continue;
             };
-            let Some(&h) = core.inputs[k].front() else {
-                continue;
-            };
+            let h = core.inputs.front(k).expect("occupied input");
             let m = core.arena.meta(h);
             let okey = core.ports.key(route.port, route.vc);
             // Wormhole atomicity: one packet owns the output VC queue from
@@ -79,12 +79,12 @@ impl Oq {
             }
             if self.queues.space(okey) == 0 {
                 core.metrics.credit_stalls.inc();
-                if let Some(s) = core.arena.get_mut(h).span.as_deref_mut() {
+                if let Some(s) = core.arena.span_mut(h) {
                     s.stall(tick);
                 }
                 continue; // finite queue full: backpressure
             }
-            core.inputs[k].pop().expect("front existed");
+            core.inputs.pop(k).expect("front existed");
             core.leave_input(ctx, k, h, route.vc);
             self.owner[okey] = if m.is_tail() { None } else { Some(k as u32) };
             self.queues

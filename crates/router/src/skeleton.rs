@@ -25,7 +25,7 @@ use supersim_netbase::{
 use supersim_stats::ComponentSampler;
 use supersim_topology::{RouteChoice, RoutingAlgorithm, RoutingContext};
 
-use crate::buffer::VcBuffer;
+use crate::buffer::InputBuffers;
 use crate::common::{router_faults, FaultProtocolEvent, RouterError, RouterPorts, RoutingFactory};
 use crate::congestion::{CongestionSensor, CongestionSource, SensorConfig};
 use crate::metrics::{close_router_window, RouterMetrics, RouterSampleBase};
@@ -113,7 +113,7 @@ pub struct RouterCore {
     /// In-flight flits parked once on arrival; buffers and queues move
     /// handles only.
     pub(crate) arena: FlitArena,
-    pub(crate) inputs: Vec<VcBuffer<FlitHandle>>,
+    pub(crate) inputs: InputBuffers,
     pub(crate) route_table: Vec<Option<RouteChoice>>,
     pub(crate) credits: Vec<CreditCounter>,
     routing: Vec<Box<dyn RoutingAlgorithm>>,
@@ -156,7 +156,7 @@ impl RouterCore {
             link_period: config.link_period,
             input_buffer: config.input_buffer,
             arena: FlitArena::new(),
-            inputs: (0..n).map(|_| VcBuffer::new(config.input_buffer)).collect(),
+            inputs: InputBuffers::new(n, config.input_buffer),
             route_table: vec![None; n],
             credits,
             routing,
@@ -199,7 +199,7 @@ impl RouterCore {
     /// Whether any input buffer holds a flit.
     #[inline]
     pub(crate) fn inputs_pending(&self) -> bool {
-        self.inputs.iter().any(|b| !b.is_empty())
+        self.inputs.any()
     }
 
     /// Whether `out_port`'s channel is still serializing its previous
@@ -222,7 +222,9 @@ impl RouterCore {
         started: Option<&[bool]>,
     ) -> bool {
         let tick = ctx.now().tick();
-        for k in 0..self.inputs.len() {
+        let mut at = 0;
+        while let Some(k) = self.inputs.next_occupied(at) {
+            at = k + 1;
             let routed = self.route_table[k].is_some();
             if routed && started.is_none_or(|s| s[k]) {
                 continue;
@@ -231,9 +233,7 @@ impl RouterCore {
             if routed && !self.routing[in_port as usize].reroutes() {
                 continue;
             }
-            let Some(&h) = self.inputs[k].front() else {
-                continue;
-            };
+            let h = self.inputs.front(k).expect("occupied input");
             if !self.arena.meta(h).is_head() {
                 if routed {
                     continue; // body flit streaming on a frozen route
@@ -382,7 +382,7 @@ impl RouterCore {
         ctx.trace_flit(TraceKind::RouterArrive, self.id.0, &flit);
         let k = self.ports.key(port, flit.vc);
         let h = self.arena.insert(flit);
-        if let Err(h) = self.inputs[k].push(h) {
+        if let Err(h) = self.inputs.push(k, h) {
             let flit = self.arena.take(h);
             ctx.fail(format!(
                 "{}: input buffer overrun at port {port} vc {} ({})",
@@ -464,6 +464,7 @@ impl Router {
         let inputs: u64 = self
             .core
             .inputs
+            .buffers()
             .iter()
             .map(|b| u64::from(b.occupancy()))
             .sum();
@@ -541,7 +542,7 @@ impl Component<Ev> for Router {
     fn snapshot(&self, out: &mut Vec<u8>) {
         let core = &self.core;
         core.arena.save(out);
-        snap::put_buffers(out, &core.inputs);
+        snap::put_buffers(out, core.inputs.buffers());
         wire::put_slice(out, &core.route_table);
         self.pipeline.save_before_credits(out);
         wire::put_each(out, &core.credits, Overlay::save);
@@ -563,7 +564,7 @@ impl Component<Ev> for Router {
         let arena = FlitArena::load(buf)?;
         {
             let mut claims = HandleClaims::new(&arena);
-            snap::load_buffers(&mut core.inputs, &mut claims, buf)?;
+            core.inputs.load(&mut claims, buf)?;
             snap::load_routes(&mut core.route_table, core.ports.radix, core.ports.vcs, buf)?;
             self.pipeline.load_before_credits(&mut claims, buf)?;
             if !claims.complete() {

@@ -94,19 +94,19 @@ impl Crossbar {
         for bucket in &mut self.buckets {
             bucket.clear();
         }
-        for k in 0..core.inputs.len() {
+        let mut at = 0;
+        while let Some(k) = core.inputs.next_occupied(at) {
+            at = k + 1;
             let Some(route) = core.route_table[k] else {
                 continue;
             };
             if !target.port_open(core, route.port, tick) {
                 continue;
             }
-            let Some(&h) = core.inputs[k].front() else {
-                continue;
-            };
+            let h = core.inputs.front(k).expect("occupied input");
             let m = core.arena.meta(h);
             let credits = target.space(core, core.ports.key(route.port, route.vc));
-            let span = core.arena.get_mut(h).span.as_deref_mut();
+            let span = core.arena.span_mut(h);
             if credits == 0 {
                 core.metrics.credit_stalls.inc();
                 if let Some(s) = span {
@@ -139,7 +139,7 @@ impl Crossbar {
             core.metrics.grants.inc();
             let c = cands[w];
             let k = c.input_key as usize;
-            let h = core.inputs[k].pop().expect("candidate had a head flit");
+            let h = core.inputs.pop(k).expect("candidate had a head flit");
             core.leave_input(ctx, k, h, c.out_vc);
             target.accept(core, ctx, &c, out_port, h, self.latency);
             progress = true;
@@ -228,7 +228,7 @@ impl OutputQueues {
         }
         core.sensor
             .add(tick, CongestionSource::Output, out_port, vc);
-        if let Some(s) = core.arena.get_mut(h).span.as_deref_mut() {
+        if let Some(s) = core.arena.span_mut(h) {
             s.grant(tick, transit, 0);
             s.enter(tick + transit);
         }
@@ -262,7 +262,7 @@ impl OutputQueues {
                 }
                 if !core.credits[okey].has_credit() {
                     core.metrics.credit_stalls.inc();
-                    if let Some(s) = core.arena.get_mut(h).span.as_deref_mut() {
+                    if let Some(s) = core.arena.span_mut(h) {
                         s.stall(tick);
                     }
                     continue;

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use supersim_des::wire_overlay;
-use supersim_netbase::{Flit, Port, RouterId, Vc};
+use supersim_netbase::{Flit, Port, RouterId, Vc, Via};
 
 use crate::dragonfly::Dragonfly;
 use crate::routing::{RouteChoice, RoutingAlgorithm, RoutingContext};
@@ -129,7 +129,7 @@ impl RoutingAlgorithm for DragonflyRouting {
         let t = &*self.topology;
         let (dst_router, dst_port) = t.terminal_attachment(flit.pkt.dst);
 
-        if flit.inter == Some(ctx.router) {
+        if flit.inter.map(Via::router) == Some(ctx.router) {
             flit.inter = None;
         }
 
@@ -161,7 +161,7 @@ impl RoutingAlgorithm for DragonflyRouting {
                     let q_min = ctx.congestion.port_congestion(p_min);
                     let q_non = ctx.congestion.port_congestion(p_non);
                     if q_min * h_min as f64 > q_non * h_non as f64 + threshold {
-                        flit.inter = Some(inter);
+                        flit.inter = Some(Via::new(inter).expect("a router id below u32::MAX"));
                         return RouteChoice {
                             port: p_non,
                             vc: self.ladder_vc(flit),
@@ -171,7 +171,7 @@ impl RoutingAlgorithm for DragonflyRouting {
             }
         }
 
-        let target = flit.inter.unwrap_or(dst_router);
+        let target = flit.inter.map_or(dst_router, Via::router);
         let port = self.min_port(ctx.router, target).expect("target differs");
         RouteChoice {
             port,

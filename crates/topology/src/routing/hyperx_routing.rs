@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use supersim_des::wire_overlay;
-use supersim_netbase::{Flit, Port, RouterId, Vc};
+use supersim_netbase::{Flit, Port, RouterId, Vc, Via};
 
 use crate::hyperx::HyperX;
 use crate::routing::{least_congested_vc, RouteChoice, RoutingAlgorithm, RoutingContext};
@@ -125,7 +125,7 @@ impl RoutingAlgorithm for HyperXRouting {
         let (dst_router, dst_port) = t.terminal_attachment(flit.pkt.dst);
 
         // Phase bookkeeping: reaching the intermediate clears it.
-        if flit.inter == Some(ctx.router) {
+        if flit.inter.map(Via::router) == Some(ctx.router) {
             flit.inter = None;
         }
 
@@ -157,7 +157,7 @@ impl RoutingAlgorithm for HyperXRouting {
                 HyperXMode::Minimal => unreachable!("filtered above"),
             };
             if go_nonminimal {
-                flit.inter = Some(inter);
+                flit.inter = Some(Via::new(inter).expect("a router id below u32::MAX"));
                 let p_non = self.min_port(ctx.router, inter).expect("inter differs");
                 let vc = least_congested_vc(ctx.congestion, p_non, self.class_vcs(VC_NONMIN));
                 return RouteChoice { port: p_non, vc };
@@ -166,7 +166,7 @@ impl RoutingAlgorithm for HyperXRouting {
 
         // Minimal (or post-decision) phase: head toward the current target.
         let (target, class) = match flit.inter {
-            Some(inter) => (inter, VC_NONMIN),
+            Some(inter) => (inter.router(), VC_NONMIN),
             None => (dst_router, VC_MIN),
         };
         let port = self
