@@ -413,7 +413,7 @@ pub(crate) fn build_with(
     // --- network -------------------------------------------------------
     let net = cfg.req_obj("network")?;
     let topo_name = net.req_str("topology.name")?;
-    let plan = factories.networks.build(topo_name, net)?;
+    let plan = factories.networks.build(topo_name, net, ())?;
     let topology = Arc::clone(&plan.topology);
     let terminals = topology.num_terminals();
     let routers = topology.num_routers();
@@ -450,17 +450,24 @@ pub(crate) fn build_with(
         ));
     }
     let mut apps = Vec::new();
+    let no_pattern = Value::object();
     for (i, block) in app_blocks.iter().enumerate() {
         let name = block
             .req_str("name")
             .map_err(|_| BuildError::invalid(format!("application {i} is missing a name")))?;
+        let build_app = factories.apps.constructor(name)?;
+        let pattern = factories.patterns.build(
+            block.opt_str("pattern.name", "uniform_random")?,
+            block.path("pattern").unwrap_or(&no_pattern),
+            terminals,
+        )?;
         let ctx = AppCtx {
             terminals,
             link_period,
             seed,
-            patterns: &factories.patterns,
+            pattern,
         };
-        apps.push(factories.apps.build(name, block, ctx)?);
+        apps.push(build_app(block, ctx)?);
     }
 
     // --- engine + observability ----------------------------------------
@@ -586,13 +593,12 @@ pub(crate) fn build_with(
         let ctx = RouterCtx {
             id: router,
             ports,
-            routing: plan.routing_factory(),
-            config: router_cfg,
+            routing: Arc::clone(&plan.routing),
             link_period,
             fault: fault.clone(),
             sampler: (sample_interval > 0).then_some(sample_capacity),
         };
-        let id = sim.add_component(factories.routers.build(arch, ctx)?);
+        let id = sim.add_component(factories.routers.build(arch, router_cfg, ctx)?);
         debug_assert_eq!(id, router_cid(r)?);
         router_ids.push(id);
     }

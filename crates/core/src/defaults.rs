@@ -6,14 +6,13 @@ use supersim_config::Value;
 use supersim_des::{Component, Tick};
 use supersim_netbase::Ev;
 use supersim_router::{
-    CongestionGranularity, CongestionSource, FlowControl, Router, RouterConfig, SensorConfig,
-    XbarConfig,
+    CongestionGranularity, CongestionSource, FlowControl, Router, RouterConfig, RoutingFactory,
+    SensorConfig, XbarConfig,
 };
 use supersim_stats::ComponentSampler;
 use supersim_topology::{
     AdaptiveTorusRouting, DimOrderRouting, Dragonfly, DragonflyMode, DragonflyRouting, FoldedClos,
-    HyperX, HyperXMode, HyperXRouting, RoutingAlgorithm, Topology, Torus, UpDownMode,
-    UpDownRouting,
+    HyperX, HyperXMode, HyperXRouting, Topology, Torus, UpDownMode, UpDownRouting,
 };
 use supersim_workload::{
     Application, BitComplement, BlastApp, BlastConfig, CrossSubtree, Hotspot, Incast, Neighbor,
@@ -22,7 +21,7 @@ use supersim_workload::{
 };
 
 use crate::error::BuildError;
-use crate::factory::{Factories, NetworkPlan, RouterCtx};
+use crate::factory::{Factories, NetworkPlan};
 
 /// Registers every built-in model.
 pub(crate) fn register_builtin(f: &mut Factories) {
@@ -54,7 +53,7 @@ fn vcs_of(net: &Value) -> Result<u32, BuildError> {
 }
 
 fn register_networks(f: &mut Factories) {
-    f.networks.register_raw("torus", |net| {
+    f.networks.register("torus", |net, ()| {
         let widths = u32s(net, "topology.widths")?;
         let conc = net.req_u32("topology.concentration")?;
         let vcs = vcs_of(net)?;
@@ -62,37 +61,36 @@ fn register_networks(f: &mut Factories) {
             .opt_str("routing.algorithm", "dimension_order")?
             .to_string();
         let topology = Arc::new(Torus::new(widths, conc)?);
-        let routing: Arc<dyn Fn(_, _) -> Box<dyn RoutingAlgorithm> + Send + Sync> =
-            match algo.as_str() {
-                "dimension_order" => {
-                    if vcs < 2 || vcs % 2 != 0 {
-                        return Err(BuildError::invalid(
-                            "dimension order routing on a torus needs an even number of VCs",
-                        ));
-                    }
-                    let t = Arc::clone(&topology);
-                    Arc::new(move |_, _| Box::new(DimOrderRouting::new(Arc::clone(&t), vcs)))
+        let routing: RoutingFactory = match algo.as_str() {
+            "dimension_order" => {
+                if vcs < 2 || vcs % 2 != 0 {
+                    return Err(BuildError::invalid(
+                        "dimension order routing on a torus needs an even number of VCs",
+                    ));
                 }
-                "adaptive" => {
-                    if vcs < 3 {
-                        return Err(BuildError::invalid(
-                            "adaptive torus routing needs at least 3 VCs (2 escape + adaptive)",
-                        ));
-                    }
-                    let t = Arc::clone(&topology);
-                    Arc::new(move |_, _| Box::new(AdaptiveTorusRouting::new(Arc::clone(&t), vcs)))
+                let t = Arc::clone(&topology);
+                Arc::new(move |_, _| Box::new(DimOrderRouting::new(Arc::clone(&t), vcs)))
+            }
+            "adaptive" => {
+                if vcs < 3 {
+                    return Err(BuildError::invalid(
+                        "adaptive torus routing needs at least 3 VCs (2 escape + adaptive)",
+                    ));
                 }
-                other => {
-                    return Err(BuildError::UnknownModel {
-                        registry: "torus routing algorithm",
-                        name: other.to_string(),
-                    })
-                }
-            };
+                let t = Arc::clone(&topology);
+                Arc::new(move |_, _| Box::new(AdaptiveTorusRouting::new(Arc::clone(&t), vcs)))
+            }
+            other => {
+                return Err(BuildError::UnknownModel {
+                    registry: "torus routing algorithm",
+                    name: other.to_string(),
+                })
+            }
+        };
         Ok(NetworkPlan { topology, routing })
     });
 
-    f.networks.register_raw("folded_clos", |net| {
+    f.networks.register("folded_clos", |net, ()| {
         let levels = net.req_u32("topology.levels")?;
         let k = net.req_u32("topology.k")?;
         let vcs = vcs_of(net)?;
@@ -111,12 +109,12 @@ fn register_networks(f: &mut Factories) {
             }
         };
         let t = Arc::clone(&topology);
-        let routing: Arc<dyn Fn(_, _) -> Box<dyn RoutingAlgorithm> + Send + Sync> =
+        let routing: RoutingFactory =
             Arc::new(move |_, _| Box::new(UpDownRouting::new(Arc::clone(&t), mode, vcs)));
         Ok(NetworkPlan { topology, routing })
     });
 
-    f.networks.register_raw("hyperx", |net| {
+    f.networks.register("hyperx", |net, ()| {
         let widths = u32s(net, "topology.widths")?;
         let conc = net.req_u32("topology.concentration")?;
         let vcs = vcs_of(net)?;
@@ -155,12 +153,12 @@ fn register_networks(f: &mut Factories) {
             )));
         }
         let t = Arc::clone(&topology);
-        let routing: Arc<dyn Fn(_, _) -> Box<dyn RoutingAlgorithm> + Send + Sync> =
+        let routing: RoutingFactory =
             Arc::new(move |_, _| Box::new(HyperXRouting::new(Arc::clone(&t), mode, vcs)));
         Ok(NetworkPlan { topology, routing })
     });
 
-    f.networks.register_raw("dragonfly", |net| {
+    f.networks.register("dragonfly", |net, ()| {
         let a = net.req_u32("topology.group_size")?;
         let h = net.req_u32("topology.global_ports")?;
         let p = net.req_u32("topology.concentration")?;
@@ -197,7 +195,7 @@ fn register_networks(f: &mut Factories) {
             )));
         }
         let t = Arc::clone(&topology);
-        let routing: Arc<dyn Fn(_, _) -> Box<dyn RoutingAlgorithm> + Send + Sync> =
+        let routing: RoutingFactory =
             Arc::new(move |_, _| Box::new(DragonflyRouting::new(Arc::clone(&t), mode, vcs)));
         Ok(NetworkPlan { topology, routing })
     });
@@ -259,8 +257,7 @@ fn register_router(
     name: &str,
     build: fn(&Value, RouterConfig) -> Result<Router, BuildError>,
 ) {
-    f.routers.register(name, move |ctx: RouterCtx<'_>| {
-        let cfg = ctx.config;
+    f.routers.register(name, move |cfg, ctx| {
         let shared = RouterConfig {
             id: ctx.id,
             ports: ctx.ports,
@@ -269,7 +266,7 @@ fn register_router(
             link_period: ctx.link_period,
             sensor: sensor_config(cfg)?,
             routing: ctx.routing,
-            fault: ctx.fault.clone(),
+            fault: ctx.fault,
         };
         let mut router = build(cfg, shared)?;
         router.core.sampler = ctx.sampler.map(ComponentSampler::new);
@@ -381,11 +378,6 @@ fn hot_set(cfg: &Value, key: &str, terminals: u32) -> Result<Vec<u32>, BuildErro
 
 fn register_apps(f: &mut Factories) {
     f.apps.register("blast", |cfg, ctx| {
-        let pattern_name = cfg.opt_str("pattern.name", "uniform_random")?.to_string();
-        let pattern_cfg = cfg.path("pattern").cloned().unwrap_or_default();
-        let pattern = ctx
-            .patterns
-            .build(&pattern_name, &pattern_cfg, ctx.terminals)?;
         let load = cfg.req_f64("load")?;
         if !(0.0..=1.0).contains(&load) {
             return Err(BuildError::invalid(
@@ -402,7 +394,7 @@ fn register_apps(f: &mut Factories) {
             Some(_) => Some(cfg.req_u64("sample_ticks")?),
         };
         Ok(Box::new(BlastApp::new(BlastConfig {
-            pattern,
+            pattern: ctx.pattern,
             load,
             sizes: size_distribution(cfg)?,
             warmup_ticks: cfg.opt_u64("warmup_ticks", 0)?,
@@ -413,11 +405,6 @@ fn register_apps(f: &mut Factories) {
     });
 
     f.apps.register("pulse", |cfg, ctx| {
-        let pattern_name = cfg.opt_str("pattern.name", "uniform_random")?.to_string();
-        let pattern_cfg = cfg.path("pattern").cloned().unwrap_or_default();
-        let pattern = ctx
-            .patterns
-            .build(&pattern_name, &pattern_cfg, ctx.terminals)?;
         let load = cfg.req_f64("load")?;
         if !(0.0 < load && load <= 1.0) {
             return Err(BuildError::invalid(
@@ -426,7 +413,7 @@ fn register_apps(f: &mut Factories) {
         }
         let load = load / ctx.link_period as f64;
         Ok(Box::new(PulseApp::new(PulseConfig {
-            pattern,
+            pattern: ctx.pattern,
             load,
             sizes: size_distribution(cfg)?,
             delay: cfg.opt_u64("delay", 0)?,
@@ -436,11 +423,6 @@ fn register_apps(f: &mut Factories) {
     });
 
     f.apps.register("pingpong", |cfg, ctx| {
-        let pattern_name = cfg.opt_str("pattern.name", "uniform_random")?.to_string();
-        let pattern_cfg = cfg.path("pattern").cloned().unwrap_or_default();
-        let pattern = ctx
-            .patterns
-            .build(&pattern_name, &pattern_cfg, ctx.terminals)?;
         let request_size = cfg.opt_u32("request_size", 1)?;
         let reply_size = cfg.opt_u32("reply_size", 2)?;
         if request_size == reply_size || request_size == 0 || reply_size == 0 {
@@ -449,7 +431,7 @@ fn register_apps(f: &mut Factories) {
             ));
         }
         Ok(Box::new(PingPongApp::new(PingPongConfig {
-            pattern,
+            pattern: ctx.pattern,
             request_size,
             reply_size,
             transactions: cfg.req_u64("transactions")?,

@@ -2,48 +2,107 @@
 //!
 //! The C++ SuperSim registers component constructors with a preprocessor
 //! macro so that new models drop in "requiring zero changes to the existing
-//! code base". The idiomatic Rust equivalent is an explicit [`Registry`]
-//! per abstract component type, pre-populated with the built-in models and
-//! open for user registration at startup:
+//! code base". The idiomatic Rust equivalent is one [`Registry`] per
+//! abstract component type, pre-populated with the built-in models and
+//! open for user registration at startup. Every kind registers the same
+//! way: a constructor gets the model's configuration block and the
+//! context of its kind. One model of each kind, then a run that uses all
+//! four by name:
 //!
 //! ```
-//! use supersim_core::factory::Factories;
-//! use supersim_workload::{Neighbor, TrafficPattern};
 //! use std::sync::Arc;
+//! use supersim_config::parse;
+//! use supersim_core::factory::{Factories, NetworkPlan};
+//! use supersim_core::SuperSim;
+//! use supersim_des::Component;
+//! use supersim_netbase::Ev;
+//! use supersim_router::{
+//!     CongestionGranularity, CongestionSource, Router, RouterConfig, SensorConfig,
+//! };
+//! use supersim_topology::{DimOrderRouting, Torus};
+//! use supersim_workload::{
+//!     Application, Neighbor, PulseApp, PulseConfig, SizeDistribution, TrafficPattern,
+//! };
 //!
-//! let mut factories = Factories::with_defaults();
-//! factories.patterns.register("my_neighbor", |cfg, terminals| {
-//!     let offset = cfg.opt_u32("offset", 1).map_err(supersim_core::BuildError::from)?;
+//! let mut f = Factories::with_defaults();
+//! // A network: the topology and its routing engines; no context.
+//! f.networks.register("my_ring", |net, ()| {
+//!     let routers = net.req_u32("topology.routers")?;
+//!     let topology = Arc::new(Torus::new(vec![routers], 1)?);
+//!     let t = Arc::clone(&topology);
+//!     let routing = Arc::new(move |_, _| Box::new(DimOrderRouting::new(Arc::clone(&t), 2)) as _);
+//!     Ok(NetworkPlan { topology, routing })
+//! });
+//! // A traffic pattern, given the terminal count.
+//! f.patterns.register("my_neighbor", |cfg, terminals| {
+//!     let offset = cfg.opt_u32("offset", 1)?;
 //!     Ok(Arc::new(Neighbor::new(terminals, offset)) as Arc<dyn TrafficPattern>)
 //! });
-//! assert!(factories.patterns.contains("my_neighbor"));
-//! ```
+//! // A router architecture, given its id, wiring and routing engines.
+//! f.routers.register("my_oq", |cfg, ctx| {
+//!     let config = RouterConfig {
+//!         id: ctx.id,
+//!         ports: ctx.ports,
+//!         input_buffer: cfg.req_u32("input_buffer")?,
+//!         core_period: ctx.link_period,
+//!         link_period: ctx.link_period,
+//!         sensor: SensorConfig {
+//!             source: CongestionSource::Downstream,
+//!             granularity: CongestionGranularity::Vc,
+//!             delay: 0,
+//!         },
+//!         routing: ctx.routing,
+//!         fault: ctx.fault,
+//!     };
+//!     Ok(Box::new(Router::output_queued(config, None, 1)?) as Box<dyn Component<Ev>>)
+//! });
+//! // An application, given the pattern its `pattern` block names.
+//! f.apps.register("my_burst", |cfg, ctx| {
+//!     Ok(Box::new(PulseApp::new(PulseConfig {
+//!         pattern: ctx.pattern,
+//!         load: 0.5 / ctx.link_period as f64,
+//!         sizes: SizeDistribution::Fixed(1),
+//!         delay: 0,
+//!         count: cfg.req_u64("count")?,
+//!         sources: None,
+//!     })) as Box<dyn Application>)
+//! });
 //!
-//! Building a simulation then resolves every model by the name given in
-//! the JSON settings, exactly as the paper describes.
+//! let config = parse(
+//!     r#"{"network": {"topology": {"name": "my_ring", "routers": 4}, "vcs": 2,
+//!                     "router": {"architecture": "my_oq", "input_buffer": 4}},
+//!         "workload": {"applications": [{"name": "my_burst", "count": 3,
+//!                                        "pattern": {"name": "my_neighbor"}}]}}"#,
+//! )?;
+//! let output = SuperSim::with_factories(&config, &f)?.run()?;
+//! assert_eq!(output.counters.messages_received, 4 * 3);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use supersim_config::Value;
 use supersim_des::{Component, Tick};
-use supersim_netbase::{Ev, FaultPlane, Port, RouterId};
+use supersim_netbase::{Ev, FaultPlane, RouterId};
 use supersim_router::{RouterPorts, RoutingFactory};
-use supersim_topology::{RoutingAlgorithm, Topology};
+use supersim_topology::Topology;
 use supersim_workload::{Application, TrafficPattern};
 
 use crate::error::BuildError;
 
 /// A boxed constructor stored by a [`Registry`].
-type Constructor<T> = Box<dyn Fn(&Value) -> Result<T, BuildError> + Send + Sync>;
+type Constructor<A, T> = Box<dyn Fn(&Value, A) -> Result<T, BuildError> + Send + Sync>;
 
-/// A name → constructor map for one abstract component type.
-pub struct Registry<T> {
+/// A name → constructor map for one abstract component type: each
+/// constructor gets the model's configuration block and the context `A`
+/// of its kind, and returns the model `T`.
+pub struct Registry<A, T> {
     kind: &'static str,
-    entries: BTreeMap<String, Constructor<T>>,
+    entries: BTreeMap<String, Constructor<A, T>>,
 }
 
-impl<T> Registry<T> {
+impl<A, T> Registry<A, T> {
     fn new(kind: &'static str) -> Self {
         Registry {
             kind,
@@ -52,10 +111,10 @@ impl<T> Registry<T> {
     }
 
     /// Registers (or replaces) a constructor under `name`.
-    pub fn register_raw(
+    pub fn register(
         &mut self,
         name: impl Into<String>,
-        ctor: impl Fn(&Value) -> Result<T, BuildError> + Send + Sync + 'static,
+        ctor: impl Fn(&Value, A) -> Result<T, BuildError> + Send + Sync + 'static,
     ) {
         self.entries.insert(name.into(), Box::new(ctor));
     }
@@ -65,30 +124,30 @@ impl<T> Registry<T> {
         self.entries.contains_key(name)
     }
 
-    /// Registered model names.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
+    /// The constructor registered under `name`, or
+    /// [`BuildError::UnknownModel`].
+    pub(crate) fn constructor(&self, name: &str) -> Result<&Constructor<A, T>, BuildError> {
+        self.entries
+            .get(name)
+            .ok_or_else(|| BuildError::UnknownModel {
+                registry: self.kind,
+                name: name.to_string(),
+            })
     }
 
-    /// Builds the model named `name` from its configuration block.
+    /// Builds the model named `name` from its configuration block and
+    /// the context of its kind.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::UnknownModel`] for unregistered names, or the
     /// constructor's error.
-    pub fn build(&self, name: &str, config: &Value) -> Result<T, BuildError> {
-        let ctor = self
-            .entries
-            .get(name)
-            .ok_or_else(|| BuildError::UnknownModel {
-                registry: self.kind,
-                name: name.to_string(),
-            })?;
-        ctor(config)
+    pub fn build(&self, name: &str, config: &Value, ctx: A) -> Result<T, BuildError> {
+        self.constructor(name)?(config, ctx)
     }
 }
 
-impl<T> std::fmt::Debug for Registry<T> {
+impl<A, T> std::fmt::Debug for Registry<A, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
             .field("kind", &self.kind)
@@ -104,7 +163,7 @@ pub struct NetworkPlan {
     /// The network shape.
     pub topology: Arc<dyn Topology>,
     /// Builds the routing engine for (router, input port).
-    pub routing: Arc<dyn Fn(RouterId, Port) -> Box<dyn RoutingAlgorithm> + Send + Sync>,
+    pub routing: RoutingFactory,
 }
 
 impl std::fmt::Debug for NetworkPlan {
@@ -115,25 +174,15 @@ impl std::fmt::Debug for NetworkPlan {
     }
 }
 
-impl NetworkPlan {
-    /// Adapts the plan's routing constructor into the router crate's
-    /// [`RoutingFactory`] form.
-    pub fn routing_factory(&self) -> RoutingFactory {
-        let routing = Arc::clone(&self.routing);
-        Box::new(move |router, port| routing(router, port))
-    }
-}
-
-/// Everything a router-architecture constructor receives.
-pub struct RouterCtx<'a> {
+/// What a router-architecture constructor gets besides its
+/// `network.router` block.
+pub struct RouterCtx {
     /// The router's id in the topology.
     pub id: RouterId,
     /// Wired ports (links, credit returns, downstream capacities).
     pub ports: RouterPorts,
     /// Routing engine factory from the network plan.
     pub routing: RoutingFactory,
-    /// The `network.router` configuration block.
-    pub config: &'a Value,
     /// Channel cycle time in ticks.
     pub link_period: Tick,
     /// Shared fault plane; `None` disables fault injection entirely.
@@ -143,8 +192,8 @@ pub struct RouterCtx<'a> {
     pub sampler: Option<usize>,
 }
 
-/// Everything an application constructor receives besides its own block.
-pub struct AppCtx<'a> {
+/// What an application constructor gets besides its own block.
+pub struct AppCtx {
     /// Number of terminals in the network.
     pub terminals: u32,
     /// Channel cycle time in ticks: loads are expressed as fractions of
@@ -154,165 +203,23 @@ pub struct AppCtx<'a> {
     /// Seed for structures that need construction-time randomness (e.g.
     /// random permutations).
     pub seed: u64,
-    /// The traffic-pattern registry, so applications can build their
-    /// configured pattern by name.
-    pub patterns: &'a PatternRegistry,
-}
-
-type RouterCtor =
-    Box<dyn Fn(RouterCtx<'_>) -> Result<Box<dyn Component<Ev>>, BuildError> + Send + Sync>;
-type AppCtor = Box<
-    dyn for<'a> Fn(&Value, AppCtx<'a>) -> Result<Box<dyn Application>, BuildError> + Send + Sync,
->;
-type PatternCtor =
-    Box<dyn Fn(&Value, u32) -> Result<Arc<dyn TrafficPattern>, BuildError> + Send + Sync>;
-
-/// The registry of traffic-pattern models (custom signature: patterns also
-/// receive the terminal count).
-pub struct PatternRegistry {
-    entries: BTreeMap<String, PatternCtor>,
-}
-
-impl PatternRegistry {
-    /// Registers (or replaces) a pattern constructor.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        ctor: impl Fn(&Value, u32) -> Result<Arc<dyn TrafficPattern>, BuildError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        self.entries.insert(name.into(), Box::new(ctor));
-    }
-
-    /// Whether a pattern named `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
-    }
-
-    /// Builds the pattern named `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::UnknownModel`] for unregistered names.
-    pub fn build(
-        &self,
-        name: &str,
-        config: &Value,
-        terminals: u32,
-    ) -> Result<Arc<dyn TrafficPattern>, BuildError> {
-        let ctor = self
-            .entries
-            .get(name)
-            .ok_or_else(|| BuildError::UnknownModel {
-                registry: "traffic pattern",
-                name: name.to_string(),
-            })?;
-        ctor(config, terminals)
-    }
-}
-
-/// The registry of router-architecture models.
-pub struct RouterRegistry {
-    entries: BTreeMap<String, RouterCtor>,
-}
-
-impl RouterRegistry {
-    /// Registers (or replaces) a router-architecture constructor.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        ctor: impl Fn(RouterCtx<'_>) -> Result<Box<dyn Component<Ev>>, BuildError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        self.entries.insert(name.into(), Box::new(ctor));
-    }
-
-    /// Whether an architecture named `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
-    }
-
-    /// Builds the architecture named `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::UnknownModel`] for unregistered names.
-    pub fn build(
-        &self,
-        name: &str,
-        ctx: RouterCtx<'_>,
-    ) -> Result<Box<dyn Component<Ev>>, BuildError> {
-        let ctor = self
-            .entries
-            .get(name)
-            .ok_or_else(|| BuildError::UnknownModel {
-                registry: "router architecture",
-                name: name.to_string(),
-            })?;
-        ctor(ctx)
-    }
-}
-
-/// The registry of application models.
-pub struct AppRegistry {
-    entries: BTreeMap<String, AppCtor>,
-}
-
-impl AppRegistry {
-    /// Registers (or replaces) an application constructor.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        ctor: impl for<'a> Fn(&Value, AppCtx<'a>) -> Result<Box<dyn Application>, BuildError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        self.entries.insert(name.into(), Box::new(ctor));
-    }
-
-    /// Whether an application named `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
-    }
-
-    /// Builds the application named `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::UnknownModel`] for unregistered names.
-    pub fn build(
-        &self,
-        name: &str,
-        config: &Value,
-        ctx: AppCtx<'_>,
-    ) -> Result<Box<dyn Application>, BuildError> {
-        let ctor = self
-            .entries
-            .get(name)
-            .ok_or_else(|| BuildError::UnknownModel {
-                registry: "application",
-                name: name.to_string(),
-            })?;
-        ctor(config, ctx)
-    }
+    /// The traffic pattern the block's `pattern` names (`uniform_random`
+    /// when it names none), built for this network's terminals.
+    pub pattern: Arc<dyn TrafficPattern>,
 }
 
 /// All model registries of a simulation, pre-populated with the built-in
 /// models by [`Factories::with_defaults`].
+#[derive(Debug)]
 pub struct Factories {
     /// Network models (topology + routing), keyed by topology name.
-    pub networks: Registry<NetworkPlan>,
+    pub networks: Registry<(), NetworkPlan>,
     /// Router microarchitectures.
-    pub routers: RouterRegistry,
+    pub routers: Registry<RouterCtx, Box<dyn Component<Ev>>>,
     /// Applications.
-    pub apps: AppRegistry,
-    /// Traffic patterns.
-    pub patterns: PatternRegistry,
+    pub apps: Registry<AppCtx, Box<dyn Application>>,
+    /// Traffic patterns, given the terminal count.
+    pub patterns: Registry<u32, Arc<dyn TrafficPattern>>,
 }
 
 impl Factories {
@@ -320,15 +227,9 @@ impl Factories {
     pub fn empty() -> Self {
         Factories {
             networks: Registry::new("network"),
-            routers: RouterRegistry {
-                entries: BTreeMap::new(),
-            },
-            apps: AppRegistry {
-                entries: BTreeMap::new(),
-            },
-            patterns: PatternRegistry {
-                entries: BTreeMap::new(),
-            },
+            routers: Registry::new("router architecture"),
+            apps: Registry::new("application"),
+            patterns: Registry::new("traffic pattern"),
         }
     }
 
@@ -346,26 +247,10 @@ impl Default for Factories {
     }
 }
 
-impl std::fmt::Debug for Factories {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Factories")
-            .field(
-                "networks",
-                &self.networks.entries.keys().collect::<Vec<_>>(),
-            )
-            .field("routers", &self.routers.entries.keys().collect::<Vec<_>>())
-            .field("apps", &self.apps.entries.keys().collect::<Vec<_>>())
-            .field(
-                "patterns",
-                &self.patterns.entries.keys().collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use supersim_workload::Neighbor;
 
     #[test]
     fn defaults_contain_paper_models() {
@@ -394,21 +279,89 @@ mod tests {
         }
     }
 
+    /// The shipped quickstart configuration with `edits` applied.
+    fn quickstart(edits: &[(&str, Value)]) -> Value {
+        let mut cfg =
+            supersim_config::parse(include_str!("../../../configs/quickstart.json")).unwrap();
+        for (path, value) in edits {
+            cfg.set_path(path, value.clone()).unwrap();
+        }
+        cfg
+    }
+
+    fn build_error(cfg: &Value, f: &Factories) -> String {
+        match crate::builder::build(cfg, f) {
+            Ok(_) => panic!("the configuration built"),
+            Err(e) => e.to_string(),
+        }
+    }
+
     #[test]
     fn unknown_lookup_is_a_clean_error() {
         let f = Factories::with_defaults();
-        let err = f.networks.build("moebius", &Value::object()).unwrap_err();
-        assert!(err.to_string().contains("moebius"));
+        let name = |n: &str| Value::Str(n.into());
+        // One row per kind, plus an application block whose name and
+        // pattern are both wrong: the application is looked up first.
+        for (edits, want) in [
+            (
+                vec![("network.topology.name", name("moebius"))],
+                "no network model named \"moebius\" is registered",
+            ),
+            (
+                vec![("network.router.architecture", name("moebius"))],
+                "no router architecture model named \"moebius\" is registered",
+            ),
+            (
+                vec![("workload.applications.0.name", name("moebius"))],
+                "no application model named \"moebius\" is registered",
+            ),
+            (
+                vec![("workload.applications.0.pattern.name", name("moebius"))],
+                "no traffic pattern model named \"moebius\" is registered",
+            ),
+            (
+                vec![
+                    ("workload.applications.0.name", name("moebius")),
+                    ("workload.applications.0.pattern.name", name("escher")),
+                ],
+                "no application model named \"moebius\" is registered",
+            ),
+        ] {
+            assert_eq!(build_error(&quickstart(&edits), &f), want, "{edits:?}");
+        }
     }
 
     #[test]
     fn user_registration_extends_without_modifying() {
         let mut f = Factories::with_defaults();
-        f.patterns.register("everyone_to_zero", |_cfg, _terminals| {
-            Ok(Arc::new(supersim_workload::Neighbor::new(2, 0)) as Arc<dyn TrafficPattern>)
+        // Each user model delegates to a built-in under a new name.
+        let builtins = Factories::with_defaults();
+        f.networks.register("my_network", move |net, ()| {
+            builtins.networks.build("hyperx", net, ())
         });
-        assert!(f.patterns.contains("everyone_to_zero"));
+        let builtins = Factories::with_defaults();
+        f.routers.register("my_router", move |cfg, ctx| {
+            builtins.routers.build("input_queued", cfg, ctx)
+        });
+        let builtins = Factories::with_defaults();
+        f.apps.register("my_app", move |cfg, ctx| {
+            builtins.apps.build("blast", cfg, ctx)
+        });
+        f.patterns.register("everyone_to_next", |_cfg, terminals| {
+            Ok(Arc::new(Neighbor::new(terminals, 1)) as Arc<dyn TrafficPattern>)
+        });
+        let name = |n: &str| Value::Str(n.into());
+        for (path, model) in [
+            ("network.topology.name", "my_network"),
+            ("network.router.architecture", "my_router"),
+            ("workload.applications.0.name", "my_app"),
+            ("workload.applications.0.pattern.name", "everyone_to_next"),
+        ] {
+            let cfg = quickstart(&[(path, name(model))]);
+            let built = crate::builder::build(&cfg, &f).unwrap_or_else(|e| panic!("{model}: {e}"));
+            assert_eq!(built.engine.num_components(), 16 + 4 + 1, "{model}");
+        }
         // Built-ins are untouched.
-        assert!(f.patterns.contains("uniform_random"));
+        assert!(crate::builder::build(&quickstart(&[]), &f).is_ok());
     }
 }

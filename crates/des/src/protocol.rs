@@ -46,17 +46,23 @@ use crate::rng::Rng;
 use crate::time::{Tick, Time};
 use crate::transport::{earliest, RoundOut, ShardTransport, TransportError};
 
+/// One component's record: the component, beside the random stream and
+/// send counter its events use, so dispatch touches one record.
+pub(crate) struct Slot<E> {
+    /// `None` in a slot another shard owns.
+    pub(crate) component: Option<Box<dyn Component<E>>>,
+    /// Random stream, derived from `(seed, index)`.
+    pub(crate) rng: Rng,
+    /// Send counter (the event stamp source).
+    pub(crate) seq: u64,
+}
+
 /// One shard: a slice of the component space plus its own event queue and
-/// executor counters. `components` is full-length (indexed by component
-/// id) with `None` in the slots other shards own, so dispatch needs no id
-/// translation; `rngs` and `seqs` are full-length too, and only the
-/// owner's entries ever advance.
+/// executor counters. `slots` is full-length (indexed by component id),
+/// so dispatch needs no id translation; only the owner's slots hold a
+/// component, and only their streams and counters ever advance.
 pub(crate) struct Shard<E> {
-    pub(crate) components: Vec<Option<Box<dyn Component<E>>>>,
-    /// Per-component random streams, derived from `(seed, index)`.
-    pub(crate) rngs: Vec<Rng>,
-    /// Per-component send counters (event stamp sources).
-    pub(crate) seqs: Vec<u64>,
+    pub(crate) slots: Vec<Slot<E>>,
     pub(crate) queue: EventQueue<Stamped<E>>,
     /// Scratch buffer for generation draining, reused across runs.
     batch: Generation<Stamped<E>>,
@@ -66,13 +72,10 @@ pub(crate) struct Shard<E> {
 }
 
 impl<E> Shard<E> {
-    /// A shard owning nothing yet, over the given stream and counter
-    /// tables.
-    pub(crate) fn new(rngs: Vec<Rng>, seqs: Vec<u64>) -> Self {
+    /// A shard owning nothing yet.
+    pub(crate) fn new() -> Self {
         Shard {
-            components: Vec::new(),
-            rngs,
-            seqs,
+            slots: Vec::new(),
             queue: EventQueue::new(),
             batch: Generation::new(),
             events_executed: 0,
@@ -96,24 +99,26 @@ impl<E> Shard<E> {
         assert!(num_shards > 0, "need at least one shard");
         assert_eq!(
             shard_of.len(),
-            self.components.len(),
+            self.slots.len(),
             "shard map must cover every component"
         );
         assert!(
             shard_of.iter().all(|&s| (s as usize) < num_shards),
             "shard map entry out of range"
         );
-        let n = self.components.len();
-        let mut parts: Vec<Shard<E>> = (0..num_shards)
-            .map(|_| {
-                let mut part = Shard::new(self.rngs.clone(), self.seqs.clone());
-                part.components.resize_with(n, || None);
-                part
-            })
-            .collect();
+        let mut parts: Vec<Shard<E>> = (0..num_shards).map(|_| Shard::new()).collect();
         parts[0].events_executed = self.events_executed;
-        for (idx, slot) in self.components.drain(..).enumerate() {
-            parts[shard_of[idx] as usize].components[idx] = slot;
+        for (slot, &owner) in self.slots.drain(..).zip(shard_of) {
+            for (s, part) in parts.iter_mut().enumerate() {
+                if s != owner as usize {
+                    part.slots.push(Slot {
+                        component: None,
+                        rng: slot.rng.clone(),
+                        seq: slot.seq,
+                    });
+                }
+            }
+            parts[owner as usize].slots.push(slot);
         }
         let mut pending = Vec::new();
         while self.queue.take_batch(&mut pending) > 0 {
@@ -127,14 +132,16 @@ impl<E> Shard<E> {
 
     /// Borrows a component this shard owns.
     pub(crate) fn component(&self, id: ComponentId) -> Option<&dyn Component<E>> {
-        self.components.get(id.index()).and_then(|c| c.as_deref())
+        self.slots
+            .get(id.index())
+            .and_then(|s| s.component.as_deref())
     }
 
     /// Mutably borrows a component this shard owns.
     pub(crate) fn component_mut(&mut self, id: ComponentId) -> Option<&mut dyn Component<E>> {
-        self.components
+        self.slots
             .get_mut(id.index())
-            .and_then(|c| c.as_deref_mut())
+            .and_then(|s| s.component.as_deref_mut())
     }
 
     /// Folds one executed batch into the shard counters.
@@ -303,8 +310,8 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
         // its own components.
         if next_edge.is_some_and(|e| e <= m.tick()) {
             while let Some(edge) = next_edge.filter(|&e| e <= m.tick()) {
-                for slot in shard.components.iter_mut() {
-                    if let Some(c) = slot.as_deref_mut() {
+                for slot in shard.slots.iter_mut() {
+                    if let Some(c) = slot.component.as_deref_mut() {
                         c.sample(edge);
                     }
                 }
@@ -343,9 +350,12 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
             for entry in batch.by_ref() {
                 let idx = entry.target.index();
                 let mut fail_local: Option<String> = None;
-                let taken = shard.components.get_mut(idx).and_then(|slot| slot.take());
-                match taken {
-                    Some(mut component) => {
+                match shard.slots.get_mut(idx) {
+                    Some(Slot {
+                        component: Some(component),
+                        rng,
+                        seq,
+                    }) => {
                         let mut ctx = Context {
                             now: m,
                             self_id: entry.target,
@@ -363,8 +373,8 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
                                     outboxes: &mut local_out,
                                 }
                             },
-                            seq: &mut shard.seqs[idx],
-                            rng: &mut shard.rngs[idx],
+                            seq,
+                            rng,
                             stop_requested: &mut stop_local,
                             progress: &mut progress_local,
                             failure: &mut fail_local,
@@ -383,10 +393,9 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
                             host.times.sampled_events += 1;
                             ev_mark = ev_end;
                         }
-                        shard.components[idx] = Some(component);
                         done += 1;
                     }
-                    None => {
+                    _ => {
                         fail_local = Some(format!("event targeted unregistered {}", entry.target));
                     }
                 }

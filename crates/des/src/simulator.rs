@@ -13,7 +13,7 @@ use std::time::Instant;
 use crate::component::{Component, ComponentId};
 use crate::engine::{EngineMetrics, EngineOptions, RunOutcome, RunStats, Stamped};
 use crate::host::{HostRecorder, HostShardTimes};
-use crate::protocol::{run_shard_rounds, ProtocolParams, RunCursor, Shard};
+use crate::protocol::{run_shard_rounds, ProtocolParams, RunCursor, Shard, Slot};
 use crate::rng::Rng;
 use crate::snapshot::{get_trace, load_shard, load_shards, save_engine, save_shard, skip_trace};
 use crate::time::{Tick, Time};
@@ -93,7 +93,7 @@ impl<E: 'static> Simulator<E> {
     /// whichever layout it is split into.
     pub fn with_options(seed: u64, options: EngineOptions) -> Self {
         Simulator {
-            shards: vec![Shard::new(Vec::new(), Vec::new())],
+            shards: vec![Shard::new()],
             shard_of: Vec::new(),
             first_shard: 0,
             num_shards: 1,
@@ -116,11 +116,13 @@ impl<E: 'static> Simulator<E> {
     pub fn add_component(&mut self, component: Box<dyn Component<E>>) -> ComponentId {
         assert_eq!(self.num_shards, 1, "the layout is already split");
         let shard = &mut self.shards[0];
-        let id = ComponentId::try_from_index(shard.components.len())
+        let id = ComponentId::try_from_index(shard.slots.len())
             .expect("component count exceeds the 32-bit id space");
-        shard.rngs.push(Rng::stream(self.seed, id.0 as u64));
-        shard.seqs.push(0);
-        shard.components.push(Some(component));
+        shard.slots.push(Slot {
+            component: Some(component),
+            rng: Rng::stream(self.seed, id.0 as u64),
+            seq: 0,
+        });
         id
     }
 
@@ -201,7 +203,7 @@ impl<E: 'static> Simulator<E> {
 
     /// Number of registered components.
     pub fn num_components(&self) -> usize {
-        self.shards[0].components.len()
+        self.shards[0].slots.len()
     }
 
     /// Number of shards in the whole layout (1 until it is split).
@@ -435,7 +437,7 @@ impl<E: WireCodec + 'static> Simulator<E> {
                 })
                 .filter(|c| *agreed.get_or_insert(*c) == *c);
             if restored.is_none() {
-                *shard = Shard::new(Vec::new(), Vec::new());
+                *shard = Shard::new();
                 lost.get_or_insert(w);
             }
         }
@@ -451,7 +453,7 @@ impl<E> fmt::Debug for Simulator<E> {
         f.debug_struct("Simulator")
             .field("num_shards", &self.num_shards)
             .field("local_shards", &self.shards.len())
-            .field("components", &self.shards[0].components.len())
+            .field("components", &self.shards[0].slots.len())
             .field(
                 "pending_events",
                 &self.shards.iter().map(|s| s.queue.len()).sum::<usize>(),

@@ -85,12 +85,15 @@ pub(crate) fn save_shard<E: WireCodec + 'static>(
     }
     .encode(out);
     wire::put_section(out, |o| shard.queue.save(o, Stamped::encode));
-    shard.components.iter().flatten().count().encode(out);
-    for (i, slot) in shard.components.iter().enumerate() {
-        let Some(c) = slot.as_deref() else { continue };
+    let owned = shard.slots.iter().filter(|s| s.component.is_some());
+    owned.count().encode(out);
+    for (i, slot) in shard.slots.iter().enumerate() {
+        let Some(c) = slot.component.as_deref() else {
+            continue;
+        };
         i.encode(out);
-        shard.rngs[i].encode(out);
-        shard.seqs[i].encode(out);
+        slot.rng.encode(out);
+        slot.seq.encode(out);
         wire::put_section(out, |o| c.snapshot(o));
     }
 }
@@ -107,22 +110,22 @@ pub(crate) fn load_shard<E: WireCodec + 'static>(
 ) -> Option<RunCursor> {
     let scalars = ShardScalars::decode(buf)?;
     shard.queue = wire::get_section(buf, |b| EventQueue::load(b, Stamped::decode))?;
-    let owned: Vec<usize> = (0..shard.components.len())
-        .filter(|&i| shard.components[i].is_some())
-        .collect();
-    if wire::get_len(buf)? != owned.len() {
+    let owned = shard.slots.iter().filter(|s| s.component.is_some());
+    if wire::get_len(buf)? != owned.count() {
         return None;
     }
-    for i in owned {
+    for (i, slot) in shard.slots.iter_mut().enumerate() {
+        let Some(c) = slot.component.as_deref_mut() else {
+            continue;
+        };
         if usize::decode(buf)? != i {
             return None;
         }
         let rng = Rng::decode(buf)?;
         let seq = u64::decode(buf)?;
-        let c = shard.components[i].as_deref_mut()?;
         wire::get_section(buf, |b| c.restore(b))?;
-        *shard.rngs.get_mut(i)? = rng;
-        *shard.seqs.get_mut(i)? = seq;
+        slot.rng = rng;
+        slot.seq = seq;
     }
     shard.events_executed = scalars.events_executed;
     shard.batches = scalars.batches;

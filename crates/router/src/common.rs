@@ -10,7 +10,7 @@ use supersim_topology::RoutingAlgorithm;
 /// input port, builds a fresh [`RoutingAlgorithm`] instance. Supplied by
 /// the network when it instantiates routers, keeping the microarchitecture
 /// and the topology/routing models independent (paper §IV-B).
-pub type RoutingFactory = Box<dyn Fn(RouterId, Port) -> Box<dyn RoutingAlgorithm> + Send>;
+pub type RoutingFactory = Arc<dyn Fn(RouterId, Port) -> Box<dyn RoutingAlgorithm> + Send + Sync>;
 
 /// Physical wiring of one router.
 #[derive(Debug)]

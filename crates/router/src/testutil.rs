@@ -4,6 +4,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use supersim_des::{
     Component, ComponentId, Context, EngineOptions, RunOutcome, Simulator, Tick, Time,
@@ -59,7 +60,7 @@ pub fn unwired_config(radix: u32, input_buffer: u32, sensor: SensorConfig) -> Ro
         credit_links: vec![None; radix as usize],
         downstream_capacity: vec![4; radix as usize],
     };
-    let routing: RoutingFactory = Box::new(|_, _| Box::new(StaticRouting::new(1, 1)));
+    let routing: RoutingFactory = Arc::new(|_, _| Box::new(StaticRouting::new(1, 1)));
     router_config(ports, routing, input_buffer, (1, 1), sensor)
 }
 
@@ -422,7 +423,7 @@ impl TestNet {
                 .collect(),
             downstream_capacity: vec![eject_buffer; n as usize],
         };
-        let routing: RoutingFactory = Box::new(move |_, _| Box::new(StaticRouting::new(n, vcs)));
+        let routing: RoutingFactory = Arc::new(move |_, _| Box::new(StaticRouting::new(n, vcs)));
         let router = make_router(ports, routing).expect("router construction failed");
         let input_buffer = router
             .as_any()
@@ -561,7 +562,7 @@ where
             ],
             downstream_capacity: vec![eject_buffer, input_buffer, input_buffer],
         };
-        let routing: RoutingFactory = Box::new(move |_, _| Box::new(RingRouting::new(r)));
+        let routing: RoutingFactory = Arc::new(move |_, _| Box::new(RingRouting::new(r)));
         let router = make_router(ports, routing).expect("router construction failed");
         router_ids.push(sim.add_component(router));
         assert_eq!(*router_ids.last().expect("just pushed"), router_cid(r));

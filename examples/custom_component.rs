@@ -7,7 +7,10 @@
 //!
 //! 1. a `hotspot` traffic pattern that sends a fraction of traffic to one
 //!    victim terminal, and
-//! 2. a `shuffle_ring` network model (custom topology wiring + routing).
+//! 2. a `shuffle_ring` network model (custom topology wiring + routing),
+//!
+//! then runs them on the sequential engine and on two threads and checks
+//! that both runs log the same bytes.
 //!
 //! ```text
 //! cargo run --release --example custom_component
@@ -19,9 +22,10 @@ use supersim_des::Rng;
 
 use supersim::config::obj;
 use supersim::core::factory::{Factories, NetworkPlan};
-use supersim::core::SuperSim;
+use supersim::core::{BuildError, SuperSim};
 use supersim::des::wire_overlay;
-use supersim::netbase::{Flit, Port, RouterId, TerminalId};
+use supersim::netbase::{Flit, Port, TerminalId};
+use supersim::router::RoutingFactory;
 use supersim::stats::Filter;
 use supersim::topology::{HyperX, RouteChoice, RoutingAlgorithm, RoutingContext, Topology};
 use supersim::workload::TrafficPattern;
@@ -105,16 +109,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Register the custom pattern: zero framework edits, just a name.
     factories.patterns.register("hotspot", |cfg, terminals| {
-        let hot = cfg
-            .opt_u64("hot", 0)
-            .map_err(supersim::core::BuildError::from)? as u32;
-        let fraction = cfg
-            .opt_f64("fraction", 0.2)
-            .map_err(supersim::core::BuildError::from)?;
+        let hot = cfg.opt_u32("hot", 0)?;
+        let fraction = cfg.opt_f64("fraction", 0.2)?;
         if hot >= terminals || !(0.0..=1.0).contains(&fraction) {
-            return Err(supersim::core::BuildError::invalid(
-                "bad hotspot parameters",
-            ));
+            return Err(BuildError::invalid("bad hotspot parameters"));
         }
         Ok(Arc::new(Hotspot {
             terminals,
@@ -124,23 +122,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     // Register the custom network model (topology + routing pair).
-    factories.networks.register_raw("shuffle_ring", |net| {
-        let routers = net.req_u64("topology.routers")? as u32;
-        let conc = net.req_u64("topology.concentration")? as u32;
-        let vcs = net.req_u64("vcs")? as u32;
+    factories.networks.register("shuffle_ring", |net, ()| {
+        let routers = net.req_u32("topology.routers")?;
+        let conc = net.req_u32("topology.concentration")?;
+        let vcs = net.req_u32("vcs")?;
         let topology = Arc::new(HyperX::new(vec![routers], conc)?);
         let t = Arc::clone(&topology);
-        let routing: Arc<dyn Fn(RouterId, Port) -> Box<dyn RoutingAlgorithm> + Send + Sync> =
-            Arc::new(move |_, _| {
-                Box::new(ShuffleRouting {
-                    topology: Arc::clone(&t),
-                    vcs,
-                })
-            });
+        let routing: RoutingFactory = Arc::new(move |_, _| {
+            Box::new(ShuffleRouting {
+                topology: Arc::clone(&t),
+                vcs,
+            })
+        });
         Ok(NetworkPlan { topology, routing })
     });
 
-    let config = obj! {
+    let mut config = obj! {
         "seed" => 7u64,
         "network" => obj! {
             "topology" => obj! {
@@ -170,7 +167,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     };
 
-    let output = SuperSim::with_factories(&config, &factories)?.run()?;
+    // User models run on every engine: the sequential run and a run on
+    // two threads must log the same bytes. Both pin their engine, so the
+    // `SUPERSIM_ENGINE` environment changes neither.
+    let mut outputs = Vec::new();
+    for (kind, shards) in [("sequential", 1u64), ("sharded", 2)] {
+        config.set_path("engine.kind", kind.into())?;
+        config.set_path("engine.shards", shards.into())?;
+        outputs.push(SuperSim::with_factories(&config, &factories)?.run()?);
+    }
+    assert_eq!(
+        outputs[0].log.to_text(),
+        outputs[1].log.to_text(),
+        "the two-thread run logged different bytes"
+    );
+    let output = &outputs[0];
     println!(
         "custom network + custom pattern ran: {} sampled packets, mean latency {:.1} ticks",
         output.packets_delivered(),

@@ -10,6 +10,7 @@ use supersim::core::factory::{Factories, NetworkPlan};
 use supersim::core::{BuildError, SimError, SuperSim};
 use supersim::des::wire_overlay;
 use supersim::netbase::Flit;
+use supersim::router::RoutingFactory;
 use supersim::topology::{HyperX, RouteChoice, RoutingAlgorithm, RoutingContext, Topology};
 
 fn tiny_config(topology_name: &str) -> Value {
@@ -107,17 +108,16 @@ fn factories_with(
     make: fn(Arc<HyperX>) -> Box<dyn RoutingAlgorithm>,
 ) -> Factories {
     let mut f = Factories::with_defaults();
-    f.networks.register_raw(name, move |net| {
-        let widths: Vec<u32> = net
+    f.networks.register(name, move |net, ()| {
+        let widths = net
             .req_u64_array("topology.widths")?
-            .iter()
-            .map(|&x| x as u32)
-            .collect();
-        let conc = net.req_u64("topology.concentration")? as u32;
+            .into_iter()
+            .map(|x| u32::try_from(x).map_err(|_| BuildError::invalid("width out of range")))
+            .collect::<Result<Vec<u32>, _>>()?;
+        let conc = net.req_u32("topology.concentration")?;
         let topology = Arc::new(HyperX::new(widths, conc)?);
         let t = Arc::clone(&topology);
-        let routing: Arc<dyn Fn(_, _) -> Box<dyn RoutingAlgorithm> + Send + Sync> =
-            Arc::new(move |_, _| make(Arc::clone(&t)));
+        let routing: RoutingFactory = Arc::new(move |_, _| make(Arc::clone(&t)));
         Ok(NetworkPlan { topology, routing })
     });
     f
