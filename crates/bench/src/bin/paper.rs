@@ -261,7 +261,7 @@ fn fig05(scale: Scale, configs: Vec<Value>) {
     let bin = scale.pick(200, 1000);
     let mut series = TimeSeries::new(bin);
     for r in out.log.of_kind(RecordKind::Packet).filter(|r| r.app == 0) {
-        series.push_record(r);
+        series.push_record(&r);
     }
 
     println!("=== Figure 5: Blast mean latency disrupted by Pulse ===");

@@ -541,7 +541,9 @@ pub(crate) fn build_with(
         if sample_interval > 0 {
             iface.sampler = Some(ComponentSampler::new(sample_capacity));
         }
-        iface.spans_enabled = spans_enabled;
+        if spans_enabled {
+            iface.metrics.spans = Some(Box::default());
+        }
         iface.spans_min_latency = spans_min_latency;
         let id = sim.add_component(Box::new(iface));
         debug_assert_eq!(id, iface_cid(t)?);

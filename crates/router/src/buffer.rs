@@ -25,10 +25,13 @@ pub struct VcBuffer<T = Flit> {
 }
 
 impl<T> VcBuffer<T> {
-    /// Creates a buffer holding up to `capacity` flits.
+    /// Creates a buffer holding up to `capacity` flits. The ring starts
+    /// empty and grows to the buffer's high-water occupancy: most VCs of a
+    /// large network never fill, and a ring sized to what it holds keeps
+    /// its slots on fewer cache lines. `capacity` stays the overrun bound.
     pub fn new(capacity: u32) -> Self {
         VcBuffer {
-            flits: VecDeque::with_capacity(capacity.min(1024) as usize),
+            flits: VecDeque::new(),
             capacity,
         }
     }

@@ -39,7 +39,7 @@ pub use distribution::LatencyDistribution;
 pub use filter::{Filter, FilterError, FilterTerm};
 pub use host::{CkptTimes, HostClock, HostData, ProgressLine, TraceEventBuilder};
 pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsSnapshot};
-pub use record::{RecordKind, SampleLog, SampleRecord};
+pub use record::{RecordKind, Records, SampleLog, SampleRecord};
 pub use streaming::StreamingStats;
 pub use timeseries::{
     fold_windows, intern_series, timeseries_json_lines, ComponentSampler, FoldedWindow, TimeSeries,

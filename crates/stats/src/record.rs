@@ -2,10 +2,14 @@
 //!
 //! During the sampling window SuperSim logs network transaction information
 //! to a verbose format that the SSParse tool consumes. [`SampleLog`] is the
-//! in-memory form; [`SampleLog::to_text`] / [`SampleLog::parse`] define the
-//! log's one on-disk format, the SSParse text the tools crate reads.
+//! in-memory form, the records' wire encoding; [`SampleLog::to_text`] /
+//! [`SampleLog::parse`] define the log's one on-disk format, the SSParse
+//! text the tools crate reads.
+
+use std::fmt;
 
 use supersim_config::push_uint;
+use supersim_des::wire::EncodedLog;
 
 /// What a [`SampleRecord`] measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,7 +98,12 @@ impl SampleRecord {
     }
 }
 
-/// An append-only collection of [`SampleRecord`]s.
+/// An append-only collection of [`SampleRecord`]s, kept in their wire
+/// encoding ([`EncodedLog`], a few bytes per varint field) as a list of
+/// segments: each interface's log becomes one segment at the end of a
+/// run, moved rather than decoded, and records decode only as they are
+/// iterated. Segment boundaries are not observable: two logs holding the
+/// same records in the same order are equal however they were built.
 ///
 /// # Example
 ///
@@ -110,49 +119,56 @@ impl SampleRecord {
 /// let back = SampleLog::parse(&text).unwrap();
 /// assert_eq!(back.records(), log.records());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct SampleLog {
-    pub(crate) records: Vec<SampleRecord>,
+    segments: Vec<EncodedLog<SampleRecord>>,
 }
 
 impl SampleLog {
     /// Creates an empty log.
     pub fn new() -> Self {
         SampleLog {
-            records: Vec::new(),
-        }
-    }
-
-    /// Creates an empty log with room for `capacity` records.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SampleLog {
-            records: Vec::with_capacity(capacity),
+            segments: Vec::new(),
         }
     }
 
     /// Appends one record.
     pub fn push(&mut self, record: SampleRecord) {
-        self.records.push(record);
+        if self.segments.is_empty() {
+            self.segments.push(EncodedLog::new());
+        }
+        let last = self.segments.len() - 1;
+        self.segments[last].push(record);
+    }
+
+    /// Appends an encoded log's records, in order, by taking ownership of
+    /// its bytes: nothing is decoded or copied.
+    pub fn append(&mut self, segment: EncodedLog<SampleRecord>) {
+        if !segment.is_empty() {
+            self.segments.push(segment);
+        }
     }
 
     /// All records, in insertion order.
-    pub fn records(&self) -> &[SampleRecord] {
-        &self.records
+    pub fn records(&self) -> Records<'_> {
+        Records {
+            segments: &self.segments,
+        }
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records().len()
     }
 
     /// Whether the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Records of one kind.
-    pub fn of_kind(&self, kind: RecordKind) -> impl Iterator<Item = &SampleRecord> {
-        self.records.iter().filter(move |r| r.kind == kind)
+    pub fn of_kind(&self, kind: RecordKind) -> impl Iterator<Item = SampleRecord> + '_ {
+        self.records().iter().filter(move |r| r.kind == kind)
     }
 
     /// Serializes to the SSParse text format: a `#` header line followed by
@@ -162,9 +178,9 @@ impl SampleLog {
         // A record line runs ~30 bytes on the shipped networks. Reserving
         // high is cheaper than regrowing: pages past the end are never
         // written.
-        let mut out = String::with_capacity(HEADER.len() + 40 * self.records.len());
+        let mut out = String::with_capacity(HEADER.len() + 40 * self.len());
         out.push_str(HEADER);
-        for r in &self.records {
+        for r in self.records().iter() {
             out.push_str(r.kind.name());
             for v in [
                 u64::from(r.app),
@@ -204,17 +220,69 @@ impl SampleLog {
     }
 }
 
+impl PartialEq for SampleLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.records() == other.records()
+    }
+}
+
+impl fmt::Debug for SampleLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SampleLog")
+            .field("records", &self.records())
+            .finish()
+    }
+}
+
 impl FromIterator<SampleRecord> for SampleLog {
     fn from_iter<I: IntoIterator<Item = SampleRecord>>(iter: I) -> Self {
-        SampleLog {
-            records: iter.into_iter().collect(),
-        }
+        let mut log = SampleLog::new();
+        log.extend(iter);
+        log
     }
 }
 
 impl Extend<SampleRecord> for SampleLog {
     fn extend<I: IntoIterator<Item = SampleRecord>>(&mut self, iter: I) {
-        self.records.extend(iter);
+        for record in iter {
+            self.push(record);
+        }
+    }
+}
+
+/// The records of a [`SampleLog`], in insertion order: a view that
+/// decodes each record as it is iterated.
+#[derive(Clone, Copy)]
+pub struct Records<'a> {
+    segments: &'a [EncodedLog<SampleRecord>],
+}
+
+impl<'a> Records<'a> {
+    /// Decodes the records in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = SampleRecord> + 'a {
+        self.segments.iter().flat_map(EncodedLog::iter)
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.segments.iter().map(EncodedLog::len).sum()
+    }
+
+    /// Whether the view holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl PartialEq for Records<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Records<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -307,6 +375,49 @@ mod tests {
         );
     }
 
+    /// A log built from encoded segments, empty ones included, reads as
+    /// the same records pushed one by one.
+    #[test]
+    fn segments_read_as_one_log() {
+        let kinds = [
+            RecordKind::Packet,
+            RecordKind::Message,
+            RecordKind::Transaction,
+        ];
+        let records: Vec<SampleRecord> = (0..50u64)
+            .map(|i| SampleRecord {
+                app: (i % 4) as u8,
+                ..rec(kinds[i as usize % 3], i, i * i)
+            })
+            .collect();
+        let mut segmented = SampleLog::new();
+        segmented.append(EncodedLog::new());
+        assert_eq!(segmented, SampleLog::new());
+        let mut rest = records.as_slice();
+        for len in [0, 3, 0, 1, 20, 0, 25] {
+            let (head, tail) = rest.split_at(len);
+            let mut segment = EncodedLog::new();
+            head.iter().for_each(|&r| segment.push(r));
+            segmented.append(segment);
+            rest = tail;
+        }
+        // A push after the segments continues the same order.
+        segmented.push(rest[0]);
+        let mut pushed = SampleLog::new();
+        records.iter().for_each(|&r| pushed.push(r));
+
+        assert_eq!(segmented, pushed);
+        assert_eq!(segmented.len(), records.len());
+        assert!(segmented.records().iter().eq(records.iter().copied()));
+        for kind in kinds {
+            assert!(segmented.of_kind(kind).eq(pushed.of_kind(kind)));
+            assert!(segmented.of_kind(kind).all(|r| r.kind == kind));
+        }
+        assert_eq!(segmented.to_text(), pushed.to_text());
+        pushed.push(rest[0]);
+        assert_ne!(segmented, pushed);
+    }
+
     #[test]
     fn parse_reports_bad_line() {
         let err = SampleLog::parse("# header\npacket 0 0 0 1 2 0 1\nbogus line\n").unwrap_err();
@@ -321,7 +432,7 @@ mod tests {
     fn parse_skips_blank_and_comment_lines() {
         let log = SampleLog::parse("\n# c\n  \npacket 0 1 2 3 4 5 6\n").unwrap();
         assert_eq!(log.len(), 1);
-        assert_eq!(log.records()[0].dst, 2);
+        assert_eq!(log.records().iter().next().map(|r| r.dst), Some(2));
     }
 
     #[test]

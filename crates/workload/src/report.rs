@@ -15,7 +15,7 @@ pub type InterfaceLogs = (EncodedLog<SampleRecord>, EncodedLog<SpanRecord>);
 
 /// What the interfaces of a run delivered, beyond the `workload` plane.
 pub struct WorkloadReport<'a> {
-    /// The merged sample log, interfaces in index order.
+    /// The merged sample log, one segment per interface in index order.
     pub log: SampleLog,
     /// The span JSON-lines, when spans were enabled.
     pub spans: Option<String>,
@@ -39,9 +39,9 @@ pub struct WorkloadReport<'a> {
 /// logs in the same order. Every sum is commutative integer arithmetic,
 /// so the plane is the same however the interfaces were partitioned.
 ///
-/// Each sample log is decoded into the merged log and freed right after;
-/// the span logs are streamed into the span text by a k-way merge, with
-/// no merged record vector.
+/// Each sample log moves into the merged log as one of its segments, still
+/// wire-encoded; the span logs are streamed into the span text by a k-way
+/// merge, with no merged record vector.
 pub fn push_workload_plane<'a>(
     metrics: &mut MetricsSnapshot,
     ifaces: &[&'a Interface],
@@ -52,10 +52,10 @@ pub fn push_workload_plane<'a>(
         .iter()
         .map(|(s, p)| s.byte_len() + p.byte_len())
         .sum::<usize>();
-    let mut log = SampleLog::with_capacity(logs.iter().map(|(s, _)| s.len()).sum());
+    let mut log = SampleLog::new();
     let mut span_logs = Vec::with_capacity(logs.len());
     for (samples, span_log) in logs {
-        log.extend(samples.iter());
+        log.append(samples);
         span_logs.push(span_log);
     }
 
@@ -79,7 +79,9 @@ pub fn push_workload_plane<'a>(
         for (agg, h) in phase_latency.iter_mut().zip(&m.phase_latency) {
             agg.merge(h);
         }
-        span_metrics.merge(&m.spans);
+        if let Some(spans) = &m.spans {
+            span_metrics.merge(spans);
+        }
     }
 
     for (name, value) in [

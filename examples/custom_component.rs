@@ -55,10 +55,11 @@ impl TrafficPattern for Hotspot {
     }
 }
 
-/// Routing that walks a HyperX ring through a fixed shuffle: always
-/// correct the dimension, but via the *bit-reversed* coordinate first when
-/// the destination is more than one hop away — a deliberately quirky
-/// user-defined algorithm to prove arbitrary models fit the framework.
+/// Minimal routing on a 1-D HyperX: eject at the destination router,
+/// otherwise take the direct link to it (every router pair is connected)
+/// on the VC the congestion sensor reports least occupied — a small
+/// user-defined algorithm to show a routing model plugs into the
+/// framework by name.
 #[derive(Debug)]
 struct ShuffleRouting {
     topology: Arc<HyperX>,
@@ -197,9 +198,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hot = Filter::parse_all(["+dst=3"])?;
     let to_hot = output
         .log
-        .records()
-        .iter()
-        .filter(|r| r.kind == supersim::stats::RecordKind::Packet && hot.matches(r))
+        .of_kind(supersim::stats::RecordKind::Packet)
+        .filter(|r| hot.matches(r))
         .count();
     println!(
         "traffic to the hot terminal: {to_hot}/{all} packets ({:.0}%, uniform share would be ~{:.0}%)",

@@ -3,9 +3,15 @@
 //! path (a coordinate `Vec` built per routed head flit, say) fails here and
 //! not only in the benchmark's per-layer rows.
 //!
+//! The same runs hold a heap budget: the high-water mark of live heap
+//! bytes during the run, per sample record logged, stays under a ceiling
+//! that a second, decoded copy of the sample log (32 bytes per record)
+//! would break.
+//!
 //! A counting global allocator counts every allocation made while
-//! `SuperSim::run_report` runs; configuration parsing and the network
-//! build are outside the count. The file holds a single `#[test]` so that
+//! `SuperSim::run_report` runs, and tracks the live bytes and their
+//! high-water mark; configuration parsing and the network build are
+//! outside the count. The file holds a single `#[test]` so that
 //! no parallel test adds to the count. The engine is pinned to the
 //! sequential kind because CI's sharded job exports `SUPERSIM_ENGINE`.
 
@@ -18,61 +24,123 @@ use supersim::core::SuperSim;
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated, and their high-water mark.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a relaxed
-// counter increment that publishes no other data.
+// upholds the `GlobalAlloc` contract; the only additions are relaxed
+// counter updates that publish no other data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` came from `System` through the methods above.
-        unsafe { System.dealloc(ptr, layout) }
+        unsafe { System.dealloc(ptr, layout) };
+        shrink(layout.size());
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System`; the caller's obligations are
         // passed on as they are.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            grow(new_size);
+            shrink(layout.size());
+        }
+        new
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations per executed event over one sequential `run_report` of
-/// `configs/<name>`.
-fn allocs_per_event(name: &str) -> f64 {
+/// What one sequential `run_report` of `configs/<name>` cost the heap.
+struct HeapUse {
+    allocs_per_event: f64,
+    /// High-water live bytes above those live when the run began, per
+    /// sample record the run logged.
+    peak_bytes_per_record: f64,
+}
+
+fn heap_use(name: &str) -> HeapUse {
     let path = format!("{}/configs/{name}", env!("CARGO_MANIFEST_DIR"));
     let mut cfg = expand_file(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     apply_override(&mut cfg, "engine.kind=string=sequential").expect("engine override");
     let sim = SuperSim::from_config(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
     let report = sim.run_report();
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let peak = PEAK.load(Ordering::Relaxed) - live;
     assert!(report.is_ok(), "{name}: {:?}", report.error);
     let events = report.output.engine.events_executed;
     assert!(events > 0, "{name}: no events");
-    allocations as f64 / events as f64
+    let records = report.output.log.len();
+    assert!(records > 0, "{name}: no sample records");
+    HeapUse {
+        allocs_per_event: allocations as f64 / events as f64,
+        peak_bytes_per_record: peak as f64 / records as f64,
+    }
 }
 
 #[test]
 fn shipped_configs_stay_within_their_allocation_budget() {
-    // Ceilings, with the measurement before routing stopped allocating:
-    // clos_adaptive made 2.42 allocations per event and quickstart 0.32.
-    for (name, ceiling) in [("clos_adaptive.json", 0.5), ("quickstart.json", 0.25)] {
-        let per_event = allocs_per_event(name);
+    // Allocation ceilings, with the measurement before routing stopped
+    // allocating: clos_adaptive made 2.42 allocations per event and
+    // quickstart 0.32.
+    //
+    // Peak ceilings: the run's high-water heap over its logged records.
+    // With the sample log kept wire-encoded to the end of the run,
+    // clos_adaptive peaks at 31.7 bytes per record and quickstart at 90.1;
+    // while `run_report` still decoded the log into a second, 32-byte-per-
+    // record copy they peaked at 53.3 and 105.8. Each ceiling leaves about
+    // 8 bytes per record of headroom above the first pair and fails the
+    // second.
+    for (name, alloc_ceiling, peak_ceiling) in [
+        ("clos_adaptive.json", 0.5, 40.0),
+        ("quickstart.json", 0.25, 98.0),
+    ] {
+        let heap = heap_use(name);
+        println!(
+            "{name}: {:.3} allocations per event, {:.1} peak bytes per record",
+            heap.allocs_per_event, heap.peak_bytes_per_record
+        );
         assert!(
-            per_event <= ceiling,
-            "{name}: {per_event:.3} allocations per event, budget {ceiling}"
+            heap.allocs_per_event <= alloc_ceiling,
+            "{name}: {:.3} allocations per event, budget {alloc_ceiling}",
+            heap.allocs_per_event
+        );
+        assert!(
+            heap.peak_bytes_per_record <= peak_ceiling,
+            "{name}: {:.1} peak heap bytes per sample record, budget {peak_ceiling}",
+            heap.peak_bytes_per_record
         );
     }
 }
