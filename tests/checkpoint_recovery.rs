@@ -340,6 +340,48 @@ fn checkpoint_file_bytes_are_pinned_and_resumable() {
     let _ = std::fs::remove_dir_all(&cfg_dir);
 }
 
+/// A spans-off interface loads only empty span histograms, so a
+/// checkpoint that recorded spans resumes only with the span plane: the
+/// resume fails as a typed resume error that names `spans.enabled`.
+#[test]
+fn recorded_spans_resume_only_with_the_span_plane() {
+    let root = scratch_dir("spans");
+    let cfg = root.join("torus.json");
+    std::fs::write(&cfg, torus_cfg().to_json_pretty()).expect("write config");
+    let ckpt_dir = root.join("ckpt");
+    let code = run(
+        &cfg,
+        &root.join("crashed"),
+        &[
+            "spans.enabled=bool=true",
+            "--checkpoint-interval",
+            INTERVAL,
+            "--checkpoint-dir",
+            ckpt_dir.to_str().unwrap(),
+        ],
+        &[("SUPERSIM_TEST_EXIT_AT_CKPT", CRASH_ROUND)],
+    );
+    assert_eq!(code, CRASH_CODE, "crash hook did not fire");
+    let ckpt = ckpt_dir.join("ckpt-00000002.ssckpt");
+    let resume = &["--resume", ckpt.to_str().unwrap()];
+    let with_spans = [&["spans.enabled=bool=true"][..], resume].concat();
+    let code = run(&cfg, &root.join("resumed"), &with_spans, &[]);
+    assert_eq!(code, 0, "resume with the span plane failed");
+    let output = Command::new(bin())
+        .arg(&cfg)
+        .args(["--no-log", "--sample-interval", "200"])
+        .args(resume)
+        .output()
+        .expect("spawn supersim");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(5), "{stderr}");
+    assert!(
+        stderr.contains("cannot resume from checkpoint") && stderr.contains("spans.enabled"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn sequential_crash_resume_is_byte_identical() {
     for (label, cfg) in matrix("seq") {

@@ -95,6 +95,12 @@ fn host_plane_attributes_wall_time_when_enabled() {
         host_counter(&out, "class_router_events").unwrap_or(0) > 0,
         "router class sampled"
     );
+    // An in-process run records its process's peak where the platform
+    // reports one.
+    assert_eq!(
+        host_counter(&out, "peak_rss_bytes").is_some(),
+        cfg!(target_os = "linux")
+    );
     // Profiling alone does not emit a trace.
     assert!(out.host_trace.is_none());
 }
@@ -272,6 +278,9 @@ fn worker_host_trace_has_one_process_per_worker() {
     assert!(host_counter(&out, "worker_0_wire_in_bytes").unwrap_or(0) > 0);
     assert!(host_counter(&out, "worker_1_wire_in_bytes").unwrap_or(0) > 0);
     assert!(host_counter(&out, "hub_rounds").unwrap_or(0) > 0);
+    // The shards live in the workers, so the parent's peak is not the
+    // run's: a fleet records none.
+    assert!(host_counter(&out, "peak_rss_bytes").is_none());
 }
 
 #[cfg(unix)]
