@@ -19,7 +19,7 @@ use supersim_netbase::{
     TraceKind,
 };
 use supersim_router::RouterPorts;
-use supersim_stats::{ComponentSampler, HostClock};
+use supersim_stats::ComponentSampler;
 use supersim_topology::{partition_routers, ChannelClass, Topology};
 use supersim_workload::{Interface, InterfaceConfig, WorkloadMonitor};
 
@@ -82,11 +82,6 @@ pub(crate) struct HostPlan {
     /// the engine of an in-process run and by the hub of a multi-process
     /// one (where it also outlives fleet restarts).
     pub board: Option<Arc<ProgressShared>>,
-    /// The run's host clock, which times checkpoint writes. Started
-    /// before the engine (whose recorders time rounds on their own
-    /// epochs, started with it), so on the exported timeline a checkpoint
-    /// never appears to begin before the round it follows ended.
-    pub clock: HostClock,
 }
 
 /// The checkpoint/restore policy of a run (the `checkpoint` block).
@@ -394,7 +389,6 @@ fn host_config(cfg: &Value) -> Result<HostPlan, BuildError> {
         trace_enabled,
         progress_interval_ms: cfg.opt_u64("progress.interval_ms", 0)?,
         board: None,
-        clock: HostClock::new(),
     })
 }
 

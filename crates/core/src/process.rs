@@ -402,7 +402,7 @@ fn worker_inner(socket: &str, index: u32) -> Result<(), String> {
     // The pause loop every backend runs, with the hub as checkpoint
     // destination: a send failure surfaces at the next round as a
     // transport error.
-    let (clock, profiling) = (built.host.clock.clone(), built.host.enabled);
+    let (clock, profiling) = (built.engine.host_clock().clone(), built.host.enabled);
     let mut captures = CkptTimes::default();
     let stats = drive(&mut built, &mut |tick, started_ns, blob| {
         if link.checkpoint(Time::at(tick), blob).is_ok() && profiling {

@@ -246,7 +246,7 @@ pub(crate) fn drive(built: &mut Built, checkpoint: &mut dyn FnMut(Tick, u64, &[u
         if !paused {
             return total.expect("at least one segment ran");
         }
-        let started_ns = built.host.clock.now_ns();
+        let started_ns = built.engine.host_clock().now_ns();
         blob.clear();
         built.engine.save(&mut blob);
         checkpoint(bound, started_ns, &blob);
@@ -294,7 +294,7 @@ impl CheckpointWriter {
             },
             interval: built.checkpoint.interval,
             dir: built.checkpoint.dir.clone(),
-            clock: built.host.clock.clone(),
+            clock: built.engine.host_clock().clone(),
             exit_at: std::env::var("SUPERSIM_TEST_EXIT_AT_CKPT")
                 .ok()
                 .and_then(|s| s.parse().ok()),

@@ -547,11 +547,11 @@ pub struct EngineOptions {
     pub trace: Option<(TraceSpec, usize)>,
     /// Host-time profiling stride; 0 disarms it. Phase wall-times are
     /// measured every batch and per-event component-class attribution
-    /// runs on one batch in `host_sample`, on one recorder per shard whose
-    /// epoch is the simulator's creation. Host clocks are strictly
-    /// out-of-band: they never influence event ordering, delivery, or any
-    /// deterministic output. The disarmed path costs one branch per
-    /// batch.
+    /// runs on one batch in `host_sample`, on one recorder per shard, each
+    /// reading the simulator's [`host_clock`](crate::Simulator::host_clock).
+    /// Host clocks are strictly out-of-band: they never influence event
+    /// ordering, delivery, or any deterministic output. The disarmed path
+    /// costs one branch per batch.
     pub host_sample: u32,
     /// Live-progress board an in-process run publishes to after each
     /// batch (cumulative events per shard; shard 0 adds the current tick

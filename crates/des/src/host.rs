@@ -21,15 +21,51 @@ use std::time::Instant;
 /// [`HostShardTimes::dropped_slices`] but not retained.
 pub const MAX_ROUND_SLICES: usize = 8192;
 
+/// A monotonic host-time epoch. All reads are nanoseconds since the
+/// clock was started (saturating at `u64::MAX`, i.e. after ~584 years);
+/// clones share the epoch.
+#[derive(Debug, Clone)]
+pub struct HostClock {
+    epoch: Instant,
+}
+
+impl HostClock {
+    /// Starts the epoch now.
+    pub fn new() -> Self {
+        HostClock {
+            epoch: Instant::now(),
+        }
+    }
+
+    /// Nanoseconds since the epoch.
+    #[inline]
+    pub fn now_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Milliseconds since the epoch.
+    pub fn elapsed_ms(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
+    }
+}
+
+impl Default for HostClock {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Wall-time of one executed round (generation batch) on one shard.
 ///
-/// `start_ns` is relative to the owning recorder's epoch (the creation
-/// of that shard's engine), so slices from different worker processes
-/// are aligned only approximately — good enough for a timeline view,
-/// never used for anything else.
+/// `start_ns` is read on the simulator's [`HostClock`]
+/// ([`Simulator::host_clock`](crate::Simulator::host_clock)), which every
+/// shard of a process shares, so in-process shards and the run's
+/// checkpoint writes lie on one timeline. Slices from different worker
+/// processes are aligned only approximately — good enough for a timeline
+/// view, never used for anything else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostRoundSlice {
-    /// Nanoseconds since the recorder epoch when the round began.
+    /// Nanoseconds since the clock's epoch when the round began.
     pub start_ns: u64,
     /// Simulated tick of the round's generation.
     pub tick: u64,
@@ -149,25 +185,26 @@ pub struct HubHostStats {
     pub wire_out_bytes: Vec<u64>,
 }
 
-/// Engine-side helper pairing a [`HostShardTimes`] with its wall-clock
-/// epoch and the batch-sampling counter. One recorder serves one shard
-/// for the life of its engine: the epoch is fixed at creation, so the
-/// slices of every `run_until` segment (a checkpointed run has many) lie
-/// on one timeline, and the 1-in-N stride runs on across segments.
+/// Engine-side helper pairing a [`HostShardTimes`] with the run's
+/// [`HostClock`] and the batch-sampling counter. One recorder serves one
+/// shard for the life of its engine, and every recorder of a process
+/// reads the same clock, so the slices of every shard and every
+/// `run_until` segment (a checkpointed run has many) lie on one timeline,
+/// and the 1-in-N stride runs on across segments.
 #[derive(Debug)]
 pub struct HostRecorder {
-    epoch: Instant,
+    clock: HostClock,
     counter: u64,
     /// The accumulated record.
     pub times: HostShardTimes,
 }
 
 impl HostRecorder {
-    /// A recorder armed with the given stride; 0 leaves it disabled, and
-    /// every probe a no-op.
-    pub fn with_sample(sample: u32) -> Self {
+    /// A recorder timing on `clock`, armed with the given stride; 0
+    /// leaves it disabled, and every probe a no-op.
+    pub fn new(clock: HostClock, sample: u32) -> Self {
         HostRecorder {
-            epoch: Instant::now(),
+            clock,
             counter: 0,
             times: HostShardTimes {
                 sample,
@@ -182,10 +219,10 @@ impl HostRecorder {
         self.times.sample != 0
     }
 
-    /// Nanoseconds since the epoch (saturating to `u64`).
+    /// Nanoseconds since the clock's epoch (saturating to `u64`).
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        self.clock.now_ns()
     }
 
     /// Counts one batch; true when this batch gets per-event
@@ -325,7 +362,7 @@ mod tests {
 
     #[test]
     fn recorder_samples_one_in_n() {
-        let mut r = HostRecorder::with_sample(4);
+        let mut r = HostRecorder::new(HostClock::new(), 4);
         let pattern: Vec<bool> = (0..8).map(|_| r.batch_sampled()).collect();
         assert_eq!(
             pattern,

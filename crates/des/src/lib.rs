@@ -82,7 +82,8 @@ pub use engine::{
 };
 pub use event::{EventEntry, EventQueue, Generation};
 pub use host::{
-    HostRecorder, HostRoundSlice, HostShardTimes, HubHostStats, ProgressShared, MAX_ROUND_SLICES,
+    HostClock, HostRecorder, HostRoundSlice, HostShardTimes, HubHostStats, ProgressShared,
+    MAX_ROUND_SLICES,
 };
 pub use idmap::{IdHasher, IdMap};
 pub use rng::{Rng, SampleRange};

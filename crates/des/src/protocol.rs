@@ -57,10 +57,23 @@ pub(crate) struct Slot<E> {
     pub(crate) seq: u64,
 }
 
+impl<E> Slot<E> {
+    /// The slot of a component another shard owns. Nothing reads a
+    /// vacant slot's stream or counter (dispatch, `save_shard` and
+    /// `load_shard` all skip it), so it carries a fixed placeholder.
+    fn vacant() -> Self {
+        Slot {
+            component: None,
+            rng: Rng::new(0),
+            seq: 0,
+        }
+    }
+}
+
 /// One shard: a slice of the component space plus its own event queue and
 /// executor counters. `slots` is full-length (indexed by component id),
 /// so dispatch needs no id translation; only the owner's slots hold a
-/// component, and only their streams and counters ever advance.
+/// component with its stream and counter, the others are vacant.
 pub(crate) struct Shard<E> {
     pub(crate) slots: Vec<Slot<E>>,
     pub(crate) queue: EventQueue<Stamped<E>>,
@@ -87,9 +100,10 @@ impl<E> Shard<E> {
     /// Partitions this whole-simulation shard into `num_shards`,
     /// component `c` going to shard `shard_of[c]` and every pending event
     /// to its target's shard (unknown targets to shard 0, which reports
-    /// the usual unregistered-target failure). Streams and send counters
-    /// are copied to every part; lifetime executor totals carry to part
-    /// 0 so summed counters survive the conversion.
+    /// the usual unregistered-target failure). A component's stream and
+    /// send counter move with it to its owner, and every other part gets
+    /// a vacant slot; lifetime executor totals carry to part 0 so summed
+    /// counters survive the conversion.
     ///
     /// # Panics
     ///
@@ -108,14 +122,13 @@ impl<E> Shard<E> {
         );
         let mut parts: Vec<Shard<E>> = (0..num_shards).map(|_| Shard::new()).collect();
         parts[0].events_executed = self.events_executed;
+        for part in &mut parts {
+            part.slots.reserve_exact(shard_of.len());
+        }
         for (slot, &owner) in self.slots.drain(..).zip(shard_of) {
             for (s, part) in parts.iter_mut().enumerate() {
                 if s != owner as usize {
-                    part.slots.push(Slot {
-                        component: None,
-                        rng: slot.rng.clone(),
-                        seq: slot.seq,
-                    });
+                    part.slots.push(Slot::vacant());
                 }
             }
             parts[owner as usize].slots.push(slot);

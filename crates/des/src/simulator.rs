@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use crate::component::{Component, ComponentId};
 use crate::engine::{EngineMetrics, EngineOptions, RunOutcome, RunStats, Stamped};
-use crate::host::{HostRecorder, HostShardTimes};
+use crate::host::{HostClock, HostRecorder, HostShardTimes};
 use crate::protocol::{run_shard_rounds, ProtocolParams, RunCursor, Shard, Slot};
 use crate::rng::Rng;
 use crate::snapshot::{get_trace, load_shard, load_shards, save_engine, save_shard, skip_trace};
@@ -57,6 +57,9 @@ pub struct Simulator<E> {
     /// The trace ring, when [`EngineOptions::trace`] is set and this
     /// process merges the records (a worker's ring lives in the hub).
     trace: Option<TraceBuffer>,
+    /// The epoch of every host-time reading: started with the simulator
+    /// and shared by all its recorders.
+    clock: HostClock,
     /// One host-time recorder per local shard, for the life of the
     /// simulator, so every `run_until` segment lands on one timeline.
     hosts: Vec<HostRecorder>,
@@ -92,6 +95,7 @@ impl<E: 'static> Simulator<E> {
     /// and which observes what `options` arm, for its whole life and
     /// whichever layout it is split into.
     pub fn with_options(seed: u64, options: EngineOptions) -> Self {
+        let clock = HostClock::new();
         Simulator {
             shards: vec![Shard::new()],
             shard_of: Vec::new(),
@@ -100,7 +104,8 @@ impl<E: 'static> Simulator<E> {
             cursor: RunCursor::default(),
             seed,
             trace: options.trace_ring(),
-            hosts: vec![HostRecorder::with_sample(options.host_sample)],
+            hosts: vec![HostRecorder::new(clock.clone(), options.host_sample)],
+            clock,
             options,
             #[cfg(unix)]
             worker: None,
@@ -142,10 +147,11 @@ impl<E: 'static> Simulator<E> {
         let whole = self.shards.pop().expect("an unsplit layout is one shard");
         self.shards = whole.split(num_shards, &shard_of);
         // Shard 0 keeps the recorder made with the simulator; the others
-        // start theirs here, once, for the life of the layout.
-        let sample = self.options.host_sample;
+        // start theirs here, once, for the life of the layout, on the
+        // simulator's clock.
+        let (clock, sample) = (&self.clock, self.options.host_sample);
         self.hosts
-            .resize_with(num_shards, || HostRecorder::with_sample(sample));
+            .resize_with(num_shards, || HostRecorder::new(clock.clone(), sample));
         self.shard_of = shard_of;
         self.num_shards = num_shards;
         self
@@ -159,8 +165,8 @@ impl<E: 'static> Simulator<E> {
     /// configuration, same seed, every component registered and every
     /// initial event scheduled — so the events of the other shards, which
     /// are dropped here, exist identically stamped in their owners'
-    /// queues. Per-component streams and send counters stay full-length,
-    /// so stamps and draws line up bit for bit with the other layouts.
+    /// queues. Each owned component keeps its stream and send counter, so
+    /// stamps and draws line up bit for bit with the other layouts.
     ///
     /// A worker keeps no trace ring and publishes no progress: its
     /// records and event counts ship to the hub every round. It reports
@@ -283,6 +289,14 @@ impl<E: 'static> Simulator<E> {
     /// tracing is disarmed, or when this process is a fleet worker.
     pub fn trace_records(&self) -> Option<Vec<TraceEvent>> {
         self.trace.as_ref().map(TraceBuffer::records)
+    }
+
+    /// The clock the host-time records read, started when the simulator
+    /// was created. A caller times its own work around the run on it
+    /// (checkpoint writes, say) to put that work on the same timeline as
+    /// every shard's rounds.
+    pub fn host_clock(&self) -> &HostClock {
+        &self.clock
     }
 
     /// The host-time records collected so far, one per local shard in
@@ -1175,6 +1189,51 @@ mod layout_tests {
             122,
             "4 relays × 30 forwards + 2 injections"
         );
+    }
+
+    #[test]
+    fn only_the_owner_carries_a_components_stream() {
+        // Split at a pause, after every stream and counter has moved.
+        let mut sim = build_ring(5, 4, 2, 6);
+        assert_eq!(sim.run_until(3).outcome, RunOutcome::TickLimit);
+        let sharded = sim.into_sharded(2, striped(4, 2));
+        for (s, shard) in sharded.shards.iter().enumerate() {
+            for (i, slot) in shard.slots.iter().enumerate() {
+                if i % 2 == s {
+                    assert!(slot.component.is_some() && slot.seq > 0, "{s}/{i}");
+                } else {
+                    assert!(slot.component.is_none(), "{s}/{i}");
+                    assert_eq!((slot.seq, &slot.rng), (0, &Rng::new(0)), "{s}/{i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_shard_times_its_rounds_on_the_run_clock() {
+        // A shard split off after the build must not start a timeline of
+        // its own: its rounds would read earlier than they ran, by the
+        // build time, and land inside a checkpoint the caller timed on
+        // the run's clock. The pause stands in for a long build.
+        let pause = std::time::Duration::from_millis(50);
+        let options = EngineOptions {
+            host_sample: 1,
+            ..EngineOptions::default()
+        };
+        let sim = build_ring_with(7, 4, 2, 20, false, options);
+        std::thread::sleep(pause);
+        let mut sharded = sim.into_sharded(2, striped(4, 2));
+        assert_eq!(sharded.run().outcome, RunOutcome::Drained);
+        let hosts = sharded.host_times();
+        assert_eq!(hosts.len(), 2);
+        for (s, times) in hosts.iter().enumerate() {
+            let first = times.round_slices.iter().map(|r| r.start_ns).min();
+            let first = first.expect("every round is sampled");
+            assert!(
+                u128::from(first) >= pause.as_nanos(),
+                "shard {s}'s first round reads {first} ns, before the split"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! to an unprofiled one.
 //!
 //! - [`HostClock`] — a monotonic epoch for nanosecond wall-time reads,
-//!   shared by the engines' profilers and the benchmark harness,
+//!   shared by the engines' profilers, the checkpoint writer and the
+//!   benchmark harness (defined beside the recorders in `supersim-des`),
 //! - [`TraceEventBuilder`] — an in-tree Chrome `trace_event` JSON
 //!   writer (the format Perfetto and `chrome://tracing` load), emitting
 //!   complete-duration slices, counter tracks, and process/thread
@@ -19,44 +20,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
-use std::time::Instant;
 
 use supersim_config::push_json_str;
 use supersim_des::{HostShardTimes, HubHostStats};
 
+pub use supersim_des::HostClock;
+
 use crate::metrics::MetricsSnapshot;
-
-/// A monotonic host-time epoch. All reads are nanoseconds since the
-/// clock was created (saturating at `u64::MAX`, i.e. after ~584 years).
-#[derive(Debug, Clone)]
-pub struct HostClock {
-    epoch: Instant,
-}
-
-impl HostClock {
-    /// Starts the epoch now.
-    pub fn new() -> Self {
-        HostClock {
-            epoch: Instant::now(),
-        }
-    }
-
-    /// Nanoseconds since the epoch.
-    pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Milliseconds since the epoch.
-    pub fn elapsed_ms(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
-}
-
-impl Default for HostClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Builds a Chrome `trace_event` JSON document (the `traceEvents`
 /// array form), loadable by Perfetto and `chrome://tracing`.

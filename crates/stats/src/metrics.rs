@@ -232,11 +232,11 @@ impl Histogram {
 
 /// One metric's snapshotted value.
 ///
-/// The histogram variant dominates the size, but snapshots hold tens of
-/// samples, are built once per run, and never sit on the record path, so
-/// the inline buckets beat a per-sample allocation.
+/// A snapshot holds a handful of samples per component — ten per router
+/// on a large torus — and most are counters and gauges, so the histogram
+/// is boxed: every sample stays three words, and only a histogram sample
+/// pays for its 65 buckets.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(clippy::large_enum_variant)]
 pub enum MetricValue {
     /// Monotonic count.
     Counter(u64),
@@ -248,7 +248,7 @@ pub enum MetricValue {
         max: u64,
     },
     /// Full log₂ histogram.
-    Histogram(Histogram),
+    Histogram(Box<Histogram>),
 }
 
 impl MetricValue {
@@ -318,7 +318,7 @@ impl MetricsSnapshot {
 
     /// Adds a histogram sample.
     pub fn push_histogram(&mut self, component: &str, name: &str, hist: &Histogram) {
-        self.push(component, name, MetricValue::Histogram(*hist));
+        self.push(component, name, MetricValue::Histogram(Box::new(*hist)));
     }
 
     /// All samples, in insertion order.
@@ -426,11 +426,11 @@ impl MetricsSnapshot {
                         return Err(err());
                     }
                     let counts: Option<Vec<u64>> = buckets.iter().map(Value::as_u64).collect();
-                    MetricValue::Histogram(Histogram::from_log2_counts(
+                    MetricValue::Histogram(Box::new(Histogram::from_log2_counts(
                         &counts.ok_or_else(err)?,
                         count,
                         sum,
-                    ))
+                    )))
                 }
                 _ => return Err(err()),
             };
@@ -574,6 +574,24 @@ mod tests {
         assert!(MetricsSnapshot::from_json(r#"[{"component":"x"}]"#).is_err());
         assert!(
             MetricsSnapshot::from_json(r#"[{"component":"x","name":"y","kind":"nope"}]"#).is_err()
+        );
+    }
+
+    /// A snapshot pushes about ten samples per router, nearly all
+    /// counters and gauges, so a sample is paid for at its own size, not
+    /// at a histogram's.
+    #[test]
+    fn metric_samples_keep_their_size() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<MetricValue>() <= 24,
+            "MetricValue is {} bytes",
+            size_of::<MetricValue>()
+        );
+        assert!(
+            size_of::<MetricSample>() <= 72,
+            "MetricSample is {} bytes",
+            size_of::<MetricSample>()
         );
     }
 

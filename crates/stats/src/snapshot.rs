@@ -54,7 +54,7 @@ fn put_named<T: WireCodec>(out: &mut Vec<u8>, entries: &[(&'static str, T)]) {
     });
 }
 
-fn get_named<T: WireCodec>(buf: &mut &[u8]) -> Option<Vec<(&'static str, T)>> {
+fn get_named<T: WireCodec, C: FromIterator<(&'static str, T)>>(buf: &mut &[u8]) -> Option<C> {
     (0..get_len(buf)?)
         .map(|_| Some((intern_series(&get_str(buf)?), T::decode(buf)?)))
         .collect()

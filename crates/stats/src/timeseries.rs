@@ -202,8 +202,10 @@ pub struct WindowSample {
     /// `(series, value)` single observations, in the component's fixed
     /// reporting order.
     pub scalars: Vec<(&'static str, u64)>,
-    /// `(series, aggregate)` distributions accumulated during the window.
-    pub dists: Vec<(&'static str, WindowAggregate)>,
+    /// `(series, aggregate)` distributions accumulated during the window,
+    /// sorted by series name. Held at exact size: a run keeps every
+    /// closed window of every component until the end.
+    pub dists: Box<[(&'static str, WindowAggregate)]>,
 }
 
 /// A component's ring buffer of closed sampling windows.
@@ -266,7 +268,7 @@ impl ComponentSampler {
         self.windows.push_back(WindowSample {
             edge,
             scalars,
-            dists,
+            dists: dists.into_boxed_slice(),
         });
     }
 
@@ -495,6 +497,29 @@ mod tests {
         assert_eq!(direct.count(), 7);
         assert_eq!(direct.max(), Some(9000));
         assert_eq!(ab.p99(), direct.p99());
+    }
+
+    /// A run keeps every closed window of every component to its end,
+    /// so a window stores its distributions as an exact-size boxed slice,
+    /// not as the pending list grown by doubling.
+    #[test]
+    fn closed_windows_hold_exactly_their_entries() {
+        let mut s = ComponentSampler::new(4);
+        s.record("b", 1);
+        s.record("a", 2);
+        s.record("b", 3);
+        s.close(100, Vec::new());
+        s.record("a", 5);
+        s.close(200, Vec::new());
+        let entry = std::mem::size_of::<(&str, WindowAggregate)>();
+        let windows: Vec<&WindowSample> = s.windows().collect();
+        let first: Box<[(&str, WindowAggregate)]> = windows[0].dists.clone();
+        assert_eq!(std::mem::size_of_val(&*first), 2 * entry);
+        let names: Vec<&str> = first.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(first[1].1.sum(), 4);
+        assert_eq!(std::mem::size_of_val(&*windows[1].dists), entry);
+        assert!(s.pending.is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Heap allocations per simulated event stay within a budget on two
+//! Heap allocations per simulated event stay within a budget on four
 //! shipped configurations, so that an allocation put back on a per-event
 //! path (a coordinate `Vec` built per routed head flit, say) fails here and
 //! not only in the benchmark's per-layer rows.
@@ -6,7 +6,9 @@
 //! The same runs hold a heap budget: the high-water mark of live heap
 //! bytes during the run, per sample record logged, stays under a ceiling
 //! that a second, decoded copy of the sample log (32 bytes per record)
-//! would break.
+//! would break, and so would statistics stored above their size: a
+//! histogram inlined in every metrics sample, or sampling windows kept
+//! in lists grown by doubling.
 //!
 //! A counting global allocator counts every allocation made while
 //! `SuperSim::run_report` runs, and tracks the live bytes and their
@@ -114,18 +116,21 @@ fn heap_use(name: &str) -> HeapUse {
 fn shipped_configs_stay_within_their_allocation_budget() {
     // Allocation ceilings, with the measurement before routing stopped
     // allocating: clos_adaptive made 2.42 allocations per event and
-    // quickstart 0.32.
+    // quickstart 0.32. torus_3d_dor makes 0.025 and latent_congestion 0.20.
     //
     // Peak ceilings: the run's high-water heap over its logged records.
-    // With the sample log kept wire-encoded to the end of the run,
-    // clos_adaptive peaks at 31.7 bytes per record and quickstart at 90.1;
-    // while `run_report` still decoded the log into a second, 32-byte-per-
-    // record copy they peaked at 53.3 and 105.8. Each ceiling leaves about
-    // 8 bytes per record of headroom above the first pair and fails the
-    // second.
+    // With snapshot samples three words each (the histogram boxed) and
+    // closed sampling windows at exact size, clos_adaptive peaks at 23.9
+    // bytes per record, quickstart at 43.8, torus_3d_dor at 73.7 and
+    // latent_congestion (windowed sampling on) at 115.0. With every sample
+    // holding a 536-byte histogram inline and each window's distributions
+    // in a list grown by doubling they peaked at 31.7, 90.1, 122.7 and
+    // 194.0. Each ceiling sits between the two.
     for (name, alloc_ceiling, peak_ceiling) in [
-        ("clos_adaptive.json", 0.5, 40.0),
-        ("quickstart.json", 0.25, 98.0),
+        ("clos_adaptive.json", 0.5, 28.0),
+        ("quickstart.json", 0.25, 60.0),
+        ("torus_3d_dor.json", 0.1, 90.0),
+        ("latent_congestion.json", 0.3, 140.0),
     ] {
         let heap = heap_use(name);
         println!(

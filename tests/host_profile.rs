@@ -224,7 +224,8 @@ fn sharded_host_trace_has_one_track_per_shard() {
 fn checkpointed_host_trace_is_one_timeline() {
     // A checkpointed run is many `run_until` segments. Every segment's
     // round slices must land on the run's one timeline — not restart at
-    // zero — with each checkpoint write after the rounds it captured.
+    // zero — with each checkpoint write after the rounds it captured and
+    // before the rounds that follow it, on every shard.
     for (engine, base) in [
         ("sequential", common::quickstart()),
         ("sharded", with_shards(&common::quickstart(), 2)),
@@ -258,6 +259,12 @@ fn checkpointed_host_trace_is_one_timeline() {
                 "{engine}: checkpoint at {} starts inside a round ending at {before}",
                 c.ts
             );
+            if let Some(r) = rounds.iter().find(|r| r.ts > c.ts && r.ts < c.end) {
+                panic!(
+                    "{engine}: a round of shard {} starts at {} inside the checkpoint at {}..{}",
+                    r.tid, r.ts, c.ts, c.end
+                );
+            }
         }
     }
 }
