@@ -43,6 +43,7 @@ pub mod factory;
 #[cfg(unix)]
 mod process;
 mod progress;
+mod report;
 mod sim;
 #[doc(hidden)]
 pub mod testing;
@@ -52,4 +53,5 @@ pub use experiment::{run_load_sweep, LoadSweepSpec, SweepError};
 pub use factory::{AppCtx, Factories, NetworkPlan, RouterCtx};
 #[cfg(unix)]
 pub use process::run_worker;
-pub use sim::{DiagnosticSnapshot, RouterDiag, RunOutput, RunReport, SuperSim};
+pub use report::{DiagnosticSnapshot, RouterDiag, RunOutput, RunReport};
+pub use sim::SuperSim;

@@ -30,9 +30,8 @@ use supersim_stats::{CkptTimes, HostData};
 use crate::builder::{build_with, Built, EngineMode, ProcessPlan};
 use crate::checkpoint;
 use crate::factory::Factories;
-use crate::sim::{
-    assemble, drive, resume_failure, resume_into, AssembleInputs, CheckpointWriter, RunReport,
-};
+use crate::report::RunReport;
+use crate::sim::{assemble, drive, resume_failure, resume_into, AssembleInputs, CheckpointWriter};
 
 /// Distinguishes concurrent runs (and runs within one process) in the
 /// socket path.
@@ -141,7 +140,7 @@ pub(crate) fn run_parent(mut built: Built, plan: ProcessPlan) -> RunReport {
         ) {
             Ok(a) => a,
             Err(FleetStop::Startup(reason)) => return startup_failure(built, reason, start),
-            Err(FleetStop::Resume(reason)) => return resume_failure(&mut built, reason),
+            Err(FleetStop::Resume(reason)) => return resume_failure(built, reason),
         };
         if let Some(p) = attempt.last_checkpoint.take() {
             resume = Some(p);
@@ -178,7 +177,7 @@ pub(crate) fn run_parent(mut built: Built, plan: ProcessPlan) -> RunReport {
         };
         inputs.worker_error.get_or_insert((w as u32, why.into()));
     }
-    let report = assemble(&mut built, inputs);
+    let report = assemble(built, inputs);
     if let Some(hb) = heartbeat {
         hb.finish(&report);
     }
@@ -347,7 +346,7 @@ fn startup_failure(mut built: Built, reason: String, start: Instant) -> RunRepor
         worker_error: Some((0, format!("startup: {reason}"))),
         host: None,
     };
-    assemble(&mut built, inputs)
+    assemble(built, inputs)
 }
 
 /// The worker-process entry point behind the `__worker` argv role:

@@ -18,7 +18,7 @@ use supersim_des::{ProgressShared, Tick};
 use supersim_stats::{HostClock, MetricValue, ProgressLine};
 
 use crate::builder::Built;
-use crate::sim::RunReport;
+use crate::report::RunReport;
 
 /// A running heartbeat thread. Call [`Heartbeat::finish`] to stop it
 /// and emit the final summary line.

@@ -285,10 +285,11 @@ impl<E: 'static> Simulator<E> {
         self.shards.iter().map(Shard::metrics).collect()
     }
 
-    /// The collected trace records in canonical order; `None` when
-    /// tracing is disarmed, or when this process is a fleet worker.
-    pub fn trace_records(&self) -> Option<Vec<TraceEvent>> {
-        self.trace.as_ref().map(TraceBuffer::records)
+    /// Moves the collected trace records out in canonical order, leaving
+    /// tracing disarmed; `None` when it was disarmed, or when this process
+    /// is a fleet worker. The ring's storage becomes the result.
+    pub fn take_trace_records(&mut self) -> Option<Vec<TraceEvent>> {
+        self.trace.take().map(TraceBuffer::into_records)
     }
 
     /// The clock the host-time records read, started when the simulator
@@ -736,7 +737,7 @@ mod tests {
         sim.schedule(a, Time::at(1), Ev::Ping(7));
         sim.schedule(a, Time::at(2), Ev::Ping(8));
         sim.run();
-        let recs = sim.trace_records().expect("tracing armed");
+        let recs = sim.take_trace_records().expect("tracing armed");
         assert_eq!(recs.len(), 2, "kind-1 records filtered out");
         assert_eq!(recs[0].id, 7);
         assert_eq!(recs[1].id, 8);
@@ -997,7 +998,7 @@ mod layout_tests {
             (first.outcome, first.events_executed, at_halt),
             (resumed.outcome, resumed.events_executed, engine.now()),
             (totals(engine), state_of(engine, size)),
-            engine.trace_records(),
+            engine.take_trace_records(),
         )
     }
 

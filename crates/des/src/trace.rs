@@ -18,7 +18,7 @@
 //! synchronization round.
 
 use crate::time::Time;
-use crate::wire::WireCodec;
+use crate::wire::{put_varint, WireCodec};
 
 /// One collected trace record. Interpretation of `kind`, `id`, and `sub`
 /// belongs to the layer that recorded it.
@@ -136,18 +136,22 @@ impl TraceBuffer {
         self.recorded
     }
 
-    /// The kept records in collection order (unwrapping the ring).
-    pub fn records(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.ring.len());
-        out.extend_from_slice(&self.ring[self.next..]);
-        out.extend_from_slice(&self.ring[..self.next]);
-        out
+    /// The kept records in collection order, unwrapping the ring in
+    /// place: the buffer's own storage becomes the result.
+    pub fn into_records(self) -> Vec<TraceEvent> {
+        let mut ring = self.ring;
+        ring.rotate_left(self.next);
+        ring
     }
 
     /// Serializes the kept records (in collection order) plus the
-    /// lifetime counter, for a checkpoint.
+    /// lifetime counter, for a checkpoint. The ring's two halves are
+    /// encoded where they lie, as the bytes of the unwrapped `Vec`.
     pub fn save(&self, out: &mut Vec<u8>) {
-        self.records().encode(out);
+        put_varint(out, self.ring.len() as u64);
+        for ev in self.ring[self.next..].iter().chain(&self.ring[..self.next]) {
+            ev.encode(out);
+        }
         self.recorded.encode(out);
     }
 
@@ -194,8 +198,31 @@ mod tests {
         }
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.total_recorded(), 5);
-        let ids: Vec<u64> = buf.records().iter().map(|r| r.id).collect();
+        let ids: Vec<u64> = buf.into_records().iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![2, 3, 4], "collection order, oldest overwritten");
+    }
+
+    /// A wrapped ring saves the bytes of its unwrapped records as a
+    /// `Vec`, and loads back into the same order.
+    #[test]
+    fn save_encodes_the_unwrapped_ring() {
+        for pushed in [0, 2, 3, 4, 7] {
+            let mut buf = TraceBuffer::with_capacity(3);
+            for i in 0..pushed {
+                buf.push(ev(i));
+            }
+            let mut saved = Vec::new();
+            buf.save(&mut saved);
+            let mut expected = Vec::new();
+            let kept: Vec<TraceEvent> = (pushed.saturating_sub(3)..pushed).map(ev).collect();
+            kept.encode(&mut expected);
+            pushed.encode(&mut expected);
+            assert_eq!(saved, expected, "{pushed} records");
+            let mut back = TraceBuffer::with_capacity(3);
+            back.load(&mut saved.as_slice()).expect("loads");
+            assert_eq!(back.total_recorded(), pushed);
+            assert_eq!(back.into_records(), kept);
+        }
     }
 
     #[test]

@@ -180,9 +180,12 @@ impl HostData {
     /// per-terminal memory figures. On an in-process run, where the
     /// platform reports it, the plane also holds this process's peak
     /// resident set so far (`peak_rss_bytes`: `VmHWM` on Linux, read when
-    /// the plane is pushed). It is the run's own peak only when the
-    /// process ran one simulation; a worker fleet's shards live in other
-    /// processes, so a fleet run records none.
+    /// the plane is pushed, which report assembly does after the engine
+    /// is dropped and every dump — span text, flit trace, time series,
+    /// host trace — is rendered, so it covers the whole run). It is the
+    /// run's own peak only when the process ran one simulation; a worker
+    /// fleet's shards live in other processes, so a fleet run records
+    /// none.
     pub fn push_planes(
         &self,
         metrics: &mut MetricsSnapshot,
@@ -205,7 +208,7 @@ impl HostData {
                 ("checkpoint_writes", t.checkpoint_writes),
                 ("checkpoint_bytes", t.checkpoint_bytes),
             ] {
-                metrics.push_counter(&name, metric, value);
+                metrics.push_counter(name.clone(), metric, value);
             }
         }
         let sum = |field: fn(&HostShardTimes) -> u64| shards.iter().map(field).sum::<u64>();
@@ -252,8 +255,8 @@ impl HostData {
             slot.1 += events;
         }
         for (class, (ns, events)) in classes {
-            metrics.push_counter("host", &format!("class_{class}_ns"), ns);
-            metrics.push_counter("host", &format!("class_{class}_events"), events);
+            metrics.push_counter("host", format!("class_{class}_ns"), ns);
+            metrics.push_counter("host", format!("class_{class}_events"), events);
         }
         // Checkpoint attribution: worker-side state capture plus the
         // parent-side file writes.
@@ -276,8 +279,8 @@ impl HostData {
                 .zip(&hub.wire_out_bytes)
                 .enumerate()
             {
-                metrics.push_counter("host", &format!("worker_{w}_wire_in_bytes"), *inb);
-                metrics.push_counter("host", &format!("worker_{w}_wire_out_bytes"), *outb);
+                metrics.push_counter("host", format!("worker_{w}_wire_in_bytes"), *inb);
+                metrics.push_counter("host", format!("worker_{w}_wire_out_bytes"), *outb);
             }
         }
     }

@@ -38,7 +38,9 @@ mod timeseries;
 pub use distribution::LatencyDistribution;
 pub use filter::{Filter, FilterError, FilterTerm};
 pub use host::{CkptTimes, HostClock, HostData, ProgressLine, TraceEventBuilder};
-pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsSnapshot};
+pub use metrics::{
+    Counter, Gauge, Histogram, MetricName, MetricSample, MetricValue, MetricsSnapshot,
+};
 pub use record::{RecordKind, Records, SampleLog, SampleRecord};
 pub use streaming::StreamingStats;
 pub use timeseries::{

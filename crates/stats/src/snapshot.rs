@@ -54,10 +54,15 @@ fn put_named<T: WireCodec>(out: &mut Vec<u8>, entries: &[(&'static str, T)]) {
     });
 }
 
-fn get_named<T: WireCodec, C: FromIterator<(&'static str, T)>>(buf: &mut &[u8]) -> Option<C> {
-    (0..get_len(buf)?)
-        .map(|_| Some((intern_series(&get_str(buf)?), T::decode(buf)?)))
-        .collect()
+/// Reads a list written by [`put_named`] at its decoded length, reserved
+/// once and bounded by the input as `Vec::decode` bounds it.
+fn get_named<T: WireCodec, C: From<Vec<(&'static str, T)>>>(buf: &mut &[u8]) -> Option<C> {
+    let len = get_len(buf)?;
+    let mut entries = Vec::with_capacity(len.min(buf.len() / size_of::<(&str, T)>()));
+    for _ in 0..len {
+        entries.push((intern_series(&get_str(buf)?), T::decode(buf)?));
+    }
+    Some(entries.into())
 }
 
 impl WireCodec for WindowSample {
@@ -159,6 +164,24 @@ mod tests {
         let mut out2 = Vec::new();
         got.encode(&mut out2);
         assert_eq!(out, out2);
+    }
+
+    /// A window's scalars decoded from inside a blob, as a checkpoint or
+    /// a worker's final state holds them, are reserved at exactly their
+    /// length, not grown by doubling.
+    #[test]
+    fn decoded_windows_hold_exactly_their_entries() {
+        let scalars = ["a", "b", "c", "d", "e"].map(|n| (intern_series(n), 1));
+        let mut s = ComponentSampler::new(2);
+        s.record("lat", 10);
+        s.close(100, scalars.to_vec());
+        let mut out = Vec::new();
+        s.encode(&mut out);
+        out.resize(out.len() + 4096, 0);
+        let got = ComponentSampler::decode(&mut out.as_slice()).unwrap();
+        let window = got.windows().next().expect("one window");
+        assert_eq!(window.scalars, scalars);
+        assert_eq!(window.scalars.capacity(), scalars.len());
     }
 
     #[test]

@@ -22,12 +22,12 @@ pub fn report_text(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let mut current: Option<&str> = None;
     for s in snap.samples() {
-        if current != Some(s.component.as_str()) {
+        if current != Some(&*s.component) {
             if current.is_some() {
                 out.push('\n');
             }
             let _ = writeln!(out, "[{}]", s.component);
-            current = Some(s.component.as_str());
+            current = Some(&*s.component);
         }
         match &s.value {
             MetricValue::Counter(v) => {
@@ -465,7 +465,7 @@ pub fn histogram_names(snap: &MetricsSnapshot) -> Vec<(String, String)> {
     snap.samples()
         .iter()
         .filter(|s| matches!(s.value, MetricValue::Histogram(_)))
-        .map(|s| (s.component.clone(), s.name.clone()))
+        .map(|s| (s.component.to_string(), s.name.to_string()))
         .collect()
 }
 
@@ -526,11 +526,11 @@ mod tests {
         snap.push_counter("engine", "events_executed", 100);
         for (s, events) in [(0u32, 60u64), (1, 40)] {
             let name = format!("engine_shard_{s}");
-            snap.push_counter(&name, "events_executed", events);
-            snap.push_counter(&name, "batches", events / 10);
-            snap.push_counter(&name, "total_enqueued", events + 1);
+            snap.push_counter(name.clone(), "events_executed", events);
+            snap.push_counter(name.clone(), "batches", events / 10);
+            snap.push_counter(name.clone(), "total_enqueued", events + 1);
             snap.push(
-                &name,
+                name,
                 "queue_len",
                 MetricValue::Gauge {
                     value: 0,
@@ -591,9 +591,9 @@ mod tests {
         snap.push_counter("host", "barrier_wait_millis", 125);
         for s in 0..2u32 {
             let plane = format!("host_shard_{s}");
-            snap.push_counter(&plane, "execute_ns", 3_000_000);
-            snap.push_counter(&plane, "exchange_ns", 1_000_000);
-            snap.push_counter(&plane, "total_batches", 40 + s as u64);
+            snap.push_counter(plane.clone(), "execute_ns", 3_000_000);
+            snap.push_counter(plane.clone(), "exchange_ns", 1_000_000);
+            snap.push_counter(plane.clone(), "total_batches", 40 + s as u64);
         }
         snap
     }

@@ -35,7 +35,8 @@ mod traffic;
 pub use blast::{BlastApp, BlastConfig};
 pub use injection::{BernoulliProcess, SizeDistribution};
 pub use interface::{
-    Interface, InterfaceConfig, InterfaceCounters, InterfaceMetrics, SpanMetrics, SpanRecord,
+    spans_json_lines, Interface, InterfaceConfig, InterfaceCounters, InterfaceMetrics, SpanMetrics,
+    SpanRecord,
 };
 pub use monitor::WorkloadMonitor;
 pub use pingpong::{PingPongApp, PingPongConfig};

@@ -1,5 +1,6 @@
 //! The interfaces' share of the end-of-run report: the `workload` metrics
-//! plane, the merged sample log and the span text.
+//! plane, the merged sample log and the span logs the span text is
+//! rendered from.
 
 use supersim_des::wire::EncodedLog;
 use supersim_netbase::{LinkFaults, Phase};
@@ -7,7 +8,7 @@ use supersim_stats::{
     ComponentSampler, Histogram, MetricValue, MetricsSnapshot, SampleLog, SampleRecord,
 };
 
-use crate::interface::{spans_json_lines, Interface, InterfaceCounters, SpanMetrics, SpanRecord};
+use crate::interface::{Interface, InterfaceCounters, SpanMetrics, SpanRecord};
 
 /// One interface's sample and span logs, as [`Interface::take_logs`]
 /// moves them out.
@@ -17,8 +18,10 @@ pub type InterfaceLogs = (EncodedLog<SampleRecord>, EncodedLog<SpanRecord>);
 pub struct WorkloadReport<'a> {
     /// The merged sample log, one segment per interface in index order.
     pub log: SampleLog,
-    /// The span JSON-lines, when spans were enabled.
-    pub spans: Option<String>,
+    /// Each interface's span log, in index order, when spans were
+    /// enabled: [`spans_json_lines`](crate::spans_json_lines) renders
+    /// them once the components are gone.
+    pub span_logs: Option<Vec<EncodedLog<SpanRecord>>>,
     /// Interface counters, summed.
     pub counters: InterfaceCounters,
     /// Flits ejected network-wide during the sampling window.
@@ -40,8 +43,8 @@ pub struct WorkloadReport<'a> {
 /// so the plane is the same however the interfaces were partitioned.
 ///
 /// Each sample log moves into the merged log as one of its segments, still
-/// wire-encoded; the span logs are streamed into the span text by a k-way
-/// merge, with no merged record vector.
+/// wire-encoded; the span logs are handed back as they are, so the span
+/// text need not share the heap with the components.
 pub fn push_workload_plane<'a>(
     metrics: &mut MetricsSnapshot,
     ifaces: &[&'a Interface],
@@ -101,17 +104,17 @@ pub fn push_workload_plane<'a>(
     metrics.push("workload", "queue_depth", queue_depth);
     for phase in Phase::ALL {
         let name = format!("packet_latency_{phase}");
-        metrics.push_histogram("workload", &name, &phase_latency[phase.index()]);
+        metrics.push_histogram("workload", name, &phase_latency[phase.index()]);
     }
     if spans {
         for (name, h) in span_metrics.named() {
-            metrics.push_histogram("workload", &format!("span_{name}"), h);
+            metrics.push_histogram("workload", format!("span_{name}"), h);
         }
     }
 
     WorkloadReport {
         log,
-        spans: spans.then(|| spans_json_lines(&span_logs)),
+        span_logs: spans.then_some(span_logs),
         counters,
         window_flits,
         span_metrics,

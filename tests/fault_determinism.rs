@@ -76,7 +76,7 @@ fn assert_backend(cfg: &Value, routers: u32, out: &RunOutput) {
         .metrics
         .samples()
         .iter()
-        .map(|s| s.component.as_str())
+        .map(|s| &*s.component)
         .filter(|c| c.starts_with("engine_shard_"))
         .collect();
     planes.dedup();
